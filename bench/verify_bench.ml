@@ -16,7 +16,7 @@
 
    Usage: verify_bench [--seed S] [--scales N,N,..] [--fast-scales N,N,..]
                        [--repeats R] [--out PATH]
-   Defaults: seed 7, scales 25,50,100,200, fast-scales 400,800,
+   Defaults: seed 7, scales 25,50,100,200, fast-scales 400,800,1600,3200,
    3 repeats, ./BENCH_verify.json. *)
 
 open Net
@@ -46,7 +46,9 @@ type row = {
   fast_core_s : float;
       (* integrity + validity + agreement + prefix + genuineness: the
          single-pass suite, near-linear in deliveries + trace *)
-  fast_causal_s : float;  (* bitset reachability: O(casts * trace) *)
+  fast_causal_s : float;
+      (* vector-clock reachability rows + seen-bitset scan:
+         O(trace * processes + casts^2) *)
   fast_check_s : float;  (* core + causal *)
   naive_check_s : float option;  (* None beyond the comparison matrix *)
   violations_fast : int;
@@ -178,7 +180,7 @@ let parse_scales s = String.split_on_char ',' s |> List.map int_of_string
 let () =
   let seed = ref 7 in
   let scales = ref [ 25; 50; 100; 200 ] in
-  let fast_scales = ref [ 400; 800 ] in
+  let fast_scales = ref [ 400; 800; 1600; 3200 ] in
   let repeats = ref 3 in
   let out = ref "BENCH_verify.json" in
   let rec parse = function

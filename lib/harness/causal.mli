@@ -13,16 +13,19 @@
     inflates clock values but never creates causal paths). The property
     suite asserts both.
 
-    The reconstruction matches a receive to its send by (src, dst, carried
-    clock value, order of occurrence), which is unambiguous because the
-    runtime logs sends and receives in global virtual-time order and the
-    network never duplicates messages. *)
+    The reconstruction matches a receive to the send logged under the
+    same (envelope id, destination) pair, provided that send comes
+    earlier in the trace. A broadcast fan-out shares one envelope across
+    its destinations, so the pair names one delivery; the network never
+    duplicates messages. *)
 
 type t
 
 val of_trace : Runtime.Trace.t -> t
-(** Builds the happened-before DAG of a recorded run. Cost is linear in the
-    trace for construction; queries run a DAG traversal. *)
+(** Builds the happened-before DAG of a recorded run, in expected time
+    linear in the trace. {!latency_degree} and {!causally_precedes} run
+    one DAG traversal per query; {!cast_reachability} runs one vector-clock
+    pass for all casts. *)
 
 val latency_degree : t -> Runtime.Msg_id.t -> int option
 (** [latency_degree t id] is the causal-path latency degree of message
@@ -51,6 +54,7 @@ type reachability = {
 
 val cast_reachability : t -> Runtime.Msg_id.t list -> reachability
 (** [cast_reachability t ids] builds the relation over the (deduplicated)
-    ids that were actually cast, with one DAG traversal per cast — O(casts
-    * trace) total, versus O(casts^2 * trace) for pairwise
-    {!causally_precedes} queries. *)
+    ids that were actually cast, from one forward pass over the trace
+    that keeps a vector clock per process, then one comparison per cast
+    pair: O(trace * processes + casts^2), versus O(casts^2 * trace) for
+    pairwise {!causally_precedes} queries. *)

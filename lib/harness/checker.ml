@@ -562,11 +562,11 @@ let genuineness ?overlay (r : Run_result.t) =
   |> List.sort_uniq String.compare
 
 (* Indexed causal order: build the all-pairs cast reachability bitsets
-   once, then scan each delivery sequence left to right keeping a "seen"
-   bitset — a delivery of [m] whose successor row intersects [seen] is a
-   violation (some causally later message was delivered first). Total
-   cost O(casts * trace + deliveries * casts/63) instead of
-   O(casts^2 * trace). *)
+   once (one vector-clock pass over the trace), then scan each delivery
+   sequence left to right keeping a "seen" bitset — a delivery of [m]
+   whose successor row intersects [seen] is a violation (some causally
+   later message was delivered first). Total cost O(trace * processes +
+   casts^2 + deliveries * casts/63) instead of O(casts^2 * trace). *)
 let causal_delivery_order (r : Run_result.t) =
   let causal = Causal.of_trace r.trace in
   let ids =

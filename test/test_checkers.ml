@@ -361,6 +361,292 @@ let prop_differential_skeen s =
     (run_scenario (module Amcast.Skeen) ~broadcast:false
        { s with crashes = false })
 
+(* ----- Hand-built causal-order cases ----- *)
+
+let t_ms = Sim_time.of_ms
+
+let send ~src ~dst ~env =
+  Trace.Send
+    { time = t_ms 1; src; dst; inter_group = true; lc = 0; tag = "x"; env }
+
+let receive ~src ~dst ~env =
+  Trace.Receive { time = t_ms 2; src; dst; lc = 0; env }
+
+let cast pid id = Trace.Cast { time = t_ms 1; pid; id; lc = 0 }
+
+(* A run over [entries] where each pid in [orders] delivers the listed
+   messages in that order. *)
+let causal_run ~topo ~msgs ~entries ~orders =
+  let trace = Trace.create () in
+  List.iter (Trace.record trace) entries;
+  let origin_of id =
+    List.find_map
+      (function
+        | Trace.Cast { pid; id = c; _ } when Msg_id.equal c id -> Some pid
+        | _ -> None)
+      entries
+    |> Option.get
+  in
+  mk_run ~trace ~topo
+    ~casts:
+      (List.map
+         (fun (m : Amcast.Msg.t) ->
+           {
+             Harness.Run_result.msg = m;
+             origin = origin_of m.id;
+             at = t_ms 1;
+             lc = 0;
+           })
+         msgs)
+    ~deliveries:
+      (List.concat_map
+         (fun (pid, order) ->
+           List.mapi
+             (fun k (m : Amcast.Msg.t) ->
+               { Harness.Run_result.pid; msg = m; at = t_ms (5 + k); lc = 0 })
+             order)
+         orders)
+    ()
+
+let test_causal_relay_chain () =
+  (* p0 casts m1 and tells p1, which relays to p2 without casting; p2
+     then casts m2. cast(m1) -> cast(m2) only transitively through the
+     relay, and p1 delivering m2 first must be flagged. *)
+  let topo = Topology.symmetric ~groups:3 ~per_group:1 in
+  let id1 = Msg_id.make ~origin:0 ~seq:0 in
+  let id2 = Msg_id.make ~origin:2 ~seq:0 in
+  let m1 = Amcast.Msg.make ~id:id1 ~dest:[ 0; 1; 2 ] "a" in
+  let m2 = Amcast.Msg.make ~id:id2 ~dest:[ 0; 1; 2 ] "b" in
+  let r =
+    causal_run ~topo ~msgs:[ m1; m2 ]
+      ~entries:
+        [
+          cast 0 id1;
+          send ~src:0 ~dst:1 ~env:1;
+          receive ~src:0 ~dst:1 ~env:1;
+          send ~src:1 ~dst:2 ~env:2;
+          receive ~src:1 ~dst:2 ~env:2;
+          cast 2 id2;
+        ]
+      ~orders:[ (0, [ m1; m2 ]); (1, [ m2; m1 ]); (2, [ m1; m2 ]) ]
+  in
+  check_same_violations "relay chain" true
+    (Harness.Checker.causal_delivery_order r)
+    (Harness.Checker.Reference.causal_delivery_order r);
+  Alcotest.(check (list string))
+    "only p1 flagged"
+    [
+      "causal order: p1 delivered m2.0 before m0.0 although cast(m0.0) \
+       happened-before cast(m2.0)";
+    ]
+    (Harness.Checker.causal_delivery_order r)
+
+let test_causal_concurrent () =
+  (* Two casts with no causal path between them (the exchange comes after
+     both casts) may be delivered in either order anywhere. *)
+  let topo = Topology.symmetric ~groups:2 ~per_group:1 in
+  let id1 = Msg_id.make ~origin:0 ~seq:0 in
+  let id2 = Msg_id.make ~origin:1 ~seq:0 in
+  let m1 = Amcast.Msg.make ~id:id1 ~dest:[ 0; 1 ] "a" in
+  let m2 = Amcast.Msg.make ~id:id2 ~dest:[ 0; 1 ] "b" in
+  let r =
+    causal_run ~topo ~msgs:[ m1; m2 ]
+      ~entries:
+        [
+          cast 0 id1;
+          cast 1 id2;
+          send ~src:0 ~dst:1 ~env:1;
+          send ~src:1 ~dst:0 ~env:2;
+          receive ~src:0 ~dst:1 ~env:1;
+          receive ~src:1 ~dst:0 ~env:2;
+        ]
+      ~orders:[ (0, [ m1; m2 ]); (1, [ m2; m1 ]) ]
+  in
+  Alcotest.(check (list string))
+    "fast: nothing flagged" []
+    (Harness.Checker.causal_delivery_order r);
+  Alcotest.(check (list string))
+    "reference: nothing flagged" []
+    (Harness.Checker.Reference.causal_delivery_order r)
+
+let test_causal_across_note () =
+  (* p0 casts m1, logs a note, then casts m2: program order runs through
+     the note, so p1 delivering m2 first must be flagged. *)
+  let topo = Topology.symmetric ~groups:2 ~per_group:1 in
+  let id1 = Msg_id.make ~origin:0 ~seq:0 in
+  let id2 = Msg_id.make ~origin:0 ~seq:1 in
+  let m1 = Amcast.Msg.make ~id:id1 ~dest:[ 0; 1 ] "a" in
+  let m2 = Amcast.Msg.make ~id:id2 ~dest:[ 0; 1 ] "b" in
+  let r =
+    causal_run ~topo ~msgs:[ m1; m2 ]
+      ~entries:
+        [
+          cast 0 id1;
+          Trace.Note { time = t_ms 1; pid = 0; text = "between casts" };
+          cast 0 id2;
+        ]
+      ~orders:[ (0, [ m1; m2 ]); (1, [ m2; m1 ]) ]
+  in
+  check_same_violations "across note" true
+    (Harness.Checker.causal_delivery_order r)
+    (Harness.Checker.Reference.causal_delivery_order r);
+  Alcotest.(check int) "one violation" 1
+    (List.length (Harness.Checker.causal_delivery_order r))
+
+(* ----- Cast reachability vs pairwise traversal ----- *)
+
+(* [Causal.cast_reachability] over [queries] must hold exactly the casts
+   named there (first occurrence order, never-cast ids dropped), and row a
+   must have bit b iff a <> b and [Causal.causally_precedes] a b. *)
+let reachability_agrees trace queries =
+  let causal = Harness.Causal.of_trace trace in
+  let reach = Harness.Causal.cast_reachability causal queries in
+  let was_cast id =
+    List.exists
+      (function Trace.Cast { id = c; _ } -> Msg_id.equal c id | _ -> false)
+      (Trace.entries trace)
+  in
+  let expected_ids =
+    List.fold_left
+      (fun acc id ->
+        if was_cast id && not (List.exists (Msg_id.equal id) acc) then
+          id :: acc
+        else acc)
+      [] queries
+    |> List.rev
+  in
+  let open Harness.Causal in
+  let n = Array.length reach.r_ids in
+  let bit a b = reach.r_succ.(a).(b / 63) land (1 lsl (b mod 63)) <> 0 in
+  let ok =
+    ref (List.equal Msg_id.equal (Array.to_list reach.r_ids) expected_ids)
+  in
+  ok :=
+    !ok
+    && reach.r_words = (n + 62) / 63
+    && Hashtbl.length reach.r_index = n
+    && List.for_all
+         (fun id ->
+           match Hashtbl.find_opt reach.r_index id with
+           | Some i -> Msg_id.equal reach.r_ids.(i) id
+           | None -> not (was_cast id))
+         queries;
+  for a = 0 to n - 1 do
+    for b = 0 to n - 1 do
+      let expected =
+        a <> b && causally_precedes causal reach.r_ids.(a) reach.r_ids.(b)
+      in
+      if bit a b <> expected then ok := false
+    done
+  done;
+  !ok
+
+let synthetic_gen =
+  (* Small pid and envelope ranges, so traces mix shared broadcast
+     envelopes, receives with no send or with a send logged later, repeated
+     (env, dst) sends, several Cast entries for one id, and queried ids
+     that were never cast (seq 6 and 7). *)
+  let open QCheck2.Gen in
+  let* n_pids = int_range 1 4 in
+  let pid = int_bound (n_pids - 1) in
+  let id = map (fun seq -> Msg_id.make ~origin:0 ~seq) (int_bound 5) in
+  let t = t_ms 1 in
+  let entry =
+    frequency
+      [
+        ( 4,
+          map3
+            (fun src dsts (env, inter_group) ->
+              List.map
+                (fun dst ->
+                  Trace.Send
+                    { time = t; src; dst; inter_group; lc = 0; tag = "x"; env })
+                dsts)
+            pid
+            (list_size (int_range 1 3) pid)
+            (pair (int_bound 7) bool) );
+        ( 4,
+          map3
+            (fun src dst env -> [ receive ~src ~dst ~env ])
+            pid pid (int_bound 7) );
+        (2, map2 (fun pid id -> [ cast pid id ]) pid id);
+        ( 1,
+          map2
+            (fun pid id -> [ Trace.Deliver { time = t; pid; id; lc = 0 } ])
+            pid id );
+        (1, map (fun pid -> [ Trace.Crash { time = t; pid } ]) pid);
+        (1, map (fun pid -> [ Trace.Note { time = t; pid; text = "n" } ]) pid);
+      ]
+  in
+  let* entries = map List.concat (list_size (int_range 0 60) entry) in
+  let+ queries =
+    list_size (int_range 0 16)
+      (map (fun seq -> Msg_id.make ~origin:0 ~seq) (int_bound 7))
+  in
+  (entries, queries)
+
+let prop_reachability_synthetic (entries, queries) =
+  let trace = Trace.create () in
+  List.iter (Trace.record trace) entries;
+  reachability_agrees trace queries
+  || QCheck2.Test.fail_reportf "rows differ on trace@\n%a@\nqueries %a"
+       Trace.pp trace
+       Fmt.(list ~sep:sp Msg_id.pp)
+       queries
+
+let test_reachability_edge_cases () =
+  (* One fixed trace with the matching corners. p1's receive of env 9
+     matches no send: its key is shadowed by a second env-9 send to p1
+     logged after the receive (the table keeps the last send per key).
+     p2's receive of env 5 has no send at all. Env 1 is one broadcast to
+     p1 and p2. p2's chain from m0.0 to m0.3 runs through a crash and a
+     note. m0.0 is cast twice and only the first cast counts, although
+     m0.3 reaches the second. *)
+  let id seq = Msg_id.make ~origin:0 ~seq in
+  let entries =
+    [
+      cast 0 (id 0);
+      send ~src:0 ~dst:1 ~env:9;
+      receive ~src:0 ~dst:1 ~env:9;
+      cast 1 (id 1);
+      send ~src:0 ~dst:1 ~env:1;
+      send ~src:0 ~dst:2 ~env:1;
+      send ~src:0 ~dst:1 ~env:9;
+      receive ~src:0 ~dst:2 ~env:5;
+      cast 2 (id 2);
+      receive ~src:0 ~dst:2 ~env:1;
+      Trace.Crash { time = t_ms 1; pid = 2 };
+      Trace.Note { time = t_ms 1; pid = 2; text = "n" };
+      cast 2 (id 3);
+      send ~src:2 ~dst:0 ~env:4;
+      receive ~src:2 ~dst:0 ~env:4;
+      cast 0 (id 0);
+    ]
+  in
+  let trace = Trace.create () in
+  List.iter (Trace.record trace) entries;
+  let causal = Harness.Causal.of_trace trace in
+  let precedes a b = Harness.Causal.causally_precedes causal (id a) (id b) in
+  Alcotest.(check bool) "shadowed send is no cause" false (precedes 0 1);
+  Alcotest.(check bool) "missing send is no cause" false (precedes 0 2);
+  Alcotest.(check bool) "broadcast edge, crash and note" true (precedes 0 3);
+  Alcotest.(check bool) "first cast of a repeated id" false (precedes 3 0);
+  Alcotest.(check bool) "rows = pairwise" true
+    (reachability_agrees trace
+       [ id 3; id 0; id 7; id 1; id 0; id 2; id 6; id 3 ])
+
+let prop_reachability_run (module P : Amcast.Protocol.S) ~broadcast s =
+  let s = { s with crashes = true } in
+  let r = run_scenario (module P) ~broadcast s in
+  let ids =
+    List.map (fun (c : Harness.Run_result.cast_event) -> c.msg.Amcast.Msg.id)
+      r.casts
+  in
+  reachability_agrees r.trace
+    (List.rev ids @ [ Msg_id.make ~origin:0 ~seq:1_000_000 ] @ ids)
+  || QCheck2.Test.fail_reportf "rows differ from pairwise in %s"
+       (pp_scenario s)
+
 let suites =
   [
     ( "checkers",
@@ -379,5 +665,27 @@ let suites =
           scenario_gen prop_differential_a2;
         Util.qcheck_case ~count:15 ~name:"skeen: fast checkers = reference"
           scenario_gen prop_differential_skeen;
+        Alcotest.test_case "causal: chain through a non-casting relay" `Quick
+          test_causal_relay_chain;
+        Alcotest.test_case "causal: concurrent casts never flagged" `Quick
+          test_causal_concurrent;
+        Alcotest.test_case "causal: program order across a note" `Quick
+          test_causal_across_note;
+        Alcotest.test_case "reachability: matching edge cases" `Quick
+          test_reachability_edge_cases;
+        Util.qcheck_case ~count:300 ~name:"reachability = pairwise (synthetic)"
+          synthetic_gen prop_reachability_synthetic;
+        Util.qcheck_case ~count:15 ~name:"reachability = pairwise (a1, crashes)"
+          scenario_gen
+          (prop_reachability_run (module Amcast.A1) ~broadcast:false);
+        Util.qcheck_case ~count:15 ~name:"reachability = pairwise (a2, crashes)"
+          scenario_gen
+          (prop_reachability_run (module Amcast.A2) ~broadcast:true);
+        Util.qcheck_case ~count:15
+          ~name:"reachability = pairwise (skeen, crashes)" scenario_gen
+          (prop_reachability_run (module Amcast.Skeen) ~broadcast:false);
+        Util.qcheck_case ~count:15
+          ~name:"reachability = pairwise (whitebox, crashes)" scenario_gen
+          (prop_reachability_run (module Amcast.Whitebox) ~broadcast:false);
       ] );
   ]
