@@ -1,9 +1,9 @@
 (* Reproduction harness: one experiment per table, figure and theorem of the
-   paper, printed as paper-vs-measured rows, plus a Bechamel timing bench per
-   experiment. See DESIGN.md section 5 for the experiment index and
-   EXPERIMENTS.md for recorded outcomes.
+   paper, printed as paper-vs-measured rows. See DESIGN.md section 5 for the
+   experiment index and EXPERIMENTS.md for recorded outcomes; timings come
+   from perfbench/.
 
-   Usage: dune exec bench/main.exe [-- --only ID] [-- --no-bechamel]
+   Usage: dune exec bench/main.exe [-- --only ID]
    where ID is one of: figure-1a figure-1b theorem-4-1 theorem-5-1
    theorem-5-2 lower-bound quiescence tradeoff a2-frequency a1-ablation. *)
 
@@ -776,74 +776,6 @@ let asymmetric () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel timing benches: one per experiment, measuring the underlying
-   simulation so regressions in the protocols' algorithmic complexity are
-   visible. *)
-
-let bechamel_benches () =
-  let open Bechamel in
-  let mk name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    [
-      mk "figure-1a:a1-cell" (fun () ->
-          ignore (run_multicast (module Amcast.A1) ~groups:4 ~d:2 ~k:3 ()));
-      mk "figure-1a:ring-cell" (fun () ->
-          ignore (run_multicast (module Amcast.Ring) ~groups:4 ~d:2 ~k:3 ()));
-      mk "figure-1a:scalable-cell" (fun () ->
-          ignore
-            (run_multicast (module Amcast.Scalable) ~groups:4 ~d:2 ~k:3 ()));
-      mk "figure-1b:a2-cold-cell" (fun () ->
-          ignore
-            (run_broadcast (module Amcast.A2) ~groups:3 ~d:2 ~origin:0 ()));
-      mk "figure-1b:a2-warm-cell" (fun () -> ignore (a2_warm ~groups:2 ~d:2));
-      mk "theorem-4-1" (fun () ->
-          ignore (run_multicast (module Amcast.A1) ~groups:2 ~d:2 ~k:2 ()));
-      mk "quiescence:20-broadcasts" (fun () ->
-          let module R = Harness.Runner.Make (Amcast.A2) in
-          let topo = Topology.symmetric ~groups:3 ~per_group:2 in
-          let rng = Rng.create 5 in
-          let w =
-            Harness.Workload.generate ~rng ~topology:topo ~n:20
-              ~dest:Harness.Workload.To_all_groups
-              ~arrival:(`Every (ms 10))
-              ()
-          in
-          ignore (R.run ~latency:crisp ~record_trace:false topo w));
-      mk "tradeoff:k4-cell" (fun () ->
-          ignore (run_multicast (module Amcast.A1) ~groups:8 ~d:2 ~k:4 ()));
-      mk "a1-ablation:cell" (fun () ->
-          ignore
-            (run_multicast (module Amcast.Fritzke) ~groups:4 ~d:2 ~k:2 ()));
-    ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:None
-      ~stabilize:false ()
-  in
-  let raw =
-    Benchmark.all cfg instances (Test.make_grouped ~name:"amcast" tests)
-  in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  print_newline ();
-  print_endline "Bechamel timings (simulated-run cost, monotonic clock)";
-  hr 72;
-  let rows =
-    Hashtbl.fold (fun name res acc -> (name, res) :: acc) results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.iter
-    (fun (name, ols_result) ->
-      match Analyze.OLS.estimates ols_result with
-      | Some [ est ] -> Fmt.pr "%-40s %12.1f us/run@." name (est /. 1_000.)
-      | _ -> Fmt.pr "%-40s (no estimate)@." name)
-    rows;
-  hr 72
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -872,7 +804,6 @@ let () =
     in
     find args
   in
-  let with_bechamel = not (List.mem "--no-bechamel" args) in
   match only with
   | Some id -> (
     match List.assoc_opt id experiments with
@@ -882,6 +813,4 @@ let () =
         Fmt.(list ~sep:(any ", ") string)
         (List.map fst experiments);
       exit 1)
-  | None ->
-    List.iter (fun (_, f) -> f ()) experiments;
-    if with_bechamel then bechamel_benches ()
+  | None -> List.iter (fun (_, f) -> f ()) experiments

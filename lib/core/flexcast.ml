@@ -1,11 +1,11 @@
 (* FlexCast-style overlay-routed atomic multicast (see flexcast.mli).
 
-   The delivery machinery (pending table, stamp rows, the (final, id)
-   index and the root-finalised delivery test) is Skeen's, verbatim: the
-   two protocols must produce identical per-pid sequences on a clique
-   overlay, and the differential suite asserts they do. What changes is
-   the message path: Data and Stamp traffic is routed along the overlay,
-   with interior relays timestamping Data in transit. *)
+   The delivery machinery (clock, pending table, stamp rows, the
+   (final, id) index and its root test) is Skeen's {!Stamp_order} kernel:
+   the two protocols must produce identical per-pid sequences on a clique
+   overlay, and the differential suite asserts they do. What is flexcast's
+   own is the message path: Data and Stamp traffic is routed along the
+   overlay, with interior relays timestamping Data in transit. *)
 
 open Net
 open Runtime
@@ -37,27 +37,12 @@ let tag = function
   | Stamp _ -> "flexcast.stamp"
   | Fwd_stamp _ -> "flexcast.fwdstamp"
 
-type pending = {
-  msg : Msg.t;
-  own_ts : int;
-  stamps : int Slab.Row.t;
-  n_addr : int;
-  mutable stamp_max : int;
-  mutable final : int option;
-  mutable handle : Pending_index.handle;
-}
-
 type t = {
   services : wire Services.t;
-  deliver : Msg.t -> unit;
   overlay : Overlay.t;
   my_group : Topology.gid;
-  mutable clock : int;
-  pending : pending Msg_id.Tbl.t;
-  ord : pending Pending_index.t;
-  delivered : unit Msg_id.Tbl.t;
-  early_stamps : (Topology.pid * int) list Msg_id.Tbl.t;
-  stamp_pool : int Slab.Row.pool;
+  order : unit Stamp_order.t;
+  ord : unit Stamp_order.entry Pending_index.t;
   mutable relayed : int; (* Fwd/Fwd_stamp hops this process forwarded *)
 }
 
@@ -88,38 +73,10 @@ let routes t dests =
     List.map (fun (nh, b) -> (nh, List.rev !b)) !buckets
     |> List.sort (fun (a, _) (b, _) -> compare a b) )
 
-let add_stamp (p : pending) q ts =
-  if not (Slab.Row.mem p.stamps q) then begin
-    Slab.Row.set p.stamps q ts;
-    if ts > p.stamp_max then p.stamp_max <- ts
-  end
-
-(* Identical to Skeen's: a finalised root is deliverable, an unfinalised
-   root blocks (its final is at least its own stamp, the index key). *)
-let delivery_test t =
-  let rec loop () =
-    match Pending_index.min_elt t.ord with
-    | Some (_, _, p) when p.final <> None ->
-      ignore (Pending_index.pop_min t.ord);
-      Slab.Row.release t.stamp_pool p.stamps;
-      Msg_id.Tbl.remove t.pending p.msg.id;
-      Msg_id.Tbl.replace t.delivered p.msg.id ();
-      t.deliver p.msg;
-      loop ()
-    | Some _ | None -> ()
-  in
-  loop ()
-
-let maybe_finalize t p =
-  if p.final = None then begin
-    if Slab.Row.count p.stamps = p.n_addr then begin
-      let f = p.stamp_max in
-      p.final <- Some f;
-      p.handle <- Pending_index.reposition t.ord p.handle ~ts:f ~id:p.msg.id p;
-      t.clock <- max t.clock f;
-      delivery_test t
-    end
-  end
+let settle t e =
+  match Stamp_order.complete e with
+  | Some f -> Stamp_order.finalize t.order e f
+  | None -> ()
 
 (* Send my stamp for [m] to every other addressee: directly to the
    members of own/adjacent destination groups (ascending — Skeen's
@@ -142,36 +99,14 @@ let send_stamps t (m : Msg.t) ts =
     buckets
 
 let on_data t (m : Msg.t) ~path_ts =
-  if
-    (not (Msg_id.Tbl.mem t.pending m.id))
-    && not (Msg_id.Tbl.mem t.delivered m.id)
-  then begin
-    (* [max t.clock path_ts] keeps the stamp above every interior clock
-       crossed on the way here; with [path_ts = 0] (clique) this is
-       Skeen's plain [clock + 1]. *)
-    t.clock <- max t.clock path_ts + 1;
-    let addressees = Msg.dest_pids t.services.Services.topology m in
-    let p =
-      {
-        msg = m;
-        own_ts = t.clock;
-        stamps = Slab.Row.acquire t.stamp_pool;
-        n_addr = List.length addressees;
-        stamp_max = 0;
-        final = None;
-        handle = -1;
-      }
-    in
-    p.handle <- Pending_index.add t.ord ~ts:p.own_ts ~id:m.id p;
-    add_stamp p t.services.Services.self t.clock;
-    (match Msg_id.Tbl.find_opt t.early_stamps m.id with
-    | Some stamps ->
-      List.iter (fun (q, ts) -> add_stamp p q ts) stamps;
-      Msg_id.Tbl.remove t.early_stamps m.id
-    | None -> ());
-    Msg_id.Tbl.replace t.pending m.id p;
-    send_stamps t m t.clock;
-    maybe_finalize t p
+  if Stamp_order.fresh t.order m.id then begin
+    (* Raising the clock to [path_ts] before the tick keeps the stamp
+       above every interior clock crossed on the way here; with
+       [path_ts = 0] (clique) this is Skeen's plain tick. *)
+    Stamp_order.merge t.order path_ts;
+    let e = Stamp_order.admit t.order ~ord:t.ord m () in
+    send_stamps t m (Stamp_order.own_ts e);
+    settle t e
   end
 
 (* Fan a routed payload out from this group: deliver locally when own
@@ -203,24 +138,11 @@ let cast t (m : Msg.t) = forward_data t m ~path_ts:0 m.dest
 (* An interior relay receiving a Fwd: timestamp the transit, then fan
    out/forward. Only reached on non-clique overlays. *)
 let on_fwd t (m : Msg.t) ~path_ts targets =
-  t.clock <- t.clock + 1;
-  let path_ts = max path_ts t.clock in
+  let path_ts = max path_ts (Stamp_order.tick t.order) in
   forward_data t m ~path_ts targets
 
 let on_stamp t ~from ~ts id =
-  t.clock <- max t.clock ts;
-  (match Msg_id.Tbl.find_opt t.pending id with
-  | Some p ->
-    add_stamp p from ts;
-    maybe_finalize t p
-  | None ->
-    if not (Msg_id.Tbl.mem t.delivered id) then begin
-      let prev =
-        Option.value ~default:[] (Msg_id.Tbl.find_opt t.early_stamps id)
-      in
-      Msg_id.Tbl.replace t.early_stamps id ((from, ts) :: prev)
-    end);
-  delivery_test t
+  Option.iter (settle t) (Stamp_order.stamp t.order id ~from ts)
 
 (* Stamps are forwarded unmodified: every addressee must fold the same
    stamp values into its final maximum, whatever route they took. *)
@@ -258,18 +180,13 @@ let create ~services ~config ~deliver =
   in
   {
     services;
-    deliver;
     overlay;
     my_group = Services.my_group services;
-    clock = 0;
-    pending = Msg_id.Tbl.create 32;
+    order =
+      Stamp_order.create ~topology:topo ~self:services.Services.self ~deliver;
     ord = Pending_index.create ();
-    delivered = Msg_id.Tbl.create 32;
-    early_stamps = Msg_id.Tbl.create 8;
-    stamp_pool =
-      Slab.Row.pool ~width:(Topology.n_processes topo) ~default:0;
     relayed = 0;
   }
 
-let pending_count t = Msg_id.Tbl.length t.pending
+let pending_count t = Stamp_order.pending_count t.order
 let stats t = if t.relayed = 0 then [] else [ ("relayed_hops", t.relayed) ]

@@ -10,7 +10,7 @@
     along routes). Addressee stamps are exchanged over the same overlay
     (forwarded unmodified — every addressee must fold the {e same} stamp
     values into the final maximum), and delivery is in
-    [(final ts, id)] order exactly as in Skeen.
+    [(final ts, id)] order by Skeen's own {!Stamp_order} kernel.
 
     Genuine {e relative to the overlay}: only the origin, the addressees
     and the relays of groups on the routing paths (origin-to-destination

@@ -1,4 +1,3 @@
-open Net
 open Runtime
 
 let name = "generic"
@@ -9,71 +8,29 @@ type wire =
 
 let tag = function Data _ -> "generic.data" | Stamp _ -> "generic.stamp"
 
-type pending = {
-  msg : Msg.t;
-  own_ts : int;
-  cls : string; (* conflict class, "" under Total / Scan mode *)
-  stamps : int Slab.Row.t;
-  n_addr : int;
-  mutable stamp_max : int;
-  mutable final : int option;
-  mutable handle : Pending_index.handle;
-}
+(* Entries carry their conflict class, "" under Total / Scan mode. *)
+type entry = string Stamp_order.entry
 
 (* How the pending set is ordered, decided once from the conflict
    relation's shape. *)
 type ord_state =
-  | Classes of (string, pending Pending_index.t) Hashtbl.t
+  | Classes of (string, entry Pending_index.t) Hashtbl.t
       (* partition relations (Total, Keyed): one independent (ts, id)
-         frontier per conflict class; Total has the single class "" and
-         degenerates to plain Skeen *)
-  | Scan of pending Pending_index.t
+         frontier per conflict class, each drained by the kernel's root
+         test; Total has the single class "" and degenerates to plain
+         Skeen *)
+  | Scan of entry Pending_index.t
       (* bare Commute predicate: one index ordered by the final-stamp
          lower bound, delivery by pairwise conflict scan *)
 
 type t = {
   services : wire Services.t;
   conflict : Conflict.t;
-  deliver : Msg.t -> unit;
-  mutable clock : int;
-  pending : pending Msg_id.Tbl.t;
+  order : string Stamp_order.t;
   ord : ord_state;
-  delivered : unit Msg_id.Tbl.t;
-  early_stamps : (Topology.pid * int) list Msg_id.Tbl.t;
-  stamp_pool : int Slab.Row.pool;
   mutable bypassed : int; (* solo messages delivered at Data arrival *)
   mutable ordered : int; (* messages that went through stamping *)
 }
-
-let add_stamp (p : pending) q ts =
-  if not (Slab.Row.mem p.stamps q) then begin
-    Slab.Row.set p.stamps q ts;
-    if ts > p.stamp_max then p.stamp_max <- ts
-  end
-
-let deliver_pending t (p : pending) =
-  Slab.Row.release t.stamp_pool p.stamps;
-  Msg_id.Tbl.remove t.pending p.msg.id;
-  Msg_id.Tbl.replace t.delivered p.msg.id ();
-  t.deliver p.msg
-
-(* Per-class delivery test: within one class the index is exactly Skeen's
-   — a finalised root is deliverable, an unfinalised root (key = own-stamp
-   lower bound) blocks the class. Other classes never block. *)
-let class_delivery_test t classes cls =
-  match Hashtbl.find_opt classes cls with
-  | None -> ()
-  | Some idx ->
-    let rec loop () =
-      match Pending_index.min_elt idx with
-      | Some (_, _, p) when p.final <> None ->
-        ignore (Pending_index.pop_min idx);
-        deliver_pending t p;
-        loop ()
-      | Some _ | None -> ()
-    in
-    loop ();
-    if Pending_index.is_empty idx then Hashtbl.remove classes cls
 
 (* Pairwise-scan delivery test for bare Commute relations: deliver the
    first (in (lower-bound, id) order) finalised message that no earlier
@@ -86,28 +43,23 @@ let scan_delivery_test t idx =
     let rec find before = function
       | [] -> None
       | (_, _, p) :: rest ->
+        let m = Stamp_order.msg p in
         if
-          p.final <> None
+          Stamp_order.is_final p
           && not
                (List.exists
-                  (fun q -> Conflict.conflicts t.conflict q.msg p.msg)
+                  (fun q -> Conflict.conflicts t.conflict q m)
                   before)
         then Some p
-        else find (p :: before) rest
+        else find (m :: before) rest
     in
     match find [] entries with
     | Some p ->
-      Pending_index.remove idx p.handle;
-      deliver_pending t p;
+      Stamp_order.deliver t.order p;
       pass ()
     | None -> ()
   in
   pass ()
-
-let delivery_test t cls =
-  match t.ord with
-  | Classes classes -> class_delivery_test t classes cls
-  | Scan idx -> scan_delivery_test t idx
 
 let index_for t (cls : string) =
   match t.ord with
@@ -120,35 +72,31 @@ let index_for t (cls : string) =
       Hashtbl.replace classes cls idx;
       idx)
 
-let maybe_finalize t p =
-  if p.final = None then begin
-    if Slab.Row.count p.stamps = p.n_addr then begin
-      let f = p.stamp_max in
-      p.final <- Some f;
-      p.handle <-
-        Pending_index.reposition (index_for t p.cls) p.handle ~ts:f
-          ~id:p.msg.id p;
-      t.clock <- max t.clock f;
-      delivery_test t p.cls
-    end
-  end
+(* Finalising drains the entry's own index: the whole per-class test, and
+   the head of the scan (a finalised root has nothing before it). *)
+let settle t e =
+  match Stamp_order.complete e with
+  | None -> ()
+  | Some f -> (
+    Stamp_order.finalize t.order e f;
+    match t.ord with
+    | Classes classes -> (
+      let cls = Stamp_order.data e in
+      match Hashtbl.find_opt classes cls with
+      | Some idx when Pending_index.is_empty idx -> Hashtbl.remove classes cls
+      | Some _ | None -> ())
+    | Scan idx -> scan_delivery_test t idx)
 
 let on_data t (m : Msg.t) =
-  if
-    (not (Msg_id.Tbl.mem t.pending m.id))
-    && not (Msg_id.Tbl.mem t.delivered m.id)
-  then
+  if Stamp_order.fresh t.order m.id then
     if Conflict.solo t.conflict m then begin
       (* Conflicts with nothing: deliverable the moment it arrives, no
          stamps, no clock traffic — reliable-multicast cost. *)
-      Msg_id.Tbl.replace t.delivered m.id ();
       t.bypassed <- t.bypassed + 1;
-      t.deliver m
+      Stamp_order.bypass t.order m
     end
     else begin
-      t.clock <- t.clock + 1;
       t.ordered <- t.ordered + 1;
-      let addressees = Msg.dest_pids t.services.Services.topology m in
       let cls =
         match Conflict.class_of t.conflict m with
         | Some (Some c) -> c
@@ -157,32 +105,14 @@ let on_data t (m : Msg.t) =
           assert false
         | None -> "" (* Scan mode: classes unused *)
       in
-      let p =
-        {
-          msg = m;
-          own_ts = t.clock;
-          cls;
-          stamps = Slab.Row.acquire t.stamp_pool;
-          n_addr = List.length addressees;
-          stamp_max = 0;
-          final = None;
-          handle = -1;
-        }
-      in
-      p.handle <- Pending_index.add (index_for t cls) ~ts:p.own_ts ~id:m.id p;
-      add_stamp p t.services.Services.self t.clock;
-      (match Msg_id.Tbl.find_opt t.early_stamps m.id with
-      | Some stamps ->
-        List.iter (fun (q, ts) -> add_stamp p q ts) stamps;
-        Msg_id.Tbl.remove t.early_stamps m.id
-      | None -> ());
-      Msg_id.Tbl.replace t.pending m.id p;
+      let e = Stamp_order.admit t.order ~ord:(index_for t cls) m cls in
       List.iter
         (fun q ->
           if q <> t.services.Services.self then
-            t.services.Services.send ~dst:q (Stamp { id = m.id; ts = t.clock }))
-        addressees;
-      maybe_finalize t p
+            t.services.Services.send ~dst:q
+              (Stamp { id = m.id; ts = Stamp_order.own_ts e }))
+        (Msg.dest_pids t.services.Services.topology m);
+      settle t e
     end
 
 let cast t (m : Msg.t) =
@@ -198,19 +128,8 @@ let cast t (m : Msg.t) =
 let on_receive t ~src w =
   match w with
   | Data m -> on_data t m
-  | Stamp { id; ts } -> (
-    t.clock <- max t.clock ts;
-    match Msg_id.Tbl.find_opt t.pending id with
-    | Some p ->
-      add_stamp p src ts;
-      maybe_finalize t p
-    | None ->
-      if not (Msg_id.Tbl.mem t.delivered id) then begin
-        let prev =
-          Option.value ~default:[] (Msg_id.Tbl.find_opt t.early_stamps id)
-        in
-        Msg_id.Tbl.replace t.early_stamps id ((src, ts) :: prev)
-      end)
+  | Stamp { id; ts } ->
+    Option.iter (settle t) (Stamp_order.stamp t.order id ~from:src ts)
 
 let create ~services ~config ~deliver =
   let conflict = config.Protocol.Config.conflict in
@@ -222,21 +141,15 @@ let create ~services ~config ~deliver =
   {
     services;
     conflict;
-    deliver;
-    clock = 0;
-    pending = Msg_id.Tbl.create 32;
+    order =
+      Stamp_order.create ~topology:services.Services.topology
+        ~self:services.Services.self ~deliver;
     ord;
-    delivered = Msg_id.Tbl.create 32;
-    early_stamps = Msg_id.Tbl.create 8;
-    stamp_pool =
-      Slab.Row.pool
-        ~width:(Topology.n_processes services.Services.topology)
-        ~default:0;
     bypassed = 0;
     ordered = 0;
   }
 
-let pending_count t = Msg_id.Tbl.length t.pending
+let pending_count t = Stamp_order.pending_count t.order
 
 let stats t =
   [ ("generic.bypassed", t.bypassed); ("generic.ordered", t.ordered) ]

@@ -11,14 +11,14 @@
     independent conflict classes drain concurrently instead of queueing
     behind one global [(ts, id)] frontier.
 
-    Two bypass tiers, by how much the relation reveals:
+    Three tiers, by how much the relation reveals:
 
     - {e solo} messages ({!Conflict.solo}: they conflict with nothing)
       skip ordering entirely — delivered at Data arrival, no stamps, no
       clock traffic. Reliable-multicast cost, latency degree 1.
     - messages with a conflict {e class} ({!Conflict.class_of}) wait only
       for their own class: the pending set is partitioned into per-class
-      {!Pending_index} heaps and each class is an independent Skeen
+      {!Stamp_order} indices and each class is an independent Skeen
       instance sharing the process clock. [Conflict.total] collapses to a
       single class — the delivery order (and every checker verdict) is
       then exactly Skeen's.

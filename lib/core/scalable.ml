@@ -1,4 +1,3 @@
-open Net
 open Runtime
 
 let name = "scalable"
@@ -13,12 +12,10 @@ let tag = function
   | Stamp _ -> "scalable.stamp"
   | Cons { inner; _ } -> Consensus.Paxos.tag inner
 
-type pending = {
-  msg : Msg.t;
-  own_ts : int;
-  stamps : (Topology.pid, int) Hashtbl.t;
+(* What a pending entry adds to the kernel's: the cross-group consensus
+   that picks its final stamp. *)
+type agreement = {
   mutable proposed : bool;
-  mutable final : int option;
   mutable cons : (int, wire) Consensus.Paxos.t option;
       (* per-message consensus across all destination processes *)
 }
@@ -26,61 +23,24 @@ type pending = {
 type t = {
   services : wire Services.t;
   config : Protocol.Config.t;
-  deliver : Msg.t -> unit;
   detector : Fd.Detector.t;
-  mutable clock : int;
-  pending : pending Msg_id.Tbl.t;
-  delivered : unit Msg_id.Tbl.t;
-  early_stamps : (Topology.pid * int) list Msg_id.Tbl.t;
+  order : agreement Stamp_order.t;
+  ord : agreement Stamp_order.entry Pending_index.t;
   mutable rm : (Msg.t, wire) Rmcast.Reliable_multicast.t option;
 }
 
 let rm t = Option.get t.rm
 
-let delivery_test t =
-  let rec loop () =
-    let best =
-      Msg_id.Tbl.fold
-        (fun _ p best ->
-          match p.final with
-          | None -> best
-          | Some f -> (
-            match best with
-            | Some (f', p') when Msg.compare_ts_id (f', p'.msg) (f, p.msg) < 0
-              ->
-              best
-            | _ -> Some (f, p)))
-        t.pending None
-    in
-    match best with
-    | None -> ()
-    | Some (f, p) ->
-      let blocked =
-        Msg_id.Tbl.fold
-          (fun _ q acc ->
-            acc
-            || q.final = None
-               && Msg.compare_ts_id (q.own_ts, q.msg) (f, p.msg) < 0)
-          t.pending false
-      in
-      if not blocked then begin
-        Msg_id.Tbl.remove t.pending p.msg.id;
-        Msg_id.Tbl.replace t.delivered p.msg.id ();
-        t.deliver p.msg;
-        loop ()
-      end
-  in
-  loop ()
-
-let consensus_for t (p : pending) =
-  match p.cons with
+let consensus_for t e =
+  let a = Stamp_order.data e in
+  match a.cons with
   | Some c -> c
   | None ->
-    let id = p.msg.id in
+    let m = Stamp_order.msg e in
     let c =
       Consensus.Paxos.create ~services:t.services
-        ~wrap:(fun inner -> Cons { id; inner })
-        ~participants:(Msg.dest_pids t.services.Services.topology p.msg)
+        ~wrap:(fun inner -> Cons { id = m.id; inner })
+        ~participants:(Msg.dest_pids t.services.Services.topology m)
         ~detector:t.detector
         ~timeout:t.config.Protocol.Config.consensus_timeout
           (* The participants here span groups: the fast lanes are an
@@ -89,58 +49,35 @@ let consensus_for t (p : pending) =
              pattern. *)
         ~fast_lanes:false
         ~on_decide:(fun ~instance:_ ts ->
-          if p.final = None then begin
-            p.final <- Some ts;
-            t.clock <- max t.clock ts;
-            delivery_test t
-          end)
+          if not (Stamp_order.is_final e) then
+            Stamp_order.finalize t.order e ts)
         ()
     in
-    p.cons <- Some c;
+    a.cons <- Some c;
     c
 
 (* Once every addressee's stamp is in, propose the maximum to the
    cross-group consensus. *)
-let maybe_propose t (p : pending) =
-  if (not p.proposed) && p.final = None then begin
-    let addressees = Msg.dest_pids t.services.Services.topology p.msg in
-    if List.for_all (fun q -> Hashtbl.mem p.stamps q) addressees then begin
-      p.proposed <- true;
-      let max_ts = Hashtbl.fold (fun _ ts acc -> max acc ts) p.stamps 0 in
-      Consensus.Paxos.propose (consensus_for t p) ~instance:0 max_ts
-    end
-  end
+let maybe_propose t e =
+  let a = Stamp_order.data e in
+  match Stamp_order.complete e with
+  | Some max_ts when not a.proposed ->
+    a.proposed <- true;
+    Consensus.Paxos.propose (consensus_for t e) ~instance:0 max_ts
+  | Some _ | None -> ()
 
 let on_data t (m : Msg.t) =
-  if
-    (not (Msg_id.Tbl.mem t.pending m.id))
-    && not (Msg_id.Tbl.mem t.delivered m.id)
-  then begin
-    t.clock <- t.clock + 1;
-    let p =
-      {
-        msg = m;
-        own_ts = t.clock;
-        stamps = Hashtbl.create 8;
-        proposed = false;
-        final = None;
-        cons = None;
-      }
+  if Stamp_order.fresh t.order m.id then begin
+    let e =
+      Stamp_order.admit t.order ~ord:t.ord m { proposed = false; cons = None }
     in
-    Hashtbl.replace p.stamps t.services.Services.self t.clock;
-    (match Msg_id.Tbl.find_opt t.early_stamps m.id with
-    | Some stamps ->
-      List.iter (fun (q, ts) -> Hashtbl.replace p.stamps q ts) stamps;
-      Msg_id.Tbl.remove t.early_stamps m.id
-    | None -> ());
-    Msg_id.Tbl.replace t.pending m.id p;
-    let addressees = Msg.dest_pids t.services.Services.topology m in
     List.iter
       (fun q ->
         if q <> t.services.Services.self then
-          t.services.Services.send ~dst:q (Stamp { msg = m; ts = p.own_ts }))
-      addressees;
-    maybe_propose t p
+          t.services.Services.send ~dst:q
+            (Stamp { msg = m; ts = Stamp_order.own_ts e }))
+      (Msg.dest_pids t.services.Services.topology m);
+    maybe_propose t e
   end
 
 let cast t (m : Msg.t) =
@@ -152,23 +89,15 @@ let on_receive t ~src w =
   match w with
   | Rm rmsg -> Rmcast.Reliable_multicast.handle (rm t) ~src rmsg
   | Stamp { msg; ts } ->
-    t.clock <- max t.clock ts;
+    (* The stamp carries its message, so it is never early: merge first
+       (the stamp may admit [msg] here), then record it. *)
+    Stamp_order.merge t.order ts;
     on_data t msg;
-    (match Msg_id.Tbl.find_opt t.pending msg.id with
-    | Some p ->
-      if not (Hashtbl.mem p.stamps src) then Hashtbl.replace p.stamps src ts;
-      maybe_propose t p
-    | None ->
-      if not (Msg_id.Tbl.mem t.delivered msg.id) then begin
-        let prev =
-          Option.value ~default:[]
-            (Msg_id.Tbl.find_opt t.early_stamps msg.id)
-        in
-        Msg_id.Tbl.replace t.early_stamps msg.id ((src, ts) :: prev)
-      end)
+    Option.iter (maybe_propose t)
+      (Stamp_order.stamp t.order msg.id ~from:src ts)
   | Cons { id; inner } -> (
-    match Msg_id.Tbl.find_opt t.pending id with
-    | Some p -> Consensus.Paxos.handle (consensus_for t p) ~src inner
+    match Stamp_order.find t.order id with
+    | Some e -> Consensus.Paxos.handle (consensus_for t e) ~src inner
     | None -> () (* already delivered: the endpoint has done its work *))
 
 let create ~services ~config ~deliver =
@@ -179,12 +108,11 @@ let create ~services ~config ~deliver =
     {
       services;
       config;
-      deliver;
       detector;
-      clock = 0;
-      pending = Msg_id.Tbl.create 32;
-      delivered = Msg_id.Tbl.create 32;
-      early_stamps = Msg_id.Tbl.create 8;
+      order =
+        Stamp_order.create ~topology:services.Services.topology
+          ~self:services.Services.self ~deliver;
+      ord = Pending_index.create ();
       rm = None;
     }
   in
@@ -199,11 +127,11 @@ let create ~services ~config ~deliver =
          ());
   t
 
-let pending_count t = Msg_id.Tbl.length t.pending
+let pending_count t = Stamp_order.pending_count t.order
 
 let stats t =
   [
     ("rm.entries", Rmcast.Reliable_multicast.retained_entries (rm t));
     ("rm.tombstones", Rmcast.Reliable_multicast.reclaimed_entries (rm t));
-    ("pending", Msg_id.Tbl.length t.pending);
+    ("pending", pending_count t);
   ]

@@ -5,7 +5,8 @@
     processes; each stamps it with its logical clock and sends the stamp to
     every other addressee; once the stamps are in, the maximum is proposed
     to a consensus instance run {e across} the destination groups, and
-    messages are delivered in (decided timestamp, id) order.
+    messages are delivered in (decided timestamp, id) order by the
+    {!Stamp_order} kernel, the same rule as Skeen's.
 
     Because that consensus spans groups, it costs two further inter-group
     delays — latency degree 4 (Figure 1a) and O(k²d²) messages — which is

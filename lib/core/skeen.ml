@@ -1,4 +1,3 @@
-open Net
 open Runtime
 
 let name = "skeen"
@@ -9,108 +8,27 @@ type wire =
 
 let tag = function Data _ -> "skeen.data" | Stamp _ -> "skeen.stamp"
 
-type pending = {
-  msg : Msg.t;
-  own_ts : int;
-  stamps : int Slab.Row.t;
-      (* per-stamper timestamps indexed by pid; pooled, released at
-         delivery. Only addressees ever stamp (Data fans out to the
-         destination pids and each stamps once), so a count equal to
-         [n_addr] means every stamp is in — no addressee-list scan. *)
-  n_addr : int; (* |dest_pids msg|, fixed at first sight *)
-  mutable stamp_max : int; (* running max of received stamps *)
-  mutable final : int option;
-  mutable handle : Pending_index.handle;
-      (* slot in [ord]; keyed by own_ts until finalised, then by final *)
-}
-
 type t = {
   services : wire Services.t;
-  deliver : Msg.t -> unit;
-  mutable clock : int;
-  pending : pending Msg_id.Tbl.t;
-  ord : pending Pending_index.t;
-      (* pending ordered by the lower bound of each message's final
-         timestamp: own_ts while unfinalised (the final is at least the
-         own stamp), the final stamp once known *)
-  delivered : unit Msg_id.Tbl.t;
-  early_stamps : (Topology.pid * int) list Msg_id.Tbl.t;
-      (* stamps that outran their Data message (triangle inequality does
-         not hold under jitter or asymmetric latency matrices) *)
-  stamp_pool : int Slab.Row.pool; (* stamp rows, width = n_processes *)
+  order : unit Stamp_order.t;
+  ord : unit Stamp_order.entry Pending_index.t;
 }
 
-let add_stamp (p : pending) q ts =
-  if not (Slab.Row.mem p.stamps q) then begin
-    Slab.Row.set p.stamps q ts;
-    if ts > p.stamp_max then p.stamp_max <- ts
-  end
-
-(* Deliver every finalised message whose (final, id) is minimal: no other
-   finalised message precedes it, and no unfinalised message could still
-   get a smaller final stamp (its final is at least its own stamp here).
-   With the index keyed by that lower bound, both conditions collapse into
-   one question about the root: a finalised root is deliverable (nothing —
-   finalised or not — can precede it), an unfinalised root blocks
-   delivery (whatever the minimal finalised message is, the root could
-   still finalise below it). *)
-let delivery_test t =
-  let rec loop () =
-    match Pending_index.min_elt t.ord with
-    | Some (_, _, p) when p.final <> None ->
-      ignore (Pending_index.pop_min t.ord);
-      Slab.Row.release t.stamp_pool p.stamps;
-      Msg_id.Tbl.remove t.pending p.msg.id;
-      Msg_id.Tbl.replace t.delivered p.msg.id ();
-      t.deliver p.msg;
-      loop ()
-    | Some _ | None -> ()
-  in
-  loop ()
-
-let maybe_finalize t p =
-  if p.final = None then begin
-    if Slab.Row.count p.stamps = p.n_addr then begin
-      let f = p.stamp_max in
-      p.final <- Some f;
-      p.handle <- Pending_index.reposition t.ord p.handle ~ts:f ~id:p.msg.id p;
-      t.clock <- max t.clock f;
-      delivery_test t
-    end
-  end
+let settle t e =
+  match Stamp_order.complete e with
+  | Some f -> Stamp_order.finalize t.order e f
+  | None -> ()
 
 let on_data t (m : Msg.t) =
-  if
-    (not (Msg_id.Tbl.mem t.pending m.id))
-    && not (Msg_id.Tbl.mem t.delivered m.id)
-  then begin
-    t.clock <- t.clock + 1;
-    let addressees = Msg.dest_pids t.services.Services.topology m in
-    let p =
-      {
-        msg = m;
-        own_ts = t.clock;
-        stamps = Slab.Row.acquire t.stamp_pool;
-        n_addr = List.length addressees;
-        stamp_max = 0;
-        final = None;
-        handle = -1;
-      }
-    in
-    p.handle <- Pending_index.add t.ord ~ts:p.own_ts ~id:m.id p;
-    add_stamp p t.services.Services.self t.clock;
-    (match Msg_id.Tbl.find_opt t.early_stamps m.id with
-    | Some stamps ->
-      List.iter (fun (q, ts) -> add_stamp p q ts) stamps;
-      Msg_id.Tbl.remove t.early_stamps m.id
-    | None -> ());
-    Msg_id.Tbl.replace t.pending m.id p;
+  if Stamp_order.fresh t.order m.id then begin
+    let e = Stamp_order.admit t.order ~ord:t.ord m () in
     List.iter
       (fun q ->
         if q <> t.services.Services.self then
-          t.services.Services.send ~dst:q (Stamp { id = m.id; ts = t.clock }))
-      addressees;
-    maybe_finalize t p
+          t.services.Services.send ~dst:q
+            (Stamp { id = m.id; ts = Stamp_order.own_ts e }))
+      (Msg.dest_pids t.services.Services.topology m);
+    settle t e
   end
 
 let cast t (m : Msg.t) =
@@ -128,36 +46,17 @@ let on_receive t ~src w =
   match w with
   | Data m -> on_data t m
   | Stamp { id; ts } ->
-    t.clock <- max t.clock ts;
-    (match Msg_id.Tbl.find_opt t.pending id with
-    | Some p ->
-      add_stamp p src ts;
-      maybe_finalize t p
-    | None ->
-      if not (Msg_id.Tbl.mem t.delivered id) then begin
-        (* Stamp outran the Data message: buffer until Data arrives. *)
-        let prev =
-          Option.value ~default:[] (Msg_id.Tbl.find_opt t.early_stamps id)
-        in
-        Msg_id.Tbl.replace t.early_stamps id ((src, ts) :: prev)
-      end);
-    delivery_test t
+    Option.iter (settle t) (Stamp_order.stamp t.order id ~from:src ts)
 
 let create ~services ~config:_ ~deliver =
   {
     services;
-    deliver;
-    clock = 0;
-    pending = Msg_id.Tbl.create 32;
+    order =
+      Stamp_order.create ~topology:services.Services.topology
+        ~self:services.Services.self ~deliver;
     ord = Pending_index.create ();
-    delivered = Msg_id.Tbl.create 32;
-    early_stamps = Msg_id.Tbl.create 8;
-    stamp_pool =
-      Slab.Row.pool
-        ~width:(Topology.n_processes services.Services.topology)
-        ~default:0;
   }
 
-let pending_count t = Msg_id.Tbl.length t.pending
+let pending_count t = Stamp_order.pending_count t.order
 
 let stats _ = []

@@ -14,6 +14,11 @@
     fault-tolerant version of the same idea (clocks maintained by consensus
     inside groups instead of by individual processes).
 
+    The clock, the pending set and the delivery rule live in
+    {!Stamp_order}, the kernel this protocol shares with {!Generic},
+    {!Flexcast} and {!Scalable}; this module keeps only the wire and the
+    addressee fan-out.
+
     This implementation assumes the failure-free model of Section 3 (no
     crashes, reliable links); it exists as the historical baseline and for
     the lower-bound experiments. *)

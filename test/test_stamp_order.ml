@@ -174,8 +174,91 @@ let test_golden () =
           (name ^ " sends per tag") s sends)
     (golden_runs ())
 
+(* ----- the kernel, driven directly ----- *)
+
+module K = Amcast.Stamp_order
+
+(* A kernel at pid 0 of [groups] singleton groups; [delivered ()] is the
+   deliver upcall sequence so far, oldest first. *)
+let kernel groups =
+  let log = ref [] in
+  let k =
+    K.create
+      ~topology:(Topology.symmetric ~groups ~per_group:1)
+      ~self:0
+      ~deliver:(fun (m : Amcast.Msg.t) -> log := m.id :: !log)
+  in
+  (k, Amcast.Pending_index.create (), fun () -> List.rev !log)
+
+let msg ~origin ~dest =
+  Amcast.Msg.make ~id:(Runtime.Msg_id.make ~origin ~seq:0) ~dest "x"
+
+let ids =
+  Alcotest.(list (testable Runtime.Msg_id.pp Runtime.Msg_id.equal))
+let stamp_opt = Alcotest.(option int)
+
+let finalize_if_complete k e =
+  Option.iter (K.finalize k e) (K.complete e)
+
+let test_early_stamp_applied_at_admission () =
+  let k, ord, delivered = kernel 2 in
+  let m = msg ~origin:1 ~dest:[ 0; 1 ] in
+  Alcotest.(check bool) "buffered, not pending" true
+    (Option.is_none (K.stamp k m.id ~from:1 5));
+  let e = K.admit k ~ord m () in
+  Alcotest.(check int) "own stamp above the merged clock" 6 (K.own_ts e);
+  Alcotest.check stamp_opt "early stamp counted" (Some 6) (K.complete e);
+  Alcotest.check ids "admission does not deliver" [] (delivered ());
+  finalize_if_complete k e;
+  Alcotest.check ids "delivered once finalised" [ m.id ] (delivered ())
+
+let test_duplicate_stamp_keeps_first () =
+  let k, ord, _ = kernel 3 in
+  let m = msg ~origin:0 ~dest:[ 0; 1; 2 ] in
+  let e = K.admit k ~ord m () in
+  ignore (K.stamp k m.id ~from:1 5);
+  ignore (K.stamp k m.id ~from:1 9);
+  Alcotest.check stamp_opt "a duplicate does not count" None (K.complete e);
+  ignore (K.stamp k m.id ~from:2 3);
+  Alcotest.check stamp_opt "max over first stamps" (Some 5) (K.complete e)
+
+let test_stamp_after_delivery_dropped () =
+  let k, ord, delivered = kernel 2 in
+  let m = msg ~origin:0 ~dest:[ 0; 1 ] in
+  ignore (K.admit k ~ord m ());
+  Option.iter (finalize_if_complete k) (K.stamp k m.id ~from:1 2);
+  Alcotest.check ids "delivered" [ m.id ] (delivered ());
+  Alcotest.(check bool) "late stamp not recorded" true
+    (Option.is_none (K.stamp k m.id ~from:1 4));
+  Alcotest.(check bool) "no longer fresh" false (K.fresh k m.id);
+  Alcotest.(check int) "nothing pending" 0 (K.pending_count k);
+  (* Protocols never admit a delivered id; doing it here exposes the
+     early-stamp buffer: had the late stamp been kept, it would count. *)
+  let again = K.admit k ~ord m () in
+  Alcotest.check stamp_opt "late stamp not buffered" None (K.complete again)
+
+let test_unfinalised_blocks_and_ties_by_id () =
+  let k, ord, delivered = kernel 2 in
+  let b = msg ~origin:1 ~dest:[ 0; 1 ] and a = msg ~origin:0 ~dest:[ 0; 1 ] in
+  let eb = K.admit k ~ord b () in
+  let ea = K.admit k ~ord a () in
+  K.finalize k eb 3;
+  Alcotest.check ids "(3, b) waits behind unfinalised (2, a)" [] (delivered ());
+  K.finalize k ea 3;
+  Alcotest.check ids "equal finals deliver by id" [ a.id; b.id ] (delivered ())
+
 let suites =
   [
     ( "stamp-order",
-      [ Alcotest.test_case "golden pin: skeen family" `Quick test_golden ] );
+      [
+        Alcotest.test_case "golden pin: skeen family" `Quick test_golden;
+        Alcotest.test_case "kernel: early stamp applied at admission" `Quick
+          test_early_stamp_applied_at_admission;
+        Alcotest.test_case "kernel: duplicate stamp keeps the first" `Quick
+          test_duplicate_stamp_keeps_first;
+        Alcotest.test_case "kernel: stamp after delivery is dropped" `Quick
+          test_stamp_after_delivery_dropped;
+        Alcotest.test_case "kernel: unfinalised root blocks, ties by id"
+          `Quick test_unfinalised_blocks_and_ties_by_id;
+      ] );
   ]
