@@ -9,4 +9,5 @@ let () =
    @ Test_fastlanes.suites @ Test_generic.suites @ Test_nemesis.suites
    @ Test_soak.suites
    @ Test_mc.suites @ Test_throughput.suites @ Test_scale.suites
-   @ Test_transport.suites @ Test_stamp_order.suites)
+   @ Test_transport.suites @ Test_stamp_order.suites
+   @ Test_event_core.suites)
