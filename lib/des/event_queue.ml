@@ -1,168 +1,230 @@
-type 'a entry = {
-  time : Sim_time.t;
-  seq : int;
-  handle : int;
-  tag : int; (* caller-defined metadata; 0 = untagged *)
-  payload : 'a;
-}
+(* A binary min-heap laid out as parallel columns: slot [i] of every array
+   is one entry, so adding an event writes five array cells and allocates
+   nothing, and a sift compares two flat int reads per level.
 
-(* Cancellation is O(1): [flags] is a byte per issued handle (1 = live,
-   0 = popped/cancelled/never issued) and [live] counts the set bits, so
-   [pop]/[peek_time]/[size] never touch a hash table. Handles are dense
-   (allocated 0,1,2,...), which makes a flat byte array both smaller and
-   much faster than the Hashtbl it replaces on the per-event hot path. *)
+   [seqs] is both the insertion sequence (the tie-break key) and the
+   handle: the two counters always advanced together, so one column and
+   one counter serve both.
+
+   Cancellation is O(1): [flags] is a byte per issued handle (1 = live,
+   0 = popped/cancelled/never issued) and [live] counts the set bits.
+   Cancelled entries stay in the heap until they reach the root, unless
+   they come to outnumber the live ones, in which case {!compact} drops
+   them all at once.
+
+   Slots at or past [len] hold [dummy], so a popped or compacted payload
+   is never kept reachable by the heap. *)
 type 'a t = {
-  mutable heap : 'a entry array;
+  mutable times : Sim_time.t array;
+  mutable seqs : int array;
+  mutable tags : int array; (* caller-defined metadata; 0 = untagged *)
+  mutable args : int array; (* caller-defined argument; 0 by default *)
+  mutable payloads : 'a array;
+  dummy : 'a;
   mutable len : int;
-  mutable next_seq : int;
-  mutable next_handle : int;
+  mutable next : int; (* the next sequence number, i.e. handle *)
   mutable flags : Bytes.t;
   mutable live : int;
 }
 
-let create () =
-  { heap = [||]; len = 0; next_seq = 0; next_handle = 0;
-    flags = Bytes.make 64 '\000'; live = 0 }
+let create ~dummy =
+  { times = [||]; seqs = [||]; tags = [||]; args = [||]; payloads = [||];
+    dummy; len = 0; next = 0; flags = Bytes.make 64 '\000'; live = 0 }
 
-let entry_lt a b =
-  let c = Sim_time.compare a.time b.time in
-  if c <> 0 then c < 0 else a.seq < b.seq
+let[@inline] is_live q seq = Bytes.unsafe_get q.flags seq = '\001'
 
-let grow q =
-  let cap = Array.length q.heap in
-  let ncap = if cap = 0 then 16 else cap * 2 in
-  let dummy = q.heap.(0) in
-  let nh = Array.make ncap dummy in
-  Array.blit q.heap 0 nh 0 q.len;
-  q.heap <- nh
+let[@inline] before (t1 : Sim_time.t) s1 (t2 : Sim_time.t) s2 =
+  let t1 = (t1 :> int) and t2 = (t2 :> int) in
+  t1 < t2 || (t1 = t2 && s1 < s2)
 
-(* Hole-based sifts: carry the moving entry in [e] and write it exactly
-   once at its final slot, instead of a three-write swap per level. *)
-let sift_up q i e =
+(* The heap code indexes only slots below [len], which never exceeds the
+   columns' common length, so it skips the bounds checks. *)
+let ( .%() ) = Array.unsafe_get
+let ( .%()<- ) = Array.unsafe_set
+
+let[@inline] move q ~src ~dst =
+  q.times.%(dst) <- q.times.%(src);
+  q.seqs.%(dst) <- q.seqs.%(src);
+  q.tags.%(dst) <- q.tags.%(src);
+  q.args.%(dst) <- q.args.%(src);
+  q.payloads.%(dst) <- q.payloads.%(src)
+
+let[@inline] place q i time seq tag arg payload =
+  q.times.%(i) <- time;
+  q.seqs.%(i) <- seq;
+  q.tags.%(i) <- tag;
+  q.args.%(i) <- arg;
+  q.payloads.%(i) <- payload
+
+(* Hole-based sifts: the moving entry travels in arguments and is written
+   exactly once, at its final slot. *)
+let sift_up q i time seq tag arg payload =
   let i = ref i in
   let moving = ref true in
   while !moving && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if entry_lt e q.heap.(parent) then begin
-      q.heap.(!i) <- q.heap.(parent);
+    if before time seq q.times.%(parent) q.seqs.%(parent) then begin
+      move q ~src:parent ~dst:!i;
       i := parent
     end
     else moving := false
   done;
-  q.heap.(!i) <- e
+  place q !i time seq tag arg payload
 
-let sift_down q e =
-  let i = ref 0 in
+let sift_down q i time seq tag arg payload =
+  let i = ref i in
   let moving = ref true in
   while !moving do
     let l = (2 * !i) + 1 in
     if l >= q.len then moving := false
     else begin
       let r = l + 1 in
-      let c = if r < q.len && entry_lt q.heap.(r) q.heap.(l) then r else l in
-      if entry_lt q.heap.(c) e then begin
-        q.heap.(!i) <- q.heap.(c);
+      let c =
+        if
+          r < q.len
+          && before q.times.%(r) q.seqs.%(r) q.times.%(l) q.seqs.%(l)
+        then r
+        else l
+      in
+      if before q.times.%(c) q.seqs.%(c) time seq then begin
+        move q ~src:c ~dst:!i;
         i := c
       end
       else moving := false
     end
   done;
-  q.heap.(!i) <- e
+  place q !i time seq tag arg payload
 
-let add_tagged q ~time ~tag payload =
-  let handle = q.next_handle in
-  q.next_handle <- handle + 1;
-  let e = { time; seq = q.next_seq; handle; tag; payload } in
-  q.next_seq <- q.next_seq + 1;
-  if q.len = 0 && Array.length q.heap = 0 then q.heap <- Array.make 16 e;
-  if q.len >= Array.length q.heap then grow q;
+let grow q =
+  let cap = Array.length q.seqs in
+  let ncap = if cap = 0 then 16 else 2 * cap in
+  let extend a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 q.len;
+    b
+  in
+  q.times <- extend q.times Sim_time.zero;
+  q.seqs <- extend q.seqs 0;
+  q.tags <- extend q.tags 0;
+  q.args <- extend q.args 0;
+  q.payloads <- extend q.payloads q.dummy
+
+let add_tagged q ~time ~tag ~arg payload =
+  let seq = q.next in
+  q.next <- seq + 1;
+  if q.len = Array.length q.seqs then grow q;
   q.len <- q.len + 1;
-  sift_up q (q.len - 1) e;
-  if handle >= Bytes.length q.flags then begin
-    let ncap = max (2 * Bytes.length q.flags) (handle + 1) in
-    let nf = Bytes.make ncap '\000' in
+  sift_up q (q.len - 1) time seq tag arg payload;
+  if seq >= Bytes.length q.flags then begin
+    let nf = Bytes.make (2 * Bytes.length q.flags) '\000' in
     Bytes.blit q.flags 0 nf 0 (Bytes.length q.flags);
     q.flags <- nf
   end;
-  Bytes.unsafe_set q.flags handle '\001';
+  Bytes.unsafe_set q.flags seq '\001';
   q.live <- q.live + 1;
-  handle
+  seq
 
-let add q ~time payload = add_tagged q ~time ~tag:0 payload
+let add q ~time payload = add_tagged q ~time ~tag:0 ~arg:0 payload
 
+(* Removes the entry at slot [i] by re-seating the last entry in the
+   hole. Flags and [live] are the caller's business. *)
+let remove_at q i =
+  let last = q.len - 1 in
+  q.len <- last;
+  if i < last then begin
+    let time = q.times.(last) and seq = q.seqs.(last) in
+    let tag = q.tags.(last) and arg = q.args.(last) in
+    let payload = q.payloads.(last) in
+    if i > 0 && before time seq q.times.((i - 1) / 2) q.seqs.((i - 1) / 2)
+    then sift_up q i time seq tag arg payload
+    else sift_down q i time seq tag arg payload
+  end;
+  q.payloads.(last) <- q.dummy
+
+(* Drops every cancelled entry and restores the heap bottom-up. Keys
+   [(time, seq)] are unique, so the pop order is unchanged. *)
+let compact q =
+  let len = q.len in
+  let j = ref 0 in
+  for i = 0 to len - 1 do
+    if is_live q q.seqs.(i) then begin
+      if !j < i then move q ~src:i ~dst:!j;
+      incr j
+    end
+  done;
+  q.len <- !j;
+  Array.fill q.payloads !j (len - !j) q.dummy;
+  for i = (q.len / 2) - 1 downto 0 do
+    sift_down q i q.times.(i) q.seqs.(i) q.tags.(i) q.args.(i)
+      q.payloads.(i)
+  done
+
+(* Compacts once cancelled entries outnumber live ones; below 64 dead
+   entries the scan is not worth it. *)
 let cancel q handle =
-  if handle >= 0 && handle < q.next_handle
-     && Bytes.unsafe_get q.flags handle = '\001'
-  then begin
+  if handle >= 0 && handle < q.next && is_live q handle then begin
     Bytes.unsafe_set q.flags handle '\000';
-    q.live <- q.live - 1
+    q.live <- q.live - 1;
+    let dead = q.len - q.live in
+    if dead > q.live && dead >= 64 then compact q
   end
 
-let pop_entry q =
-  let e = q.heap.(0) in
-  q.len <- q.len - 1;
-  if q.len > 0 then sift_down q q.heap.(q.len);
-  e
+let rec ready q =
+  q.len > 0
+  && (is_live q q.seqs.(0)
+     || begin
+       remove_at q 0;
+       ready q
+     end)
 
-let rec pop q =
-  if q.len = 0 then None
-  else begin
-    let e = pop_entry q in
-    if Bytes.unsafe_get q.flags e.handle = '\001' then begin
-      Bytes.unsafe_set q.flags e.handle '\000';
-      q.live <- q.live - 1;
-      Some (e.time, e.payload)
-    end
-    else pop q (* cancelled: skip *)
+let top_time q = q.times.(0)
+let top_arg q = q.args.(0)
+
+let pop_top q =
+  let payload = q.payloads.(0) in
+  Bytes.unsafe_set q.flags q.seqs.(0) '\000';
+  q.live <- q.live - 1;
+  remove_at q 0;
+  payload
+
+let pop q =
+  if ready q then begin
+    let time = top_time q in
+    Some (time, pop_top q)
   end
+  else None
 
-let rec peek_time q =
-  if q.len = 0 then None
-  else begin
-    let e = q.heap.(0) in
-    if Bytes.unsafe_get q.flags e.handle = '\001' then Some e.time
-    else begin
-      ignore (pop_entry q);
-      peek_time q
-    end
-  end
-
+let peek_time q = if ready q then Some (top_time q) else None
 let size q = q.live
 let is_empty q = q.live = 0
 
 (* Controlled-scheduling support (the model checker's view). These walk the
-   raw heap array, so they are O(len) / O(len log len) — irrelevant next to
-   the cost of exploring an interleaving, and they leave the hot-path
-   representation untouched. *)
+   heap columns, so they are O(len) / O(len log len) — irrelevant next to
+   the cost of exploring an interleaving. *)
 
 let live q =
   let acc = ref [] in
   for i = q.len - 1 downto 0 do
-    let e = q.heap.(i) in
-    if Bytes.unsafe_get q.flags e.handle = '\001' then acc := e :: !acc
+    if is_live q q.seqs.(i) then
+      acc := (q.seqs.(i), q.times.(i), q.tags.(i)) :: !acc
   done;
   List.sort
-    (fun a b ->
-      let c = Sim_time.compare a.time b.time in
-      if c <> 0 then c else Int.compare a.seq b.seq)
+    (fun (sa, ta, _) (sb, tb, _) ->
+      let c = Sim_time.compare ta tb in
+      if c <> 0 then c else Int.compare sa sb)
     !acc
-  |> List.map (fun e -> (e.handle, e.time, e.tag))
 
 let take q handle =
-  if
-    handle < 0 || handle >= q.next_handle
-    || Bytes.unsafe_get q.flags handle <> '\001'
-  then None
+  if handle < 0 || handle >= q.next || not (is_live q handle) then None
   else begin
-    (* The entry stays in the heap as a dead record; [pop]/[peek_time]
-       already skip those lazily. *)
+    let i = ref 0 in
+    while q.seqs.(!i) <> handle do
+      incr i
+    done;
+    let time = q.times.(!i) and arg = q.args.(!i) in
+    let payload = q.payloads.(!i) in
     Bytes.unsafe_set q.flags handle '\000';
     q.live <- q.live - 1;
-    let found = ref None in
-    for i = 0 to q.len - 1 do
-      let e = q.heap.(i) in
-      if !found = None && e.handle = handle then
-        found := Some (e.time, e.payload)
-    done;
-    !found
+    remove_at q !i;
+    Some (time, arg, payload)
   end

@@ -3,27 +3,60 @@
     A binary min-heap keyed by [(time, sequence)] where the sequence number
     is the insertion order. The secondary key makes extraction deterministic:
     two events scheduled for the same instant pop in insertion order, so a
-    simulation never depends on heap-internal tie-breaking. *)
+    simulation never depends on heap-internal tie-breaking.
+
+    The heap is flat: time, sequence, tag, argument and payload live in
+    parallel arrays, so adding or popping an event allocates nothing. The
+    sequence number doubles as the cancellation handle. Cancelled entries
+    are skipped lazily when they reach the root, and compacted away in one
+    pass once they outnumber the live ones. The integer argument lets a
+    caller share one payload (say, one handler closure) between many events
+    and tell them apart by the argument alone. *)
 
 type 'a t
 (** A queue of events carrying payloads of type ['a]. *)
 
-val create : unit -> 'a t
-(** An empty queue. *)
+val create : dummy:'a -> 'a t
+(** An empty queue. [dummy] fills the slots no entry occupies, so the heap
+    never keeps a popped or cancelled payload reachable. *)
 
 val add : 'a t -> time:Sim_time.t -> 'a -> int
 (** [add q ~time payload] schedules [payload] at [time] and returns a unique
     handle that identifies this entry (usable with {!cancel}). *)
 
-val add_tagged : 'a t -> time:Sim_time.t -> tag:int -> 'a -> int
-(** [add] carrying an integer metadata tag, reported back by {!live}. Tags
-    mean nothing to the queue itself; the scheduler uses them to classify
-    events for controlled (model-checking) extraction. [add] is
-    [add_tagged ~tag:0]. *)
+val add_tagged : 'a t -> time:Sim_time.t -> tag:int -> arg:int -> 'a -> int
+(** [add] carrying an integer metadata tag, reported back by {!live}, and
+    an integer argument, reported back by {!top_arg} and {!take}. Neither
+    means anything to the queue itself; the scheduler uses tags to
+    classify events for controlled (model-checking) extraction, and
+    arguments to pass a slot index to a shared handler. [add] is
+    [add_tagged ~tag:0 ~arg:0]. *)
 
 val cancel : 'a t -> int -> unit
 (** [cancel q handle] marks the entry as cancelled; it is skipped on
     extraction. Cancelling an unknown or already-popped handle is a no-op. *)
+
+(** {2 Hot-path extraction}
+
+    [ready], then [top_time]/[top_arg], then [pop_top]: one root check per
+    event, with no option or tuple allocated. *)
+
+val ready : 'a t -> bool
+(** Drops cancelled entries off the root; [true] iff a live entry is now
+    at the root. *)
+
+val top_time : 'a t -> Sim_time.t
+(** The root's time. Only meaningful right after {!ready} returned [true]. *)
+
+val top_arg : 'a t -> int
+(** The root's argument. Only meaningful right after {!ready} returned
+    [true]. *)
+
+val pop_top : 'a t -> 'a
+(** Removes the root and returns its payload. Only valid right after
+    {!ready} returned [true]. *)
+
+(** {2 Convenience extraction} *)
 
 val pop : 'a t -> (Sim_time.t * 'a) option
 (** Removes and returns the earliest non-cancelled event, or [None] if the
@@ -37,14 +70,16 @@ val size : 'a t -> int
 
 val is_empty : 'a t -> bool
 
+(** {2 Controlled extraction} *)
+
 val live : 'a t -> (int * Sim_time.t * int) list
 (** All live entries as [(handle, time, tag)], sorted by [(time, insertion
     order)] — the order {!pop} would drain them in. This is the enabled set
     a controlled scheduler enumerates; it walks the whole heap, so it is for
     exploration loops, not hot paths. *)
 
-val take : 'a t -> int -> (Sim_time.t * 'a) option
-(** [take q handle] removes and returns the live entry with that handle
-    regardless of its position in the time order — the controlled-scheduling
-    primitive. [None] if the handle is unknown, cancelled or already
-    popped. *)
+val take : 'a t -> int -> (Sim_time.t * int * 'a) option
+(** [take q handle] removes and returns the live entry with that handle as
+    [(time, arg, payload)], regardless of its position in the time order —
+    the controlled-scheduling primitive. [None] if the handle is unknown,
+    cancelled or already popped. *)

@@ -49,20 +49,24 @@ type t = {
   queue : (unit -> unit) Event_queue.t;
   mutable clock : Sim_time.t;
   mutable executed : int;
+  mutable arg : int; (* the argument of the action running now *)
 }
 
 let create () =
-  { queue = Event_queue.create (); clock = Sim_time.zero; executed = 0 }
+  { queue = Event_queue.create ~dummy:ignore; clock = Sim_time.zero;
+    executed = 0; arg = 0 }
 
 let now t = t.clock
 
-let at_tagged t tag time f =
+let at_arg t tag time f arg =
   let time = Sim_time.max time t.clock in
-  Event_queue.add_tagged t.queue ~time ~tag f
+  Event_queue.add_tagged t.queue ~time ~tag ~arg f
 
+let at_tagged t tag time f = at_arg t tag time f 0
 let at t time f = at_tagged t Tag.generic time f
 let after_tagged t tag d f = at_tagged t tag (Sim_time.add t.clock d) f
 let after t d f = at t (Sim_time.add t.clock d) f
+let arg t = t.arg
 
 let cancel t h = Event_queue.cancel t.queue h
 
@@ -72,34 +76,40 @@ let executed t = t.executed
 
 let enabled t = Event_queue.live t.queue
 
+let exec t (time : Sim_time.t) arg f =
+  if (time :> int) > (t.clock :> int) then t.clock <- time;
+  t.executed <- t.executed + 1;
+  t.arg <- arg;
+  f ()
+
+(* The root is known live: take it without a second check. *)
+let exec_top t =
+  let q = t.queue in
+  let time = Event_queue.top_time q and arg = Event_queue.top_arg q in
+  exec t time arg (Event_queue.pop_top q)
+
 let step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (time, f) ->
-    t.clock <- Sim_time.max t.clock time;
-    t.executed <- t.executed + 1;
-    f ();
+  Event_queue.ready t.queue
+  && begin
+    exec_top t;
     true
+  end
 
 let step_handle t h =
   match Event_queue.take t.queue h with
   | None -> false
-  | Some (time, f) ->
-    t.clock <- Sim_time.max t.clock time;
-    t.executed <- t.executed + 1;
-    f ();
+  | Some (time, arg, f) ->
+    exec t time arg f;
     true
 
 let run ?(until = Sim_time.infinity) ?(max_steps = max_int) t =
   let steps = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Event_queue.peek_time t.queue with
-    | None -> continue := false
-    | Some next when Sim_time.compare next until > 0 -> continue := false
-    | Some _ ->
-      if !steps >= max_steps then
-        failwith "Scheduler.run: max_steps exhausted (runaway event loop?)";
-      incr steps;
-      ignore (step t)
+  while
+    Event_queue.ready t.queue
+    && (Event_queue.top_time t.queue :> int) <= (until :> int)
+  do
+    if !steps >= max_steps then
+      failwith "Scheduler.run: max_steps exhausted (runaway event loop?)";
+    incr steps;
+    exec_top t
   done

@@ -74,6 +74,17 @@ val at_tagged : t -> Tag.t -> Sim_time.t -> (unit -> unit) -> handle
 
 val after_tagged : t -> Tag.t -> Sim_time.t -> (unit -> unit) -> handle
 
+val at_arg : t -> Tag.t -> Sim_time.t -> (unit -> unit) -> int -> handle
+(** [at_arg t tag time f arg] is [at_tagged t tag time f] carrying the
+    integer [arg], which {!arg} returns while [f] runs. One shared [f] can
+    then serve many events told apart by [arg] — the network schedules
+    every delivery with the same handler closure and the delivery's slot
+    index, so a delivery costs no closure. *)
+
+val arg : t -> int
+(** The [arg] of the action executing now ([0] for actions scheduled
+    without one). Read it on entry: the next action overwrites it. *)
+
 val cancel : t -> handle -> unit
 (** Cancels a pending action; no-op if it already ran. *)
 

@@ -29,6 +29,8 @@ type index = {
           rather than O(distinct ids * n_processes). *)
   casts_by_id : cast_event Runtime.Msg_id.Tbl.t;
       (** First cast event per id. *)
+  deliveries_by_id : delivery_event list Runtime.Msg_id.Tbl.t;
+      (** Every delivery event per id, in occurrence order. *)
 }
 (** Per-run lookup structures built in one pass over the event lists.
     Everything the checkers consult repeatedly — who crashed, who delivered
@@ -83,6 +85,8 @@ val sequence_of : t -> Net.Topology.pid -> Amcast.Msg.t list
 
 val cast_of : t -> Runtime.Msg_id.t -> cast_event option
 val deliveries_of : t -> Runtime.Msg_id.t -> delivery_event list
+(** Every delivery of the message, in occurrence order; O(1) after
+    indexing. *)
 
 val delivered_by : t -> Runtime.Msg_id.t -> Net.Topology.pid -> bool
 (** Whether the process delivered the message, in O(1) after indexing. *)

@@ -1,45 +1,54 @@
 open Des
 
-type 'w single = {
-  src : Topology.pid;
-  dst : Topology.pid;
-  payload : 'w;
-  handle : Scheduler.handle;
-}
-
-(* A whole fan-out kept as one slab entry: per-destination arrivals are
-   pre-sampled at send time and walked by a single scheduler event that
-   re-arms itself for the next destination at pop time. This is the
-   [send_multi] fast lane — a broadcast costs one event in the queue at any
-   instant instead of one per destination. *)
-type 'w multi = {
-  m_src : Topology.pid;
-  m_payload : 'w;
-  arrivals : (Sim_time.t * Topology.pid) array;
-      (* sorted by arrival, stable, so equal arrivals keep the order a
-         per-destination send loop would deliver them in *)
-  mutable pos : int;
-  mutable m_handle : Scheduler.handle;
-}
-
-type 'w slot = Single of 'w single | Multi of 'w multi
+(* One in-flight slot. A [Multi] keeps a whole fan-out: per-destination
+   arrivals are pre-sampled at send time and walked by a single scheduler
+   event that re-arms itself for the next destination at pop time. This
+   is the [send_multi] fast lane — a broadcast costs one event in the
+   queue at any instant instead of one per destination. *)
+type 'w slot =
+  | Free
+  | Single of {
+      src : Topology.pid;
+      dst : Topology.pid;
+      payload : 'w;
+      handle : Scheduler.handle;
+    }
+  | Multi of {
+      src : Topology.pid;
+      payload : 'w;
+      arrivals : Sim_time.t array;
+      dsts : Topology.pid array;
+          (* sorted by arrival, stable, so equal arrivals keep the order a
+             per-destination send loop would deliver them in *)
+      mutable pos : int;
+      mutable handle : Scheduler.handle;
+    }
 
 (* In-flight messages live in a free-list slab instead of a Hashtbl: [send]
    is the hottest call in the simulator and the slab turns its bookkeeping
    into two array writes (acquire a slot index, store the record). The
    adversarial controls ([hold]/[heal]/[drop_inflight]) scan the slab — they
    are rare, and they sort by scheduler handle anyway for determinism, so
-   losing the hash table costs them nothing. Invariant: [slots.(i) = None]
-   iff [i] is on the free stack ([free.(0 .. free_top-1)]). *)
+   losing the hash table costs them nothing. Invariant: [slots.(i) = Free]
+   iff [i] is on the free stack ([free.(0 .. free_top-1)]).
+
+   Every delivery event carries the same [on_fire] closure and its slot
+   index as the scheduler argument, so scheduling one allocates nothing. *)
 type 'w t = {
   sched : Scheduler.t;
   topology : Topology.t;
   latency : Latency.t;
   rng : Rng.t;
   deliver : src:Topology.pid -> dst:Topology.pid -> 'w -> unit;
-  mutable slots : 'w slot option array;
+  on_fire : unit -> unit;
+  mutable slots : 'w slot array;
   mutable free : int array;
   mutable free_top : int;
+  mutable fan_at : Sim_time.t array;
+  mutable fan_dst : Topology.pid array;
+      (* [send_multi]'s admission buffers, kept sorted by arrival while a
+         fan-out is admitted; per network, since networks on different
+         domains run concurrently *)
   n_groups : int;
   holds : Sim_time.t array;
       (* dense (src_group, dst_group) -> release floor, [Sim_time.zero] =
@@ -65,29 +74,62 @@ type 'w t = {
   mutable sent_intra : int;
 }
 
+let release_slot t i =
+  t.slots.(i) <- Free;
+  t.free.(t.free_top) <- i;
+  t.free_top <- t.free_top + 1
+
+let fire t i =
+  match t.slots.(i) with
+  | Free -> ()
+  | Single s ->
+    release_slot t i;
+    t.deliver ~src:s.src ~dst:s.dst s.payload
+  | Multi m ->
+    let dst = m.dsts.(m.pos) in
+    m.pos <- m.pos + 1;
+    (* Re-arm (or release) before delivering: the delivery can send, and a
+       released slot must be reusable from inside it. *)
+    if m.pos < Array.length m.dsts then
+      m.handle <-
+        Scheduler.at_arg t.sched
+          (Scheduler.Tag.deliver m.dsts.(m.pos))
+          m.arrivals.(m.pos) t.on_fire i
+    else release_slot t i;
+    t.deliver ~src:m.src ~dst m.payload
+
 let create ~sched ~topology ~latency ~rng ~deliver =
   let g = Topology.n_groups topology in
-  {
-    sched;
-    topology;
-    latency;
-    rng;
-    deliver;
-    slots = [||];
-    free = [||];
-    free_top = 0;
-    n_groups = g;
-    holds = Array.make (g * g) Sim_time.zero;
-    scales = Array.make (g * g) 1.0;
-    send_filter = None;
-    taps = [];
-    explode_fanout = false;
-    tx_cost = Sim_time.zero;
-    next_free = Array.make (Topology.n_processes topology) Sim_time.zero;
-    sent_total = 0;
-    sent_inter = 0;
-    sent_intra = 0;
-  }
+  let holds = Array.make (g * g) Sim_time.zero in
+  let scales = Array.make (g * g) 1.0 in
+  let next_free = Array.make (Topology.n_processes topology) Sim_time.zero in
+  let rec t =
+    {
+      sched;
+      topology;
+      latency;
+      rng;
+      deliver;
+      on_fire = (fun () -> fire t (Scheduler.arg sched));
+      slots = [||];
+      free = [||];
+      free_top = 0;
+      fan_at = [||];
+      fan_dst = [||];
+      n_groups = g;
+      holds;
+      scales;
+      send_filter = None;
+      taps = [];
+      explode_fanout = false;
+      tx_cost = Sim_time.zero;
+      next_free;
+      sent_total = 0;
+      sent_inter = 0;
+      sent_intra = 0;
+    }
+  in
+  t
 
 let link t ~src_group ~dst_group = (src_group * t.n_groups) + dst_group
 let hold_floor t ~src_group ~dst_group = t.holds.(link t ~src_group ~dst_group)
@@ -96,7 +138,7 @@ let acquire_slot t =
   if t.free_top = 0 then begin
     let cap = Array.length t.slots in
     let ncap = if cap = 0 then 64 else cap * 2 in
-    let ns = Array.make ncap None in
+    let ns = Array.make ncap Free in
     Array.blit t.slots 0 ns 0 cap;
     t.slots <- ns;
     let nf = Array.make ncap 0 in
@@ -110,43 +152,13 @@ let acquire_slot t =
   t.free_top <- t.free_top - 1;
   t.free.(t.free_top)
 
-let release_slot t i =
-  t.slots.(i) <- None;
-  t.free.(t.free_top) <- i;
-  t.free_top <- t.free_top + 1
-
-let rec fire t i =
-  match t.slots.(i) with
-  | None -> ()
-  | Some (Single s) ->
-    release_slot t i;
-    t.deliver ~src:s.src ~dst:s.dst s.payload
-  | Some (Multi m) ->
-    let _, dst = m.arrivals.(m.pos) in
-    m.pos <- m.pos + 1;
-    (* Re-arm (or release) before delivering: the delivery can send, and a
-       released slot must be reusable from inside it. *)
-    if m.pos < Array.length m.arrivals then begin
-      let at, next_dst = m.arrivals.(m.pos) in
-      m.m_handle <-
-        Scheduler.at_tagged t.sched (Scheduler.Tag.deliver next_dst) at
-          (fun () -> fire t i)
-    end
-    else release_slot t i;
-    t.deliver ~src:m.m_src ~dst m.m_payload
-
 let schedule_delivery t ~src ~dst ~arrival payload =
   let i = acquire_slot t in
   let handle =
-    Scheduler.at_tagged t.sched (Scheduler.Tag.deliver dst) arrival
-      (fun () -> fire t i)
+    Scheduler.at_arg t.sched (Scheduler.Tag.deliver dst) arrival t.on_fire i
   in
-  t.slots.(i) <- Some (Single { src; dst; payload; handle })
+  t.slots.(i) <- Single { src; dst; payload; handle }
 
-(* Per-destination admission, bookkeeping and latency sampling, shared
-   between [send] and [send_multi] so the two paths are observably
-   equivalent (filter, counters, taps and rng draws happen in the same
-   order). Returns [None] when the filter rejects the destination. *)
 (* One latency draw on a link, with any active spike scale applied — shared
    by admission and by [heal]'s re-scheduling so a spiked link stays spiked
    for messages released from a partition. *)
@@ -158,73 +170,109 @@ let sample_delay t ~src_group ~dst_group =
     Sim_time.of_us
       (max 0 (int_of_float (s *. float_of_int (Sim_time.to_us delay))))
 
-let admit t ~src ~src_group ~dst payload =
-  let admitted =
-    match t.send_filter with
-    | None -> true
-    | Some f -> f ~src ~dst
+(* Per-destination admission, split in two so that neither half allocates:
+   [admitted] applies the send filter, [arrival] does the bookkeeping and
+   the latency draw. [send] and [send_multi] both call them once per
+   destination, in destination order, so the two paths are observably
+   equivalent (filter, counters, taps and rng draws happen in the same
+   order). *)
+let admitted t ~src ~dst =
+  match t.send_filter with
+  | None -> true
+  | Some f -> f ~src ~dst
+
+let arrival t ~src ~src_group ~dst payload =
+  let dst_group = Topology.group_of t.topology dst in
+  t.sent_total <- t.sent_total + 1;
+  if src_group = dst_group then t.sent_intra <- t.sent_intra + 1
+  else t.sent_inter <- t.sent_inter + 1;
+  (* Matched first: the iteration closure would allocate even when no tap
+     is registered, which is the common case. *)
+  (match t.taps with
+  | [] -> ()
+  | taps -> List.iter (fun tap -> tap ~src ~dst payload) taps);
+  let delay = sample_delay t ~src_group ~dst_group in
+  let departure =
+    if Sim_time.compare t.tx_cost Sim_time.zero > 0 then begin
+      (* Serialize at the sender's NIC: this message departs once the
+         egress is free, and occupies it for [tx_cost]. *)
+      let d = Sim_time.max (Scheduler.now t.sched) t.next_free.(src) in
+      t.next_free.(src) <- Sim_time.add d t.tx_cost;
+      d
+    end
+    else Scheduler.now t.sched
   in
-  if not admitted then None
-  else begin
-    let dst_group = Topology.group_of t.topology dst in
-    t.sent_total <- t.sent_total + 1;
-    if src_group = dst_group then t.sent_intra <- t.sent_intra + 1
-    else t.sent_inter <- t.sent_inter + 1;
-    List.iter (fun tap -> tap ~src ~dst payload) t.taps;
-    let delay = sample_delay t ~src_group ~dst_group in
-    let departure =
-      if Sim_time.compare t.tx_cost Sim_time.zero > 0 then begin
-        (* Serialize at the sender's NIC: this message departs once the
-           egress is free, and occupies it for [tx_cost]. *)
-        let d = Sim_time.max (Scheduler.now t.sched) t.next_free.(src) in
-        t.next_free.(src) <- Sim_time.add d t.tx_cost;
-        d
-      end
-      else Scheduler.now t.sched
-    in
-    let arrival = Sim_time.add departure delay in
-    Some (Sim_time.max arrival (hold_floor t ~src_group ~dst_group))
-  end
+  let arrival = Sim_time.add departure delay in
+  Sim_time.max arrival (hold_floor t ~src_group ~dst_group)
 
 let send t ~src ~dst payload =
-  let src_group = Topology.group_of t.topology src in
-  match admit t ~src ~src_group ~dst payload with
-  | None -> ()
-  | Some arrival -> schedule_delivery t ~src ~dst ~arrival payload
+  if admitted t ~src ~dst then begin
+    let src_group = Topology.group_of t.topology src in
+    schedule_delivery t ~src ~dst
+      ~arrival:(arrival t ~src ~src_group ~dst payload)
+      payload
+  end
+
+(* Inserts the [n+1]-th admitted destination into the fan-out buffers,
+   after every arrival not later than its own: a stable insertion sort. *)
+let fan_insert t n (at : Sim_time.t) dst =
+  if n = Array.length t.fan_at then begin
+    let cap = max 16 (2 * n) in
+    let at' = Array.make cap Sim_time.zero and dst' = Array.make cap 0 in
+    Array.blit t.fan_at 0 at' 0 n;
+    Array.blit t.fan_dst 0 dst' 0 n;
+    t.fan_at <- at';
+    t.fan_dst <- dst'
+  end;
+  let k = ref n in
+  while !k > 0 && (t.fan_at.(!k - 1) :> int) > (at :> int) do
+    t.fan_at.(!k) <- t.fan_at.(!k - 1);
+    t.fan_dst.(!k) <- t.fan_dst.(!k - 1);
+    decr k
+  done;
+  t.fan_at.(!k) <- at;
+  t.fan_dst.(!k) <- dst
+
+(* Admits [dsts] in order into the fan-out buffers; returns how many were
+   admitted. *)
+let rec fan_admit t ~src ~src_group payload n = function
+  | [] -> n
+  | dst :: rest ->
+    if admitted t ~src ~dst then begin
+      fan_insert t n (arrival t ~src ~src_group ~dst payload) dst;
+      fan_admit t ~src ~src_group payload (n + 1) rest
+    end
+    else fan_admit t ~src ~src_group payload n rest
 
 let send_multi t ~src ~dsts payload =
   let src_group = Topology.group_of t.topology src in
-  let entries =
-    List.filter_map
-      (fun dst ->
-        match admit t ~src ~src_group ~dst payload with
-        | None -> None
-        | Some arrival -> Some (arrival, dst))
-      dsts
-  in
-  match entries with
-  | [] -> ()
-  | [ (arrival, dst) ] -> schedule_delivery t ~src ~dst ~arrival payload
-  | entries when t.explode_fanout ->
+  if t.explode_fanout then
     (* Controlled mode: every destination gets its own event so the
        explorer can reorder the fan-out's deliveries independently. The
-       admission above already drew latencies in the same order as the
+       admissions and latency draws happen in the same order as on the
        slab path, so the two modes stay observably equivalent. *)
     List.iter
-      (fun (arrival, dst) -> schedule_delivery t ~src ~dst ~arrival payload)
-      entries
-  | entries ->
-    let arrivals = Array.of_list entries in
-    Array.stable_sort (fun (a, _) (b, _) -> Sim_time.compare a b) arrivals;
-    let i = acquire_slot t in
-    let at, dst0 = arrivals.(0) in
-    let handle =
-      Scheduler.at_tagged t.sched (Scheduler.Tag.deliver dst0) at
-        (fun () -> fire t i)
-    in
-    t.slots.(i) <-
-      Some (Multi { m_src = src; m_payload = payload; arrivals; pos = 0;
-                    m_handle = handle })
+      (fun dst ->
+        if admitted t ~src ~dst then
+          schedule_delivery t ~src ~dst
+            ~arrival:(arrival t ~src ~src_group ~dst payload)
+            payload)
+      dsts
+  else
+    match fan_admit t ~src ~src_group payload 0 dsts with
+    | 0 -> ()
+    | 1 ->
+      schedule_delivery t ~src ~dst:t.fan_dst.(0) ~arrival:t.fan_at.(0)
+        payload
+    | n ->
+      let arrivals = Array.sub t.fan_at 0 n in
+      let dsts = Array.sub t.fan_dst 0 n in
+      let i = acquire_slot t in
+      let handle =
+        Scheduler.at_arg t.sched (Scheduler.Tag.deliver dsts.(0))
+          arrivals.(0) t.on_fire i
+      in
+      t.slots.(i) <- Multi { src; payload; arrivals; dsts; pos = 0; handle }
 
 (* The adversarial controls below reason about one (src, dst, arrival)
    triple per slot; dissolve multi slots into singles first. They only run
@@ -234,44 +282,55 @@ let send_multi t ~src ~dsts payload =
 let explode t =
   let multis = ref [] in
   Array.iteri
-    (fun i s ->
-      match s with Some (Multi m) -> multis := (i, m) :: !multis | _ -> ())
+    (fun i s -> match s with Multi _ -> multis := i :: !multis | _ -> ())
     t.slots;
   List.iter
-    (fun (i, m) ->
-      Scheduler.cancel t.sched m.m_handle;
-      release_slot t i;
-      for j = m.pos to Array.length m.arrivals - 1 do
-        let arrival, dst = m.arrivals.(j) in
-        schedule_delivery t ~src:m.m_src ~dst ~arrival m.m_payload
-      done)
-    (List.sort (fun (a, _) (b, _) -> Int.compare a b) !multis)
+    (fun i ->
+      match t.slots.(i) with
+      | Multi m ->
+        Scheduler.cancel t.sched m.handle;
+        release_slot t i;
+        for j = m.pos to Array.length m.dsts - 1 do
+          schedule_delivery t ~src:m.src ~dst:m.dsts.(j)
+            ~arrival:m.arrivals.(j) m.payload
+        done
+      | Free | Single _ -> assert false)
+    (List.sort Int.compare !multis)
 
-(* In-flight messages on the [src_group]→[dst_group] link, sorted by
-   scheduler handle (i.e. scheduling order) for determinism. *)
+(* Cancels the event of single slot [i] and frees the slot; returns the
+   message it held. *)
+let unschedule t i =
+  match t.slots.(i) with
+  | Single s ->
+    Scheduler.cancel t.sched s.handle;
+    release_slot t i;
+    (s.src, s.dst, s.payload)
+  | Free | Multi _ -> assert false
+
+(* Slots of the in-flight messages on the [src_group]→[dst_group] link,
+   sorted by scheduler handle (i.e. scheduling order) for determinism. *)
 let inflight_on_link t ~src_group ~dst_group =
   explode t;
   let acc = ref [] in
   Array.iteri
     (fun i s ->
       match s with
-      | Some (Single m)
+      | Single m
         when Topology.group_of t.topology m.src = src_group
              && Topology.group_of t.topology m.dst = dst_group ->
-        acc := (i, m) :: !acc
+        acc := (m.handle, i) :: !acc
       | _ -> ())
     t.slots;
-  List.sort (fun (_, a) (_, b) -> Int.compare a.handle b.handle) !acc
+  List.map snd (List.sort compare !acc)
 
 let hold t ~src_group ~dst_group ~until =
   let l = link t ~src_group ~dst_group in
   t.holds.(l) <- Sim_time.max t.holds.(l) until;
   (* Push back messages already in flight on that link. *)
   List.iter
-    (fun (i, m) ->
-      Scheduler.cancel t.sched m.handle;
-      release_slot t i;
-      schedule_delivery t ~src:m.src ~dst:m.dst ~arrival:until m.payload)
+    (fun i ->
+      let src, dst, payload = unschedule t i in
+      schedule_delivery t ~src ~dst ~arrival:until payload)
     (inflight_on_link t ~src_group ~dst_group)
 
 let partition t ~src_group ~dst_group =
@@ -284,12 +343,11 @@ let heal t ~src_group ~dst_group =
     (* Re-schedule everything that was parked on this link with a fresh
        latency sample from the healing instant. *)
     List.iter
-      (fun (i, m) ->
-        Scheduler.cancel t.sched m.handle;
-        release_slot t i;
+      (fun i ->
+        let src, dst, payload = unschedule t i in
         let delay = sample_delay t ~src_group ~dst_group in
         let arrival = Sim_time.add (Scheduler.now t.sched) delay in
-        schedule_delivery t ~src:m.src ~dst:m.dst ~arrival m.payload)
+        schedule_delivery t ~src ~dst ~arrival payload)
       (inflight_on_link t ~src_group ~dst_group)
   end
 
@@ -322,15 +380,10 @@ let drop_inflight t pred =
   Array.iteri
     (fun i s ->
       match s with
-      | Some (Single m) when pred ~src:m.src ~dst:m.dst ->
-        victims := (i, m) :: !victims
+      | Single m when pred ~src:m.src ~dst:m.dst -> victims := i :: !victims
       | _ -> ())
     t.slots;
-  List.iter
-    (fun (i, m) ->
-      Scheduler.cancel t.sched m.handle;
-      release_slot t i)
-    !victims;
+  List.iter (fun i -> ignore (unschedule t i)) !victims;
   List.length !victims
 
 let latency_scale t ~src_group ~dst_group scale =
@@ -356,9 +409,9 @@ let in_flight t =
   Array.iter
     (fun s ->
       match s with
-      | None -> ()
-      | Some (Single _) -> incr n
-      | Some (Multi m) -> n := !n + (Array.length m.arrivals - m.pos))
+      | Free -> ()
+      | Single _ -> incr n
+      | Multi m -> n := !n + (Array.length m.dsts - m.pos))
     t.slots;
   !n
 

@@ -56,9 +56,10 @@ let handle_delivery t ~src ~dst { data; lc; env } =
       let same_group = Topology.same_group t.topology src dst in
       let carried = Lclock.on_send ~same_group lc in
       t.lcs.(dst) <- Lclock.on_receive t.lcs.(dst) ~carried;
-      Trace.record t.trace
-        (Receive
-           { time = Scheduler.now t.sched; src; dst; lc = t.lcs.(dst); env });
+      if Trace.enabled t.trace then
+        Trace.record t.trace
+          (Receive
+             { time = Scheduler.now t.sched; src; dst; lc = t.lcs.(dst); env });
       node.on_receive ~src data
 
 let create ?(seed = 0) ?(latency = Latency.wan_default)
@@ -100,56 +101,59 @@ let create ?(seed = 0) ?(latency = Latency.wan_default)
 let transport t pid =
   let send ~dst payload =
     if not t.crashed.(pid) then begin
-      let same_group = Topology.same_group t.topology pid dst in
-      (* The carried value is LC+1 across groups (rule 2), but the sender's
-         own clock does not advance: only receives move a clock forward.
-         This makes a fan-out to d remote processes one causal hop, not d —
-         the reading under which the paper's R-MCast has latency degree 1
-         and Theorem 5.1's concurrent bundle exchange costs a single
-         inter-group delay. *)
-      let lc = Lclock.on_send ~same_group t.lcs.(pid) in
       let env = t.next_env in
       t.next_env <- env + 1;
-      Trace.record t.trace
-        (Send
-           {
-             time = Scheduler.now t.sched;
-             src = pid;
-             dst;
-             inter_group = not same_group;
-             lc;
-             tag = t.tag payload;
-             env;
-           });
+      if Trace.enabled t.trace then begin
+        let same_group = Topology.same_group t.topology pid dst in
+        (* The carried value is LC+1 across groups (rule 2), but the
+           sender's own clock does not advance: only receives move a clock
+           forward. This makes a fan-out to d remote processes one causal
+           hop, not d — the reading under which the paper's R-MCast has
+           latency degree 1 and Theorem 5.1's concurrent bundle exchange
+           costs a single inter-group delay. *)
+        Trace.record t.trace
+          (Send
+             {
+               time = Scheduler.now t.sched;
+               src = pid;
+               dst;
+               inter_group = not same_group;
+               lc = Lclock.on_send ~same_group t.lcs.(pid);
+               tag = t.tag payload;
+               env;
+             })
+      end;
       Network.send (net t) ~src:pid ~dst
         { data = payload; lc = t.lcs.(pid); env }
     end
   in
   let send_multi dsts payload =
-    if (not t.crashed.(pid)) && dsts <> [] then begin
+    if (not t.crashed.(pid)) && not (List.is_empty dsts) then begin
       let raw = t.lcs.(pid) in
       (* One envelope (and one trace [env]) for the whole fan-out: the
          Send entries below share it, which is faithful — the fan-out is
          one causal event at the sender. *)
       let env = t.next_env in
       t.next_env <- env + 1;
-      let time = Scheduler.now t.sched in
-      let tag = t.tag payload in
-      List.iter
-        (fun dst ->
-          let same_group = Topology.same_group t.topology pid dst in
-          Trace.record t.trace
-            (Send
-               {
-                 time;
-                 src = pid;
-                 dst;
-                 inter_group = not same_group;
-                 lc = Lclock.on_send ~same_group raw;
-                 tag;
-                 env;
-               }))
-        dsts;
+      if Trace.enabled t.trace then begin
+        let time = Scheduler.now t.sched in
+        let tag = t.tag payload in
+        List.iter
+          (fun dst ->
+            let same_group = Topology.same_group t.topology pid dst in
+            Trace.record t.trace
+              (Send
+                 {
+                   time;
+                   src = pid;
+                   dst;
+                   inter_group = not same_group;
+                   lc = Lclock.on_send ~same_group raw;
+                   tag;
+                   env;
+                 }))
+          dsts
+      end;
       Network.send_multi (net t) ~src:pid ~dsts { data = payload; lc = raw; env }
     end
   in

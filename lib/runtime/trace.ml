@@ -40,6 +40,7 @@ let record t e =
     t.n <- t.n + 1
   end
 
+let enabled t = t.enabled
 let entries t = List.rev t.entries
 let entries_rev t = t.entries
 let length t = t.n

@@ -48,6 +48,11 @@ val create : ?enabled:bool -> unit -> t
     is a no-op — used by throughput benchmarks to avoid unbounded memory. *)
 
 val record : t -> entry -> unit
+
+val enabled : t -> bool
+(** Whether {!record} keeps entries. Hot paths test it before building an
+    entry, so a disabled trace costs no allocation. *)
+
 val entries : t -> entry list
 (** All recorded entries, in chronological (append) order. *)
 

@@ -190,7 +190,7 @@ let create ?inject ?(seed = 0) ?epoch ~codec ~topology ~self ~addrs () =
     wake_w;
     mailbox = Queue.create ();
     mbox_mu = Mutex.create ();
-    timers = Des.Event_queue.create ();
+    timers = Des.Event_queue.create ~dummy:ignore;
     conns = [];
     outgoing = Array.make (Topology.n_processes topology) None;
     receiver = (fun ~src:_ _ -> ());

@@ -72,7 +72,7 @@ let test_rng_sample () =
   Alcotest.(check int) "clamped to population" 10 (List.length s2)
 
 let test_queue_orders_by_time () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~dummy:"" in
   ignore (Event_queue.add q ~time:(Sim_time.of_ms 3) "c");
   ignore (Event_queue.add q ~time:(Sim_time.of_ms 1) "a");
   ignore (Event_queue.add q ~time:(Sim_time.of_ms 2) "b");
@@ -83,7 +83,7 @@ let test_queue_orders_by_time () =
   Alcotest.(check (option string)) "empty" None (pop ())
 
 let test_queue_fifo_on_ties () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~dummy:"" in
   let t = Sim_time.of_ms 1 in
   for i = 0 to 9 do
     ignore (Event_queue.add q ~time:t (string_of_int i))
@@ -95,7 +95,7 @@ let test_queue_fifo_on_ties () =
     order
 
 let test_queue_cancel () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~dummy:"" in
   let h1 = ignore (Event_queue.add q ~time:(Sim_time.of_ms 1) "a");
            Event_queue.add q ~time:(Sim_time.of_ms 2) "b" in
   Event_queue.cancel q h1;
@@ -109,7 +109,7 @@ let test_queue_cancel () =
   Alcotest.(check int) "still empty" 0 (Event_queue.size q)
 
 let test_queue_many () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~dummy:0 in
   let rng = Rng.create 11 in
   let times = List.init 2_000 (fun _ -> Rng.int rng 1_000_000) in
   List.iter (fun t -> ignore (Event_queue.add q ~time:(Sim_time.of_us t) t)) times;
@@ -126,7 +126,7 @@ let test_queue_many () =
 let test_queue_heavy_cancellation () =
   (* Cancel 90% of a large queue, then drain: the survivors must come out
      in (time, insertion) order and the live count must track exactly. *)
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~dummy:0 in
   let n = 1_000 in
   let handles =
     Array.init n (fun i -> Event_queue.add q ~time:(Sim_time.of_us (i * 7 mod 400)) i)

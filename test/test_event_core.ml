@@ -143,6 +143,142 @@ let test_fanout_equal_arrivals () =
     ]
     (deliveries true)
 
+(* ----- Event_queue against its naive twin ----- *)
+
+module Q = Event_queue
+module N = Naive_event_queue
+
+type op =
+  | Add of int
+  | Add_tagged of int * int * int
+  | Cancel of int (* a selector: see [pick] *)
+  | Take of int
+  | Pop
+  | Peek
+  | Burst of int * int
+      (* [Burst (n, t)]: add [n] entries at times from [t], then cancel
+         two in three of them — past 64 dead entries outnumbering the live
+         ones, which is what triggers a compaction *)
+
+(* Handle kinds a [Cancel]/[Take] selector can name: one still pending,
+   one popped or taken, one already cancelled, one never issued. *)
+let pick (m : int N.t) ~gone ~cancelled k =
+  let nth = function
+    | [] -> None
+    | l -> Some (List.nth l (k / 4 mod List.length l))
+  in
+  let fallback = Option.value ~default:(m.next + (k / 4)) in
+  match k mod 4 with
+  | 0 -> fallback (nth (List.map (fun (h, _, _) -> h) (N.live m)))
+  | 1 -> fallback (nth gone)
+  | 2 -> fallback (nth cancelled)
+  | _ -> if k mod 8 = 3 then m.next + (k / 8) else -1 - (k / 8)
+
+let model_agrees ops =
+  let q = Q.create ~dummy:(-1) and m = N.create () in
+  let gone = ref [] and cancelled = ref [] in
+  let time t = Sim_time.of_us t in
+  let live_q () =
+    List.map (fun (h, t, tag) -> (h, Sim_time.to_us t, tag)) (Q.live q)
+  in
+  let popped = function
+    | Some (_, h) -> gone := h :: !gone
+    | None -> ()
+  in
+  let cancel k =
+    let h = pick m ~gone:!gone ~cancelled:!cancelled k in
+    Q.cancel q h;
+    if List.exists (fun (h', _, _) -> h' = h) (N.live m) then
+      cancelled := h :: !cancelled;
+    N.cancel m h
+  in
+  (* Payloads are the handles; each queue is driven in its own [let], as
+     the operands of [=] evaluate in an unspecified order. *)
+  let add_tagged t ~tag ~arg =
+    let h = m.next in
+    let got = Q.add_tagged q ~time:(time t) ~tag ~arg h in
+    got = N.add_tagged m ~time:t ~tag ~arg h
+  in
+  let add t =
+    let h = m.next in
+    let got = Q.add q ~time:(time t) h in
+    got = N.add m ~time:t h
+  in
+  List.for_all
+    (fun op ->
+      let step_ok =
+        match op with
+        | Add t -> add t
+        | Add_tagged (t, tag, arg) -> add_tagged t ~tag ~arg
+        | Cancel k ->
+          cancel k;
+          true
+        | Take k ->
+          let h = pick m ~gone:!gone ~cancelled:!cancelled k in
+          let got =
+            Option.map (fun (t, a, p) -> (Sim_time.to_us t, a, p)) (Q.take q h)
+          in
+          let want = N.take m h in
+          if want <> None then gone := h :: !gone;
+          got = want
+        | Pop ->
+          let got =
+            Option.map (fun (t, p) -> (Sim_time.to_us t, p)) (Q.pop q)
+          in
+          let want = N.pop m in
+          popped want;
+          got = want
+        | Peek ->
+          Option.map Sim_time.to_us (Q.peek_time q) = N.peek_time m
+        | Burst (n, t) ->
+          let first = m.next in
+          let added =
+            List.for_all (fun i -> add (t + (i mod 7))) (List.init n Fun.id)
+          in
+          for h = first to first + n - 1 do
+            if h mod 3 <> 0 then begin
+              Q.cancel q h;
+              N.cancel m h;
+              cancelled := h :: !cancelled
+            end
+          done;
+          added
+      in
+      step_ok && Q.size q = N.size m && live_q () = N.live m)
+    ops
+
+let op_gen =
+  QCheck2.Gen.(
+    let time = int_bound 60 in
+    frequency
+      [
+        (4, map (fun t -> Add t) time);
+        (2, map3 (fun t tag arg -> Add_tagged (t, tag, arg)) time
+              (int_range (-8) 40) (int_bound 1_000));
+        (5, map (fun k -> Cancel k) (int_bound 400));
+        (1, map (fun k -> Take k) (int_bound 400));
+        (3, pure Pop);
+        (1, pure Peek);
+        (1, map2 (fun n t -> Burst (n, t)) (int_range 100 200) time);
+      ])
+
+let show_op = function
+  | Add t -> Printf.sprintf "Add %d" t
+  | Add_tagged (t, tag, arg) ->
+    Printf.sprintf "Add_tagged (%d, %d, %d)" t tag arg
+  | Cancel k -> Printf.sprintf "Cancel %d" k
+  | Take k -> Printf.sprintf "Take %d" k
+  | Pop -> "Pop"
+  | Peek -> "Peek"
+  | Burst (n, t) -> Printf.sprintf "Burst (%d, %d)" n t
+
+let prop_event_queue_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"event queue = naive sorted list"
+       ~print:QCheck2.Print.(list show_op)
+       QCheck2.Gen.(list_size (int_range 1 120) op_gen)
+       model_agrees)
+
 let suites =
   [
     ( "event-core",
@@ -150,5 +286,6 @@ let suites =
         Alcotest.test_case "golden pin: a1 throughput 10x5" `Slow test_golden;
         Alcotest.test_case "fan-out: equal arrivals in destination order"
           `Quick test_fanout_equal_arrivals;
+        prop_event_queue_model;
       ] );
   ]

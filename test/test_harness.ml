@@ -340,6 +340,47 @@ let test_campaign_reports_scenarios () =
     if s.n_msgs < 1 || s.n_msgs > 12 then Alcotest.fail "n_msgs out of range"
   done
 
+(* [deliveries_of] reads the index; it must return exactly the events, in
+   exactly the order, that filtering the whole delivery list returns. *)
+let test_deliveries_of_matches_filter () =
+  let topo = Topology.symmetric ~groups:3 ~per_group:3 in
+  let w dest =
+    Harness.Workload.generate ~rng:(Rng.create 5) ~topology:topo ~n:60 ~dest
+      ~arrival:(`Poisson (Sim_time.of_ms 4))
+      ()
+  in
+  let faults =
+    [ Harness.Runner.crash ~drop:Runtime.Engine.Lose_all_inflight
+        ~at:(Sim_time.of_ms 60) 4 ]
+  in
+  let module RA1 = Harness.Runner.Make (Amcast.A1) in
+  let module RA2 = Harness.Runner.Make (Amcast.A2) in
+  List.iter
+    (fun (name, (r : Harness.Run_result.t)) ->
+      Alcotest.(check bool) (name ^ " has a crash") true (r.crashed <> []);
+      let never = Runtime.Msg_id.make ~origin:0 ~seq:10_000 in
+      List.iter
+        (fun id ->
+          let filtered =
+            List.filter
+              (fun (d : Harness.Run_result.delivery_event) ->
+                Runtime.Msg_id.equal d.msg.Amcast.Msg.id id)
+              r.deliveries
+          in
+          if not (List.equal ( == ) filtered
+                    (Harness.Run_result.deliveries_of r id))
+          then
+            Alcotest.failf "%s: deliveries_of %a differs from the filter"
+              name Runtime.Msg_id.pp id)
+        (never
+        :: List.map
+             (fun (c : Harness.Run_result.cast_event) -> c.msg.Amcast.Msg.id)
+             r.casts))
+    [
+      ("a1", RA1.run ~seed:3 ~faults topo (w (Random_groups 3)));
+      ("a2", RA2.run ~seed:3 ~faults topo (w To_all_groups));
+    ]
+
 let suites =
   [
     ( "harness",
@@ -361,6 +402,8 @@ let suites =
           test_checker_accepts_clean_run;
         Alcotest.test_case "metrics: latency degree" `Quick
           test_metrics_latency_degree;
+        Alcotest.test_case "deliveries_of = delivery-list filter" `Quick
+          test_deliveries_of_matches_filter;
         Alcotest.test_case "lclock rules" `Quick test_lclock_module;
         Alcotest.test_case "msg module" `Quick test_msg_module;
         Alcotest.test_case "stats basics" `Quick test_stats_basics;

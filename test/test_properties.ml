@@ -239,7 +239,7 @@ let prop_event_queue_model ops =
      popped or cancelled (must be a no-op — the "cancel-after-pop" case),
      an unknown handle, and a negative one. After every op the queue's
      [size] and [peek_time] must agree with the model. *)
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~dummy:0 in
   let model = ref [] in
   (* pending (time_us, handle), insertion order *)
   let issued = ref 0 in
