@@ -5,13 +5,15 @@
     two events scheduled for the same instant pop in insertion order, so a
     simulation never depends on heap-internal tie-breaking.
 
-    The heap is flat: time, sequence, tag, argument and payload live in
-    parallel arrays, so adding or popping an event allocates nothing. The
-    sequence number doubles as the cancellation handle. Cancelled entries
-    are skipped lazily when they reach the root, and compacted away in one
-    pass once they outnumber the live ones. The integer argument lets a
-    caller share one payload (say, one handler closure) between many events
-    and tell them apart by the argument alone. *)
+    The layout is flat. Entries sit in a slab of parallel arrays (sequence,
+    tag, argument, payload), and the heap is two int arrays of times and
+    slab slots, so adding or popping an event allocates nothing and a sift
+    moves no boxed value. The sequence number doubles as the cancellation
+    handle. Cancelled entries are skipped lazily when they reach the root,
+    and compacted away in one pass once they outnumber the live ones. The
+    integer argument lets a caller share one payload (say, one handler
+    closure) between many events and tell them apart by the argument
+    alone. *)
 
 type 'a t
 (** A queue of events carrying payloads of type ['a]. *)

@@ -23,8 +23,9 @@ type index = {
          not O(distinct ids * n) — the latter is ~1 GB at the scale
          cells (100k casts * 1000 processes). *)
   casts_by_id : cast_event Runtime.Msg_id.Tbl.t; (* first cast wins *)
-  deliveries_by_id : delivery_event list Runtime.Msg_id.Tbl.t;
-      (* id -> its deliveries, in occurrence order *)
+  deliveries_by_id : delivery_event list Runtime.Msg_id.Tbl.t Lazy.t;
+      (* id -> its deliveries, in occurrence order; forced by
+         [deliveries_of] only, as the checkers never need it *)
 }
 
 type t = {
@@ -97,18 +98,23 @@ let build_index t =
       if not (Runtime.Msg_id.Tbl.mem pos.(d.pid) id) then
         Runtime.Msg_id.Tbl.replace pos.(d.pid) id i)
     t.deliveries;
-  (* Consing from the newest delivery backwards leaves each list oldest
-     first. *)
-  let deliveries_by_id = Runtime.Msg_id.Tbl.create 64 in
-  List.iter
-    (fun (d : delivery_event) ->
-      let id = d.msg.Amcast.Msg.id in
-      let older =
-        Option.value ~default:[]
-          (Runtime.Msg_id.Tbl.find_opt deliveries_by_id id)
-      in
-      Runtime.Msg_id.Tbl.replace deliveries_by_id id (d :: older))
-    (List.rev t.deliveries);
+  let deliveries_by_id =
+    lazy
+      (let tbl =
+         Runtime.Msg_id.Tbl.create (Runtime.Msg_id.Tbl.length casts_by_id)
+       in
+       (* Consing from the newest delivery backwards leaves each list
+          oldest first. *)
+       List.iter
+         (fun (d : delivery_event) ->
+           let id = d.msg.Amcast.Msg.id in
+           let older =
+             Option.value ~default:[] (Runtime.Msg_id.Tbl.find_opt tbl id)
+           in
+           Runtime.Msg_id.Tbl.replace tbl id (d :: older))
+         (List.rev t.deliveries);
+       tbl)
+  in
   { correct_arr; seqs; pos; casts_by_id; deliveries_by_id }
 
 let index t =
@@ -127,7 +133,7 @@ let cast_of t id = Runtime.Msg_id.Tbl.find_opt (index t).casts_by_id id
 
 let deliveries_of t id =
   Option.value ~default:[]
-    (Runtime.Msg_id.Tbl.find_opt (index t).deliveries_by_id id)
+    (Runtime.Msg_id.Tbl.find_opt (Lazy.force (index t).deliveries_by_id) id)
 
 let delivered_by t id pid = Runtime.Msg_id.Tbl.mem (index t).pos.(pid) id
 

@@ -29,8 +29,9 @@ type index = {
           rather than O(distinct ids * n_processes). *)
   casts_by_id : cast_event Runtime.Msg_id.Tbl.t;
       (** First cast event per id. *)
-  deliveries_by_id : delivery_event list Runtime.Msg_id.Tbl.t;
-      (** Every delivery event per id, in occurrence order. *)
+  deliveries_by_id : delivery_event list Runtime.Msg_id.Tbl.t Lazy.t;
+      (** Every delivery event per id, in occurrence order. Built on first
+          use by {!deliveries_of}. *)
 }
 (** Per-run lookup structures built in one pass over the event lists.
     Everything the checkers consult repeatedly — who crashed, who delivered
