@@ -48,7 +48,8 @@ type 'w t = {
   mutable fan_dst : Topology.pid array;
       (* [send_multi]'s admission buffers, kept sorted by arrival while a
          fan-out is admitted; per network, since networks on different
-         domains run concurrently *)
+         domains run concurrently. The send filter and taps run mid-
+         admission, so they must not send on the same network. *)
   n_groups : int;
   holds : Sim_time.t array;
       (* dense (src_group, dst_group) -> release floor, [Sim_time.zero] =

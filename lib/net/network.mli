@@ -89,7 +89,8 @@ val drop_inflight :
 val set_send_filter :
   'w t -> (src:Topology.pid -> dst:Topology.pid -> bool) option -> unit
 (** When set, messages for which the filter returns [false] are silently
-    discarded at send time. Used by the runtime to mute crashed processes. *)
+    discarded at send time. Used by the runtime to mute crashed processes.
+    The filter must not send on the same network. *)
 
 val set_explode_fanout : 'w t -> bool -> unit
 (** Controlled-scheduling mode (default off): when on, {!send_multi}
@@ -115,7 +116,8 @@ val on_send :
   (src:Topology.pid -> dst:Topology.pid -> 'w -> unit) ->
   unit
 (** Registers a tap invoked for every message actually admitted to the
-    network (after the send filter). Used for tracing and counting. *)
+    network (after the send filter). Used for tracing and counting; a tap
+    must not send on the same network. *)
 
 (** Message counters, cumulative since creation. *)
 

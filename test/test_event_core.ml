@@ -181,10 +181,6 @@ let model_agrees ops =
   let live_q () =
     List.map (fun (h, t, tag) -> (h, Sim_time.to_us t, tag)) (Q.live q)
   in
-  let popped = function
-    | Some (_, h) -> gone := h :: !gone
-    | None -> ()
-  in
   let cancel k =
     let h = pick m ~gone:!gone ~cancelled:!cancelled k in
     Q.cancel q h;
@@ -226,7 +222,7 @@ let model_agrees ops =
             Option.map (fun (t, p) -> (Sim_time.to_us t, p)) (Q.pop q)
           in
           let want = N.pop m in
-          popped want;
+          Option.iter (fun (_, h) -> gone := h :: !gone) want;
           got = want
         | Peek ->
           Option.map Sim_time.to_us (Q.peek_time q) = N.peek_time m
