@@ -283,3 +283,331 @@ let suites =
             test_heartbeat_driven_consensus;
         ] );
     ]
+
+(* Golden pin for the recovery paths: coordinator crashes mid-instance,
+   an FD storm that forces false suspicions (and, in fast mode, lease
+   re-acquisition), and promises that must carry values accepted under an
+   earlier ballot. Each cell runs one 5-process group in fast or
+   reference mode, on the oracle or the heartbeat detector, and is
+   reduced to per-tag consensus send counts, the number of received
+   [Promise]/[Lease_promise] messages that carried accepted state, every
+   decided (pid, instance, value) and the executed event count. The
+   steady-state benchmarks never reach these paths, so this is where a
+   change to the instance state would show. *)
+type golden_wire = GHb of Fd.Heartbeat.msg | GPx of string Consensus.Paxos.msg
+
+type detector_kind = Oracle | Heartbeats
+
+type golden_cell = {
+  g_fast : bool;
+  g_detector : detector_kind;
+  g_setup :
+    golden_wire Engine.t ->
+    (string, golden_wire) Consensus.Paxos.t array ->
+    unit;
+}
+
+(* A Promise carrying [acc@b], or a Lease_promise with a non-empty
+   accepted list. *)
+let carries_accepted m =
+  let s = Fmt.str "%a" Consensus.Paxos.pp_msg m in
+  let has sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  has "acc@" || (has "lease_promise" && not (has ",0 inst"))
+
+let golden_run cell =
+  let per_group = 5 in
+  let topo = Topology.symmetric ~groups:1 ~per_group in
+  let engine =
+    Engine.create ~seed:3 ~latency:Util.crisp_latency
+      ~tag:(function GHb _ -> "fd.ping" | GPx m -> Consensus.Paxos.tag m)
+      topo
+  in
+  let decisions = ref [] in
+  let carried = ref 0 in
+  let parts = Topology.members topo 0 in
+  let endpoints = Array.make per_group None in
+  List.iter
+    (fun pid ->
+      ignore
+        (Engine.spawn engine pid (fun services ->
+             let hb, detector =
+               match cell.g_detector with
+               | Oracle ->
+                 (None, Fd.Detector.oracle ~delay:(Sim_time.of_ms 10) services)
+               | Heartbeats ->
+                 let hb =
+                   Fd.Heartbeat.create ~services
+                     ~wrap:(fun m -> GHb m)
+                     ~monitored:parts ~period:(Sim_time.of_ms 5)
+                     ~timeout:(Sim_time.of_ms 25) ()
+                 in
+                 (Some hb, Fd.Heartbeat.detector hb)
+             in
+             let ep =
+               Consensus.Paxos.create ~services
+                 ~wrap:(fun m -> GPx m)
+                 ~participants:parts ~detector ~timeout:(Sim_time.of_ms 60)
+                 ~fast_lanes:cell.g_fast
+                 ~on_decide:(fun ~instance v ->
+                   decisions := (pid, instance, v) :: !decisions)
+                 ()
+             in
+             endpoints.(pid) <- Some ep;
+             ( (),
+               {
+                 Engine.on_receive =
+                   (fun ~src w ->
+                     match (w, hb) with
+                     | GHb m, Some hb -> Fd.Heartbeat.handle hb ~src m
+                     | GHb _, None -> ()
+                     | GPx m, _ ->
+                       if carries_accepted m then incr carried;
+                       Consensus.Paxos.handle ep ~src m);
+               } ))))
+    parts;
+  let endpoints = Array.map Option.get endpoints in
+  cell.g_setup engine endpoints;
+  (* Heartbeats never stop: every cell runs to the same horizon. *)
+  Engine.run ~until:(Sim_time.of_ms 600) engine;
+  let counts = Hashtbl.create 8 in
+  List.iter
+    (function
+      | Trace.Send { tag; _ } when String.starts_with ~prefix:"cons." tag ->
+        Hashtbl.replace counts tag
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts tag))
+      | _ -> ())
+    (Trace.entries (Engine.trace engine));
+  let counts =
+    Hashtbl.fold (fun k v acc -> Fmt.str "%s=%d" k v :: acc) counts []
+    |> List.sort compare
+  in
+  let decided =
+    List.map
+      (fun pid ->
+        List.filter_map
+          (fun (p, i, v) -> if p = pid then Some (i, v) else None)
+          !decisions
+        |> List.sort compare
+        |> List.map (fun (i, v) -> Fmt.str "%d=%s" i v)
+        |> List.cons (Fmt.str "p%d" pid)
+        |> String.concat " ")
+      parts
+  in
+  Fmt.str "events=%d carried=%d"
+    (Scheduler.executed (Engine.scheduler engine))
+    !carried
+  :: String.concat " " counts
+  :: decided
+
+let golden_propose engine endpoints ~at_us ~pid ~instance v =
+  Engine.at engine (Sim_time.of_us at_us) (fun () ->
+      Consensus.Paxos.propose endpoints.(pid) ~instance v)
+
+(* Instances 1..4, every process proposing, one per millisecond; the
+   ballot-0 coordinator p0 crashes at 2.5 ms and loses its in-flight
+   sends. *)
+let crash_mid engine endpoints =
+  for i = 1 to 4 do
+    for pid = 0 to 4 do
+      golden_propose engine endpoints ~at_us:(i * 1000) ~pid ~instance:i
+        (Fmt.str "i%d-p%d" i pid)
+    done
+  done;
+  Engine.schedule_crash ~drop:Engine.Lose_all_inflight engine
+    ~at:(Sim_time.of_us 2_500) 0
+
+(* p0 alone proposes [a0] for instance 1 and crashes while its ballot-0
+   Accept is in flight: only p4 receives it. p1 takes over and proposes
+   [b1]; it crashes while its own Accept is in flight, reaching only p3.
+   p2 then collects promises carrying (0, a0) from p4 and (b, b1) from p3
+   and must push the higher ballot's value. p2 and p3 also propose
+   values of their own, which must lose to the accepted ones. *)
+let carry ~p1_crash_us engine endpoints =
+  golden_propose engine endpoints ~at_us:1_000 ~pid:0 ~instance:1 "a0";
+  Engine.schedule_crash ~drop:(Engine.Lose_to [ 1; 2; 3 ]) engine
+    ~at:(Sim_time.of_us 1_500) 0;
+  golden_propose engine endpoints ~at_us:3_000 ~pid:1 ~instance:1 "b1";
+  golden_propose engine endpoints ~at_us:3_000 ~pid:2 ~instance:1 "c2";
+  golden_propose engine endpoints ~at_us:3_000 ~pid:3 ~instance:1 "d3";
+  Engine.schedule_crash ~drop:(Engine.Lose_to [ 2; 4 ]) engine
+    ~at:(Sim_time.of_us p1_crash_us) 1
+
+(* A stream of 12 instances proposed by everyone, every 4 ms; at 20 ms
+   every detector's timeouts shrink twentyfold, so peers falsely suspect
+   each other until the ◇P back-off revokes the suspicions. *)
+let storm engine endpoints =
+  for i = 1 to 12 do
+    for pid = 0 to 4 do
+      golden_propose engine endpoints ~at_us:(i * 4000) ~pid ~instance:i
+        (Fmt.str "i%d-p%d" i pid)
+    done
+  done;
+  Engine.at engine (Sim_time.of_ms 20) (fun () -> Engine.perturb_fd engine 0.05)
+
+(* The oracle ignores [Engine.perturb_fd], so the storm runs on
+   heartbeats only. p1's crash in [carry] is timed to land while its
+   Accept is in flight under each detector's detection delay. *)
+let golden_cells =
+  List.concat_map
+    (fun (fast, mode) ->
+      let cell name detector setup =
+        ( Fmt.str name mode,
+          { g_fast = fast; g_detector = detector; g_setup = setup } )
+      in
+      [
+        cell "crash-mid %s oracle" Oracle crash_mid;
+        cell "crash-mid %s heartbeat" Heartbeats crash_mid;
+        cell "carry %s oracle" Oracle (carry ~p1_crash_us:14_000);
+        cell "carry %s heartbeat" Heartbeats (carry ~p1_crash_us:29_000);
+        cell "storm %s heartbeat" Heartbeats storm;
+      ])
+    [ (true, "fast"); (false, "reference") ]
+
+let golden_expected =
+  [
+    ( "crash-mid fast oracle",
+      [
+        "events=130 carried=3";
+        "cons.accept=30 cons.accepted=21 cons.decide=20 "
+        ^ "cons.lease_prepare=4 cons.lease_promise=3 cons.suggest=28";
+        "p0";
+        "p1 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
+        "p2 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
+        "p3 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
+        "p4 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
+      ] );
+    ( "crash-mid fast heartbeat",
+      [
+        "events=2538 carried=3";
+        "cons.accept=30 cons.accepted=21 cons.decide=20 "
+        ^ "cons.lease_prepare=4 cons.lease_promise=3 cons.suggest=28";
+        "p0";
+        "p1 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
+        "p2 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
+        "p3 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
+        "p4 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
+      ] );
+    ( "carry fast oracle",
+      [
+        "events=57 carried=3";
+        "cons.accept=15 cons.accepted=5 cons.decide=5 "
+        ^ "cons.lease_prepare=8 cons.lease_promise=5 cons.suggest=6";
+        "p0";
+        "p1";
+        "p2 1=b1";
+        "p3 1=b1";
+        "p4 1=b1";
+      ] );
+    ( "carry fast heartbeat",
+      [
+        "events=1896 carried=3";
+        "cons.accept=15 cons.accepted=5 cons.decide=5 "
+        ^ "cons.lease_prepare=8 cons.lease_promise=5 cons.suggest=6";
+        "p0";
+        "p1";
+        "p2 1=b1";
+        "p3 1=b1";
+        "p4 1=b1";
+      ] );
+    ( "storm fast heartbeat",
+      [
+        "events=3654 carried=12";
+        "cons.accept=100 cons.accepted=61 cons.decide=90 "
+        ^ "cons.lease_prepare=76 cons.lease_promise=52 cons.suggest=154";
+        "p0 1=i1-p0 2=i2-p0 3=i3-p0 4=i4-p0 5=i5-p0 6=i6-p0 7=i7-p0 "
+        ^ "8=i8-p0 9=i9-p0 10=i10-p0 11=i11-p0 12=i12-p0";
+        "p1 1=i1-p0 2=i2-p0 3=i3-p0 4=i4-p0 5=i5-p0 6=i6-p0 7=i7-p0 "
+        ^ "8=i8-p0 9=i9-p0 10=i10-p0 11=i11-p0 12=i12-p0";
+        "p2 1=i1-p0 2=i2-p0 3=i3-p0 4=i4-p0 5=i5-p0 6=i6-p0 7=i7-p0 "
+        ^ "8=i8-p0 9=i9-p0 10=i10-p0 11=i11-p0 12=i12-p0";
+        "p3 1=i1-p0 2=i2-p0 3=i3-p0 4=i4-p0 5=i5-p0 6=i6-p0 7=i7-p0 "
+        ^ "8=i8-p0 9=i9-p0 10=i10-p0 11=i11-p0 12=i12-p0";
+        "p4 1=i1-p0 2=i2-p0 3=i3-p0 4=i4-p0 5=i5-p0 6=i6-p0 7=i7-p0 "
+        ^ "8=i8-p0 9=i9-p0 10=i10-p0 11=i11-p0 12=i12-p0";
+      ] );
+    ( "crash-mid reference oracle",
+      [
+        "events=262 carried=0";
+        "cons.accept=25 cons.accepted=85 cons.decide=80 "
+        ^ "cons.prepare=15 cons.promise=12 cons.suggest=25";
+        "p0";
+        "p1 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
+        "p2 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
+        "p3 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
+        "p4 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
+      ] );
+    ( "crash-mid reference heartbeat",
+      [
+        "events=2670 carried=0";
+        "cons.accept=25 cons.accepted=85 cons.decide=80 "
+        ^ "cons.prepare=15 cons.promise=12 cons.suggest=25";
+        "p0";
+        "p1 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
+        "p2 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
+        "p3 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
+        "p4 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
+      ] );
+    ( "carry reference oracle",
+      [
+        "events=91 carried=3";
+        "cons.accept=15 cons.accepted=25 cons.decide=15 "
+        ^ "cons.prepare=10 cons.promise=7 cons.suggest=6";
+        "p0";
+        "p1";
+        "p2 1=b1";
+        "p3 1=b1";
+        "p4 1=b1";
+      ] );
+    ( "carry reference heartbeat",
+      [
+        "events=1930 carried=3";
+        "cons.accept=15 cons.accepted=25 cons.decide=15 "
+        ^ "cons.prepare=10 cons.promise=7 cons.suggest=6";
+        "p0";
+        "p1";
+        "p2 1=b1";
+        "p3 1=b1";
+        "p4 1=b1";
+      ] );
+    ( "storm reference heartbeat",
+      [
+        "events=4189 carried=120";
+        "cons.accept=60 cons.accepted=300 cons.decide=300 "
+        ^ "cons.prepare=200 cons.promise=120 cons.suggest=88";
+        "p0 1=i1-p0 2=i2-p0 3=i3-p0 4=i4-p0 5=i5-p0 6=i6-p0 7=i7-p0 "
+        ^ "8=i8-p0 9=i9-p0 10=i10-p0 11=i11-p0 12=i12-p0";
+        "p1 1=i1-p0 2=i2-p0 3=i3-p0 4=i4-p0 5=i5-p0 6=i6-p0 7=i7-p0 "
+        ^ "8=i8-p0 9=i9-p0 10=i10-p0 11=i11-p0 12=i12-p0";
+        "p2 1=i1-p0 2=i2-p0 3=i3-p0 4=i4-p0 5=i5-p0 6=i6-p0 7=i7-p0 "
+        ^ "8=i8-p0 9=i9-p0 10=i10-p0 11=i11-p0 12=i12-p0";
+        "p3 1=i1-p0 2=i2-p0 3=i3-p0 4=i4-p0 5=i5-p0 6=i6-p0 7=i7-p0 "
+        ^ "8=i8-p0 9=i9-p0 10=i10-p0 11=i11-p0 12=i12-p0";
+        "p4 1=i1-p0 2=i2-p0 3=i3-p0 4=i4-p0 5=i5-p0 6=i6-p0 7=i7-p0 "
+        ^ "8=i8-p0 9=i9-p0 10=i10-p0 11=i11-p0 12=i12-p0";
+      ] );
+  ]
+
+let test_recovery_golden () =
+  List.iter
+    (fun (name, cell) ->
+      let got = golden_run cell in
+      match List.assoc_opt name golden_expected with
+      | Some want -> Alcotest.(check (list string)) name want got
+      | None -> Alcotest.failf "no golden literal for %s" name)
+    golden_cells
+
+let suites =
+  suites
+  @ [
+      ( "consensus-golden",
+        [
+          Alcotest.test_case "golden pin: recovery paths" `Quick
+            test_recovery_golden;
+        ] );
+    ]

@@ -172,7 +172,53 @@ let test_instance_gc () =
     (fast_retained < 10);
   Alcotest.(check bool)
     (Fmt.str "fast pruned a prefix (%d > 0)" fast_pruned)
-    true (fast_pruned > 0)
+    true (fast_pruned > 0);
+  (* An A1-style clock: [note_consumed] jumps the watermark over instance
+     numbers nobody proposes, and one jump overtakes an instance still in
+     flight. Pins (pruned_upto, decided_upto, retained_instances) at every
+     process after each step; the followers prune one Decide behind the
+     coordinator, which alone sees every peer's watermark. *)
+  let d = consensus_deploy ~fast_lanes:true ~seed:0 ~per_group:3 in
+  let at_us us f = Engine.at d.engine (Sim_time.of_us us) f in
+  let propose_all ~at instance =
+    Array.iteri
+      (fun pid ep ->
+        at_us at (fun () ->
+            Consensus.Paxos.propose ep ~instance
+              (Fmt.str "i%d-p%d" instance pid)))
+      d.endpoints
+  in
+  let consume_all ~at upto =
+    Array.iter
+      (fun ep -> at_us at (fun () -> Consensus.Paxos.note_consumed ep ~upto))
+      d.endpoints
+  in
+  let snapshot () =
+    Engine.run d.engine;
+    Array.to_list d.endpoints
+    |> List.map (fun ep ->
+           ( Consensus.Paxos.pruned_upto ep,
+             Consensus.Paxos.decided_upto ep,
+             Consensus.Paxos.retained_instances ep ))
+  in
+  let step name ~want setup =
+    setup (Sim_time.to_us (Engine.now d.engine) + 1_000);
+    Alcotest.(check (list (triple int int int))) name want (snapshot ())
+  in
+  step "decide 1" ~want:[ (0, 1, 1); (0, 1, 1); (0, 1, 1) ] (fun t ->
+      propose_all ~at:t 1);
+  step "jump to 4" ~want:[ (0, 4, 1); (0, 4, 1); (0, 4, 1) ] (fun t ->
+      consume_all ~at:t 4);
+  step "decide 5" ~want:[ (4, 5, 1); (0, 5, 2); (0, 5, 2) ] (fun t ->
+      propose_all ~at:t 5);
+  step "jump past in-flight 6" ~want:[ (4, 9, 1); (0, 9, 2); (0, 9, 2) ]
+    (fun t ->
+      propose_all ~at:t 6;
+      consume_all ~at:(t + 500) 9);
+  step "decide 10" ~want:[ (9, 10, 1); (4, 10, 2); (4, 10, 2) ] (fun t ->
+      propose_all ~at:t 10);
+  step "jump to 12" ~want:[ (9, 12, 1); (4, 12, 2); (4, 12, 2) ] (fun t ->
+      consume_all ~at:t 12)
 
 (* ------------------------------------------------------------------ *)
 (* Reliable multicast: Ack_uniform with and without the Copy fast lane. *)
