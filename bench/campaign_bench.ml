@@ -151,11 +151,11 @@ let scale_smoke =
    consensus instances, R-MCast bookkeeping, harness delivery records —
    so it is nowhere near zero; what the slab refactor guarantees is that
    it stays *flat* as topologies grow (no per-delivery Hashtbl churn
-   proportional to group count). Measured ~1720 w/delivery on the 20x5
-   cell and ~2170 on the 100x10 cell (the modest growth is deeper
-   consensus pipelining, not table churn); the ceiling leaves ~2x
+   proportional to group count). Measured ~770 w/delivery on the 20x5
+   cell and ~880 on the 100x10 cell (the modest growth is deeper
+   consensus pipelining, not table churn); the ceiling leaves under 3x
    headroom over the worst cell. *)
-let minor_words_budget = 4_000.0
+let minor_words_budget = 2_500.0
 
 type scale_result = {
   cell : scale_cell;

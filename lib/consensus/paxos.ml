@@ -56,6 +56,11 @@ let pp_msg ppf m =
 
 module Int_tbl = Hashtbl.Make (Int)
 
+(* Participants that sent [Accepted] for one ballot, as a presence byte per
+   rank. An instance keeps a short list of these, newest first; the steady
+   state has exactly one. *)
+type ballot_votes = { ballot : int; seen : Bytes.t; mutable count : int }
+
 type 'v instance = {
   mutable proposal : 'v option; (* local input or adopted suggestion *)
   mutable suggested : bool; (* we already forwarded our input *)
@@ -66,9 +71,16 @@ type 'v instance = {
   mutable leading : int;
   mutable phase1_done : bool;
   mutable pushed : bool; (* Accept for ballot [leading] was sent *)
-  promises : (Topology.pid, (int * 'v) option) Hashtbl.t;
-  votes : (int, (Topology.pid, unit) Hashtbl.t) Hashtbl.t;
-  ballot_values : (int, 'v) Hashtbl.t;
+  (* Promises for ballot [leading], indexed by participant rank: a presence
+     byte and the promiser's accepted state. Both arrays stay empty until
+     the instance's first promise (only coordinators ever receive one). *)
+  mutable promised_by : Bytes.t;
+  mutable promise_acc : (int * 'v) option array;
+  mutable n_promises : int;
+  mutable votes : ballot_votes list;
+  mutable ballot_values : (int * 'v) list;
+      (* value per ballot; a ballot carries a single value, so an entry is
+         never overwritten *)
   mutable timer : int option;
   mutable engaged : bool;
 }
@@ -94,7 +106,8 @@ type ('v, 'w) t = {
   peer_wm : int array; (* per-rank watermark gleaned from [Accepted] *)
   mutable lease_ballot : int; (* ballot we hold a coordinator lease for *)
   mutable lease_pending : int; (* ballot we are acquiring a lease for *)
-  lease_promises : (Topology.pid, unit) Hashtbl.t;
+  lease_promised_by : Bytes.t; (* per rank: granted [lease_pending] *)
+  mutable n_lease_promises : int;
   mutable promise_floor : int;
       (* acceptor: lease promise, applies to every instance *)
   mutable max_ballot_seen : int;
@@ -104,13 +117,18 @@ let n t = Array.length t.participants
 let majority t = (n t / 2) + 1
 
 let rank t pid =
-  let r = ref (-1) in
-  Array.iteri (fun i p -> if p = pid then r := i) t.participants;
-  !r
+  let rec find i =
+    if i = Array.length t.participants then -1
+    else if t.participants.(i) = pid then i
+    else find (i + 1)
+  in
+  find 0
 
 let leader t = Fd.Detector.leader t.detector t.participants_list
 let self t = t.services.Runtime.Services.self
-let is_leader t = leader t = Some (self t)
+
+let is_leader t =
+  match leader t with Some l -> l = self t | None -> false
 let coordinator_of t ballot = t.participants.(ballot mod n t)
 
 (* Witness a ballot owned by someone else's message: a strictly higher
@@ -121,8 +139,10 @@ let note_ballot t b =
   if t.lease_ballot >= 0 && b > t.lease_ballot then t.lease_ballot <- -1;
   if t.lease_pending >= 0 && b > t.lease_pending then t.lease_pending <- -1
 
-let get_instance t i =
-  match Int_tbl.find_opt t.instances i with
+(* [found] is the result of the caller's lookup of [i], so a message costs
+   one table probe whether or not it creates the instance. *)
+let instance_of t i found =
+  match found with
   | Some inst -> inst
   | None ->
     let inst =
@@ -135,15 +155,49 @@ let get_instance t i =
         leading = -1;
         phase1_done = false;
         pushed = false;
-        promises = Hashtbl.create 4;
-        votes = Hashtbl.create 4;
-        ballot_values = Hashtbl.create 4;
+        promised_by = Bytes.empty;
+        promise_acc = [||];
+        n_promises = 0;
+        votes = [];
+        ballot_values = [];
         timer = None;
         engaged = false;
       }
     in
     Int_tbl.replace t.instances i inst;
     inst
+
+let get_instance t i = instance_of t i (Int_tbl.find_opt t.instances i)
+
+(* Set rank [r]'s presence byte; true iff it was clear. *)
+let mark seen r =
+  if Bytes.get seen r = '\000' then begin
+    Bytes.set seen r '\001';
+    true
+  end
+  else false
+
+(* Record rank [r]'s promise for the ballot being led. *)
+let add_promise t inst r acc =
+  if r >= 0 then begin
+    if Bytes.length inst.promised_by = 0 then begin
+      inst.promised_by <- Bytes.make (n t) '\000';
+      inst.promise_acc <- Array.make (n t) None
+    end;
+    if mark inst.promised_by r then inst.n_promises <- inst.n_promises + 1;
+    inst.promise_acc.(r) <- acc
+  end
+
+let clear_promises inst =
+  if inst.n_promises > 0 then begin
+    Bytes.fill inst.promised_by 0 (Bytes.length inst.promised_by) '\000';
+    Array.fill inst.promise_acc 0 (Array.length inst.promise_acc) None;
+    inst.n_promises <- 0
+  end
+
+let note_ballot_value inst ballot v =
+  if not (List.mem_assoc ballot inst.ballot_values) then
+    inst.ballot_values <- (ballot, v) :: inst.ballot_values
 
 (* Acceptor's effective promise: the per-instance one, raised to the lease
    floor in fast mode (a lease promise covers every instance). *)
@@ -179,15 +233,22 @@ let advance_decided_upto t =
    no live peer can still need an instance at or below it. *)
 let gc_floor t =
   let m = ref t.decided_upto in
-  Array.iteri
-    (fun r p ->
-      if p <> self t && not (t.detector.Fd.Detector.suspects p) then
-        m := min !m t.peer_wm.(r))
-    t.participants;
+  for r = 0 to n t - 1 do
+    (* The cheap watermark test first: only a peer that would lower the
+       floor needs the detector's verdict. *)
+    let p = t.participants.(r) in
+    if
+      t.peer_wm.(r) < !m
+      && p <> self t
+      && not (t.detector.Fd.Detector.suspects p)
+    then m := t.peer_wm.(r)
+  done;
   min t.decided_upto (max !m t.remote_floor)
 
+(* [gc_floor] never exceeds [decided_upto], so nothing is prunable until
+   the watermark passes [pruned_upto]. *)
 let maybe_gc t =
-  if t.fast then begin
+  if t.fast && t.decided_upto > t.pruned_upto then begin
     let f = gc_floor t in
     while t.pruned_upto < f do
       let i = t.pruned_upto + 1 in
@@ -226,37 +287,45 @@ let decide ?(announce = true) t i inst v =
 (* Value a coordinator must push after phase 1: the accepted value carried
    by the highest ballot among the promises, else its own input. *)
 let choose_value inst =
-  let best =
-    Hashtbl.fold
-      (fun _ acc best ->
-        match (acc, best) with
-        | None, b -> b
-        | Some (b, v), Some (b', _) when b > b' -> Some (b, v)
-        | Some _, Some _ -> best
-        | Some (b, v), None -> Some (b, v))
-      inst.promises None
-  in
-  match best with Some (_, v) -> Some v | None -> inst.proposal
+  let best = ref None in
+  for r = 0 to Array.length inst.promise_acc - 1 do
+    match (inst.promise_acc.(r), !best) with
+    | Some (b, _), Some (b', _) when b <= b' -> ()
+    | (Some _ as acc), _ -> best := acc
+    | None, _ -> ()
+  done;
+  match !best with Some (_, v) -> Some v | None -> inst.proposal
 
-let votes_for inst ballot =
-  match Hashtbl.find_opt inst.votes ballot with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 4 in
-    Hashtbl.replace inst.votes ballot tbl;
-    tbl
+let rec votes_of ballot = function
+  | [] -> None
+  | v :: rest -> if v.ballot = ballot then Some v else votes_of ballot rest
+
+let add_vote t inst ballot r =
+  if r >= 0 then begin
+    let v =
+      match votes_of ballot inst.votes with
+      | Some v -> v
+      | None ->
+        let v = { ballot; seen = Bytes.make (n t) '\000'; count = 0 } in
+        inst.votes <- v :: inst.votes;
+        v
+    in
+    if mark v.seen r then v.count <- v.count + 1
+  end
 
 let maybe_decide_from_votes t i inst ballot =
-  if inst.decided = None && Hashtbl.length (votes_for inst ballot) >= majority t
-  then
-    match Hashtbl.find_opt inst.ballot_values ballot with
-    | Some v -> decide t i inst v
-    | None -> () (* value not learned yet; the Accept will arrive *)
+  if inst.decided = None then
+    match votes_of ballot inst.votes with
+    | Some v when v.count >= majority t -> (
+      match List.assoc_opt ballot inst.ballot_values with
+      | Some value -> decide t i inst value
+      | None -> () (* value not learned yet; the Accept will arrive *))
+    | Some _ | None -> ()
 
 let accept_locally t i inst ~ballot ~value =
   inst.promised <- max inst.promised ballot;
   inst.accepted <- Some (ballot, value);
-  Hashtbl.replace inst.ballot_values ballot value;
+  note_ballot_value inst ballot value;
   inst.engaged <- true;
   let m = Accepted { instance = i; ballot; wm = t.decided_upto } in
   if t.fast then
@@ -267,7 +336,7 @@ let accept_locally t i inst ~ballot ~value =
 
 let start_accept_phase t i inst ~value =
   inst.pushed <- true;
-  Hashtbl.replace inst.ballot_values inst.leading value;
+  note_ballot_value inst inst.leading value;
   send_participants t (Accept { instance = i; ballot = inst.leading; value })
 
 (* Push the accept phase if phase 1 is complete and a value is available. *)
@@ -298,7 +367,7 @@ let start_new_ballot t i inst =
       inst.leading <- b;
       inst.phase1_done <- false;
       inst.pushed <- false;
-      Hashtbl.reset inst.promises;
+      clear_promises inst;
       if b = 0 then begin
         (* Ballot 0 fast path: no smaller ballot exists, so phase 1 is
            vacuous; push straight away if we have an input. *)
@@ -362,7 +431,7 @@ let lease_push t i inst =
         inst.phase1_done <- true;
         inst.pushed <- false;
         if inst.accepted <> None then
-          Hashtbl.replace inst.promises (self t) inst.accepted;
+          add_promise t inst t.self_rank inst.accepted;
         (match choose_value inst with
         | Some v -> start_accept_phase t i inst ~value:v
         | None -> ());
@@ -400,17 +469,18 @@ let ensure_lease t =
        end
        else begin
          t.lease_pending <- b;
-         Hashtbl.reset t.lease_promises;
+         Bytes.fill t.lease_promised_by 0 (n t) '\000';
          (* Self-grant locally; own accepted state joins per-instance
-            [promises] at push time. *)
+            promises at push time. *)
          t.promise_floor <- max t.promise_floor b;
-         Hashtbl.replace t.lease_promises (self t) ();
+         Bytes.set t.lease_promised_by t.self_rank '\001';
+         t.n_lease_promises <- 1;
          let others =
            List.filter (fun p -> p <> self t) t.participants_list
          in
          Runtime.Services.send_multi t.services others
            (t.wrap (Lease_prepare { ballot = b }));
-         if Hashtbl.length t.lease_promises >= majority t then begin
+         if t.n_lease_promises >= majority t then begin
            t.lease_pending <- -1;
            t.lease_ballot <- b;
            true
@@ -427,7 +497,7 @@ let drivable t =
       if
         inst.decided = None
         && (inst.proposal <> None || inst.accepted <> None
-           || Hashtbl.length inst.promises > 0)
+           || inst.n_promises > 0)
       then (i, inst) :: acc
       else acc)
     t.instances []
@@ -490,12 +560,12 @@ let on_suspicion_change t =
    contract they will never be consumed, so stray messages for them must
    be dropped — [get_instance] would otherwise resurrect acceptor state
    and timers for an instance nobody will ever finish. *)
-let retired t instance =
+let retired t instance found =
   t.fast
   && (instance <= t.pruned_upto
      || (instance <= t.decided_upto
         &&
-        match Int_tbl.find_opt t.instances instance with
+        match found with
         | Some { decided = Some _; _ } -> false
         | Some _ | None -> true))
 
@@ -506,11 +576,11 @@ let retired t instance =
    happens once every non-suspected participant's watermark passed the
    instance, so under an accurate detector no live peer still needs it,
    and abandoned instances will never be consumed by anyone. *)
-let fast_handled t ~src instance =
+let fast_handled t ~src instance found =
   t.fast
-  && (retired t instance
+  && (retired t instance found
      ||
-     match Int_tbl.find_opt t.instances instance with
+     match found with
      | Some { decided = Some v; _ } ->
        if src <> self t then
          t.services.send ~dst:src
@@ -521,8 +591,9 @@ let fast_handled t ~src instance =
 let handle t ~src m =
   match m with
   | Suggest { instance; value } ->
-    if not (fast_handled t ~src instance) then begin
-      let inst = get_instance t instance in
+    let found = Int_tbl.find_opt t.instances instance in
+    if not (fast_handled t ~src instance found) then begin
+      let inst = instance_of t instance found in
       if inst.decided = None then begin
         if inst.proposal = None then inst.proposal <- Some value;
         inst.engaged <- true;
@@ -532,8 +603,9 @@ let handle t ~src m =
     end
   | Prepare { instance; ballot } ->
     note_ballot t ballot;
-    if not (fast_handled t ~src instance) then begin
-      let inst = get_instance t instance in
+    let found = Int_tbl.find_opt t.instances instance in
+    if not (fast_handled t ~src instance found) then begin
+      let inst = instance_of t instance found in
       if ballot > eff_promised t inst then begin
         inst.promised <- ballot;
         inst.engaged <- true;
@@ -543,11 +615,12 @@ let handle t ~src m =
       end
     end
   | Promise { instance; ballot; accepted } ->
-    if not (fast_handled t ~src instance) then begin
-      let inst = get_instance t instance in
+    let found = Int_tbl.find_opt t.instances instance in
+    if not (fast_handled t ~src instance found) then begin
+      let inst = instance_of t instance found in
       if inst.leading = ballot && not inst.phase1_done then begin
-        Hashtbl.replace inst.promises src accepted;
-        if Hashtbl.length inst.promises >= majority t then begin
+        add_promise t inst (rank t src) accepted;
+        if inst.n_promises >= majority t then begin
           inst.phase1_done <- true;
           try_push t instance inst
         end
@@ -555,33 +628,34 @@ let handle t ~src m =
     end
   | Accept { instance; ballot; value } ->
     note_ballot t ballot;
-    if not (fast_handled t ~src instance) then begin
-      let inst = get_instance t instance in
+    let found = Int_tbl.find_opt t.instances instance in
+    if not (fast_handled t ~src instance found) then begin
+      let inst = instance_of t instance found in
       if ballot >= eff_promised t inst then begin
         accept_locally t instance inst ~ballot ~value;
         arm_timer t instance inst;
         maybe_decide_from_votes t instance inst ballot
       end
-      else if not (Hashtbl.mem inst.ballot_values ballot) then
+      else
         (* Stale, but remember the ballot's value for learner counting. *)
-        Hashtbl.replace inst.ballot_values ballot value
+        note_ballot_value inst ballot value
     end
   | Accepted { instance; ballot; wm } ->
     note_ballot t ballot;
-    if t.fast then begin
-      let r = rank t src in
-      if r >= 0 && wm > t.peer_wm.(r) then t.peer_wm.(r) <- wm
-    end;
-    if not (retired t instance) then begin
-      let inst = get_instance t instance in
-      Hashtbl.replace (votes_for inst ballot) src ();
+    let r = rank t src in
+    if t.fast && r >= 0 && wm > t.peer_wm.(r) then t.peer_wm.(r) <- wm;
+    let found = Int_tbl.find_opt t.instances instance in
+    if not (retired t instance found) then begin
+      let inst = instance_of t instance found in
+      add_vote t inst ballot r;
       maybe_decide_from_votes t instance inst ballot
     end;
     maybe_gc t
   | Decide { instance; value; floor } ->
     if t.fast && floor > t.remote_floor then t.remote_floor <- floor;
-    if not (retired t instance) then begin
-      let inst = get_instance t instance in
+    let found = Int_tbl.find_opt t.instances instance in
+    if not (retired t instance found) then begin
+      let inst = instance_of t instance found in
       (* Fast mode: the announcing coordinator already reached everyone;
          re-broadcasting would reinstate the O(n²) decide storm. *)
       decide ~announce:(not t.fast) t instance inst value
@@ -604,6 +678,7 @@ let handle t ~src m =
     end
   | Lease_promise { ballot; accepted } ->
     if t.fast && t.lease_pending = ballot then begin
+      let r = rank t src in
       List.iter
         (fun (i, b, v) ->
           (* Skip instances at/below our consumed watermark: locally they
@@ -612,11 +687,12 @@ let handle t ~src m =
           if i > t.decided_upto && i > t.pruned_upto then begin
             let inst = get_instance t i in
             inst.engaged <- true;
-            Hashtbl.replace inst.promises src (Some (b, v))
+            add_promise t inst r (Some (b, v))
           end)
         accepted;
-      Hashtbl.replace t.lease_promises src ();
-      if Hashtbl.length t.lease_promises >= majority t then begin
+      if r >= 0 && mark t.lease_promised_by r then
+        t.n_lease_promises <- t.n_lease_promises + 1;
+      if t.n_lease_promises >= majority t then begin
         t.lease_pending <- -1;
         t.lease_ballot <- ballot;
         List.iter (fun (i, inst) -> lease_push t i inst) (drivable t)
@@ -670,7 +746,8 @@ let create ~services ~wrap ~participants ~detector
       peer_wm = Array.make (Array.length participants) 0;
       lease_ballot = -1;
       lease_pending = -1;
-      lease_promises = Hashtbl.create 4;
+      lease_promised_by = Bytes.make (Array.length participants) '\000';
+      n_lease_promises = 0;
       promise_floor = -1;
       max_ballot_seen = -1;
     }

@@ -52,6 +52,18 @@
     callers sequence them as they see fit (both A1 and A2 consume decisions
     strictly in their own instance order).
 
+    {b State layout.} Instance records live in one integer-keyed hash
+    table, which is kept because suspicion changes walk it and re-drive
+    instances in its iteration order. Everything inside an instance is
+    indexed by participant rank (the position in the sorted participant
+    array). Phase-1 promises are a presence byte string plus an array of
+    accepted states, allocated at the first promise. Votes are a short
+    list with one entry per ballot, each a presence byte string and a
+    count. Ballot values are an association list. Both modes use this
+    layout. A message costs one table lookup, shared by the retirement
+    check, the decided-instance reply and instance creation, plus a few
+    array writes.
+
     The implementation halts: once an instance decides, every timer for it
     is cancelled and each process sends at most one more [Decide], so runs
     with finitely many proposals are quiescent — a property Proposition A.9

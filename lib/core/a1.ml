@@ -97,24 +97,26 @@ let move t (p : pending) ~ts ~stage =
   p.stage <- stage;
   sync_proposable t p
 
+let create_pending t (m : Msg.t) =
+  let p =
+    {
+      msg = m;
+      ts = t.k;
+      stage = Stage.S0;
+      handle = -1;
+      inflight = -1;
+      proposals = Slab.Row.acquire t.prop_pool;
+    }
+  in
+  p.handle <- Pending_index.add t.ord ~ts:p.ts ~id:m.id p;
+  Msg_id.Tbl.replace t.pending m.id p;
+  sync_proposable t p;
+  p
+
 let get_or_create_pending t (m : Msg.t) =
   match Msg_id.Tbl.find_opt t.pending m.id with
   | Some p -> p
-  | None ->
-    let p =
-      {
-        msg = m;
-        ts = t.k;
-        stage = Stage.S0;
-        handle = -1;
-        inflight = -1;
-        proposals = Slab.Row.acquire t.prop_pool;
-      }
-    in
-    p.handle <- Pending_index.add t.ord ~ts:p.ts ~id:m.id p;
-    Msg_id.Tbl.replace t.pending m.id p;
-    sync_proposable t p;
-    p
+  | None -> create_pending t m
 
 (* Line 4-7: deliver every s3 message whose (ts, id) is minimal among all
    pending messages (any stage). The index keeps that minimum at its root,
@@ -148,7 +150,7 @@ let adelivery_test t =
 let try_propose t =
   let w = max 1 t.config.Protocol.Config.pipeline in
   if t.prop_k < t.k then t.prop_k <- t.k;
-  let continue = ref true in
+  let continue = ref (Msg_id.Tbl.length t.proposable > 0) in
   while !continue && t.prop_k <= t.k + w - 1 do
     let snapshot =
       Msg_id.Tbl.fold
@@ -175,19 +177,26 @@ let try_propose t =
     end
   done
 
+(* The largest (TS, m) proposal from the other destination groups, or
+   [None] while one of them is still missing. *)
+let max_other_proposal t (p : pending) =
+  let rec go acc = function
+    | [] -> Some acc
+    | g :: rest when g = t.my_group -> go acc rest
+    | g :: rest ->
+      if Slab.Row.mem p.proposals g then
+        go (max acc (Slab.Row.get p.proposals ~default:min_int g)) rest
+      else None
+  in
+  go min_int p.msg.dest
+
 (* Line 33-40: once (TS, m) proposals from every other destination group
    are in, either skip to s3 (our proposal is the maximum) or adopt the
    maximum and run a second consensus (stage s2). *)
-let check_s1 t id =
-  match Msg_id.Tbl.find_opt t.pending id with
-  | Some p when p.stage = Stage.S1 ->
-    let others = other_dest_groups t p.msg in
-    if List.for_all (fun g -> Slab.Row.mem p.proposals g) others then begin
-      let max_other =
-        List.fold_left
-          (fun acc g -> max acc (Slab.Row.get p.proposals ~default:min_int g))
-          min_int others
-      in
+let check_s1_pending t (p : pending) =
+  if p.stage = Stage.S1 then
+    match max_other_proposal t p with
+    | Some max_other ->
       if t.config.skip_max_group && p.ts >= max_other then begin
         move t p ~ts:p.ts ~stage:Stage.S3; (* second consensus not needed *)
         adelivery_test t
@@ -196,8 +205,12 @@ let check_s1 t id =
         move t p ~ts:(max p.ts max_other) ~stage:Stage.S2;
         try_propose t
       end
-    end
-  | Some _ | None -> ()
+    | None -> ()
+
+let check_s1 t id =
+  match Msg_id.Tbl.find_opt t.pending id with
+  | Some p -> check_s1_pending t p
+  | None -> ()
 
 (* Line 18-32: interpret the decision of instance K. *)
 let rec process_decisions t =
@@ -240,8 +253,12 @@ let rec process_decisions t =
               max_ts := max !max_ts k;
               (if batch_ts then begin
                  let key = other_dest_groups t e.msg in
-                 match List.assoc_opt key !ts_buckets with
-                 | Some b -> b := e.msg :: !b
+                 match
+                   List.find_opt
+                     (fun (k, _) -> List.equal Int.equal k key)
+                     !ts_buckets
+                 with
+                 | Some (_, b) -> b := e.msg :: !b
                  | None -> ts_buckets := !ts_buckets @ [ (key, ref [ e.msg ]) ]
                end
                else
@@ -308,8 +325,6 @@ let note_one t (m : Msg.t) =
   end
   else false
 
-let note_message t (m : Msg.t) = if note_one t m then try_propose t
-
 (* R-Delivery of a batch: every message enters stage s0 {e before} the
    single proposal attempt, so the whole batch rides one consensus
    snapshot instead of the first message triggering a proposal that
@@ -326,15 +341,21 @@ let note_batch t msgs =
 
 let cast t (m : Msg.t) = Batcher.add (batcher t) m
 
+(* A (TS, m) proposal; the first sight of [msg] enters it at s0 and
+   proposes, as an R-delivery would (line 10-13). *)
 let handle_ts t ~from_group ~ts (msg : Msg.t) =
   if not (Msg_id.Tbl.mem t.adelivered msg.id) then begin
-    note_message t msg;
-    (match Msg_id.Tbl.find_opt t.pending msg.id with
-    | Some p ->
-      if not (Slab.Row.mem p.proposals from_group) then
-        Slab.Row.set p.proposals from_group ts
-    | None -> ());
-    check_s1 t msg.id
+    let p =
+      match Msg_id.Tbl.find_opt t.pending msg.id with
+      | Some p -> p
+      | None ->
+        let p = create_pending t msg in
+        try_propose t;
+        p
+    in
+    if not (Slab.Row.mem p.proposals from_group) then
+      Slab.Row.set p.proposals from_group ts;
+    check_s1_pending t p
   end
 
 let on_receive t ~src w =

@@ -103,24 +103,26 @@ let move t (p : pending) ~ts ~stage =
   p.stage <- stage;
   sync_proposable t p
 
+let create_pending t (m : Msg.t) =
+  let p =
+    {
+      msg = m;
+      ts = t.k;
+      stage = Stage.S0;
+      handle = -1;
+      inflight = -1;
+      proposals = Slab.Row.acquire t.prop_pool;
+    }
+  in
+  p.handle <- Pending_index.add t.ord ~ts:p.ts ~id:m.id p;
+  Msg_id.Tbl.replace t.pending m.id p;
+  sync_proposable t p;
+  p
+
 let get_or_create_pending t (m : Msg.t) =
   match Msg_id.Tbl.find_opt t.pending m.id with
   | Some p -> p
-  | None ->
-    let p =
-      {
-        msg = m;
-        ts = t.k;
-        stage = Stage.S0;
-        handle = -1;
-        inflight = -1;
-        proposals = Slab.Row.acquire t.prop_pool;
-      }
-    in
-    p.handle <- Pending_index.add t.ord ~ts:p.ts ~id:m.id p;
-    Msg_id.Tbl.replace t.pending m.id p;
-    sync_proposable t p;
-    p
+  | None -> create_pending t m
 
 let adelivery_test t =
   let rec loop () =
@@ -139,7 +141,7 @@ let adelivery_test t =
 let try_propose t =
   let w = max 1 t.config.Protocol.Config.pipeline in
   if t.prop_k < t.k then t.prop_k <- t.k;
-  let continue = ref true in
+  let continue = ref (Msg_id.Tbl.length t.proposable > 0) in
   while !continue && t.prop_k <= t.k + w - 1 do
     let snapshot =
       Msg_id.Tbl.fold
@@ -175,23 +177,32 @@ let send_stamp_to_leaders t (m : Msg.t) ~ts ~others =
         (Stamp { msg = m; ts; from_group = t.my_group }))
     others
 
+let max_other_proposal t (p : pending) =
+  let rec go acc = function
+    | [] -> Some acc
+    | g :: rest when g = t.my_group -> go acc rest
+    | g :: rest ->
+      if Slab.Row.mem p.proposals g then
+        go (max acc (Slab.Row.get p.proposals ~default:min_int g)) rest
+      else None
+  in
+  go min_int p.msg.dest
+
 (* Stage s1 completion. Unlike A1, [skip_max_group] never applies: only
    the leader holds the foreign stamps, so the final timestamp must go
    through the second consensus to reach the other members. *)
-let check_s1 t id =
-  match Msg_id.Tbl.find_opt t.pending id with
-  | Some p when p.stage = Stage.S1 ->
-    let others = other_dest_groups t p.msg in
-    if List.for_all (fun g -> Slab.Row.mem p.proposals g) others then begin
-      let max_other =
-        List.fold_left
-          (fun acc g -> max acc (Slab.Row.get p.proposals ~default:min_int g))
-          min_int others
-      in
+let check_s1_pending t (p : pending) =
+  if p.stage = Stage.S1 then
+    match max_other_proposal t p with
+    | Some max_other ->
       move t p ~ts:(max p.ts max_other) ~stage:Stage.S2;
       try_propose t
-    end
-  | Some _ | None -> ()
+    | None -> ()
+
+let check_s1 t id =
+  match Msg_id.Tbl.find_opt t.pending id with
+  | Some p -> check_s1_pending t p
+  | None -> ()
 
 let rec process_decisions t =
   match Slab.Window.take t.decisions t.k with
@@ -256,8 +267,6 @@ let note_one t (m : Msg.t) =
   end
   else false
 
-let note_message t (m : Msg.t) = if note_one t m then try_propose t
-
 let note_batch t msgs =
   let fresh =
     List.fold_left
@@ -272,13 +281,17 @@ let cast t (m : Msg.t) = Batcher.add (batcher t) m
 
 let handle_stamp t ~from_group ~ts (msg : Msg.t) =
   if not (Msg_id.Tbl.mem t.adelivered msg.id) then begin
-    note_message t msg;
-    (match Msg_id.Tbl.find_opt t.pending msg.id with
-    | Some p ->
-      if not (Slab.Row.mem p.proposals from_group) then
-        Slab.Row.set p.proposals from_group ts
-    | None -> ());
-    check_s1 t msg.id
+    let p =
+      match Msg_id.Tbl.find_opt t.pending msg.id with
+      | Some p -> p
+      | None ->
+        let p = create_pending t msg in
+        try_propose t;
+        p
+    in
+    if not (Slab.Row.mem p.proposals from_group) then
+      Slab.Row.set p.proposals from_group ts;
+    check_s1_pending t p
   end
 
 (* A crash notification: update the leader view, then — if we are (now)

@@ -89,11 +89,7 @@ module Make (P : Amcast.Protocol.S) = struct
   let run_deployment ?until ?(max_steps = 50_000_000) d =
     Engine.run ?until ~max_steps d.engine;
     let trace = Engine.trace d.engine in
-    let crashed =
-      List.filter_map
-        (function Trace.Crash { pid; _ } -> Some pid | _ -> None)
-        (Trace.entries trace)
-    in
+    let crashed = Engine.crashed d.engine in
     let network = Engine.network d.engine in
     let sched = Engine.scheduler d.engine in
     Run_result.make ~topology:(Engine.topology d.engine)

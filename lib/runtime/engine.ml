@@ -33,6 +33,7 @@ type 'w t = {
   node_rngs : Rng.t array;
   lcs : Lclock.t array;
   crashed : bool array;
+  mutable crash_order : Topology.pid list; (* newest first *)
   fault_rng : Rng.t;
   mutable crash_subs : crash_subscription list;
   mutable fd_subs : (Topology.pid * (float -> unit)) list;
@@ -82,6 +83,7 @@ let create ?(seed = 0) ?(latency = Latency.wan_default)
       node_rngs;
       lcs = Array.make n Lclock.initial;
       crashed = Array.make n false;
+      crash_order = [];
       fault_rng;
       crash_subs = [];
       fd_subs = [];
@@ -221,6 +223,7 @@ let schedule_crash ?(drop = Keep_inflight) t ~at pid =
     (Scheduler.at_tagged t.sched (Scheduler.Tag.crash pid) at (fun () ->
          if not t.crashed.(pid) then begin
            t.crashed.(pid) <- true;
+           t.crash_order <- pid :: t.crash_order;
            Trace.record t.trace
              (Crash { time = Scheduler.now t.sched; pid });
            let dropped =
@@ -259,6 +262,7 @@ let at ?(tag = Scheduler.Tag.generic) t time f =
 let run ?until ?max_steps t = Scheduler.run ?until ?max_steps t.sched
 let now t = Scheduler.now t.sched
 let alive t pid = not t.crashed.(pid)
+let crashed t = List.rev t.crash_order
 let lc t pid = t.lcs.(pid)
 let trace t = t.trace
 let topology t = t.topology

@@ -83,6 +83,11 @@ val run : ?until:Des.Sim_time.t -> ?max_steps:int -> 'w t -> unit
 
 val now : 'w t -> Des.Sim_time.t
 val alive : 'w t -> Net.Topology.pid -> bool
+
+val crashed : 'w t -> Net.Topology.pid list
+(** The processes crashed so far, in crash order. Unlike the trace's
+    [Crash] entries, this is kept with trace recording off. *)
+
 val lc : 'w t -> Net.Topology.pid -> Lclock.t
 val trace : 'w t -> Trace.t
 val topology : 'w t -> Net.Topology.t

@@ -311,14 +311,8 @@ type golden_cell = {
    accepted list. *)
 let carries_accepted m =
   let s = Fmt.str "%a" Consensus.Paxos.pp_msg m in
-  let has sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-    in
-    go 0
-  in
-  has "acc@" || (has "lease_promise" && not (has ",0 inst"))
+  Util.contains s "acc@"
+  || (Util.contains s "lease_promise" && not (Util.contains s ",0 inst"))
 
 let golden_run cell =
   let per_group = 5 in

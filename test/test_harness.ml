@@ -381,6 +381,33 @@ let test_deliveries_of_matches_filter () =
       ("a2", RA2.run ~seed:3 ~faults topo (w To_all_groups));
     ]
 
+(* The crashed set comes from the engine, not from the trace's [Crash]
+   entries: with recording off, a crashed process must still count as
+   faulty, or the liveness checks flag the messages it never delivered. *)
+let test_crashed_without_trace () =
+  let module R = Harness.Runner.Make (Amcast.A1) in
+  let topo = Topology.symmetric ~groups:3 ~per_group:3 in
+  let run record_trace =
+    let w =
+      Harness.Workload.generate ~rng:(Rng.create 5) ~topology:topo ~n:60
+        ~dest:(Harness.Workload.Random_groups 2)
+        ~arrival:(`Poisson (Sim_time.of_ms 10))
+        ()
+    in
+    R.run ~seed:5 ~record_trace
+      ~faults:
+        [
+          Harness.Runner.crash ~drop:Runtime.Engine.Lose_all_inflight
+            ~at:(Sim_time.of_ms 150) 1;
+        ]
+      topo w
+  in
+  let traced = run true and untraced = run false in
+  Alcotest.(check (list int)) "crashed, trace on" [ 1 ] traced.crashed;
+  Alcotest.(check (list int)) "crashed, trace off" [ 1 ] untraced.crashed;
+  Util.check_no_violations "trace on" (Harness.Checker.check_all traced);
+  Util.check_no_violations "trace off" (Harness.Checker.check_all untraced)
+
 let suites =
   [
     ( "harness",
@@ -419,5 +446,7 @@ let suites =
         Alcotest.test_case "campaign: small soak" `Quick test_campaign_small;
         Alcotest.test_case "campaign: scenario bounds" `Quick
           test_campaign_reports_scenarios;
+        Alcotest.test_case "crashed set without the trace" `Quick
+          test_crashed_without_trace;
       ] );
   ]
