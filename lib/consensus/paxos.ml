@@ -558,8 +558,9 @@ let on_suspicion_change t =
    instances the host abandoned mid-flight (a pipelining window skipped
    past by a clock jump) and never-proposed gaps: per the [note_consumed]
    contract they will never be consumed, so stray messages for them must
-   be dropped — [get_instance] would otherwise resurrect acceptor state
-   and timers for an instance nobody will ever finish. *)
+   be dropped — [instance_of] would otherwise resurrect acceptor state
+   and timers for an instance nobody will ever finish. [found] is the
+   caller's lookup of [instance]. *)
 let retired t instance found =
   t.fast
   && (instance <= t.pruned_upto
