@@ -37,7 +37,8 @@ let heartbeat =
    its leader (pid 3, the first member of group 1) in the middle of the
    stream; whitebox's survivors re-send the logged stamps. *)
 let crash_topo = Topology.symmetric ~groups:3 ~per_group:3
-let crash_faults = [ Harness.Runner.crash ~at:(Sim_time.of_ms 150) 3 ]
+let crash_at ms = [ Harness.Runner.crash ~at:(Sim_time.of_ms ms) 3 ]
+let crash_faults = crash_at 150
 
 let golden_runs () =
   let topo = Topology.symmetric ~groups:3 ~per_group:2 in
@@ -63,6 +64,12 @@ let golden_runs () =
         crash_topo (stream crash_topo) );
     ( "whitebox crash",
       RWb.run ~seed:7 ~latency:Latency.wan_default ~faults:crash_faults
+        crash_topo (stream crash_topo) );
+    (* Crash notifications fire in subscription order, and this run's
+       digests change if whitebox subscribes after the reliable multicast
+       instead of before it. *)
+    ( "whitebox crash, subscription order",
+      RWb.run ~seed:4 ~latency:Latency.wan_default ~faults:(crash_at 100)
         crash_topo (stream crash_topo) );
   ]
 
@@ -153,6 +160,17 @@ let golden : (string * (int list * (string * int) list)) list =
           ("cons.accept", 351); ("cons.accepted", 335); ("cons.decide", 392);
           ("cons.lease_prepare", 2); ("cons.lease_promise", 1);
           ("cons.suggest", 146); ("rm.data", 285); ("whitebox.stamp", 124)
+        ] ) );
+    ( "whitebox crash, subscription order",
+      ( [
+          3461003727472220100; 3461003727472220100; 3461003727472220100;
+          18691697679587; 1810229466624917912; 1810229466624917912;
+          2206363042940834382; 2206363042940834382; 2206363042940834382
+        ],
+        [
+          ("cons.accept", 363); ("cons.accepted", 338); ("cons.decide", 405);
+          ("cons.lease_prepare", 2); ("cons.lease_promise", 1);
+          ("cons.suggest", 144); ("rm.data", 249); ("whitebox.stamp", 112)
         ] ) );
   ]
 
