@@ -1,23 +1,8 @@
 open Net
 open Runtime
-
-module Stage = struct
-  type t = S0 | S1 | S2 | S3
-
-  let to_string = function
-    | S0 -> "s0"
-    | S1 -> "s1"
-    | S2 -> "s2"
-    | S3 -> "s3"
-
-  let pp ppf s = Fmt.string ppf (to_string s)
-end
+module Stage = A1_stages.Stage
 
 let name = "a1"
-
-(* A consensus proposal is a snapshot of pending messages in stages s0/s2,
-   with the fields the deciders need to interpret them. *)
-type entry = { msg : Msg.t; ts : int; stage : Stage.t }
 
 type wire =
   | Rm of Msg.t list Rmcast.Reliable_multicast.msg
@@ -30,7 +15,7 @@ type wire =
          for every message bound to the same foreign groups, in one
          fan-out (they all propose the same timestamp — the instance
          number). Only sent when batching is on. *)
-  | Cons of entry list Consensus.Paxos.msg
+  | Cons of A1_stages.entry list Consensus.Paxos.msg
   | Hb of Fd.Heartbeat.msg (* only with Config.fd_mode = Heartbeat *)
 
 let tag = function
@@ -40,441 +25,57 @@ let tag = function
   | Cons c -> Consensus.Paxos.tag c
   | Hb _ -> "fd.ping"
 
-type pending = {
-  msg : Msg.t;
-  mutable ts : int;
-  mutable stage : Stage.t;
-  mutable handle : Pending_index.handle; (* slot in the ordered index *)
-  mutable inflight : int;
-      (* highest consensus instance this message was proposed to while in
-         its current proposable stage; the pipelining window skips entries
-         with [inflight >= k] (already riding an undecided instance) *)
-  proposals : int Slab.Row.t;
-      (* timestamp proposals received in (TS, m) messages, indexed by gid;
-         pooled — released back to [prop_pool] at adelivery *)
-}
+type t = wire A1_stages.t
 
-type t = {
-  services : wire Services.t;
-  config : Protocol.Config.t;
-  deliver : Msg.t -> unit;
-  my_group : Topology.gid;
-  mutable k : int; (* K: group-clock copy = next consensus instance *)
-  mutable prop_k : int; (* no two proposals for the same instance *)
-  pending : pending Msg_id.Tbl.t;
-  ord : pending Pending_index.t; (* pending, ordered by (ts, id) *)
-  proposable : pending Msg_id.Tbl.t; (* the s0/s2 subset of [pending] *)
-  adelivered : unit Msg_id.Tbl.t;
-  decisions : entry list Slab.Window.t; (* decided, not yet processed *)
-  prop_pool : int Slab.Row.pool; (* proposal rows, width = n_groups *)
-  mutable rm : (Msg.t list, wire) Rmcast.Reliable_multicast.t option;
-  mutable cons : (entry list, wire) Consensus.Paxos.t option;
-  mutable hb : wire Fd.Heartbeat.t option;
-  mutable batcher : Batcher.t option;
-  mutable cons_executed : int;
-  mutable depth_max : int; (* max in-flight instances (pipelining) *)
-}
-
-let rm t = Option.get t.rm
-let cons t = Option.get t.cons
-let batcher t = Option.get t.batcher
-
-let other_dest_groups t (m : Msg.t) =
-  List.filter (fun g -> g <> t.my_group) m.dest
-
-let sync_proposable t (p : pending) =
-  match p.stage with
-  | Stage.S0 | Stage.S2 -> Msg_id.Tbl.replace t.proposable p.msg.id p
-  | Stage.S1 | Stage.S3 -> Msg_id.Tbl.remove t.proposable p.msg.id
-
-(* Every stage/timestamp transition goes through here so the ordered index
-   and the proposable subset can never drift from the pending table. *)
-let move t (p : pending) ~ts ~stage =
-  if ts <> p.ts then begin
-    p.ts <- ts;
-    p.handle <- Pending_index.reposition t.ord p.handle ~ts ~id:p.msg.id p
-  end;
-  p.stage <- stage;
-  sync_proposable t p
-
-let create_pending t (m : Msg.t) =
-  let p =
-    {
-      msg = m;
-      ts = t.k;
-      stage = Stage.S0;
-      handle = -1;
-      inflight = -1;
-      proposals = Slab.Row.acquire t.prop_pool;
-    }
+(* Stage s0 → s1 for the messages instance [k] decided: every member sends
+   the group's proposal [k] to every process of the other destination
+   groups. Under batching the proposals to one foreign-group set merge into
+   a single [Tsb], one per set in first-seen order. *)
+let send_proposals services config ~my_group k msgs =
+  let others (m : Msg.t) = List.filter (fun g -> g <> my_group) m.dest in
+  let send groups w =
+    (if config.Protocol.Config.fast_lanes then Services.send_multi
+     else Services.send_all)
+      services
+      (Topology.pids_of_groups services.Services.topology groups)
+      w
   in
-  p.handle <- Pending_index.add t.ord ~ts:p.ts ~id:m.id p;
-  Msg_id.Tbl.replace t.pending m.id p;
-  sync_proposable t p;
-  p
-
-let get_or_create_pending t (m : Msg.t) =
-  match Msg_id.Tbl.find_opt t.pending m.id with
-  | Some p -> p
-  | None -> create_pending t m
-
-(* Line 4-7: deliver every s3 message whose (ts, id) is minimal among all
-   pending messages (any stage). The index keeps that minimum at its root,
-   so each attempt is O(log pending) instead of a full fold. *)
-let adelivery_test t =
-  let rec loop () =
-    match Pending_index.min_elt t.ord with
-    | Some (_, _, p) when p.stage = Stage.S3 ->
-      ignore (Pending_index.pop_min t.ord);
-      Slab.Row.release t.prop_pool p.proposals;
-      Msg_id.Tbl.remove t.pending p.msg.id;
-      Msg_id.Tbl.replace t.adelivered p.msg.id ();
-      t.deliver p.msg;
-      loop ()
-    | Some _ | None -> ()
-  in
-  loop ()
-
-(* Line 14-17: propose all pending s0/s2 messages to instance K. The
-   [proposable] table holds exactly that subset, so the snapshot is linear
-   in the proposal size, not in the whole pending table.
-
-   With [pipeline = w > 1], up to [w] instances K..K+w-1 may be undecided
-   at once: each further instance proposes the proposable entries not
-   already riding an in-flight instance ([inflight < K]), so instance i+1
-   starts before i decides. Decisions still apply strictly in K order
-   (process_decisions consumes exactly instance K), and a clock jump
-   abandons overtaken instances via the consensus [note_consumed]
-   contract. With [w = 1] the loop body runs at most once, proposing the
-   full proposable set to instance K — the pre-pipelining behaviour. *)
-let try_propose t =
-  let w = max 1 t.config.Protocol.Config.pipeline in
-  if t.prop_k < t.k then t.prop_k <- t.k;
-  let continue = ref (Msg_id.Tbl.length t.proposable > 0) in
-  while !continue && t.prop_k <= t.k + w - 1 do
-    let snapshot =
-      Msg_id.Tbl.fold
-        (fun _ p acc ->
-          if p.inflight < t.k then
-            ({ msg = p.msg; ts = p.ts; stage = p.stage }, p) :: acc
-          else acc)
-        t.proposable []
+  if Protocol.Config.batching config then begin
+    let rec add key m = function
+      | [] -> [ (key, [ m ]) ]
+      | (key', ms) :: rest when List.equal Int.equal key key' ->
+        (key', m :: ms) :: rest
+      | b :: rest -> b :: add key m rest
     in
-    if snapshot = [] then continue := false
-    else begin
-      let snapshot =
-        List.sort
-          (fun ((a : entry), _) ((b : entry), _) ->
-            Msg.compare_id a.msg b.msg)
-          snapshot
-      in
-      List.iter (fun (_, p) -> p.inflight <- t.prop_k) snapshot;
-      Consensus.Paxos.propose (cons t) ~instance:t.prop_k
-        (List.map fst snapshot);
-      t.prop_k <- t.prop_k + 1;
-      let depth = t.prop_k - t.k in
-      if depth > t.depth_max then t.depth_max <- depth
-    end
-  done
-
-(* The largest (TS, m) proposal from the other destination groups, or
-   [None] while one of them is still missing. *)
-let max_other_proposal t (p : pending) =
-  let rec go acc = function
-    | [] -> Some acc
-    | g :: rest when g = t.my_group -> go acc rest
-    | g :: rest ->
-      if Slab.Row.mem p.proposals g then
-        go (max acc (Slab.Row.get p.proposals ~default:min_int g)) rest
-      else None
-  in
-  go min_int p.msg.dest
-
-(* Line 33-40: once (TS, m) proposals from every other destination group
-   are in, either skip to s3 (our proposal is the maximum) or adopt the
-   maximum and run a second consensus (stage s2). *)
-let check_s1_pending t (p : pending) =
-  if p.stage = Stage.S1 then
-    match max_other_proposal t p with
-    | Some max_other ->
-      if t.config.skip_max_group && p.ts >= max_other then begin
-        move t p ~ts:p.ts ~stage:Stage.S3; (* second consensus not needed *)
-        adelivery_test t
-      end
-      else begin
-        move t p ~ts:(max p.ts max_other) ~stage:Stage.S2;
-        try_propose t
-      end
-    | None -> ()
-
-let check_s1 t id =
-  match Msg_id.Tbl.find_opt t.pending id with
-  | Some p -> check_s1_pending t p
-  | None -> ()
-
-(* Line 18-32: interpret the decision of instance K. *)
-let rec process_decisions t =
-  match Slab.Window.take t.decisions t.k with
-  | None -> ()
-  | Some entries ->
-    let k = t.k in
-    t.cons_executed <- t.cons_executed + 1;
-    let max_ts = ref 0 in
-    let moved_to_s1 = ref [] in
-    (* Throughput lane: every s0 entry of this instance proposes the same
-       timestamp k, so the (TS, m) fan-outs to a given foreign-group set
-       merge into one [Tsb] per set (sent after the loop). *)
-    let batch_ts = Protocol.Config.batching t.config in
-    let ts_buckets = ref [] in
-    List.iter
-      (fun (e : entry) ->
-        if Msg_id.Tbl.mem t.adelivered e.msg.id then
-          max_ts := max !max_ts e.ts
-        else begin
-          let p = get_or_create_pending t e.msg in
-          let multi = not (Msg.is_single_group e.msg) in
-          if e.stage = Stage.S0 && p.stage <> Stage.S0 then
-            (* Pipelined duplicate: two in-flight instances can both carry
-               m at stage s0 (proposed by members with different
-               R-delivery timing). Only the first decide assigns the
-               group timestamp; reprocessing would advance it after the
-               (TS, m) fan-out already left and desynchronise the final
-               timestamps across groups. Every member skips identically:
-               stage >= s1 holds iff an earlier instance s0-decided m,
-               and decisions apply in the same order everywhere. [e.ts]
-               is part of the decided value, so the clock-jump
-               contribution is deterministic too. *)
-            max_ts := max !max_ts e.ts
-          else if multi || not t.config.skip_single_group then begin
-            match e.stage with
-            | Stage.S0 ->
-              (* Group proposal for m's timestamp is the instance number. *)
-              move t p ~ts:k ~stage:Stage.S1;
-              max_ts := max !max_ts k;
-              (if batch_ts then begin
-                 let key = other_dest_groups t e.msg in
-                 match
-                   List.find_opt
-                     (fun (k, _) -> List.equal Int.equal k key)
-                     !ts_buckets
-                 with
-                 | Some (_, b) -> b := e.msg :: !b
-                 | None -> ts_buckets := !ts_buckets @ [ (key, ref [ e.msg ]) ]
-               end
-               else
-                 let dest_outside =
-                   Topology.pids_of_groups t.services.Services.topology
-                     (other_dest_groups t e.msg)
-                 in
-                 (if t.config.fast_lanes then Services.send_multi
-                  else Services.send_all)
-                   t.services dest_outside
-                   (Ts { msg = e.msg; ts = k; from_group = t.my_group }));
-              moved_to_s1 := e.msg.id :: !moved_to_s1
-            | Stage.S2 ->
-              (* Clock pushed past the final timestamp: m is ready. *)
-              move t p ~ts:e.ts ~stage:Stage.S3;
-              max_ts := max !max_ts e.ts
-            | Stage.S1 | Stage.S3 -> assert false
-          end
-          else begin
-            (* Single-group message: its group is the only proposer, the
-               instance number is final — straight to s3 (line 28-29). *)
-            move t p ~ts:k ~stage:Stage.S3;
-            max_ts := max !max_ts k
-          end
-        end)
-      entries;
-    List.iter
-      (fun (key, b) ->
-        let dest_outside =
-          Topology.pids_of_groups t.services.Services.topology key
-        in
-        (if t.config.fast_lanes then Services.send_multi
-         else Services.send_all)
-          t.services dest_outside
-          (Tsb { msgs = List.rev !b; ts = k; from_group = t.my_group }))
-      !ts_buckets;
-    (* Line 31: K <- max(max ts decided, K) + 1. *)
-    t.k <- max !max_ts t.k + 1;
-    (* A clock jump abandons any decided-but-unprocessed instances it
-       overtakes (pipelining): every member jumps identically, so these
-       decisions are consumed by nobody — drop them before they leak. *)
-    for i = k + 1 to t.k - 1 do
-      Slab.Window.drop t.decisions i
-    done;
-    (* The group clock can jump past unproposed instance numbers (every
-       member follows the same K sequence, so the gaps are never filled);
-       let the consensus GC watermark advance across them. *)
-    Consensus.Paxos.note_consumed (cons t) ~upto:(t.k - 1);
-    (* Proposals buffered while we were deciding may complete stage s1. *)
-    List.iter (fun id -> check_s1 t id) !moved_to_s1;
-    adelivery_test t;
-    try_propose t;
-    process_decisions t
-
-(* Line 10-13: first sight of a message (R-Delivered or piggybacked on a
-   TS message) puts it in stage s0 with the current clock as timestamp. *)
-let note_one t (m : Msg.t) =
-  if
-    (not (Msg_id.Tbl.mem t.pending m.id))
-    && not (Msg_id.Tbl.mem t.adelivered m.id)
-  then begin
-    ignore (get_or_create_pending t m);
-    true
+    List.fold_left (fun acc m -> add (others m) m acc) [] msgs
+    |> List.iter (fun (key, ms) ->
+           send key (Tsb { msgs = List.rev ms; ts = k; from_group = my_group }))
   end
-  else false
-
-(* R-Delivery of a batch: every message enters stage s0 {e before} the
-   single proposal attempt, so the whole batch rides one consensus
-   snapshot instead of the first message triggering a proposal that
-   splits it. *)
-let note_batch t msgs =
-  let fresh =
-    List.fold_left
-      (fun acc m ->
-        let f = note_one t m in
-        f || acc)
-      false msgs
-  in
-  if fresh then try_propose t
-
-let cast t (m : Msg.t) = Batcher.add (batcher t) m
-
-(* A (TS, m) proposal; the first sight of [msg] enters it at s0 and
-   proposes, as an R-delivery would (line 10-13). *)
-let handle_ts t ~from_group ~ts (msg : Msg.t) =
-  if not (Msg_id.Tbl.mem t.adelivered msg.id) then begin
-    let p =
-      match Msg_id.Tbl.find_opt t.pending msg.id with
-      | Some p -> p
-      | None ->
-        let p = create_pending t msg in
-        try_propose t;
-        p
-    in
-    if not (Slab.Row.mem p.proposals from_group) then
-      Slab.Row.set p.proposals from_group ts;
-    check_s1_pending t p
-  end
-
-let on_receive t ~src w =
-  match w with
-  | Rm rmsg -> Rmcast.Reliable_multicast.handle (rm t) ~src rmsg
-  | Ts { msg; ts; from_group } -> handle_ts t ~from_group ~ts msg
-  | Tsb { msgs; ts; from_group } ->
-    List.iter (fun m -> handle_ts t ~from_group ~ts m) msgs
-  | Cons cmsg -> Consensus.Paxos.handle (cons t) ~src cmsg
-  | Hb m -> (
-    match t.hb with
-    | Some hb -> Fd.Heartbeat.handle hb ~src m
-    | None -> ())
+  else
+    List.iter
+      (fun m -> send (others m) (Ts { msg = m; ts = k; from_group = my_group }))
+      msgs
 
 let create ~services ~config ~deliver =
-  let t =
-    {
-      services;
-      config;
-      deliver;
-      my_group = Services.my_group services;
-      k = 1;
-      prop_k = 1;
-      pending = Msg_id.Tbl.create 64;
-      ord = Pending_index.create ();
-      proposable = Msg_id.Tbl.create 64;
-      adelivered = Msg_id.Tbl.create 64;
-      decisions = Slab.Window.create ();
-      prop_pool =
-        Slab.Row.pool
-          ~width:(Topology.n_groups services.Services.topology)
-          ~default:0;
-      rm = None;
-      cons = None;
-      hb = None;
-      batcher = None;
-      cons_executed = 0;
-      depth_max = 0;
-    }
-  in
-  let detector =
-    match config.Protocol.Config.fd_mode with
-    | Protocol.Config.Oracle ->
-      Fd.Detector.oracle ~delay:config.Protocol.Config.oracle_delay services
-    | Protocol.Config.Heartbeat { period; timeout } ->
-      let hb =
-        Fd.Heartbeat.create ~services
-          ~wrap:(fun m -> Hb m)
-          ~monitored:
-            (Topology.members services.Services.topology t.my_group)
-          ~period ~timeout ()
-      in
-      t.hb <- Some hb;
-      Fd.Heartbeat.detector hb
-  in
-  t.rm <-
-    Some
-      (Rmcast.Reliable_multicast.create ~services
-         ~wrap:(fun m -> Rm m)
-         ~mode:config.Protocol.Config.rm_mode
-         ~oracle_delay:config.Protocol.Config.oracle_delay
-         ~fast_lanes:config.Protocol.Config.fast_lanes
-         ?coalesce:
-           (if Protocol.Config.batching config then
-              Some
-                ( config.Protocol.Config.batch_max,
-                  config.Protocol.Config.batch_delay )
-            else None)
-         ~on_deliver:(fun ~id:_ ~origin:_ ~dest:_ msgs -> note_batch t msgs)
-         ());
-  t.batcher <-
-    Some
-      (Batcher.create ~max:config.Protocol.Config.batch_max
-         ~delay:config.Protocol.Config.batch_delay
-         ~set_timer:services.Services.set_timer
-         ~cancel_timer:services.Services.cancel_timer
-         ~flush:(fun ~key msgs ->
-           (* One R-MCast carries the whole batch; its id is the first
-              message's (globally unique, and with a singleton batch this
-              is exactly the unbatched dissemination). [key] is the shared
-              normalized destination-group list, so the pid fan-out equals
-              each message's own [Msg.dest_pids]. *)
-           let first = List.hd msgs in
-           Rmcast.Reliable_multicast.rmcast (rm t) ~id:first.Msg.id
-             ~dest:(Topology.pids_of_groups services.Services.topology key)
-             msgs));
-  t.cons <-
-    Some
-      (Consensus.Paxos.create ~services
-         ~wrap:(fun m -> Cons m)
-         ~participants:
-           (Topology.members services.Services.topology
-              (Services.my_group services))
-         ~detector
-         ~timeout:config.Protocol.Config.consensus_timeout
-         ~fast_lanes:config.Protocol.Config.fast_lanes
-         ~on_decide:(fun ~instance v ->
-           (* A decide for an instance the group clock already jumped past
-              is for an abandoned instance — consumed by nobody. *)
-           if instance >= t.k then begin
-             Slab.Window.set t.decisions instance v;
-             process_decisions t
-           end)
-         ());
-  t
+  A1_stages.create ~services ~config ~deliver
+    ~rm:(fun m -> Rm m)
+    ~cons:(fun m -> Cons m)
+    ~hb:(fun m -> Hb m)
+    ~on_s0_decided:
+      (send_proposals services config ~my_group:(Services.my_group services))
+    ()
 
-let pending_count t = Msg_id.Tbl.length t.pending
-let clock t = t.k
-let consensus_instances_executed t = t.cons_executed
+let cast = A1_stages.cast
 
-let stats t =
-  [
-    ("cons.instances", Consensus.Paxos.retained_instances (cons t));
-    ("rm.entries", Rmcast.Reliable_multicast.retained_entries (rm t));
-    ("rm.tombstones", Rmcast.Reliable_multicast.reclaimed_entries (rm t));
-    ("pending", Msg_id.Tbl.length t.pending);
-    ("batches_formed", Batcher.batches_formed (batcher t));
-    ("batched_casts", Batcher.casts_packed (batcher t));
-    ("casts_per_batch_max", Batcher.max_batch (batcher t));
-    ("pipeline_depth_max", t.depth_max);
-    ("acks_coalesced", Rmcast.Reliable_multicast.acks_coalesced (rm t));
-  ]
+let on_receive t ~src = function
+  | Rm m -> A1_stages.on_rm t ~src m
+  | Ts { msg; ts; from_group } -> A1_stages.proposal t ~from_group ~ts msg
+  | Tsb { msgs; ts; from_group } ->
+    List.iter (A1_stages.proposal t ~from_group ~ts) msgs
+  | Cons m -> A1_stages.on_cons t ~src m
+  | Hb m -> A1_stages.on_hb t ~src m
+
+let pending_count = A1_stages.pending_count
+let clock = A1_stages.clock
+let consensus_instances_executed = A1_stages.consensus_instances_executed
+let stats = A1_stages.stats

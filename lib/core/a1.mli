@@ -25,14 +25,12 @@
     Proposition 3.1/3.2 shows is optimal for a genuine algorithm.
 
     Genuineness: every message of the protocol (reliable multicast, group
-    consensus, TS exchange) stays within [m.dest ∪ {caster}]. *)
+    consensus, TS exchange) stays within [m.dest ∪ {caster}].
 
-module Stage : sig
-  type t = S0 | S1 | S2 | S3
+    The stage machine itself lives in {!A1_stages}, shared with
+    {!Whitebox}; this module is its wire and its (TS, m) exchange. *)
 
-  val pp : Format.formatter -> t -> unit
-  val to_string : t -> string
-end
+module Stage = A1_stages.Stage
 
 include Protocol.S
 

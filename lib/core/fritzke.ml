@@ -13,4 +13,4 @@ let cast = A1.cast
 let on_receive = A1.on_receive
 let consensus_instances_executed = A1.consensus_instances_executed
 
-let stats _ = []
+let stats = A1.stats

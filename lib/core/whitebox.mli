@@ -1,7 +1,8 @@
 (** White-Box Atomic Multicast (leader/convoy-based, PAPERS.md).
 
-    A1's group-timestamp scheme with the inter-group traffic collapsed
-    onto per-group leaders. As in A1, each destination group runs
+    The A1 stage kernel ({!A1_stages}) plus leader convoys: A1's
+    group-timestamp scheme with the inter-group traffic collapsed onto
+    per-group leaders. As in A1, each destination group runs
     consensus to agree on a group timestamp for every message (stage
     s0), and the final timestamp is the maximum over the destination
     groups' proposals, agreed by a second consensus (stage s2). The
@@ -23,9 +24,10 @@
     leader. Stamp recording is idempotent and delivered messages ignore
     late stamps, so duplicate re-sends are harmless.
 
-    The second consensus always runs ([Config.skip_max_group] is
-    ignored): non-leader members never see foreign stamps, so the final
-    timestamp must reach them through a decided value.
+    The second consensus always runs (the kernel gets the caller's
+    config with [skip_max_group = false]): non-leader members never see
+    foreign stamps, so the final timestamp must reach them through a
+    decided value.
     [Config.skip_single_group] is honoured — single-group messages go
     straight to s3, as in A1. Delivery verdicts match A1's across the
     differential scenario grid (asserted by the property suite). *)
