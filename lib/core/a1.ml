@@ -71,7 +71,10 @@ let on_receive t ~src = function
   | Rm m -> A1_stages.on_rm t ~src m
   | Ts { msg; ts; from_group } -> A1_stages.proposal t ~from_group ~ts msg
   | Tsb { msgs; ts; from_group } ->
-    List.iter (A1_stages.proposal t ~from_group ~ts) msgs
+    (* An explicit closure: the partial application of the labelled
+       [proposal] goes through the generic currying path and allocates on
+       every message. *)
+    List.iter (fun m -> A1_stages.proposal t ~from_group ~ts m) msgs
   | Cons m -> A1_stages.on_cons t ~src m
   | Hb m -> A1_stages.on_hb t ~src m
 

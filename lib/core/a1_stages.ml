@@ -223,7 +223,8 @@ let rec process_decisions t =
           | Stage.S1 | Stage.S3 -> assert false
     in
     let max_ts = List.fold_left (fun acc e -> max acc (apply e)) 0 entries in
-    t.on_s0_decided k (List.rev_map (fun p -> p.msg) !moved_to_s1);
+    if !moved_to_s1 <> [] then
+      t.on_s0_decided k (List.rev_map (fun p -> p.msg) !moved_to_s1);
     (* Line 31: K <- max(max ts decided, K) + 1. *)
     t.k <- max max_ts t.k + 1;
     (* A clock jump abandons any decided-but-unprocessed instances it

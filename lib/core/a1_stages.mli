@@ -12,9 +12,10 @@
     whom, and in which envelope.
 
     Send order: nothing in the decision loop sends. The [on_s0_decided]
-    hook runs once per decided instance, after the loop and before the
-    clock moves, so a protocol's proposals leave in decision order ahead of
-    every proposal, delivery or s1 completion the instance enables. *)
+    hook runs once per decided instance that s0-decided a message, after
+    the loop and before the clock moves, so a protocol's proposals leave
+    in decision order ahead of every proposal, delivery or s1 completion
+    the instance enables. *)
 
 module Stage : sig
   type t = S0 | S1 | S2 | S3
@@ -45,8 +46,8 @@ val create :
     protocol's wire. [on_crash], when given, subscribes to the oracle's
     crash notifications after the failure detector and before the reliable
     multicast. [on_s0_decided k msgs] is called for every decided instance
-    [k] with the messages it s0-decided (and moved to s1), in decision
-    order: their group timestamp is [k]. *)
+    [k] that s0-decided (and moved to s1) a message, with those messages
+    in decision order: their group timestamp is [k]. *)
 
 val cast : 'w t -> Msg.t -> unit
 
