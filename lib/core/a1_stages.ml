@@ -282,7 +282,9 @@ let on_rm t ~src m = Rmcast.Reliable_multicast.handle (rm t) ~src m
 let on_cons t ~src m = Consensus.Paxos.handle (cons t) ~src m
 
 let on_hb t ~src m =
-  Option.iter (fun hb -> Fd.Heartbeat.handle hb ~src m) t.hb
+  match t.hb with
+  | Some hb -> Fd.Heartbeat.handle hb ~src m
+  | None -> ()
 
 let create ~services ~config ~deliver ~rm:wrap_rm ~cons:wrap_cons
     ~hb:wrap_hb ?on_crash ~on_s0_decided () =

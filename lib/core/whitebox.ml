@@ -105,7 +105,6 @@ let on_crash c q =
       c.stamp_log
   end
 
-
 let cast t = A1_stages.cast t.stages
 
 let on_receive t ~src = function
