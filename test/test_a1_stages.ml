@@ -2,7 +2,7 @@
 
    Golden pin: fixed-seed jittered streams of ~40 casts through a1 (under
    the default, reference, throughput and Fritzke configurations and the
-   heartbeat detector) and whitebox, plus a crash stream that kills a
+   heartbeat detector) and whitebox, plus crash streams that kill a
    group's leader mid-run, each reduced to a per-pid delivery digest and
    per-tag send counts. The literals were captured from the separate a1
    and whitebox implementations that preceded the shared kernel; the
@@ -15,8 +15,8 @@ open Net
 let pid_digests = Test_stamp_order.pid_digests
 let sends_by_tag = Test_stamp_order.sends_by_tag
 
-let stream ?(seed = 23) topo =
-  Harness.Workload.generate ~rng:(Rng.create seed) ~topology:topo ~n:40
+let stream topo =
+  Harness.Workload.generate ~rng:(Rng.create 23) ~topology:topo ~n:40
     ~dest:(Harness.Workload.Random_groups (Topology.n_groups topo))
     ~arrival:(`Poisson (Sim_time.of_ms 8))
     ()
@@ -43,16 +43,19 @@ let crash_faults = crash_at 150
 let golden_runs () =
   let topo = Topology.symmetric ~groups:3 ~per_group:2 in
   let a1 name config =
-    (name, RA1.run ~seed:7 ~latency:Latency.wan_default ~config topo (stream topo))
+    ( name,
+      RA1.run ~seed:7 ~latency:Latency.wan_default ~config topo (stream topo) )
   in
   let wb name config =
-    (name, RWb.run ~seed:7 ~latency:Latency.wan_default ~config topo (stream topo))
+    ( name,
+      RWb.run ~seed:7 ~latency:Latency.wan_default ~config topo (stream topo) )
   in
   [
     a1 "a1 default" Amcast.Protocol.Config.default;
     a1 "a1 reference" Amcast.Protocol.Config.reference;
     a1 "a1 throughput" Amcast.Protocol.Config.throughput;
-    ("fritzke", RFz.run ~seed:7 ~latency:Latency.wan_default topo (stream topo));
+    ( "fritzke",
+      RFz.run ~seed:7 ~latency:Latency.wan_default topo (stream topo) );
     ( "a1 heartbeat",
       RA1.run ~seed:7 ~latency:Latency.wan_default ~config:heartbeat
         ~until:(Sim_time.of_sec 3.) topo (stream topo) );
