@@ -406,7 +406,28 @@ let test_crashed_without_trace () =
   Alcotest.(check (list int)) "crashed, trace on" [ 1 ] traced.crashed;
   Alcotest.(check (list int)) "crashed, trace off" [ 1 ] untraced.crashed;
   Util.check_no_violations "trace on" (Harness.Checker.check_all traced);
-  Util.check_no_violations "trace off" (Harness.Checker.check_all untraced)
+  Util.check_no_violations "trace off" (Harness.Checker.check_all untraced);
+  (* Cast and delivery recording (clock ticks included) must not depend on
+     whether the trace is kept. *)
+  let row pid (msg : Amcast.Msg.t) at lc =
+    ((pid, Runtime.Msg_id.to_string msg.id), (Sim_time.to_us at, lc))
+  in
+  let casts (r : Harness.Run_result.t) =
+    List.map
+      (fun (c : Harness.Run_result.cast_event) -> row c.origin c.msg c.at c.lc)
+      r.casts
+  in
+  let deliveries (r : Harness.Run_result.t) =
+    List.map
+      (fun (d : Harness.Run_result.delivery_event) -> row d.pid d.msg d.at d.lc)
+      r.deliveries
+  in
+  let rows = Alcotest.(list (pair (pair int string) (pair int int))) in
+  Alcotest.(check bool) "casts recorded" true (casts traced <> []);
+  Alcotest.(check bool) "deliveries recorded" true (deliveries traced <> []);
+  Alcotest.check rows "casts, trace on = off" (casts traced) (casts untraced);
+  Alcotest.check rows "deliveries, trace on = off" (deliveries traced)
+    (deliveries untraced)
 
 let suites =
   [
