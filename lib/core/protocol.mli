@@ -1,13 +1,15 @@
 (** The common shape of every total-order protocol in this library.
 
     A protocol instance lives on one process. It is created with the
-    process's {!Runtime.Services.t}, reacts to wire messages via
-    [on_receive], initiates messages via [cast] and reports agreed
-    deliveries through the [deliver] upcall. The harness
+    process's {!Runtime.Services.t}, the one capability record either
+    backend builds, reacts to wire messages via [on_receive], initiates
+    messages via [cast] and reports agreed deliveries through the
+    [deliver] upcall. The record carries no instrumentation: the harness
     ({!module:Harness.Runner} in the sibling library) instantiates one
-    engine per protocol deployment and wraps [cast]/[deliver] with the
-    Lamport-clock trace events, so latency degrees are measured uniformly
-    and outside protocol code. *)
+    engine per protocol deployment and records each [cast] and [deliver]
+    itself ({!Runtime.Engine.record_cast}, {!Runtime.Engine.record_deliver}),
+    so latency degrees are measured uniformly and outside protocol
+    code. *)
 
 (** Tuning knobs shared by the protocols; every field has a sensible
     default ({!Config.default}). *)

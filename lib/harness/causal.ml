@@ -31,8 +31,7 @@ let pid_of_entry = function
   | Trace.Receive { dst; _ } -> dst
   | Trace.Cast { pid; _ }
   | Trace.Deliver { pid; _ }
-  | Trace.Crash { pid; _ }
-  | Trace.Note { pid; _ } ->
+  | Trace.Crash { pid; _ } ->
     pid
 
 let of_trace trace =
@@ -63,7 +62,7 @@ let of_trace trace =
         Env_tbl.add send_of_env (env, dst) i
       | Trace.Cast { id; _ } ->
         if not (Msg_id.Tbl.mem casts id) then Msg_id.Tbl.replace casts id i
-      | Trace.Receive _ | Trace.Deliver _ | Trace.Crash _ | Trace.Note _ -> ())
+      | Trace.Receive _ | Trace.Deliver _ | Trace.Crash _ -> ())
     entries;
   (* A receive matches the last send logged under its (env, dst), and only
      when that send precedes it: a send logged later cannot be its cause. *)
@@ -74,9 +73,7 @@ let of_trace trace =
         match Env_tbl.find_opt send_of_env (env, dst) with
         | Some s when s < i -> msg_src.(i) <- s
         | Some _ | None -> ())
-      | Trace.Send _ | Trace.Cast _ | Trace.Deliver _ | Trace.Crash _
-      | Trace.Note _ ->
-        ())
+      | Trace.Send _ | Trace.Cast _ | Trace.Deliver _ | Trace.Crash _ -> ())
     entries;
   { entries; prev_on_pid; proc; n_procs = Pid_tbl.length procs; msg_src; casts }
 

@@ -34,13 +34,13 @@ module Make (P : Amcast.Protocol.S) = struct
         let node =
           Engine.spawn engine pid (fun services ->
               let deliver msg =
-                services.Services.record_deliver msg.Amcast.Msg.id;
+                Engine.record_deliver engine pid msg.Amcast.Msg.id;
                 Vec.push d.deliveries
                   {
                     Run_result.pid;
                     msg;
-                    at = services.Services.now ();
-                    lc = services.Services.lc ();
+                    at = Engine.now engine;
+                    lc = Engine.lc engine pid;
                   }
               in
               let state = P.create ~services ~config ~deliver in
@@ -67,14 +67,13 @@ module Make (P : Amcast.Protocol.S) = struct
     let id = Msg_id.make ~origin ~seq in
     let msg = Amcast.Msg.make ~id ~dest payload in
     Engine.at ~tag:(Scheduler.Tag.cast origin) d.engine at (fun () ->
-        let services = Engine.services d.engine origin in
-        services.Services.record_cast id;
+        Engine.record_cast d.engine origin id;
         Vec.push d.casts
           {
             Run_result.msg;
             origin;
-            at = services.Services.now ();
-            lc = services.Services.lc ();
+            at = Engine.now d.engine;
+            lc = Engine.lc d.engine origin;
           };
         P.cast (Option.get d.nodes.(origin)) msg);
     id

@@ -1,36 +1,18 @@
 open Runtime
 
-let cell_of_entry entry =
-  match entry with
-  | Trace.Send { src; dst; tag; inter_group; _ } ->
-    Some (src, Fmt.str "%s>%d%s" tag dst (if inter_group then "*" else ""))
-  | Trace.Receive { src; dst; _ } -> Some (dst, Fmt.str "recv<%d" src)
-  | Trace.Cast { pid; id; _ } -> Some (pid, Fmt.str "CAST %s" (Msg_id.to_string id))
-  | Trace.Deliver { pid; id; _ } ->
-    Some (pid, Fmt.str "DLVR %s" (Msg_id.to_string id))
-  | Trace.Crash { pid; _ } -> Some (pid, "CRASH")
-  | Trace.Note { pid; text; _ } -> Some (pid, Fmt.str "(%s)" text)
-
-let time_of_entry = function
-  | Trace.Send { time; _ }
-  | Trace.Receive { time; _ }
-  | Trace.Cast { time; _ }
-  | Trace.Deliver { time; _ }
-  | Trace.Crash { time; _ }
-  | Trace.Note { time; _ } ->
-    time
+let row_of_entry = function
+  | Trace.Send { time; src; dst; tag; inter_group; _ } ->
+    (time, src, Fmt.str "%s>%d%s" tag dst (if inter_group then "*" else ""))
+  | Trace.Receive { time; src; dst; _ } -> (time, dst, Fmt.str "recv<%d" src)
+  | Trace.Cast { time; pid; id; _ } ->
+    (time, pid, Fmt.str "CAST %s" (Msg_id.to_string id))
+  | Trace.Deliver { time; pid; id; _ } ->
+    (time, pid, Fmt.str "DLVR %s" (Msg_id.to_string id))
+  | Trace.Crash { time; pid } -> (time, pid, "CRASH")
 
 let timeline ?(max_rows = 200) ~topology trace =
   let n = Net.Topology.n_processes topology in
-  let entries = Trace.entries trace in
-  let rows =
-    List.filter_map
-      (fun e ->
-        match cell_of_entry e with
-        | Some (pid, text) -> Some (time_of_entry e, pid, text)
-        | None -> None)
-      entries
-  in
+  let rows = List.map row_of_entry (Trace.entries trace) in
   let truncated = List.length rows > max_rows in
   let rows = List.filteri (fun i _ -> i < max_rows) rows in
   let col_width =

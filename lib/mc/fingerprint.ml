@@ -56,7 +56,6 @@ let note_entry t (e : Trace.entry) =
     bump t pid id.Msg_id.origin;
     bump t pid id.Msg_id.seq
   | Crash { pid; _ } -> bump t pid 5
-  | Note _ -> ()
 
 let kind_code tag =
   match Scheduler.Tag.kind tag with

@@ -14,8 +14,8 @@
       per-actor order does;
     - envelope ids (a global counter, interleaving-dependent) are replaced
       by the canonical message id [(src, per-source send ordinal)];
-    - event {e times} and [Note] entries are excluded — commuted schedules
-      reach the same state at different clock readings.
+    - event {e times} are excluded — commuted schedules reach the same
+      state at different clock readings.
 
     The fingerprint is a 62-bit hash, not the state itself: pruning on it
     assumes no collisions (astronomically unlikely at model-checking

@@ -30,7 +30,6 @@ type 'w t = {
   mutable network : 'w envelope Network.t option; (* set in create *)
   mutable next_env : int;
   nodes : 'w node option array;
-  node_rngs : Rng.t array;
   lcs : Lclock.t array;
   crashed : bool array;
   mutable crash_order : Topology.pid list; (* newest first *)
@@ -68,7 +67,11 @@ let create ?(seed = 0) ?(latency = Latency.wan_default)
   let sched = Scheduler.create () in
   let root = Rng.create seed in
   let n = Topology.n_processes topology in
-  let node_rngs = Array.init n (fun _ -> Rng.split root) in
+  (* n splits drawn and dropped: they fix where the network and fault
+     streams start, so every seed replays the runs pinned for it. *)
+  for _ = 1 to n do
+    ignore (Rng.split root)
+  done;
   let net_rng = Rng.split root in
   let fault_rng = Rng.split root in
   let t =
@@ -80,7 +83,6 @@ let create ?(seed = 0) ?(latency = Latency.wan_default)
       network = None;
       nodes = Array.make n None;
       next_env = 0;
-      node_rngs;
       lcs = Array.make n Lclock.initial;
       crashed = Array.make n false;
       crash_order = [];
@@ -96,11 +98,9 @@ let create ?(seed = 0) ?(latency = Latency.wan_default)
   t.network <- Some network;
   t
 
-(* The DES implementation of the backend-facing transport surface. The
-   closures below are the protocol-visible behaviour of the simulator;
-   [services] only adds the trace-recording hooks on top, so the factoring
-   is invisible to protocols (bit-identical runs). *)
-let transport t pid =
+(* The DES implementation of the capability record: the closures below are
+   the whole protocol-visible behaviour of the simulator. *)
+let services t pid =
   let send ~dst payload =
     if not t.crashed.(pid) then begin
       let env = t.next_env in
@@ -180,7 +180,7 @@ let transport t pid =
   in
   let on_fd_perturb f = t.fd_subs <- t.fd_subs @ [ (pid, f) ] in
   {
-    Transport.self = pid;
+    Services.self = pid;
     topology = t.topology;
     send;
     send_multi;
@@ -193,22 +193,17 @@ let transport t pid =
     on_fd_perturb;
   }
 
-let services t pid =
-  let record_cast id =
-    t.lcs.(pid) <- Lclock.on_local t.lcs.(pid);
+let record_cast t pid id =
+  t.lcs.(pid) <- Lclock.on_local t.lcs.(pid);
+  if Trace.enabled t.trace then
     Trace.record t.trace
       (Cast { time = Scheduler.now t.sched; pid; id; lc = t.lcs.(pid) })
-  in
-  let record_deliver id =
-    t.lcs.(pid) <- Lclock.on_local t.lcs.(pid);
+
+let record_deliver t pid id =
+  t.lcs.(pid) <- Lclock.on_local t.lcs.(pid);
+  if Trace.enabled t.trace then
     Trace.record t.trace
       (Deliver { time = Scheduler.now t.sched; pid; id; lc = t.lcs.(pid) })
-  in
-  let note text =
-    Trace.record t.trace (Note { time = Scheduler.now t.sched; pid; text })
-  in
-  Services.of_transport ~record_cast ~record_deliver ~note
-    ~rng:t.node_rngs.(pid) (transport t pid)
 
 let spawn t pid make =
   (match t.nodes.(pid) with

@@ -3,6 +3,10 @@
     An engine hosts one protocol deployment: every process runs a node with
     the same wire type ['w]. The engine owns the scheduler, the network, the
     per-process modified Lamport clocks, the trace and the crash schedule.
+    It is the DES backend of the capability record: {!services} builds each
+    process's {!Services.t}. The harness's measurement stays out of that
+    record — the caller that casts and receives deliveries reports them
+    through {!record_cast} and {!record_deliver}.
 
     Determinism: a run is a pure function of (topology, latency model, seed,
     spawned program, scheduled actions). Two engines created with the same
@@ -43,16 +47,18 @@ val spawn : 'w t -> Net.Topology.pid -> ('w Services.t -> 'a * 'w node) -> 'a
     @raise Invalid_argument if [p] already has a node. *)
 
 val services : 'w t -> Net.Topology.pid -> 'w Services.t
-(** The capability record of an already-spawned process. Equal to
-    {!Services.of_transport} over {!transport} with the engine's trace
-    hooks and the process's private random stream. *)
+(** The DES capability record of one process: virtual-time [now]/timers,
+    trace-recording sends through the simulated network, the oracle
+    crash-notification stream. {!spawn} hands this record to [make]. *)
 
-val transport : 'w t -> Net.Topology.pid -> 'w Transport.t
-(** The DES implementation of the backend-facing {!Transport.t} surface
-    for one process: virtual-time [now]/timers, trace-recording sends
-    through the simulated network, the oracle crash-notification stream.
-    The protocol-visible behaviour of {!services} is exactly this
-    transport. *)
+val record_cast : 'w t -> Net.Topology.pid -> Msg_id.t -> unit
+(** [record_cast t pid id] marks the A-XCast of [id] at [pid]: a local
+    event, so [pid]'s clock moves by {!Lclock.on_local} (rule 1 leaves it
+    unchanged); the [Cast] trace entry carries the resulting value. *)
+
+val record_deliver : 'w t -> Net.Topology.pid -> Msg_id.t -> unit
+(** [record_deliver t pid id] marks the A-Deliver of [id] at [pid], with
+    the same clock rule as {!record_cast}. *)
 
 val schedule_crash :
   ?drop:drop_spec -> 'w t -> at:Des.Sim_time.t -> Net.Topology.pid -> unit

@@ -1,47 +1,17 @@
 type 'w t = {
   self : Net.Topology.pid;
   topology : Net.Topology.t;
-  rng : Des.Rng.t;
   send : dst:Net.Topology.pid -> 'w -> unit;
   send_multi : Net.Topology.pid list -> 'w -> unit;
   now : unit -> Des.Sim_time.t;
   set_timer : after:Des.Sim_time.t -> (unit -> unit) -> int;
   cancel_timer : int -> unit;
   lc : unit -> Lclock.t;
-  record_cast : Msg_id.t -> unit;
-  record_deliver : Msg_id.t -> unit;
-  note : string -> unit;
   alive : Net.Topology.pid -> bool;
   on_crash_detected :
     delay:Des.Sim_time.t -> (Net.Topology.pid -> unit) -> unit;
   on_fd_perturb : (float -> unit) -> unit;
-      (* Registers a failure-detector timeout perturbation hook: the
-         callback receives a scale factor when the harness perturbs FD
-         timeouts (Engine.perturb_fd, driven by nemesis Fd_storm actions).
-         Detectors without adaptive timeouts ignore it. *)
 }
-
-let nop1 _ = ()
-
-let of_transport ?(record_cast = nop1) ?(record_deliver = nop1)
-    ?(note = nop1) ~rng (tr : 'w Transport.t) =
-  {
-    self = tr.Transport.self;
-    topology = tr.Transport.topology;
-    rng;
-    send = tr.Transport.send;
-    send_multi = tr.Transport.send_multi;
-    now = tr.Transport.now;
-    set_timer = tr.Transport.set_timer;
-    cancel_timer = tr.Transport.cancel_timer;
-    lc = tr.Transport.lc;
-    record_cast;
-    record_deliver;
-    note;
-    alive = tr.Transport.alive;
-    on_crash_detected = tr.Transport.on_crash_detected;
-    on_fd_perturb = tr.Transport.on_fd_perturb;
-  }
 
 let send_all t pids w = List.iter (fun dst -> t.send ~dst w) pids
 let send_multi t pids w = t.send_multi pids w

@@ -3,40 +3,67 @@
     Protocols are written as event-driven state machines: they react to
     received wire messages and to timers, and act on the world exclusively
     through this record. This keeps protocol modules independent of the
-    engine's internals and lets them stack (e.g. atomic multicast over
+    backend's internals and lets them stack (e.g. atomic multicast over
     consensus) by sharing one [Services.t] and one wire type.
 
-    All effects are deterministic given the engine's seed. *)
+    A backend builds one value of this type per process. Two backends
+    do:
+
+    - the discrete-event engine ({!Engine.services}) — virtual time,
+      deterministic given the seed; the twin every scenario, checker and
+      model-checking run executes against;
+    - the real one ([Transport.Tcp.services] in [lib/transport]) — Unix
+      TCP sockets on localhost or a real network, monotonic-clock timers,
+      optional per-link delay injection reproducing the WAN shapes of
+      {!Net.Latency} on localhost.
+
+    The contract both must honour, so that the same protocol code is
+    correct on either:
+
+    - [send]/[send_multi] are asynchronous, reliable to non-crashed
+      destinations, and apply the modified Lamport clock rule
+      (inter-group sends carry LC+1; the sender's own clock never advances
+      on a send);
+    - links are {e not} FIFO: two sends on one (src, dst) link may arrive
+      in either order (the DES reorders under latency jitter, as the
+      asynchronous model allows, cf. {!Net.Network.send}), so protocols
+      must not rely on per-link order;
+    - receive handlers and timer callbacks of one process never run
+      concurrently with each other (single-threaded process model);
+    - [set_timer] is one-shot and the callback is skipped if the process
+      has crashed by the time it fires;
+    - [on_crash_detected] notifications fire [delay] after the crash
+      instant and never on the crashed process itself.
+
+    The harness's own measurement — the clock ticks at A-XCast and
+    A-Deliver and the cast/delivery log — is not part of this record: the
+    caller that casts and receives deliveries records them
+    ({!Engine.record_cast}, {!Engine.record_deliver}). *)
 
 type 'w t = {
   self : Net.Topology.pid;  (** The process this instance runs on. *)
   topology : Net.Topology.t;
-  rng : Des.Rng.t;
-      (** Private random stream of this process (split from the engine's
-          root seed). *)
   send : dst:Net.Topology.pid -> 'w -> unit;
       (** Asynchronous send. Applies the modified Lamport clock rule
-          (inter-group sends tick the clock), records the send in the trace
-          and hands the message to the network. Silently drops if the
-          sending process has crashed. *)
+          (inter-group sends tick the carried clock), records the send in
+          the trace and hands the message to the network. Silently drops
+          if the sending process has crashed. *)
   send_multi : Net.Topology.pid list -> 'w -> unit;
       (** Fan-out send, observably equivalent to iterating {!field-send}
-          over the list, but the whole fan-out is carried by one scheduler
+          over the list. The DES carries the whole fan-out in one scheduler
           event and one envelope (the Send trace entries share an [env]
-          id). The steady-state fast lanes use this on broadcast-shaped
+          id); the steady-state fast lanes use this on broadcast-shaped
           hot paths. *)
   now : unit -> Des.Sim_time.t;
+      (** Virtual time on the DES; microseconds of monotonic clock since
+          the deployment epoch on a real backend. *)
   set_timer : after:Des.Sim_time.t -> (unit -> unit) -> int;
       (** One-shot timer; the callback is skipped if the process has crashed
           by the time it fires. Returns a handle for {!cancel_timer}. *)
   cancel_timer : int -> unit;
-  lc : unit -> Lclock.t;  (** Current modified Lamport clock value. *)
-  record_cast : Msg_id.t -> unit;
-      (** Protocols call this at the A-XCast event of a message (a local
-          event: the clock does not tick). *)
-  record_deliver : Msg_id.t -> unit;
-      (** Protocols call this at the A-Deliver event of a message. *)
-  note : string -> unit;  (** Free-form trace annotation (debugging). *)
+  lc : unit -> Lclock.t;
+      (** The process's modified Lamport clock, maintained by the backend
+          at message receipt. *)
   alive : Net.Topology.pid -> bool;
       (** Ground-truth crash oracle. Only failure-detector implementations
           should consult it (Section 2's algorithms assume oracle-based
@@ -54,21 +81,6 @@ type 'w t = {
           the detector's adaptive timeouts. Skipped for crashed processes;
           detectors without adaptive timeouts simply don't subscribe. *)
 }
-
-val of_transport :
-  ?record_cast:(Msg_id.t -> unit) ->
-  ?record_deliver:(Msg_id.t -> unit) ->
-  ?note:(string -> unit) ->
-  rng:Des.Rng.t ->
-  'w Transport.t ->
-  'w t
-(** Assemble the full capability record from a backend {!Transport.t} plus
-    the harness-side instrumentation: the process's private random stream
-    and the cast/deliver/note recording hooks (no-ops by default — a real
-    deployment that keeps its own delivery log needs no trace). Every
-    effectful field is the transport's own; this function adds nothing but
-    the instrumentation, so protocol behaviour depends only on the
-    backend. *)
 
 val send_all : 'w t -> Net.Topology.pid list -> 'w -> unit
 (** Send the same message to every listed process (including possibly

@@ -28,7 +28,6 @@ type entry =
       lc : Lclock.t;
     }
   | Crash of { time : Des.Sim_time.t; pid : Net.Topology.pid }
-  | Note of { time : Des.Sim_time.t; pid : Net.Topology.pid; text : string }
 
 type t = { mutable entries : entry list; mutable n : int; enabled : bool }
 
@@ -59,7 +58,5 @@ let pp_entry ppf = function
     Fmt.pf ppf "%a dlvr  p%d %a lc=%d" Des.Sim_time.pp time pid Msg_id.pp id
       lc
   | Crash { time; pid } -> Fmt.pf ppf "%a CRASH p%d" Des.Sim_time.pp time pid
-  | Note { time; pid; text } ->
-    Fmt.pf ppf "%a note  p%d: %s" Des.Sim_time.pp time pid text
 
 let pp ppf t = Fmt.(list ~sep:(any "@\n") pp_entry) ppf (entries t)

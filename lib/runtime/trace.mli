@@ -39,7 +39,6 @@ type entry =
       lc : Lclock.t;
     }
   | Crash of { time : Des.Sim_time.t; pid : Net.Topology.pid }
-  | Note of { time : Des.Sim_time.t; pid : Net.Topology.pid; text : string }
 
 type t
 

@@ -31,10 +31,8 @@ module Make (P : Amcast.Protocol.S) = struct
   type replica = {
     pid : Topology.pid;
     mutable tcp : wire Tcp.t;
-    mutable raw : wire Runtime.Transport.t; (* service-level sends *)
+    mutable raw : wire Runtime.Services.t; (* service-level sends *)
     mutable proto : P.t option; (* None while a learner *)
-    mutable record_cast : Runtime.Msg_id.t -> unit;
-    mutable record_deliver : Runtime.Msg_id.t -> unit;
     mutable state : Kv.state;
     mutable log : Kv.cmd list; (* newest first *)
     mutable wal : Wal.t;
@@ -75,35 +73,27 @@ module Make (P : Amcast.Protocol.S) = struct
       try Unix.mkdir dir 0o755
       with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
 
-  (* The protocol sees a [P.wire] transport; the service wraps its frames
-     in [Proto] so sync traffic can share the sockets. *)
-  let proto_transport (tr : wire Runtime.Transport.t) :
-      P.wire Runtime.Transport.t =
-    let open Runtime.Transport in
+  (* The protocol sees [P.wire] services; the service wraps its frames in
+     [Proto] so sync traffic can share the sockets. *)
+  let proto_services (s : wire Runtime.Services.t) =
     {
-      self = tr.self;
-      topology = tr.topology;
-      send = (fun ~dst w -> tr.send ~dst (Proto w));
-      send_multi = (fun dsts w -> tr.send_multi dsts (Proto w));
-      now = tr.now;
-      set_timer = tr.set_timer;
-      cancel_timer = tr.cancel_timer;
-      lc = tr.lc;
-      alive = tr.alive;
-      on_crash_detected = tr.on_crash_detected;
-      on_fd_perturb = tr.on_fd_perturb;
+      s with
+      Runtime.Services.send = (fun ~dst w -> s.send ~dst (Proto w));
+      send_multi = (fun dsts w -> s.send_multi dsts (Proto w));
     }
 
   (* ---------- delivery: WAL, apply, reply ---------- *)
 
-  let deliver t r (msg : Amcast.Msg.t) =
-    r.record_deliver msg.Amcast.Msg.id;
+  (* [tcp] is the node the protocol instance was attached to; the
+     A-Deliver tick lands on its clock. *)
+  let deliver t r tcp (msg : Amcast.Msg.t) =
+    Tcp.bump_lc tcp Lclock.on_local;
     Mutex.lock t.mu;
     Harness.Vec.push t.deliveries
       {
         Harness.Run_result.pid = r.pid;
         msg;
-        at = r.raw.Runtime.Transport.now ();
+        at = r.raw.Runtime.Services.now ();
         lc = Tcp.lc r.tcp;
       };
     Mutex.unlock t.mu;
@@ -132,13 +122,13 @@ module Make (P : Amcast.Protocol.S) = struct
     match r.proto with
     | None -> () (* learner: nothing to order with; clients are refused *)
     | Some p ->
-      r.record_cast msg.Amcast.Msg.id;
+      Tcp.bump_lc r.tcp Lclock.on_local;
       Mutex.lock t.mu;
       Harness.Vec.push t.casts
         {
           Harness.Run_result.msg;
           origin = r.pid;
-          at = r.raw.Runtime.Transport.now ();
+          at = r.raw.Runtime.Services.now ();
           lc = Tcp.lc r.tcp;
         };
       Mutex.unlock t.mu;
@@ -189,7 +179,7 @@ module Make (P : Amcast.Protocol.S) = struct
           | Some p when not r.learner -> P.on_receive p ~src pw
           | _ -> () (* learner: protocol frames die here *))
         | Sync_req { learner } ->
-          r.raw.Runtime.Transport.send ~dst:learner
+          r.raw.Runtime.Services.send ~dst:learner
             (Sync_resp { log = encoded_log r })
         | Sync_resp { log } -> if r.learner then absorb_sync t r log)
 
@@ -236,17 +226,9 @@ module Make (P : Amcast.Protocol.S) = struct
 
   let attach_protocol t r =
     let tcp = r.tcp in
-    r.record_cast <- (fun _ -> Tcp.bump_lc tcp Lclock.on_local);
-    r.record_deliver <- (fun _ -> Tcp.bump_lc tcp Lclock.on_local);
-    let services =
-      Runtime.Services.of_transport ~record_cast:r.record_cast
-        ~record_deliver:r.record_deliver
-        ~rng:(Des.Rng.substream t.seed r.pid)
-        (proto_transport r.raw)
-    in
     let proto =
-      P.create ~services ~config:t.config ~deliver:(fun msg ->
-          deliver t r msg)
+      P.create ~services:(proto_services r.raw) ~config:t.config
+        ~deliver:(fun msg -> deliver t r tcp msg)
     in
     r.proto <- Some proto;
     r.learner <- false
@@ -270,8 +252,6 @@ module Make (P : Amcast.Protocol.S) = struct
         tcp;
         raw;
         proto = None;
-        record_cast = ignore;
-        record_deliver = ignore;
         state = Kv.SMap.empty;
         log = [];
         wal = Wal.create wal_file;
@@ -309,7 +289,7 @@ module Make (P : Amcast.Protocol.S) = struct
             Tcp.create ?inject ~seed ~epoch ~codec ~topology ~self:pid ~addrs
               ()
           in
-          dummy_replica tcp (Tcp.transport tcp) pid)
+          dummy_replica tcp (Tcp.services tcp) pid)
     in
     let t = { t with replicas } in
     Array.iter
@@ -372,11 +352,9 @@ module Make (P : Amcast.Protocol.S) = struct
     r.proto <- None;
     r.learner <- true;
     r.synced <- false;
-    r.record_cast <- ignore;
-    r.record_deliver <- ignore;
     let tcp = make_tcp t pid in
     r.tcp <- tcp;
-    r.raw <- Tcp.transport tcp;
+    r.raw <- Tcp.services tcp;
     set_receiver t r;
     set_client_handler t r;
     (* the new node must know who is still down *)
@@ -406,10 +384,10 @@ module Make (P : Amcast.Protocol.S) = struct
       if Tcp.running r.tcp then begin
         (match peer () with
         | Some q ->
-          r.raw.Runtime.Transport.send ~dst:q (Sync_req { learner = pid })
+          r.raw.Runtime.Services.send ~dst:q (Sync_req { learner = pid })
         | None -> ());
         ignore
-          (r.raw.Runtime.Transport.set_timer ~after:(Des.Sim_time.of_ms 50)
+          (r.raw.Runtime.Services.set_timer ~after:(Des.Sim_time.of_ms 50)
              kick)
       end
     in
@@ -451,7 +429,7 @@ module Make (P : Amcast.Protocol.S) = struct
       ~trace:(Runtime.Trace.create ~enabled:false ())
       ~inter_group_msgs:(sum Tcp.sent_inter t.base_inter)
       ~intra_group_msgs:(sum Tcp.sent_intra t.base_intra)
-      ~end_time:(t.replicas.(0).raw.Runtime.Transport.now ())
+      ~end_time:(t.replicas.(0).raw.Runtime.Services.now ())
       ~drained:true
       ~events_executed:(sum Tcp.events_processed t.base_events)
       ()

@@ -1,5 +1,5 @@
 (* Real async backend: Unix TCP sockets on localhost (or a real network)
-   behind the same Runtime.Transport surface the DES engine implements.
+   behind the same Runtime.Services record the DES engine builds.
 
    Concurrency model — one event-loop thread per node, and *everything*
    that touches node state runs on it: socket reads, timer callbacks,
@@ -331,9 +331,9 @@ let send_wire t ~dst w =
       else ignore (set_timer t ~after:delay (fun () -> transmit t ~dst body))
   end
 
-let transport t : 'w Runtime.Transport.t =
+let services t : 'w Runtime.Services.t =
   {
-    Runtime.Transport.self = t.self;
+    Runtime.Services.self = t.self;
     topology = t.topology;
     send = (fun ~dst w -> send_wire t ~dst w);
     send_multi = (fun dsts w -> List.iter (fun dst -> send_wire t ~dst w) dsts);

@@ -1,5 +1,5 @@
-(** The real backend of {!Runtime.Transport}: Unix TCP sockets plus a
-    per-node event-loop thread.
+(** The real backend of the capability record {!Runtime.Services.t}: Unix
+    TCP sockets plus a per-node event-loop thread.
 
     Each node owns a listening socket, dials unidirectional connections to
     the peers it sends to, and runs one loop thread on which {e all} node
@@ -50,7 +50,7 @@ val create :
   unit ->
   'w t
 (** Binds the node's listening socket (reusable address, so a restarted
-    node reclaims its port). [epoch] anchors {!Runtime.Transport.now} so
+    node reclaims its port). [epoch] anchors {!Runtime.Services.now} so
     all nodes of a cluster share a time origin; [seed] feeds the delay
     -injection stream. The node is inert until {!start}. *)
 
@@ -82,15 +82,15 @@ val reply : client -> req:int -> ok:bool -> string -> unit
 (** Frame and write a reply on the client's connection (loop thread
     only). *)
 
-val transport : 'w t -> 'w Runtime.Transport.t
-(** The {!Runtime.Transport} surface of this node. Its closures must only
-    be invoked on the loop thread (protocol handlers and timers already
-    are; use {!post} from outside). *)
+val services : 'w t -> 'w Runtime.Services.t
+(** The capability record of this node. Its closures must only be invoked
+    on the loop thread (protocol handlers and timers already are; use
+    {!post} from outside). *)
 
 val announce_crash : 'w t -> Net.Topology.pid -> unit
 (** Oracle crash notification (the {!Runtime.Engine.schedule_crash}
     analogue, driven by whoever injected the crash): marks the pid dead in
-    this node's [alive] view and fires each {!Runtime.Transport.t}
+    this node's [alive] view and fires each {!Runtime.Services.t}
     [.on_crash_detected] subscription after its delay. *)
 
 val announce_recovery : 'w t -> Net.Topology.pid -> unit
@@ -105,8 +105,9 @@ val self : 'w t -> Net.Topology.pid
 val lc : 'w t -> Lclock.t
 
 val bump_lc : 'w t -> (Lclock.t -> Lclock.t) -> unit
-(** Advance the node's Lamport clock by a local rule (the engine's
-    cast/deliver instrumentation analogue). Loop thread only. *)
+(** Advance the node's Lamport clock by a local rule (the
+    {!Runtime.Engine.record_cast}/{!Runtime.Engine.record_deliver}
+    analogue). Loop thread only. *)
 
 val sent_intra : 'w t -> int
 val sent_inter : 'w t -> int

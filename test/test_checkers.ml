@@ -469,9 +469,9 @@ let test_causal_concurrent () =
     "reference: nothing flagged" []
     (Harness.Checker.Reference.causal_delivery_order r)
 
-let test_causal_across_note () =
-  (* p0 casts m1, logs a note, then casts m2: program order runs through
-     the note, so p1 delivering m2 first must be flagged. *)
+let test_causal_program_order () =
+  (* p0 casts m1 then m2: program order makes m1 precede m2, so p1
+     delivering m2 first must be flagged. *)
   let topo = Topology.symmetric ~groups:2 ~per_group:1 in
   let id1 = Msg_id.make ~origin:0 ~seq:0 in
   let id2 = Msg_id.make ~origin:0 ~seq:1 in
@@ -479,15 +479,10 @@ let test_causal_across_note () =
   let m2 = Amcast.Msg.make ~id:id2 ~dest:[ 0; 1 ] "b" in
   let r =
     causal_run ~topo ~msgs:[ m1; m2 ]
-      ~entries:
-        [
-          cast 0 id1;
-          Trace.Note { time = t_ms 1; pid = 0; text = "between casts" };
-          cast 0 id2;
-        ]
+      ~entries:[ cast 0 id1; cast 0 id2 ]
       ~orders:[ (0, [ m1; m2 ]); (1, [ m2; m1 ]) ]
   in
-  check_same_violations "across note" true
+  check_same_violations "program order" true
     (Harness.Checker.causal_delivery_order r)
     (Harness.Checker.Reference.causal_delivery_order r);
   Alcotest.(check int) "one violation" 1
@@ -575,7 +570,6 @@ let synthetic_gen =
             (fun pid id -> [ Trace.Deliver { time = t; pid; id; lc = 0 } ])
             pid id );
         (1, map (fun pid -> [ Trace.Crash { time = t; pid } ]) pid);
-        (1, map (fun pid -> [ Trace.Note { time = t; pid; text = "n" } ]) pid);
       ]
   in
   let* entries = map List.concat (list_size (int_range 0 60) entry) in
@@ -599,8 +593,8 @@ let test_reachability_edge_cases () =
      matches no send: its key is shadowed by a second env-9 send to p1
      logged after the receive (the table keeps the last send per key).
      p2's receive of env 5 has no send at all. Env 1 is one broadcast to
-     p1 and p2. p2's chain from m0.0 to m0.3 runs through a crash and a
-     note. m0.0 is cast twice and only the first cast counts, although
+     p1 and p2. p2's chain from m0.0 to m0.3 runs through a crash.
+     m0.0 is cast twice and only the first cast counts, although
      m0.3 reaches the second. *)
   let id seq = Msg_id.make ~origin:0 ~seq in
   let entries =
@@ -616,7 +610,6 @@ let test_reachability_edge_cases () =
       cast 2 (id 2);
       receive ~src:0 ~dst:2 ~env:1;
       Trace.Crash { time = t_ms 1; pid = 2 };
-      Trace.Note { time = t_ms 1; pid = 2; text = "n" };
       cast 2 (id 3);
       send ~src:2 ~dst:0 ~env:4;
       receive ~src:2 ~dst:0 ~env:4;
@@ -669,8 +662,8 @@ let suites =
           test_causal_relay_chain;
         Alcotest.test_case "causal: concurrent casts never flagged" `Quick
           test_causal_concurrent;
-        Alcotest.test_case "causal: program order across a note" `Quick
-          test_causal_across_note;
+        Alcotest.test_case "causal: program order across two casts" `Quick
+          test_causal_program_order;
         Alcotest.test_case "reachability: matching edge cases" `Quick
           test_reachability_edge_cases;
         Util.qcheck_case ~count:300 ~name:"reachability = pairwise (synthetic)"

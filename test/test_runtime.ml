@@ -172,18 +172,56 @@ let test_delivery_to_nodeless_pid () =
   in
   Alcotest.(check int) "no Receive recorded" 0 (List.length receives)
 
+(* Links are not FIFO: under latency jitter two sends on one inter-group
+   link may arrive in reverse order. Pins a seed where they do. *)
+let test_link_not_fifo () =
+  let topo = Topology.symmetric ~groups:2 ~per_group:1 in
+  let engine =
+    Engine.create ~seed:0 ~latency:Net.Latency.wan_default ~tag:string_of_int
+      topo
+  in
+  let got = ref [] in
+  List.iter
+    (fun pid ->
+      Engine.spawn engine pid (fun _ ->
+          ((), { Engine.on_receive = (fun ~src:_ w -> got := w :: !got) })))
+    (Topology.all_pids topo);
+  let s0 = Engine.services engine 0 in
+  Engine.at engine (Sim_time.of_ms 1) (fun () ->
+      s0.Services.send ~dst:1 1;
+      s0.Services.send ~dst:1 2);
+  Engine.run engine;
+  Alcotest.(check (list int)) "second send arrives first" [ 2; 1 ]
+    (List.rev !got)
+
 let test_trace_records_events () =
   let topo = Topology.symmetric ~groups:2 ~per_group:1 in
   let engine, _ = make_echo_engine topo in
   let s0 = Engine.services engine 0 in
+  let id = Msg_id.make ~origin:0 ~seq:0 in
+  (* The entry a recording appends carries the clock the engine holds
+     right after it. *)
+  let record what record pid =
+    record engine pid id;
+    match Trace.entries_rev (Engine.trace engine) with
+    | (Trace.Cast { pid = p; lc; _ } | Trace.Deliver { pid = p; lc; _ }) :: _
+      when p = pid ->
+      Alcotest.(check int) what (Engine.lc engine pid) lc
+    | _ -> Alcotest.failf "%s: no entry recorded" what
+  in
   Engine.at engine (Sim_time.of_ms 1) (fun () ->
-      s0.Services.record_cast (Msg_id.make ~origin:0 ~seq:0);
+      record "cast lc" Engine.record_cast 0;
       s0.Services.send ~dst:1 Ping);
+  (* p1 delivers after the inter-group ping moved its clock to 1. *)
+  Engine.at engine (Sim_time.of_ms 500) (fun () ->
+      record "deliver lc" Engine.record_deliver 1);
   Engine.run engine;
   let entries = Trace.entries (Engine.trace engine) in
   let has p = List.exists p entries in
   Alcotest.(check bool) "cast recorded" true
-    (has (function Trace.Cast _ -> true | _ -> false));
+    (has (function Trace.Cast { pid = 0; lc = 0; _ } -> true | _ -> false));
+  Alcotest.(check bool) "deliver recorded" true
+    (has (function Trace.Deliver { pid = 1; lc = 1; _ } -> true | _ -> false));
   Alcotest.(check bool) "send recorded with tag" true
     (has (function
       | Trace.Send { tag = "ping"; inter_group = true; _ } -> true
@@ -252,6 +290,7 @@ let suites =
           test_crash_notification_skips_dead_subscriber;
         Alcotest.test_case "delivery to node-less pid is a no-op" `Quick
           test_delivery_to_nodeless_pid;
+        Alcotest.test_case "links are not FIFO" `Quick test_link_not_fifo;
         Alcotest.test_case "trace records events" `Quick
           test_trace_records_events;
         Alcotest.test_case "determinism" `Quick test_engine_determinism;

@@ -173,10 +173,10 @@ let test_tcp_send_and_clock () =
       Mutex.unlock mu);
   Transport.Tcp.start n0;
   Transport.Tcp.start n1;
-  let tr0 = Transport.Tcp.transport n0 in
+  let tr0 = Transport.Tcp.services n0 in
   Transport.Tcp.post n0 (fun () ->
-      tr0.Runtime.Transport.send ~dst:1 "hello";
-      tr0.Runtime.Transport.send_multi [ 1 ] "again");
+      tr0.Runtime.Services.send ~dst:1 "hello";
+      tr0.Runtime.Services.send_multi [ 1 ] "again");
   let arrived () =
     Mutex.lock mu;
     let n = List.length !got in
@@ -205,20 +205,20 @@ let test_tcp_timers () =
     Transport.Tcp.create ~codec:string_codec ~topology:topo ~self:0 ~addrs ()
   in
   Transport.Tcp.start n0;
-  let tr = Transport.Tcp.transport n0 in
+  let tr = Transport.Tcp.services n0 in
   let fired = ref [] in
   Transport.Tcp.post n0 (fun () ->
       ignore
-        (tr.Runtime.Transport.set_timer ~after:(Des.Sim_time.of_ms 30)
+        (tr.Runtime.Services.set_timer ~after:(Des.Sim_time.of_ms 30)
            (fun () -> fired := "late" :: !fired));
       ignore
-        (tr.Runtime.Transport.set_timer ~after:(Des.Sim_time.of_ms 5)
+        (tr.Runtime.Services.set_timer ~after:(Des.Sim_time.of_ms 5)
            (fun () -> fired := "early" :: !fired));
       let cancelled =
-        tr.Runtime.Transport.set_timer ~after:(Des.Sim_time.of_ms 10)
+        tr.Runtime.Services.set_timer ~after:(Des.Sim_time.of_ms 10)
           (fun () -> fired := "cancelled" :: !fired)
       in
-      tr.Runtime.Transport.cancel_timer cancelled);
+      tr.Runtime.Services.cancel_timer cancelled);
   Alcotest.(check bool)
     "both fire" true
     (await (fun () -> List.length !fired = 2));
