@@ -33,9 +33,7 @@
 open Des
 open Net
 
-let crisp =
-  Latency.uniform ~intra:(Sim_time.of_us 1_000) ~inter:(Sim_time.of_us 50_000)
-    ()
+let crisp = Harness.Figure1.crisp
 
 (* Conflict-rate sweep: percent, workload rate, distinct keys. The 100%
    column uses a single key so that {e every} pair conflicts — the

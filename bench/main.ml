@@ -5,14 +5,14 @@
 
    Usage: dune exec bench/main.exe [-- --only ID]
    where ID is one of: figure-1a figure-1b theorem-4-1 theorem-5-1
-   theorem-5-2 lower-bound quiescence tradeoff a2-frequency a1-ablation. *)
+   theorem-5-2 lower-bound quiescence tradeoff a2-frequency a1-ablation
+   asymmetric failover prediction. With no ID every experiment runs; the
+   full output is pinned by bench/main.expected under `dune runtest`. *)
 
 open Des
 open Net
 
-let crisp =
-  Latency.uniform ~intra:(Sim_time.of_us 1_000) ~inter:(Sim_time.of_us 50_000)
-    ()
+module F1 = Harness.Figure1
 
 let ms = Sim_time.of_ms
 
@@ -56,199 +56,28 @@ let stri = string_of_int
 let str_deg = function None -> "-" | Some d -> stri d
 
 (* ------------------------------------------------------------------ *)
-(* Generic protocol driving via first-class modules *)
+(* F1a / F1b — Figure 1, printed from Harness.Figure1's matrix *)
 
-type mrun = {
-  degree : int option;
-  inter : int;
-  intra : int;
-  by_tag : (string * int) list;
-  wall_ms : float option;
-}
+let default = Amcast.Protocol.Config.default
+let degree_of (r, id) = str_deg (Harness.Metrics.latency_degree r id)
 
-(* One multicast to groups [0..k-1] of a [groups]×[d] topology. The caster
-   sits in the *last* destination group — the placement under which every
-   algorithm meets its Figure 1 row (a caster in the first group would give
-   the ring algorithm a head start, for instance). *)
-let run_multicast (type a) (module P : Amcast.Protocol.S with type t = a)
-    ?(config = Amcast.Protocol.Config.default) ?until ?(seed = 0) ~groups ~d
-    ~k () =
-  let module R = Harness.Runner.Make (P) in
-  let topo = Topology.symmetric ~groups ~per_group:d in
-  let dest = List.init k Fun.id in
-  let origin = List.hd (Topology.members topo (k - 1)) in
-  let dep = R.deploy ~seed ~latency:crisp ~config topo in
-  let id = R.cast_at dep ~at:(ms 300) ~origin ~dest () in
-  let r = R.run_deployment ?until dep in
-  {
-    degree = Harness.Metrics.latency_degree r id;
-    inter = r.inter_group_msgs;
-    intra = r.intra_group_msgs;
-    by_tag = Harness.Metrics.messages_by_tag r;
-    wall_ms =
-      Option.map Sim_time.to_ms_float (Harness.Metrics.delivery_latency r id);
-  }
+let wall_of ?(digits = 1) (r, id) =
+  match Harness.Metrics.delivery_latency r id with
+  | Some w -> Printf.sprintf "%.*fms" digits (Sim_time.to_ms_float w)
+  | None -> "-"
 
-(* One broadcast on a [groups]×[d] topology, caster chosen per protocol
-   (see each experiment). *)
-let run_broadcast (type a) (module P : Amcast.Protocol.S with type t = a)
-    ?(config = Amcast.Protocol.Config.default) ?until ?(seed = 0) ~groups ~d
-    ~origin () =
-  let module R = Harness.Runner.Make (P) in
-  let topo = Topology.symmetric ~groups ~per_group:d in
-  let dep = R.deploy ~seed ~latency:crisp ~config topo in
-  let id =
-    R.cast_at dep ~at:(ms 300) ~origin ~dest:(Topology.all_groups topo) ()
+(* One table, one algorithm's rows together (the matrix is placement-major). *)
+let figure_table ~title ~header row (cells : F1.cell list) =
+  let rank (c : F1.cell) =
+    List.find_index (fun (x : F1.cell) -> x.algorithm = c.algorithm) cells
   in
-  let r = R.run_deployment ?until dep in
-  {
-    degree = Harness.Metrics.latency_degree r id;
-    inter = r.inter_group_msgs;
-    intra = r.intra_group_msgs;
-    by_tag = Harness.Metrics.messages_by_tag r;
-    wall_ms =
-      Option.map Sim_time.to_ms_float (Harness.Metrics.delivery_latency r id);
-  }
-
-(* A2 with warm rounds: phase 1 discovers (deterministically) when a warm-up
-   broadcast is delivered at the prospective caster; phase 2 re-runs the
-   same seed and casts the probe inside the next round's proposal grace. *)
-let a2_warm ~groups ~d =
-  let module R = Harness.Runner.Make (Amcast.A2) in
-  let topo = Topology.symmetric ~groups ~per_group:d in
-  let all = Topology.all_groups topo in
-  let warm_delivery =
-    let dep = R.deploy ~seed:0 ~latency:crisp topo in
-    let warm = R.cast_at dep ~at:(ms 1) ~origin:0 ~dest:all () in
-    let r = R.run_deployment dep in
-    List.find_map
-      (fun (e : Harness.Run_result.delivery_event) ->
-        if e.pid = 0 && Runtime.Msg_id.equal e.msg.Amcast.Msg.id warm then
-          Some e.at
-        else None)
-      r.deliveries
-    |> Option.get
-  in
-  let dep = R.deploy ~seed:0 ~latency:crisp topo in
-  ignore (R.cast_at dep ~at:(ms 1) ~origin:0 ~dest:all ());
-  let probe =
-    R.cast_at dep
-      ~at:(Sim_time.add warm_delivery (ms 2))
-      ~origin:0 ~dest:all ()
-  in
-  let r = R.run_deployment dep in
-  {
-    degree = Harness.Metrics.latency_degree r probe;
-    inter = r.inter_group_msgs;
-    intra = r.intra_group_msgs;
-    by_tag = Harness.Metrics.messages_by_tag r;
-    wall_ms =
-      Option.map Sim_time.to_ms_float
-        (Harness.Metrics.delivery_latency r probe);
-  }
-
-let tag_count tags prefix =
-  List.fold_left
-    (fun acc (tag, n) ->
-      if
-        String.length tag >= String.length prefix
-        && String.sub tag 0 (String.length prefix) = prefix
-      then acc + n
-      else acc)
-    0 tags
-
-let detmerge_config =
-  { Amcast.Protocol.Config.default with null_period = ms 200 }
-
-(* The deterministic-merge baseline is only degree-1 under its own model:
-   publishers cast infinitely many messages, so the stream entries that
-   gate a message's merge were already in flight when it was cast (not
-   causally after it). We therefore measure it on a saturated workload —
-   every process multicasts to the same destination set every 20ms — and
-   report the *minimum* degree over mid-stream messages, which is exactly
-   the paper's definition of an algorithm's latency degree (the minimum of
-   ∆(m, R) over admissible runs and messages). *)
-let run_detmerge_stream ~groups ~d ~k =
-  let module R = Harness.Runner.Make (Amcast.Detmerge) in
-  let topo = Topology.symmetric ~groups ~per_group:d in
-  let dest = List.init k Fun.id in
-  let dep = R.deploy ~seed:0 ~latency:crisp ~config:detmerge_config topo in
-  let ids = ref [] in
-  List.iter
-    (fun origin ->
-      for i = 0 to 4 do
-        ids :=
-          R.cast_at dep
-            ~at:(ms (300 + (20 * i) + origin))
-            ~origin ~dest ()
-          :: !ids
-      done)
-    (Topology.all_pids topo);
-  let r = R.run_deployment ~until:(Sim_time.of_sec 1.5) dep in
-  let degrees =
-    List.filter_map (fun id -> Harness.Metrics.latency_degree r id) !ids
-  in
-  let min_deg = List.fold_left min max_int degrees in
-  let n_msgs = List.length !ids in
-  let pub_msgs = tag_count (Harness.Metrics.messages_by_tag r) "dm.pub" in
-  {
-    degree = (if degrees = [] then None else Some min_deg);
-    inter = pub_msgs / max 1 n_msgs (* marginal inter-group copies/message *);
-    intra = r.intra_group_msgs;
-    by_tag = Harness.Metrics.messages_by_tag r;
-    wall_ms = None;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* F1a — Figure 1(a): atomic multicast comparison *)
+  print_table ~title ~header
+    (List.map
+       (fun c -> row c (F1.counts c))
+       (List.stable_sort (fun a b -> compare (rank a) (rank b)) cells))
 
 let figure_1a () =
-  let cells = [ (2, 1); (2, 2); (2, 3); (3, 2); (4, 2) ] in
-  let groups = 4 in
-  let rows = ref [] in
-  let add name paper_deg paper_msgs formula measure =
-    List.iter
-      (fun (k, d) ->
-        let m = measure ~k ~d in
-        rows :=
-          [
-            name;
-            stri k;
-            stri d;
-            paper_deg k;
-            str_deg m.degree;
-            paper_msgs;
-            stri (formula ~k ~d).Harness.Complexity.inter_msgs;
-            stri m.inter;
-          ]
-          :: !rows)
-      cells
-  in
-  add "[4] ring"
-    (fun k -> stri (k + 1))
-    "O(kd^2)" Harness.Complexity.ring
-    (fun ~k ~d -> run_multicast (module Amcast.Ring) ~groups ~d ~k ());
-  add "[10] scalable"
-    (fun _ -> "4")
-    "O(k^2d^2)" Harness.Complexity.scalable
-    (fun ~k ~d -> run_multicast (module Amcast.Scalable) ~groups ~d ~k ());
-  add "[5] fritzke"
-    (fun _ -> "2")
-    "O(k^2d^2)" Harness.Complexity.fritzke
-    (fun ~k ~d -> run_multicast (module Amcast.Fritzke) ~groups ~d ~k ());
-  add "A1"
-    (fun _ -> "2")
-    "O(k^2d^2)" Harness.Complexity.a1
-    (fun ~k ~d -> run_multicast (module Amcast.A1) ~groups ~d ~k ());
-  add "[1] detmerge"
-    (fun _ -> "1")
-    "O(kd)" Harness.Complexity.detmerge_multicast
-    (fun ~k ~d ->
-      (* Measured on a saturated stream (its own model); min degree and
-         marginal per-message copies. *)
-      ignore groups;
-      run_detmerge_stream ~groups:4 ~d ~k);
-  print_table
+  figure_table
     ~title:
       "Figure 1(a) — atomic multicast: latency degree and inter-group \
        messages (4 groups; caster in the last destination group)"
@@ -257,46 +86,21 @@ let figure_1a () =
         "algorithm"; "k"; "d"; "paper deg"; "measured"; "paper msgs";
         "formula"; "inter msgs";
       ]
-    (List.rev !rows)
-
-(* ------------------------------------------------------------------ *)
-(* F1b — Figure 1(b): atomic broadcast comparison *)
+    (fun c m ->
+      [
+        c.label;
+        stri c.k;
+        stri c.d;
+        stri c.paper_degree;
+        str_deg m.degree;
+        c.paper_msgs;
+        (match c.formula with Some f -> stri f.inter_msgs | None -> "-");
+        stri m.inter_msgs;
+      ])
+    F1.figure_1a
 
 let figure_1b () =
-  let cells = [ (2, 2); (3, 2); (4, 2); (3, 3) ] in
-  let rows = ref [] in
-  let add name paper_deg paper_msgs measure =
-    List.iter
-      (fun (groups, d) ->
-        let m = measure ~groups ~d in
-        rows :=
-          [
-            name;
-            stri groups;
-            stri d;
-            stri (groups * d);
-            paper_deg;
-            str_deg m.degree;
-            paper_msgs;
-            stri m.inter;
-          ]
-          :: !rows)
-      cells
-  in
-  add "[12] optimistic" "2" "O(n)" (fun ~groups ~d ->
-      (* Caster outside the sequencer's group: the general case. *)
-      run_broadcast (module Amcast.Optimistic) ~groups ~d ~origin:d ());
-  add "[13] sequencer" "2" "O(n^2)" (fun ~groups ~d ->
-      (* Best case: caster shares the sequencer's group. *)
-      let origin = if d > 1 then 1 else 0 in
-      run_broadcast (module Amcast.Sequencer) ~groups ~d ~origin ());
-  add "A2 (cold)" "2" "O(n^2)" (fun ~groups ~d ->
-      run_broadcast (module Amcast.A2) ~groups ~d ~origin:0 ());
-  add "A2 (warm)" "1" "O(n^2)" (fun ~groups ~d -> a2_warm ~groups ~d);
-  add "[1] detmerge" "1" "O(n)" (fun ~groups ~d ->
-      (* Saturated stream; min degree, marginal per-message copies. *)
-      run_detmerge_stream ~groups ~d ~k:groups);
-  print_table
+  figure_table
     ~title:
       "Figure 1(b) — atomic broadcast: latency degree and inter-group \
        messages"
@@ -305,57 +109,55 @@ let figure_1b () =
         "algorithm"; "groups"; "d"; "n"; "paper deg"; "measured";
         "paper msgs"; "inter msgs";
       ]
-    (List.rev !rows)
+    (fun c m ->
+      [
+        c.label;
+        stri c.groups;
+        stri c.d;
+        stri (c.groups * c.d);
+        stri c.paper_degree;
+        str_deg m.degree;
+        c.paper_msgs;
+        stri m.inter_msgs;
+      ])
+    F1.figure_1b
 
 (* ------------------------------------------------------------------ *)
 (* T41 / T51 / T52 — the theorems' runs *)
 
 let theorem_4_1 () =
-  let m = run_multicast (module Amcast.A1) ~groups:2 ~d:2 ~k:2 () in
+  let p =
+    F1.multicast (module Amcast.A1) ~groups:2 ~d:2 ~k:2 ~config:default ~seed:0
+  in
   print_table
     ~title:
       "Theorem 4.1 — a run of A1 with m A-MCast to two groups has latency \
        degree 2"
     ~header:[ "claimed"; "measured"; "wall clock (2 inter hops @50ms)" ]
-    [
-      [
-        "2";
-        str_deg m.degree;
-        (match m.wall_ms with Some w -> Fmt.str "%.1fms" w | None -> "-");
-      ];
-    ]
+    [ [ "2"; degree_of p; wall_of p ] ]
 
 let theorem_5_1 () =
-  let m = a2_warm ~groups:2 ~d:2 in
+  let p = F1.a2_warm ~groups:2 ~d:2 ~config:default ~seed:0 in
   print_table
     ~title:
       "Theorem 5.1 — a run of A2 where m is A-BCast into a running round \
        has latency degree 1"
     ~header:[ "claimed"; "measured"; "wall clock" ]
-    [
-      [
-        "1";
-        str_deg m.degree;
-        (match m.wall_ms with Some w -> Fmt.str "%.1fms" w | None -> "-");
-      ];
-    ]
+    [ [ "1"; degree_of p; wall_of p ] ]
 
 let theorem_5_2 () =
   (* Cold start: the algorithm is quiescent when the message is cast, the
      reactive case of the theorem. *)
-  let m = run_broadcast (module Amcast.A2) ~groups:2 ~d:2 ~origin:0 () in
+  let p =
+    F1.broadcast (module Amcast.A2) ~groups:2 ~d:2 ~origin:0 ~config:default
+      ~seed:0
+  in
   print_table
     ~title:
       "Theorem 5.2 — a run of A2 where m is A-BCast while processes are \
        reactive (quiescent) has latency degree 2"
     ~header:[ "claimed"; "measured"; "wall clock" ]
-    [
-      [
-        "2";
-        str_deg m.degree;
-        (match m.wall_ms with Some w -> Fmt.str "%.1fms" w | None -> "-");
-      ];
-    ]
+    [ [ "2"; degree_of p; wall_of p ] ]
 
 (* ------------------------------------------------------------------ *)
 (* P31 — empirical side of the genuine-multicast lower bound *)
@@ -399,7 +201,7 @@ let quiescence () =
       ~arrival:(`Every (ms 10))
       ()
   in
-  let r = R.run ~latency:crisp topo w in
+  let r = R.run ~latency:F1.crisp topo w in
   let last_cast =
     List.fold_left
       (fun acc (c : Harness.Run_result.cast_event) -> Sim_time.max acc c.at)
@@ -442,17 +244,11 @@ let tradeoff () =
   let rows =
     List.map
       (fun k ->
-        let a1 = run_multicast (module Amcast.A1) ~groups ~d ~k () in
-        let via =
-          run_multicast (module Amcast.Via_broadcast) ~groups ~d ~k ()
+        let run proto =
+          let p = F1.multicast proto ~groups ~d ~k ~config:default ~seed:0 in
+          [ degree_of p; stri (fst p).inter_group_msgs ]
         in
-        [
-          stri k;
-          str_deg a1.degree;
-          stri a1.inter;
-          str_deg via.degree;
-          stri via.inter;
-        ])
+        stri k :: (run (module Amcast.A1) @ run (module Amcast.Via_broadcast)))
       [ 1; 2; 3; 4; 5; 6; 7; 8 ]
   in
   print_table
@@ -483,7 +279,7 @@ let a2_frequency () =
             ~arrival:(`Poisson (ms gap_ms))
             ()
         in
-        let dep = R.deploy ~seed:3 ~latency:crisp topo in
+        let dep = R.deploy ~seed:3 ~latency:F1.crisp topo in
         ignore (R.schedule dep w);
         let r = R.run_deployment dep in
         let degs = List.filter_map snd (Harness.Metrics.latency_degrees r) in
@@ -543,7 +339,7 @@ let a1_ablation () =
   let run_with config ~k =
     let module R = Harness.Runner.Make (Amcast.A1) in
     let topo = Topology.symmetric ~groups:4 ~per_group:2 in
-    let dep = R.deploy ~seed:0 ~latency:crisp ~config topo in
+    let dep = R.deploy ~seed:0 ~latency:F1.crisp ~config topo in
     (* A mixed workload: one single-group and one k-group multicast from
        each group. *)
     List.iteri
@@ -609,7 +405,7 @@ let prediction () =
         ~arrival:(`Poisson (ms gap_ms))
         ()
     in
-    let dep = R.deploy ~seed:6 ~latency:crisp ~config topo in
+    let dep = R.deploy ~seed:6 ~latency:F1.crisp ~config topo in
     ignore (R.schedule dep w);
     let r = R.run_deployment dep in
     let latencies =
@@ -679,7 +475,7 @@ let failover () =
         ]
       else []
     in
-    let dep = R.deploy ~seed:0 ~latency:crisp ~config ~faults topo in
+    let dep = R.deploy ~seed:0 ~latency:F1.crisp ~config ~faults topo in
     let id = R.cast_at dep ~at:(ms 300) ~origin:0 ~dest:[ 0; 1 ] () in
     let r = R.run_deployment dep in
     match
@@ -737,35 +533,17 @@ let asymmetric () =
     Array.init 3 (fun a -> Array.init 3 (fun b -> inter_of a b))
   in
   let latency = Latency.matrix ~intra:(ms 1) ~inter:matrix () in
-  let run (type a) (module P : Amcast.Protocol.S with type t = a) ~k =
-    let module R = Harness.Runner.Make (P) in
-    let topo = Topology.symmetric ~groups:3 ~per_group:2 in
-    let dep = R.deploy ~seed:0 ~latency topo in
-    let origin = List.hd (Topology.members topo (k - 1)) in
-    let id =
-      R.cast_at dep ~at:(ms 300) ~origin ~dest:(List.init k Fun.id) ()
-    in
-    let r = R.run_deployment dep in
-    ( Harness.Metrics.latency_degree r id,
-      Harness.Metrics.delivery_latency r id )
-  in
   let rows =
     List.concat_map
       (fun k ->
-        let mk name (deg, wall) =
-          [
-            name;
-            stri k;
-            str_deg deg;
-            (match wall with
-            | Some w -> Fmt.str "%.0fms" (Sim_time.to_ms_float w)
-            | None -> "-");
-          ]
+        let mk name proto =
+          let p =
+            F1.multicast ~latency proto ~groups:3 ~d:2 ~k ~config:default
+              ~seed:0
+          in
+          [ name; stri k; degree_of p; wall_of ~digits:0 p ]
         in
-        [
-          mk "A1" (run (module Amcast.A1) ~k);
-          mk "[4] ring" (run (module Amcast.Ring) ~k);
-        ])
+        [ mk "A1" (module Amcast.A1); mk "[4] ring" (module Amcast.Ring) ])
       [ 2; 3 ]
   in
   print_table

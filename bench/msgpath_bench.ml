@@ -1,7 +1,7 @@
 (* msgpath_bench — steady-state message-path economy of the fast lanes.
 
    Replays the Figure 1(a)/1(b) workloads (crisp latencies, the exact
-   origin placements of bench/main.ml, cast at 300ms) once through the
+   origin placements of `Harness.Figure1`, cast at 300ms) once through the
    fast lanes (Protocol.Config.default) and once through the reference
    message pattern (Protocol.Config.reference), and writes
    BENCH_msgpath.json with per-cell message counts, events, modeled bytes
@@ -23,9 +23,7 @@
 open Des
 open Net
 
-let crisp =
-  Latency.uniform ~intra:(Sim_time.of_us 1_000) ~inter:(Sim_time.of_us 50_000)
-    ()
+module F1 = Harness.Figure1
 
 let ms = Sim_time.of_ms
 
@@ -81,7 +79,11 @@ type mode_run = {
   wall_s : float;
 }
 
-let mode_run_of (r : Harness.Run_result.t) id wall_s =
+(* Runs the cell's probe once, timing it. *)
+let mode_run ~seed (cell : F1.cell) config =
+  let t0 = Unix.gettimeofday () in
+  let (r : Harness.Run_result.t), id = cell.run ~config ~seed in
+  let wall_s = Unix.gettimeofday () -. t0 in
   {
     degree = Harness.Metrics.latency_degree r id;
     inter = r.inter_group_msgs;
@@ -91,162 +93,26 @@ let mode_run_of (r : Harness.Run_result.t) id wall_s =
     wall_s;
   }
 
-type cell = {
-  experiment : string;
-  algorithm : string;
-  c_groups : int;
-  c_d : int;
-  c_k : int;
-  fast : mode_run;
-  reference : mode_run;
-}
+type cell = { spec : F1.cell; fast : mode_run; reference : mode_run }
 
 let diverges c =
   c.fast.inter <> c.reference.inter || c.fast.degree <> c.reference.degree
 
-(* One multicast to groups [0..k-1]; caster in the last destination group
-   (the Figure 1(a) placement of bench/main.ml). *)
-let run_multicast (type a) (module P : Amcast.Protocol.S with type t = a)
-    ~config ?until ~seed ~groups ~d ~k () =
-  let module R = Harness.Runner.Make (P) in
-  let topo = Topology.symmetric ~groups ~per_group:d in
-  let origin = List.hd (Topology.members topo (k - 1)) in
-  let t0 = Unix.gettimeofday () in
-  let dep = R.deploy ~seed ~latency:crisp ~config topo in
-  let id = R.cast_at dep ~at:(ms 300) ~origin ~dest:(List.init k Fun.id) () in
-  let r = R.run_deployment ?until dep in
-  mode_run_of r id (Unix.gettimeofday () -. t0)
-
-let run_broadcast (type a) (module P : Amcast.Protocol.S with type t = a)
-    ~config ?until ~seed ~groups ~d ~origin () =
-  let module R = Harness.Runner.Make (P) in
-  let topo = Topology.symmetric ~groups ~per_group:d in
-  let t0 = Unix.gettimeofday () in
-  let dep = R.deploy ~seed ~latency:crisp ~config topo in
-  let id =
-    R.cast_at dep ~at:(ms 300) ~origin ~dest:(Topology.all_groups topo) ()
-  in
-  let r = R.run_deployment ?until dep in
-  mode_run_of r id (Unix.gettimeofday () -. t0)
-
-(* A2 with a warm round: discover the warm-up delivery instant, re-run the
-   same seed and cast the probe inside the next round (bench/main.ml's
-   Theorem 5.1 replication, parameterised by config). *)
-let a2_warm ~config ~seed ~groups ~d =
-  let module R = Harness.Runner.Make (Amcast.A2) in
-  let topo = Topology.symmetric ~groups ~per_group:d in
-  let all = Topology.all_groups topo in
-  let warm_delivery =
-    let dep = R.deploy ~seed ~latency:crisp ~config topo in
-    let warm = R.cast_at dep ~at:(ms 1) ~origin:0 ~dest:all () in
-    let r = R.run_deployment dep in
-    List.find_map
-      (fun (e : Harness.Run_result.delivery_event) ->
-        if e.pid = 0 && Runtime.Msg_id.equal e.msg.Amcast.Msg.id warm then
-          Some e.at
-        else None)
-      r.deliveries
-    |> Option.get
-  in
-  let t0 = Unix.gettimeofday () in
-  let dep = R.deploy ~seed ~latency:crisp ~config topo in
-  ignore (R.cast_at dep ~at:(ms 1) ~origin:0 ~dest:all ());
-  let probe =
-    R.cast_at dep
-      ~at:(Sim_time.add warm_delivery (ms 2))
-      ~origin:0 ~dest:all ()
-  in
-  let r = R.run_deployment dep in
-  mode_run_of r probe (Unix.gettimeofday () -. t0)
-
-let both ~name ~experiment ~groups ~d ~k run =
-  let fast = run Amcast.Protocol.Config.default in
-  let reference = run Amcast.Protocol.Config.reference in
-  let c =
-    {
-      experiment;
-      algorithm = name;
-      c_groups = groups;
-      c_d = d;
-      c_k = k;
-      fast;
-      reference;
-    }
-  in
+let both ~seed (spec : F1.cell) =
+  let fast = mode_run ~seed spec Amcast.Protocol.Config.default in
+  let reference = mode_run ~seed spec Amcast.Protocol.Config.reference in
+  let c = { spec; fast; reference } in
   Printf.printf
     "  %-9s %-10s g=%d d=%d k=%d  deg %s/%s  inter %d/%d  intra %d/%d  \
      bytes %d/%d%s\n\
      %!"
-    c.experiment c.algorithm groups d k
+    spec.figure spec.algorithm spec.groups spec.d spec.k
     (match fast.degree with Some x -> string_of_int x | None -> "-")
     (match reference.degree with Some x -> string_of_int x | None -> "-")
     fast.inter reference.inter fast.intra reference.intra fast.bytes
     reference.bytes
     (if diverges c then "  DIVERGENT" else "");
   c
-
-(* The deterministic-merge baseline never quiesces (null stream); a single
-   probe under a horizon is enough for the fast-vs-reference identity
-   check — it uses neither consensus nor the uniform reliable multicast,
-   so both modes must coincide everywhere. *)
-let detmerge_config config =
-  { config with Amcast.Protocol.Config.null_period = ms 200 }
-
-let figure_1a_cells ~seed =
-  let cells = [ (2, 1); (2, 2); (2, 3); (3, 2); (4, 2) ] in
-  let groups = 4 in
-  List.concat_map
-    (fun (k, d) ->
-      let mk name run = both ~name ~experiment:"figure-1a" ~groups ~d ~k run in
-      [
-        mk "ring" (fun config ->
-            run_multicast (module Amcast.Ring) ~config ~seed ~groups ~d ~k ());
-        mk "scalable" (fun config ->
-            run_multicast
-              (module Amcast.Scalable)
-              ~config ~seed ~groups ~d ~k ());
-        mk "fritzke" (fun config ->
-            run_multicast
-              (module Amcast.Fritzke)
-              ~config ~seed ~groups ~d ~k ());
-        mk "a1" (fun config ->
-            run_multicast (module Amcast.A1) ~config ~seed ~groups ~d ~k ());
-        mk "detmerge" (fun config ->
-            run_multicast
-              (module Amcast.Detmerge)
-              ~config:(detmerge_config config)
-              ~until:(Sim_time.of_sec 2.) ~seed ~groups ~d ~k ());
-      ])
-    cells
-
-let figure_1b_cells ~seed =
-  let cells = [ (2, 2); (3, 2); (4, 2); (3, 3) ] in
-  List.concat_map
-    (fun (groups, d) ->
-      let mk name run =
-        both ~name ~experiment:"figure-1b" ~groups ~d ~k:groups run
-      in
-      [
-        mk "optimistic" (fun config ->
-            run_broadcast
-              (module Amcast.Optimistic)
-              ~config ~seed ~groups ~d ~origin:d ());
-        mk "sequencer" (fun config ->
-            let origin = if d > 1 then 1 else 0 in
-            run_broadcast
-              (module Amcast.Sequencer)
-              ~config ~seed ~groups ~d ~origin ());
-        mk "a2-cold" (fun config ->
-            run_broadcast (module Amcast.A2) ~config ~seed ~groups ~d
-              ~origin:0 ());
-        mk "a2-warm" (fun config -> a2_warm ~config ~seed ~groups ~d);
-        mk "detmerge" (fun config ->
-            run_broadcast
-              (module Amcast.Detmerge)
-              ~config:(detmerge_config config)
-              ~until:(Sim_time.of_sec 2.) ~seed ~groups ~d ~origin:0 ());
-      ])
-    cells
 
 (* ------------------------------------------------------------------ *)
 (* Steady state: a stream of broadcasts, intra-group consensus messages
@@ -272,7 +138,7 @@ let steady_stream (type a) (module P : Amcast.Protocol.S with type t = a)
     ~(instances_at : a -> int) ~config ~seed ~groups ~d ~n =
   let module R = Harness.Runner.Make (P) in
   let topo = Topology.symmetric ~groups ~per_group:d in
-  let dep = R.deploy ~seed ~latency:crisp ~config topo in
+  let dep = R.deploy ~seed ~latency:F1.crisp ~config topo in
   let pids = Array.of_list (Topology.all_pids topo) in
   for i = 0 to n - 1 do
     ignore
@@ -416,21 +282,26 @@ let overlay_cells ~seed =
     let origin =
       List.hd (Topology.members topo (List.nth dest (List.length dest - 1)))
     in
-    let mk name proto expect_genuine =
-      run_overlay_cell proto ~name ~ov_name ~ov ~seed ~d ~dest ~origin
-        ~expect_genuine
+    (* Bound in turn: list literals and [@] evaluate right to left. *)
+    let genuine =
+      List.map
+        (fun (name, proto) ->
+          run_overlay_cell proto ~name ~ov_name ~ov ~seed ~d ~dest ~origin
+            ~expect_genuine:true)
+        [
+          ("a1", (module Amcast.A1 : Amcast.Protocol.S));
+          ("skeen", (module Amcast.Skeen));
+          ("whitebox", (module Amcast.Whitebox));
+          ("flexcast", (module Amcast.Flexcast));
+        ]
     in
-    let all = Topology.all_groups topo in
-    [
-      mk "a1" (module Amcast.A1 : Amcast.Protocol.S) true;
-      mk "skeen" (module Amcast.Skeen) true;
-      mk "whitebox" (module Amcast.Whitebox) true;
-      mk "flexcast" (module Amcast.Flexcast) true;
+    let a2 =
       run_overlay_cell
         (module Amcast.A2)
-        ~name:"a2" ~ov_name ~ov ~seed ~d ~dest:all ~origin:0
-        ~expect_genuine:false;
-    ]
+        ~name:"a2" ~ov_name ~ov ~seed ~d ~dest:(Topology.all_groups topo)
+        ~origin:0 ~expect_genuine:false
+    in
+    genuine @ [ a2 ]
   in
   List.concat_map multicast
     [
@@ -454,7 +325,8 @@ let json_of_cell c =
     \      \"fast\": %s,\n\
     \      \"reference\": %s,\n\
     \      \"inter_identical\": %b, \"degree_identical\": %b }"
-    c.experiment c.algorithm c.c_groups c.c_d c.c_k (json_of_mode c.fast)
+    c.spec.figure c.spec.algorithm c.spec.groups c.spec.d c.spec.k
+    (json_of_mode c.fast)
     (json_of_mode c.reference)
     (c.fast.inter = c.reference.inter)
     (c.fast.degree = c.reference.degree)
@@ -504,18 +376,21 @@ let () =
   Printf.printf
     "msgpath_bench: Figure 1 identity + steady-state economy, seed %d\n%!"
     seed;
-  let cells = figure_1a_cells ~seed @ figure_1b_cells ~seed in
+  let cells = List.map (both ~seed) (F1.figure_1a @ F1.figure_1b) in
   let overlays = overlay_cells ~seed in
   let steadies =
-    [
+    let a1 =
       steady_cell "a1"
         (module Amcast.A1)
         ~instances_at:Amcast.A1.consensus_instances_executed ~seed ~groups:2
-        ~d:3 ~n:20;
+        ~d:3 ~n:20
+    in
+    let a2 =
       steady_cell "a2"
         (module Amcast.A2)
-        ~instances_at:Amcast.A2.rounds_executed ~seed ~groups:2 ~d:3 ~n:20;
-    ]
+        ~instances_at:Amcast.A2.rounds_executed ~seed ~groups:2 ~d:3 ~n:20
+    in
+    [ a1; a2 ]
   in
   let divergent = List.filter diverges cells in
   let min_ratio =

@@ -25,9 +25,7 @@
 open Des
 open Net
 
-let crisp =
-  Latency.uniform ~intra:(Sim_time.of_us 1_000) ~inter:(Sim_time.of_us 50_000)
-    ()
+let crisp = Harness.Figure1.crisp
 
 let ms = Sim_time.of_ms
 let start = ms 1 (* Workload.generate default first-cast instant *)

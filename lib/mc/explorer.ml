@@ -2,8 +2,7 @@ open Des
 open Net
 open Runtime
 
-let crisp_latency =
-  Latency.uniform ~intra:(Sim_time.of_ms 1) ~inter:(Sim_time.of_ms 50) ()
+let crisp_latency = Harness.Figure1.crisp
 
 let mix h v = ((h * 0x100000001b3) + v + 1) land max_int
 

@@ -18,10 +18,9 @@ let contains haystack needle =
     !found
   end
 
-(* A fast latency model for tests: keeps the intra/inter asymmetry but with
-   zero jitter so expectations are exact. *)
-let crisp_latency =
-  Net.Latency.uniform ~intra:(us 1_000) ~inter:(us 50_000) ()
+(* Figure 1's latency model: keeps the intra/inter asymmetry but with zero
+   jitter so expectations are exact. *)
+let crisp_latency = Harness.Figure1.crisp
 
 let wan = Net.Latency.wan_default
 
