@@ -23,38 +23,11 @@
    Defaults: 128 runs per protocol, seed 7, --scale smoke,
    ./BENCH_campaign.json. *)
 
-type target = {
-  name : string;
-  proto : (module Amcast.Protocol.S);
-  broadcast_only : bool;
-  with_crashes : bool;
-  expect_genuine : bool;
-}
-
 let matrix =
-  [
-    {
-      name = "a1";
-      proto = (module Amcast.A1 : Amcast.Protocol.S);
-      broadcast_only = false;
-      with_crashes = true;
-      expect_genuine = true;
-    };
-    {
-      name = "a2";
-      proto = (module Amcast.A2);
-      broadcast_only = true;
-      with_crashes = true;
-      expect_genuine = false;
-    };
-    {
-      name = "fritzke";
-      proto = (module Amcast.Fritzke);
-      broadcast_only = false;
-      with_crashes = true;
-      expect_genuine = true;
-    };
-  ]
+  List.filter
+    (fun (e : Amcast.Catalogue.entry) ->
+      List.mem e.name [ "a1"; "a2"; "fritzke" ])
+    Amcast.Catalogue.all
 
 type measurement = {
   driver : string;
@@ -69,17 +42,16 @@ let measure ~driver ~domains ~runs ~seed =
   let t0 = Unix.gettimeofday () in
   let summaries =
     List.map
-      (fun t ->
-        let summary =
+      (fun (t : Amcast.Catalogue.entry) ->
+        let run =
           match driver with
-          | `Sequential ->
-            Harness.Campaign.run t.proto ~broadcast_only:t.broadcast_only
-              ~with_crashes:t.with_crashes ~expect_genuine:t.expect_genuine
-              ~seed ~runs ()
-          | `Sharded ->
-            Harness.Campaign.run_sharded t.proto
-              ~broadcast_only:t.broadcast_only ~with_crashes:t.with_crashes
-              ~expect_genuine:t.expect_genuine ~domains ~seed ~runs ()
+          | `Sequential -> Harness.Campaign.run
+          | `Sharded -> Harness.Campaign.run_sharded ~domains
+        in
+        let summary =
+          run t.proto ~broadcast_only:t.broadcast_only
+            ~with_crashes:t.crash_tolerant ~expect_genuine:t.genuine ~seed
+            ~runs ()
         in
         (t.name, summary))
       matrix
@@ -340,7 +312,9 @@ let () =
         \"protocols\": [%s] },\n"
        seed runs
        (String.concat ", "
-          (List.map (fun t -> Printf.sprintf "\"%s\"" t.name) matrix)));
+          (List.map
+             (fun (t : Amcast.Catalogue.entry) -> "\"" ^ t.name ^ "\"")
+             matrix)));
   Buffer.add_string buf "  \"results\": [\n";
   Buffer.add_string buf
     (String.concat ",\n"

@@ -20,7 +20,6 @@ let min_reduction = 5.0
 type config = {
   name : string;
   protocol : string;
-  proto : (module Amcast.Protocol.S);
   sizes : int list;
   casts : (int * int * int list * string) list;  (* at_us, origin, gids, payload *)
   reorder : int;  (* delay bound; max_int = unlimited *)
@@ -35,7 +34,6 @@ let matrix =
     {
       name = "a1_1x1_c1";
       protocol = "a1";
-      proto = (module Amcast.A1 : Amcast.Protocol.S);
       sizes = [ 1; 1 ];
       casts = [ global_cast 1_000 0 "m0" ];
       reorder = max_int;
@@ -46,7 +44,6 @@ let matrix =
     {
       name = "a1_2x2_c2_d2";
       protocol = "a1";
-      proto = (module Amcast.A1);
       sizes = [ 2; 2 ];
       casts = [ global_cast 1_000 0 "m0"; global_cast 2_000 0 "m1" ];
       reorder = 2;
@@ -56,7 +53,6 @@ let matrix =
     {
       name = "a2_2x2_c2_d2";
       protocol = "a2";
-      proto = (module Amcast.A2);
       sizes = [ 2; 2 ];
       casts = [ global_cast 1_000 0 "m0"; global_cast 2_000 0 "m1" ];
       reorder = 2;
@@ -65,7 +61,6 @@ let matrix =
     {
       name = "fritzke_1x1_c1";
       protocol = "fritzke";
-      proto = (module Amcast.Fritzke);
       sizes = [ 1; 1 ];
       casts = [ global_cast 1_000 0 "m0" ];
       reorder = max_int;
@@ -74,7 +69,6 @@ let matrix =
     {
       name = "optimistic_1x2_c2";
       protocol = "optimistic";
-      proto = (module Amcast.Optimistic);
       sizes = [ 1; 2 ];
       casts = [ global_cast 1_000 0 "m0"; global_cast 2_000 1 "m1" ];
       reorder = max_int;
@@ -95,7 +89,9 @@ type side = {
 }
 
 let run_side c ~por =
-  let (module P : Amcast.Protocol.S) = c.proto in
+  let (module P : Amcast.Protocol.S) =
+    (Option.get (Amcast.Catalogue.find c.protocol)).proto
+  in
   let module E = Mc.Explorer.Make (P) in
   let topology = Net.Topology.make ~sizes:c.sizes in
   let workload =

@@ -226,9 +226,11 @@ let overlay_crossings ov topo trace =
     (0, 0)
     (Runtime.Trace.entries trace)
 
-let run_overlay_cell (module P : Amcast.Protocol.S) ~name ~ov_name ~ov ~seed
-    ~d ~dest ~origin ~expect_genuine =
+let run_overlay_cell (e : Amcast.Catalogue.entry) ~ov_name ~ov ~seed ~d ~dest
+    ~origin =
+  let module P = (val e.proto) in
   let module R = Harness.Runner.Make (P) in
+  let name = e.name in
   let groups = Overlay.groups ov in
   let topo = Topology.symmetric ~groups ~per_group:d in
   let latency = Overlay.to_latency ov in
@@ -238,7 +240,7 @@ let run_overlay_cell (module P : Amcast.Protocol.S) ~name ~ov_name ~ov ~seed
   let r = R.run_deployment dep in
   let links, inter_c = overlay_crossings ov topo r.trace in
   let violations =
-    Harness.Checker.check_all ~expect_genuine ~check_quiescence:true
+    Harness.Checker.check_all ~expect_genuine:e.genuine ~check_quiescence:true
       ~overlay:ov r
   in
   let c =
@@ -282,25 +284,18 @@ let overlay_cells ~seed =
     let origin =
       List.hd (Topology.members topo (List.nth dest (List.length dest - 1)))
     in
+    let cell name ~dest ~origin =
+      run_overlay_cell
+        (Option.get (Amcast.Catalogue.find name))
+        ~ov_name ~ov ~seed ~d ~dest ~origin
+    in
     (* Bound in turn: list literals and [@] evaluate right to left. *)
     let genuine =
       List.map
-        (fun (name, proto) ->
-          run_overlay_cell proto ~name ~ov_name ~ov ~seed ~d ~dest ~origin
-            ~expect_genuine:true)
-        [
-          ("a1", (module Amcast.A1 : Amcast.Protocol.S));
-          ("skeen", (module Amcast.Skeen));
-          ("whitebox", (module Amcast.Whitebox));
-          ("flexcast", (module Amcast.Flexcast));
-        ]
+        (fun name -> cell name ~dest ~origin)
+        [ "a1"; "skeen"; "whitebox"; "flexcast" ]
     in
-    let a2 =
-      run_overlay_cell
-        (module Amcast.A2)
-        ~name:"a2" ~ov_name ~ov ~seed ~d ~dest:(Topology.all_groups topo)
-        ~origin:0 ~expect_genuine:false
-    in
+    let a2 = cell "a2" ~dest:(Topology.all_groups topo) ~origin:0 in
     genuine @ [ a2 ]
   in
   List.concat_map multicast

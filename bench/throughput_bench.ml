@@ -67,8 +67,8 @@ let mk_workload ~seed ~topo ~dest ~origins ~rate ~duration_s =
     ~arrival:(`Bursty (mean_gap, burst_max))
     ~origins ~origin_zipf:1.5 ()
 
-let run_cell (type a) (module P : Amcast.Protocol.S with type t = a)
-    ~protocol ~mode ~config ~seed ~offered_rate ~window ~topo
+let run_cell (type a) (module P : Amcast.Protocol.S with type t = a) ~mode
+    ~config ~seed ~offered_rate ~window ~topo
     ~(workload : Harness.Workload.t) () =
   let module R = Harness.Runner.Make (P) in
   let t0 = Unix.gettimeofday () in
@@ -99,7 +99,7 @@ let run_cell (type a) (module P : Amcast.Protocol.S with type t = a)
   in
   let c =
     {
-      protocol;
+      protocol = P.name;
       mode;
       offered_rate;
       casts = List.length workload;
@@ -120,7 +120,7 @@ let run_cell (type a) (module P : Amcast.Protocol.S with type t = a)
     "  %-3s %-9s offered %5d/s  delivered %5d/%d (%7.0f/s)  p50 %s p99 %s  \
      batches %d depth %d\n\
      %!"
-    protocol mode offered_rate delivered c.casts c.delivered_rate
+    P.name mode offered_rate delivered c.casts c.delivered_rate
     (match c.p50_ms with Some x -> Printf.sprintf "%6.1fms" x | None -> "-")
     (match c.p99_ms with Some x -> Printf.sprintf "%6.1fms" x | None -> "-")
     c.batches_formed c.pipeline_depth_max;
@@ -143,7 +143,7 @@ type differential = {
 let d_diverges d = d.batched_violations <> d.reference_violations
 
 let run_differential (type a) (module P : Amcast.Protocol.S with type t = a)
-    ~protocol ~scenario ~seed ~dest () =
+    ~scenario ~seed ~dest () =
   let module R = Harness.Runner.Make (P) in
   let topo = Topology.symmetric ~groups:3 ~per_group:3 in
   let rng = Rng.create seed in
@@ -174,7 +174,7 @@ let run_differential (type a) (module P : Amcast.Protocol.S with type t = a)
   in
   let d =
     {
-      d_protocol = protocol;
+      d_protocol = P.name;
       scenario = (match scenario with `Crash -> "crash" | `Nemesis -> "nemesis");
       d_seed = seed;
       batched_violations = check Amcast.Protocol.Config.throughput;
@@ -276,20 +276,18 @@ let () =
           mk_workload ~seed ~topo ~dest:Harness.Workload.To_all_groups
             ~origins ~rate ~duration_s
         in
-        let cell (module P : Amcast.Protocol.S) protocol workload mode config
-            =
-          let (module P) = (module P : Amcast.Protocol.S) in
-          run_cell (module P) ~protocol ~mode ~config ~seed
-            ~offered_rate:rate ~window ~topo ~workload ()
+        let cell (module P : Amcast.Protocol.S) workload mode config =
+          run_cell (module P) ~mode ~config ~seed ~offered_rate:rate ~window
+            ~topo ~workload ()
         in
         [
-          cell (module Amcast.A1) "a1" a1_wl "unbatched"
+          cell (module Amcast.A1) a1_wl "unbatched"
             Amcast.Protocol.Config.default;
-          cell (module Amcast.A1) "a1" a1_wl "batched"
+          cell (module Amcast.A1) a1_wl "batched"
             Amcast.Protocol.Config.throughput;
-          cell (module Amcast.A2) "a2" a2_wl "unbatched"
+          cell (module Amcast.A2) a2_wl "unbatched"
             Amcast.Protocol.Config.default;
-          cell (module Amcast.A2) "a2" a2_wl "batched"
+          cell (module Amcast.A2) a2_wl "batched"
             Amcast.Protocol.Config.throughput;
         ])
       rates
@@ -297,14 +295,13 @@ let () =
   let zipf2 = Harness.Workload.Zipfian_groups { kmax = 2; theta = 1.0 } in
   let differentials =
     [
-      run_differential (module Amcast.A1) ~protocol:"a1" ~scenario:`Crash
-        ~seed ~dest:zipf2 ();
-      run_differential (module Amcast.A1) ~protocol:"a1" ~scenario:`Nemesis
-        ~seed:(seed + 1) ~dest:zipf2 ();
-      run_differential (module Amcast.A2) ~protocol:"a2" ~scenario:`Crash
-        ~seed ~dest:Harness.Workload.To_all_groups ();
-      run_differential (module Amcast.A2) ~protocol:"a2" ~scenario:`Nemesis
-        ~seed:(seed + 1) ~dest:Harness.Workload.To_all_groups ();
+      run_differential (module Amcast.A1) ~scenario:`Crash ~seed ~dest:zipf2 ();
+      run_differential (module Amcast.A1) ~scenario:`Nemesis ~seed:(seed + 1)
+        ~dest:zipf2 ();
+      run_differential (module Amcast.A2) ~scenario:`Crash ~seed
+        ~dest:Harness.Workload.To_all_groups ();
+      run_differential (module Amcast.A2) ~scenario:`Nemesis ~seed:(seed + 1)
+        ~dest:Harness.Workload.To_all_groups ();
     ]
   in
   let top_rate = List.fold_left max 0 rates in

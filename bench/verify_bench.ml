@@ -21,19 +21,11 @@
 
 open Net
 
-type target = {
-  name : string;
-  proto : (module Amcast.Protocol.S);
-  broadcast_only : bool;
-}
-
 let matrix =
-  [
-    { name = "a1"; proto = (module Amcast.A1 : Amcast.Protocol.S);
-      broadcast_only = false };
-    { name = "a2"; proto = (module Amcast.A2); broadcast_only = true };
-    { name = "skeen"; proto = (module Amcast.Skeen); broadcast_only = false };
-  ]
+  List.filter
+    (fun (e : Amcast.Catalogue.entry) ->
+      List.mem e.name [ "a1"; "a2"; "skeen" ])
+    Amcast.Catalogue.all
 
 type row = {
   protocol : string;
@@ -55,7 +47,7 @@ type row = {
   differential_ok : bool option;
 }
 
-let generate_run t ~seed ~n =
+let generate_run (t : Amcast.Catalogue.entry) ~seed ~n =
   let module P = (val t.proto : Amcast.Protocol.S) in
   let module R = Harness.Runner.Make (P) in
   let topo = Topology.symmetric ~groups:3 ~per_group:3 in
@@ -265,7 +257,9 @@ let () =
        (String.concat ", " (List.map string_of_int !scales))
        (String.concat ", " (List.map string_of_int !fast_scales))
        (String.concat ", "
-          (List.map (fun t -> Printf.sprintf "\"%s\"" t.name) matrix)));
+          (List.map
+             (fun (t : Amcast.Catalogue.entry) -> "\"" ^ t.name ^ "\"")
+             matrix)));
   Buffer.add_string buf "  \"results\": [\n";
   Buffer.add_string buf (String.concat ",\n" (List.map json_of_row rows));
   Buffer.add_string buf "\n  ],\n";

@@ -11,14 +11,15 @@
                                               replay a saved trace
 
    Explore options:
-     --protocol NAME        a1|a2|via-broadcast|fritzke|skeen|ring|
-                            scalable|sequencer|optimistic|detmerge
-                            (default a1)
+     --protocol NAME        any Amcast.Catalogue name (default a1);
+                            genuineness is checked iff the entry is
+                            genuine
      --sizes CSV            group sizes (default 2,2)
      --casts N              number of casts, 1ms apart (default 2)
      --dest CSV             destination gids (default: all groups)
      --origins CSV          cast origins, used round-robin (default 0)
-     --config NAME          default|reference|fritzke (default default)
+     --config NAME          a Trace_file.config_of_name preset
+                            (default "default")
      --seed N               deployment seed (default 0)
      --intra-us N           intra-group latency, us (default 1000)
      --inter-us N           inter-group latency, us (default 50000)
@@ -32,7 +33,6 @@
      --fingerprints         enable state-fingerprint pruning
      --max-interleavings N  terminal-state budget (default 200000)
      --max-total-steps N    executed-event budget (default 50000000)
-     --expect-genuine       also check genuineness at terminals
      --no-minimize          report the raw (unminimized) counterexample
      --trace-out FILE       write the counterexample trace file
 
@@ -79,7 +79,6 @@ let () =
   let fingerprints = ref false in
   let max_interleavings = ref 200_000 in
   let max_total_steps = ref 50_000_000 in
-  let expect_genuine = ref false in
   let minimize = ref true in
   let trace_out = ref None in
   let argv = Sys.argv in
@@ -96,9 +95,6 @@ let () =
         parse (i + 1)
       | "--fingerprints" ->
         fingerprints := true;
-        parse (i + 1)
-      | "--expect-genuine" ->
-        expect_genuine := true;
         parse (i + 1)
       | "--no-minimize" ->
         minimize := false;
@@ -159,17 +155,20 @@ let () =
           exit 1
         end))
   | None -> (
-    let pm =
-      match List.assoc_opt !protocol Mc.Trace_file.protocols with
-      | Some pm -> pm
-      | None -> die "unknown protocol %S" !protocol
+    let entry =
+      match Amcast.Catalogue.find !protocol with
+      | Some e -> e
+      | None ->
+        die "unknown protocol %S (one of: %s)" !protocol
+          (String.concat ", "
+             (List.map
+                (fun (e : Amcast.Catalogue.entry) -> e.name)
+                Amcast.Catalogue.all))
     in
     let config =
-      match !config_name with
-      | "default" -> Amcast.Protocol.Config.default
-      | "reference" -> Amcast.Protocol.Config.reference
-      | "fritzke" -> Amcast.Protocol.Config.fritzke
-      | c -> die "unknown config preset %S" c
+      match Mc.Trace_file.config_of_name !config_name with
+      | Some c -> c
+      | None -> die "unknown config preset %S" !config_name
     in
     let topology = Net.Topology.make ~sizes:!sizes in
     let dest_gids =
@@ -192,7 +191,7 @@ let () =
         ~faults:(List.rev !crashes) ?mutation:!mutation ~protocol:!protocol
         ~sizes:!sizes ()
     in
-    let (module Base : Amcast.Protocol.S) = pm in
+    let (module Base : Amcast.Protocol.S) = entry.proto in
     let (module P : Amcast.Protocol.S) =
       match !mutation with
       | None -> (module Base : Amcast.Protocol.S)
@@ -231,7 +230,16 @@ let () =
       E.make_setup ~seed:!seed ~latency ~config ~faults
         ~spurious_timers:!spurious ~reorder_bound:!reorder ~topology workload
     in
-    let check r = Harness.Checker.check_all ~expect_genuine:!expect_genuine r in
+    (* The checks Trace_file.replay applies, so a saved counterexample
+       replays to the same verdict. *)
+    let check r =
+      Harness.Checker.check_all ~expect_genuine:entry.genuine
+        ?conflict:
+          (match config.Amcast.Protocol.Config.conflict with
+          | Amcast.Conflict.Total -> None
+          | c -> Some c)
+        r
+    in
     let opts =
       {
         E.default_opts with

@@ -1,77 +1,23 @@
-(* amcast_sim — run any protocol of the library on a simulated WAN from the
-   command line and report deliveries, latency degrees, message counts and
-   the correctness checks.
+(* amcast_sim — run any protocol of the Amcast.Catalogue on a simulated WAN
+   from the command line and report deliveries, latency degrees, message
+   counts and the correctness checks. The entry's traits pick the run
+   shape and the checks: broadcast-only protocols cast to every group, a
+   protocol that never quiesces runs under a horizon, and a genuine one
+   has its genuineness checked.
 
    Examples:
      amcast_sim --protocol a1 --groups 3 --per-group 2 --messages 10
      amcast_sim --protocol a2 --messages 5 --gap-ms 10 --print-trace
-     amcast_sim --protocol a1 --crash 2@5 --seed 7 *)
+     amcast_sim --protocol a1 --per-group 3 --crash 2@5 --seed 7 *)
 
 open Des
 open Net
 open Cmdliner
 
-type proto =
-  | P_a1
-  | P_a2
-  | P_skeen
-  | P_generic
-  | P_ring
-  | P_scalable
-  | P_sequencer
-  | P_optimistic
-  | P_via_broadcast
-  | P_detmerge
-  | P_fritzke
-  | P_whitebox
-  | P_flexcast
-
-let proto_assoc =
-  [
-    ("a1", P_a1);
-    ("a2", P_a2);
-    ("skeen", P_skeen);
-    ("generic", P_generic);
-    ("ring", P_ring);
-    ("scalable", P_scalable);
-    ("sequencer", P_sequencer);
-    ("optimistic", P_optimistic);
-    ("via-broadcast", P_via_broadcast);
-    ("detmerge", P_detmerge);
-    ("fritzke", P_fritzke);
-    ("whitebox", P_whitebox);
-    ("flexcast", P_flexcast);
-  ]
-
-let module_of = function
-  | P_a1 -> (module Amcast.A1 : Amcast.Protocol.S)
-  | P_a2 -> (module Amcast.A2)
-  | P_skeen -> (module Amcast.Skeen)
-  | P_generic -> (module Amcast.Generic)
-  | P_ring -> (module Amcast.Ring)
-  | P_scalable -> (module Amcast.Scalable)
-  | P_sequencer -> (module Amcast.Sequencer)
-  | P_optimistic -> (module Amcast.Optimistic)
-  | P_via_broadcast -> (module Amcast.Via_broadcast)
-  | P_detmerge -> (module Amcast.Detmerge)
-  | P_fritzke -> (module Amcast.Fritzke)
-  | P_whitebox -> (module Amcast.Whitebox)
-  | P_flexcast -> (module Amcast.Flexcast)
-
-(* Broadcast-only protocols must receive dest = all groups. *)
-let broadcast_only = function
-  | P_a2 | P_sequencer | P_optimistic -> true
-  | P_a1 | P_skeen | P_generic | P_ring | P_scalable | P_via_broadcast
-  | P_detmerge | P_fritzke | P_whitebox | P_flexcast ->
-    false
-
-(* Protocols that never quiesce need a horizon. *)
-let needs_horizon = function P_detmerge -> true | _ -> false
-
-let run_cli proto groups per_group messages seed gap_ms poisson kmax crashes
-    inter_ms intra_ms horizon_ms print_trace print_timeline genuine_check
-    heartbeat_fd fast_lanes batch batch_delay_ms pipeline conflict
-    conflict_rate topology_kind =
+let run_cli (proto : Amcast.Catalogue.entry) groups per_group messages seed
+    gap_ms poisson kmax crashes inter_ms intra_ms horizon_ms print_trace
+    print_timeline heartbeat_fd fast_lanes batch batch_delay_ms pipeline
+    conflict conflict_rate topology_kind =
   let topo = Topology.symmetric ~groups ~per_group in
   (* --topology replaces the uniform latency pair with the overlay's
      routed-path delays and hands the overlay to the protocol config
@@ -106,7 +52,7 @@ let run_cli proto groups per_group messages seed gap_ms poisson kmax crashes
   in
   let rng = Rng.create seed in
   let dest_kind =
-    if broadcast_only proto then Harness.Workload.To_all_groups
+    if proto.broadcast_only then Harness.Workload.To_all_groups
     else Harness.Workload.Random_groups (min kmax groups)
   in
   let workload =
@@ -130,7 +76,7 @@ let run_cli proto groups per_group messages seed gap_ms poisson kmax crashes
     match horizon_ms with
     | Some h -> Some (Sim_time.of_ms h)
     | None ->
-      if needs_horizon proto then
+      if not proto.quiescent then
         Some (Sim_time.of_ms (2_000 + (messages * gap_ms)))
       else None
   in
@@ -170,7 +116,7 @@ let run_cli proto groups per_group messages seed gap_ms poisson kmax crashes
       Some (Sim_time.of_ms (3_000 + (messages * gap_ms)))
     else until
   in
-  let (module P) = module_of proto in
+  let (module P) = proto.proto in
   let module R = Harness.Runner.Make (P) in
   let r = R.run ~seed ~latency ~config ~faults ?until topo workload in
   Fmt.pr "== %s on %d groups x %d processes ==@." P.name groups per_group;
@@ -194,7 +140,7 @@ let run_cli proto groups per_group messages seed gap_ms poisson kmax crashes
       (Harness.Trace_render.pp ?max_rows:None ~topology:topo)
       r.trace;
   let violations =
-    Harness.Checker.check_all ~expect_genuine:genuine_check
+    Harness.Checker.check_all ~expect_genuine:proto.genuine
       ?conflict:
         (match conflict with `Total -> None | `Key | `None -> Some conflict_rel)
       ?overlay r
@@ -213,19 +159,18 @@ let run_cli proto groups per_group messages seed gap_ms poisson kmax crashes
 (* ----- cmdliner terms ----- *)
 
 let proto_t =
-  let protocol_conv = Arg.enum proto_assoc in
+  let names = List.map (fun (e : Amcast.Catalogue.entry) -> e.name) in
+  let entries = Amcast.Catalogue.all in
   Arg.(
     value
-    & opt protocol_conv P_a1
+    & opt (enum (List.combine (names entries) entries)) (List.hd entries)
     & info [ "p"; "protocol" ] ~docv:"PROTO"
         ~doc:
-          "Protocol to run: $(b,a1) (genuine atomic multicast), $(b,a2) \
-           (atomic broadcast), $(b,generic) (conflict-aware multicast, see \
-           $(b,--conflict)), $(b,whitebox) (leader/convoy genuine \
-           multicast), $(b,flexcast) (overlay-routed genuine multicast, \
-           see $(b,--topology)), or a baseline ($(b,skeen), $(b,ring), \
-           $(b,scalable), $(b,sequencer), $(b,optimistic), \
-           $(b,via-broadcast), $(b,detmerge), $(b,fritzke)).")
+          ("Protocol to run, from the catalogue: "
+          ^ String.concat ", " (names entries)
+          ^ ". Broadcast-only protocols cast to every group, a protocol \
+             that never quiesces runs under a horizon, and a genuine one \
+             has its genuineness checked."))
 
 let groups_t =
   Arg.(value & opt int 3 & info [ "g"; "groups" ] ~doc:"Number of groups.")
@@ -343,12 +288,6 @@ let pipeline_t =
            $(b,1) (default) proposes sequentially, one instance at a \
            time.")
 
-let genuine_t =
-  Arg.(
-    value & flag
-    & info [ "check-genuine" ]
-        ~doc:"Additionally check genuineness (for multicast protocols).")
-
 let conflict_t =
   Arg.(
     value
@@ -398,7 +337,7 @@ let cmd =
     Term.(
       const run_cli $ proto_t $ groups_t $ per_group_t $ messages_t $ seed_t
       $ gap_t $ poisson_t $ kmax_t $ crash_t $ inter_t $ intra_t $ horizon_t
-      $ trace_t $ timeline_t $ genuine_t $ heartbeat_t $ fast_lanes_t
+      $ trace_t $ timeline_t $ heartbeat_t $ fast_lanes_t
       $ batch_t $ batch_delay_t $ pipeline_t $ conflict_t $ conflict_rate_t
       $ topology_t)
 

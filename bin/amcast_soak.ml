@@ -1,9 +1,10 @@
-(* amcast_soak — randomised soak campaigns over every protocol.
+(* amcast_soak — randomised soak campaigns over the protocol catalogue.
 
    Runs N random scenarios (topology, workload, crashes, jitter) per
-   protocol, checks every run against the agreement specifications, and
-   exits non-zero on any violation. The CI-style entry point of the
-   library's chaos testing.
+   target, checks every run against the agreement specifications, and
+   exits non-zero on any violation. The targets are the Amcast.Catalogue
+   entries that are quiescent and uniform, in catalogue order. The
+   CI-style entry point of the library's chaos testing.
 
    With DOMAINS > 1 the scenarios of each campaign are fanned out across
    that many OCaml domains (Harness.Pool); the summaries — and the exit
@@ -147,32 +148,21 @@ let () =
       | d -> d
     else 1
   in
-  (* Fault-tolerant protocols are soaked with crashes; the failure-free
-     baselines (Figure 1's model for them) without. Quiescence holds for
-     every target: all soak runs execute without a horizon and must drain.
-     Causal delivery order is asserted for none — not even A2: its derived
-     guarantee only covers causality that crosses rounds (the chain-style
-     runs of [prop_a2_causal_chain]); under a Poisson workload an
+  (* The targets are the catalogue's quiescent, uniform protocols: every
+     soak run executes without a horizon and must drain. Fault-tolerant
+     protocols are soaked with crashes; the failure-free baselines
+     (Figure 1's model for them) without. Causal delivery order is
+     asserted for none — not even A2: its derived guarantee only covers
+     causality that crosses rounds (the chain-style runs of
+     [prop_a2_causal_chain]); under a Poisson workload an
      R-Deliver-then-cast chain can fit inside one round, whose id-sorted
      bundle delivery legitimately reorders the pair. The causal checker is
      still soak-exercised differentially (fast vs reference) by the
      checker test suite. *)
   let targets =
-    [
-      ( "a1",
-        (module Amcast.A1 : Amcast.Protocol.S),
-        false, true, true, false, true );
-      ("a2", (module Amcast.A2), true, true, false, false, true);
-      ("via-broadcast", (module Amcast.Via_broadcast), false, true, false, false, true);
-      ("fritzke", (module Amcast.Fritzke), false, true, true, false, true);
-      ("skeen", (module Amcast.Skeen), false, false, true, false, true);
-      ("generic", (module Amcast.Generic), false, false, true, false, true);
-      ("ring", (module Amcast.Ring), false, false, true, false, true);
-      ("scalable", (module Amcast.Scalable), false, false, true, false, true);
-      ("sequencer", (module Amcast.Sequencer), true, false, false, false, true);
-      ("whitebox", (module Amcast.Whitebox), false, true, true, false, true);
-      ("flexcast", (module Amcast.Flexcast), false, false, true, false, true);
-    ]
+    List.filter
+      (fun (e : Amcast.Catalogue.entry) -> e.quiescent && e.uniform)
+      Amcast.Catalogue.all
   in
   let overlay_kind = !overlay_kind in
   (* The conflict relation only reaches the generic target's config — the
@@ -193,27 +183,21 @@ let () =
   in
   let failed = ref false in
   List.iter
-    (fun ( name,
-           proto,
-           broadcast_only,
-           with_crashes,
-           expect_genuine,
-           check_causal,
-           check_quiescence ) ->
-      Fmt.pr "@.== %s: %d runs%s%s%s ==@." name runs
-        (if with_crashes then " (with crash injection)" else "")
+    (fun (e : Amcast.Catalogue.entry) ->
+      Fmt.pr "@.== %s: %d runs%s%s%s ==@." e.name runs
+        (if e.crash_tolerant then " (with crash injection)" else "")
         (if with_nemesis then " (with nemesis plans)" else "")
         (if domains > 1 then Fmt.str " on %d domains" domains else "");
       let config =
-        if name = "generic" then
+        if e.name = "generic" then
           { config with Amcast.Protocol.Config.conflict = conflict_rel }
         else config
       in
       let summary =
-        Harness.Campaign.run_parallel proto ~config
-          ?conflict:workload_conflict ?overlay_kind ~expect_genuine
-          ~check_causal ~check_quiescence ~broadcast_only ~with_crashes
-          ~with_nemesis ~domains ~seed ~runs ()
+        Harness.Campaign.run_parallel e.proto ~config
+          ?conflict:workload_conflict ?overlay_kind ~expect_genuine:e.genuine
+          ~check_quiescence:true ~broadcast_only:e.broadcast_only
+          ~with_crashes:e.crash_tolerant ~with_nemesis ~domains ~seed ~runs ()
       in
       Fmt.pr "%a@." Harness.Campaign.pp_summary summary;
       if summary.failures <> [] then failed := true)

@@ -73,8 +73,11 @@ type cell = {
 let detmerge_config config =
   { config with Amcast.Protocol.Config.null_period = ms 200 }
 
-(* [1] never quiesces (null stream): its probe runs under a horizon. *)
-let horizon = Sim_time.of_sec 2.
+(* A catalogue entry's module, and the horizon its probe runs under if it
+   never quiesces ([1]'s null stream). *)
+let resolve name =
+  let e = Option.get (Amcast.Catalogue.find name) in
+  (e.proto, if e.quiescent then None else Some (Sim_time.of_sec 2.))
 
 let figure_1a =
   let groups = 4 in
@@ -96,20 +99,20 @@ let figure_1a =
           run;
         }
       in
-      let mc ?until proto = multicast ?until proto ~groups ~d ~k in
+      let mc name =
+        let proto, until = resolve name in
+        multicast ?until proto ~groups ~d ~k
+      in
       [
-        cell "ring" "[4] ring" "O(kd^2)" Complexity.ring
-          (mc (module Amcast.Ring));
+        cell "ring" "[4] ring" "O(kd^2)" Complexity.ring (mc "ring");
         cell "scalable" "[10] scalable" "O(k^2d^2)" Complexity.scalable
-          (mc (module Amcast.Scalable));
+          (mc "scalable");
         cell "fritzke" "[5] fritzke" "O(k^2d^2)" Complexity.fritzke
-          (mc (module Amcast.Fritzke));
-        cell "a1" "A1" "O(k^2d^2)" Complexity.a1 (mc (module Amcast.A1));
+          (mc "fritzke");
+        cell "a1" "A1" "O(k^2d^2)" Complexity.a1 (mc "a1");
         cell "detmerge" "[1] detmerge" "O(kd)" Complexity.detmerge_multicast
           ~measure:Saturated_stream (fun ~config ->
-            mc ~until:horizon
-              (module Amcast.Detmerge)
-              ~config:(detmerge_config config));
+            mc "detmerge" ~config:(detmerge_config config));
       ])
     [ (2, 1); (2, 2); (2, 3); (3, 2); (4, 2) ]
 
@@ -131,19 +134,20 @@ let figure_1b =
           run;
         }
       in
-      let bc ?until proto = broadcast ?until proto ~groups ~d in
+      let bc name =
+        let proto, until = resolve name in
+        broadcast ?until proto ~groups ~d
+      in
       [
         cell "optimistic" "[12] optimistic" 2 "O(n)"
-          (bc (module Amcast.Optimistic) ~origin:d);
+          (bc "optimistic" ~origin:d);
         cell "sequencer" "[13] sequencer" 2 "O(n^2)"
-          (bc (module Amcast.Sequencer) ~origin:(if d > 1 then 1 else 0));
-        cell "a2-cold" "A2 (cold)" 2 "O(n^2)" (bc (module Amcast.A2) ~origin:0);
+          (bc "sequencer" ~origin:(if d > 1 then 1 else 0));
+        cell "a2-cold" "A2 (cold)" 2 "O(n^2)" (bc "a2" ~origin:0);
         cell "a2-warm" "A2 (warm)" 1 "O(n^2)" (a2_warm ~groups ~d);
         cell "detmerge" "[1] detmerge" 1 "O(n)" ~measure:Saturated_stream
           (fun ~config ->
-            bc ~until:horizon
-              (module Amcast.Detmerge)
-              ~origin:0 ~config:(detmerge_config config));
+            bc "detmerge" ~origin:0 ~config:(detmerge_config config));
       ])
     [ (2, 2); (3, 2); (4, 2); (3, 3) ]
 

@@ -196,23 +196,6 @@ let load path =
   | s -> of_string s
   | exception Sys_error e -> Error e
 
-let protocols : (string * (module Amcast.Protocol.S)) list =
-  [
-    ("a1", (module Amcast.A1));
-    ("a2", (module Amcast.A2));
-    ("via-broadcast", (module Amcast.Via_broadcast));
-    ("fritzke", (module Amcast.Fritzke));
-    ("skeen", (module Amcast.Skeen));
-    ("generic", (module Amcast.Generic));
-    ("ring", (module Amcast.Ring));
-    ("scalable", (module Amcast.Scalable));
-    ("sequencer", (module Amcast.Sequencer));
-    ("optimistic", (module Amcast.Optimistic));
-    ("detmerge", (module Amcast.Detmerge));
-    ("whitebox", (module Amcast.Whitebox));
-    ("flexcast", (module Amcast.Flexcast));
-  ]
-
 let config_of_name = function
   | "default" -> Some Amcast.Protocol.Config.default
   | "reference" -> Some Amcast.Protocol.Config.reference
@@ -228,13 +211,13 @@ let config_of_name = function
   | _ -> None
 
 let replay ?max_steps t =
-  match List.assoc_opt t.protocol protocols with
+  match Amcast.Catalogue.find t.protocol with
   | None -> Error (Printf.sprintf "unknown protocol %S" t.protocol)
-  | Some pm -> (
+  | Some { proto; genuine; _ } -> (
     match config_of_name t.config with
     | None -> Error (Printf.sprintf "unknown config preset %S" t.config)
     | Some config ->
-      let (module Base : Amcast.Protocol.S) = pm in
+      let (module Base : Amcast.Protocol.S) = proto in
       let (module P : Amcast.Protocol.S) =
         match t.mutation with
         | None -> (module Base : Amcast.Protocol.S)
@@ -293,4 +276,7 @@ let replay ?max_steps t =
         | Amcast.Conflict.Total -> None
         | c -> Some c
       in
-      Ok (r, Harness.Checker.check_all ?conflict:order_conflict ?overlay r))
+      Ok
+        ( r,
+          Harness.Checker.check_all ~expect_genuine:genuine
+            ?conflict:order_conflict ?overlay r ))

@@ -1,10 +1,10 @@
 (** Replayable counterexample traces.
 
     A trace file captures everything needed to reproduce one explored
-    schedule bit-identically: the protocol (by registry name), topology
-    sizes, seed, zero-jitter latency pair, config preset, spurious-timer
-    budget, workload, faults, optional seeded mutation and the choice
-    sequence. The format is line-based and versioned
+    schedule bit-identically: the protocol (by its {!Amcast.Catalogue}
+    name), topology sizes, seed, zero-jitter latency pair, config preset,
+    spurious-timer budget, workload, faults, optional seeded mutation and
+    the choice sequence. The format is line-based and versioned
     ([amcast-mc-trace/v1]) so counterexamples can be checked into the
     corpus, attached to CI failures and replayed by [amcast_mc --replay].
 
@@ -24,12 +24,12 @@
     v} *)
 
 type t = {
-  protocol : string;  (** Registry name, e.g. ["a1"]. *)
+  protocol : string;  (** {!Amcast.Catalogue} name, e.g. ["a1"]. *)
   sizes : int list;  (** Group sizes ({!Net.Topology.make}). *)
   seed : int;
   intra_us : int;  (** Intra-group latency, microseconds, no jitter. *)
   inter_us : int;  (** Inter-group latency, microseconds, no jitter. *)
-  config : string;  (** Config preset: "default" | "reference" | "fritzke". *)
+  config : string;  (** Config preset, see {!config_of_name}. *)
   overlay : Net.Overlay.kind option;
       (** Overlay geometry ([overlay hub] line; absent = clique model,
           byte-identical to older traces). On replay the latency matrix
@@ -76,15 +76,17 @@ val of_string : string -> (t, string) result
 val save : string -> t -> unit
 val load : string -> (t, string) result
 
-val protocols : (string * (module Amcast.Protocol.S)) list
-(** The replay registry: every multicast/broadcast protocol of the
-    library by its [amcast_soak] name. *)
+val config_of_name : string -> Amcast.Protocol.Config.t option
+(** The config presets a trace may name: ["default"], ["reference"],
+    ["fritzke"] and ["generic-key"] ({!Amcast.Protocol.Config.default}
+    with the {!Amcast.Conflict.payload_key} conflict relation). *)
 
 val replay : ?max_steps:int -> t -> (Harness.Run_result.t * string list, string) result
-(** Resolves the protocol (applying the mutation, if any), replays the
-    schedule through {!Explorer.Make.replay} and runs
-    {!Harness.Checker.check_all} with its defaults on the result — except
-    that a config preset carrying a non-total conflict relation (the
+(** Resolves the protocol in {!Amcast.Catalogue} (applying the mutation,
+    if any), replays the schedule through {!Explorer.Make.replay} and runs
+    {!Harness.Checker.check_all} on the result, with genuineness checked
+    iff the entry is genuine (overlay-aware under an [overlay] line). A
+    config preset carrying a non-total conflict relation (the
     ["generic-key"] preset) switches the ordering property to the relaxed
     {!Harness.Checker.conflict_order}. [Ok (run, violations)] — an empty
     violation list means the replayed schedule satisfies the checked

@@ -268,7 +268,8 @@ let crash_faults s topo =
       (Topology.all_groups topo)
   end
 
-let run_scenario (module P : Amcast.Protocol.S) ~broadcast s =
+let run_scenario (e : Amcast.Catalogue.entry) s =
+  let module P = (val e.proto) in
   let module R = Harness.Runner.Make (P) in
   let topo = Topology.symmetric ~groups:s.groups ~per_group:s.per_group in
   let latency = if s.jitter then Latency.wan_default else Util.crisp_latency in
@@ -276,7 +277,7 @@ let run_scenario (module P : Amcast.Protocol.S) ~broadcast s =
   let workload =
     Harness.Workload.generate ~rng ~topology:topo ~n:s.n_msgs
       ~dest:
-        (if broadcast then Harness.Workload.To_all_groups
+        (if e.broadcast_only then Harness.Workload.To_all_groups
          else Harness.Workload.Random_groups s.groups)
       ~arrival:(`Poisson (Sim_time.of_ms 20))
       ()
@@ -347,19 +348,14 @@ let differential_ok s r =
           (Harness.Checker.Reference.causal_delivery_order r)
      || fail "causal differential mismatch in %s")
 
-let prop_differential_a1 s =
-  differential_ok s (run_scenario (module Amcast.A1) ~broadcast:false s)
-
-let prop_differential_a2 s =
-  (* A2 with crashes and tight arrivals does produce genuine causal-order
-     violations (same-round chains); the differential must hold on those
-     non-empty violation sets too. *)
-  differential_ok s (run_scenario (module Amcast.A2) ~broadcast:true s)
-
-let prop_differential_skeen s =
-  differential_ok s
-    (run_scenario (module Amcast.Skeen) ~broadcast:false
-       { s with crashes = false })
+(* Crashes are injected only into crash-tolerant protocols. A2 with
+   crashes and tight arrivals does produce genuine causal-order violations
+   (same-round chains); the differential must hold on those non-empty
+   violation sets too. *)
+let prop_differential name s =
+  let e = Util.entry name in
+  let s = if e.crash_tolerant then s else { s with crashes = false } in
+  differential_ok s (run_scenario e s)
 
 (* ----- Hand-built causal-order cases ----- *)
 
@@ -628,9 +624,9 @@ let test_reachability_edge_cases () =
     (reachability_agrees trace
        [ id 3; id 0; id 7; id 1; id 0; id 2; id 6; id 3 ])
 
-let prop_reachability_run (module P : Amcast.Protocol.S) ~broadcast s =
+let prop_reachability_run name s =
   let s = { s with crashes = true } in
-  let r = run_scenario (module P) ~broadcast s in
+  let r = run_scenario (Util.entry name) s in
   let ids =
     List.map (fun (c : Harness.Run_result.cast_event) -> c.msg.Amcast.Msg.id)
       r.casts
@@ -653,11 +649,11 @@ let suites =
         Alcotest.test_case "causal differential (violating run)" `Quick
           test_causal_differential_synthetic;
         Util.qcheck_case ~count:20 ~name:"a1: fast checkers = reference"
-          scenario_gen prop_differential_a1;
+          scenario_gen (prop_differential "a1");
         Util.qcheck_case ~count:20 ~name:"a2: fast checkers = reference"
-          scenario_gen prop_differential_a2;
+          scenario_gen (prop_differential "a2");
         Util.qcheck_case ~count:15 ~name:"skeen: fast checkers = reference"
-          scenario_gen prop_differential_skeen;
+          scenario_gen (prop_differential "skeen");
         Alcotest.test_case "causal: chain through a non-casting relay" `Quick
           test_causal_relay_chain;
         Alcotest.test_case "causal: concurrent casts never flagged" `Quick
@@ -670,15 +666,15 @@ let suites =
           synthetic_gen prop_reachability_synthetic;
         Util.qcheck_case ~count:15 ~name:"reachability = pairwise (a1, crashes)"
           scenario_gen
-          (prop_reachability_run (module Amcast.A1) ~broadcast:false);
+          (prop_reachability_run "a1");
         Util.qcheck_case ~count:15 ~name:"reachability = pairwise (a2, crashes)"
           scenario_gen
-          (prop_reachability_run (module Amcast.A2) ~broadcast:true);
+          (prop_reachability_run "a2");
         Util.qcheck_case ~count:15
           ~name:"reachability = pairwise (skeen, crashes)" scenario_gen
-          (prop_reachability_run (module Amcast.Skeen) ~broadcast:false);
+          (prop_reachability_run "skeen");
         Util.qcheck_case ~count:15
           ~name:"reachability = pairwise (whitebox, crashes)" scenario_gen
-          (prop_reachability_run (module Amcast.Whitebox) ~broadcast:false);
+          (prop_reachability_run "whitebox");
       ] );
   ]

@@ -390,16 +390,16 @@ let test_send_multi_equivalence () =
    deterministic scenarios (crash schedules are exercised by the direct
    paxos/rmcast differentials above). *)
 
-let campaign_differential ?broadcast_only ?expect_genuine name proto =
-  Alcotest.test_case name `Slow (fun () ->
+let campaign_differential (e : Amcast.Catalogue.entry) =
+  Alcotest.test_case e.name `Slow (fun () ->
       let scenarios =
-        Harness.Campaign.scenarios ?broadcast_only ~with_crashes:false
-          ~seed:99 ~runs:6 ()
+        Harness.Campaign.scenarios ~broadcast_only:e.broadcast_only
+          ~with_crashes:false ~seed:99 ~runs:6 ()
         |> List.map (fun s -> { s with Harness.Campaign.jitter = false })
       in
       let run config =
-        Harness.Campaign.run_scenarios proto ~config ?expect_genuine
-          scenarios
+        Harness.Campaign.run_scenarios e.proto ~config
+          ~expect_genuine:e.genuine scenarios
       in
       let fast = run Amcast.Protocol.Config.default in
       let reference = run Amcast.Protocol.Config.reference in
@@ -437,20 +437,8 @@ let suites =
           test_send_multi_equivalence;
       ] );
     ( "fast-lanes-campaign",
-      [
-        campaign_differential ~expect_genuine:true "a1"
-          (module Amcast.A1 : Amcast.Protocol.S);
-        campaign_differential ~broadcast_only:true "a2" (module Amcast.A2);
-        campaign_differential "via-broadcast" (module Amcast.Via_broadcast);
-        campaign_differential ~expect_genuine:true "fritzke"
-          (module Amcast.Fritzke);
-        campaign_differential ~expect_genuine:true "skeen"
-          (module Amcast.Skeen);
-        campaign_differential ~expect_genuine:true "ring"
-          (module Amcast.Ring);
-        campaign_differential ~expect_genuine:true "scalable"
-          (module Amcast.Scalable);
-        campaign_differential ~broadcast_only:true "sequencer"
-          (module Amcast.Sequencer);
-      ] );
+      List.map campaign_differential
+        (List.filter
+           (fun (e : Amcast.Catalogue.entry) -> e.quiescent && e.uniform)
+           Amcast.Catalogue.all) );
   ]

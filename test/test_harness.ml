@@ -482,6 +482,77 @@ let test_crashed_without_trace () =
   Alcotest.check rows "deliveries, trace on = off" (deliveries traced)
     (deliveries untraced)
 
+(* ----- The protocol catalogue: each trait is a true claim ----- *)
+
+module Cat = Amcast.Catalogue
+
+let test_catalogue_names () =
+  let names = List.map (fun (e : Cat.entry) -> e.name) Cat.all in
+  Alcotest.(check int) "13 protocols" 13 (List.length names);
+  Alcotest.(check int) "unique names" 13
+    (List.length (List.sort_uniq String.compare names));
+  List.iter
+    (fun (e : Cat.entry) ->
+      let (module P) = e.proto in
+      Alcotest.(check string) "entry name = P.name" P.name e.name;
+      Alcotest.(check (option string))
+        "find" (Some e.name)
+        (Option.map (fun (f : Cat.entry) -> f.name) (Cat.find e.name)))
+    Cat.all;
+  Alcotest.(check bool) "find unknown" true (Cat.find "nope" = None)
+
+(* Four casts on three groups of two, from groups 0 and 1. Multicasts
+   address groups 0 and 1 only, so a genuine protocol keeps group 2
+   silent; broadcast-only entries cast to every group. *)
+let catalogue_run ?until ?max_steps (e : Cat.entry) =
+  let module P = (val e.proto) in
+  let module R = Harness.Runner.Make (P) in
+  let topo = Topology.symmetric ~groups:3 ~per_group:2 in
+  let dest = if e.broadcast_only then [ 0; 1; 2 ] else [ 0; 1 ] in
+  let workload =
+    List.init 4 (fun i ->
+        {
+          Harness.Workload.at = Sim_time.of_ms (1 + (10 * i));
+          origin = 2 * (i mod 2);
+          dest;
+          payload = "m" ^ string_of_int i;
+        })
+  in
+  R.run ~latency:Util.crisp_latency ?until ?max_steps topo workload
+
+let test_catalogue_genuine () =
+  let multicast =
+    List.filter (fun (e : Cat.entry) -> not e.broadcast_only) Cat.all
+  in
+  Alcotest.(check (list string))
+    "non-genuine multicast entries" [ "via-broadcast"; "detmerge" ]
+    (List.filter_map
+       (fun (e : Cat.entry) -> if e.genuine then None else Some e.name)
+       multicast);
+  List.iter
+    (fun (e : Cat.entry) ->
+      let until = if e.quiescent then None else Some (Sim_time.of_sec 2.) in
+      let r = catalogue_run ?until e in
+      Alcotest.(check bool)
+        (e.name ^ " passes genuineness")
+        e.genuine
+        (Harness.Checker.genuineness r = []))
+    multicast
+
+let test_catalogue_quiescent () =
+  List.iter
+    (fun (e : Cat.entry) ->
+      let drained =
+        match catalogue_run ~max_steps:200_000 e with
+        | r -> r.drained
+        | exception Failure _ -> false
+      in
+      Alcotest.(check bool) (e.name ^ " drains with no horizon") e.quiescent
+        drained)
+    Cat.all;
+  Alcotest.(check bool) "detmerge is not quiescent" false
+    (Option.get (Cat.find "detmerge")).quiescent
+
 let suites =
   [
     ( "harness",
@@ -522,5 +593,10 @@ let suites =
           test_campaign_reports_scenarios;
         Alcotest.test_case "crashed set without the trace" `Quick
           test_crashed_without_trace;
+        Alcotest.test_case "catalogue: names" `Quick test_catalogue_names;
+        Alcotest.test_case "catalogue: genuine entries are genuine" `Quick
+          test_catalogue_genuine;
+        Alcotest.test_case "catalogue: quiescent entries drain" `Quick
+          test_catalogue_quiescent;
       ] );
   ]

@@ -9,23 +9,6 @@ open Net
 open Runtime
 module N = Harness.Nemesis
 
-let all_protocols :
-    (string * (module Amcast.Protocol.S) * bool * bool) list =
-  (* name, protocol, broadcast_only, with_crashes — mirrors the soak
-     binary's target list. *)
-  [
-    ("a1", (module Amcast.A1), false, true);
-    ("a2", (module Amcast.A2), true, true);
-    ("via-broadcast", (module Amcast.Via_broadcast), false, true);
-    ("fritzke", (module Amcast.Fritzke), false, true);
-    ("skeen", (module Amcast.Skeen), false, false);
-    ("ring", (module Amcast.Ring), false, false);
-    ("scalable", (module Amcast.Scalable), false, false);
-    ("sequencer", (module Amcast.Sequencer), true, false);
-    ("whitebox", (module Amcast.Whitebox), false, true);
-    ("flexcast", (module Amcast.Flexcast), false, false);
-  ]
-
 (* --- The plan type itself. --- *)
 
 let test_make_rejects_unhealed_partition () =
@@ -227,16 +210,18 @@ let test_generate_follows_cut_edges () =
   | _ -> Alcotest.fail "group-count mismatch accepted"
   | exception Invalid_argument _ -> ()
 
-(* --- Campaigns under generated plans, every protocol. --- *)
+(* --- Campaigns under generated plans, every soak target (the quiescent,
+   uniform catalogue entries). --- *)
 
-let campaign_case (name, proto, broadcast_only, with_crashes) =
-  Alcotest.test_case name `Quick (fun () ->
+let campaign_case (e : Amcast.Catalogue.entry) =
+  Alcotest.test_case e.name `Quick (fun () ->
       let summary =
-        Harness.Campaign.run proto ~broadcast_only ~with_crashes
-          ~with_nemesis:true ~check_quiescence:true ~seed:1234 ~runs:8 ()
+        Harness.Campaign.run e.proto ~broadcast_only:e.broadcast_only
+          ~with_crashes:e.crash_tolerant ~with_nemesis:true
+          ~check_quiescence:true ~seed:1234 ~runs:8 ()
       in
       Alcotest.(check int)
-        (Fmt.str "%s: all nemesis runs clean" name)
+        (Fmt.str "%s: all nemesis runs clean" e.name)
         summary.runs summary.clean;
       Alcotest.(check bool) "non-trivial" true (summary.delivered_total > 0))
 
@@ -400,5 +385,9 @@ let suites =
         Alcotest.test_case "a2 misprediction restart (Thm 5.2)" `Quick
           test_a2_misprediction_restart;
       ] );
-    ("nemesis-campaign", List.map campaign_case all_protocols);
+    ( "nemesis-campaign",
+      List.map campaign_case
+        (List.filter
+           (fun (e : Amcast.Catalogue.entry) -> e.quiescent && e.uniform)
+           Amcast.Catalogue.all) );
   ]

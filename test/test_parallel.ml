@@ -65,16 +65,18 @@ let test_parallel_outcomes_in_scenario_order () =
    summary — violations, delivered counts, per-scenario outcomes, event
    counts — is structurally identical to the sequential one's, for any
    domain count. *)
-let determinism ?broadcast_only ?(with_crashes = true) name proto =
+let determinism name (e : Amcast.Catalogue.entry) =
   Alcotest.test_case name `Slow (fun () ->
+      let broadcast_only = e.broadcast_only
+      and with_crashes = e.crash_tolerant in
       let seq =
-        Harness.Campaign.run proto ?broadcast_only ~with_crashes ~seed:42
+        Harness.Campaign.run e.proto ~broadcast_only ~with_crashes ~seed:42
           ~runs:10 ()
       in
       List.iter
         (fun domains ->
           let par =
-            Harness.Campaign.run_parallel proto ?broadcast_only ~with_crashes
+            Harness.Campaign.run_parallel e.proto ~broadcast_only ~with_crashes
               ~domains ~seed:42 ~runs:10 ()
           in
           Alcotest.(check bool)
@@ -98,13 +100,10 @@ let suites =
           test_pool_propagates_exception;
         Alcotest.test_case "parallel outcomes keep scenario order" `Quick
           test_parallel_outcomes_in_scenario_order;
-        determinism ~with_crashes:true "campaign determinism: a1 (crashes)"
-          (module Amcast.A1 : Amcast.Protocol.S);
-        determinism ~broadcast_only:true ~with_crashes:true
-          "campaign determinism: a2 (broadcast, crashes)"
-          (module Amcast.A2);
-        determinism ~with_crashes:false
-          "campaign determinism: ring (failure-free)"
-          (module Amcast.Ring);
+        determinism "campaign determinism: a1 (crashes)" (Util.entry "a1");
+        determinism "campaign determinism: a2 (broadcast, crashes)"
+          (Util.entry "a2");
+        determinism "campaign determinism: ring (failure-free)"
+          (Util.entry "ring");
       ] );
   ]

@@ -1,12 +1,14 @@
-(* Randomised soak campaigns, one per protocol family — the same engine
-   bin/amcast_soak drives, kept small enough for the test suite. *)
+(* Randomised soak campaigns over bin/amcast_soak's targets (the
+   quiescent, uniform catalogue entries) — the same engine, kept small
+   enough for the test suite. *)
 
-let campaign ?(broadcast_only = false) ?(with_crashes = false)
-    ?(expect_genuine = false) ?config ?conflict ?(seed = 99) name proto =
-  Alcotest.test_case name `Slow (fun () ->
+let campaign ?config ?conflict ?name (e : Amcast.Catalogue.entry) =
+  Alcotest.test_case (Option.value name ~default:e.name) `Slow (fun () ->
       let summary =
-        Harness.Campaign.run proto ?config ?conflict ~expect_genuine
-          ~broadcast_only ~with_crashes ~seed ~runs:12 ()
+        Harness.Campaign.run e.proto ?config ?conflict
+          ~expect_genuine:e.genuine ~check_quiescence:true
+          ~broadcast_only:e.broadcast_only ~with_crashes:e.crash_tolerant
+          ~seed:99 ~runs:12 ()
       in
       (match summary.failures with
       | [] -> ()
@@ -50,26 +52,23 @@ let generic_key_config =
   }
 
 let suites =
+  let targets =
+    List.filter
+      (fun (e : Amcast.Catalogue.entry) -> e.quiescent && e.uniform)
+      Amcast.Catalogue.all
+  in
+  let generic = Option.get (Amcast.Catalogue.find "generic") in
   [
     ( "soak",
-      [
-        campaign ~with_crashes:true ~expect_genuine:true "a1"
-          (module Amcast.A1 : Amcast.Protocol.S);
-        campaign ~with_crashes:true ~broadcast_only:true "a2"
-          (module Amcast.A2);
-        campaign ~with_crashes:true "via-broadcast"
-          (module Amcast.Via_broadcast);
-        campaign ~with_crashes:true ~expect_genuine:true "fritzke"
-          (module Amcast.Fritzke);
-        campaign ~expect_genuine:true "skeen" (module Amcast.Skeen);
-        campaign ~expect_genuine:true "generic (total conflict)"
-          (module Amcast.Generic);
-        campaign ~expect_genuine:true ~config:generic_key_config
-          ~conflict:(Harness.Workload.conflict_spec 0.5)
-          "generic (keyed conflicts)" (module Amcast.Generic);
-        campaign ~expect_genuine:true "ring" (module Amcast.Ring);
-        ring_seed0_regression;
-        campaign ~expect_genuine:true "scalable" (module Amcast.Scalable);
-        campaign ~broadcast_only:true "sequencer" (module Amcast.Sequencer);
-      ] );
+      List.map
+        (fun (e : Amcast.Catalogue.entry) ->
+          if e == generic then campaign ~name:"generic (total conflict)" e
+          else campaign e)
+        targets
+      @ [
+          campaign ~config:generic_key_config
+            ~conflict:(Harness.Workload.conflict_spec 0.5)
+            ~name:"generic (keyed conflicts)" generic;
+          ring_seed0_regression;
+        ] );
   ]

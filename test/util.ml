@@ -24,6 +24,11 @@ let crisp_latency = Harness.Figure1.crisp
 
 let wan = Net.Latency.wan_default
 
+let entry name =
+  match Amcast.Catalogue.find name with
+  | Some e -> e
+  | None -> Alcotest.failf "no catalogue entry %S" name
+
 let degree_of result id =
   match Harness.Metrics.latency_degree result id with
   | Some d -> d
