@@ -4,10 +4,15 @@ type wire = A1.wire
 let name = "fritzke"
 let tag = A1.tag
 
-let create ~services ~config:_ ~deliver =
-  (* The baseline ignores the caller's optimisation flags: it *is* the
-     configuration with every optimisation off. *)
-  A1.create ~services ~config:Protocol.Config.fritzke ~deliver
+let create ~services ~config ~deliver =
+  (* The baseline is A1 with both stage skips off; every other knob (fast
+     lanes, batching, pipelining, detector, overlay) is the caller's. Under
+     Config.default this is Config.fritzke. *)
+  A1.create ~services
+    ~config:
+      { config with Protocol.Config.skip_single_group = false;
+        skip_max_group = false }
+    ~deliver
 
 let cast = A1.cast
 let on_receive = A1.on_receive

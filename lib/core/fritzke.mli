@@ -13,6 +13,11 @@
       uniform primitive of Frolund & Pedone [6] (latency degree 1, same
       failure-free message pattern as the eager non-uniform one).
 
+    The caller's config applies except for the two skips, which are always
+    off: under {!Protocol.Config.default} the baseline runs
+    {!Protocol.Config.fritzke}, and under {!Protocol.Config.reference} the
+    reference message pattern.
+
     Latency degree is still 2 for multi-group messages (Figure 1a): the
     stage skips save {e intra-group} work, not inter-group delays. The
     ablation benchmark quantifies exactly that — consensus instances and

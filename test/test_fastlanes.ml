@@ -417,6 +417,31 @@ let campaign_differential (e : Amcast.Catalogue.entry) =
           Alcotest.(check bool) "drained" r.drained f.drained)
         fast reference)
 
+(* The fast lanes are an intra-group economy, and fritzke runs them too: on
+   the d=2 Figure 1(a) cell the reference pattern sends more intra-group
+   messages, with the same degree and inter-group count. *)
+let test_fritzke_reference_config () =
+  let cell =
+    List.find
+      (fun (c : Harness.Figure1.cell) ->
+        c.algorithm = "fritzke" && c.k = 2 && c.d = 2)
+      Harness.Figure1.figure_1a
+  in
+  let run config =
+    let (r : Harness.Run_result.t), id = cell.run ~config ~seed:0 in
+    (r, Harness.Metrics.latency_degree r id)
+  in
+  let fast, fast_degree = run Amcast.Protocol.Config.default in
+  let reference, reference_degree = run Amcast.Protocol.Config.reference in
+  Alcotest.(check bool)
+    (Fmt.str "reference intra %d > fast intra %d" reference.intra_group_msgs
+       fast.intra_group_msgs)
+    true
+    (reference.intra_group_msgs > fast.intra_group_msgs);
+  Alcotest.(check int) "inter-group msgs" reference.inter_group_msgs
+    fast.inter_group_msgs;
+  Alcotest.(check (option int)) "degree" reference_degree fast_degree
+
 let suites =
   [
     ( "fast-lanes",
@@ -435,6 +460,8 @@ let suites =
           prop_rmcast_uniform_differential;
         Alcotest.test_case "engine: send_multi = send_all" `Quick
           test_send_multi_equivalence;
+        Alcotest.test_case "fritzke: reference config reaches the protocol"
+          `Quick test_fritzke_reference_config;
       ] );
     ( "fast-lanes-campaign",
       List.map campaign_differential
