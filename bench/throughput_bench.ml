@@ -295,7 +295,8 @@ let () =
   let zipf2 = Harness.Workload.Zipfian_groups { kmax = 2; theta = 1.0 } in
   let differentials =
     [
-      run_differential (module Amcast.A1) ~scenario:`Crash ~seed ~dest:zipf2 ();
+      run_differential (module Amcast.A1) ~scenario:`Crash ~seed
+        ~dest:zipf2 ();
       run_differential (module Amcast.A1) ~scenario:`Nemesis ~seed:(seed + 1)
         ~dest:zipf2 ();
       run_differential (module Amcast.A2) ~scenario:`Crash ~seed

@@ -232,14 +232,7 @@ let () =
     in
     (* The checks Trace_file.replay applies, so a saved counterexample
        replays to the same verdict. *)
-    let check r =
-      Harness.Checker.check_all ~expect_genuine:entry.genuine
-        ?conflict:
-          (match config.Amcast.Protocol.Config.conflict with
-          | Amcast.Conflict.Total -> None
-          | c -> Some c)
-        r
-    in
+    let check = Mc.Trace_file.check entry config in
     let opts =
       {
         E.default_opts with

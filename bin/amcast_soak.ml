@@ -2,9 +2,10 @@
 
    Runs N random scenarios (topology, workload, crashes, jitter) per
    target, checks every run against the agreement specifications, and
-   exits non-zero on any violation. The targets are the Amcast.Catalogue
-   entries that are quiescent and uniform, in catalogue order. The
-   CI-style entry point of the library's chaos testing.
+   exits non-zero on any violation. The targets are
+   Amcast.Catalogue.soak_targets: the quiescent, uniform entries, in
+   catalogue order. The CI-style entry point of the library's chaos
+   testing.
 
    With DOMAINS > 1 the scenarios of each campaign are fanned out across
    that many OCaml domains (Harness.Pool); the summaries — and the exit
@@ -148,22 +149,6 @@ let () =
       | d -> d
     else 1
   in
-  (* The targets are the catalogue's quiescent, uniform protocols: every
-     soak run executes without a horizon and must drain. Fault-tolerant
-     protocols are soaked with crashes; the failure-free baselines
-     (Figure 1's model for them) without. Causal delivery order is
-     asserted for none — not even A2: its derived guarantee only covers
-     causality that crosses rounds (the chain-style runs of
-     [prop_a2_causal_chain]); under a Poisson workload an
-     R-Deliver-then-cast chain can fit inside one round, whose id-sorted
-     bundle delivery legitimately reorders the pair. The causal checker is
-     still soak-exercised differentially (fast vs reference) by the
-     checker test suite. *)
-  let targets =
-    List.filter
-      (fun (e : Amcast.Catalogue.entry) -> e.quiescent && e.uniform)
-      Amcast.Catalogue.all
-  in
   let overlay_kind = !overlay_kind in
   (* The conflict relation only reaches the generic target's config — the
      total-order targets must keep their full prefix-order check. The
@@ -182,6 +167,16 @@ let () =
     | `Total | `None -> None
   in
   let failed = ref false in
+  (* Every soak run executes without a horizon and must drain.
+     Fault-tolerant protocols are soaked with crashes; the failure-free
+     baselines (Figure 1's model for them) without. Causal delivery order
+     is asserted for none — not even A2: its derived guarantee only covers
+     causality that crosses rounds (the chain-style runs of
+     [prop_a2_causal_chain]); under a Poisson workload an
+     R-Deliver-then-cast chain can fit inside one round, whose id-sorted
+     bundle delivery legitimately reorders the pair. The causal checker is
+     still soak-exercised differentially (fast vs reference) by the
+     checker test suite. *)
   List.iter
     (fun (e : Amcast.Catalogue.entry) ->
       Fmt.pr "@.== %s: %d runs%s%s%s ==@." e.name runs
@@ -201,5 +196,5 @@ let () =
       in
       Fmt.pr "%a@." Harness.Campaign.pp_summary summary;
       if summary.failures <> [] then failed := true)
-    targets;
+    Amcast.Catalogue.soak_targets;
   if !failed then exit 1 else Fmt.pr "@.soak clean.@."

@@ -32,3 +32,4 @@ let all =
   ]
 
 let find name = List.find_opt (fun e -> e.name = name) all
+let soak_targets = List.filter (fun e -> e.quiescent && e.uniform) all

@@ -33,8 +33,14 @@ type entry = {
 }
 
 val all : entry list
-(** The 13 protocols, in a fixed order. Filtered by [quiescent && uniform]
-    they are the soak targets, in soak order. *)
+(** The 13 protocols, in a fixed order. *)
 
 val find : string -> entry option
 (** The entry of that name. *)
+
+val soak_targets : entry list
+(** The [quiescent && uniform] entries of {!all}, in order: the protocols
+    the randomised campaigns (amcast_soak, the soak, nemesis and fast-lanes
+    suites) run without a horizon and hold to uniform agreement. This
+    drops [optimistic] (non-uniform, [12]) and [detmerge] (never
+    quiescent). *)

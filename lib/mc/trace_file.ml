@@ -210,14 +210,20 @@ let config_of_name = function
       }
   | _ -> None
 
+let check (e : Amcast.Catalogue.entry) (config : Amcast.Protocol.Config.t) r =
+  Harness.Checker.check_all ~expect_genuine:e.genuine
+    ?conflict:
+      (match config.conflict with Amcast.Conflict.Total -> None | c -> Some c)
+    ?overlay:config.overlay r
+
 let replay ?max_steps t =
   match Amcast.Catalogue.find t.protocol with
   | None -> Error (Printf.sprintf "unknown protocol %S" t.protocol)
-  | Some { proto; genuine; _ } -> (
+  | Some entry -> (
     match config_of_name t.config with
     | None -> Error (Printf.sprintf "unknown config preset %S" t.config)
     | Some config ->
-      let (module Base : Amcast.Protocol.S) = proto in
+      let (module Base : Amcast.Protocol.S) = entry.proto in
       let (module P : Amcast.Protocol.S) =
         match t.mutation with
         | None -> (module Base : Amcast.Protocol.S)
@@ -271,12 +277,4 @@ let replay ?max_steps t =
           ~topology workload
       in
       let r = E.replay ?max_steps setup t.choices in
-      let order_conflict =
-        match config.Amcast.Protocol.Config.conflict with
-        | Amcast.Conflict.Total -> None
-        | c -> Some c
-      in
-      Ok
-        ( r,
-          Harness.Checker.check_all ~expect_genuine:genuine
-            ?conflict:order_conflict ?overlay r ))
+      Ok (r, check entry config r))

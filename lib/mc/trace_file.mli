@@ -81,13 +81,21 @@ val config_of_name : string -> Amcast.Protocol.Config.t option
     ["fritzke"] and ["generic-key"] ({!Amcast.Protocol.Config.default}
     with the {!Amcast.Conflict.payload_key} conflict relation). *)
 
+val check :
+  Amcast.Catalogue.entry ->
+  Amcast.Protocol.Config.t ->
+  Harness.Run_result.t ->
+  string list
+(** The properties a run of that entry under that config owes:
+    {!Harness.Checker.check_all} with genuineness iff the entry is genuine
+    (overlay-aware when the config carries an overlay), and the relaxed
+    {!Harness.Checker.conflict_order} in place of prefix order when the
+    config's conflict relation is not total (the ["generic-key"]
+    preset). *)
+
 val replay : ?max_steps:int -> t -> (Harness.Run_result.t * string list, string) result
 (** Resolves the protocol in {!Amcast.Catalogue} (applying the mutation,
-    if any), replays the schedule through {!Explorer.Make.replay} and runs
-    {!Harness.Checker.check_all} on the result, with genuineness checked
-    iff the entry is genuine (overlay-aware under an [overlay] line). A
-    config preset carrying a non-total conflict relation (the
-    ["generic-key"] preset) switches the ordering property to the relaxed
-    {!Harness.Checker.conflict_order}. [Ok (run, violations)] — an empty
+    if any), replays the schedule through {!Explorer.Make.replay} and
+    runs {!check} on the result. [Ok (run, violations)] — an empty
     violation list means the replayed schedule satisfies the checked
     properties. *)

@@ -464,8 +464,5 @@ let suites =
           `Quick test_fritzke_reference_config;
       ] );
     ( "fast-lanes-campaign",
-      List.map campaign_differential
-        (List.filter
-           (fun (e : Amcast.Catalogue.entry) -> e.quiescent && e.uniform)
-           Amcast.Catalogue.all) );
+      List.map campaign_differential Amcast.Catalogue.soak_targets );
   ]

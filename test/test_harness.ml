@@ -499,7 +499,14 @@ let test_catalogue_names () =
         "find" (Some e.name)
         (Option.map (fun (f : Cat.entry) -> f.name) (Cat.find e.name)))
     Cat.all;
-  Alcotest.(check bool) "find unknown" true (Cat.find "nope" = None)
+  Alcotest.(check bool) "find unknown" true (Cat.find "nope" = None);
+  Alcotest.(check (list string))
+    "soak targets, in amcast_soak order"
+    [
+      "a1"; "a2"; "via-broadcast"; "fritzke"; "skeen"; "generic"; "ring";
+      "scalable"; "sequencer"; "whitebox"; "flexcast";
+    ]
+    (List.map (fun (e : Cat.entry) -> e.name) Cat.soak_targets)
 
 (* Four casts on three groups of two, from groups 0 and 1. Multicasts
    address groups 0 and 1 only, so a genuine protocol keeps group 2

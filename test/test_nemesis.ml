@@ -268,9 +268,9 @@ let test_campaign_parallel_identical () =
    safe and still deliver everywhere. Heartbeat deployments never drain
    (the detector keeps probing), so the run is horizon-bounded and
    liveness is left to the delivery-count assertion. *)
-let storm_case name (proto : (module Amcast.Protocol.S)) =
-  Alcotest.test_case (name ^ " under fd storm") `Quick (fun () ->
-      let module P = (val proto) in
+let storm_case (e : Amcast.Catalogue.entry) =
+  Alcotest.test_case (e.name ^ " under fd storm") `Quick (fun () ->
+      let module P = (val e.proto) in
       let module R = Harness.Runner.Make (P) in
       let topo = Topology.symmetric ~groups:2 ~per_group:3 in
       let config =
@@ -380,14 +380,10 @@ let suites =
           test_campaign_parallel_identical;
         Alcotest.test_case "overlay campaign bit-identical" `Slow
           test_overlay_campaign_parallel_identical;
-        storm_case "a1" (module Amcast.A1);
-        storm_case "a2" (module Amcast.A2);
+        storm_case (Util.entry "a1");
+        storm_case (Util.entry "a2");
         Alcotest.test_case "a2 misprediction restart (Thm 5.2)" `Quick
           test_a2_misprediction_restart;
       ] );
-    ( "nemesis-campaign",
-      List.map campaign_case
-        (List.filter
-           (fun (e : Amcast.Catalogue.entry) -> e.quiescent && e.uniform)
-           Amcast.Catalogue.all) );
+    ("nemesis-campaign", List.map campaign_case Amcast.Catalogue.soak_targets);
   ]

@@ -52,11 +52,6 @@ let generic_key_config =
   }
 
 let suites =
-  let targets =
-    List.filter
-      (fun (e : Amcast.Catalogue.entry) -> e.quiescent && e.uniform)
-      Amcast.Catalogue.all
-  in
   let generic = Option.get (Amcast.Catalogue.find "generic") in
   [
     ( "soak",
@@ -64,7 +59,7 @@ let suites =
         (fun (e : Amcast.Catalogue.entry) ->
           if e == generic then campaign ~name:"generic (total conflict)" e
           else campaign e)
-        targets
+        Amcast.Catalogue.soak_targets
       @ [
           campaign ~config:generic_key_config
             ~conflict:(Harness.Workload.conflict_spec 0.5)
