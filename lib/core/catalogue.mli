@@ -7,8 +7,8 @@
     every group, a non-quiescent one runs under a horizon, a genuine one
     has its genuineness checked, and a failure-free baseline runs without
     crash injection. The CLIs, benches and tests take their names,
-    modules and check flags from here; the tier-1 suite checks that each
-    trait holds. *)
+    modules and check flags from here. The harness tests check the
+    genuine and quiescent claims by running every entry. *)
 
 type entry = {
   name : string;  (** The protocol's [Protocol.S.name]. *)
