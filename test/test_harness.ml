@@ -65,6 +65,30 @@ let test_workload_origins_restricted () =
       if not (List.mem c.origin [ 1; 3 ]) then Alcotest.fail "bad origin")
     w
 
+(* Golden payloads of two seeded workloads: the plain "m<i>" shape and the
+   keyed "k=key<k>;m<i>" shape of a conflict mix. How the strings are built
+   may change; the bytes may not. *)
+let test_workload_payloads_golden () =
+  let topo = Topology.symmetric ~groups:3 ~per_group:2 in
+  let payloads ?conflict seed =
+    Harness.Workload.generate ~rng:(Rng.create seed) ~topology:topo ~n:12
+      ~dest:(Harness.Workload.Random_groups 2)
+      ~arrival:(`Poisson (Sim_time.of_ms 5))
+      ?conflict ()
+    |> List.map (fun (c : Harness.Workload.cast) -> c.payload)
+  in
+  Alcotest.(check (list string))
+    "plain"
+    [ "m0"; "m1"; "m2"; "m3"; "m4"; "m5"; "m6"; "m7"; "m8"; "m9"; "m10"; "m11" ]
+    (payloads 7);
+  Alcotest.(check (list string))
+    "conflict 0.3"
+    [
+      "m0"; "m1"; "m2"; "k=key3;m3"; "m4"; "k=key13;m5"; "m6"; "m7"; "m8";
+      "m9"; "k=key0;m10"; "m11";
+    ]
+    (payloads ~conflict:(Harness.Workload.conflict_spec 0.3) 7)
+
 (* The checker must actually detect violations: feed it a hand-built bad
    run. A violation-blind checker would silently bless every protocol. *)
 let bad_run () =
@@ -571,6 +595,8 @@ let suites =
           test_workload_poisson_positive_gaps;
         Alcotest.test_case "workload origins" `Quick
           test_workload_origins_restricted;
+        Alcotest.test_case "workload payloads (golden)" `Quick
+          test_workload_payloads_golden;
         Alcotest.test_case "checker: duplicates" `Quick
           test_checker_detects_duplicate;
         Alcotest.test_case "checker: order violation" `Quick
