@@ -584,6 +584,85 @@ let prop_reachability_synthetic (entries, queries) =
        Fmt.(list ~sep:sp Msg_id.pp)
        queries
 
+(* Happened-before straight from the entry list, sharing nothing with
+   [Causal]: program order joins consecutive events of one process, and a
+   receive has a message edge from the last [Send] logged under its
+   (env, dst), provided that send comes earlier. Reachability is a
+   worklist search over the explicit edges; a cast is its first [Cast]
+   entry. *)
+let oracle_precedes entries =
+  let entries = Array.of_list entries in
+  let n = Array.length entries in
+  let pid_of = function
+    | Trace.Send { src; _ } -> src
+    | Trace.Receive { dst; _ } -> dst
+    | Trace.Cast { pid; _ } | Trace.Deliver { pid; _ } | Trace.Crash { pid; _ }
+      ->
+      pid
+  in
+  let succ = Array.make n [] in
+  let edge a b = succ.(a) <- b :: succ.(a) in
+  for i = 0 to n - 1 do
+    let prev = ref (-1) in
+    for j = 0 to i - 1 do
+      if pid_of entries.(j) = pid_of entries.(i) then prev := j
+    done;
+    if !prev >= 0 then edge !prev i;
+    match entries.(i) with
+    | Trace.Receive { env; dst; _ } ->
+      let last = ref (-1) in
+      Array.iteri
+        (fun j e ->
+          match e with
+          | Trace.Send { env = e'; dst = d'; _ } when e' = env && d' = dst ->
+            last := j
+          | _ -> ())
+        entries;
+      if !last >= 0 && !last < i then edge !last i
+    | _ -> ()
+  done;
+  let first_cast id =
+    let found = ref None in
+    Array.iteri
+      (fun i e ->
+        match (e, !found) with
+        | Trace.Cast { id = c; _ }, None when Msg_id.equal c id -> found := Some i
+        | _ -> ())
+      entries;
+    !found
+  in
+  fun a b ->
+    match (first_cast a, first_cast b) with
+    | Some ra, Some rb ->
+      let seen = Array.make n false in
+      let rec visit = function
+        | [] -> ()
+        | i :: rest when seen.(i) -> visit rest
+        | i :: rest ->
+          seen.(i) <- true;
+          visit (succ.(i) @ rest)
+      in
+      visit [ ra ];
+      seen.(rb)
+    | _ -> false
+
+let prop_precedes_oracle (entries, _) =
+  let trace = Trace.create () in
+  List.iter (Trace.record trace) entries;
+  let causal = Harness.Causal.of_trace trace in
+  let oracle = oracle_precedes entries in
+  let ids = List.init 8 (fun seq -> Msg_id.make ~origin:0 ~seq) in
+  List.for_all
+    (fun a ->
+      List.for_all
+        (fun b ->
+          Harness.Causal.causally_precedes causal a b = oracle a b
+          || QCheck2.Test.fail_reportf
+               "causally_precedes %a %a differs from the oracle on@\n%a"
+               Msg_id.pp a Msg_id.pp b Trace.pp trace)
+        ids)
+    ids
+
 let test_reachability_edge_cases () =
   (* One fixed trace with the matching corners. p1's receive of env 9
      matches no send: its key is shadowed by a second env-9 send to p1
@@ -664,6 +743,9 @@ let suites =
           test_reachability_edge_cases;
         Util.qcheck_case ~count:300 ~name:"reachability = pairwise (synthetic)"
           synthetic_gen prop_reachability_synthetic;
+        Util.qcheck_case ~count:300
+          ~name:"causally_precedes = entry-list oracle (synthetic)"
+          synthetic_gen prop_precedes_oracle;
         Util.qcheck_case ~count:15 ~name:"reachability = pairwise (a1, crashes)"
           scenario_gen
           (prop_reachability_run "a1");

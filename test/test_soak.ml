@@ -45,6 +45,37 @@ let ring_seed0_regression =
                    (String.concat "; " v))
         outcomes)
 
+(* The trace-reading checks must still see a trace on the campaign path.
+   Via-broadcast is not genuine and A1 does not promise causal delivery
+   order, so a crash-free genuineness campaign and a causal-order campaign
+   each flag runs; a campaign that stopped recording would flag none. *)
+let trace_checks_fed =
+  let flagged ~prefix (s : Harness.Campaign.summary) =
+    List.filter
+      (fun (o : Harness.Campaign.outcome) ->
+        List.exists (String.starts_with ~prefix) o.violations)
+      s.failures
+    |> List.length
+  in
+  Alcotest.test_case "campaigns feed the trace-reading checks" `Slow
+    (fun () ->
+      let genuine =
+        Harness.Campaign.run
+          (module Amcast.Via_broadcast : Amcast.Protocol.S)
+          ~expect_genuine:true ~with_crashes:false ~seed:3 ~runs:20 ()
+      in
+      Alcotest.(check int)
+        "via-broadcast runs flagged by genuineness" 2
+        (flagged ~prefix:"genuineness:" genuine);
+      let causal =
+        Harness.Campaign.run
+          (module Amcast.A1 : Amcast.Protocol.S)
+          ~check_causal:true ~seed:3 ~runs:20 ()
+      in
+      Alcotest.(check int)
+        "a1 runs flagged by causal order" 2
+        (flagged ~prefix:"causal order:" causal))
+
 let generic_key_config =
   {
     Amcast.Protocol.Config.default with
@@ -65,5 +96,6 @@ let suites =
             ~conflict:(Harness.Workload.conflict_spec 0.5)
             ~name:"generic (keyed conflicts)" generic;
           ring_seed0_regression;
+          trace_checks_fed;
         ] );
   ]
