@@ -104,14 +104,16 @@ let generate ~rng ~topology ~n ~dest ~arrival ?(start = Sim_time.of_ms 1)
   in
   let payload_of i =
     match conflict with
-    | None -> Fmt.str "m%d" i
+    | None -> "m" ^ Int.to_string i
     | Some { rate; keys; theta } ->
       (* The Conflict.payload_key convention: "k=<key>;<rest>" payloads
          conflict per key, anything else commutes with everything. Keys
          are Zipf-ranked so skew concentrates conflicts on hot keys. *)
       if Rng.float rng 1.0 < rate then
-        Fmt.str "k=key%d;m%d" (zipf_index ~rng ~theta keys) i
-      else Fmt.str "m%d" i
+        "k=key"
+        ^ Int.to_string (zipf_index ~rng ~theta keys)
+        ^ ";m" ^ Int.to_string i
+      else "m" ^ Int.to_string i
   in
   let time = ref start in
   let burst_left = ref 0 in
