@@ -159,7 +159,15 @@ let run_one (module P : Amcast.Protocol.S) ?config ?conflict ?overlay_kind
            ~topology:topo ~with_crashes:s.with_crashes ?overlay ())
   in
   let faults = if s.nemesis then [] else faults_for s topo in
-  let dep = R.deploy ~seed:s.seed ~latency ?config ~faults ?nemesis topo in
+  (* Only the genuineness and causal-order checks read the trace; every
+     other verdict and the outcome's counters come from the engine's cast
+     and delivery logs, which it keeps either way. *)
+  let genuine_checked = expect_genuine && not s.with_crashes in
+  let dep =
+    R.deploy ~seed:s.seed ~latency ?config
+      ~record_trace:(genuine_checked || check_causal)
+      ~faults ?nemesis topo
+  in
   ignore (R.schedule dep workload);
   let r = R.run_deployment dep in
   let retained =
@@ -180,9 +188,7 @@ let run_one (module P : Amcast.Protocol.S) ?config ?conflict ?overlay_kind
   {
     scenario = s;
     violations =
-      Checker.check_all
-        ~expect_genuine:(expect_genuine && not s.with_crashes)
-        ~check_causal ~check_quiescence
+      Checker.check_all ~expect_genuine:genuine_checked ~check_causal ~check_quiescence
         ?liveness_from:(Option.map Nemesis.liveness_from nemesis)
         ?conflict:order_conflict ?overlay r;
     delivered = Metrics.delivered_count r;

@@ -15,17 +15,6 @@ type t = {
   casts : int Msg_id.Tbl.t;
 }
 
-(* Sends keyed by (env, dst). A broadcast fan-out shares one envelope
-   across its destinations, so the pair is unique per delivery. *)
-module Env_tbl = Hashtbl.Make (struct
-  type t = int * int
-
-  let equal ((e1 : int), (d1 : int)) (e2, d2) = e1 = e2 && d1 = d2
-  let hash ((env : int), (dst : int)) = (env * 65599) + dst
-end)
-
-module Pid_tbl = Hashtbl.Make (Int)
-
 let pid_of_entry = function
   | Trace.Send { src; _ } -> src
   | Trace.Receive { dst; _ } -> dst
@@ -34,48 +23,116 @@ let pid_of_entry = function
   | Trace.Crash { pid; _ } ->
     pid
 
+let dst_of_entry = function
+  | Trace.Send { dst; _ } | Trace.Receive { dst; _ } -> dst
+  | Trace.Cast _ | Trace.Deliver _ | Trace.Crash _ ->
+    invalid_arg "Causal.dst_of_entry"
+
+(* The trace keeps its entries newest first; fill the array from the back
+   instead of reversing the list. *)
+let entries_array trace =
+  match Trace.entries_rev trace with
+  | [] -> [||]
+  | newest :: _ as rev ->
+    let n = Trace.length trace in
+    let entries = Array.make n newest in
+    List.iteri (fun k e -> entries.(n - 1 - k) <- e) rev;
+    entries
+
 let of_trace trace =
-  let entries = Array.of_list (Trace.entries trace) in
+  let entries = entries_array trace in
   let n = Array.length entries in
+  (* Size the per-pid arrays by the largest pid and the per-envelope ones
+     by the envelope-id range; engine envelope ids come from a counter, so
+     that range is dense. *)
+  let max_pid = ref (-1) and env_lo = ref max_int and env_hi = ref min_int in
+  Array.iter
+    (fun entry ->
+      max_pid := max !max_pid (pid_of_entry entry);
+      match entry with
+      | Trace.Send { env; dst; _ } | Trace.Receive { env; dst; _ } ->
+        max_pid := max !max_pid dst;
+        env_lo := min !env_lo env;
+        env_hi := max !env_hi env
+      | Trace.Cast _ | Trace.Deliver _ | Trace.Crash _ -> ())
+    entries;
+  let n_pids = !max_pid + 1 in
+  let n_envs = if !env_hi < !env_lo then 0 else !env_hi - !env_lo + 1 in
   let prev_on_pid = Array.make n (-1) in
   let proc = Array.make n 0 in
   let msg_src = Array.make n (-1) in
-  let send_of_env = Env_tbl.create (max 16 (n / 2)) in
   let casts = Msg_id.Tbl.create 64 in
-  (* pid -> (dense index, last node of that pid) *)
-  let procs = Pid_tbl.create 16 in
+  (* pid -> dense index (-1 before its first event) and its last node *)
+  let dense = Array.make n_pids (-1) in
+  let last = Array.make n_pids (-1) in
+  let n_procs = ref 0 in
+  (* Per envelope, the newest send and the newest receive; [older] chains
+     each node to the next older node of the same envelope and kind. *)
+  let sends = Array.make n_envs (-1) in
+  let recvs = Array.make n_envs (-1) in
+  let older = Array.make n (-1) in
   Array.iteri
     (fun i entry ->
       (let pid = pid_of_entry entry in
-       match Pid_tbl.find procs pid with
-       | k, last ->
+       let k = dense.(pid) in
+       if k < 0 then begin
+         dense.(pid) <- !n_procs;
+         proc.(i) <- !n_procs;
+         incr n_procs
+       end
+       else begin
          proc.(i) <- k;
-         prev_on_pid.(i) <- !last;
-         last := i
-       | exception Not_found ->
-         let k = Pid_tbl.length procs in
-         proc.(i) <- k;
-         Pid_tbl.replace procs pid (k, ref i));
+         prev_on_pid.(i) <- last.(pid)
+       end;
+       last.(pid) <- i);
       match entry with
-      | Trace.Send { env; dst; _ } ->
-        (* [add] shadows an earlier binding, so lookups see the last send *)
-        Env_tbl.add send_of_env (env, dst) i
+      | Trace.Send { env; _ } ->
+        let e = env - !env_lo in
+        older.(i) <- sends.(e);
+        sends.(e) <- i
+      | Trace.Receive { env; _ } ->
+        let e = env - !env_lo in
+        older.(i) <- recvs.(e);
+        recvs.(e) <- i
       | Trace.Cast { id; _ } ->
         if not (Msg_id.Tbl.mem casts id) then Msg_id.Tbl.replace casts id i
-      | Trace.Receive _ | Trace.Deliver _ | Trace.Crash _ -> ())
+      | Trace.Deliver _ | Trace.Crash _ -> ())
     entries;
   (* A receive matches the last send logged under its (env, dst), and only
-     when that send precedes it: a send logged later cannot be its cause. *)
-  Array.iteri
-    (fun i entry ->
-      match entry with
-      | Trace.Receive { env; dst; _ } -> (
-        match Env_tbl.find_opt send_of_env (env, dst) with
-        | Some s when s < i -> msg_src.(i) <- s
-        | Some _ | None -> ())
-      | Trace.Send _ | Trace.Cast _ | Trace.Deliver _ | Trace.Crash _ -> ())
-    entries;
-  { entries; prev_on_pid; proc; n_procs = Pid_tbl.length procs; msg_src; casts }
+     when that send precedes it: a send logged later cannot be its cause.
+     Per envelope, mark the newest send to each destination, resolve the
+     envelope's receives against the marks, then clear them. Each chain is
+     walked a bounded number of times, so matching is O(sends + receives)
+     however wide a broadcast fan-out is. *)
+  let newest = Array.make n_pids (-1) in
+  let rec mark s =
+    if s >= 0 then begin
+      let d = dst_of_entry entries.(s) in
+      if newest.(d) < 0 then newest.(d) <- s;
+      mark older.(s)
+    end
+  in
+  let rec resolve r =
+    if r >= 0 then begin
+      let s = newest.(dst_of_entry entries.(r)) in
+      if s >= 0 && s < r then msg_src.(r) <- s;
+      resolve older.(r)
+    end
+  in
+  let rec unmark s =
+    if s >= 0 then begin
+      newest.(dst_of_entry entries.(s)) <- -1;
+      unmark older.(s)
+    end
+  in
+  for e = 0 to n_envs - 1 do
+    if recvs.(e) >= 0 then begin
+      mark sends.(e);
+      resolve recvs.(e);
+      unmark sends.(e)
+    end
+  done;
+  { entries; prev_on_pid; proc; n_procs = !n_procs; msg_src; casts }
 
 (* Longest inter-group-hop distance from [root] to every node; [None] for
    causally unreachable nodes. *)

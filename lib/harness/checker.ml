@@ -151,6 +151,12 @@ let cast_msgs (r : Run_result.t) =
       end)
     r.casts
 
+(* Trace readers refuse a run recorded without a trace: with no entries
+   to read they would pass it vacuously. *)
+let require_trace what (r : Run_result.t) =
+  if not (Trace.enabled r.trace) then
+    invalid_arg (what ^ ": the run was recorded without a trace")
+
 (* Naive reference implementations, retained verbatim as differential
    oracles for the indexed fast paths below (and as the fallback that
    reproduces the exact violation strings once a fast path detects a
@@ -256,6 +262,7 @@ module Reference = struct
     List.rev !violations
 
   let genuineness ?overlay (r : Run_result.t) =
+    require_trace "Checker.Reference.genuineness" r;
     let allowed =
       List.fold_left
         (fun acc (c : Run_result.cast_event) ->
@@ -302,6 +309,7 @@ module Reference = struct
      process delivering both. Pairwise over cast messages using the
      happened-before DAG reconstructed from the trace. *)
   let causal_delivery_order (r : Run_result.t) =
+    require_trace "Checker.Reference.causal_delivery_order" r;
     let causal = Causal.of_trace r.trace in
     let ids =
       List.map
@@ -527,6 +535,7 @@ let conflict_order ~conflict (r : Run_result.t) =
    destination-pair stamp routes — may also take part. Groups off those
    paths must stay silent. *)
 let genuineness ?overlay (r : Run_result.t) =
+  require_trace "Checker.genuineness" r;
   let allowed = Array.make (Topology.n_processes r.topology) false in
   List.iter
     (fun (c : Run_result.cast_event) ->
@@ -558,7 +567,8 @@ let genuineness ?overlay (r : Run_result.t) =
         check src "sent" time (check dst "was sent" time acc)
       | _ -> acc)
     []
-    (Trace.entries r.trace)
+    (* newest first, no copy: the sort makes the fold order irrelevant *)
+    (Trace.entries_rev r.trace)
   |> List.sort_uniq String.compare
 
 (* Indexed causal order: build the all-pairs cast reachability bitsets
@@ -568,6 +578,7 @@ let genuineness ?overlay (r : Run_result.t) =
    later message was delivered first). Total cost O(trace * processes +
    casts^2 + deliveries * casts/63) instead of O(casts^2 * trace). *)
 let causal_delivery_order (r : Run_result.t) =
+  require_trace "Checker.causal_delivery_order" r;
   let causal = Causal.of_trace r.trace in
   let ids =
     List.map (fun (c : Run_result.cast_event) -> c.msg.Amcast.Msg.id) r.casts

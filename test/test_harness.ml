@@ -506,6 +506,33 @@ let test_crashed_without_trace () =
   Alcotest.check rows "deliveries, trace on = off" (deliveries traced)
     (deliveries untraced)
 
+(* A run recorded without a trace has nothing for the trace readers to
+   read: they must refuse it rather than pass it vacuously, while the
+   checks that read the cast and delivery logs still apply. *)
+let test_trace_readers_refuse_untraced () =
+  let module R = Harness.Runner.Make (Amcast.A1) in
+  let topo = Topology.symmetric ~groups:3 ~per_group:2 in
+  let w =
+    Harness.Workload.generate ~rng:(Rng.create 9) ~topology:topo ~n:20
+      ~dest:(Harness.Workload.Random_groups 2)
+      ~arrival:(`Poisson (Sim_time.of_ms 10))
+      ()
+  in
+  let r = R.run ~seed:9 ~record_trace:false topo w in
+  let raises name f =
+    match f r with
+    | _ -> Alcotest.failf "%s accepted a run without a trace" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "genuineness" (fun r -> Harness.Checker.genuineness r);
+  raises "causal_delivery_order" Harness.Checker.causal_delivery_order;
+  raises "Reference.genuineness" (fun r ->
+      Harness.Checker.Reference.genuineness r);
+  raises "Reference.causal_delivery_order"
+    Harness.Checker.Reference.causal_delivery_order;
+  Util.check_no_violations "check_all without the trace readers"
+    (Harness.Checker.check_all ~check_quiescence:true r)
+
 (* ----- The protocol catalogue: each trait is a true claim ----- *)
 
 module Cat = Amcast.Catalogue
@@ -626,6 +653,8 @@ let suites =
           test_campaign_reports_scenarios;
         Alcotest.test_case "crashed set without the trace" `Quick
           test_crashed_without_trace;
+        Alcotest.test_case "trace readers refuse a run without a trace" `Quick
+          test_trace_readers_refuse_untraced;
         Alcotest.test_case "catalogue: names" `Quick test_catalogue_names;
         Alcotest.test_case "catalogue: genuine entries are genuine" `Quick
           test_catalogue_genuine;
