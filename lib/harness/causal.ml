@@ -28,34 +28,30 @@ let dst_of_entry = function
   | Trace.Cast _ | Trace.Deliver _ | Trace.Crash _ ->
     invalid_arg "Causal.dst_of_entry"
 
-(* The trace keeps its entries newest first; fill the array from the back
-   instead of reversing the list. *)
-let entries_array trace =
-  match Trace.entries_rev trace with
-  | [] -> [||]
-  | newest :: _ as rev ->
-    let n = Trace.length trace in
-    let entries = Array.make n newest in
-    List.iteri (fun k e -> entries.(n - 1 - k) <- e) rev;
-    entries
-
 let of_trace trace =
-  let entries = entries_array trace in
-  let n = Array.length entries in
-  (* Size the per-pid arrays by the largest pid and the per-envelope ones
-     by the envelope-id range; engine envelope ids come from a counter, so
-     that range is dense. *)
+  (* The trace keeps its entries newest first: fill the array from the
+     back instead of reversing the list. On the way, find the largest pid
+     and the envelope-id range, which size the per-pid and per-envelope
+     arrays below; engine envelope ids come from a counter, so that range
+     is dense. *)
+  let n = Trace.length trace in
+  let entries =
+    match Trace.entries_rev trace with
+    | [] -> [||]
+    | newest :: _ -> Array.make n newest
+  in
   let max_pid = ref (-1) and env_lo = ref max_int and env_hi = ref min_int in
-  Array.iter
-    (fun entry ->
-      max_pid := max !max_pid (pid_of_entry entry);
+  List.iteri
+    (fun k entry ->
+      entries.(n - 1 - k) <- entry;
+      max_pid := Int.max !max_pid (pid_of_entry entry);
       match entry with
       | Trace.Send { env; dst; _ } | Trace.Receive { env; dst; _ } ->
-        max_pid := max !max_pid dst;
-        env_lo := min !env_lo env;
-        env_hi := max !env_hi env
+        max_pid := Int.max !max_pid dst;
+        env_lo := Int.min !env_lo env;
+        env_hi := Int.max !env_hi env
       | Trace.Cast _ | Trace.Deliver _ | Trace.Crash _ -> ())
-    entries;
+    (Trace.entries_rev trace);
   let n_pids = !max_pid + 1 in
   let n_envs = if !env_hi < !env_lo then 0 else !env_hi - !env_lo + 1 in
   let prev_on_pid = Array.make n (-1) in

@@ -571,6 +571,11 @@ let genuineness ?overlay (r : Run_result.t) =
     (Trace.entries_rev r.trace)
   |> List.sort_uniq String.compare
 
+(* [Msg_id.pp]'s text without a formatter: a large run can flag thousands
+   of causal pairs, and formatting dominated the scan. *)
+let id_text (id : Msg_id.t) =
+  "m" ^ Int.to_string id.origin ^ "." ^ Int.to_string id.seq
+
 (* Indexed causal order: build the all-pairs cast reachability bitsets
    once (one vector-clock pass over the trace), then scan each delivery
    sequence left to right keeping a "seen" bitset — a delivery of [m]
@@ -602,13 +607,16 @@ let causal_delivery_order (r : Run_result.t) =
                 if inter <> 0 then
                   for b = 0 to 62 do
                     if inter land (1 lsl b) <> 0 then begin
-                      let id2 = reach.Causal.r_ids.((w * 63) + b) in
+                      let later = id_text reach.Causal.r_ids.((w * 63) + b)
+                      and earlier = id_text m.Amcast.Msg.id in
                       violations :=
-                        Fmt.str
-                          "causal order: p%d delivered %a before %a \
-                           although cast(%a) happened-before cast(%a)"
-                          p Msg_id.pp id2 Msg_id.pp m.Amcast.Msg.id
-                          Msg_id.pp m.Amcast.Msg.id Msg_id.pp id2
+                        String.concat ""
+                          [
+                            "causal order: p"; Int.to_string p;
+                            " delivered "; later; " before "; earlier;
+                            " although cast("; earlier;
+                            ") happened-before cast("; later; ")";
+                          ]
                         :: !violations
                     end
                   done
