@@ -188,7 +188,8 @@ let run_one (module P : Amcast.Protocol.S) ?config ?conflict ?overlay_kind
   {
     scenario = s;
     violations =
-      Checker.check_all ~expect_genuine:genuine_checked ~check_causal ~check_quiescence
+      Checker.check_all ~expect_genuine:genuine_checked ~check_causal
+        ~check_quiescence
         ?liveness_from:(Option.map Nemesis.liveness_from nemesis)
         ?conflict:order_conflict ?overlay r;
     delivered = Metrics.delivered_count r;

@@ -116,7 +116,14 @@ val run_one :
     (FlexCast routes along it; clique-model protocols ignore it), nemesis
     partitions follow the overlay's cut edges, and the genuineness check
     becomes overlay-aware. Omitted, everything is bit-identical to older
-    campaigns. *)
+    campaigns.
+
+    The scenario records its run trace only when a check reads it: when
+    genuineness is checked ([expect_genuine] on a scenario without
+    crashes) or when [check_causal] is set. Every other verdict and the
+    outcome's [delivered], [max_degree] and [steps] come from the engine's
+    cast and delivery logs, which are kept either way, so they do not
+    depend on whether the trace was recorded. *)
 
 val run_scenarios :
   (module Amcast.Protocol.S) ->

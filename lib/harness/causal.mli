@@ -13,19 +13,24 @@
     inflates clock values but never creates causal paths). The property
     suite asserts both.
 
-    The reconstruction matches a receive to the send logged under the
-    same (envelope id, destination) pair, provided that send comes
-    earlier in the trace. A broadcast fan-out shares one envelope across
-    its destinations, so the pair names one delivery; the network never
-    duplicates messages. *)
+    The reconstruction matches a receive to the {e last} send logged
+    under the same (envelope id, destination) pair, and only if that send
+    comes earlier in the trace than the receive; a receive whose pair has
+    no send, or whose last send is logged after it, has no message edge.
+    A broadcast fan-out shares one envelope across its destinations, so
+    the pair names one delivery; the network never duplicates messages. *)
 
 type t
 
 val of_trace : Runtime.Trace.t -> t
-(** Builds the happened-before DAG of a recorded run, in expected time
-    linear in the trace. {!latency_degree} and {!causally_precedes} run
-    one DAG traversal per query; {!cast_reachability} runs one vector-clock
-    pass for all casts. *)
+(** Builds the happened-before DAG of a recorded run in time and memory
+    O(trace + largest pid + envelope-id range), with no hashing except
+    one table of cast ids. Pids must be non-negative. Engine envelope ids
+    come from a counter, so their range is at most the number of sends.
+    Matching walks each envelope's sends and receives a bounded number of
+    times, however wide its fan-out. {!latency_degree} and
+    {!causally_precedes} then run one DAG traversal per query;
+    {!cast_reachability} runs one vector-clock pass for all casts. *)
 
 val latency_degree : t -> Runtime.Msg_id.t -> int option
 (** [latency_degree t id] is the causal-path latency degree of message

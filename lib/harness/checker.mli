@@ -54,7 +54,11 @@ val genuineness : ?overlay:Net.Overlay.t -> Run_result.t -> violation list
     guarantee): for each cast, the relays — the lowest pid — of the groups
     on its routing paths ({!Net.Overlay.participants}: origin-to-
     destination routes plus destination-pair stamp routes) are also
-    allowed. Groups off those paths must still be completely silent. *)
+    allowed. Groups off those paths must still be completely silent.
+
+    Reads the trace. Raises [Invalid_argument] if the run was recorded
+    without one ([not (Runtime.Trace.enabled r.trace)]), which would
+    otherwise pass vacuously. *)
 
 val quiescence : Run_result.t -> violation list
 (** The run drained: after finitely many casts the deployment stopped
@@ -69,7 +73,10 @@ val causal_delivery_order : Run_result.t -> violation list
     a smaller final timestamp. Atomic {e broadcast} with A2 does provide
     it (a causally later message lands in a strictly later round, and
     same-origin messages in one round are ordered by sequence number), so
-    the A2 suites check it as a derived guarantee. Requires the trace. *)
+    the A2 suites check it as a derived guarantee.
+
+    Reads the trace. Raises [Invalid_argument] if the run was recorded
+    without one, like {!genuineness}. *)
 
 val check_all :
   ?expect_genuine:bool ->
@@ -82,9 +89,12 @@ val check_all :
   violation list
 (** Integrity + validity + agreement + prefix order, plus genuineness when
     [expect_genuine], causal delivery order when [check_causal] and
-    quiescence when [check_quiescence] (all default false). [check_causal]
-    needs the trace; [check_quiescence] only makes sense on runs executed
-    without a horizon by a protocol that stops scheduling when idle.
+    quiescence when [check_quiescence] (all default false).
+    [expect_genuine] and [check_causal] read the trace and raise
+    [Invalid_argument] on a run recorded without one; the other checks
+    read only the cast and delivery logs. [check_quiescence] only makes
+    sense on runs executed without a horizon by a protocol that stops
+    scheduling when idle.
 
     [conflict] selects the ordering property: absent or
     {!Amcast.Conflict.Total}, the total-order prefix check (byte-identical
@@ -108,7 +118,9 @@ val check_all :
     property suite asserts this on randomised runs, [verify_bench] on
     soak-scale ones). The fast prefix check also falls back to
     {!Reference.uniform_prefix_order} once it detects a violation, so the
-    violation strings match byte for byte. *)
+    violation strings match byte for byte. The reference genuineness and
+    causal-order checks raise [Invalid_argument] on an untraced run, like
+    their fast twins. *)
 module Reference : sig
   val uniform_prefix_order : Run_result.t -> violation list
 

@@ -622,14 +622,14 @@ let oracle_precedes entries =
     | _ -> ()
   done;
   let first_cast id =
-    let found = ref None in
-    Array.iteri
-      (fun i e ->
-        match (e, !found) with
-        | Trace.Cast { id = c; _ }, None when Msg_id.equal c id -> found := Some i
-        | _ -> ())
-      entries;
-    !found
+    let rec find i =
+      if i >= n then None
+      else
+        match entries.(i) with
+        | Trace.Cast { id = c; _ } when Msg_id.equal c id -> Some i
+        | _ -> find (i + 1)
+    in
+    find 0
   in
   fun a b ->
     match (first_cast a, first_cast b) with
