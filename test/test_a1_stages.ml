@@ -212,6 +212,29 @@ let test_crash_row_resends () =
   Alcotest.(check bool) "stamps re-sent after the leader crash" true
     (resent > 0)
 
+(* The tie case of the s1 skip (line 33-40): on a symmetric 2x2 topology
+   under the crisp latencies, one cast from pid 0 to both groups makes each
+   group propose the same timestamp. Our proposal equal to the maximum is
+   enough to skip to s3, so every process runs one consensus instance, not
+   two. Degree and inter-group counts are the same either way, so Figure 1
+   does not see this. *)
+let test_tie_skips_second_consensus () =
+  let topo = Topology.symmetric ~groups:2 ~per_group:2 in
+  let d = RA1.deploy ~seed:1 ~latency:Harness.Figure1.crisp topo in
+  ignore
+    (RA1.schedule d
+       (Harness.Workload.single ~at:(Sim_time.of_ms 1) ~origin:0 ~dest:[ 0; 1 ]
+          ()));
+  let r = RA1.run_deployment d in
+  Util.check_no_violations "tie run clean" (Harness.Checker.check_all r);
+  List.iter
+    (fun pid ->
+      Alcotest.(check int)
+        (Printf.sprintf "p%d consensus instances" pid)
+        1
+        (Amcast.A1.consensus_instances_executed (RA1.node d pid)))
+    (Topology.all_pids topo)
+
 let suites =
   [
     ( "a1-stages",
@@ -220,5 +243,7 @@ let suites =
           test_golden;
         Alcotest.test_case "crash row re-sends stamps" `Quick
           test_crash_row_resends;
+        Alcotest.test_case "tie case skips the second consensus" `Quick
+          test_tie_skips_second_consensus;
       ] );
   ]
