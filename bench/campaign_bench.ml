@@ -82,21 +82,18 @@ let sweep_domains () =
   go 1 []
 
 let json_of_measurement ~baseline_wall m =
-  Printf.sprintf
-    {|    {
-      "driver": "%s",
-      "domains": %d,
-      "wall_s": %.6f,
-      "scenarios": %d,
-      "events": %d,
-      "scenarios_per_s": %.2f,
-      "events_per_s": %.0f,
-      "speedup_vs_sequential": %.3f
-    }|}
-    m.driver m.domains m.wall_s m.scenarios_run m.events
-    (float_of_int m.scenarios_run /. m.wall_s)
-    (float_of_int m.events /. m.wall_s)
-    (baseline_wall /. m.wall_s)
+  let open Harness.Bench_json in
+  Obj
+    [
+      ("driver", String m.driver);
+      ("domains", Int m.domains);
+      ("wall_s", float 6 m.wall_s);
+      ("scenarios", Int m.scenarios_run);
+      ("events", Int m.events);
+      ("scenarios_per_s", float 2 (float_of_int m.scenarios_run /. m.wall_s));
+      ("events_per_s", float 0 (float_of_int m.events /. m.wall_s));
+      ("speedup_vs_sequential", float 3 (baseline_wall /. m.wall_s));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Scale cells. *)
@@ -188,62 +185,58 @@ let run_scale cell =
   }
 
 let json_of_scale s =
-  Printf.sprintf
-    {|    {
-      "name": "%s",
-      "protocol": "a1",
-      "config": "throughput",
-      "groups": %d,
-      "per_group": %d,
-      "n_processes": %d,
-      "casts": %d,
-      "deliveries": %d,
-      "events": %d,
-      "wall_s": %.6f,
-      "events_per_s": %.0f,
-      "minor_words_per_delivery": %.1f,
-      "minor_words_budget": %.1f,
-      "top_heap_words": %d,
-      "check_s": %.6f,
-      "drained": %b,
-      "violations": %d
-    }|}
-    s.cell.sname s.cell.groups s.cell.per_group s.n_processes s.cell.casts
-    s.deliveries s.s_events s.s_wall
-    (float_of_int s.s_events /. s.s_wall)
-    s.minor_words_per_delivery minor_words_budget s.top_heap_words s.check_s
-    s.s_drained
-    (List.length s.s_violations)
+  let open Harness.Bench_json in
+  Obj
+    [
+      ("name", String s.cell.sname);
+      ("protocol", String "a1");
+      ("config", String "throughput");
+      ("groups", Int s.cell.groups);
+      ("per_group", Int s.cell.per_group);
+      ("n_processes", Int s.n_processes);
+      ("casts", Int s.cell.casts);
+      ("deliveries", Int s.deliveries);
+      ("events", Int s.s_events);
+      ("wall_s", float 6 s.s_wall);
+      ("events_per_s", float 0 (float_of_int s.s_events /. s.s_wall));
+      ("minor_words_per_delivery", float 1 s.minor_words_per_delivery);
+      ("minor_words_budget", float 1 minor_words_budget);
+      ("top_heap_words", Int s.top_heap_words);
+      ("check_s", float 6 s.check_s);
+      ("drained", Bool s.s_drained);
+      ("violations", Int (List.length s.s_violations));
+    ]
+
+let scale_gates s =
+  let name = s.cell.sname in
+  [
+    (name ^ "_clean", s.s_violations = []);
+    (name ^ "_drained", s.s_drained);
+    ( name ^ "_minor_words_budget",
+      not (s.minor_words_per_delivery > minor_words_budget) );
+  ]
 
 let () =
   let runs = ref 128 in
   let seed = ref 7 in
   let scale = ref `Smoke in
   let out = ref "BENCH_campaign.json" in
-  let rec parse = function
-    | "--runs" :: v :: rest -> runs := int_of_string v; parse rest
-    | "--seed" :: v :: rest -> seed := int_of_string v; parse rest
-    | "--scale" :: v :: rest ->
-      (scale :=
-         match v with
-         | "full" -> `Full
-         | "smoke" -> `Smoke
-         | "off" -> `Off
-         | _ ->
-           Printf.eprintf "campaign_bench: bad --scale %s\n" v;
-           exit 2);
-      parse rest
-    | "--out" :: v :: rest -> out := v; parse rest
-    | [] -> ()
-    | a :: _ ->
-      Printf.eprintf
-        "campaign_bench: unknown argument %s\n\
-         usage: campaign_bench [--runs N] [--seed S] [--scale \
-         full|smoke|off] [--out PATH]\n"
-        a;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  Harness.Bench_json.parse_flags
+    ~usage:
+      "usage: campaign_bench [--runs N] [--seed S] [--scale full|smoke|off] \
+       [--out PATH]"
+    [
+      ("--runs", Arg.Set_int runs, "N scenarios per protocol (default 128)");
+      ("--seed", Arg.Set_int seed, "S campaign seed (default 7)");
+      ( "--scale",
+        Arg.Symbol
+          ( [ "full"; "smoke"; "off" ],
+            fun v ->
+              scale :=
+                match v with "full" -> `Full | "off" -> `Off | _ -> `Smoke ),
+        " scale cells to run (default smoke)" );
+      ("--out", Arg.Set_string out, "PATH output file (default BENCH_campaign.json)");
+    ];
   let runs = !runs and seed = !seed in
   let sweep = sweep_domains () in
   Printf.printf
@@ -291,78 +284,37 @@ let () =
           c.sname s.s_wall s.s_events
           (float_of_int s.s_events /. s.s_wall)
           s.minor_words_per_delivery;
+        List.iter (Printf.printf "    violation: %s\n%!") s.s_violations;
         s)
       scale_cells
   in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"amcast-bench-campaign/v2\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"generated_unix_time\": %.0f,\n"
-       (Unix.gettimeofday ()));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"host\": { \"recommended_domains\": %d, \"swept_domains\": [%s] \
-        },\n"
-       (Harness.Pool.recommended_domains ())
-       (String.concat ", " (List.map string_of_int sweep)));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"matrix\": { \"seed\": %d, \"runs_per_protocol\": %d, \
-        \"protocols\": [%s] },\n"
-       seed runs
-       (String.concat ", "
+  let open Harness.Bench_json in
+  write ~schema:"amcast-bench-campaign/v2" ~out:!out
+    ~gates:
+      ([ ("summaries_identical", identical); ("no_violations", violations = 0) ]
+      @ List.concat_map scale_gates scale_results)
+    [
+      ( "host",
+        Obj
+          [
+            ("recommended_domains", Int (Harness.Pool.recommended_domains ()));
+            ("swept_domains", ints sweep);
+          ] );
+      ( "matrix",
+        Obj
+          [
+            ("seed", Int seed);
+            ("runs_per_protocol", Int runs);
+            ( "protocols",
+              strings
+                (List.map (fun (t : Amcast.Catalogue.entry) -> t.name) matrix) );
+          ] );
+      ( "results",
+        List
           (List.map
-             (fun (t : Amcast.Catalogue.entry) -> "\"" ^ t.name ^ "\"")
-             matrix)));
-  Buffer.add_string buf "  \"results\": [\n";
-  Buffer.add_string buf
-    (String.concat ",\n"
-       (List.map
-          (json_of_measurement ~baseline_wall:seq.wall_s)
-          (seq :: sharded)));
-  Buffer.add_string buf "\n  ],\n";
-  Buffer.add_string buf "  \"scale\": [\n";
-  Buffer.add_string buf
-    (String.concat ",\n" (List.map json_of_scale scale_results));
-  Buffer.add_string buf "\n  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"summaries_identical\": %b,\n" identical);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"total_violations\": %d\n" violations);
-  Buffer.add_string buf "}\n";
-  let oc = open_out !out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "  wrote %s\n%!" !out;
-  if not identical then begin
-    prerr_endline
-      "campaign_bench: FAIL — a sharded summary differs from sequential";
-    exit 1
-  end;
-  if violations > 0 then begin
-    Printf.eprintf "campaign_bench: FAIL — %d violations\n" violations;
-    exit 1
-  end;
-  List.iter
-    (fun s ->
-      if s.s_violations <> [] then begin
-        Printf.eprintf "campaign_bench: FAIL — scale cell %s: %s\n"
-          s.cell.sname
-          (String.concat "; " s.s_violations);
-        exit 1
-      end;
-      if not s.s_drained then begin
-        Printf.eprintf
-          "campaign_bench: FAIL — scale cell %s did not drain\n"
-          s.cell.sname;
-        exit 1
-      end;
-      if s.minor_words_per_delivery > minor_words_budget then begin
-        Printf.eprintf
-          "campaign_bench: FAIL — scale cell %s allocates %.1f minor \
-           words/delivery (budget %.1f)\n"
-          s.cell.sname s.minor_words_per_delivery minor_words_budget;
-        exit 1
-      end)
-    scale_results
+             (json_of_measurement ~baseline_wall:seq.wall_s)
+             (seq :: sharded)) );
+      ("scale", List (List.map json_of_scale scale_results));
+      ("summaries_identical", Bool identical);
+      ("total_violations", Int violations);
+    ]

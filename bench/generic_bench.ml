@@ -126,68 +126,53 @@ let replicas_consistent topo (c : cell_run) =
         List.for_all (fun pid -> c.seqs.(pid) = c.seqs.(first)) rest)
     (Topology.all_groups topo)
 
-let fmt_opt_f = function
-  | Some x -> Printf.sprintf "%.2f" x
-  | None -> "null"
-
-let fmt_opt_i = function Some x -> string_of_int x | None -> "null"
-
 let json_of_run c =
-  Printf.sprintf
-    "{ \"violations\": %d, \"delivered\": %d, \"mean_degree\": %s, \
-     \"max_degree\": %s, \"mean_latency_ms\": %s, \"p95_latency_ms\": %s, \
-     \"throughput_msg_per_vs\": %.2f, \"events\": %d, \"bypassed\": %d, \
-     \"ordered\": %d, \"wall_s\": %.6f }"
-    (List.length c.violations)
-    c.delivered (fmt_opt_f c.mean_degree) (fmt_opt_i c.max_degree)
-    (fmt_opt_f c.mean_latency_ms)
-    (fmt_opt_f c.p95_latency_ms)
-    c.throughput_v c.events c.bypassed c.ordered c.wall_s
+  let open Harness.Bench_json in
+  Obj
+    [
+      ("violations", Int (List.length c.violations));
+      ("delivered", Int c.delivered);
+      ("mean_degree", opt (float 2) c.mean_degree);
+      ("max_degree", opt (fun x -> Int x) c.max_degree);
+      ("mean_latency_ms", opt (float 2) c.mean_latency_ms);
+      ("p95_latency_ms", opt (float 2) c.p95_latency_ms);
+      ("throughput_msg_per_vs", float 2 c.throughput_v);
+      ("events", Int c.events);
+      ("bypassed", Int c.bypassed);
+      ("ordered", Int c.ordered);
+      ("wall_s", float 6 c.wall_s);
+    ]
+
+let runs c =
+  [ ("a1", c.a1); ("generic_total", c.generic_total); ("generic_key", c.generic_key) ]
 
 let json_of_cell c =
-  Printf.sprintf
-    "    { \"conflict_rate_pct\": %d, \"keys\": %d,\n\
-    \      \"a1\": %s,\n\
-    \      \"generic_total\": %s,\n\
-    \      \"generic_key\": %s }"
-    c.pct c.keys (json_of_run c.a1)
-    (json_of_run c.generic_total)
-    (json_of_run c.generic_key)
+  let open Harness.Bench_json in
+  Obj
+    ([ ("conflict_rate_pct", Int c.pct); ("keys", Int c.keys) ]
+    @ List.map (fun (who, r) -> (who, json_of_run r)) (runs c))
 
 let () =
   let seed = ref 0 in
   let out = ref "BENCH_generic.json" in
   let messages = ref 150 in
   let explicit_messages = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--seed" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some s -> seed := s
-      | None ->
-        Printf.eprintf "generic_bench: --seed must be an integer\n";
-        exit 2);
-      parse rest
-    | "--messages" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n > 0 ->
-        messages := n;
-        explicit_messages := true
-      | _ ->
-        Printf.eprintf "generic_bench: --messages must be a positive integer\n";
-        exit 2);
-      parse rest
-    | "--smoke" :: rest ->
-      if not !explicit_messages then messages := 24;
-      parse rest
-    | "--out" :: v :: rest ->
-      out := v;
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf "generic_bench: unknown argument %S\n" arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  Harness.Bench_json.parse_flags
+    ~usage:"usage: generic_bench [--seed S] [--messages N] [--smoke] [--out PATH]"
+    [
+      ("--seed", Arg.Set_int seed, "S workload seed (default 0)");
+      ( "--messages",
+        Arg.Int
+          (fun n ->
+            if n <= 0 then raise (Arg.Bad "--messages must be a positive integer");
+            messages := n;
+            explicit_messages := true),
+        "N casts per conflict rate (default 150)" );
+      ( "--smoke",
+        Arg.Unit (fun () -> if not !explicit_messages then messages := 24),
+        " 24 casts unless --messages is given" );
+      ("--out", Arg.Set_string out, "PATH output file (default BENCH_generic.json)");
+    ];
   let seed = !seed and messages = !messages in
   let groups = 3 and per_group = 2 in
   let topo = Topology.symmetric ~groups ~per_group in
@@ -229,55 +214,40 @@ let () =
         ~workload
     in
     let c = { pct; keys; a1; generic_total; generic_key } in
+    let f2 x = Harness.Bench_json.(to_string (opt (float 2) x)) in
     Printf.printf
       "  rate %3d%%  mean-latency ms %s/%s/%s  mean-degree %s/%s/%s  \
        bypassed %d  ordered %d  (a1/generic-total/generic-key)\n\
        %!"
       pct
-      (fmt_opt_f a1.mean_latency_ms)
-      (fmt_opt_f generic_total.mean_latency_ms)
-      (fmt_opt_f generic_key.mean_latency_ms)
-      (fmt_opt_f a1.mean_degree)
-      (fmt_opt_f generic_total.mean_degree)
-      (fmt_opt_f generic_key.mean_degree)
+      (f2 a1.mean_latency_ms)
+      (f2 generic_total.mean_latency_ms)
+      (f2 generic_key.mean_latency_ms)
+      (f2 a1.mean_degree)
+      (f2 generic_total.mean_degree)
+      (f2 generic_key.mean_degree)
       generic_key.bypassed generic_key.ordered;
     c
   in
   let cells = List.map cell_of rates in
-  (* --- gates --- *)
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   List.iter
     (fun c ->
       List.iter
-        (fun (who, (r : cell_run)) ->
+        (fun (who, r) ->
           List.iter
-            (fun v -> fail "rate %d%%: %s violation: %s" c.pct who v)
+            (Printf.printf "  rate %d%%: %s violation: %s\n%!" c.pct who)
             r.violations)
-        [
-          ("a1", c.a1);
-          ("generic-total", c.generic_total);
-          ("generic-key", c.generic_key);
-        ])
+        (runs c))
     cells;
   let hundred = List.find (fun c -> c.pct = 100) cells in
   let seqs_identical = hundred.generic_key.seqs = hundred.generic_total.seqs in
-  if not seqs_identical then
-    fail
-      "100%% conflict: generic-key delivery sequences diverge from \
-       generic-total";
   let consistent = replicas_consistent topo hundred.generic_key in
-  if not consistent then
-    fail "100%% conflict: same-group replicas applied different logs";
-  (* Verdict bit-equivalence on the 100% run: rerun both checkers on the
-     same violation sets — both must be empty, hence equal; already
-     collected above (generic-key used the relaxed checker, generic-total
-     the prefix checker, and the sequences are identical). *)
+  (* Both checkers' verdicts on the 100% run: generic-key used the relaxed
+     checker, generic-total the prefix checker, and with identical
+     sequences both must be empty, hence equal. *)
   let verdicts_identical =
     hundred.generic_key.violations = hundred.generic_total.violations
   in
-  if not verdicts_identical then
-    fail "100%% conflict: relaxed and total-order verdicts differ";
   let low_win =
     List.filter_map
       (fun c ->
@@ -286,45 +256,42 @@ let () =
           let better a b =
             match (a, b) with Some x, Some y -> x < y | _ -> false
           in
-          let win =
-            better c.generic_key.mean_latency_ms c.a1.mean_latency_ms
-            || better c.generic_key.mean_degree c.a1.mean_degree
-          in
-          if not win then
-            fail
-              "rate %d%%: generic-key shows no latency or degree win over a1"
-              c.pct;
-          Some (c.pct, win))
+          Some
+            ( c.pct,
+              better c.generic_key.mean_latency_ms c.a1.mean_latency_ms
+              || better c.generic_key.mean_degree c.a1.mean_degree ))
       cells
   in
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"amcast-bench-generic/v1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"generated_unix_time\": %.0f,\n" (Unix.gettimeofday ()));
-  Buffer.add_string buf (Printf.sprintf "  \"seed\": %d,\n" seed);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"groups\": %d, \"d\": %d, \"messages\": %d,\n" groups
-       per_group messages);
-  Buffer.add_string buf "  \"cells\": [\n";
-  Buffer.add_string buf (String.concat ",\n" (List.map json_of_cell cells));
-  Buffer.add_string buf "\n  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"equivalence_100\": { \"sequences_identical\": %b, \
-        \"verdicts_identical\": %b, \"replicas_consistent\": %b },\n"
-       seqs_identical verdicts_identical consistent);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"low_conflict_win\": %b,\n"
-       (List.for_all snd low_win));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"gates_failed\": %d\n" (List.length !failures));
-  Buffer.add_string buf "}\n";
-  let oc = open_out !out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "  wrote %s (%d cells)\n%!" !out (List.length cells);
-  if !failures <> [] then begin
-    List.iter (Printf.eprintf "generic_bench: FAIL — %s\n") (List.rev !failures);
-    exit 1
-  end
+  let open Harness.Bench_json in
+  write ~schema:"amcast-bench-generic/v1" ~out:!out
+    ~gates:
+      (List.concat_map
+         (fun c ->
+           List.map
+             (fun (who, r) ->
+               (Printf.sprintf "rate_%d_%s_clean" c.pct who, r.violations = []))
+             (runs c))
+         cells
+      @ [
+          ("sequences_identical_100", seqs_identical);
+          ("replicas_consistent_100", consistent);
+          ("verdicts_identical_100", verdicts_identical);
+        ]
+      @ List.map
+          (fun (pct, win) -> (Printf.sprintf "low_conflict_win_rate_%d" pct, win))
+          low_win)
+    [
+      ("seed", Int seed);
+      ("groups", Int groups);
+      ("d", Int per_group);
+      ("messages", Int messages);
+      ("cells", List (List.map json_of_cell cells));
+      ( "equivalence_100",
+        Obj
+          [
+            ("sequences_identical", Bool seqs_identical);
+            ("verdicts_identical", Bool verdicts_identical);
+            ("replicas_consistent", Bool consistent);
+          ] );
+      ("low_conflict_win", Bool (List.for_all snd low_win));
+    ]

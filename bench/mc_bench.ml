@@ -125,130 +125,93 @@ type row = {
 
 let rate n wall = float_of_int n /. Float.max wall 1e-9
 
+let reduction r =
+  Option.map
+    (fun n ->
+      float_of_int n.interleavings /. float_of_int (max 1 r.por.interleavings))
+    r.naive
+
 let json_of_side s =
-  Printf.sprintf
-    "{ \"interleavings\": %d, \"events\": %d, \"replays\": %d, \
-     \"sleep_prunes\": %d, \"peak_depth\": %d, \"exhaustive\": %b, \
-     \"wall_s\": %.6f, \"states_per_s\": %.0f, \"events_per_s\": %.0f }"
-    s.interleavings s.events s.replays s.sleep_prunes s.peak_depth
-    s.exhaustive s.wall_s
-    (rate s.interleavings s.wall_s)
-    (rate s.events s.wall_s)
+  let open Harness.Bench_json in
+  Obj
+    [
+      ("interleavings", Int s.interleavings);
+      ("events", Int s.events);
+      ("replays", Int s.replays);
+      ("sleep_prunes", Int s.sleep_prunes);
+      ("peak_depth", Int s.peak_depth);
+      ("exhaustive", Bool s.exhaustive);
+      ("wall_s", float 6 s.wall_s);
+      ("states_per_s", float 0 (rate s.interleavings s.wall_s));
+      ("events_per_s", float 0 (rate s.events s.wall_s));
+    ]
 
 let json_of_row r =
+  let open Harness.Bench_json in
   let c = r.config in
-  let reduction =
-    match r.naive with
-    | Some n ->
-      Printf.sprintf "%.2f"
-        (float_of_int n.interleavings /. float_of_int (max 1 r.por.interleavings))
-    | None -> "null"
-  in
-  let outcomes_equal =
-    match r.naive with
-    | Some n -> string_of_bool (n.outcomes = r.por.outcomes)
-    | None -> "null"
-  in
-  Printf.sprintf
-    {|    {
-      "name": "%s",
-      "protocol": "%s",
-      "sizes": [%s],
-      "casts": %d,
-      "reorder_bound": %s,
-      "por": %s,
-      "naive": %s,
-      "reduction_factor": %s,
-      "outcomes_equal": %s,
-      "distinct_outcomes": %d,
-      "violation": %b
-    }|}
-    c.name c.protocol
-    (String.concat ", " (List.map string_of_int c.sizes))
-    (List.length c.casts)
-    (if c.reorder = max_int then "null" else string_of_int c.reorder)
-    (json_of_side r.por)
-    (match r.naive with
-    | Some n -> json_of_side n
-    | None -> "null")
-    reduction outcomes_equal
-    (List.length r.por.outcomes)
-    r.por.violated
+  Obj
+    [
+      ("name", String c.name);
+      ("protocol", String c.protocol);
+      ("sizes", ints c.sizes);
+      ("casts", Int (List.length c.casts));
+      ("reorder_bound", if c.reorder = max_int then Null else Int c.reorder);
+      ("por", json_of_side r.por);
+      ("naive", opt json_of_side r.naive);
+      ("reduction_factor", opt (float 2) (reduction r));
+      ( "outcomes_equal",
+        opt (fun n -> Bool (n.outcomes = r.por.outcomes)) r.naive );
+      ("distinct_outcomes", Int (List.length r.por.outcomes));
+      ("violation", Bool r.por.violated);
+    ]
+
+(* The soundness differential, one named assertion per condition. *)
+let gates r =
+  let name = r.config.name in
+  [ (name ^ "_por_exhaustive", r.por.exhaustive);
+    (name ^ "_clean", not r.por.violated) ]
+  @
+  match (r.naive, reduction r) with
+  | Some n, Some red ->
+    [
+      (name ^ "_naive_exhaustive", n.exhaustive);
+      (name ^ "_outcomes_equal", n.outcomes = r.por.outcomes);
+      (name ^ "_reduction_floor", not (red < min_reduction));
+    ]
+  | _ -> []
 
 let () =
   let out = ref "BENCH_mc.json" in
-  let rec parse = function
-    | "--out" :: v :: rest ->
-      out := v;
-      parse rest
-    | [] -> ()
-    | a :: _ ->
-      Printf.eprintf "mc_bench: unknown argument %s\nusage: mc_bench [--out PATH]\n" a;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  Harness.Bench_json.parse_flags ~usage:"usage: mc_bench [--out PATH]"
+    [ ("--out", Arg.Set_string out, "PATH output file (default BENCH_mc.json)") ];
   Printf.printf "mc_bench: %d configurations (%d with naive comparison)\n%!"
     (List.length matrix)
     (List.length (List.filter (fun c -> c.compare_naive) matrix));
-  let failures = ref [] in
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        failures := m :: !failures;
-        Printf.printf "  ASSERT FAILED: %s\n%!" m)
-      fmt
-  in
   let rows =
     List.map
       (fun c ->
         let por = run_side c ~por:true in
         let naive = if c.compare_naive then Some (run_side c ~por:false) else None in
+        let r = { config = c; por; naive } in
         Printf.printf
           "  %-18s por %6d states %8.3fs (%7.0f states/s, %7.0f events/s)%s\n%!"
           c.name por.interleavings por.wall_s
           (rate por.interleavings por.wall_s)
           (rate por.events por.wall_s)
-          (match naive with
-          | Some n ->
+          (match (naive, reduction r) with
+          | Some n, Some red ->
             Printf.sprintf "  naive %6d states %8.3fs  %.0fx" n.interleavings
-              n.wall_s
-              (float_of_int n.interleavings /. float_of_int (max 1 por.interleavings))
-          | None -> "");
-        if not por.exhaustive then fail "%s: POR exploration not exhaustive" c.name;
-        if por.violated then fail "%s: unexpected violation" c.name;
-        (match naive with
-        | Some n ->
-          if not n.exhaustive then fail "%s: naive exploration not exhaustive" c.name;
-          if n.outcomes <> por.outcomes then
-            fail "%s: naive and POR terminal outcomes differ" c.name;
-          let red =
-            float_of_int n.interleavings /. float_of_int (max 1 por.interleavings)
-          in
-          if red < min_reduction then
-            fail "%s: POR reduction %.2fx below the %.0fx floor" c.name red
-              min_reduction
-        | None -> ());
-        { config = c; por; naive })
+              n.wall_s red
+          | _ -> "");
+        r)
       matrix
   in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"amcast-bench-mc/v1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"generated_unix_time\": %.0f,\n" (Unix.gettimeofday ()));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"min_reduction_floor\": %.0f,\n" min_reduction);
-  Buffer.add_string buf "  \"results\": [\n";
-  Buffer.add_string buf (String.concat ",\n" (List.map json_of_row rows));
-  Buffer.add_string buf "\n  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"assertion_failures\": %d\n" (List.length !failures));
-  Buffer.add_string buf "}\n";
-  let oc = open_out !out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "  wrote %s\n%!" !out;
-  if !failures <> [] then begin
-    Printf.eprintf "mc_bench: FAIL — %d assertion(s)\n" (List.length !failures);
-    exit 1
-  end
+  let gates = List.concat_map gates rows in
+  let open Harness.Bench_json in
+  write ~schema:"amcast-bench-mc/v1" ~out:!out ~gates
+    [
+      ("min_reduction_floor", float 0 min_reduction);
+      ("results", List (List.map json_of_row rows));
+      ( "assertion_failures",
+        Int (List.length (List.filter (fun (_, ok) -> not ok) gates)) );
+    ]

@@ -306,67 +306,72 @@ let overlay_cells ~seed =
 
 (* ------------------------------------------------------------------ *)
 
+open Harness.Bench_json
+
 let json_of_mode m =
-  Printf.sprintf
-    "{ \"degree\": %s, \"inter_msgs\": %d, \"intra_msgs\": %d, \"events\": \
-     %d, \"bytes_modeled\": %d, \"wall_s\": %.6f }"
-    (match m.degree with Some x -> string_of_int x | None -> "null")
-    m.inter m.intra m.events m.bytes m.wall_s
+  Obj
+    [
+      ("degree", opt (fun x -> Int x) m.degree);
+      ("inter_msgs", Int m.inter);
+      ("intra_msgs", Int m.intra);
+      ("events", Int m.events);
+      ("bytes_modeled", Int m.bytes);
+      ("wall_s", float 6 m.wall_s);
+    ]
 
 let json_of_cell c =
-  Printf.sprintf
-    "    { \"experiment\": \"%s\", \"algorithm\": \"%s\", \"groups\": %d, \
-     \"d\": %d, \"k\": %d,\n\
-    \      \"fast\": %s,\n\
-    \      \"reference\": %s,\n\
-    \      \"inter_identical\": %b, \"degree_identical\": %b }"
-    c.spec.figure c.spec.algorithm c.spec.groups c.spec.d c.spec.k
-    (json_of_mode c.fast)
-    (json_of_mode c.reference)
-    (c.fast.inter = c.reference.inter)
-    (c.fast.degree = c.reference.degree)
+  Obj
+    [
+      ("experiment", String c.spec.figure);
+      ("algorithm", String c.spec.algorithm);
+      ("groups", Int c.spec.groups);
+      ("d", Int c.spec.d);
+      ("k", Int c.spec.k);
+      ("fast", json_of_mode c.fast);
+      ("reference", json_of_mode c.reference);
+      ("inter_identical", Bool (c.fast.inter = c.reference.inter));
+      ("degree_identical", Bool (c.fast.degree = c.reference.degree));
+    ]
 
 let json_of_overlay c =
-  Printf.sprintf
-    "    { \"topology\": \"%s\", \"algorithm\": \"%s\", \"groups\": %d, \
-     \"d\": %d, \"k\": %d,\n\
-    \      \"degree\": %s, \"inter_msgs\": %d, \"link_crossings\": %d, \
-     \"intercontinental_msgs\": %d,\n\
-    \      \"latency_ms\": %s, \"violations\": %d }"
-    c.o_topology c.o_algorithm c.o_groups c.o_d c.o_k
-    (match c.o_degree with Some x -> string_of_int x | None -> "null")
-    c.o_inter_msgs c.o_link_crossings c.o_intercontinental
-    (match c.o_latency_ms with
-    | Some l -> Printf.sprintf "%.1f" l
-    | None -> "null")
-    (List.length c.o_violations)
+  Obj
+    [
+      ("topology", String c.o_topology);
+      ("algorithm", String c.o_algorithm);
+      ("groups", Int c.o_groups);
+      ("d", Int c.o_d);
+      ("k", Int c.o_k);
+      ("degree", opt (fun x -> Int x) c.o_degree);
+      ("inter_msgs", Int c.o_inter_msgs);
+      ("link_crossings", Int c.o_link_crossings);
+      ("intercontinental_msgs", Int c.o_intercontinental);
+      ("latency_ms", opt (float 1) c.o_latency_ms);
+      ("violations", Int (List.length c.o_violations));
+    ]
 
 let json_of_steady s =
-  Printf.sprintf
-    "    { \"protocol\": \"%s\", \"groups\": %d, \"d\": %d, \"msgs\": %d, \
-     \"instances\": %d,\n\
-    \      \"fast_cons_intra_msgs\": %d, \"reference_cons_intra_msgs\": %d,\n\
-    \      \"fast_cons_intra_per_instance\": %.2f, \
-     \"reference_cons_intra_per_instance\": %.2f, \"reduction\": %.2f }"
-    s.s_protocol s.s_groups s.s_d s.s_msgs s.s_instances s.fast_cons_intra
-    s.ref_cons_intra s.fast_per_instance s.ref_per_instance s.ratio
+  Obj
+    [
+      ("protocol", String s.s_protocol);
+      ("groups", Int s.s_groups);
+      ("d", Int s.s_d);
+      ("msgs", Int s.s_msgs);
+      ("instances", Int s.s_instances);
+      ("fast_cons_intra_msgs", Int s.fast_cons_intra);
+      ("reference_cons_intra_msgs", Int s.ref_cons_intra);
+      ("fast_cons_intra_per_instance", float 2 s.fast_per_instance);
+      ("reference_cons_intra_per_instance", float 2 s.ref_per_instance);
+      ("reduction", float 2 s.ratio);
+    ]
 
 let () =
   let seed = ref 0 in
   let out = ref "BENCH_msgpath.json" in
-  let rec parse = function
-    | [] -> ()
-    | "--seed" :: v :: rest ->
-      seed := int_of_string v;
-      parse rest
-    | "--out" :: v :: rest ->
-      out := v;
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf "msgpath_bench: unknown argument %S\n" arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  parse_flags ~usage:"usage: msgpath_bench [--seed S] [--out PATH]"
+    [
+      ("--seed", Arg.Set_int seed, "S run seed (default 0)");
+      ("--out", Arg.Set_string out, "PATH output file (default BENCH_msgpath.json)");
+    ];
   let seed = !seed in
   Printf.printf
     "msgpath_bench: Figure 1 identity + steady-state economy, seed %d\n%!"
@@ -409,71 +414,26 @@ let () =
   in
   let hub_flexcast = intercontinental ~topology:"hub" ~algorithm:"flexcast" in
   let hub_a1 = intercontinental ~topology:"hub" ~algorithm:"a1" in
-  let buf = Buffer.create 16384 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"amcast-bench-msgpath/v1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"generated_unix_time\": %.0f,\n"
-       (Unix.gettimeofday ()));
-  Buffer.add_string buf (Printf.sprintf "  \"seed\": %d,\n" seed);
-  Buffer.add_string buf "  \"cells\": [\n";
-  Buffer.add_string buf (String.concat ",\n" (List.map json_of_cell cells));
-  Buffer.add_string buf "\n  ],\n";
-  Buffer.add_string buf "  \"steady_state\": [\n";
-  Buffer.add_string buf
-    (String.concat ",\n" (List.map json_of_steady steadies));
-  Buffer.add_string buf "\n  ],\n";
-  Buffer.add_string buf "  \"overlay_cells\": [\n";
-  Buffer.add_string buf
-    (String.concat ",\n" (List.map json_of_overlay overlays));
-  Buffer.add_string buf "\n  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"divergent_cells\": %d,\n" (List.length divergent));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"overlay_violations\": %d,\n" overlay_violations);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"hub_intercontinental_flexcast\": %d,\n\
-       \  \"hub_intercontinental_a1\": %d,\n"
-       hub_flexcast hub_a1);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"min_steady_state_reduction\": %.2f\n"
-       (if min_ratio = infinity then 0. else min_ratio));
-  Buffer.add_string buf "}\n";
-  let oc = open_out !out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+  let reported_ratio = if min_ratio = infinity then 0. else min_ratio in
   Printf.printf
-    "  wrote %s (%d cells, %d divergent; min steady-state reduction %.2fx)\n\
-     %!"
-    !out (List.length cells) (List.length divergent)
-    (if min_ratio = infinity then 0. else min_ratio);
-  if divergent <> [] then begin
-    Printf.eprintf
-      "msgpath_bench: FAIL — %d cell(s) where fast lanes change inter-group \
-       counts or latency degrees\n"
-      (List.length divergent);
-    exit 1
-  end;
-  if min_ratio < 2.0 then begin
-    Printf.eprintf
-      "msgpath_bench: FAIL — steady-state consensus-message reduction %.2fx \
-       < 2x at d >= 3\n"
-      min_ratio;
-    exit 1
-  end;
-  if overlay_violations > 0 then begin
-    Printf.eprintf
-      "msgpath_bench: FAIL — %d violation(s) in overlay cells (overlay \
-       genuineness or agreement broken)\n"
-      overlay_violations;
-    exit 1
-  end;
-  if hub_flexcast >= hub_a1 then begin
-    Printf.eprintf
-      "msgpath_bench: FAIL — flexcast crossed %d inter-continental links \
-       per cast on the hub, a1 %d; hop-by-hop routing must be strictly \
-       cheaper\n"
-      hub_flexcast hub_a1;
-    exit 1
-  end
+    "  %d cells, %d divergent; min steady-state reduction %.2fx\n%!"
+    (List.length cells) (List.length divergent) reported_ratio;
+  write ~schema:"amcast-bench-msgpath/v1" ~out:!out
+    ~gates:
+      [
+        ("no_divergent_cells", divergent = []);
+        ("steady_state_reduction_2x", not (min_ratio < 2.0));
+        ("no_overlay_violations", overlay_violations = 0);
+        ("hub_flexcast_fewer_intercontinental", hub_flexcast < hub_a1);
+      ]
+    [
+      ("seed", Int seed);
+      ("cells", List (List.map json_of_cell cells));
+      ("steady_state", List (List.map json_of_steady steadies));
+      ("overlay_cells", List (List.map json_of_overlay overlays));
+      ("divergent_cells", Int (List.length divergent));
+      ("overlay_violations", Int overlay_violations);
+      ("hub_intercontinental_flexcast", Int hub_flexcast);
+      ("hub_intercontinental_a1", Int hub_a1);
+      ("min_steady_state_reduction", float 2 reported_ratio);
+    ]

@@ -195,58 +195,49 @@ let run_differential (type a) (module P : Amcast.Protocol.S with type t = a)
 
 (* ------------------------------------------------------------------ *)
 
-let json_opt_float = function
-  | Some x -> Printf.sprintf "%.3f" x
-  | None -> "null"
-
-let json_string_list l =
-  "[" ^ String.concat ", " (List.map (Printf.sprintf "%S") l) ^ "]"
-
 let json_of_cell c =
-  Printf.sprintf
-    "    { \"protocol\": \"%s\", \"mode\": \"%s\", \"offered_rate\": %d, \
-     \"casts\": %d,\n\
-    \      \"delivered\": %d, \"delivered_rate\": %.1f, \"p50_ms\": %s, \
-     \"p99_ms\": %s,\n\
-    \      \"batches_formed\": %d, \"batched_casts\": %d, \
-     \"casts_per_batch_max\": %d,\n\
-    \      \"pipeline_depth_max\": %d, \"acks_coalesced\": %d, \"wall_s\": \
-     %.6f }"
-    c.protocol c.mode c.offered_rate c.casts c.delivered c.delivered_rate
-    (json_opt_float c.p50_ms) (json_opt_float c.p99_ms) c.batches_formed
-    c.batched_casts c.casts_per_batch_max c.pipeline_depth_max
-    c.acks_coalesced c.wall_s
+  let open Harness.Bench_json in
+  Obj
+    [
+      ("protocol", String c.protocol);
+      ("mode", String c.mode);
+      ("offered_rate", Int c.offered_rate);
+      ("casts", Int c.casts);
+      ("delivered", Int c.delivered);
+      ("delivered_rate", float 1 c.delivered_rate);
+      ("p50_ms", opt (float 3) c.p50_ms);
+      ("p99_ms", opt (float 3) c.p99_ms);
+      ("batches_formed", Int c.batches_formed);
+      ("batched_casts", Int c.batched_casts);
+      ("casts_per_batch_max", Int c.casts_per_batch_max);
+      ("pipeline_depth_max", Int c.pipeline_depth_max);
+      ("acks_coalesced", Int c.acks_coalesced);
+      ("wall_s", float 6 c.wall_s);
+    ]
 
 let json_of_differential d =
-  Printf.sprintf
-    "    { \"protocol\": \"%s\", \"scenario\": \"%s\", \"seed\": %d,\n\
-    \      \"batched_violations\": %s, \"reference_violations\": %s, \
-     \"divergent\": %b }"
-    d.d_protocol d.scenario d.d_seed
-    (json_string_list d.batched_violations)
-    (json_string_list d.reference_violations)
-    (d_diverges d)
+  let open Harness.Bench_json in
+  Obj
+    [
+      ("protocol", String d.d_protocol);
+      ("scenario", String d.scenario);
+      ("seed", Int d.d_seed);
+      ("batched_violations", strings d.batched_violations);
+      ("reference_violations", strings d.reference_violations);
+      ("divergent", Bool (d_diverges d));
+    ]
 
 let () =
   let seed = ref 0 in
   let out = ref "BENCH_throughput.json" in
   let smoke = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--seed" :: v :: rest ->
-      seed := int_of_string v;
-      parse rest
-    | "--out" :: v :: rest ->
-      out := v;
-      parse rest
-    | "--smoke" :: rest ->
-      smoke := true;
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf "throughput_bench: unknown argument %S\n" arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  Harness.Bench_json.parse_flags
+    ~usage:"usage: throughput_bench [--seed S] [--out PATH] [--smoke]"
+    [
+      ("--seed", Arg.Set_int seed, "S run seed (default 0)");
+      ("--out", Arg.Set_string out, "PATH output file (default BENCH_throughput.json)");
+      ("--smoke", Arg.Set smoke, " two rates and a shorter load span");
+    ];
   let seed = !seed in
   let smoke = !smoke in
   let rates = if smoke then [ 1_000; 8_000 ] else [ 1_000; 2_000; 4_000; 8_000 ] in
@@ -317,50 +308,24 @@ let () =
     float_of_int b.delivered /. float_of_int (max 1 u.delivered)
   in
   let divergent = List.filter d_diverges differentials in
-  let buf = Buffer.create 16384 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"amcast-bench-throughput/v1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"generated_unix_time\": %.0f,\n"
-       (Unix.gettimeofday ()));
-  Buffer.add_string buf (Printf.sprintf "  \"seed\": %d,\n" seed);
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" smoke);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"tx_cost_us\": %d,\n" (Sim_time.to_us tx_cost));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"window_ms\": %.0f,\n" (Sim_time.to_ms_float window));
-  Buffer.add_string buf "  \"cells\": [\n";
-  Buffer.add_string buf (String.concat ",\n" (List.map json_of_cell cells));
-  Buffer.add_string buf "\n  ],\n";
-  Buffer.add_string buf "  \"differentials\": [\n";
-  Buffer.add_string buf
-    (String.concat ",\n" (List.map json_of_differential differentials));
-  Buffer.add_string buf "\n  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"divergent_differentials\": %d,\n"
-       (List.length divergent));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"a1_saturation_ratio\": %.2f\n" saturation_ratio);
-  Buffer.add_string buf "}\n";
-  let oc = open_out !out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
   Printf.printf
-    "  wrote %s (%d cells; a1 saturation ratio %.2fx; %d divergent \
-     differential(s))\n\
-     %!"
-    !out (List.length cells) saturation_ratio (List.length divergent);
-  if divergent <> [] then begin
-    Printf.eprintf
-      "throughput_bench: FAIL — %d differential(s) where the batched lane \
-       changes checker verdicts vs the reference mode\n"
-      (List.length divergent);
-    exit 1
-  end;
-  if saturation_ratio < 2.0 then begin
-    Printf.eprintf
-      "throughput_bench: FAIL — batched A1 delivered only %.2fx the \
-       unbatched lane at %d casts/s (floor: 2x)\n"
-      saturation_ratio top_rate;
-    exit 1
-  end
+    "  %d cells; a1 saturation ratio %.2fx at %d casts/s; %d divergent \
+     differential(s)\n%!"
+    (List.length cells) saturation_ratio top_rate (List.length divergent);
+  let open Harness.Bench_json in
+  write ~schema:"amcast-bench-throughput/v1" ~out:!out
+    ~gates:
+      [
+        ("no_divergent_differentials", divergent = []);
+        ("a1_saturation_2x", not (saturation_ratio < 2.0));
+      ]
+    [
+      ("seed", Int seed);
+      ("smoke", Bool smoke);
+      ("tx_cost_us", Int (Sim_time.to_us tx_cost));
+      ("window_ms", float 0 (Sim_time.to_ms_float window));
+      ("cells", List (List.map json_of_cell cells));
+      ("differentials", List (List.map json_of_differential differentials));
+      ("divergent_differentials", Int (List.length divergent));
+      ("a1_saturation_ratio", float 2 saturation_ratio);
+    ]

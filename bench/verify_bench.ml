@@ -127,47 +127,37 @@ let bench_row ~seed ~repeats ~compare_naive t n =
   }
 
 let json_of_row r =
-  let opt_f = function
-    | Some v -> Printf.sprintf "%.6f" v
-    | None -> "null"
-  in
-  let speedup =
-    match r.naive_check_s with
-    | Some n when r.fast_check_s > 0. ->
-      Printf.sprintf "%.2f" (n /. r.fast_check_s)
-    | _ -> "null"
-  in
-  Printf.sprintf
-    {|    {
-      "protocol": "%s",
-      "n_msgs": %d,
-      "deliveries": %d,
-      "casts": %d,
-      "trace_len": %d,
-      "events": %d,
-      "run_wall_s": %.6f,
-      "events_per_s": %.0f,
-      "fast_core_s": %.6f,
-      "fast_core_us_per_delivery": %.3f,
-      "fast_causal_s": %.6f,
-      "fast_check_s": %.6f,
-      "naive_check_s": %s,
-      "checker_speedup": %s,
-      "violations_fast": %d,
-      "differential_ok": %s
-    }|}
-    r.protocol r.n_msgs r.deliveries r.casts r.trace_len r.events
-    r.run_wall_s
-    (float_of_int r.events /. r.run_wall_s)
-    r.fast_core_s
-    (1e6 *. r.fast_core_s /. float_of_int (max 1 r.deliveries))
-    r.fast_causal_s r.fast_check_s
-    (opt_f r.naive_check_s) speedup r.violations_fast
-    (match r.differential_ok with
-    | Some b -> string_of_bool b
-    | None -> "null")
+  let open Harness.Bench_json in
+  Obj
+    [
+      ("protocol", String r.protocol);
+      ("n_msgs", Int r.n_msgs);
+      ("deliveries", Int r.deliveries);
+      ("casts", Int r.casts);
+      ("trace_len", Int r.trace_len);
+      ("events", Int r.events);
+      ("run_wall_s", float 6 r.run_wall_s);
+      ("events_per_s", float 0 (float_of_int r.events /. r.run_wall_s));
+      ("fast_core_s", float 6 r.fast_core_s);
+      ( "fast_core_us_per_delivery",
+        float 3 (1e6 *. r.fast_core_s /. float_of_int (max 1 r.deliveries)) );
+      ("fast_causal_s", float 6 r.fast_causal_s);
+      ("fast_check_s", float 6 r.fast_check_s);
+      ("naive_check_s", opt (float 6) r.naive_check_s);
+      ( "checker_speedup",
+        match r.naive_check_s with
+        | Some n when r.fast_check_s > 0. -> float 2 (n /. r.fast_check_s)
+        | _ -> Null );
+      ("violations_fast", Int r.violations_fast);
+      ("differential_ok", opt (fun b -> Bool b) r.differential_ok);
+    ]
 
-let parse_scales s = String.split_on_char ',' s |> List.map int_of_string
+let parse_scales s =
+  String.split_on_char ',' s
+  |> List.map (fun n ->
+         match int_of_string_opt n with
+         | Some n -> n
+         | None -> raise (Arg.Bad ("bad scale " ^ n)))
 
 let () =
   let seed = ref 7 in
@@ -175,24 +165,22 @@ let () =
   let fast_scales = ref [ 400; 800; 1600; 3200 ] in
   let repeats = ref 3 in
   let out = ref "BENCH_verify.json" in
-  let rec parse = function
-    | "--seed" :: v :: rest -> seed := int_of_string v; parse rest
-    | "--scales" :: v :: rest -> scales := parse_scales v; parse rest
-    | "--fast-scales" :: v :: rest ->
-      fast_scales := (if v = "" then [] else parse_scales v);
-      parse rest
-    | "--repeats" :: v :: rest -> repeats := int_of_string v; parse rest
-    | "--out" :: v :: rest -> out := v; parse rest
-    | [] -> ()
-    | a :: _ ->
-      Printf.eprintf
-        "verify_bench: unknown argument %s\n\
-         usage: verify_bench [--seed S] [--scales N,..] [--fast-scales \
-         N,..] [--repeats R] [--out PATH]\n"
-        a;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  Harness.Bench_json.parse_flags
+    ~usage:
+      "usage: verify_bench [--seed S] [--scales N,..] [--fast-scales N,..] \
+       [--repeats R] [--out PATH]"
+    [
+      ("--seed", Arg.Set_int seed, "S workload seed (default 7)");
+      ( "--scales",
+        Arg.String (fun v -> scales := parse_scales v),
+        "N,.. scales checked fast and naive (default 25,50,100,200)" );
+      ( "--fast-scales",
+        Arg.String
+          (fun v -> fast_scales := if v = "" then [] else parse_scales v),
+        "N,.. fast-only scales (default 400,800,1600,3200)" );
+      ("--repeats", Arg.Set_int repeats, "R timing repeats (default 3)");
+      ("--out", Arg.Set_string out, "PATH output file (default BENCH_verify.json)");
+    ];
   let seed = !seed and repeats = max 1 !repeats in
   Printf.printf
     "verify_bench: %d protocols, compared scales [%s], fast-only [%s], \
@@ -243,44 +231,27 @@ let () =
   let mismatches =
     List.filter (fun r -> r.differential_ok = Some false) rows
   in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"amcast-bench-verify/v1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"generated_unix_time\": %.0f,\n"
-       (Unix.gettimeofday ()));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"matrix\": { \"seed\": %d, \"repeats\": %d, \"scales\": [%s], \
-        \"fast_only_scales\": [%s], \"protocols\": [%s] },\n"
-       seed repeats
-       (String.concat ", " (List.map string_of_int !scales))
-       (String.concat ", " (List.map string_of_int !fast_scales))
-       (String.concat ", "
-          (List.map
-             (fun (t : Amcast.Catalogue.entry) -> "\"" ^ t.name ^ "\"")
-             matrix)));
-  Buffer.add_string buf "  \"results\": [\n";
-  Buffer.add_string buf (String.concat ",\n" (List.map json_of_row rows));
-  Buffer.add_string buf "\n  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"checker_speedup_at_largest_compared\": %s,\n"
-       (if speedup_at_largest = infinity then "null"
-        else Printf.sprintf "%.2f" speedup_at_largest));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"differential_mismatches\": %d\n"
-       (List.length mismatches));
-  Buffer.add_string buf "}\n";
-  let oc = open_out !out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "  wrote %s (speedup at n=%d: %s)\n%!" !out largest
+  Printf.printf "  speedup at n=%d: %s\n%!" largest
     (if speedup_at_largest = infinity then "n/a"
      else Printf.sprintf "%.1fx" speedup_at_largest);
-  if mismatches <> [] then begin
-    Printf.eprintf
-      "verify_bench: FAIL — %d scale(s) where fast and naive checkers \
-       disagree\n"
-      (List.length mismatches);
-    exit 1
-  end
+  let open Harness.Bench_json in
+  write ~schema:"amcast-bench-verify/v1" ~out:!out
+    ~gates:[ ("no_differential_mismatches", mismatches = []) ]
+    [
+      ( "matrix",
+        Obj
+          [
+            ("seed", Int seed);
+            ("repeats", Int repeats);
+            ("scales", ints !scales);
+            ("fast_only_scales", ints !fast_scales);
+            ( "protocols",
+              strings
+                (List.map (fun (t : Amcast.Catalogue.entry) -> t.name) matrix) );
+          ] );
+      ("results", List (List.map json_of_row rows));
+      ( "checker_speedup_at_largest_compared",
+        if speedup_at_largest = infinity then Null
+        else float 2 speedup_at_largest );
+      ("differential_mismatches", Int (List.length mismatches));
+    ]

@@ -59,13 +59,6 @@ let float_arg flag value =
 
 (* ------------------------------------------------------------------ *)
 
-let json_opt_float = function
-  | Some x -> Printf.sprintf "%.3f" x
-  | None -> "null"
-
-let json_string_list l =
-  "[" ^ String.concat ", " (List.map (Printf.sprintf "%S") l) ^ "]"
-
 type bench_outcome = {
   params : Transport.Load.params;
   load : Transport.Load.result;
@@ -77,54 +70,37 @@ type bench_outcome = {
   checker : string list;
 }
 
-let bench_json ~groups ~per_group ~inject ~base_port (o : bench_outcome) =
+let bench_fields ~groups ~per_group ~inject ~base_port (o : bench_outcome) =
+  let open Harness.Bench_json in
   let p = o.params and l = o.load in
-  let committed = Array.to_list o.committed in
-  Printf.sprintf
-    "{\n\
-    \  \"schema\": \"amcast-bench-kv/v1\",\n\
-    \  \"protocol\": \"a1\",\n\
-    \  \"transport\": \"tcp-localhost\",\n\
-    \  \"topology\": \"%dx%d\",\n\
-    \  \"base_port\": %d,\n\
-    \  \"inject\": %S,\n\
-    \  \"seed\": %d,\n\
-    \  \"clients\": %d,\n\
-    \  \"duration_s\": %.3f,\n\
-    \  \"keyspace\": %d,\n\
-    \  \"value_bytes\": %d,\n\
-    \  \"get_ratio\": %.3f,\n\
-    \  \"del_ratio\": %.3f,\n\
-    \  \"ops\": %d,\n\
-    \  \"errors\": %d,\n\
-    \  \"redirects\": %d,\n\
-    \  \"wall_s\": %.6f,\n\
-    \  \"throughput_ops_s\": %.1f,\n\
-    \  \"mean_ms\": %s,\n\
-    \  \"p50_ms\": %s,\n\
-    \  \"p99_ms\": %s,\n\
-    \  \"crash_restart\": %b,\n\
-    \  \"victim\": %s,\n\
-    \  \"learner_synced\": %b,\n\
-    \  \"committed_per_replica\": [%s],\n\
-    \  \"consistency_violations\": %s,\n\
-    \  \"checker_violations\": %s\n\
-     }\n"
-    groups per_group base_port inject p.Transport.Load.seed
-    p.Transport.Load.clients p.Transport.Load.duration
-    p.Transport.Load.keyspace p.Transport.Load.value_bytes
-    p.Transport.Load.get_ratio p.Transport.Load.del_ratio l.Transport.Load.ops
-    l.Transport.Load.errors l.Transport.Load.redirects l.Transport.Load.wall_s
-    l.Transport.Load.throughput
-    (json_opt_float l.Transport.Load.mean_ms)
-    (json_opt_float l.Transport.Load.p50_ms)
-    (json_opt_float l.Transport.Load.p99_ms)
-    o.crash_restart
-    (match o.victim with Some p -> string_of_int p | None -> "null")
-    o.learner_synced
-    (String.concat ", " (List.map string_of_int committed))
-    (json_string_list o.consistency)
-    (json_string_list o.checker)
+  [
+    ("protocol", String "a1");
+    ("transport", String "tcp-localhost");
+    ("topology", String (Printf.sprintf "%dx%d" groups per_group));
+    ("base_port", Int base_port);
+    ("inject", String inject);
+    ("seed", Int p.Transport.Load.seed);
+    ("clients", Int p.Transport.Load.clients);
+    ("duration_s", float 3 p.Transport.Load.duration);
+    ("keyspace", Int p.Transport.Load.keyspace);
+    ("value_bytes", Int p.Transport.Load.value_bytes);
+    ("get_ratio", float 3 p.Transport.Load.get_ratio);
+    ("del_ratio", float 3 p.Transport.Load.del_ratio);
+    ("ops", Int l.Transport.Load.ops);
+    ("errors", Int l.Transport.Load.errors);
+    ("redirects", Int l.Transport.Load.redirects);
+    ("wall_s", float 6 l.Transport.Load.wall_s);
+    ("throughput_ops_s", float 1 l.Transport.Load.throughput);
+    ("mean_ms", opt (float 3) l.Transport.Load.mean_ms);
+    ("p50_ms", opt (float 3) l.Transport.Load.p50_ms);
+    ("p99_ms", opt (float 3) l.Transport.Load.p99_ms);
+    ("crash_restart", Bool o.crash_restart);
+    ("victim", opt (fun v -> Int v) o.victim);
+    ("learner_synced", Bool o.learner_synced);
+    ("committed_per_replica", ints (Array.to_list o.committed));
+    ("consistency_violations", strings o.consistency);
+    ("checker_violations", strings o.checker);
+  ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -302,35 +278,33 @@ let cmd_bench args =
       checker;
     }
   in
-  let json =
-    bench_json ~groups:o.groups ~per_group:o.per_group ~inject:o.inject
-      ~base_port:o.base_port outcome
-  in
-  let oc = open_out o.out in
-  output_string oc json;
-  close_out oc;
+  let ms x = Harness.Bench_json.(to_string (opt (float 3) x)) in
   Printf.printf
     "  ops %d (errors %d, redirects %d)  throughput %.1f ops/s  p50 %s ms  \
      p99 %s ms\n\
     \  committed per replica: [%s]\n\
     \  learner synced: %b   consistency violations: %d   checker \
      violations: %d\n\
-    \  wrote %s\n\
      %!"
     load.Transport.Load.ops load.Transport.Load.errors
     load.Transport.Load.redirects load.Transport.Load.throughput
-    (json_opt_float load.Transport.Load.p50_ms)
-    (json_opt_float load.Transport.Load.p99_ms)
+    (ms load.Transport.Load.p50_ms)
+    (ms load.Transport.Load.p99_ms)
     (String.concat ", "
        (List.map string_of_int (Array.to_list committed)))
-    learner_synced (List.length consistency) (List.length checker) o.out;
+    learner_synced (List.length consistency) (List.length checker);
   List.iter (fun v -> Printf.printf "  consistency: %s\n" v) consistency;
   List.iter (fun v -> Printf.printf "  checker: %s\n" v) checker;
-  if
-    consistency <> [] || checker <> []
-    || (not learner_synced)
-    || load.Transport.Load.ops = 0
-  then exit 1
+  Harness.Bench_json.write ~schema:"amcast-bench-kv/v1" ~out:o.out
+    ~gates:
+      [
+        ("no_consistency_violations", consistency = []);
+        ("no_checker_violations", checker = []);
+        ("learner_synced", learner_synced);
+        ("ops_completed", load.Transport.Load.ops > 0);
+      ]
+    (bench_fields ~groups:o.groups ~per_group:o.per_group ~inject:o.inject
+       ~base_port:o.base_port outcome)
 
 let cmd_serve args =
   let o = parse_opts args in

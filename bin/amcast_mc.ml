@@ -81,59 +81,59 @@ let () =
   let max_total_steps = ref 50_000_000 in
   let minimize = ref true in
   let trace_out = ref None in
-  let argv = Sys.argv in
-  let rec parse i =
-    if i < Array.length argv then begin
-      let flag = argv.(i) in
-      let value () =
-        if i + 1 < Array.length argv then argv.(i + 1)
-        else die "%s needs an argument" flag
-      in
-      match flag with
-      | "--no-por" ->
-        por := false;
-        parse (i + 1)
-      | "--fingerprints" ->
-        fingerprints := true;
-        parse (i + 1)
-      | "--no-minimize" ->
-        minimize := false;
-        parse (i + 1)
-      | "--expect-violation" ->
-        expect_violation := true;
-        parse (i + 1)
-      | _ ->
-        let v = value () in
-        (match flag with
-        | "--replay" -> replay_file := Some v
-        | "--protocol" -> protocol := v
-        | "--sizes" -> sizes := ints_csv flag v
-        | "--casts" -> casts_n := int_arg flag v
-        | "--dest" -> dest := Some (ints_csv flag v)
-        | "--origins" -> origins := ints_csv flag v
-        | "--config" -> config_name := v
-        | "--seed" -> seed := int_arg flag v
-        | "--intra-us" -> intra_us := int_arg flag v
-        | "--inter-us" -> inter_us := int_arg flag v
-        | "--crash" -> (
-          match String.split_on_char ':' v with
-          | [ at; pid ] ->
-            crashes := (int_arg flag at, int_arg flag pid) :: !crashes
-          | _ -> die "--crash expects AT_US:PID, got %S" v)
-        | "--mutation" -> (
-          match Mc.Mutant.spec_of_string v with
-          | Ok spec -> mutation := Some spec
-          | Error e -> die "%s" e)
-        | "--spurious" -> spurious := int_arg flag v
-        | "--reorder" -> reorder := int_arg flag v
-        | "--max-interleavings" -> max_interleavings := int_arg flag v
-        | "--max-total-steps" -> max_total_steps := int_arg flag v
-        | "--trace-out" -> trace_out := Some v
-        | _ -> die "unknown flag %s" flag);
-        parse (i + 2)
-    end
-  in
-  parse 1;
+  let set r f = Arg.String (fun v -> r := f v) in
+  let int_flag flag r = set r (int_arg flag) in
+  Arg.parse
+    (Arg.align
+    [
+      ("--replay", set replay_file Option.some, "FILE replay a saved trace");
+      ( "--expect-violation",
+        Arg.Set expect_violation,
+        " the replayed trace must violate" );
+      ("--protocol", Arg.Set_string protocol, "NAME catalogue protocol (default a1)");
+      ("--sizes", set sizes (ints_csv "--sizes"), "CSV group sizes (default 2,2)");
+      ("--casts", int_flag "--casts" casts_n, "N casts, 1ms apart (default 2)");
+      ( "--dest",
+        set dest (fun v -> Some (ints_csv "--dest" v)),
+        "CSV destination gids (default all groups)" );
+      ( "--origins",
+        set origins (ints_csv "--origins"),
+        "CSV cast origins, round-robin (default 0)" );
+      ("--config", Arg.Set_string config_name, "NAME config preset (default default)");
+      ("--seed", int_flag "--seed" seed, "N deployment seed (default 0)");
+      ("--intra-us", int_flag "--intra-us" intra_us, "N intra-group latency (default 1000)");
+      ("--inter-us", int_flag "--inter-us" inter_us, "N inter-group latency (default 50000)");
+      ( "--crash",
+        Arg.String
+          (fun v ->
+            match String.split_on_char ':' v with
+            | [ at; pid ] ->
+              crashes := (int_arg "--crash" at, int_arg "--crash" pid) :: !crashes
+            | _ -> die "--crash expects AT_US:PID, got %S" v),
+        "AT_US:PID clean crash-stop (repeatable)" );
+      ( "--mutation",
+        Arg.String
+          (fun v ->
+            match Mc.Mutant.spec_of_string v with
+            | Ok spec -> mutation := Some spec
+            | Error e -> die "%s" e),
+        "SPEC seeded bug, e.g. \"drop-deliver 1 0\"" );
+      ("--spurious", int_flag "--spurious" spurious, "N spurious-timer budget per path (default 0)");
+      ("--reorder", int_flag "--reorder" reorder, "N delay bound (default unlimited)");
+      ("--no-por", Arg.Clear por, " disable sleep-set partial-order reduction");
+      ("--fingerprints", Arg.Set fingerprints, " enable state-fingerprint pruning");
+      ( "--max-interleavings",
+        int_flag "--max-interleavings" max_interleavings,
+        "N terminal-state budget (default 200000)" );
+      ( "--max-total-steps",
+        int_flag "--max-total-steps" max_total_steps,
+        "N executed-event budget (default 50000000)" );
+      ("--no-minimize", Arg.Clear minimize, " report the raw counterexample");
+      ("--trace-out", set trace_out Option.some, "FILE write the counterexample trace");
+    ])
+    (die "unknown flag %s")
+    "usage: amcast_mc [options]\n\
+    \       amcast_mc --replay FILE [--expect-violation]";
   match !replay_file with
   | Some file -> (
     match Mc.Trace_file.load file with

@@ -53,77 +53,56 @@ let () =
       Printf.eprintf "amcast_soak: %s must be an integer >= %d\n" flag min;
       exit 2
   in
-  let rate_arg flag value =
-    match float_of_string_opt value with
-    | Some v when v >= 0.0 && v <= 1.0 -> v
-    | _ ->
-      Printf.eprintf "amcast_soak: %s must be a float in [0, 1]\n" flag;
-      exit 2
+  let int_flag flag r ~min =
+    Arg.String (fun v -> r := int_arg flag v ~min)
   in
-  let on_off flag value =
-    match value with
-    | "on" -> true
-    | "off" -> false
-    | _ ->
-      Printf.eprintf "amcast_soak: %s must be \"on\" or \"off\"\n" flag;
-      exit 2
-  in
-  let rec parse i =
-    if i < Array.length Sys.argv then
-      match Sys.argv.(i) with
-      | "--fast-lanes" when i + 1 < Array.length Sys.argv ->
-        config :=
-          (if on_off "--fast-lanes" Sys.argv.(i + 1) then
-             Amcast.Protocol.Config.default
-           else Amcast.Protocol.Config.reference);
-        parse (i + 2)
-      | "--nemesis" when i + 1 < Array.length Sys.argv ->
-        nemesis := on_off "--nemesis" Sys.argv.(i + 1);
-        parse (i + 2)
-      | "--batch" when i + 1 < Array.length Sys.argv ->
-        batch := int_arg "--batch" Sys.argv.(i + 1) ~min:1;
-        parse (i + 2)
-      | "--batch-delay" when i + 1 < Array.length Sys.argv ->
-        batch_delay_ms := int_arg "--batch-delay" Sys.argv.(i + 1) ~min:0;
-        parse (i + 2)
-      | "--pipeline" when i + 1 < Array.length Sys.argv ->
-        pipeline := int_arg "--pipeline" Sys.argv.(i + 1) ~min:1;
-        parse (i + 2)
-      | "--conflict" when i + 1 < Array.length Sys.argv ->
-        (conflict_mode :=
-           match Sys.argv.(i + 1) with
-           | "total" -> `Total
-           | "key" -> `Key
-           | "none" -> `None
-           | _ ->
-             Printf.eprintf
-               "amcast_soak: --conflict must be \"total\", \"key\" or \
-                \"none\"\n";
-             exit 2);
-        parse (i + 2)
-      | "--conflict-rate" when i + 1 < Array.length Sys.argv ->
-        conflict_rate := rate_arg "--conflict-rate" Sys.argv.(i + 1);
-        parse (i + 2)
-      | "--topology" when i + 1 < Array.length Sys.argv ->
-        (match Net.Overlay.kind_of_name Sys.argv.(i + 1) with
-        | Some Net.Overlay.Clique -> overlay_kind := None
-        | Some k -> overlay_kind := Some k
-        | None ->
-          Printf.eprintf
-            "amcast_soak: --topology must be \"clique\", \"hub\", \"ring\" \
-             or \"tree\"\n";
-          exit 2);
-        parse (i + 2)
-      | ("--fast-lanes" | "--nemesis" | "--batch" | "--batch-delay"
-        | "--pipeline" | "--conflict" | "--conflict-rate" | "--topology") as
-        flag ->
-        Printf.eprintf "amcast_soak: %s needs an argument\n" flag;
-        exit 2
-      | a ->
-        positional := a :: !positional;
-        parse (i + 1)
-  in
-  parse 1;
+  let on_off set = Arg.Symbol ([ "on"; "off" ], fun v -> set (v = "on")) in
+  Arg.parse
+    (Arg.align
+       [
+         ( "--fast-lanes",
+           on_off (fun on ->
+               config :=
+                 if on then Amcast.Protocol.Config.default
+                 else Amcast.Protocol.Config.reference),
+           " fast lanes (on, default) or the reference message pattern" );
+         ("--nemesis", on_off (( := ) nemesis), " seeded fault plans (default off)");
+         ("--batch", int_flag "--batch" batch ~min:1, "N cast batch size (default 1 = off)");
+         ( "--batch-delay",
+           int_flag "--batch-delay" batch_delay_ms ~min:0,
+           "MS batch flush timeout (default 2)" );
+         ( "--pipeline",
+           int_flag "--pipeline" pipeline ~min:1,
+           "W in-flight consensus instances (default 1)" );
+         ( "--conflict",
+           Arg.Symbol
+             ( [ "total"; "key"; "none" ],
+               fun v ->
+                 conflict_mode :=
+                   match v with "key" -> `Key | "none" -> `None | _ -> `Total ),
+           " the generic target's conflict relation (default total)" );
+         ( "--conflict-rate",
+           Arg.Float
+             (fun v ->
+               if not (v >= 0.0 && v <= 1.0) then
+                 raise (Arg.Bad "--conflict-rate must be a float in [0, 1]");
+               conflict_rate := v),
+           "R keyed probability under --conflict key (default 0.5)" );
+         ( "--topology",
+           Arg.String
+             (fun v ->
+               match Net.Overlay.kind_of_name v with
+               | Some Net.Overlay.Clique -> overlay_kind := None
+               | Some k -> overlay_kind := Some k
+               | None ->
+                 raise
+                   (Arg.Bad
+                      "--topology must be \"clique\", \"hub\", \"ring\" or \
+                       \"tree\"")),
+           "KIND overlay geometry: clique (default), hub, ring or tree" );
+       ])
+    (fun a -> positional := a :: !positional)
+    "usage: amcast_soak [options] [RUNS] [SEED] [DOMAINS]";
   let positional = Array.of_list (List.rev !positional) in
   let config =
     {

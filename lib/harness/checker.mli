@@ -70,10 +70,15 @@ val causal_delivery_order : Run_result.t -> violation list
     [m2] before [m1]. Not part of the Section 2.2 specification — and
     {e not} guaranteed by timestamp-based multicast in general: in A1, a
     message causally after [m1] but addressed to other groups can pick up
-    a smaller final timestamp. Atomic {e broadcast} with A2 does provide
-    it (a causally later message lands in a strictly later round, and
-    same-origin messages in one round are ordered by sequence number), so
-    the A2 suites check it as a derived guarantee.
+    a smaller final timestamp. The happened-before relation here follows
+    every traced message, protocol traffic included, so it is wider than
+    what A2 orders. A2 guarantees the order only through deliveries and
+    same-origin sequence numbers: if the caster of [m2] delivered [m1]
+    before casting [m2], [m2] lands in a strictly later round, and two
+    casts from one origin are ordered by sequence number. Under load this
+    check flags A2 pairs outside that guarantee (different casters, the
+    later caster had not delivered the earlier message), and the A2 suite
+    checks that every flag is such a pair.
 
     Reads the trace. Raises [Invalid_argument] if the run was recorded
     without one, like {!genuineness}. *)

@@ -65,20 +65,8 @@ let delivery_latencies_ms (r : Run_result.t) =
         (delivery_latency r c.msg.Amcast.Msg.id))
     r.casts
 
-(* Nearest-rank percentile (p in [0, 100]) over an unsorted sample. *)
-let percentile p samples =
-  match samples with
-  | [] -> None
-  | _ ->
-    let a = Array.of_list samples in
-    Array.sort compare a;
-    let n = Array.length a in
-    let rank =
-      int_of_float (ceil (p /. 100. *. float_of_int n)) - 1
-    in
-    Some a.(max 0 (min (n - 1) rank))
-
-let delivery_latency_percentile_ms r p = percentile p (delivery_latencies_ms r)
+let delivery_latency_percentile_ms r p =
+  Stats.percentile p (delivery_latencies_ms r)
 
 let inter_group_messages (r : Run_result.t) = r.inter_group_msgs
 let intra_group_messages (r : Run_result.t) = r.intra_group_msgs

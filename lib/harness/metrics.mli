@@ -28,12 +28,8 @@ val delivery_latencies_ms : Run_result.t -> float list
 (** Per-message cast-to-last-delivery latencies in milliseconds, in cast
     order (messages never delivered are skipped). *)
 
-val percentile : float -> float list -> float option
-(** [percentile p samples] is the nearest-rank p-th percentile
-    ([p] in [0, 100]) of the sample list, [None] on the empty list. *)
-
 val delivery_latency_percentile_ms : Run_result.t -> float -> float option
-(** Nearest-rank percentile of {!delivery_latencies_ms} — e.g. p50/p99
+(** {!Stats.percentile} of {!delivery_latencies_ms} — e.g. p50/p99
     saturation-curve points. *)
 
 val inter_group_messages : Run_result.t -> int

@@ -201,6 +201,45 @@ let test_causal_chain_order () =
   Util.check_no_violations "causal order"
     (Harness.Checker.causal_delivery_order r)
 
+(* The checker's happened-before follows protocol messages as well as
+   deliveries, so under load it relates casts that A2 never promised to
+   order: a round's bundle exchange links a cast to messages its caster
+   has not delivered. Every flag on this run (the verify_bench a2 cell at
+   n = 800) must be one of those: different casters, and the later
+   message's caster had not A-delivered the earlier one when it cast. *)
+let test_causal_flags_outside_guarantee () =
+  let topo = Topology.symmetric ~groups:3 ~per_group:3 in
+  let workload =
+    Harness.Workload.generate ~rng:(Rng.create 807) ~topology:topo ~n:800
+      ~dest:Harness.Workload.To_all_groups
+      ~arrival:(`Poisson (Sim_time.of_ms 10))
+      ()
+  in
+  let r = R.run ~seed:7 ~latency:Latency.wan_default topo workload in
+  let pos = Hashtbl.create 4096 in
+  List.iteri
+    (fun i -> function
+      | Runtime.Trace.Cast { pid; id; _ } -> Hashtbl.replace pos (`Cast, pid, id) i
+      | Runtime.Trace.Deliver { pid; id; _ } ->
+        Hashtbl.replace pos (`Deliver, pid, id) i
+      | _ -> ())
+    (Runtime.Trace.entries r.trace);
+  let flags = Harness.Checker.causal_delivery_order r in
+  Alcotest.(check bool) "the run has flags to classify" true (flags <> []);
+  List.iter
+    (fun flag ->
+      Scanf.sscanf flag "causal order: p%_d delivered m%d.%d before m%d.%d"
+        (fun lo ls eo es ->
+          let later = Runtime.Msg_id.make ~origin:lo ~seq:ls
+          and earlier = Runtime.Msg_id.make ~origin:eo ~seq:es in
+          if lo = eo then Alcotest.failf "same-origin flag: %s" flag;
+          match Hashtbl.find_opt pos (`Deliver, lo, earlier) with
+          | Some d when d < Hashtbl.find pos (`Cast, lo, later) ->
+            Alcotest.failf "caster delivered the earlier message first: %s"
+              flag
+          | _ -> ()))
+    flags
+
 let test_heartbeat_fd_mode () =
   (* A2 on the heartbeat detector, with the ballot-0 coordinator of one
      group crashing mid-round. *)
@@ -302,6 +341,8 @@ let suites =
           test_caster_crashes_after_local_rmcast;
         Alcotest.test_case "causal chain order" `Quick
           test_causal_chain_order;
+        Alcotest.test_case "causal flags outside the guarantee" `Quick
+          test_causal_flags_outside_guarantee;
         Alcotest.test_case "heartbeat failure detector mode" `Quick
           test_heartbeat_fd_mode;
         Alcotest.test_case "scale: 6 groups x 4" `Slow test_scale_six_groups;

@@ -611,6 +611,49 @@ let test_catalogue_quiescent () =
   Alcotest.(check bool) "detmerge is not quiescent" false
     (Option.get (Cat.find "detmerge")).quiescent
 
+module J = Harness.Bench_json
+
+let test_bench_json_printer () =
+  let str v = J.to_string v in
+  Alcotest.(check string) "RFC 8259 escapes"
+    {|"q\" b\\ nl\n ctl\u0001 hi\u0080 utf8 é"|}
+    (str (J.String "q\" b\\ nl\n ctl\001 hi\128 utf8 \xc3\xa9"));
+  Alcotest.(check string) "None is null" "null" (str (J.opt (fun i -> J.Int i) None));
+  Alcotest.(check string) "empty list" "[]" (str (J.strings []));
+  Alcotest.(check string) "scalar list on one line" "[1, 2]" (str (J.ints [ 1; 2 ]));
+  Alcotest.(check string) "six places" "0.500000" (str (J.float 6 0.5));
+  Alcotest.(check string) "two places" "2.00" (str (J.float 2 2.));
+  Alcotest.(check string) "no places rounds" "13" (str (J.float 0 12.7));
+  Alcotest.(check string) "non-finite is null" "null" (str (J.float 2 infinity));
+  Alcotest.(check string) "object layout" "{\n  \"k\": 1,\n  \"l\": []\n}"
+    (str (J.Obj [ ("k", J.Int 1); ("l", J.List []) ]))
+
+let test_bench_json_envelope () =
+  match
+    J.document ~schema:"s/v1"
+      ~gates:[ ("holds", true); ("broken", false) ]
+      [ ("n", J.Int 3) ]
+  with
+  | J.Obj fields ->
+    Alcotest.(check (list string)) "envelope order"
+      [ "schema"; "generated_unix_time"; "wall_s"; "n"; "gates"; "gates_failed" ]
+      (List.map fst fields);
+    Alcotest.(check string) "schema" "\"s/v1\""
+      (J.to_string (List.assoc "schema" fields));
+    Alcotest.(check string) "gates" "{\n  \"holds\": true,\n  \"broken\": false\n}"
+      (J.to_string (List.assoc "gates" fields));
+    Alcotest.(check string) "one failed gate" "1"
+      (J.to_string (List.assoc "gates_failed" fields));
+    (match J.document ~schema:"s" ~gates:[] [ ("wall_s", J.Int 7) ] with
+    | J.Obj f ->
+      Alcotest.(check (list string)) "payload keys win"
+        [ "schema"; "generated_unix_time"; "wall_s"; "gates"; "gates_failed" ]
+        (List.map fst f);
+      Alcotest.(check string) "payload wall_s" "7"
+        (J.to_string (List.assoc "wall_s" f))
+    | _ -> Alcotest.fail "document is not an object")
+  | _ -> Alcotest.fail "document is not an object"
+
 let suites =
   [
     ( "harness",
@@ -660,5 +703,9 @@ let suites =
           test_catalogue_genuine;
         Alcotest.test_case "catalogue: quiescent entries drain" `Quick
           test_catalogue_quiescent;
+        Alcotest.test_case "bench json: printer" `Quick
+          test_bench_json_printer;
+        Alcotest.test_case "bench json: envelope and gates" `Quick
+          test_bench_json_envelope;
       ] );
   ]
