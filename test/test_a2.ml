@@ -341,8 +341,6 @@ let suites =
           test_caster_crashes_after_local_rmcast;
         Alcotest.test_case "causal chain order" `Quick
           test_causal_chain_order;
-        Alcotest.test_case "causal flags outside the guarantee" `Quick
-          test_causal_flags_outside_guarantee;
         Alcotest.test_case "heartbeat failure detector mode" `Quick
           test_heartbeat_fd_mode;
         Alcotest.test_case "scale: 6 groups x 4" `Slow test_scale_six_groups;
@@ -351,5 +349,7 @@ let suites =
         Alcotest.test_case "determinism" `Quick test_determinism;
         Alcotest.test_case "rejects partial destinations" `Quick
           test_rejects_partial_dest;
+        Alcotest.test_case "causal flags outside the guarantee" `Quick
+          test_causal_flags_outside_guarantee;
       ] );
   ]
