@@ -3,9 +3,9 @@
    Generates seeded runs at several message scales, times (a) the
    simulation itself (protocol-event throughput) and (b) the checker
    suite over the finished run, both through the indexed fast paths and
-   through the retained naive reference implementations, and writes
-   BENCH_verify.json so the verification-perf trajectory is tracked
-   across PRs alongside BENCH_campaign.json.
+   through the naive oracles of the test-support library test/oracle/,
+   and writes BENCH_verify.json so the verification-perf trajectory is
+   tracked across PRs alongside BENCH_campaign.json.
 
    At every compared scale the two checker paths must report identical
    violation sets (the differential guarantee the unit suite asserts at
@@ -79,9 +79,9 @@ let fast_causal (r : Harness.Run_result.t) =
 
 let naive_suite (r : Harness.Run_result.t) =
   r.Harness.Run_result.index_memo <- None;
-  Harness.Checker.Reference.uniform_prefix_order r
-  @ Harness.Checker.Reference.genuineness r
-  @ Harness.Checker.Reference.causal_delivery_order r
+  Oracle.uniform_prefix_order r
+  @ Oracle.genuineness r
+  @ Oracle.causal_delivery_order r
 
 let time_suite ~repeats suite r =
   let result = ref [] in

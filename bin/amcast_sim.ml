@@ -12,7 +12,6 @@
 
 open Des
 open Net
-open Cmdliner
 
 let run_cli (proto : Amcast.Catalogue.entry) groups per_group messages seed
     gap_ms poisson kmax crashes inter_ms intra_ms horizon_ms print_trace
@@ -156,189 +155,122 @@ let run_cli (proto : Amcast.Catalogue.entry) groups per_group messages seed
     1
   end
 
-(* ----- cmdliner terms ----- *)
+(* ----- flags ----- *)
 
-let proto_t =
-  let names = List.map (fun (e : Amcast.Catalogue.entry) -> e.name) in
+let () =
   let entries = Amcast.Catalogue.all in
-  Arg.(
-    value
-    & opt (enum (List.combine (names entries) entries)) (List.hd entries)
-    & info [ "p"; "protocol" ] ~docv:"PROTO"
-        ~doc:
-          ("Protocol to run, from the catalogue: "
-          ^ String.concat ", " (names entries)
-          ^ ". Broadcast-only protocols cast to every group, a protocol \
-             that never quiesces runs under a horizon, and a genuine one \
-             has its genuineness checked."))
-
-let groups_t =
-  Arg.(value & opt int 3 & info [ "g"; "groups" ] ~doc:"Number of groups.")
-
-let per_group_t =
-  Arg.(
-    value & opt int 2
-    & info [ "d"; "per-group" ] ~doc:"Processes per group.")
-
-let messages_t =
-  Arg.(value & opt int 5 & info [ "n"; "messages" ] ~doc:"Messages to cast.")
-
-let seed_t = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Random seed.")
-
-let gap_t =
-  Arg.(
-    value & opt int 20
-    & info [ "gap-ms" ] ~doc:"Cast interval (or Poisson mean) in ms.")
-
-let poisson_t =
-  Arg.(value & flag & info [ "poisson" ] ~doc:"Poisson arrivals.")
-
-let kmax_t =
-  Arg.(
-    value & opt int 3
-    & info [ "k" ] ~doc:"Maximum destination groups per multicast.")
-
-let crash_t =
-  let parse s =
-    match String.split_on_char '@' s with
+  let names = List.map (fun (e : Amcast.Catalogue.entry) -> e.name) entries in
+  let proto = ref (List.hd entries) in
+  let groups = ref 3 and per_group = ref 2 and messages = ref 5 in
+  let seed = ref 0 and gap_ms = ref 20 and poisson = ref false in
+  let kmax = ref 3 and crashes = ref [] in
+  let inter_ms = ref 50 and intra_ms = ref 1 and horizon_ms = ref None in
+  let print_trace = ref false and print_timeline = ref false in
+  let heartbeat_fd = ref false and fast_lanes = ref true in
+  let batch = ref 1 and batch_delay_ms = ref 2 and pipeline = ref 1 in
+  let conflict = ref `Total and conflict_rate = ref 0.5 in
+  let topology_kind = ref None in
+  let crash v =
+    match String.split_on_char '@' v with
     | [ pid; at ] -> (
       match (int_of_string_opt pid, int_of_string_opt at) with
-      | Some pid, Some at -> Ok (pid, at)
-      | _ -> Error (`Msg "expected PID@MS"))
-    | _ -> Error (`Msg "expected PID@MS")
+      | Some pid, Some at -> crashes := (pid, at) :: !crashes
+      | _ -> raise (Arg.Bad "--crash expects PID@MS"))
+    | _ -> raise (Arg.Bad "--crash expects PID@MS")
   in
-  let print ppf (pid, at) = Fmt.pf ppf "%d@%d" pid at in
-  Arg.(
-    value
-    & opt_all (conv (parse, print)) []
-    & info [ "crash" ] ~docv:"PID@MS"
-        ~doc:"Crash process $(i,PID) at $(i,MS) milliseconds (repeatable).")
-
-let inter_t =
-  Arg.(
-    value & opt int 50
-    & info [ "inter-ms" ] ~doc:"Inter-group latency in ms.")
-
-let intra_t =
-  Arg.(
-    value & opt int 1 & info [ "intra-ms" ] ~doc:"Intra-group latency in ms.")
-
-let horizon_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "until-ms" ] ~doc:"Stop the simulation at this virtual time.")
-
-let trace_t =
-  Arg.(value & flag & info [ "print-trace" ] ~doc:"Dump the event trace.")
-
-let timeline_t =
-  Arg.(
-    value & flag
-    & info [ "print-timeline" ]
-        ~doc:"Render the trace as a per-process timeline.")
-
-let heartbeat_t =
-  Arg.(
-    value & flag
-    & info [ "fd-heartbeat" ]
-        ~doc:
-          "Drive A1/A2 consensus with the message-based heartbeat failure \
-           detector instead of the oracle (never quiescent: a horizon is \
-           applied).")
-
-let fast_lanes_t =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) true
-    & info [ "fast-lanes" ] ~docv:"on|off"
-        ~doc:
-          "Steady-state message-path fast lanes (Multi-Paxos lease, \
-           coordinator-only decide, relay-bounded uniform R-MCast, \
-           broadcast network events, state GC). $(b,off) runs the \
-           reference message pattern.")
-
-let batch_t =
-  Arg.(
-    value & opt int 1
-    & info [ "batch" ] ~docv:"N"
-        ~doc:
-          "Throughput lane: pack up to $(i,N) casts sharing a destination \
-           set into one R-MCast (flushed at size $(i,N) or after \
-           $(b,--batch-delay)); timestamp fan-outs of one consensus \
-           instance merge likewise. $(b,1) (default) disables batching \
-           and keeps the wire pattern byte-identical to the unbatched \
-           lane. Delivery is per-cast either way.")
-
-let batch_delay_t =
-  Arg.(
-    value & opt int 2
-    & info [ "batch-delay" ] ~docv:"MS"
-        ~doc:
-          "Maximum time a buffered cast waits before its batch is flushed \
-           (milliseconds; only meaningful with $(b,--batch) > 1).")
-
-let pipeline_t =
-  Arg.(
-    value & opt int 1
-    & info [ "pipeline" ] ~docv:"W"
-        ~doc:
-          "Throughput lane: keep up to $(i,W) consensus instances in \
-           flight per group (decisions still apply in instance order). \
-           $(b,1) (default) proposes sequentially, one instance at a \
-           time.")
-
-let conflict_t =
-  Arg.(
-    value
-    & opt (enum [ ("total", `Total); ("key", `Key); ("none", `None) ]) `Total
-    & info [ "conflict" ] ~docv:"total|key|none"
-        ~doc:
-          "Conflict relation for the $(b,generic) protocol (ignored by \
-           total-order protocols, but it also selects the ordering check): \
-           $(b,total) = every pair conflicts (classic total order), \
-           $(b,key) = per-key conflicts over the workload's \
-           $(b,k=<key>;...) payloads, with the keyed/commuting mix drawn \
-           from $(b,--conflict-rate), $(b,none) = nothing conflicts \
-           (ordering-free reliable multicast).")
-
-let conflict_rate_t =
-  Arg.(
-    value & opt float 0.5
-    & info [ "conflict-rate" ] ~docv:"R"
-        ~doc:
-          "With $(b,--conflict key): probability in [0, 1] that a cast is \
-           a keyed (conflicting) command rather than a commuting one.")
-
-let topology_t =
-  Arg.(
-    value
-    & opt
-        (some
-           (enum
-              [
-                ("clique", Overlay.Clique);
-                ("hub", Overlay.Hub);
-                ("ring", Overlay.Ring);
-                ("tree", Overlay.Tree);
-              ]))
-        None
-    & info [ "topology" ] ~docv:"clique|hub|ring|tree"
-        ~doc:
-          "Overlay geometry over the groups. The latency between two \
-           groups becomes their routed-path delay through the overlay, \
-           and $(b,flexcast) forwards messages hop by hop along it. \
-           Default (and $(b,clique)): the classic full-mesh WAN model.")
-
-let cmd =
-  let doc = "simulate atomic broadcast/multicast protocols on a WAN" in
-  let info = Cmd.info "amcast_sim" ~doc in
-  Cmd.v info
-    Term.(
-      const run_cli $ proto_t $ groups_t $ per_group_t $ messages_t $ seed_t
-      $ gap_t $ poisson_t $ kmax_t $ crash_t $ inter_t $ intra_t $ horizon_t
-      $ trace_t $ timeline_t $ heartbeat_t $ fast_lanes_t
-      $ batch_t $ batch_delay_t $ pipeline_t $ conflict_t $ conflict_rate_t
-      $ topology_t)
-
-let () = exit (Cmd.eval' cmd)
+  let with_short short long spec doc =
+    [ (short, spec, " same as " ^ long); (long, spec, doc) ]
+  in
+  let specs =
+    List.concat
+      [
+        with_short "-p" "--protocol"
+          (Arg.Symbol
+             ( names,
+               fun n ->
+                 proto :=
+                   List.find
+                     (fun (e : Amcast.Catalogue.entry) -> e.name = n)
+                     entries ))
+          " catalogue protocol to run (default a1); its traits pick the \
+           run shape and the checks";
+        with_short "-g" "--groups" (Arg.Set_int groups) "N groups (default 3)";
+        with_short "-d" "--per-group" (Arg.Set_int per_group)
+          "N processes per group (default 2)";
+        with_short "-n" "--messages" (Arg.Set_int messages)
+          "N messages to cast (default 5)";
+        [
+          ("--seed", Arg.Set_int seed, "N random seed (default 0)");
+          ( "--gap-ms",
+            Arg.Set_int gap_ms,
+            "MS cast interval, or Poisson mean (default 20)" );
+          ("--poisson", Arg.Set poisson, " Poisson arrivals");
+          ( "-k",
+            Arg.Set_int kmax,
+            "K maximum destination groups per multicast (default 3)" );
+          ( "--crash",
+            Arg.String crash,
+            "PID@MS crash process PID at MS milliseconds (repeatable)" );
+          ( "--inter-ms",
+            Arg.Set_int inter_ms,
+            "MS inter-group latency (default 50)" );
+          ( "--intra-ms",
+            Arg.Set_int intra_ms,
+            "MS intra-group latency (default 1)" );
+          ( "--until-ms",
+            Arg.Int (fun h -> horizon_ms := Some h),
+            "MS stop the simulation at this virtual time" );
+          ("--print-trace", Arg.Set print_trace, " dump the event trace");
+          ( "--print-timeline",
+            Arg.Set print_timeline,
+            " render the trace as a per-process timeline" );
+          ( "--fd-heartbeat",
+            Arg.Set heartbeat_fd,
+            " drive A1/A2 consensus with the heartbeat failure detector \
+             instead of the oracle (never quiescent: a horizon is applied)" );
+          ( "--fast-lanes",
+            Arg.Symbol ([ "on"; "off" ], fun v -> fast_lanes := v = "on"),
+            " steady-state message-path fast lanes (default on); off runs \
+             the reference message pattern" );
+          ( "--batch",
+            Arg.Set_int batch,
+            "N pack up to N casts sharing a destination set into one \
+             R-MCast (default 1 = no batching)" );
+          ( "--batch-delay",
+            Arg.Set_int batch_delay_ms,
+            "MS longest wait before a partial batch is flushed (default 2)" );
+          ( "--pipeline",
+            Arg.Set_int pipeline,
+            "W consensus instances in flight per group (default 1)" );
+          ( "--conflict",
+            Arg.Symbol
+              ( [ "total"; "key"; "none" ],
+                fun v ->
+                  conflict :=
+                    match v with "key" -> `Key | "none" -> `None | _ -> `Total
+              ),
+            " generic protocol's conflict relation, also the ordering check \
+             (default total): key = per-key conflicts over k=<key>;... \
+             payloads, none = nothing conflicts" );
+          ( "--conflict-rate",
+            Arg.Set_float conflict_rate,
+            "R with --conflict key, probability in [0, 1] that a cast is \
+             keyed (default 0.5)" );
+          ( "--topology",
+            Arg.Symbol
+              ( [ "clique"; "hub"; "ring"; "tree" ],
+                fun v -> topology_kind := Overlay.kind_of_name v ),
+            " overlay geometry over the groups (default clique): routed-path \
+             latencies, and flexcast forwards along it" );
+        ];
+      ]
+  in
+  Arg.parse (Arg.align specs)
+    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    "usage: amcast_sim [options]\n\
+     simulate atomic broadcast/multicast protocols on a WAN";
+  exit
+    (run_cli !proto !groups !per_group !messages !seed !gap_ms !poisson !kmax
+       (List.rev !crashes) !inter_ms !intra_ms !horizon_ms !print_trace
+       !print_timeline !heartbeat_fd !fast_lanes !batch !batch_delay_ms
+       !pipeline !conflict !conflict_rate !topology_kind)

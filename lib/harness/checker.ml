@@ -84,8 +84,8 @@ let pair_obs p1 p2 =
   | None, None -> Neither
 
 (* The conflicting-pair consistency test behind the relaxed partial-order
-   checker, shared by the reference and indexed implementations so the
-   two can only diverge in enumeration, never in semantics. For a
+   checker, shared with the naive oracle the tests compare it against so
+   the two can only diverge in enumeration, never in semantics. For a
    conflicting pair and two common addressees p, q, a violation is:
 
    - disagreement: p and q delivered both messages in opposite orders;
@@ -157,231 +157,36 @@ let require_trace what (r : Run_result.t) =
   if not (Trace.enabled r.trace) then
     invalid_arg (what ^ ": the run was recorded without a trace")
 
-(* Naive reference implementations, retained verbatim as differential
-   oracles for the indexed fast paths below (and as the fallback that
-   reproduces the exact violation strings once a fast path detects a
-   violation). Quadratic in processes / casts — fine for unit tests,
-   not for soak-scale traces. *)
-module Reference = struct
-  (* Projected prefix order: for each pair (p, q), restrict both sequences
-     to the messages addressed to both p's and q's group, and require one
-     to be a prefix of the other. *)
-  let uniform_prefix_order (r : Run_result.t) =
-    let pids = Topology.all_pids r.topology in
-    let seqs =
-      List.map (fun p -> (p, Array.of_list (Run_result.sequence_of r p))) pids
-    in
-    let project gp gq seq =
-      Array.to_list seq
-      |> List.filter (fun (m : Amcast.Msg.t) ->
-             Amcast.Msg.addressed_to_group m gp
-             && Amcast.Msg.addressed_to_group m gq)
-    in
-    let rec is_prefix a b =
-      match (a, b) with
-      | [], _ -> true
-      | _, [] -> false
-      | x :: a', y :: b' -> Amcast.Msg.equal_id x y && is_prefix a' b'
-    in
-    let violations = ref [] in
-    List.iter
-      (fun (p, sp) ->
-        List.iter
-          (fun (q, sq) ->
-            if p < q then begin
-              let gp = Topology.group_of r.topology p in
-              let gq = Topology.group_of r.topology q in
-              let pp_ = project gp gq sp in
-              let pq = project gp gq sq in
-              if not (is_prefix pp_ pq || is_prefix pq pp_) then
-                violations :=
-                  Fmt.str
-                    "prefix order violated between p%d [%a] and p%d [%a]" p
-                    Fmt.(list ~sep:(any " ") Amcast.Msg.pp)
-                    pp_ q
-                    Fmt.(list ~sep:(any " ") Amcast.Msg.pp)
-                    pq
-                  :: !violations
-            end)
-          seqs)
-      seqs;
-    !violations
-
-  (* Relaxed partial-order check, naively: every conflicting cast pair ×
-     every common-addressee pid pair, with positions found by scanning the
-     delivery sequences. *)
-  let conflict_order ~conflict (r : Run_result.t) =
-    let msgs = cast_msgs r in
-    let position_of seq id =
-      let rec find i = function
-        | [] -> None
-        | (m : Amcast.Msg.t) :: rest ->
-          if Msg_id.equal m.id id then Some i else find (i + 1) rest
-      in
-      find 0 seq
-    in
-    let violations = ref [] in
-    let rec pairs = function
-      | [] -> ()
-      | m1 :: rest ->
-        List.iter
-          (fun m2 ->
-            if Amcast.Conflict.conflicts conflict m1 m2 then begin
-              let common =
-                List.filter
-                  (fun p -> Amcast.Msg.addressed_to_pid r.topology m2 p)
-                  (Amcast.Msg.dest_pids r.topology m1)
-              in
-              let obs =
-                List.map
-                  (fun p ->
-                    let seq = Run_result.sequence_of r p in
-                    ( p,
-                      pair_obs
-                        (position_of seq m1.Amcast.Msg.id)
-                        (position_of seq m2.Amcast.Msg.id) ))
-                  common
-              in
-              let rec pid_pairs = function
-                | [] -> ()
-                | (p, op) :: later ->
-                  List.iter
-                    (fun (q, oq) ->
-                      match conflict_pair_violation m1 m2 p op q oq with
-                      | Some v -> violations := v :: !violations
-                      | None -> ())
-                    later;
-                  pid_pairs later
-              in
-              pid_pairs obs
-            end)
-          rest;
-        pairs rest
-    in
-    pairs msgs;
-    List.rev !violations
-
-  let genuineness ?overlay (r : Run_result.t) =
-    require_trace "Checker.Reference.genuineness" r;
-    let allowed =
-      List.fold_left
-        (fun acc (c : Run_result.cast_event) ->
-          let acc =
-            List.fold_left
-              (fun acc p -> p :: acc)
-              (c.origin :: acc)
-              (Amcast.Msg.dest_pids r.topology c.msg)
-          in
-          match overlay with
-          | None -> acc
-          | Some ov ->
-            (* Overlay-genuine runs may additionally use the relays (the
-               lowest pid) of the groups on the routing paths. *)
-            let src = Topology.group_of r.topology c.origin in
-            List.fold_left
-              (fun acc g ->
-                (Topology.members_array r.topology g).(0) :: acc)
-              acc
-              (Overlay.participants ov ~src ~dsts:c.msg.Amcast.Msg.dest))
-        [] r.casts
-      |> List.sort_uniq Int.compare
-    in
-    let check pid role time acc =
-      if List.mem pid allowed then acc
-      else
-        Fmt.str
-          "genuineness: p%d %s a message at %a but is neither caster nor \
-           addressee of any cast"
-          pid role Des.Sim_time.pp time
-        :: acc
-    in
-    List.fold_left
-      (fun acc entry ->
-        match entry with
-        | Trace.Send { src; dst; time; _ } ->
-          check src "sent" time (check dst "was sent" time acc)
-        | _ -> acc)
-      []
-      (Trace.entries r.trace)
-    |> List.sort_uniq String.compare
-
-  (* Causal order: cast(m1) -> cast(m2) implies m1 before m2 at every
-     process delivering both. Pairwise over cast messages using the
-     happened-before DAG reconstructed from the trace. *)
-  let causal_delivery_order (r : Run_result.t) =
-    require_trace "Checker.Reference.causal_delivery_order" r;
-    let causal = Causal.of_trace r.trace in
-    let ids =
-      List.map
-        (fun (c : Run_result.cast_event) -> c.msg.Amcast.Msg.id)
-        r.casts
-    in
-    let position_of seq id =
-      let rec find i = function
-        | [] -> None
-        | (m : Amcast.Msg.t) :: rest ->
-          if Msg_id.equal m.id id then Some i else find (i + 1) rest
-      in
-      find 0 seq
-    in
-    let violations = ref [] in
-    List.iter
-      (fun id1 ->
-        List.iter
-          (fun id2 ->
-            if
-              (not (Msg_id.equal id1 id2))
-              && Causal.causally_precedes causal id1 id2
-            then
-              List.iter
-                (fun p ->
-                  let seq = Run_result.sequence_of r p in
-                  match (position_of seq id1, position_of seq id2) with
-                  | Some i1, Some i2 when i2 < i1 ->
-                    violations :=
-                      Fmt.str
-                        "causal order: p%d delivered %a before %a although \
-                         cast(%a) happened-before cast(%a)"
-                        p Msg_id.pp id2 Msg_id.pp id1 Msg_id.pp id1
-                        Msg_id.pp id2
-                      :: !violations
-                  | _ -> ())
-                (Topology.all_pids r.topology))
-          ids)
-      ids;
-    !violations
-end
-
 (* Indexed prefix-order check, O(deliveries * dest-size) instead of
    O(groups^2 * deliveries): one pass over the delivery sequences buckets
-   each delivery into the group pairs whose projection contains it. A
-   delivery of [m] at a process of group [g_p] appears in pid's (ga, gb)
-   projection exactly when {ga, gb} = {g_p, gx} for some gx in dest(m)
-   and g_p is itself in dest(m) (the projection keeps messages addressed
-   to both groups, and pid is a member of one of them) — so instead of
-   scanning every pair, each delivery fans out to |dest(m)| buckets and
-   pairs never touched by any delivery are vacuously prefix-ordered
-   (every projection in them is empty). Within a bucket, sort the per-pid
-   projections by length and prefix-compare consecutive pairs only.
-   Sound and complete for *detection*:
+   each delivery into the group pairs whose projection contains it. The
+   property asks, for every pid pair (p, q), that the sequences projected
+   on the messages addressed to both p's and q's group be prefix-related.
+   A delivery of [m] at a process of group [g_p] appears in pid's
+   (ga, gb) projection exactly when {ga, gb} = {g_p, gx} for some gx in
+   dest(m) and g_p is itself in dest(m) (the projection keeps messages
+   addressed to both groups, and pid is a member of one of them) — so
+   instead of scanning every pair, each delivery fans out to |dest(m)|
+   buckets and pairs never touched by any delivery are vacuously
+   prefix-ordered (every projection in them is empty). Within a bucket,
+   sort the per-pid projections by length and prefix-compare consecutive
+   pairs only: if every consecutive pair is prefix-related, every pair is
+   (length-sorted prefixes chain by transitivity), and a pid absent from
+   the bucket has an empty projection, a prefix of every other.
 
-   - all consecutive pairs prefix-related => all pairs prefix-related
-     (length-sorted prefixes chain by transitivity), which covers every
-     cross-group pid pair the naive checker tests;
-   - a same-group pair failing on the (ga, gb) projection implies the
-     same pair fails on the coarser (ga, ga) projection too (projection
-     preserves the prefix relation), which the naive checker also flags;
-   - a pid absent from a bucket has an empty projection there, and the
-     empty sequence is a prefix of every other, so dropping it loses
-     nothing.
-
-   On detection we fall back to the reference checker so callers see the
-   exact same violation strings the naive implementation produces. *)
+   Only a bucket whose chain fails is compared pair by pair, so a clean
+   run pays nothing more. Each pid pair (p, q) is owned by exactly one
+   bucket, (g_p, g_q): a same-group bucket (ga, ga) tests all its pairs,
+   a cross bucket (ga, gb) only the pairs with one pid in each group. A
+   cross bucket can fail on a same-group pair alone; that pair is
+   reported by its own (ga, ga) bucket, which fails too (projection
+   preserves the prefix relation). Violations come out in descending
+   (p, q) order. *)
 let uniform_prefix_order (r : Run_result.t) =
   let idx = Run_result.index r in
   let ng = Topology.n_groups r.topology in
   (* (min gid * ng + max gid) -> pid -> that pid's projection, reversed *)
-  let pairs : (int, (int, Msg_id.t list ref) Hashtbl.t) Hashtbl.t =
+  let pairs : (int, (int, Amcast.Msg.t list ref) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 64
   in
   Array.iteri
@@ -402,50 +207,77 @@ let uniform_prefix_order (r : Run_result.t) =
                     h
                 in
                 match Hashtbl.find_opt per_pid pid with
-                | Some l -> l := m.Amcast.Msg.id :: !l
-                | None ->
-                  Hashtbl.replace per_pid pid (ref [ m.Amcast.Msg.id ]))
+                | Some l -> l := m :: !l
+                | None -> Hashtbl.replace per_pid pid (ref [ m ]))
               m.Amcast.Msg.dest)
         seq)
     idx.Run_result.seqs;
-  let is_prefix (a : Msg_id.t array) (b : Msg_id.t array) =
+  let is_prefix (a : Amcast.Msg.t array) (b : Amcast.Msg.t array) =
     (* caller guarantees |a| <= |b| *)
     let ok = ref true in
-    Array.iteri (fun i x -> if !ok && not (Msg_id.equal x b.(i)) then ok := false) a;
+    Array.iteri
+      (fun i x -> if !ok && not (Amcast.Msg.equal_id x b.(i)) then ok := false)
+      a;
     !ok
   in
-  let violated = ref false in
+  let related a b =
+    if Array.length a <= Array.length b then is_prefix a b else is_prefix b a
+  in
+  let by_length (_, a) (_, b) = Int.compare (Array.length a) (Array.length b) in
+  let rec chain = function
+    | (_, a) :: ((_, b) :: _ as rest) -> is_prefix a b && chain rest
+    | [ _ ] | [] -> true
+  in
+  let pp_seq = Fmt.(list ~sep:(any " ") Amcast.Msg.pp) in
+  let violations = ref [] in
   Hashtbl.iter
-    (fun _ per_pid ->
-      if not !violated then begin
-        let projs =
-          Hashtbl.fold
-            (fun _ l acc -> Array.of_list (List.rev !l) :: acc)
-            per_pid []
+    (fun key per_pid ->
+      let projs =
+        Hashtbl.fold
+          (fun pid l acc -> (pid, Array.of_list (List.rev !l)) :: acc)
+          per_pid []
+      in
+      if not (chain (List.sort by_length projs)) then begin
+        let same_group = key / ng = key mod ng in
+        let rec pid_pairs = function
+          | [] -> ()
+          | (p, sp) :: later ->
+            List.iter
+              (fun (q, sq) ->
+                if
+                  (same_group
+                  || Topology.group_of r.topology p
+                     <> Topology.group_of r.topology q)
+                  && not (related sp sq)
+                then begin
+                  let (p, sp), (q, sq) =
+                    if p < q then ((p, sp), (q, sq)) else ((q, sq), (p, sp))
+                  in
+                  violations :=
+                    ( (p, q),
+                      Fmt.str
+                        "prefix order violated between p%d [%a] and p%d [%a]"
+                        p pp_seq (Array.to_list sp) q pp_seq
+                        (Array.to_list sq) )
+                    :: !violations
+                end)
+              later;
+            pid_pairs later
         in
-        let sorted =
-          List.sort
-            (fun a b -> Int.compare (Array.length a) (Array.length b))
-            projs
-        in
-        let rec chain = function
-          | a :: (b :: _ as rest) ->
-            if is_prefix a b then chain rest else violated := true
-          | [ _ ] | [] -> ()
-        in
-        chain sorted
+        pid_pairs projs
       end)
     pairs;
-  if !violated then Reference.uniform_prefix_order r else []
+  List.sort (fun (a, _) (b, _) -> compare b a) !violations |> List.map snd
 
 (* Indexed conflict-order check: first-delivery positions come from the
    per-pid position tables (O(1) per lookup instead of a sequence scan),
    and message pairs are enumerated per conflict class when the relation
    is a partition — only same-class pairs can conflict, so the quadratic
    enumeration shrinks to the class sizes; solo messages drop out
-   entirely. Bare Commute relations keep the pairwise enumeration.
-   Detection-only: on the first violation we fall back to the reference
-   checker so callers see its exact violation strings. *)
+   entirely. Bare Commute relations keep the pairwise enumeration. Either
+   way pairs are visited in cast order (each message against the
+   conflicting messages cast after it), which fixes the order of the
+   violation list. *)
 let conflict_order ~conflict (r : Run_result.t) =
   let idx = Run_result.index r in
   let msgs = cast_msgs r in
@@ -458,36 +290,35 @@ let conflict_order ~conflict (r : Run_result.t) =
       Msg_id.Tbl.replace pids_memo m.id ps;
       ps
   in
-  let violated = ref false in
+  let violations = ref [] in
   let check_pair (m1 : Amcast.Msg.t) (m2 : Amcast.Msg.t) =
-    if not !violated then begin
-      let common =
-        List.filter
-          (fun p -> Amcast.Msg.addressed_to_pid r.topology m2 p)
-          (pids_of m1)
-      in
-      let obs =
-        List.map
-          (fun p ->
-            let pos = idx.Run_result.pos.(p) in
-            ( p,
-              pair_obs
-                (Msg_id.Tbl.find_opt pos m1.id)
-                (Msg_id.Tbl.find_opt pos m2.id) ))
-          common
-      in
-      let rec pid_pairs = function
-        | [] -> ()
-        | (p, op) :: later ->
-          List.iter
-            (fun (q, oq) ->
-              if conflict_pair_violation m1 m2 p op q oq <> None then
-                violated := true)
-            later;
-          if not !violated then pid_pairs later
-      in
-      pid_pairs obs
-    end
+    let common =
+      List.filter
+        (fun p -> Amcast.Msg.addressed_to_pid r.topology m2 p)
+        (pids_of m1)
+    in
+    let obs =
+      List.map
+        (fun p ->
+          let pos = idx.Run_result.pos.(p) in
+          ( p,
+            pair_obs
+              (Msg_id.Tbl.find_opt pos m1.id)
+              (Msg_id.Tbl.find_opt pos m2.id) ))
+        common
+    in
+    let rec pid_pairs = function
+      | [] -> ()
+      | (p, op) :: later ->
+        List.iter
+          (fun (q, oq) ->
+            match conflict_pair_violation m1 m2 p op q oq with
+            | Some v -> violations := v :: !violations
+            | None -> ())
+          later;
+        pid_pairs later
+    in
+    pid_pairs obs
   in
   (match conflict with
   | Amcast.Conflict.Commute _ ->
@@ -502,30 +333,31 @@ let conflict_order ~conflict (r : Run_result.t) =
     in
     pairs msgs
   | Amcast.Conflict.Total | Amcast.Conflict.Keyed _ ->
+    (* Walking the casts backwards, a class's list holds exactly the
+       members cast after the current message, in cast order. *)
     let classes : (string, Amcast.Msg.t list ref) Hashtbl.t =
       Hashtbl.create 16
     in
-    List.iter
-      (fun m ->
+    List.fold_left
+      (fun acc m ->
         match Amcast.Conflict.class_of conflict m with
-        | Some (Some c) -> (
-          match Hashtbl.find_opt classes c with
-          | Some l -> l := m :: !l
-          | None -> Hashtbl.replace classes c (ref [ m ]))
-        | Some None -> () (* solo: conflicts with nothing *)
+        | Some (Some c) ->
+          let later =
+            match Hashtbl.find_opt classes c with
+            | Some l -> l
+            | None ->
+              let l = ref [] in
+              Hashtbl.replace classes c l;
+              l
+          in
+          let acc = (m, !later) :: acc in
+          later := m :: !later;
+          acc
+        | Some None -> acc (* solo: conflicts with nothing *)
         | None -> assert false)
-      msgs;
-    Hashtbl.iter
-      (fun _ members ->
-        let rec pairs = function
-          | [] -> ()
-          | m1 :: rest ->
-            List.iter (fun m2 -> check_pair m1 m2) rest;
-            pairs rest
-        in
-        pairs !members)
-      classes);
-  if !violated then Reference.conflict_order ~conflict r else []
+      [] (List.rev msgs)
+    |> List.iter (fun (m1, later) -> List.iter (check_pair m1) later));
+  List.rev !violations
 
 (* Indexed genuineness: the allowed set as a per-pid bool array, so each
    trace entry costs O(1) instead of a List.mem over the allowed list.

@@ -8,7 +8,13 @@
     delivery sequences only grow, so if the {e final} projected sequences
     of two processes are prefix-related, the projected sequences at every
     earlier instant were prefix-related too. Checking the end state
-    therefore checks the property at all times [t]. *)
+    therefore checks the property at all times [t].
+
+    Each check builds its own violation list in the pass that detects
+    the violation; the library has one implementation per property. The
+    naive all-pairs twins that the property suites and [verify_bench]
+    compare these checks against live outside the library, in
+    [test/oracle/]. *)
 
 type violation = string
 
@@ -43,6 +49,31 @@ val conflict_order : conflict:Amcast.Conflict.t -> Run_result.t -> violation lis
     under sequence extension, so checking the end state checks every
     earlier instant; with [Conflict.total] it flags exactly the runs the
     prefix check flags (the violation strings differ). *)
+
+(** How one process's delivery sequence relates to an ordered message
+    pair [(m1, m2)]: both delivered, forwards or reversed, only one of
+    them, or neither. *)
+type pair_obs = Both_fwd | Both_rev | Only_fst | Only_snd | Neither
+
+val pair_obs : int option -> int option -> pair_obs
+(** [pair_obs p1 p2] from the first-delivery positions of [m1] and [m2]
+    in one process's sequence ([None] = not delivered). *)
+
+val conflict_pair_violation :
+  Amcast.Msg.t ->
+  Amcast.Msg.t ->
+  Net.Topology.pid ->
+  pair_obs ->
+  Net.Topology.pid ->
+  pair_obs ->
+  violation option
+(** [conflict_pair_violation m1 m2 p op q oq] is the verdict of
+    {!conflict_order} on one conflicting pair [(m1, m2)] and two of its
+    common addressees [p] and [q], observed as [op] and [oq]: a
+    disagreement, a hole or a crossed pair, else [None]. Exposed so that
+    a differential oracle enumerating pairs its own (naive) way still
+    shares this one definition of what counts as a violation, and the
+    two can only diverge in enumeration. *)
 
 val genuineness : ?overlay:Net.Overlay.t -> Run_result.t -> violation list
 (** Only addressees and casters take part: every process that appears as
@@ -116,22 +147,3 @@ val check_all :
     i.e. its final heal). The safety checks are applied unconditionally:
     no fault schedule excuses an ordering, integrity or genuineness
     violation. *)
-
-(** The pre-index quadratic checkers, kept verbatim as differential
-    oracles for the fast paths above: on every run, each reference checker
-    and its indexed replacement must find the same violation set (the
-    property suite asserts this on randomised runs, [verify_bench] on
-    soak-scale ones). The fast prefix check also falls back to
-    {!Reference.uniform_prefix_order} once it detects a violation, so the
-    violation strings match byte for byte. The reference genuineness and
-    causal-order checks raise [Invalid_argument] on an untraced run, like
-    their fast twins. *)
-module Reference : sig
-  val uniform_prefix_order : Run_result.t -> violation list
-
-  val conflict_order :
-    conflict:Amcast.Conflict.t -> Run_result.t -> violation list
-
-  val genuineness : ?overlay:Net.Overlay.t -> Run_result.t -> violation list
-  val causal_delivery_order : Run_result.t -> violation list
-end

@@ -1,8 +1,8 @@
 (* Differential tests for the indexed delivery paths and single-pass
    checkers: the ordered-pending index against a sorted-list model, and
-   each fast checker against the retained naive reference implementation,
-   on hand-built runs with known violations and on randomised soak-style
-   runs. *)
+   each fast checker against its naive oracle (test/oracle/), on
+   hand-built runs with known violations and on randomised soak-style
+   runs, each also with one process's deliveries shuffled. *)
 
 open Des
 open Net
@@ -106,8 +106,7 @@ let mk_run ?(trace = Trace.create ()) ~topo ~casts ~deliveries () =
 
 let test_prefix_differential_synthetic () =
   (* p0 delivers m0 m1; p1 delivers m1 m0: a prefix-order violation both
-     checkers must report identically (the fast path falls back to the
-     reference on detection, so even the strings must match). *)
+     checkers must report identically, strings included. *)
   let topo = Topology.symmetric ~groups:2 ~per_group:2 in
   let id0 = Msg_id.make ~origin:0 ~seq:0 in
   let id1 = Msg_id.make ~origin:1 ~seq:0 in
@@ -138,7 +137,52 @@ let test_prefix_differential_synthetic () =
   in
   check_same_violations "prefix" true
     (Harness.Checker.uniform_prefix_order r)
-    (Harness.Checker.Reference.uniform_prefix_order r)
+    (Oracle.uniform_prefix_order r);
+  (* Three groups g0 = {p0, p1}, g1 = {p2, p3}, g2 = {p4, p5}. m0 and m1
+     go to g0 and g1, which p0 and p1 deliver in opposite orders while g1
+     delivers neither: the cross bucket (g0, g1) fails its chain check
+     only because of the same-group pair (p0, p1), which belongs to the
+     (g0, g0) bucket and must be reported once. m2 and m3 go to g1 and
+     g2, delivered in opposite orders by p2 and p4 (p3 and p5 deliver
+     nothing): a cross pair failing in (g1, g2). *)
+  let topo = Topology.symmetric ~groups:3 ~per_group:2 in
+  let mk_msg k dest =
+    Amcast.Msg.make ~id:(Msg_id.make ~origin:k ~seq:0) ~dest (string_of_int k)
+  in
+  let m0 = mk_msg 0 [ 0; 1 ] and m1 = mk_msg 1 [ 0; 1 ] in
+  let m2 = mk_msg 2 [ 1; 2 ] and m3 = mk_msg 3 [ 1; 2 ] in
+  let r =
+    mk_run ~topo
+      ~casts:
+        (List.mapi
+           (fun origin msg ->
+             { Harness.Run_result.msg; origin; at = Sim_time.of_ms 1; lc = 0 })
+           [ m0; m1; m2; m3 ])
+      ~deliveries:
+        [
+          mk_del 0 m0 2 1;
+          mk_del 0 m1 3 1;
+          mk_del 1 m1 2 1;
+          mk_del 1 m0 3 1;
+          mk_del 2 m2 2 1;
+          mk_del 2 m3 3 1;
+          mk_del 4 m3 2 1;
+          mk_del 4 m2 3 1;
+        ]
+      ()
+  in
+  let fast = Harness.Checker.uniform_prefix_order r in
+  check_same_violations "prefix, three groups" true fast
+    (Oracle.uniform_prefix_order r);
+  Alcotest.(check (list string))
+    "each failing pair reported once, in the oracle's order"
+    [
+      "prefix order violated between p2 [m2.0->[1,2] m3.0->[1,2]] and p4 \
+       [m3.0->[1,2] m2.0->[1,2]]";
+      "prefix order violated between p0 [m0.0->[0,1] m1.0->[0,1]] and p1 \
+       [m1.0->[0,1] m0.0->[0,1]]";
+    ]
+    fast
 
 let test_prefix_differential_clean () =
   (* Same shape, consistent order: both checkers must accept. *)
@@ -165,7 +209,7 @@ let test_prefix_differential_clean () =
   in
   check_same_violations "prefix-clean" false
     (Harness.Checker.uniform_prefix_order r)
-    (Harness.Checker.Reference.uniform_prefix_order r);
+    (Oracle.uniform_prefix_order r);
   Alcotest.(check (list string)) "clean run accepted" []
     (Harness.Checker.uniform_prefix_order r)
 
@@ -216,7 +260,7 @@ let test_causal_differential_synthetic () =
   in
   check_same_violations "causal" true
     (Harness.Checker.causal_delivery_order r)
-    (Harness.Checker.Reference.causal_delivery_order r);
+    (Oracle.causal_delivery_order r);
   Alcotest.(check int) "one violation per deliverer" 2
     (List.length
        (sorted_violations (Harness.Checker.causal_delivery_order r)))
@@ -314,39 +358,44 @@ let naive_delivered_everywhere_needed (r : Harness.Run_result.t) id =
       (Amcast.Msg.dest_pids r.topology c.msg)
 
 let differential_ok s r =
-  let pids = Topology.all_pids r.Harness.Run_result.topology in
-  let fail fmt = QCheck2.Test.fail_reportf fmt (pp_scenario s) in
-  (* indexed accessors *)
-  List.for_all
-    (fun p ->
-      Harness.Run_result.correct r p = naive_correct r p
-      || fail "correct mismatch in %s")
-    pids
-  && List.for_all
-       (fun p ->
-         List.equal Amcast.Msg.equal_id
-           (Harness.Run_result.sequence_of r p)
-           (naive_sequence_of r p)
-         || fail "sequence_of mismatch in %s")
-       pids
-  && List.for_all
-       (fun (c : Harness.Run_result.cast_event) ->
-         let id = c.msg.Amcast.Msg.id in
-         Harness.Run_result.delivered_everywhere_needed r id
-         = naive_delivered_everywhere_needed r id
-         || fail "delivered_everywhere_needed mismatch in %s")
-       r.casts
-  (* fast checkers vs naive references *)
-  && (sorted_violations (Harness.Checker.uniform_prefix_order r)
-      = sorted_violations (Harness.Checker.Reference.uniform_prefix_order r)
-     || fail "prefix differential mismatch in %s")
-  && (Harness.Checker.genuineness r
-      = Harness.Checker.Reference.genuineness r
-     || fail "genuineness differential mismatch in %s")
-  && (sorted_violations (Harness.Checker.causal_delivery_order r)
-      = sorted_violations
-          (Harness.Checker.Reference.causal_delivery_order r)
-     || fail "causal differential mismatch in %s")
+  let check what r =
+    let pids = Topology.all_pids r.Harness.Run_result.topology in
+    let fail mismatch =
+      QCheck2.Test.fail_reportf "%s mismatch on the %s of %s" mismatch what
+        (pp_scenario s)
+    in
+    (* indexed accessors *)
+    List.for_all
+      (fun p ->
+        Harness.Run_result.correct r p = naive_correct r p || fail "correct")
+      pids
+    && List.for_all
+         (fun p ->
+           List.equal Amcast.Msg.equal_id
+             (Harness.Run_result.sequence_of r p)
+             (naive_sequence_of r p)
+           || fail "sequence_of")
+         pids
+    && List.for_all
+         (fun (c : Harness.Run_result.cast_event) ->
+           let id = c.msg.Amcast.Msg.id in
+           Harness.Run_result.delivered_everywhere_needed r id
+           = naive_delivered_everywhere_needed r id
+           || fail "delivered_everywhere_needed")
+         r.casts
+    (* fast checkers vs naive oracles *)
+    && (sorted_violations (Harness.Checker.uniform_prefix_order r)
+        = sorted_violations (Oracle.uniform_prefix_order r)
+       || fail "prefix differential")
+    && (Harness.Checker.genuineness r = Oracle.genuineness r
+       || fail "genuineness differential")
+    && (sorted_violations (Harness.Checker.causal_delivery_order r)
+        = sorted_violations (Oracle.causal_delivery_order r)
+       || fail "causal differential")
+  in
+  (* The mutated copy shuffles one process's deliveries, so the prefix
+     and causal differentials also meet non-empty violation sets. *)
+  check "run" r && check "mutated run" (Util.mutate_run s.seed r)
 
 (* Crashes are injected only into crash-tolerant protocols. A2 with
    crashes and tight arrivals does produce genuine causal-order violations
@@ -428,7 +477,7 @@ let test_causal_relay_chain () =
   in
   check_same_violations "relay chain" true
     (Harness.Checker.causal_delivery_order r)
-    (Harness.Checker.Reference.causal_delivery_order r);
+    (Oracle.causal_delivery_order r);
   Alcotest.(check (list string))
     "only p1 flagged"
     [
@@ -463,7 +512,7 @@ let test_causal_concurrent () =
     (Harness.Checker.causal_delivery_order r);
   Alcotest.(check (list string))
     "reference: nothing flagged" []
-    (Harness.Checker.Reference.causal_delivery_order r)
+    (Oracle.causal_delivery_order r)
 
 let test_causal_program_order () =
   (* p0 casts m1 then m2: program order makes m1 precede m2, so p1
@@ -480,7 +529,7 @@ let test_causal_program_order () =
   in
   check_same_violations "program order" true
     (Harness.Checker.causal_delivery_order r)
-    (Harness.Checker.Reference.causal_delivery_order r);
+    (Oracle.causal_delivery_order r);
   Alcotest.(check int) "one violation" 1
     (List.length (Harness.Checker.causal_delivery_order r))
 

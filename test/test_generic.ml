@@ -1,5 +1,5 @@
 (* Generic (conflict-aware) multicast: the conflict relation, the relaxed
-   conflict-order checker (fast vs naive reference, on hand-built and
+   conflict-order checker (fast vs naive oracle, on hand-built and
    randomised runs), the protocol's equivalences (total-conflict limit =
    skeen, 100%-conflict verdicts = total order), exhaustive model checking
    on the 2x2 acceptance config, and replication with per-key conflicts. *)
@@ -79,7 +79,7 @@ let two_pid_run m0 m1 ~order0 ~order1 =
 let conflict_order_both r =
   let conflict = Amcast.Conflict.payload_key in
   ( Harness.Checker.conflict_order ~conflict r,
-    Harness.Checker.Reference.conflict_order ~conflict r )
+    Oracle.conflict_order ~conflict r )
 
 let test_conflicting_disagreement () =
   let m0 = msg ~origin:0 ~seq:0 "k=a;x" and m1 = msg ~origin:1 ~seq:0 "k=a;y" in
@@ -133,14 +133,14 @@ let test_commute_relation_scan () =
   let r = two_pid_run m0 m1 ~order0:[ m0; m1 ] ~order1:[ m1; m0 ] in
   check_same_violations "commute relation" true
     (Harness.Checker.conflict_order ~conflict r)
-    (Harness.Checker.Reference.conflict_order ~conflict r);
+    (Oracle.conflict_order ~conflict r);
   let c0 = msg ~origin:0 ~seq:1 "ax" and c1 = msg ~origin:1 ~seq:1 "by" in
   let r' = two_pid_run c0 c1 ~order0:[ c0; c1 ] ~order1:[ c1; c0 ] in
   check_same_violations "commute relation (commuting pair)" false
     (Harness.Checker.conflict_order ~conflict r')
-    (Harness.Checker.Reference.conflict_order ~conflict r')
+    (Oracle.conflict_order ~conflict r')
 
-(* ----- randomised differentials: fast checker vs naive reference ----- *)
+(* ----- randomised differentials: fast checker vs naive oracle ----- *)
 
 type scenario = {
   groups : int;
@@ -189,49 +189,16 @@ let workload_of s topo =
     ~conflict:(Harness.Workload.conflict_spec ~keys:s.keys s.rate)
     ()
 
-(* Shuffle one process's delivery sequence in place (the other slots of the
-   global interleaving keep their owners), turning a correct run into one
-   with seeded conflict-order violations — the differential must agree on
-   those too. *)
-let mutate_run seed (r : Harness.Run_result.t) =
-  let rng = Rng.create seed in
-  let pid = Rng.int rng (Topology.n_processes r.topology) in
-  let dels = Array.of_list r.deliveries in
-  let slots = ref [] in
-  Array.iteri
-    (fun i (d : Harness.Run_result.delivery_event) ->
-      if d.pid = pid then slots := i :: !slots)
-    dels;
-  let slots = Array.of_list (List.rev !slots) in
-  for i = Array.length slots - 1 downto 1 do
-    let j = Rng.int rng (i + 1) in
-    let a = slots.(i) and b = slots.(j) in
-    let tmp = dels.(a) in
-    dels.(a) <- dels.(b);
-    dels.(b) <- tmp
-  done;
-  (* Re-own every event at its slot's original instant/pid so only the
-     message order changed. *)
-  let deliveries =
-    List.mapi
-      (fun i (orig : Harness.Run_result.delivery_event) ->
-        { orig with msg = dels.(i).msg })
-      r.deliveries
-  in
-  mk_run ~topo:r.topology ~casts:r.casts ~deliveries ()
-
 let prop_conflict_differential s =
   let topo = Topology.symmetric ~groups:s.groups ~per_group:s.per_group in
   let r =
     RG.run ~seed:s.seed ~latency:Util.crisp_latency ~config:generic_key_config
       topo (workload_of s topo)
   in
-  let r = match s.mutate with None -> r | Some seed -> mutate_run seed r in
+  let r = match s.mutate with None -> r | Some seed -> Util.mutate_run seed r in
   let conflict = Amcast.Conflict.payload_key in
   let fast = sorted_violations (Harness.Checker.conflict_order ~conflict r) in
-  let reference =
-    sorted_violations (Harness.Checker.Reference.conflict_order ~conflict r)
-  in
+  let reference = sorted_violations (Oracle.conflict_order ~conflict r) in
   (fast = reference
   || QCheck2.Test.fail_reportf "fast/reference mismatch in %s:@.%a@.vs@.%a"
        (pp_scenario s)

@@ -526,10 +526,8 @@ let test_trace_readers_refuse_untraced () =
   in
   raises "genuineness" (fun r -> Harness.Checker.genuineness r);
   raises "causal_delivery_order" Harness.Checker.causal_delivery_order;
-  raises "Reference.genuineness" (fun r ->
-      Harness.Checker.Reference.genuineness r);
-  raises "Reference.causal_delivery_order"
-    Harness.Checker.Reference.causal_delivery_order;
+  raises "Oracle.genuineness" (fun r -> Oracle.genuineness r);
+  raises "Oracle.causal_delivery_order" Oracle.causal_delivery_order;
   Util.check_no_violations "check_all without the trace readers"
     (Harness.Checker.check_all ~check_quiescence:true r)
 

@@ -37,3 +37,37 @@ let degree_of result id =
 let qcheck_case ?(count = 100) ~name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count gen prop)
+
+(* A copy of [r] with one process's delivery sequence shuffled in place,
+   from [seed]: the other slots of the global interleaving keep their
+   owners and every slot keeps its instant, so only that process's
+   message order changed. Turns a correct run into one with seeded order
+   violations, on which the fast checks and their oracles must agree
+   too. The trace is shared, so trace readers see the original run. *)
+let mutate_run seed (r : Harness.Run_result.t) =
+  let rng = Des.Rng.create seed in
+  let pid = Des.Rng.int rng (Net.Topology.n_processes r.topology) in
+  let dels = Array.of_list r.deliveries in
+  let slots = ref [] in
+  Array.iteri
+    (fun i (d : Harness.Run_result.delivery_event) ->
+      if d.pid = pid then slots := i :: !slots)
+    dels;
+  let slots = Array.of_list (List.rev !slots) in
+  for i = Array.length slots - 1 downto 1 do
+    let j = Des.Rng.int rng (i + 1) in
+    let a = slots.(i) and b = slots.(j) in
+    let tmp = dels.(a) in
+    dels.(a) <- dels.(b);
+    dels.(b) <- tmp
+  done;
+  let deliveries =
+    List.mapi
+      (fun i (orig : Harness.Run_result.delivery_event) ->
+        { orig with msg = dels.(i).msg })
+      r.deliveries
+  in
+  Harness.Run_result.make ~topology:r.topology ~casts:r.casts ~deliveries
+    ~crashed:r.crashed ~trace:r.trace ~inter_group_msgs:r.inter_group_msgs
+    ~intra_group_msgs:r.intra_group_msgs ~end_time:r.end_time
+    ~drained:r.drained ~events_executed:r.events_executed ()
