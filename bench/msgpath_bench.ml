@@ -1,21 +1,21 @@
 (* msgpath_bench — steady-state message-path economy of the fast lanes.
 
    Replays the Figure 1(a)/1(b) workloads (crisp latencies, the exact
-   origin placements of `Harness.Figure1`, cast at 300ms) once through the
-   fast lanes (Protocol.Config.default) and once through the reference
-   message pattern (Protocol.Config.reference), and writes
-   BENCH_msgpath.json with per-cell message counts, events, modeled bytes
-   and wall clock.
+   origin placements of `Harness.Figure1`, cast at 300ms) under
+   Protocol.Config.default, and writes BENCH_msgpath.json with per-cell
+   message counts, events, modeled bytes and wall clock. The Figure 1
+   degrees and inter-group counts themselves are pinned by the tier-1
+   suite.
 
-   Two properties are checked; any failure exits non-zero:
+   Gates; any failure exits non-zero:
 
-   - identity: the fast lanes are an intra-group economy, so on every
-     Figure 1 cell the inter-group message count and the latency degree
-     must be bit-identical between the two modes;
    - economy: on a steady-state broadcast stream at d >= 3 the intra-group
-     consensus messages per executed instance must drop by at least 2x
-     (Multi-Paxos lease + coordinator-only Accepted/Decide: 4d-1 vs
-     2d^2+2d-1 per instance once the lease is held).
+     consensus messages per executed instance must be at most half the
+     all-to-all Paxos closed form 2d^2+2d-1 (Multi-Paxos lease +
+     coordinator-only Accepted/Decide: 4d-1 per instance once the lease
+     is held);
+   - overlays: every overlay cell passes its checks, and on the hub
+     geometry flexcast crosses fewer inter-continental links than a1.
 
    Usage: msgpath_bench [--seed S] [--out PATH]
    Defaults: seed 0, ./BENCH_msgpath.json. *)
@@ -70,7 +70,8 @@ let intra_cons_msgs trace =
     0
     (Runtime.Trace.entries trace)
 
-type mode_run = {
+type cell = {
+  spec : F1.cell;
   degree : int option;
   inter : int;
   intra : int;
@@ -79,47 +80,37 @@ type mode_run = {
   wall_s : float;
 }
 
-(* Runs the cell's probe once, timing it. *)
-let mode_run ~seed (cell : F1.cell) config =
+(* Runs the cell's probe once under the default config, timing it. *)
+let run_cell ~seed (spec : F1.cell) =
   let t0 = Unix.gettimeofday () in
-  let (r : Harness.Run_result.t), id = cell.run ~config ~seed in
+  let (r : Harness.Run_result.t), id =
+    spec.run ~config:Amcast.Protocol.Config.default ~seed
+  in
   let wall_s = Unix.gettimeofday () -. t0 in
-  {
-    degree = Harness.Metrics.latency_degree r id;
-    inter = r.inter_group_msgs;
-    intra = r.intra_group_msgs;
-    events = r.events_executed;
-    bytes = trace_bytes r.trace;
-    wall_s;
-  }
-
-type cell = { spec : F1.cell; fast : mode_run; reference : mode_run }
-
-let diverges c =
-  c.fast.inter <> c.reference.inter || c.fast.degree <> c.reference.degree
-
-let both ~seed (spec : F1.cell) =
-  let fast = mode_run ~seed spec Amcast.Protocol.Config.default in
-  let reference = mode_run ~seed spec Amcast.Protocol.Config.reference in
-  let c = { spec; fast; reference } in
-  Printf.printf
-    "  %-9s %-10s g=%d d=%d k=%d  deg %s/%s  inter %d/%d  intra %d/%d  \
-     bytes %d/%d%s\n\
-     %!"
+  let c =
+    {
+      spec;
+      degree = Harness.Metrics.latency_degree r id;
+      inter = r.inter_group_msgs;
+      intra = r.intra_group_msgs;
+      events = r.events_executed;
+      bytes = trace_bytes r.trace;
+      wall_s;
+    }
+  in
+  Printf.printf "  %-9s %-10s g=%d d=%d k=%d  deg %s  inter %d  intra %d  \
+                 bytes %d\n%!"
     spec.figure spec.algorithm spec.groups spec.d spec.k
-    (match fast.degree with Some x -> string_of_int x | None -> "-")
-    (match reference.degree with Some x -> string_of_int x | None -> "-")
-    fast.inter reference.inter fast.intra reference.intra fast.bytes
-    reference.bytes
-    (if diverges c then "  DIVERGENT" else "");
+    (match c.degree with Some x -> string_of_int x | None -> "-")
+    c.inter c.intra c.bytes;
   c
 
 (* ------------------------------------------------------------------ *)
 (* Steady state: a stream of broadcasts, intra-group consensus messages
-   per executed consensus instance, fast vs reference. Instances are
-   summed over one representative node per group (every group decides the
-   same instance sequence for a broadcast workload), so the per-instance
-   figure is the average across groups. *)
+   per executed consensus instance, against the all-to-all Paxos closed
+   form. Instances are summed over one representative node per group
+   (every group decides the same instance sequence for a broadcast
+   workload), so the per-instance figure is the average across groups. *)
 
 type steady = {
   s_protocol : string;
@@ -127,18 +118,17 @@ type steady = {
   s_d : int;
   s_msgs : int;
   s_instances : int;
-  fast_cons_intra : int;
-  ref_cons_intra : int;
-  fast_per_instance : float;
-  ref_per_instance : float;
+  cons_intra : int;
+  per_instance : float;
+  all_to_all_per_instance : int; (* 2d^2+2d-1 *)
   ratio : float;
 }
 
 let steady_stream (type a) (module P : Amcast.Protocol.S with type t = a)
-    ~(instances_at : a -> int) ~config ~seed ~groups ~d ~n =
+    ~(instances_at : a -> int) ~seed ~groups ~d ~n =
   let module R = Harness.Runner.Make (P) in
   let topo = Topology.symmetric ~groups ~per_group:d in
-  let dep = R.deploy ~seed ~latency:F1.crisp ~config topo in
+  let dep = R.deploy ~seed ~latency:F1.crisp topo in
   let pids = Array.of_list (Topology.all_pids topo) in
   for i = 0 to n - 1 do
     ignore
@@ -159,34 +149,31 @@ let steady_stream (type a) (module P : Amcast.Protocol.S with type t = a)
 
 let steady_cell (type a) name (module P : Amcast.Protocol.S with type t = a)
     ~(instances_at : a -> int) ~seed ~groups ~d ~n =
-  let run config =
-    steady_stream (module P) ~instances_at ~config ~seed ~groups ~d ~n
+  let cons_intra, instances =
+    steady_stream (module P) ~instances_at ~seed ~groups ~d ~n
   in
-  let fast_cons_intra, fast_inst = run Amcast.Protocol.Config.default in
-  let ref_cons_intra, ref_inst = run Amcast.Protocol.Config.reference in
-  let per i inst = float_of_int i /. float_of_int (max 1 inst) in
-  let fast_per_instance = per fast_cons_intra fast_inst in
-  let ref_per_instance = per ref_cons_intra ref_inst in
+  let per_instance =
+    float_of_int cons_intra /. float_of_int (max 1 instances)
+  in
+  let all_to_all = (2 * d * d) + (2 * d) - 1 in
   let s =
     {
       s_protocol = name;
       s_groups = groups;
       s_d = d;
       s_msgs = n;
-      s_instances = fast_inst;
-      fast_cons_intra;
-      ref_cons_intra;
-      fast_per_instance;
-      ref_per_instance;
-      ratio = ref_per_instance /. Float.max fast_per_instance 1e-9;
+      s_instances = instances;
+      cons_intra;
+      per_instance;
+      all_to_all_per_instance = all_to_all;
+      ratio = float_of_int all_to_all /. Float.max per_instance 1e-9;
     }
   in
   Printf.printf
-    "  steady %-3s g=%d d=%d n=%d  instances %d/%d  cons-intra/inst %.1f -> \
-     %.1f  (%.2fx)\n\
+    "  steady %-3s g=%d d=%d n=%d  instances %d  cons-intra/inst %.2f vs \
+     all-to-all %d  (%.2fx)\n\
      %!"
-    name groups d n fast_inst ref_inst ref_per_instance fast_per_instance
-    s.ratio;
+    name groups d n instances per_instance all_to_all s.ratio;
   s
 
 (* ------------------------------------------------------------------ *)
@@ -308,17 +295,6 @@ let overlay_cells ~seed =
 
 open Harness.Bench_json
 
-let json_of_mode m =
-  Obj
-    [
-      ("degree", opt (fun x -> Int x) m.degree);
-      ("inter_msgs", Int m.inter);
-      ("intra_msgs", Int m.intra);
-      ("events", Int m.events);
-      ("bytes_modeled", Int m.bytes);
-      ("wall_s", float 6 m.wall_s);
-    ]
-
 let json_of_cell c =
   Obj
     [
@@ -327,10 +303,12 @@ let json_of_cell c =
       ("groups", Int c.spec.groups);
       ("d", Int c.spec.d);
       ("k", Int c.spec.k);
-      ("fast", json_of_mode c.fast);
-      ("reference", json_of_mode c.reference);
-      ("inter_identical", Bool (c.fast.inter = c.reference.inter));
-      ("degree_identical", Bool (c.fast.degree = c.reference.degree));
+      ("degree", opt (fun x -> Int x) c.degree);
+      ("inter_msgs", Int c.inter);
+      ("intra_msgs", Int c.intra);
+      ("events", Int c.events);
+      ("bytes_modeled", Int c.bytes);
+      ("wall_s", float 6 c.wall_s);
     ]
 
 let json_of_overlay c =
@@ -357,10 +335,9 @@ let json_of_steady s =
       ("d", Int s.s_d);
       ("msgs", Int s.s_msgs);
       ("instances", Int s.s_instances);
-      ("fast_cons_intra_msgs", Int s.fast_cons_intra);
-      ("reference_cons_intra_msgs", Int s.ref_cons_intra);
-      ("fast_cons_intra_per_instance", float 2 s.fast_per_instance);
-      ("reference_cons_intra_per_instance", float 2 s.ref_per_instance);
+      ("cons_intra_msgs", Int s.cons_intra);
+      ("cons_intra_per_instance", float 2 s.per_instance);
+      ("all_to_all_per_instance", Int s.all_to_all_per_instance);
       ("reduction", float 2 s.ratio);
     ]
 
@@ -374,9 +351,8 @@ let () =
     ];
   let seed = !seed in
   Printf.printf
-    "msgpath_bench: Figure 1 identity + steady-state economy, seed %d\n%!"
-    seed;
-  let cells = List.map (both ~seed) (F1.figure_1a @ F1.figure_1b) in
+    "msgpath_bench: Figure 1 cells + steady-state economy, seed %d\n%!" seed;
+  let cells = List.map (run_cell ~seed) (F1.figure_1a @ F1.figure_1b) in
   let overlays = overlay_cells ~seed in
   let steadies =
     let a1 =
@@ -392,7 +368,6 @@ let () =
     in
     [ a1; a2 ]
   in
-  let divergent = List.filter diverges cells in
   let min_ratio =
     List.fold_left (fun acc s -> Float.min acc s.ratio) infinity steadies
   in
@@ -416,12 +391,11 @@ let () =
   let hub_a1 = intercontinental ~topology:"hub" ~algorithm:"a1" in
   let reported_ratio = if min_ratio = infinity then 0. else min_ratio in
   Printf.printf
-    "  %d cells, %d divergent; min steady-state reduction %.2fx\n%!"
-    (List.length cells) (List.length divergent) reported_ratio;
-  write ~schema:"amcast-bench-msgpath/v1" ~out:!out
+    "  %d cells; min steady-state reduction %.2fx\n%!" (List.length cells)
+    reported_ratio;
+  write ~schema:"amcast-bench-msgpath/v2" ~out:!out
     ~gates:
       [
-        ("no_divergent_cells", divergent = []);
         ("steady_state_reduction_2x", not (min_ratio < 2.0));
         ("no_overlay_violations", overlay_violations = 0);
         ("hub_flexcast_fewer_intercontinental", hub_flexcast < hub_a1);
@@ -431,7 +405,6 @@ let () =
       ("cells", List (List.map json_of_cell cells));
       ("steady_state", List (List.map json_of_steady steadies));
       ("overlay_cells", List (List.map json_of_overlay overlays));
-      ("divergent_cells", Int (List.length divergent));
       ("overlay_violations", Int overlay_violations);
       ("hub_intercontinental_flexcast", Int hub_flexcast);
       ("hub_intercontinental_a1", Int hub_a1);

@@ -15,9 +15,9 @@
      least 2x the messages of the unbatched lane within the same sim-time
      window (the saturation win the lane exists for);
    - safety: on faulty runs (deterministic crash schedules and generated
-     nemesis plans) the batched lane and Config.reference must produce
-     the same checker verdicts — batching, pipelining and ack coalescing
-     may change counts and timings, never correctness.
+     nemesis plans) the batched lane and the unbatched Config.default
+     must produce the same checker verdicts — batching, pipelining and
+     ack coalescing may change counts and timings, never correctness.
 
    Usage: throughput_bench [--seed S] [--out PATH] [--smoke]
    Defaults: seed 0, ./BENCH_throughput.json, full grid. *)
@@ -127,7 +127,7 @@ let run_cell (type a) (module P : Amcast.Protocol.S with type t = a) ~mode
   c
 
 (* ------------------------------------------------------------------ *)
-(* Safety differentials: batched lane vs Config.reference under faults.
+(* Safety differentials: batched vs unbatched lane under faults.
    Verdicts (checker violation lists) must coincide — delivered counts
    may legitimately differ (a crash mid-batch can lose buffered casts of
    the crashed origin, which validity exempts). *)
@@ -137,10 +137,10 @@ type differential = {
   scenario : string; (* "crash" | "nemesis" *)
   d_seed : int;
   batched_violations : string list;
-  reference_violations : string list;
+  unbatched_violations : string list;
 }
 
-let d_diverges d = d.batched_violations <> d.reference_violations
+let d_diverges d = d.batched_violations <> d.unbatched_violations
 
 let run_differential (type a) (module P : Amcast.Protocol.S with type t = a)
     ~scenario ~seed ~dest () =
@@ -178,14 +178,14 @@ let run_differential (type a) (module P : Amcast.Protocol.S with type t = a)
       scenario = (match scenario with `Crash -> "crash" | `Nemesis -> "nemesis");
       d_seed = seed;
       batched_violations = check Amcast.Protocol.Config.throughput;
-      reference_violations = check Amcast.Protocol.Config.reference;
+      unbatched_violations = check Amcast.Protocol.Config.default;
     }
   in
   Printf.printf "  diff %-3s %-7s seed %d  batched %d violation(s), \
-                 reference %d%s\n%!"
+                 unbatched %d%s\n%!"
     d.d_protocol d.scenario d.d_seed
     (List.length d.batched_violations)
-    (List.length d.reference_violations)
+    (List.length d.unbatched_violations)
     (if d_diverges d then "  DIVERGENT" else "");
   if d_diverges d then
     List.iter
@@ -223,7 +223,7 @@ let json_of_differential d =
       ("scenario", String d.scenario);
       ("seed", Int d.d_seed);
       ("batched_violations", strings d.batched_violations);
-      ("reference_violations", strings d.reference_violations);
+      ("unbatched_violations", strings d.unbatched_violations);
       ("divergent", Bool (d_diverges d));
     ]
 
@@ -313,7 +313,7 @@ let () =
      differential(s)\n%!"
     (List.length cells) saturation_ratio top_rate (List.length divergent);
   let open Harness.Bench_json in
-  write ~schema:"amcast-bench-throughput/v1" ~out:!out
+  write ~schema:"amcast-bench-throughput/v2" ~out:!out
     ~gates:
       [
         ("no_divergent_differentials", divergent = []);

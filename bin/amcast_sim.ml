@@ -15,8 +15,8 @@ open Net
 
 let run_cli (proto : Amcast.Catalogue.entry) groups per_group messages seed
     gap_ms poisson kmax crashes inter_ms intra_ms horizon_ms print_trace
-    print_timeline heartbeat_fd fast_lanes batch batch_delay_ms pipeline
-    conflict conflict_rate topology_kind =
+    print_timeline heartbeat_fd batch batch_delay_ms pipeline conflict
+    conflict_rate topology_kind =
   let topo = Topology.symmetric ~groups ~per_group in
   (* --topology replaces the uniform latency pair with the overlay's
      routed-path delays and hands the overlay to the protocol config
@@ -101,8 +101,7 @@ let run_cli (proto : Amcast.Catalogue.entry) groups per_group messages seed
   let config =
     {
       config with
-      Amcast.Protocol.Config.fast_lanes;
-      batch_max = batch;
+      Amcast.Protocol.Config.batch_max = batch;
       batch_delay = Sim_time.of_ms batch_delay_ms;
       pipeline;
       conflict = conflict_rel;
@@ -166,7 +165,7 @@ let () =
   let kmax = ref 3 and crashes = ref [] in
   let inter_ms = ref 50 and intra_ms = ref 1 and horizon_ms = ref None in
   let print_trace = ref false and print_timeline = ref false in
-  let heartbeat_fd = ref false and fast_lanes = ref true in
+  let heartbeat_fd = ref false in
   let batch = ref 1 and batch_delay_ms = ref 2 and pipeline = ref 1 in
   let conflict = ref `Total and conflict_rate = ref 0.5 in
   let topology_kind = ref None in
@@ -228,10 +227,6 @@ let () =
             Arg.Set heartbeat_fd,
             " drive A1/A2 consensus with the heartbeat failure detector \
              instead of the oracle (never quiescent: a horizon is applied)" );
-          ( "--fast-lanes",
-            Arg.Symbol ([ "on"; "off" ], fun v -> fast_lanes := v = "on"),
-            " steady-state message-path fast lanes (default on); off runs \
-             the reference message pattern" );
           ( "--batch",
             Arg.Set_int batch,
             "N pack up to N casts sharing a destination set into one \
@@ -272,5 +267,5 @@ let () =
   exit
     (run_cli !proto !groups !per_group !messages !seed !gap_ms !poisson !kmax
        (List.rev !crashes) !inter_ms !intra_ms !horizon_ms !print_trace
-       !print_timeline !heartbeat_fd !fast_lanes !batch !batch_delay_ms
-       !pipeline !conflict !conflict_rate !topology_kind)
+       !print_timeline !heartbeat_fd !batch !batch_delay_ms !pipeline
+       !conflict !conflict_rate !topology_kind)

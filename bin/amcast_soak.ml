@@ -11,19 +11,18 @@
    that many OCaml domains (Harness.Pool); the summaries — and the exit
    code — are bit-identical to a sequential run for any domain count.
 
-   Usage: amcast_soak [--fast-lanes on|off] [--nemesis on|off]
-                      [--batch N] [--batch-delay MS] [--pipeline W]
-                      [--conflict total|key|none] [--conflict-rate R]
+   Usage: amcast_soak [--nemesis on|off] [--batch N] [--batch-delay MS]
+                      [--pipeline W] [--conflict total|key|none]
+                      [--conflict-rate R]
                       [--topology clique|hub|ring|tree]
                       [RUNS] [SEED] [DOMAINS]
    DOMAINS defaults to 1 (sequential); pass 0 for the recommended domain
-   count of this machine. --fast-lanes defaults to "on"; "off" soaks the
-   reference message pattern instead of the fast lanes. --nemesis defaults
-   to "off"; "on" replays a seeded fault plan (partition/heal windows,
-   latency spikes, FD storms, crash schedule) against every run, with
-   liveness asserted only after each plan's final heal. --batch (default 1
-   = off) soaks the throughput lane's cast batching with the given batch
-   size, --batch-delay (ms, default 2) its flush timeout, and --pipeline
+   count of this machine. --nemesis defaults to "off"; "on" replays a
+   seeded fault plan (partition/heal windows, latency spikes, FD storms,
+   crash schedule) against every run, with liveness asserted only after
+   each plan's final heal. --batch (default 1 = off) soaks the
+   throughput lane's cast batching with the given batch size,
+   --batch-delay (ms, default 2) its flush timeout, and --pipeline
    (default 1 = sequential) its in-flight consensus-instance window; the
    summaries then report the batching/pipelining counters. --conflict
    (default "total") selects the conflict relation of the generic
@@ -37,7 +36,6 @@
    genuineness checks become overlay-aware. *)
 
 let () =
-  let config = ref Amcast.Protocol.Config.default in
   let nemesis = ref false in
   let batch = ref 1 in
   let batch_delay_ms = ref 2 in
@@ -60,12 +58,6 @@ let () =
   Arg.parse
     (Arg.align
        [
-         ( "--fast-lanes",
-           on_off (fun on ->
-               config :=
-                 if on then Amcast.Protocol.Config.default
-                 else Amcast.Protocol.Config.reference),
-           " fast lanes (on, default) or the reference message pattern" );
          ("--nemesis", on_off (( := ) nemesis), " seeded fault plans (default off)");
          ("--batch", int_flag "--batch" batch ~min:1, "N cast batch size (default 1 = off)");
          ( "--batch-delay",
@@ -106,7 +98,7 @@ let () =
   let positional = Array.of_list (List.rev !positional) in
   let config =
     {
-      !config with
+      Amcast.Protocol.Config.default with
       Amcast.Protocol.Config.batch_max = !batch;
       batch_delay = Des.Sim_time.of_ms !batch_delay_ms;
       pipeline = !pipeline;

@@ -16,13 +16,15 @@
 
     The module runs in one of two modes, selected by [?fast_lanes]:
 
-    {b Reference mode} ([fast_lanes = false]) is the original message
+    {b Reference mode} ([fast_lanes = false]) is the all-to-all message
     pattern: every acceptor broadcasts [Accepted] to all participants and
     every decider broadcasts [Decide] once, so a failure-free instance
     costs an [Accept] fan-out plus an all-to-all [Accepted] and an
-    all-to-all [Decide] (2n² + 2n − 1 messages) — maximally robust to
-    partial message loss under crashes, and kept as the differential-test
-    baseline.
+    all-to-all [Decide] (2n² + 2n − 1 messages). Two baselines need it at
+    run time: the ring baseline, whose inter-group fan-outs are gated on
+    each member's own [Decide], and the scalable baseline, whose
+    participants span groups. Under a coordinator-only [Decide] their
+    inter-group message counts would change.
 
     {b Fast mode} ([fast_lanes = true], the default) is the Multi-Paxos
     steady state:

@@ -34,9 +34,7 @@ type t = wire A1_stages.t
 let send_proposals services config ~my_group k msgs =
   let others (m : Msg.t) = List.filter (fun g -> g <> my_group) m.dest in
   let send groups w =
-    (if config.Protocol.Config.fast_lanes then Services.send_multi
-     else Services.send_all)
-      services
+    Services.send_multi services
       (Topology.pids_of_groups services.Services.topology groups)
       w
   in

@@ -334,7 +334,6 @@ let create ~services ~config ~deliver ~rm:wrap_rm ~cons:wrap_cons
       (Rmcast.Reliable_multicast.create ~services ~wrap:wrap_rm
          ~mode:config.Protocol.Config.rm_mode
          ~oracle_delay:config.Protocol.Config.oracle_delay
-         ~fast_lanes:config.Protocol.Config.fast_lanes
          ?coalesce:
            (if Protocol.Config.batching config then
               Some
@@ -365,7 +364,6 @@ let create ~services ~config ~deliver ~rm:wrap_rm ~cons:wrap_cons
          ~participants:(Topology.members topology my_group)
          ~detector
          ~timeout:config.Protocol.Config.consensus_timeout
-         ~fast_lanes:config.Protocol.Config.fast_lanes
          ~on_decide:(fun ~instance v ->
            (* A decide for an instance the group clock already jumped past
               is for an abandoned instance — consumed by nobody. *)

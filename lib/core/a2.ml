@@ -32,7 +32,6 @@ type t = {
   deliver : Msg.t -> unit;
   round_grace : Des.Sim_time.t;
   prediction : Protocol.Config.prediction;
-  fast_lanes : bool;
   mutable empty_streak : int; (* consecutive useless rounds *)
   mutable grace_timer : int option;
   my_group : Topology.gid;
@@ -172,8 +171,7 @@ let rec maybe_finish_round t =
   | Some own_bundle ->
     if not s.own_sent then begin
       s.own_sent <- true;
-      (if t.fast_lanes then Services.send_multi else Services.send_all)
-        t.services t.outside_pids
+      Services.send_multi t.services t.outside_pids
         (Bundle { round = t.k; msgs = own_bundle })
     end;
     (* Only other groups' bundles land in [foreign] (bundles fan out to
@@ -294,7 +292,6 @@ let create ~services ~config ~deliver =
       deliver;
       round_grace = config.Protocol.Config.round_grace;
       prediction = config.Protocol.Config.prediction;
-      fast_lanes = config.Protocol.Config.fast_lanes;
       empty_streak = 0;
       grace_timer = None;
       my_group;
@@ -341,7 +338,6 @@ let create ~services ~config ~deliver =
          ~wrap:(fun m -> Rm m)
          ~mode:config.Protocol.Config.rm_mode
          ~oracle_delay:config.Protocol.Config.oracle_delay
-         ~fast_lanes:config.Protocol.Config.fast_lanes
          ?coalesce:
            (if Protocol.Config.batching config then
               Some
@@ -372,7 +368,6 @@ let create ~services ~config ~deliver =
          ~participants:(Topology.members topology my_group)
          ~detector
          ~timeout:config.Protocol.Config.consensus_timeout
-         ~fast_lanes:config.Protocol.Config.fast_lanes
          ~on_decide:(fun ~instance v ->
            let s = round_state t instance in
            if s.own = None then s.own <- Some v;

@@ -5,8 +5,8 @@ let name = "fritzke"
 let tag = A1.tag
 
 let create ~services ~config ~deliver =
-  (* The baseline is A1 with both stage skips off; every other knob (fast
-     lanes, batching, pipelining, detector, overlay) is the caller's. Under
+  (* The baseline is A1 with both stage skips off; every other knob (rmcast
+     mode, batching, pipelining, detector, overlay) is the caller's. Under
      Config.default this is Config.fritzke. *)
   A1.create ~services
     ~config:

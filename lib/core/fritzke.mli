@@ -15,8 +15,9 @@
 
     The caller's config applies except for the two skips, which are always
     off: under {!Protocol.Config.default} the baseline runs
-    {!Protocol.Config.fritzke}, and under {!Protocol.Config.reference} the
-    reference message pattern.
+    {!Protocol.Config.fritzke}, and under [{default with rm_mode =
+    Ack_uniform}] it disseminates with the uniform reliable multicast's
+    [Copy] acks.
 
     Latency degree is still 2 for multi-group messages (Figure 1a): the
     stage skips save {e intra-group} work, not inter-group delays. The

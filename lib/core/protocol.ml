@@ -18,7 +18,6 @@ module Config = struct
     round_grace : Des.Sim_time.t;
     null_period : Des.Sim_time.t;
     opt_window : Des.Sim_time.t;
-    fast_lanes : bool;
     batch_max : int;
         (* Throughput lane: maximum application casts packed into one
            batch (one R-MCast dissemination / one ordering payload).
@@ -60,7 +59,6 @@ module Config = struct
       round_grace = Des.Sim_time.of_ms 10;
       null_period = Des.Sim_time.of_ms 10;
       opt_window = Des.Sim_time.of_ms 5;
-      fast_lanes = true;
       batch_max = 1;
       batch_delay = Des.Sim_time.of_ms 2;
       pipeline = 1;
@@ -68,12 +66,10 @@ module Config = struct
       overlay = None;
     }
 
-  let reference = { default with fast_lanes = false }
-
   (* The high-throughput lane: batch casts, keep several consensus
      instances in flight, coalesce uniform-mode acks. Safety-equivalent to
-     [default] and [reference] (asserted by the batching differentials);
-     trades per-cast latency slack for saturation throughput. *)
+     [default] (asserted by the batching differentials); trades per-cast
+     latency slack for saturation throughput. *)
   let throughput =
     { default with batch_max = 8; batch_delay = Des.Sim_time.of_ms 2;
       pipeline = 4 }

@@ -75,17 +75,6 @@ module Config : sig
         (** Optimistic total order ([12]): compensation window receivers
             wait before optimistically delivering, to absorb latency
             differences between links. *)
-    fast_lanes : bool;
-        (** Steady-state message-path fast lanes (default on): Multi-Paxos
-            coordinator lease + coordinator-only [Accepted]/[Decide] and
-            decided-instance GC in consensus, payload-free [Copy] acks in
-            the uniform reliable multicast, and single-event [send_multi]
-            fan-outs on broadcast-shaped hot paths. Off = reference mode:
-            the original (chattier) message pattern, kept for differential
-            testing. Both modes implement the same protocols — only
-            {e intra-group} message complexity changes, so Figure 1
-            inter-group counts and Section 2.3 latency degrees are
-            unaffected. *)
     batch_max : int;
         (** Throughput lane: maximum application casts packed into one
             batch — one R-MCast dissemination and one ordering payload.
@@ -120,15 +109,11 @@ module Config : sig
   (** A1 as published: both skips on, non-uniform reliable multicast,
       200ms consensus timeout, 50ms oracle delay. *)
 
-  val reference : t
-  (** {!default} with [fast_lanes = false] — the pre-fast-lane message
-      pattern, for differential runs. *)
-
   val throughput : t
   (** The high-throughput lane: {!default} with [batch_max = 8],
       [batch_delay = 2ms], [pipeline = 4]. Safety-equivalent to {!default}
-      and {!reference} (asserted by the batching differentials); trades
-      per-cast latency slack for saturation throughput. *)
+      (asserted by the batching differentials); trades per-cast latency
+      slack for saturation throughput. *)
 
   val batching : t -> bool
   (** [batch_max > 1]. *)

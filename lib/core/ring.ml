@@ -29,7 +29,6 @@ type pending = {
 type t = {
   services : wire Services.t;
   deliver : Msg.t -> unit;
-  fast_lanes : bool;
   my_group : Topology.gid;
   mutable clock : int;
   mutable instance : int; (* group-local: next consensus instance *)
@@ -176,8 +175,7 @@ and apply_stamp t (stamp : stamp) =
     t.outstanding <- Some m.id;
     if is_last_group t m then begin
       (* The chain ends here: my group's stamp is the final timestamp. *)
-      (if t.fast_lanes then Services.send_multi else Services.send_all)
-        t.services
+      Services.send_multi t.services
         (List.filter
            (fun q -> q <> t.services.Services.self)
            (Msg.dest_pids t.services.Services.topology m))
@@ -223,7 +221,6 @@ let create ~services ~config ~deliver =
     {
       services;
       deliver;
-      fast_lanes = config.Protocol.Config.fast_lanes;
       my_group = Services.my_group services;
       clock = 0;
       instance = 1;
@@ -246,7 +243,6 @@ let create ~services ~config ~deliver =
          ~wrap:(fun m -> Rm m)
          ~mode:Rmcast.Reliable_multicast.Eager_nonuniform
          ~oracle_delay:config.Protocol.Config.oracle_delay
-         ~fast_lanes:config.Protocol.Config.fast_lanes
          ~on_deliver:(fun ~id:_ ~origin:_ ~dest:_ m ->
            enqueue t m ~known_ts:0)
          ());
@@ -264,7 +260,8 @@ let create ~services ~config ~deliver =
               suppresses their (redundant) fan-outs, changing the
               inter-group message pattern. The fast lanes must stay an
               intra-group economy, so this consensus always runs the
-              reference pattern. *)
+              all-to-all reference pattern (the Figure 1 pins fail
+              otherwise). *)
          ~fast_lanes:false
          ~on_decide:(fun ~instance v ->
            Hashtbl.replace t.decisions instance v;

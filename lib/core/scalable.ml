@@ -45,8 +45,8 @@ let consensus_for t e =
         ~timeout:t.config.Protocol.Config.consensus_timeout
           (* The participants here span groups: the fast lanes are an
              intra-group economy and would alter the protocol's inter-group
-             message counts, so this consensus always runs the reference
-             pattern. *)
+             message counts, so this consensus always runs the all-to-all
+             reference pattern (the Figure 1 pins fail otherwise). *)
         ~fast_lanes:false
         ~on_decide:(fun ~instance:_ ts ->
           if not (Stamp_order.is_final e) then
@@ -122,7 +122,6 @@ let create ~services ~config ~deliver =
          ~wrap:(fun m -> Rm m)
          ~mode:Rmcast.Reliable_multicast.Eager_nonuniform
          ~oracle_delay:config.Protocol.Config.oracle_delay
-         ~fast_lanes:config.Protocol.Config.fast_lanes
          ~on_deliver:(fun ~id:_ ~origin:_ ~dest:_ m -> on_data t m)
          ());
   t

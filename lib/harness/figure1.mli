@@ -6,8 +6,8 @@
     single owner of that workload: the crisp latency model, every cell's
     placement, origin rule and config transform, and the runners that
     measure a cell. [bench/main.exe] prints the tables from it,
-    [bench/msgpath_bench.exe] replays it fast vs reference, and the tier-1
-    suite pins every cell's counts. {!Complexity} holds the closed forms. *)
+    [bench/msgpath_bench.exe] records each cell's message counts and
+    modeled bytes, and the tier-1 suite pins every cell's counts. {!Complexity} holds the closed forms. *)
 
 val crisp : Net.Latency.t
 (** Uniform 1 ms intra-group and 50 ms inter-group delays, no jitter: a
@@ -68,8 +68,7 @@ type measure =
           minimum degree over the stream, which is the paper's definition
           of an algorithm's degree, and the marginal [dm.pub] copies per
           message. The cell's [run] stays a single probe under a 2 s
-          horizon, which is enough for the fast-vs-reference identity
-          check: [1] uses neither consensus nor the reliable multicast. *)
+          horizon. *)
 
 type cell = {
   figure : string;  (** ["figure-1a"] or ["figure-1b"] *)

@@ -198,7 +198,6 @@ let load path =
 
 let config_of_name = function
   | "default" -> Some Amcast.Protocol.Config.default
-  | "reference" -> Some Amcast.Protocol.Config.reference
   | "fritzke" -> Some Amcast.Protocol.Config.fritzke
   | "generic-key" ->
     (* The generic protocol under per-key payload conflicts — traces cast

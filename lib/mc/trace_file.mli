@@ -77,8 +77,8 @@ val save : string -> t -> unit
 val load : string -> (t, string) result
 
 val config_of_name : string -> Amcast.Protocol.Config.t option
-(** The config presets a trace may name: ["default"], ["reference"],
-    ["fritzke"] and ["generic-key"] ({!Amcast.Protocol.Config.default}
+(** The config presets a trace may name: ["default"], ["fritzke"] and
+    ["generic-key"] ({!Amcast.Protocol.Config.default}
     with the {!Amcast.Conflict.payload_key} conflict relation). *)
 
 val check :

@@ -9,11 +9,11 @@ type 'p msg =
       payload : 'p;
     }
   | Copy of { id : Msg_id.t; origin : Topology.pid; dest : Topology.pid list }
-      (* Fast-lane ack: "I hold the payload and vouch for it" without
+      (* Ack: "I hold the payload and vouch for it" without
          re-sending the payload — the uniform mode's majority evidence at
          O(|dest|²) small acks instead of O(|dest|²) payload copies. *)
   | Fetch of { id : Msg_id.t }
-      (* Fast-lane payload pull, for the rare race where a Copy beats every
+      (* Payload pull, for the rare race where a Copy beats every
          payload-bearing Data to a process. Answered point-to-point. *)
   | Copies of { acks : (Msg_id.t * Topology.pid * Topology.pid list) list }
       (* Throughput lane: several Copy acks with the same recipients merged
@@ -54,7 +54,6 @@ type ('p, 'w) t = {
   services : 'w Services.t;
   wrap : 'p msg -> 'w;
   mode : mode;
-  fast : bool;
   known : 'p known Msg_id.Tbl.t;
   mutable reclaimed_count : int;
   coalesce : (int * Des.Sim_time.t) option;
@@ -95,14 +94,10 @@ let find_known t ~id ~origin ~dest =
     Msg_id.Tbl.replace t.known id k;
     k
 
-let fan_out t pids w =
-  if t.fast then Services.send_multi t.services pids w
-  else Services.send_all t.services pids w
-
 let flush_ack_bucket t pids acks =
   t.acks_merged <- t.acks_merged + List.length acks;
   t.copies_sent <- t.copies_sent + 1;
-  fan_out t pids (t.wrap (Copies { acks }))
+  Services.send_multi t.services pids (t.wrap (Copies { acks }))
 
 let flush_acks t =
   (match t.ack_timer with
@@ -146,7 +141,7 @@ let buffer_ack t ~max ~delay pids ack =
 let rec relay t id k =
   if (not k.relayed) && not k.reclaimed then
     match k.payload with
-    | None -> () (* fast lane: no payload yet — the Fetch is in flight *)
+    | None -> () (* no payload yet — the Fetch is in flight *)
     | Some payload ->
       k.relayed <- true;
       let self = t.services.Services.self in
@@ -155,7 +150,7 @@ let rec relay t id k =
       Hashtbl.replace k.copies self ();
       let others = List.filter (fun q -> q <> self) k.dest in
       (match t.mode with
-      | Ack_uniform when t.fast -> (
+      | Ack_uniform -> (
         (* The payload travelled once (origin fan-out or Fetch reply);
            vouch with a payload-free Copy — buffered for merging when the
            coalescing lane is on. *)
@@ -163,10 +158,10 @@ let rec relay t id k =
         | Some (max, delay) ->
           buffer_ack t ~max ~delay others (id, k.origin, k.dest)
         | None ->
-          fan_out t others
+          Services.send_multi t.services others
             (t.wrap (Copy { id; origin = k.origin; dest = k.dest })))
-      | Ack_uniform | Eager_nonuniform ->
-        fan_out t others
+      | Eager_nonuniform ->
+        Services.send_multi t.services others
           (t.wrap (Data { id; origin = k.origin; dest = k.dest; payload })));
       maybe_deliver t id k
 
@@ -204,7 +199,7 @@ let reclaim t k =
    it) — at-most-once needs the [delivered] flag to survive. *)
 let maybe_reclaim t k =
   if
-    t.fast && t.mode = Ack_uniform && (not k.reclaimed) && k.relayed
+    t.mode = Ack_uniform && (not k.reclaimed) && k.relayed
     && (k.delivered || not (List.mem t.services.Services.self k.dest))
     && List.for_all (fun q -> Hashtbl.mem k.copies q) k.dest
   then reclaim t k
@@ -231,29 +226,18 @@ let learn t ~id ~origin ~dest ~payload ~from =
 let rmcast t ~id ~dest payload =
   let dest = List.sort_uniq Int.compare dest in
   let origin = t.services.Services.self in
-  if t.fast then begin
-    (* The origin's initial fan-out IS its relay: mark it as such before
-       learning so the Ack_uniform path does not fan out twice. *)
-    let k = find_known t ~id ~origin ~dest in
-    if not k.reclaimed then begin
-      if k.payload = None then k.payload <- Some payload;
-      Hashtbl.replace k.copies origin ();
-      k.relayed <- true;
-      fan_out t
-        (List.filter (fun q -> q <> origin) dest)
-        (t.wrap (Data { id; origin; dest; payload }));
-      maybe_deliver t id k;
-      maybe_reclaim t k
-    end
-  end
-  else begin
-    let k = learn t ~id ~origin ~dest ~payload ~from:origin in
-    (* The origin's initial fan-out counts as its relay; it learns its own
-       message directly, so no self-send. *)
+  (* The origin's initial fan-out IS its relay: mark it as such before
+     learning so the Ack_uniform path does not fan out twice. *)
+  let k = find_known t ~id ~origin ~dest in
+  if not k.reclaimed then begin
+    if k.payload = None then k.payload <- Some payload;
+    Hashtbl.replace k.copies origin ();
     k.relayed <- true;
-    Services.send_all t.services
+    Services.send_multi t.services
       (List.filter (fun q -> q <> origin) dest)
-      (t.wrap (Data { id; origin; dest; payload }))
+      (t.wrap (Data { id; origin; dest; payload }));
+    maybe_deliver t id k;
+    maybe_reclaim t k
   end
 
 let note_copy t ~from ~id ~origin ~dest =
@@ -299,17 +283,15 @@ let reclaimed_entries t = t.reclaimed_count
 let acks_coalesced t = t.acks_merged - t.copies_sent
 
 let create ~services ~wrap ?(mode = Eager_nonuniform)
-    ?(oracle_delay = Des.Sim_time.of_ms 50) ?(fast_lanes = true) ?coalesce
-    ~on_deliver () =
+    ?(oracle_delay = Des.Sim_time.of_ms 50) ?coalesce ~on_deliver () =
   let t =
     {
       services;
       wrap;
       mode;
-      fast = fast_lanes;
       known = Msg_id.Tbl.create 64;
       reclaimed_count = 0;
-      coalesce = (if fast_lanes then coalesce else None);
+      coalesce;
       ack_buf = [];
       ack_timer = None;
       acks_merged = 0;
@@ -321,15 +303,15 @@ let create ~services ~wrap ?(mode = Eager_nonuniform)
   | Eager_nonuniform ->
     (* Crash-relay rule: when the origin of a delivered message is reported
        crashed, re-forward once so every correct addressee gets a copy.
-       After the relay the payload's local obligations are over — fast mode
-       reclaims the bulk state (the tombstone keeps at-most-once intact
+       After the relay the payload's local obligations are over, so the
+       bulk state is reclaimed (the tombstone keeps at-most-once intact
        against relays arriving from other deliverers). *)
     services.Services.on_crash_detected ~delay:oracle_delay (fun dead ->
         Msg_id.Tbl.iter
           (fun id k ->
             if k.origin = dead && k.delivered && not k.reclaimed then begin
               relay t id k;
-              if t.fast then reclaim t k
+              reclaim t k
             end)
           t.known)
   | Ack_uniform -> ());

@@ -18,31 +18,28 @@
 
     - {!Ack_uniform} — a uniform variant (used by the Fritzke et al. [5]
       baseline, which relies on uniform reliable multicast): every receiver
-      relays on first receipt and delivers only once copies from a majority
-      of the destination set have arrived, so a delivery by {e any} process
-      (even one about to crash) implies every correct addressee eventually
-      delivers. Costs one extra message delay and O(|dest|²) messages.
+      vouches on first receipt and delivers only once vouchers from a
+      majority of the destination set are in, so a delivery by {e any}
+      process (even one about to crash) implies every correct addressee
+      eventually delivers. Costs one extra message delay and O(|dest|²)
+      messages. The payload travels once: the origin fans out the
+      payload-bearing [Data], and every receiver vouches with a
+      payload-free [Copy] ack, so the O(|dest|²) term is small acks plus
+      O(|dest|) payloads. A process whose [Copy] arrives before any
+      payload pulls it point-to-point with [Fetch] (the voucher
+      necessarily holds it).
 
     The caster need not belong to the destination set; it then sends but
     never delivers.
 
-    {b Fast lanes} (default on, [~fast_lanes:false] restores the reference
-    behavior byte for byte):
-
-    - {!Ack_uniform} relays the payload only once. The origin fans out the
-      payload-bearing [Data]; every receiver then vouches with a
-      payload-free [Copy] ack instead of re-sending the payload, turning
-      O(|dest|²) payload copies into O(|dest|²) small acks plus O(|dest|)
-      payloads. A process whose [Copy] arrives before any payload pulls it
-      point-to-point with [Fetch] (the voucher necessarily holds it).
-    - Entry state is garbage-collected: once every addressee has vouched
-      and the message is locally settled, the payload, copy set and
-      destination list are dropped, leaving a small tombstone that keeps
-      delivery at-most-once. In {!Eager_nonuniform}, bulk state is
-      reclaimed after the crash-relay obligation fires.
-    - Fan-outs ride a single broadcast network event
-      ({!Runtime.Services.send_multi}) instead of one event per addressee;
-      per-destination arrival times and delivery order are unchanged. *)
+    Entry state is garbage-collected. In {!Ack_uniform}, once every
+    addressee has vouched and the message is locally settled, the
+    payload, copy set and destination list are dropped, leaving a small
+    tombstone that keeps delivery at-most-once; in {!Eager_nonuniform},
+    bulk state is reclaimed after the crash-relay obligation fires.
+    Fan-outs ride a single broadcast network event
+    ({!Runtime.Services.send_multi}) instead of one event per addressee,
+    with the same per-destination arrival times and delivery order. *)
 
 type 'p msg
 
@@ -58,7 +55,6 @@ val create :
   wrap:('p msg -> 'w) ->
   ?mode:mode ->
   ?oracle_delay:Des.Sim_time.t ->
-  ?fast_lanes:bool ->
   ?coalesce:int * Des.Sim_time.t ->
   on_deliver:
     (id:Runtime.Msg_id.t ->
@@ -70,9 +66,7 @@ val create :
   ('p, 'w) t
 (** [create ~services ~wrap ~on_deliver ()] is an endpoint. [mode] defaults
     to {!Eager_nonuniform}; [oracle_delay] (default 50ms) is the detection
-    delay of the crash-relay rule; [fast_lanes] (default [true]) enables
-    the Copy/Fetch ack relaying and state reclamation described above.
-    [coalesce] (default off; requires [fast_lanes]) is the throughput
+    delay of the crash-relay rule. [coalesce] (default off) is the throughput
     lane's [(max, delay)] ack-coalescing policy: {!Ack_uniform} [Copy]
     acks destined to the same recipient set are buffered and merged into
     one [Copies] fan-out, flushed when [max] acks accumulate or [delay]
@@ -98,7 +92,7 @@ val retained_entries : ('p, 'w) t -> int
 (** Entries still holding bulk state (payload/copy set) or awaiting it. *)
 
 val reclaimed_entries : ('p, 'w) t -> int
-(** Entries reduced to at-most-once tombstones by the fast-lane GC. *)
+(** Entries reduced to at-most-once tombstones by the GC. *)
 
 val acks_coalesced : ('p, 'w) t -> int
 (** Ack messages saved by coalescing: acks carried inside merged [Copies]

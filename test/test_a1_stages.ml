@@ -1,7 +1,7 @@
 (* The A1 stage kernel and the two protocols built on it.
 
    Golden pin: fixed-seed jittered streams of ~40 casts through a1 (under
-   the default, reference, throughput and Fritzke configurations and the
+   the default, throughput and Fritzke configurations and the
    heartbeat detector) and whitebox, plus crash streams that kill a
    group's leader mid-run, each reduced to a per-pid delivery digest and
    per-tag send counts. The literals were captured from the separate a1
@@ -52,7 +52,6 @@ let golden_runs () =
   in
   [
     a1 "a1 default" Amcast.Protocol.Config.default;
-    a1 "a1 reference" Amcast.Protocol.Config.reference;
     a1 "a1 throughput" Amcast.Protocol.Config.throughput;
     ( "fritzke",
       RFz.run ~seed:7 ~latency:Latency.wan_default topo (stream topo) );
@@ -86,15 +85,6 @@ let golden : (string * (int list * (string * int) list)) list =
         [
           ("a1.ts", 400); ("cons.accept", 228); ("cons.accepted", 228);
           ("cons.decide", 250); ("cons.suggest", 110); ("rm.data", 135)
-        ] ) );
-    ( "a1 reference",
-      ( [
-          1629812427866655452; 1629812427866655452; 1401368023983015472;
-          1401368023983015472; 3744662401572471524; 3744662401572471524
-        ],
-        [
-          ("a1.ts", 400); ("cons.accept", 224); ("cons.accepted", 448);
-          ("cons.decide", 448); ("cons.suggest", 105); ("rm.data", 135)
         ] ) );
     ( "a1 throughput",
       ( [

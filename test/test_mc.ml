@@ -366,7 +366,7 @@ let test_trace_file_overlay_roundtrip () =
 
 let test_trace_file_roundtrip () =
   let t =
-    Trace_file.make ~seed:7 ~intra_us:2_000 ~inter_us:80_000 ~config:"reference"
+    Trace_file.make ~seed:7 ~intra_us:2_000 ~inter_us:80_000 ~config:"fritzke"
       ~spurious_timers:1 ~reorder_bound:2
       ~casts:[ (1_000, 0, [ 0; 1 ], "hello world"); (2_000, 3, [ 1 ], "m1") ]
       ~faults:[ (0, 3) ]

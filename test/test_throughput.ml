@@ -1,5 +1,5 @@
 (* Throughput-lane tests: batcher flush policy, pipelined consensus,
-   batched-vs-reference verdict differentials, lease-path pipelining
+   batched-vs-unbatched verdict differentials, lease-path pipelining
    regressions, and model-checked outcome-set equality.
 
    The lane's contract: batching, pipelining and ack coalescing may change
@@ -387,7 +387,7 @@ let test_pipelined_double_decide_ordering () =
 
 (* The lane may change counts and timings, never verdicts: on the same
    scenario — including crash schedules and nemesis plans — the batched
-   config and the reference message pattern must produce identical checker
+   config and the unbatched default must produce identical checker
    verdicts. *)
 let prop_verdict_differential proto (seed, with_nemesis) =
   let scenario =
@@ -400,18 +400,18 @@ let prop_verdict_differential proto (seed, with_nemesis) =
     .violations
   in
   let b = verdicts Amcast.Protocol.Config.throughput in
-  let r = verdicts Amcast.Protocol.Config.reference in
-  b = r
+  let u = verdicts Amcast.Protocol.Config.default in
+  b = u
   || QCheck2.Test.fail_reportf
-       "seed %d%s: batched verdicts %a, reference %a" seed
+       "seed %d%s: batched verdicts %a, unbatched %a" seed
        (if with_nemesis then " (nemesis)" else "")
        Fmt.(Dump.list string)
        b
        Fmt.(Dump.list string)
-       r
+       u
 
 (* Fault-free knob grid: any (batch, delay, window) combination delivers
-   exactly what the reference does, with identical verdicts. *)
+   exactly what the unbatched default does, with identical verdicts. *)
 let prop_knob_grid (seed, batch_max, delay_ms, pipeline) =
   let scenario =
     Harness.Campaign.random_scenario
@@ -428,16 +428,16 @@ let prop_knob_grid (seed, batch_max, delay_ms, pipeline) =
         pipeline;
       }
   in
-  let r = outcome Amcast.Protocol.Config.reference in
-  (b.Harness.Campaign.violations = r.Harness.Campaign.violations
-  && b.Harness.Campaign.delivered = r.Harness.Campaign.delivered)
+  let u = outcome Amcast.Protocol.Config.default in
+  (b.Harness.Campaign.violations = u.Harness.Campaign.violations
+  && b.Harness.Campaign.delivered = u.Harness.Campaign.delivered)
   || QCheck2.Test.fail_reportf
        "seed %d batch %d delay %dms window %d: %d/%a vs %d/%a" seed batch_max
        delay_ms pipeline b.Harness.Campaign.delivered
        Fmt.(Dump.list string)
-       b.Harness.Campaign.violations r.Harness.Campaign.delivered
+       b.Harness.Campaign.violations u.Harness.Campaign.delivered
        Fmt.(Dump.list string)
-       r.Harness.Campaign.violations
+       u.Harness.Campaign.violations
 
 let differential_gen =
   QCheck2.Gen.(pair (int_bound 10_000) bool)
@@ -544,11 +544,11 @@ let suites =
     ( "throughput-differential",
       [
         qcheck_case ~count:20
-          ~name:"a1: batched verdicts = reference (crashes, nemesis)"
+          ~name:"a1: batched verdicts = unbatched (crashes, nemesis)"
           differential_gen
           (prop_verdict_differential (module Amcast.A1 : Amcast.Protocol.S));
         qcheck_case ~count:20
-          ~name:"a2: batched verdicts = reference (crashes, nemesis)"
+          ~name:"a2: batched verdicts = unbatched (crashes, nemesis)"
           differential_gen
           (fun (seed, n) ->
             let scenario =
@@ -563,9 +563,9 @@ let suites =
                 .Harness.Campaign.violations
             in
             verdicts Amcast.Protocol.Config.throughput
-            = verdicts Amcast.Protocol.Config.reference);
+            = verdicts Amcast.Protocol.Config.default);
         qcheck_case ~count:25
-          ~name:"a1: any knob combination delivers the reference outcome"
+          ~name:"a1: any knob combination delivers the unbatched outcome"
           knob_gen prop_knob_grid;
       ] );
     ( "throughput-mc",
