@@ -54,8 +54,6 @@ let pp_msg ppf m =
   | Lease_promise { ballot; accepted } ->
     Fmt.pf ppf "lease_promise(b%d,%d inst)" ballot (List.length accepted)
 
-module Int_tbl = Hashtbl.Make (Int)
-
 (* Participants that sent [Accepted] for one ballot, as a presence byte per
    rank. An instance keeps a short list of these, newest first; the steady
    state has exactly one. *)
@@ -95,7 +93,7 @@ type ('v, 'w) t = {
   timeout : Sim_time.t;
   fast : bool;
   on_decide : instance:int -> 'v -> unit;
-  instances : 'v instance Int_tbl.t;
+  instances : 'v instance Window.t;
   mutable highest_decided : int option;
   (* --- fast-lane state (unused in reference mode) --- *)
   mutable decided_upto : int;
@@ -164,10 +162,10 @@ let instance_of t i found =
         engaged = false;
       }
     in
-    Int_tbl.replace t.instances i inst;
+    Window.set t.instances i inst;
     inst
 
-let get_instance t i = instance_of t i (Int_tbl.find_opt t.instances i)
+let get_instance t i = instance_of t i (Window.find t.instances i)
 
 (* Set rank [r]'s presence byte; true iff it was clear. *)
 let mark seen r =
@@ -195,14 +193,16 @@ let clear_promises inst =
     inst.n_promises <- 0
   end
 
+(* Ballots are immediate ints, so the physical-equality [assq] family
+   matches keys exactly without the polymorphic compare. *)
 let note_ballot_value inst ballot v =
-  if not (List.mem_assoc ballot inst.ballot_values) then
+  if not (List.mem_assq ballot inst.ballot_values) then
     inst.ballot_values <- (ballot, v) :: inst.ballot_values
 
 (* Acceptor's effective promise: the per-instance one, raised to the lease
    floor in fast mode (a lease promise covers every instance). *)
 let eff_promised t inst =
-  if t.fast then max inst.promised t.promise_floor else inst.promised
+  if t.fast then Int.max inst.promised t.promise_floor else inst.promised
 
 let send_participants t m =
   let w = t.wrap m in
@@ -222,7 +222,7 @@ let cancel_timer t inst =
 let advance_decided_upto t =
   let continue = ref true in
   while !continue do
-    match Int_tbl.find_opt t.instances (t.decided_upto + 1) with
+    match Window.find t.instances (t.decided_upto + 1) with
     | Some inst when inst.decided <> None ->
       t.decided_upto <- t.decided_upto + 1
     | _ -> continue := false
@@ -243,7 +243,7 @@ let gc_floor t =
       && not (t.detector.Fd.Detector.suspects p)
     then m := t.peer_wm.(r)
   done;
-  min t.decided_upto (max !m t.remote_floor)
+  Int.min t.decided_upto (Int.max !m t.remote_floor)
 
 (* [gc_floor] never exceeds [decided_upto], so nothing is prunable until
    the watermark passes [pruned_upto]. *)
@@ -255,10 +255,9 @@ let maybe_gc t =
       (* An instance can still carry a live timer here when a pipelining
          host abandoned it mid-flight; dropping the record without
          cancelling would leave an orphan timer re-arming forever. *)
-      (match Int_tbl.find_opt t.instances i with
+      (match Window.take t.instances i with
       | Some inst -> cancel_timer t inst
       | None -> ());
-      Int_tbl.remove t.instances i;
       t.pruned_upto <- i
     done
   end
@@ -317,13 +316,13 @@ let maybe_decide_from_votes t i inst ballot =
   if inst.decided = None then
     match votes_of ballot inst.votes with
     | Some v when v.count >= majority t -> (
-      match List.assoc_opt ballot inst.ballot_values with
+      match List.assq_opt ballot inst.ballot_values with
       | Some value -> decide t i inst value
       | None -> () (* value not learned yet; the Accept will arrive *))
     | Some _ | None -> ()
 
 let accept_locally t i inst ~ballot ~value =
-  inst.promised <- max inst.promised ballot;
+  inst.promised <- Int.max inst.promised ballot;
   inst.accepted <- Some (ballot, value);
   note_ballot_value inst ballot value;
   inst.engaged <- true;
@@ -351,9 +350,10 @@ let start_new_ballot t i inst =
   if inst.decided = None then begin
     let r = t.self_rank in
     if r >= 0 then begin
-      let floor = max inst.promised inst.leading in
+      let floor = Int.max inst.promised inst.leading in
       let floor =
-        if t.fast then max floor (max t.promise_floor t.max_ballot_seen)
+        if t.fast then
+          Int.max floor (Int.max t.promise_floor t.max_ballot_seen)
         else floor
       in
       let b =
@@ -425,7 +425,7 @@ let rec arm_timer t i inst =
 let lease_push t i inst =
   if inst.decided = None && t.lease_ballot >= 0 then begin
     let b = t.lease_ballot in
-    if b >= max inst.promised inst.leading then begin
+    if b >= Int.max inst.promised inst.leading then begin
       if not (inst.pushed && inst.leading = b) then begin
         inst.leading <- b;
         inst.phase1_done <- true;
@@ -451,7 +451,7 @@ let ensure_lease t =
      if t.lease_pending >= 0 || t.self_rank < 0 || not (is_leader t) then
        false
      else begin
-       let floor = max t.max_ballot_seen t.promise_floor in
+       let floor = Int.max t.max_ballot_seen t.promise_floor in
        let b =
          let rec find k =
            let candidate = (k * n t) + t.self_rank in
@@ -464,7 +464,7 @@ let ensure_lease t =
             phase-1 guarantee holds without any messages — this generalizes
             the per-instance ballot-0 fast path. *)
          t.lease_ballot <- 0;
-         t.promise_floor <- max t.promise_floor 0;
+         t.promise_floor <- Int.max t.promise_floor 0;
          true
        end
        else begin
@@ -472,7 +472,7 @@ let ensure_lease t =
          Bytes.fill t.lease_promised_by 0 (n t) '\000';
          (* Self-grant locally; own accepted state joins per-instance
             promises at push time. *)
-         t.promise_floor <- max t.promise_floor b;
+         t.promise_floor <- Int.max t.promise_floor b;
          Bytes.set t.lease_promised_by t.self_rank '\001';
          t.n_lease_promises <- 1;
          let others =
@@ -492,7 +492,7 @@ let ensure_lease t =
 (* Engaged undecided instances with a pushable value source, in instance
    order; collected before iterating because pushes can decide and prune. *)
 let drivable t =
-  Int_tbl.fold
+  Window.fold
     (fun i inst acc ->
       if
         inst.decided = None
@@ -501,7 +501,7 @@ let drivable t =
       then (i, inst) :: acc
       else acc)
     t.instances []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.rev
 
 (* Leader-side drive of one instance, used by propose/Suggest paths. *)
 let drive_as_leader t i inst =
@@ -539,15 +539,16 @@ let on_suspicion_change t =
            cannot lead; per-instance timers cover both. *)
     end
     else
-      Int_tbl.iter
+      Window.iter
         (fun i inst ->
           if inst.engaged && inst.decided = None then
             if inst.proposal <> None || inst.accepted <> None then
               start_new_ballot t i inst)
         t.instances
   else
-    (* Re-route pending inputs to the new coordinator. *)
-    Int_tbl.iter
+    (* Re-route pending inputs to the new coordinator, in instance
+       order. *)
+    Window.iter
       (fun i inst ->
         if inst.decided = None && inst.proposal <> None then
           suggest_to_leader t i inst)
@@ -592,7 +593,7 @@ let fast_handled t ~src instance found =
 let handle t ~src m =
   match m with
   | Suggest { instance; value } ->
-    let found = Int_tbl.find_opt t.instances instance in
+    let found = Window.find t.instances instance in
     if not (fast_handled t ~src instance found) then begin
       let inst = instance_of t instance found in
       if inst.decided = None then begin
@@ -604,7 +605,7 @@ let handle t ~src m =
     end
   | Prepare { instance; ballot } ->
     note_ballot t ballot;
-    let found = Int_tbl.find_opt t.instances instance in
+    let found = Window.find t.instances instance in
     if not (fast_handled t ~src instance found) then begin
       let inst = instance_of t instance found in
       if ballot > eff_promised t inst then begin
@@ -616,7 +617,7 @@ let handle t ~src m =
       end
     end
   | Promise { instance; ballot; accepted } ->
-    let found = Int_tbl.find_opt t.instances instance in
+    let found = Window.find t.instances instance in
     if not (fast_handled t ~src instance found) then begin
       let inst = instance_of t instance found in
       if inst.leading = ballot && not inst.phase1_done then begin
@@ -629,7 +630,7 @@ let handle t ~src m =
     end
   | Accept { instance; ballot; value } ->
     note_ballot t ballot;
-    let found = Int_tbl.find_opt t.instances instance in
+    let found = Window.find t.instances instance in
     if not (fast_handled t ~src instance found) then begin
       let inst = instance_of t instance found in
       if ballot >= eff_promised t inst then begin
@@ -645,7 +646,7 @@ let handle t ~src m =
     note_ballot t ballot;
     let r = rank t src in
     if t.fast && r >= 0 && wm > t.peer_wm.(r) then t.peer_wm.(r) <- wm;
-    let found = Int_tbl.find_opt t.instances instance in
+    let found = Window.find t.instances instance in
     if not (retired t instance found) then begin
       let inst = instance_of t instance found in
       add_vote t inst ballot r;
@@ -654,7 +655,7 @@ let handle t ~src m =
     maybe_gc t
   | Decide { instance; value; floor } ->
     if t.fast && floor > t.remote_floor then t.remote_floor <- floor;
-    let found = Int_tbl.find_opt t.instances instance in
+    let found = Window.find t.instances instance in
     if not (retired t instance found) then begin
       let inst = instance_of t instance found in
       (* Fast mode: the announcing coordinator already reached everyone;
@@ -667,13 +668,13 @@ let handle t ~src m =
     if t.fast && ballot > t.promise_floor then begin
       t.promise_floor <- ballot;
       let accepted =
-        Int_tbl.fold
+        Window.fold
           (fun i inst acc ->
             match inst.accepted with
             | Some (b, v) when inst.decided = None -> (i, b, v) :: acc
             | _ -> acc)
           t.instances []
-        |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+        |> List.rev
       in
       t.services.send ~dst:src (t.wrap (Lease_promise { ballot; accepted }))
     end
@@ -708,10 +709,10 @@ let note_consumed t ~upto =
        decide once a majority retires it — so quiescence requires dropping
        them now; [retired] keeps stray messages from resurrecting them. *)
     for i = t.decided_upto + 1 to upto do
-      match Int_tbl.find_opt t.instances i with
+      match Window.find t.instances i with
       | Some inst when inst.decided = None ->
         cancel_timer t inst;
-        Int_tbl.remove t.instances i
+        Window.drop t.instances i
       | Some _ | None -> ()
     done;
     t.decided_upto <- upto;
@@ -739,7 +740,7 @@ let create ~services ~wrap ~participants ~detector
       timeout;
       fast = fast_lanes;
       on_decide;
-      instances = Int_tbl.create 64;
+      instances = Window.create ();
       highest_decided = None;
       decided_upto = 0;
       pruned_upto = 0;
@@ -756,13 +757,8 @@ let create ~services ~wrap ~participants ~detector
   detector.subscribe (fun () -> on_suspicion_change t);
   t
 
-let decided_value t ~instance =
-  match Int_tbl.find_opt t.instances instance with
-  | None -> None
-  | Some inst -> inst.decided
-
 let highest_decided t = t.highest_decided
-let retained_instances t = Int_tbl.length t.instances
+let retained_instances t = Window.live t.instances
 let pruned_upto t = t.pruned_upto
 let decided_upto t = t.decided_upto
 let holds_lease t = t.lease_ballot >= 0

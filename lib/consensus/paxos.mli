@@ -54,17 +54,18 @@
     callers sequence them as they see fit (both A1 and A2 consume decisions
     strictly in their own instance order).
 
-    {b State layout.} Instance records live in one integer-keyed hash
-    table, which is kept because suspicion changes walk it and re-drive
-    instances in its iteration order. Everything inside an instance is
-    indexed by participant rank (the position in the sorted participant
-    array). Phase-1 promises are a presence byte string plus an array of
-    accepted states, allocated at the first promise. Votes are a short
-    list with one entry per ballot, each a presence byte string and a
-    count. Ballot values are an association list. Both modes use this
-    layout. A message costs one table lookup, shared by the retirement
-    check, the decided-instance reply and instance creation, plus a few
-    array writes.
+    {b State layout.} Instance records live in a {!Window}, a ring indexed
+    by instance number whose capacity follows the live instance span (in
+    fast mode the GC floor bounds it; the reference mode never prunes).
+    Suspicion changes and lease grants walk it in ascending instance
+    order. Everything inside an instance is indexed by participant rank
+    (the position in the sorted participant array). Phase-1 promises are
+    a presence byte string plus an array of accepted states, allocated at
+    the first promise. Votes are a short list with one entry per ballot,
+    each a presence byte string and a count. Ballot values are an
+    association list. Both modes use this layout. A message costs one
+    ring probe, shared by the retirement check, the decided-instance reply
+    and instance creation, plus a few array writes.
 
     The implementation halts: once an instance decides, every timer for it
     is cancelled and each process sends at most one more [Decide], so runs
@@ -107,11 +108,6 @@ val propose : ('v, 'w) t -> instance:int -> 'v -> unit
 
 val handle : ('v, 'w) t -> src:Net.Topology.pid -> 'v msg -> unit
 (** Feed an incoming consensus message. *)
-
-val decided_value : ('v, 'w) t -> instance:int -> 'v option
-(** The locally decided value of an instance, if still retained — in fast
-    mode, garbage-collected instances report [None] (hosts consume
-    decisions through [on_decide], which fires before any pruning). *)
 
 val highest_decided : ('v, 'w) t -> int option
 (** Largest instance number the local process has decided, if any. *)

@@ -42,7 +42,7 @@ type 'w t = {
   ord : pending Pending_index.t; (* pending, ordered by (ts, id) *)
   proposable : pending Msg_id.Tbl.t; (* the s0/s2 subset of [pending] *)
   adelivered : unit Msg_id.Tbl.t;
-  decisions : entry list Slab.Window.t; (* decided, not yet processed *)
+  decisions : entry list Consensus.Window.t; (* decided, not yet processed *)
   prop_pool : int Slab.Row.pool; (* proposal rows, width = n_groups *)
   mutable rm : (Msg.t list, 'w) Rmcast.Reliable_multicast.t option;
   mutable cons : (entry list, 'w) Consensus.Paxos.t option;
@@ -119,7 +119,7 @@ let rec adelivery_test t =
    contract. With [w = 1] the loop body runs at most once, proposing the
    full proposable set to instance K — the pre-pipelining behaviour. *)
 let try_propose t =
-  let w = max 1 t.config.Protocol.Config.pipeline in
+  let w = Int.max 1 t.config.Protocol.Config.pipeline in
   if t.prop_k < t.k then t.prop_k <- t.k;
   let continue = ref (Msg_id.Tbl.length t.proposable > 0) in
   while !continue && t.prop_k <= t.k + w - 1 do
@@ -156,7 +156,7 @@ let max_other_proposal t (p : pending) =
     | g :: rest when g = t.my_group -> go acc rest
     | g :: rest ->
       if Slab.Row.mem p.proposals g then
-        go (max acc (Slab.Row.get p.proposals ~default:min_int g)) rest
+        go (Int.max acc (Slab.Row.get p.proposals ~default:min_int g)) rest
       else None
   in
   go min_int p.msg.dest
@@ -173,7 +173,7 @@ let check_s1 t (p : pending) =
         adelivery_test t
       end
       else begin
-        move t p ~ts:(max p.ts max_other) ~stage:Stage.S2;
+        move t p ~ts:(Int.max p.ts max_other) ~stage:Stage.S2;
         try_propose t
       end
     | None -> ()
@@ -181,7 +181,7 @@ let check_s1 t (p : pending) =
 (* Line 18-32: interpret the decision of instance K. Each entry moves its
    message and returns its contribution to the clock jump. *)
 let rec process_decisions t =
-  match Slab.Window.take t.decisions t.k with
+  match Consensus.Window.take t.decisions t.k with
   | None -> ()
   | Some entries ->
     let k = t.k in
@@ -222,16 +222,18 @@ let rec process_decisions t =
             e.ts
           | Stage.S1 | Stage.S3 -> assert false
     in
-    let max_ts = List.fold_left (fun acc e -> max acc (apply e)) 0 entries in
+    let max_ts =
+      List.fold_left (fun acc e -> Int.max acc (apply e)) 0 entries
+    in
     if !moved_to_s1 <> [] then
       t.on_s0_decided k (List.rev_map (fun p -> p.msg) !moved_to_s1);
     (* Line 31: K <- max(max ts decided, K) + 1. *)
-    t.k <- max max_ts t.k + 1;
+    t.k <- Int.max max_ts t.k + 1;
     (* A clock jump abandons any decided-but-unprocessed instances it
        overtakes (pipelining): every member jumps identically, so these
        decisions are consumed by nobody — drop them before they leak. *)
     for i = k + 1 to t.k - 1 do
-      Slab.Window.drop t.decisions i
+      Consensus.Window.drop t.decisions i
     done;
     (* The group clock can jump past unproposed instance numbers (every
        member follows the same K sequence, so the gaps are never filled);
@@ -263,20 +265,25 @@ let note_batch t msgs =
 
 let cast t (m : Msg.t) = Batcher.add (batcher t) m
 
+(* [pending] and [adelivered] are disjoint, and a proposal almost always
+   finds its message pending: probe that first, [adelivered] only on a
+   miss. *)
 let proposal t ~from_group ~ts (msg : Msg.t) =
-  if not (Msg_id.Tbl.mem t.adelivered msg.id) then begin
-    let p =
-      match Msg_id.Tbl.find_opt t.pending msg.id with
-      | Some p -> p
-      | None ->
-        let p = create_pending t msg in
-        try_propose t;
-        p
-    in
+  let p =
+    match Msg_id.Tbl.find_opt t.pending msg.id with
+    | Some _ as found -> found
+    | None when Msg_id.Tbl.mem t.adelivered msg.id -> None
+    | None ->
+      let p = create_pending t msg in
+      try_propose t;
+      Some p
+  in
+  match p with
+  | Some p ->
     if not (Slab.Row.mem p.proposals from_group) then
       Slab.Row.set p.proposals from_group ts;
     check_s1 t p
-  end
+  | None -> ()
 
 let on_rm t ~src m = Rmcast.Reliable_multicast.handle (rm t) ~src m
 let on_cons t ~src m = Consensus.Paxos.handle (cons t) ~src m
@@ -302,7 +309,7 @@ let create ~services ~config ~deliver ~rm:wrap_rm ~cons:wrap_cons
       ord = Pending_index.create ();
       proposable = Msg_id.Tbl.create 64;
       adelivered = Msg_id.Tbl.create 64;
-      decisions = Slab.Window.create ();
+      decisions = Consensus.Window.create ();
       prop_pool = Slab.Row.pool ~width:(Topology.n_groups topology) ~default:0;
       rm = None;
       cons = None;
@@ -368,7 +375,7 @@ let create ~services ~config ~deliver ~rm:wrap_rm ~cons:wrap_cons
            (* A decide for an instance the group clock already jumped past
               is for an abandoned instance — consumed by nobody. *)
            if instance >= t.k then begin
-             Slab.Window.set t.decisions instance v;
+             Consensus.Window.set t.decisions instance v;
              process_decisions t
            end)
          ());

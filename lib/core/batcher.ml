@@ -50,6 +50,11 @@ let create ~max ~delay ~set_timer ~cancel_timer ~flush =
   }
 
 let enabled t = t.max > 1
+let same_key = List.equal Int.equal
+
+let rec find_bucket key = function
+  | [] -> None
+  | (k, b) :: rest -> if same_key k key then Some b else find_bucket key rest
 
 let flush_bucket t key msgs =
   let n = List.length msgs in
@@ -76,7 +81,7 @@ let add t (m : Msg.t) =
   else begin
     let key = m.dest (* [Msg.make] sorts and dedups destinations *) in
     let bucket =
-      match List.assoc_opt key t.buckets with
+      match find_bucket key t.buckets with
       | Some b -> b
       | None ->
         let b = ref [] in
@@ -87,7 +92,7 @@ let add t (m : Msg.t) =
     if List.length !bucket >= t.max then begin
       (* Size-triggered: flush this destination set now; other buckets
          keep waiting for their own trigger. *)
-      t.buckets <- List.filter (fun (k, _) -> k <> key) t.buckets;
+      t.buckets <- List.filter (fun (k, _) -> not (same_key k key)) t.buckets;
       flush_bucket t key (List.rev !bucket);
       if t.buckets = [] then
         match t.timer with

@@ -78,71 +78,3 @@ module Row = struct
   let find r i = if mem r i then Some r.vals.(i) else None
   let count r = r.count
 end
-
-module Window = struct
-  (* Decided-but-unconsumed values keyed by a monotonically advancing
-     instance number. The live keys span at most the protocol's pipeline
-     window (decisions apply in instance order; overtaken instances are
-     dropped by the same clock jump at every member, mirroring the
-     consensus layer's [decided_upto] GC), so a small power-of-two ring
-     indexed by [instance land (capacity - 1)] replaces the per-instance
-     Hashtbl churn. The ring only grows if a configuration ever exceeds
-     its capacity with live entries — then it doubles and re-seats. *)
-  type 'a t = {
-    mutable keys : int array; (* -1 = slot empty *)
-    mutable vals : 'a option array;
-    mutable live : int;
-  }
-
-  let create () =
-    { keys = Array.make 8 (-1); vals = Array.make 8 None; live = 0 }
-
-  let rec grow t =
-    let cap = Array.length t.keys in
-    let nkeys = Array.make (2 * cap) (-1) in
-    let nvals = Array.make (2 * cap) None in
-    let old_keys = t.keys and old_vals = t.vals in
-    t.keys <- nkeys;
-    t.vals <- nvals;
-    t.live <- 0;
-    Array.iteri
-      (fun i k -> if k >= 0 then set t k (Option.get old_vals.(i)))
-      old_keys
-
-  and set t k v =
-    if k < 0 then invalid_arg "Slab.Window.set: negative key";
-    let slot = k land (Array.length t.keys - 1) in
-    if t.keys.(slot) >= 0 && t.keys.(slot) <> k then begin
-      grow t;
-      set t k v
-    end
-    else begin
-      if t.keys.(slot) < 0 then t.live <- t.live + 1;
-      t.keys.(slot) <- k;
-      t.vals.(slot) <- Some v
-    end
-
-  let take t k =
-    if k < 0 then None
-    else begin
-      let slot = k land (Array.length t.keys - 1) in
-      if t.keys.(slot) = k then begin
-        let v = t.vals.(slot) in
-        t.keys.(slot) <- -1;
-        t.vals.(slot) <- None;
-        t.live <- t.live - 1;
-        v
-      end
-      else None
-    end
-
-  let drop t k = ignore (take t k)
-
-  let mem t k =
-    k >= 0 && t.keys.(k land (Array.length t.keys - 1)) = k
-
-  let find t k =
-    if mem t k then t.vals.(k land (Array.length t.keys - 1)) else None
-
-  let live t = t.live
-end

@@ -36,26 +36,3 @@ module Row : sig
   val count : 'a t -> int
   (** Number of distinct slots set since acquire. *)
 end
-
-module Window : sig
-  type 'a t
-  (** Values keyed by a monotonically advancing instance number whose live
-      span stays small (the consensus pipeline window): a power-of-two ring
-      indexed by [key land (capacity - 1)], grown only on a live-key
-      collision. *)
-
-  val create : unit -> 'a t
-
-  val set : 'a t -> int -> 'a -> unit
-  (** @raise Invalid_argument on a negative key. *)
-
-  val take : 'a t -> int -> 'a option
-  (** Removes and returns the value at the key, if present. *)
-
-  val drop : 'a t -> int -> unit
-  val mem : 'a t -> int -> bool
-  val find : 'a t -> int -> 'a option
-
-  val live : 'a t -> int
-  (** Number of keys currently present. *)
-end

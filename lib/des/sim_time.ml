@@ -14,15 +14,15 @@ let of_sec s =
 let to_us t = t
 let to_ms_float t = float_of_int t /. 1_000.
 let add a b = a + b
-let add_us t n = Stdlib.max 0 (t + n)
+let add_us t n = Int.max 0 (t + n)
 let diff a b = a - b
 let compare = Int.compare
 let equal = Int.equal
 let ( <= ) (a : t) (b : t) = a <= b
 let ( < ) (a : t) (b : t) = a < b
 let ( >= ) (a : t) (b : t) = a >= b
-let min (a : t) (b : t) = Stdlib.min a b
-let max (a : t) (b : t) = Stdlib.max a b
+let min = Int.min
+let max = Int.max
 let infinity = max_int / 2
 
 let pp ppf t =

@@ -6,16 +6,19 @@ type t = {
 let leader t candidates =
   List.find_opt (fun p -> not (t.suspects p)) candidates
 
+(* The suspected set is a pid list: it stays empty in a crash-free run, so
+   the [suspects] test on every [leader] call is one emptiness check. Pids
+   are immediate ints, so [List.memq] compares them exactly. *)
 let oracle ~delay (services : _ Runtime.Services.t) =
-  let suspected = Hashtbl.create 8 in
+  let suspected = ref [] in
   let listeners = ref [] in
   services.on_crash_detected ~delay (fun pid ->
-      if not (Hashtbl.mem suspected pid) then begin
-        Hashtbl.replace suspected pid ();
+      if not (List.memq pid !suspected) then begin
+        suspected := pid :: !suspected;
         List.iter (fun f -> f ()) !listeners
       end);
   {
-    suspects = (fun q -> Hashtbl.mem suspected q);
+    suspects = (fun q -> List.memq q !suspected);
     subscribe = (fun f -> listeners := !listeners @ [ f ]);
   }
 

@@ -169,7 +169,7 @@ let sample_delay t ~src_group ~dst_group =
   if s = 1.0 then delay
   else
     Sim_time.of_us
-      (max 0 (int_of_float (s *. float_of_int (Sim_time.to_us delay))))
+      (Int.max 0 (int_of_float (s *. float_of_int (Sim_time.to_us delay))))
 
 (* Per-destination admission, split in two so that neither half allocates:
    [admitted] applies the send filter, [arrival] does the bookkeeping and

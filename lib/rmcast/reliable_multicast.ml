@@ -42,7 +42,9 @@ type 'p known = {
   origin : Topology.pid;
   mutable dest : Topology.pid list;
   mutable payload : 'p option; (* None: only a Copy seen (or reclaimed) *)
-  copies : (Topology.pid, unit) Hashtbl.t; (* distinct vouchers seen *)
+  mutable copies : Topology.pid list;
+      (* distinct vouchers seen; kept only in [Ack_uniform], the one mode
+         that reads it *)
   mutable relayed : bool;
   mutable delivered : bool;
   mutable fetched : bool; (* a Fetch for the payload is outstanding *)
@@ -84,7 +86,7 @@ let find_known t ~id ~origin ~dest =
         origin;
         dest;
         payload = None;
-        copies = Hashtbl.create 4;
+        copies = [];
         relayed = false;
         delivered = false;
         fetched = false;
@@ -93,6 +95,13 @@ let find_known t ~id ~origin ~dest =
     in
     Msg_id.Tbl.replace t.known id k;
     k
+
+(* Pids are immediate ints: [List.memq] tests them exactly, without the
+   polymorphic compare of [List.mem]. *)
+let note_voucher t k q =
+  match t.mode with
+  | Ack_uniform -> if not (List.memq q k.copies) then k.copies <- q :: k.copies
+  | Eager_nonuniform -> ()
 
 let flush_ack_bucket t pids acks =
   t.acks_merged <- t.acks_merged + List.length acks;
@@ -111,9 +120,15 @@ let flush_acks t =
 
 (* Queue one Copy-equivalent ack for [pids]; flush the bucket when it
    reaches the coalescing cap, or [delay] after its first ack. *)
+let same_pids = List.equal Int.equal
+
+let rec find_bucket pids = function
+  | [] -> None
+  | (p, b) :: rest -> if same_pids p pids then Some b else find_bucket pids rest
+
 let buffer_ack t ~max ~delay pids ack =
   let bucket =
-    match List.assoc_opt pids t.ack_buf with
+    match find_bucket pids t.ack_buf with
     | Some b -> b
     | None ->
       let b = ref [] in
@@ -122,7 +137,7 @@ let buffer_ack t ~max ~delay pids ack =
   in
   bucket := ack :: !bucket;
   if List.length !bucket >= max then begin
-    t.ack_buf <- List.filter (fun (p, _) -> p <> pids) t.ack_buf;
+    t.ack_buf <- List.filter (fun (p, _) -> not (same_pids p pids)) t.ack_buf;
     flush_ack_bucket t pids (List.rev !bucket);
     if t.ack_buf = [] then
       match t.ack_timer with
@@ -147,7 +162,7 @@ let rec relay t id k =
       let self = t.services.Services.self in
       (* Relaying vouches for the message: the relayer counts as one of the
          copy holders the uniform mode's majority test looks for. *)
-      Hashtbl.replace k.copies self ();
+      note_voucher t k self;
       let others = List.filter (fun q -> q <> self) k.dest in
       (match t.mode with
       | Ack_uniform -> (
@@ -168,13 +183,13 @@ let rec relay t id k =
 and maybe_deliver t id k =
   if
     (not k.delivered) && (not k.reclaimed)
-    && List.mem t.services.Services.self k.dest
+    && List.memq t.services.Services.self k.dest
   then begin
     let ready =
       match t.mode with
       | Eager_nonuniform -> k.payload <> None
       | Ack_uniform ->
-        k.payload <> None && Hashtbl.length k.copies >= majority k.dest
+        k.payload <> None && List.length k.copies >= majority k.dest
     in
     if ready then begin
       k.delivered <- true;
@@ -187,7 +202,7 @@ and maybe_deliver t id k =
 let reclaim t k =
   k.reclaimed <- true;
   k.payload <- None;
-  Hashtbl.reset k.copies;
+  k.copies <- [];
   k.dest <- [];
   t.reclaimed_count <- t.reclaimed_count + 1
 
@@ -200,15 +215,15 @@ let reclaim t k =
 let maybe_reclaim t k =
   if
     t.mode = Ack_uniform && (not k.reclaimed) && k.relayed
-    && (k.delivered || not (List.mem t.services.Services.self k.dest))
-    && List.for_all (fun q -> Hashtbl.mem k.copies q) k.dest
+    && (k.delivered || not (List.memq t.services.Services.self k.dest))
+    && List.for_all (fun q -> List.memq q k.copies) k.dest
   then reclaim t k
 
 let learn t ~id ~origin ~dest ~payload ~from =
   let k = find_known t ~id ~origin ~dest in
   if not k.reclaimed then begin
     if k.payload = None then k.payload <- Some payload;
-    Hashtbl.replace k.copies from ();
+    note_voucher t k from;
     (match t.mode with
     | Ack_uniform ->
       (* Uniformity needs everyone to echo before anyone is sure. *)
@@ -231,7 +246,7 @@ let rmcast t ~id ~dest payload =
   let k = find_known t ~id ~origin ~dest in
   if not k.reclaimed then begin
     if k.payload = None then k.payload <- Some payload;
-    Hashtbl.replace k.copies origin ();
+    note_voucher t k origin;
     k.relayed <- true;
     Services.send_multi t.services
       (List.filter (fun q -> q <> origin) dest)
@@ -243,7 +258,7 @@ let rmcast t ~id ~dest payload =
 let note_copy t ~from ~id ~origin ~dest =
   let k = find_known t ~id ~origin ~dest in
   if not k.reclaimed then begin
-    Hashtbl.replace k.copies from ();
+    note_voucher t k from;
     if k.payload = None && not k.fetched then begin
       (* The payload is still on its way (or its carrier crashed): pull
          it from the voucher, who necessarily holds it. *)

@@ -263,4 +263,3 @@ let trace t = t.trace
 let topology t = t.topology
 let network t = net t
 let scheduler t = t.sched
-let fault_rng t = t.fault_rng

@@ -107,5 +107,3 @@ val network : 'w t -> 'w envelope Net.Network.t
     ({!Net.Network.hold}, {!Net.Network.partition}). *)
 
 val scheduler : 'w t -> Des.Scheduler.t
-val fault_rng : 'w t -> Des.Rng.t
-(** The engine's dedicated randomness stream for fault injection. *)

@@ -11,7 +11,7 @@ type deployment = {
 }
 
 let deploy ?(seed = 0) ?(oracle_delay = Sim_time.of_ms 10)
-    ?(timeout = Sim_time.of_ms 200) topology =
+    ?(timeout = Sim_time.of_ms 200) ?(on_wrap = fun _ _ -> ()) topology =
   let engine =
     Engine.create ~seed ~latency:Util.crisp_latency ~tag:Consensus.Paxos.tag
       topology
@@ -25,7 +25,10 @@ let deploy ?(seed = 0) ?(oracle_delay = Sim_time.of_ms 10)
         Engine.spawn engine pid (fun services ->
             let detector = Fd.Detector.oracle ~delay:oracle_delay services in
             let ep =
-              Consensus.Paxos.create ~services ~wrap:Fun.id
+              Consensus.Paxos.create ~services
+                ~wrap:(fun m ->
+                  on_wrap pid m;
+                  m)
                 ~participants:
                   (Topology.members topology (Topology.group_of topology pid))
                 ~detector ~timeout
@@ -180,6 +183,42 @@ let test_no_proposal_no_traffic () =
   Alcotest.(check int) "silent without proposals" 0
     (Network.sent_total (Engine.network d.engine))
 
+(* When the leader is suspected, a non-leader re-routes its pending inputs
+   to the new leader in ascending instance order. p0 leads and crashes
+   before anyone proposes; p2 proposes five instances out of order, and
+   its Suggests go to the dead p0. Once p2 suspects p0, p1 leads and p2
+   must re-send every Suggest, lowest instance first. *)
+let test_reroute_in_instance_order () =
+  let topo = Topology.symmetric ~groups:1 ~per_group:3 in
+  let suggests = ref [] in
+  let d =
+    deploy
+      ~on_wrap:(fun pid m ->
+        if pid = 2 && Consensus.Paxos.tag m = "cons.suggest" then
+          suggests := Fmt.str "%a" Consensus.Paxos.pp_msg m :: !suggests)
+      topo
+  in
+  Engine.schedule_crash d.engine ~at:(Sim_time.of_us 500) 0;
+  let instances = [ 9; 2; 6; 4; 11 ] in
+  List.iter
+    (fun i ->
+      propose_at d ~at:(Sim_time.of_ms 1) ~pid:2 ~instance:i
+        (Fmt.str "v%d" i))
+    instances;
+  Engine.run d.engine;
+  let render = List.map (Fmt.str "suggest(i%d)") in
+  Alcotest.(check (list string))
+    "first to p0 in proposal order, then to p1 in instance order"
+    (render instances @ render (List.sort Int.compare instances))
+    (List.rev !suggests);
+  List.iter
+    (fun i ->
+      Alcotest.(check int)
+        (Fmt.str "instance %d decided by both survivors" i)
+        2
+        (List.length (decisions_of d ~instance:i)))
+    instances
+
 let suites =
   [
     ( "consensus",
@@ -197,6 +236,8 @@ let suites =
         Alcotest.test_case "halts after decision" `Quick test_halts;
         Alcotest.test_case "no proposals, no messages" `Quick
           test_no_proposal_no_traffic;
+        Alcotest.test_case "re-routed Suggests in instance order" `Quick
+          test_reroute_in_instance_order;
       ] );
   ]
 
