@@ -652,6 +652,38 @@ let test_bench_json_envelope () =
     | _ -> Alcotest.fail "document is not an object")
   | _ -> Alcotest.fail "document is not an object"
 
+(* The exact integrity report: one string per offending delivery and
+   kind, most recent delivery first. p0 delivers m0.0 twice, p1 delivers
+   m5.0 that nobody cast, and p2 (group 1) delivers m0.0 although m0.0
+   goes to group 0 only. *)
+let test_checker_integrity_exact () =
+  let topo = Topology.symmetric ~groups:2 ~per_group:2 in
+  let m0 =
+    Amcast.Msg.make ~id:(Runtime.Msg_id.make ~origin:0 ~seq:0) ~dest:[ 0 ] "a"
+  in
+  let ghost =
+    Amcast.Msg.make ~id:(Runtime.Msg_id.make ~origin:5 ~seq:0) ~dest:[ 0 ] "g"
+  in
+  let del pid msg at =
+    { Harness.Run_result.pid; msg; at = Sim_time.of_ms at; lc = 1 }
+  in
+  let r =
+    Harness.Run_result.make ~topology:topo
+      ~casts:[ { msg = m0; origin = 0; at = Sim_time.of_ms 1; lc = 0 } ]
+      ~deliveries:
+        [ del 0 m0 2; del 1 m0 2; del 0 m0 3; del 1 ghost 4; del 2 m0 5 ]
+      ~crashed:[] ~trace:(Runtime.Trace.create ()) ~inter_group_msgs:0
+      ~intra_group_msgs:0 ~end_time:(Sim_time.of_ms 10) ~drained:true
+      ~events_executed:0 ()
+  in
+  Alcotest.(check (list string)) "violations"
+    [
+      "p2 delivered m0.0 but is not an addressee";
+      "p1 delivered m5.0 which was never cast";
+      "p0 delivered m0.0 twice";
+    ]
+    (Harness.Checker.uniform_integrity r)
+
 let suites =
   [
     ( "harness",
@@ -705,5 +737,7 @@ let suites =
           test_bench_json_printer;
         Alcotest.test_case "bench json: envelope and gates" `Quick
           test_bench_json_envelope;
+        Alcotest.test_case "checker: exact integrity report" `Quick
+          test_checker_integrity_exact;
       ] );
   ]
