@@ -26,6 +26,7 @@ type pending = {
       (* highest consensus instance this message was proposed to while in
          its current proposable stage; the pipelining window skips entries
          with [inflight >= k] (already riding an undecided instance) *)
+  mutable in_prop : bool; (* in [prop], i.e. in stage s0 or s2 *)
   proposals : int Slab.Row.t;
       (* foreign groups' timestamp proposals, indexed by gid; pooled —
          released back to [prop_pool] at adelivery *)
@@ -40,7 +41,11 @@ type 'w t = {
   mutable prop_k : int; (* no two proposals for the same instance *)
   pending : pending Msg_id.Tbl.t;
   ord : pending Pending_index.t; (* pending, ordered by (ts, id) *)
-  proposable : pending Msg_id.Tbl.t; (* the s0/s2 subset of [pending] *)
+  mutable prop : pending array;
+      (* the s0/s2 subset of [pending] in [prop.(0 .. n_prop-1)], sorted
+         by id; every cell past [n_prop] holds [prop_none] *)
+  mutable n_prop : int;
+  prop_none : pending; (* this instance's filler for [prop]'s free cells *)
   adelivered : unit Msg_id.Tbl.t;
   decisions : entry list Consensus.Window.t; (* decided, not yet processed *)
   prop_pool : int Slab.Row.pool; (* proposal rows, width = n_groups *)
@@ -56,6 +61,42 @@ let rm t = Option.get t.rm
 let cons t = Option.get t.cons
 let batcher t = Option.get t.batcher
 
+(* The position of the first entry of [prop] whose id is not below
+   [id]. *)
+let prop_search t (id : Msg_id.t) =
+  let lo = ref 0 and hi = ref t.n_prop in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Msg_id.compare t.prop.(mid).msg.id id < 0 then lo := mid + 1
+    else hi := mid
+  done;
+  !lo
+
+let prop_add t (p : pending) =
+  if not p.in_prop then begin
+    p.in_prop <- true;
+    let n = t.n_prop in
+    if n = Array.length t.prop then begin
+      let np = Array.make (Int.max 16 (2 * n)) t.prop_none in
+      Array.blit t.prop 0 np 0 n;
+      t.prop <- np
+    end;
+    let i = prop_search t p.msg.id in
+    Array.blit t.prop i t.prop (i + 1) (n - i);
+    t.prop.(i) <- p;
+    t.n_prop <- n + 1
+  end
+
+let prop_remove t (p : pending) =
+  if p.in_prop then begin
+    p.in_prop <- false;
+    let i = prop_search t p.msg.id in
+    let n = t.n_prop - 1 in
+    Array.blit t.prop (i + 1) t.prop i (n - i);
+    t.prop.(n) <- t.prop_none;
+    t.n_prop <- n
+  end
+
 (* Every stage/timestamp transition goes through here so the ordered index
    and the proposable subset can never drift from the pending table. *)
 let move t (p : pending) ~ts ~stage =
@@ -65,8 +106,8 @@ let move t (p : pending) ~ts ~stage =
   end;
   p.stage <- stage;
   match stage with
-  | Stage.S0 | Stage.S2 -> Msg_id.Tbl.replace t.proposable p.msg.id p
-  | Stage.S1 | Stage.S3 -> Msg_id.Tbl.remove t.proposable p.msg.id
+  | Stage.S0 | Stage.S2 -> prop_add t p
+  | Stage.S1 | Stage.S3 -> prop_remove t p
 
 (* Line 10-13: first sight of a message (R-Delivered or piggybacked on a
    foreign proposal) puts it in stage s0 with the current clock as
@@ -79,12 +120,13 @@ let create_pending t (m : Msg.t) =
       stage = Stage.S0;
       handle = -1;
       inflight = -1;
+      in_prop = false;
       proposals = Slab.Row.acquire t.prop_pool;
     }
   in
   p.handle <- Pending_index.add t.ord ~ts:p.ts ~id:m.id p;
   Msg_id.Tbl.replace t.pending m.id p;
-  Msg_id.Tbl.replace t.proposable m.id p;
+  prop_add t p;
   p
 
 let get_or_create_pending t (m : Msg.t) =
@@ -106,9 +148,10 @@ let rec adelivery_test t =
     adelivery_test t
   | Some _ | None -> ()
 
-(* Line 14-17: propose all pending s0/s2 messages to instance K. The
-   [proposable] table holds exactly that subset, so the snapshot is linear
-   in the proposal size, not in the whole pending table.
+(* Line 14-17: propose all pending s0/s2 messages to instance K. [prop]
+   holds exactly that subset in id order, so one backward scan builds the
+   snapshot in id order, linear in the subset, not in the whole pending
+   table.
 
    With [pipeline = w > 1], up to [w] instances K..K+w-1 may be undecided
    at once: each further instance proposes the proposable entries not
@@ -121,31 +164,23 @@ let rec adelivery_test t =
 let try_propose t =
   let w = Int.max 1 t.config.Protocol.Config.pipeline in
   if t.prop_k < t.k then t.prop_k <- t.k;
-  let continue = ref (Msg_id.Tbl.length t.proposable > 0) in
+  let continue = ref (t.n_prop > 0) in
   while !continue && t.prop_k <= t.k + w - 1 do
-    let snapshot =
-      Msg_id.Tbl.fold
-        (fun _ p acc ->
-          if p.inflight < t.k then
-            ({ msg = p.msg; ts = p.ts; stage = p.stage }, p) :: acc
-          else acc)
-        t.proposable []
-    in
-    if snapshot = [] then continue := false
-    else begin
-      let snapshot =
-        List.sort
-          (fun ((a : entry), _) ((b : entry), _) ->
-            Msg.compare_id a.msg b.msg)
-          snapshot
-      in
-      List.iter (fun (_, p) -> p.inflight <- t.prop_k) snapshot;
-      Consensus.Paxos.propose (cons t) ~instance:t.prop_k
-        (List.map fst snapshot);
+    let snapshot = ref [] in
+    for i = t.n_prop - 1 downto 0 do
+      let p = t.prop.(i) in
+      if p.inflight < t.k then begin
+        p.inflight <- t.prop_k;
+        snapshot := { msg = p.msg; ts = p.ts; stage = p.stage } :: !snapshot
+      end
+    done;
+    match !snapshot with
+    | [] -> continue := false
+    | snapshot ->
+      Consensus.Paxos.propose (cons t) ~instance:t.prop_k snapshot;
       t.prop_k <- t.prop_k + 1;
       let depth = t.prop_k - t.k in
       if depth > t.depth_max then t.depth_max <- depth
-    end
   done
 
 (* The largest proposal from the other destination groups, or [None]
@@ -307,7 +342,18 @@ let create ~services ~config ~deliver ~rm:wrap_rm ~cons:wrap_cons
       prop_k = 1;
       pending = Msg_id.Tbl.create 64;
       ord = Pending_index.create ();
-      proposable = Msg_id.Tbl.create 64;
+      prop = [||];
+      n_prop = 0;
+      prop_none =
+        {
+          msg = { id = Msg_id.make ~origin:(-1) ~seq:(-1); dest = []; payload = "" };
+          ts = 0;
+          stage = Stage.S3;
+          handle = -1;
+          inflight = max_int;
+          in_prop = false;
+          proposals = Slab.Row.acquire (Slab.Row.pool ~width:1 ~default:0);
+        };
       adelivered = Msg_id.Tbl.create 64;
       decisions = Consensus.Window.create ();
       prop_pool = Slab.Row.pool ~width:(Topology.n_groups topology) ~default:0;

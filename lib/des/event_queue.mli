@@ -8,9 +8,11 @@
     The layout is flat. Entries sit in a slab of parallel arrays (sequence,
     tag, argument, payload), and the heap is two int arrays of times and
     slab slots, so adding or popping an event allocates nothing and a sift
-    moves no boxed value. The sequence number doubles as the cancellation
-    handle. Cancelled entries are skipped lazily when they reach the root,
-    and compacted away in one pass once they outnumber the live ones. The
+    moves no boxed value. The handle packs the sequence number above the
+    entry's slab slot, so it orders like the sequence number and names the
+    slot directly. Cancelling drops the payload at once; the dead entry is
+    skipped lazily when it reaches the root, and dead entries are
+    compacted away in one pass once they outnumber the live ones. The
     integer argument lets a caller share one payload (say, one handler
     closure) between many events and tell them apart by the argument
     alone. *)
@@ -23,8 +25,12 @@ val create : dummy:'a -> 'a t
     never keeps a popped or cancelled payload reachable. *)
 
 val add : 'a t -> time:Sim_time.t -> 'a -> int
-(** [add q ~time payload] schedules [payload] at [time] and returns a unique
-    handle that identifies this entry (usable with {!cancel}). *)
+(** [add q ~time payload] schedules [payload] at [time] and returns a
+    handle that identifies this entry (usable with {!cancel} and {!take}).
+    Handles are non-negative, unique for the queue's lifetime and strictly
+    increasing in insertion order, but not dense.
+    @raise Failure if [2^24] entries (live or cancelled but not yet
+    dropped) are already pending. *)
 
 val add_tagged : 'a t -> time:Sim_time.t -> tag:int -> arg:int -> 'a -> int
 (** [add] carrying an integer metadata tag, reported back by {!live}, and
@@ -35,8 +41,10 @@ val add_tagged : 'a t -> time:Sim_time.t -> tag:int -> arg:int -> 'a -> int
     [add_tagged ~tag:0 ~arg:0]. *)
 
 val cancel : 'a t -> int -> unit
-(** [cancel q handle] marks the entry as cancelled; it is skipped on
-    extraction. Cancelling an unknown or already-popped handle is a no-op. *)
+(** [cancel q handle] marks the entry as cancelled and releases its
+    payload at once; it is skipped on extraction. Cancelling a negative,
+    unknown, already-cancelled or already-popped handle is a no-op, even
+    after a later entry has reused the handle's slot. *)
 
 (** {2 Hot-path extraction}
 

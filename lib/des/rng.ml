@@ -1,31 +1,40 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes: a draw reads and writes
+   it with [Bytes.get_int64_ne]/[set_int64_ne], so with [int64] and
+   [mix64] inlined it allocates no boxed [int64] and writes no pointer, and
+   so passes no write barrier. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t =
-  let seed = int64 t in
-  { state = seed }
+let[@inline] int64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
+
+let split t = of_state (int64 t)
 
 let substream seed i =
   if i < 0 then invalid_arg "Rng.substream: index must be >= 0";
   (* Mix the seed before combining with the stream index so neighbouring
      (seed, i) pairs land far apart in the state space; the golden-gamma
      multiple is the same stream spacing SplitMix64 itself uses. *)
-  { state = mix64 (Int64.add (mix64 (Int64.of_int seed))
-                     (Int64.mul golden_gamma (Int64.of_int (i + 1)))) }
+  of_state
+    (mix64 (Int64.add (mix64 (Int64.of_int seed))
+              (Int64.mul golden_gamma (Int64.of_int (i + 1)))))
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

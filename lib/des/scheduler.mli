@@ -11,7 +11,10 @@
 type t
 
 type handle = int
-(** Identifies a scheduled action, for cancellation. *)
+(** Identifies a scheduled action, for cancellation and {!step_handle}.
+    Handles are unique for the scheduler's lifetime and increase with
+    scheduling order, so sorting by handle sorts by scheduling order; they
+    are not dense (see {!Event_queue.add}). *)
 
 (** Commutativity metadata attached to scheduled actions, for controlled
     (model-checking) scheduling. A tag names the {e kind} of an action and
@@ -86,7 +89,8 @@ val arg : t -> int
     without one). Read it on entry: the next action overwrites it. *)
 
 val cancel : t -> handle -> unit
-(** Cancels a pending action; no-op if it already ran. *)
+(** Cancels a pending action and releases its closure at once; no-op if
+    it already ran or was cancelled. *)
 
 val pending : t -> int
 (** Number of actions still scheduled. *)

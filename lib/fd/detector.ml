@@ -3,8 +3,9 @@ type t = {
   subscribe : (unit -> unit) -> unit;
 }
 
-let leader t candidates =
-  List.find_opt (fun p -> not (t.suspects p)) candidates
+let rec leader t = function
+  | [] -> None
+  | p :: rest -> if t.suspects p then leader t rest else Some p
 
 (* The suspected set is a pid list: it stays empty in a crash-free run, so
    the [suspects] test on every [leader] call is one emptiness check. Pids

@@ -151,8 +151,6 @@ val run_scenarios_parallel :
 (** Same outcomes as {!run_scenarios} (scenario order, identical values),
     computed on [domains] domains via {!Pool.map}. *)
 
-val summarize : outcome list -> summary
-
 val run :
   (module Amcast.Protocol.S) ->
   ?config:Amcast.Protocol.Config.t ->

@@ -11,15 +11,18 @@ let cast_ids (r : Run_result.t) =
 
 let uniform_integrity (r : Run_result.t) =
   let casts = cast_ids r in
-  let seen = Hashtbl.create 64 in
+  (* One id table per pid: no tuple key, no polymorphic hash. *)
+  let seen =
+    Array.init (Topology.n_processes r.topology) (fun _ -> Msg_id.Tbl.create 8)
+  in
   List.fold_left
     (fun acc (d : Run_result.delivery_event) ->
       let id = d.msg.Amcast.Msg.id in
       let acc =
-        if Hashtbl.mem seen (d.pid, id) then
+        if Msg_id.Tbl.mem seen.(d.pid) id then
           Fmt.str "p%d delivered %a twice" d.pid Msg_id.pp id :: acc
         else begin
-          Hashtbl.replace seen (d.pid, id) ();
+          Msg_id.Tbl.replace seen.(d.pid) id ();
           acc
         end
       in

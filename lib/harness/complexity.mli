@@ -44,9 +44,6 @@ val a2 : n:int -> cost
 val detmerge_broadcast : n:int -> cost
 (** Aguilera & Strom [1]: degree 1, O(n). *)
 
-val dominates_in_latency : cost -> cost -> bool
-(** [dominates_in_latency a b] iff [a] has strictly smaller degree. *)
-
 val multicast_ordering_holds : k:int -> d:int -> bool
 (** The headline ordering of Figure 1(a) for [k >= 2]:
     [1] < A1 = [5] < [4]-for-k>=2 and [10] slowest among genuine; and the

@@ -89,9 +89,6 @@ val deliveries_of : t -> Runtime.Msg_id.t -> delivery_event list
 (** Every delivery of the message, in occurrence order; O(1) after
     indexing. *)
 
-val delivered_by : t -> Runtime.Msg_id.t -> Net.Topology.pid -> bool
-(** Whether the process delivered the message, in O(1) after indexing. *)
-
 val delivered_everywhere_needed : t -> Runtime.Msg_id.t -> bool
 (** True when every correct addressee delivered the message. *)
 

@@ -4,7 +4,10 @@ open Des
    arrivals are pre-sampled at send time and walked by a single scheduler
    event that re-arms itself for the next destination at pop time. This
    is the [send_multi] fast lane — a broadcast costs one event in the
-   queue at any instant instead of one per destination. *)
+   queue at any instant instead of one per destination. Its [arrivals] and
+   [dsts] are the slot's own rows ([row_at]/[row_dst] below), reused by
+   every fan-out the slot carries, so only the first [len] entries are
+   this fan-out's. *)
 type 'w slot =
   | Free
   | Single of {
@@ -20,6 +23,7 @@ type 'w slot =
       dsts : Topology.pid array;
           (* sorted by arrival, stable, so equal arrivals keep the order a
              per-destination send loop would deliver them in *)
+      len : int;
       mutable pos : int;
       mutable handle : Scheduler.handle;
     }
@@ -44,12 +48,13 @@ type 'w t = {
   mutable slots : 'w slot array;
   mutable free : int array;
   mutable free_top : int;
-  mutable fan_at : Sim_time.t array;
-  mutable fan_dst : Topology.pid array;
-      (* [send_multi]'s admission buffers, kept sorted by arrival while a
-         fan-out is admitted; per network, since networks on different
-         domains run concurrently. The send filter and taps run mid-
-         admission, so they must not send on the same network. *)
+  mutable row_at : Sim_time.t array array;
+  mutable row_dst : Topology.pid array array;
+      (* slot -> [send_multi]'s arrival and destination rows, kept sorted
+         by arrival while a fan-out is admitted; a row grows to the
+         largest fan-out its slot has carried and is never copied. The
+         send filter and taps run mid-admission, so they must not send on
+         the same network. *)
   n_groups : int;
   holds : Sim_time.t array;
       (* dense (src_group, dst_group) -> release floor, [Sim_time.zero] =
@@ -91,7 +96,7 @@ let fire t i =
     m.pos <- m.pos + 1;
     (* Re-arm (or release) before delivering: the delivery can send, and a
        released slot must be reusable from inside it. *)
-    if m.pos < Array.length m.dsts then
+    if m.pos < m.len then
       m.handle <-
         Scheduler.at_arg t.sched
           (Scheduler.Tag.deliver m.dsts.(m.pos))
@@ -115,8 +120,8 @@ let create ~sched ~topology ~latency ~rng ~deliver =
       slots = [||];
       free = [||];
       free_top = 0;
-      fan_at = [||];
-      fan_dst = [||];
+      row_at = [||];
+      row_dst = [||];
       n_groups = g;
       holds;
       scales;
@@ -139,9 +144,14 @@ let acquire_slot t =
   if t.free_top = 0 then begin
     let cap = Array.length t.slots in
     let ncap = if cap = 0 then 64 else cap * 2 in
-    let ns = Array.make ncap Free in
-    Array.blit t.slots 0 ns 0 cap;
-    t.slots <- ns;
+    let extend a fill =
+      let b = Array.make ncap fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    t.slots <- extend t.slots Free;
+    t.row_at <- extend t.row_at [||];
+    t.row_dst <- extend t.row_dst [||];
     let nf = Array.make ncap 0 in
     t.free <- nf;
     (* Push new indices high-to-low so low indices are handed out first. *)
@@ -153,12 +163,14 @@ let acquire_slot t =
   t.free_top <- t.free_top - 1;
   t.free.(t.free_top)
 
-let schedule_delivery t ~src ~dst ~arrival payload =
-  let i = acquire_slot t in
+let schedule_in t i ~src ~dst ~arrival payload =
   let handle =
     Scheduler.at_arg t.sched (Scheduler.Tag.deliver dst) arrival t.on_fire i
   in
   t.slots.(i) <- Single { src; dst; payload; handle }
+
+let schedule_delivery t ~src ~dst ~arrival payload =
+  schedule_in t (acquire_slot t) ~src ~dst ~arrival payload
 
 (* One latency draw on a link, with any active spike scale applied — shared
    by admission and by [heal]'s re-scheduling so a spiked link stays spiked
@@ -214,36 +226,37 @@ let send t ~src ~dst payload =
       payload
   end
 
-(* Inserts the [n+1]-th admitted destination into the fan-out buffers,
-   after every arrival not later than its own: a stable insertion sort. *)
-let fan_insert t n (at : Sim_time.t) dst =
-  if n = Array.length t.fan_at then begin
-    let cap = max 16 (2 * n) in
+(* Inserts the [n+1]-th admitted destination into slot [i]'s rows, after
+   every arrival not later than its own: a stable insertion sort. *)
+let fan_insert t i n (at : Sim_time.t) dst =
+  if n = Array.length t.row_at.(i) then begin
+    let cap = Int.max 16 (2 * n) in
     let at' = Array.make cap Sim_time.zero and dst' = Array.make cap 0 in
-    Array.blit t.fan_at 0 at' 0 n;
-    Array.blit t.fan_dst 0 dst' 0 n;
-    t.fan_at <- at';
-    t.fan_dst <- dst'
+    Array.blit t.row_at.(i) 0 at' 0 n;
+    Array.blit t.row_dst.(i) 0 dst' 0 n;
+    t.row_at.(i) <- at';
+    t.row_dst.(i) <- dst'
   end;
+  let row_at = t.row_at.(i) and row_dst = t.row_dst.(i) in
   let k = ref n in
-  while !k > 0 && (t.fan_at.(!k - 1) :> int) > (at :> int) do
-    t.fan_at.(!k) <- t.fan_at.(!k - 1);
-    t.fan_dst.(!k) <- t.fan_dst.(!k - 1);
+  while !k > 0 && (row_at.(!k - 1) :> int) > (at :> int) do
+    row_at.(!k) <- row_at.(!k - 1);
+    row_dst.(!k) <- row_dst.(!k - 1);
     decr k
   done;
-  t.fan_at.(!k) <- at;
-  t.fan_dst.(!k) <- dst
+  row_at.(!k) <- at;
+  row_dst.(!k) <- dst
 
-(* Admits [dsts] in order into the fan-out buffers; returns how many were
+(* Admits [dsts] in order into slot [i]'s rows; returns how many were
    admitted. *)
-let rec fan_admit t ~src ~src_group payload n = function
+let rec fan_admit t i ~src ~src_group payload n = function
   | [] -> n
   | dst :: rest ->
     if admitted t ~src ~dst then begin
-      fan_insert t n (arrival t ~src ~src_group ~dst payload) dst;
-      fan_admit t ~src ~src_group payload (n + 1) rest
+      fan_insert t i n (arrival t ~src ~src_group ~dst payload) dst;
+      fan_admit t i ~src ~src_group payload (n + 1) rest
     end
-    else fan_admit t ~src ~src_group payload n rest
+    else fan_admit t i ~src ~src_group payload n rest
 
 let send_multi t ~src ~dsts payload =
   let src_group = Topology.group_of t.topology src in
@@ -259,21 +272,24 @@ let send_multi t ~src ~dsts payload =
             ~arrival:(arrival t ~src ~src_group ~dst payload)
             payload)
       dsts
-  else
-    match fan_admit t ~src ~src_group payload 0 dsts with
-    | 0 -> ()
+  else begin
+    (* Admission acquires no slot and sends nothing, so taking the slot
+       first hands out the same index a later [acquire_slot] would. *)
+    let i = acquire_slot t in
+    match fan_admit t i ~src ~src_group payload 0 dsts with
+    | 0 -> release_slot t i
     | 1 ->
-      schedule_delivery t ~src ~dst:t.fan_dst.(0) ~arrival:t.fan_at.(0)
+      schedule_in t i ~src ~dst:t.row_dst.(i).(0) ~arrival:t.row_at.(i).(0)
         payload
-    | n ->
-      let arrivals = Array.sub t.fan_at 0 n in
-      let dsts = Array.sub t.fan_dst 0 n in
-      let i = acquire_slot t in
+    | len ->
+      let arrivals = t.row_at.(i) and dsts = t.row_dst.(i) in
       let handle =
         Scheduler.at_arg t.sched (Scheduler.Tag.deliver dsts.(0))
           arrivals.(0) t.on_fire i
       in
-      t.slots.(i) <- Multi { src; payload; arrivals; dsts; pos = 0; handle }
+      t.slots.(i) <-
+        Multi { src; payload; arrivals; dsts; len; pos = 0; handle }
+  end
 
 (* The adversarial controls below reason about one (src, dst, arrival)
    triple per slot; dissolve multi slots into singles first. They only run
@@ -289,12 +305,18 @@ let explode t =
     (fun i ->
       match t.slots.(i) with
       | Multi m ->
+        (* Read the rows first: once released, the slot and its rows can
+           be handed out again. *)
+        let rest =
+          List.init (m.len - m.pos) (fun j ->
+              (m.dsts.(m.pos + j), m.arrivals.(m.pos + j)))
+        in
         Scheduler.cancel t.sched m.handle;
         release_slot t i;
-        for j = m.pos to Array.length m.dsts - 1 do
-          schedule_delivery t ~src:m.src ~dst:m.dsts.(j)
-            ~arrival:m.arrivals.(j) m.payload
-        done
+        List.iter
+          (fun (dst, arrival) ->
+            schedule_delivery t ~src:m.src ~dst ~arrival m.payload)
+          rest
       | Free | Single _ -> assert false)
     (List.sort Int.compare !multis)
 
@@ -412,7 +434,7 @@ let in_flight t =
       match s with
       | Free -> ()
       | Single _ -> incr n
-      | Multi m -> n := !n + (Array.length m.dsts - m.pos))
+      | Multi m -> n := !n + (m.len - m.pos))
     t.slots;
   !n
 

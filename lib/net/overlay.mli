@@ -112,17 +112,14 @@ val inter_crossings : t -> src:Topology.gid -> dst:Topology.gid -> int
     the msgpath overlay cells: a direct send between the groups costs
     this many inter-continental link traversals. *)
 
-val path_groups : t -> src:Topology.gid -> dsts:Topology.gid list -> Topology.gid list
-(** Union of the routes from [src] to each destination (sorted,
-    deduplicated; includes [src] and the destinations themselves) — the
-    groups FlexCast's dissemination touches. *)
-
 val participants :
   t -> src:Topology.gid -> dsts:Topology.gid list -> Topology.gid list
-(** {!path_groups} plus the routes between every destination pair (the
-    stamp-exchange paths): the full set of groups allowed to take part
-    in an overlay-genuine multicast from [src] to [dsts]. On a clique
-    this is exactly [src :: dsts]. *)
+(** The union of the routes from [src] to each destination (the groups
+    FlexCast's dissemination touches) and of the routes between every
+    destination pair (the stamp-exchange paths), sorted and deduplicated:
+    the full set of groups allowed to take part in an overlay-genuine
+    multicast from [src] to [dsts]. On a clique this is exactly
+    [src :: dsts]. *)
 
 val cut_edges : t -> (Topology.gid * Topology.gid) list
 (** The bridges: edges whose removal disconnects the overlay (all of

@@ -44,9 +44,27 @@ let all_pids t = List.init (n_processes t) Fun.id
 let all_groups t = List.init (n_groups t) Fun.id
 let same_group t p q = t.group_of.(p) = t.group_of.(q)
 
+(* Destination lists arrive sorted (a [Msg.t]'s [dest] always is), so the
+   sort is skipped when it would change nothing; pids are numbered group
+   by group, so ascending groups give ascending pids. The list is built
+   back to front, one cons cell per pid. *)
 let pids_of_groups t gs =
-  let gs = List.sort_uniq Int.compare gs in
-  List.concat_map (members t) gs
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> a < b && increasing rest
+    | _ -> true
+  in
+  let gs = if increasing gs then gs else List.sort_uniq Int.compare gs in
+  let rec build = function
+    | [] -> []
+    | g :: rest ->
+      let acc = ref (build rest) in
+      let m = t.members.(g) in
+      for i = Array.length m - 1 downto 0 do
+        acc := m.(i) :: !acc
+      done;
+      !acc
+  in
+  build gs
 
 let others_in_group t p =
   List.filter (fun q -> q <> p) (members t (group_of t p))

@@ -17,7 +17,4 @@ let send_all t pids w = List.iter (fun dst -> t.send ~dst w) pids
 let send_multi t pids w = t.send_multi pids w
 let send_group t g w = send_all t (Net.Topology.members t.topology g) w
 
-let send_others_in_group t w =
-  send_all t (Net.Topology.others_in_group t.topology t.self) w
-
 let my_group t = Net.Topology.group_of t.topology t.self

@@ -93,7 +93,4 @@ val send_multi : 'w t -> Net.Topology.pid list -> 'w -> unit
 val send_group : 'w t -> Net.Topology.gid -> 'w -> unit
 (** Send to every member of a group. *)
 
-val send_others_in_group : 'w t -> 'w -> unit
-(** Send to every member of the caller's own group except itself. *)
-
 val my_group : 'w t -> Net.Topology.gid

@@ -61,5 +61,4 @@ val entries_rev : t -> entry list
     shadow) read just the entries appended since their last look. *)
 
 val length : t -> int
-val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> t -> unit

@@ -174,31 +174,53 @@ let pick (m : int N.t) ~gone ~cancelled k =
   | 2 -> fallback (nth cancelled)
   | _ -> if k mod 8 = 3 then m.next + (k / 8) else -1 - (k / 8)
 
+(* The naive twin issues dense handles 0, 1, 2, ...; the queue's handles
+   only increase. [real] maps a twin handle to the queue's: issued ones
+   through the table, a never-issued one to a value above every handle
+   the queue has returned, a negative one to itself. *)
 let model_agrees ops =
   let q = Q.create ~dummy:(-1) and m = N.create () in
   let gone = ref [] and cancelled = ref [] in
+  let issued = Hashtbl.create 64 and last = ref (-1) in
+  let real h =
+    if h < 0 then h
+    else
+      match Hashtbl.find_opt issued h with
+      | Some r -> r
+      | None -> !last + 1 + (h - m.next)
+  in
   let time t = Sim_time.of_us t in
   let live_q () =
     List.map (fun (h, t, tag) -> (h, Sim_time.to_us t, tag)) (Q.live q)
   in
-  let cancel k =
-    let h = pick m ~gone:!gone ~cancelled:!cancelled k in
-    Q.cancel q h;
-    if List.exists (fun (h', _, _) -> h' = h) (N.live m) then
-      cancelled := h :: !cancelled;
+  let live_m () = List.map (fun (h, t, tag) -> (real h, t, tag)) (N.live m) in
+  let cancel_both h =
+    Q.cancel q (real h);
     N.cancel m h
   in
-  (* Payloads are the handles; each queue is driven in its own [let], as
-     the operands of [=] evaluate in an unspecified order. *)
+  let cancel k =
+    let h = pick m ~gone:!gone ~cancelled:!cancelled k in
+    if List.exists (fun (h', _, _) -> h' = h) (N.live m) then
+      cancelled := h :: !cancelled;
+    cancel_both h
+  in
+  (* Payloads are the twin's handles. A handle must exceed every earlier
+     one: insertion order is the tie-break the heap and [live] rely on. *)
+  let issue got h =
+    let increasing = got > !last in
+    Hashtbl.replace issued h got;
+    last := got;
+    increasing
+  in
   let add_tagged t ~tag ~arg =
     let h = m.next in
     let got = Q.add_tagged q ~time:(time t) ~tag ~arg h in
-    got = N.add_tagged m ~time:t ~tag ~arg h
+    issue got (N.add_tagged m ~time:t ~tag ~arg h)
   in
   let add t =
     let h = m.next in
     let got = Q.add q ~time:(time t) h in
-    got = N.add m ~time:t h
+    issue got (N.add m ~time:t h)
   in
   List.for_all
     (fun op ->
@@ -212,7 +234,9 @@ let model_agrees ops =
         | Take k ->
           let h = pick m ~gone:!gone ~cancelled:!cancelled k in
           let got =
-            Option.map (fun (t, a, p) -> (Sim_time.to_us t, a, p)) (Q.take q h)
+            Option.map
+              (fun (t, a, p) -> (Sim_time.to_us t, a, p))
+              (Q.take q (real h))
           in
           let want = N.take m h in
           if want <> None then gone := h :: !gone;
@@ -233,14 +257,13 @@ let model_agrees ops =
           in
           for h = first to first + n - 1 do
             if h mod 3 <> 0 then begin
-              Q.cancel q h;
-              N.cancel m h;
+              cancel_both h;
               cancelled := h :: !cancelled
             end
           done;
           added
       in
-      step_ok && Q.size q = N.size m && live_q () = N.live m)
+      step_ok && Q.size q = N.size m && live_q () = live_m ())
     ops
 
 let op_gen =
@@ -275,6 +298,41 @@ let prop_event_queue_model =
        QCheck2.Gen.(list_size (int_range 1 120) op_gen)
        model_agrees)
 
+(* A handle names its slot; once the slot is reused by a later entry, the
+   old handle is stale and cancelling it must leave the new entry live. *)
+let test_stale_handle () =
+  let q = Q.create ~dummy:"" in
+  let old = Q.add q ~time:(Sim_time.of_us 1) "old" in
+  Alcotest.(check (option string)) "pop old" (Some "old")
+    (Option.map snd (Q.pop q));
+  let fresh = Q.add q ~time:(Sim_time.of_us 2) "new" in
+  Alcotest.(check bool) "handles increase" true (fresh > old);
+  Q.cancel q old;
+  Alcotest.(check int) "new entry still live" 1 (Q.size q);
+  Alcotest.(check bool) "take of the stale handle" true (Q.take q old = None);
+  Alcotest.(check (option string)) "pop new" (Some "new")
+    (Option.map snd (Q.pop q))
+
+(* [cancel] drops the payload at once, although the dead entry stays in
+   the heap until it reaches the root. *)
+let test_cancel_frees_payload () =
+  let q = Q.create ~dummy:(ref 0) in
+  let keep = Q.add q ~time:(Sim_time.of_us 1) (ref 1) in
+  let w = Weak.create 1 in
+  let h =
+    let payload = ref 2 in
+    Weak.set w 0 (Some payload);
+    Q.add q ~time:(Sim_time.of_us 2) payload
+  in
+  Q.cancel q h;
+  Gc.full_major ();
+  Alcotest.(check bool) "payload collected" false (Weak.check w 0);
+  Alcotest.(check int) "one live entry" 1 (Q.size q);
+  Alcotest.(check (option int)) "live entry intact" (Some 1)
+    (Option.map (fun (_, r) -> !r) (Q.pop q));
+  ignore keep;
+  Alcotest.(check bool) "drained" true (Q.pop q = None)
+
 let suites =
   [
     ( "event-core",
@@ -283,5 +341,9 @@ let suites =
         Alcotest.test_case "fan-out: equal arrivals in destination order"
           `Quick test_fanout_equal_arrivals;
         prop_event_queue_model;
+        Alcotest.test_case "event queue: stale handle is a no-op" `Quick
+          test_stale_handle;
+        Alcotest.test_case "event queue: cancel frees the payload" `Quick
+          test_cancel_frees_payload;
       ] );
   ]

@@ -234,29 +234,43 @@ let prop_fritzke_failure_free s =
 
 let prop_event_queue_model ops =
   (* Random add/cancel/pop interleavings against a sorted-list model.
-     Handles are issued densely (0, 1, 2, ...), so a raw integer in the
-     cancel op exercises every case: a pending handle, a handle already
-     popped or cancelled (must be a no-op — the "cancel-after-pop" case),
-     an unknown handle, and a negative one. After every op the queue's
-     [size] and [peek_time] must agree with the model. *)
+     [Cancel k] with [0 <= k < issued] targets the [k]-th handle [add]
+     returned, which may be pending, already popped or already cancelled
+     (the last two must be no-ops — the "cancel-after-pop" case); a
+     larger [k] targets a handle above every one issued so far (unknown),
+     and a negative [k] is passed through as is. Handles must strictly
+     increase in insertion order. After every op the queue's [size] and
+     [peek_time] must agree with the model. *)
   let q = Event_queue.create ~dummy:0 in
   let model = ref [] in
   (* pending (time_us, handle), insertion order *)
-  let issued = ref 0 in
+  let issued = ref [||] in
   let by_time = List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) in
+  let last () =
+    let n = Array.length !issued in
+    if n = 0 then -1 else !issued.(n - 1)
+  in
   List.for_all
     (fun op ->
       let step_ok =
         match op with
         | `Add t ->
-          let h = Event_queue.add q ~time:(Sim_time.of_us t) !issued in
+          let h =
+            Event_queue.add q ~time:(Sim_time.of_us t) (Array.length !issued)
+          in
+          let increasing = h > last () in
           model := !model @ [ (t, h) ];
-          let dense = h = !issued in
-          incr issued;
-          dense
+          issued := Array.append !issued [| h |];
+          increasing
         | `Cancel k ->
-          Event_queue.cancel q k;
-          model := List.filter (fun (_, h) -> h <> k) !model;
+          let n = Array.length !issued in
+          let target =
+            if k < 0 then k
+            else if k < n then !issued.(k)
+            else last () + 1 + (k - n)
+          in
+          Event_queue.cancel q target;
+          model := List.filter (fun (_, h) -> h <> target) !model;
           true
         | `Pop -> (
           let expected =
@@ -268,7 +282,8 @@ let prop_event_queue_model ops =
           in
           match (Event_queue.pop q, expected) with
           | None, None -> true
-          | Some (t, v), Some (t', h) -> Sim_time.to_us t = t' && v = h
+          | Some (t, v), Some (t', h) ->
+            Sim_time.to_us t = t' && !issued.(v) = h
           | _ -> false)
       in
       let size_ok = Event_queue.size q = List.length !model in
