@@ -328,6 +328,13 @@ let on_hb t ~src m =
   | Some hb -> Fd.Heartbeat.handle hb ~src m
   | None -> ()
 
+(* The immutable parts of every instance's [prop_none]: it is never
+   pending, so nothing reads or writes its row. *)
+let no_msg =
+  { Msg.id = Msg_id.make ~origin:(-1) ~seq:(-1); dest = []; payload = "" }
+
+let no_proposals = Slab.Row.acquire (Slab.Row.pool ~width:1 ~default:0)
+
 let create ~services ~config ~deliver ~rm:wrap_rm ~cons:wrap_cons
     ~hb:wrap_hb ?on_crash ~on_s0_decided () =
   let my_group = Services.my_group services in
@@ -346,13 +353,13 @@ let create ~services ~config ~deliver ~rm:wrap_rm ~cons:wrap_cons
       n_prop = 0;
       prop_none =
         {
-          msg = { id = Msg_id.make ~origin:(-1) ~seq:(-1); dest = []; payload = "" };
+          msg = no_msg;
           ts = 0;
           stage = Stage.S3;
           handle = -1;
           inflight = max_int;
           in_prop = false;
-          proposals = Slab.Row.acquire (Slab.Row.pool ~width:1 ~default:0);
+          proposals = no_proposals;
         };
       adelivered = Msg_id.Tbl.create 64;
       decisions = Consensus.Window.create ();

@@ -15,12 +15,12 @@
    slot was reused) and [cancel]/[take] ignore it.
 
    [state] holds one byte per slot: [st_free] (on the free stack),
-   [st_live], or [st_dead] (cancelled, still in the heap). Cancellation is O(1): it
-   marks the slot dead and drops the payload at once. Dead entries stay in
-   the heap until they reach the root, unless they come to outnumber the
-   live ones, in which case [compact] drops them all at once. A free or
-   dead slot's payload is [dummy], so the queue never keeps a popped or
-   cancelled payload reachable. *)
+   [st_live], or [st_dead] (cancelled, still in the heap). Cancellation
+   is O(1): it marks the slot dead and drops the payload at once. Dead
+   entries stay in the heap until they reach the root, unless they come
+   to outnumber the live ones, in which case [compact] drops them all at
+   once. A free or dead slot's payload is [dummy], so the queue never
+   keeps a popped or cancelled payload reachable. *)
 type 'a t = {
   mutable times : Sim_time.t array; (* heap position -> time *)
   mutable slots : int array; (* heap position -> slab slot *)

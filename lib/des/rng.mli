@@ -7,15 +7,16 @@
     root seed. *)
 
 type t
-(** A mutable generator state. *)
+(** A mutable generator state, held unboxed: advancing it allocates
+    nothing. *)
 
 val create : int -> t
 (** [create seed] is a fresh generator. Two generators created with the same
     seed produce identical streams. *)
 
 val split : t -> t
-(** [split t] derives a new independent generator from [t], advancing [t].
-    Used to give each process / link its own stream so that adding a draw in
+(** [split t] derives a new independent generator from [t], advancing [t]
+    by exactly one {!int64} draw. Used to give each process / link its own stream so that adding a draw in
     one component does not perturb the others. *)
 
 val copy : t -> t

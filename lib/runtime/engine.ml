@@ -67,10 +67,11 @@ let create ?(seed = 0) ?(latency = Latency.wan_default)
   let sched = Scheduler.create () in
   let root = Rng.create seed in
   let n = Topology.n_processes topology in
-  (* n splits drawn and dropped: they fix where the network and fault
-     streams start, so every seed replays the runs pinned for it. *)
+  (* n draws dropped, one per split the streams were once taken with:
+     they fix where the network and fault streams start, so every seed
+     replays the runs pinned for it. A split is exactly one draw. *)
   for _ = 1 to n do
-    ignore (Rng.split root)
+    ignore (Rng.int64 root)
   done;
   let net_rng = Rng.split root in
   let fault_rng = Rng.split root in

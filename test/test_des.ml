@@ -232,20 +232,28 @@ let test_rng_golden () =
     Alcotest.(check (list int64)) name expected (take8 r)
   in
   check "create 0"
-    [ (-2152535657050944081L); 7960286522194355700L; 487617019471545679L; (-537132696929009172L); 1961750202426094747L; 6038094601263162090L; 3207296026000306913L; (-4214222208109204676L) ]
+    [ (-2152535657050944081L); 7960286522194355700L; 487617019471545679L;
+      (-537132696929009172L); 1961750202426094747L; 6038094601263162090L;
+      3207296026000306913L; (-4214222208109204676L) ]
     (Rng.create 0);
   check "create 42"
-    [ (-7450291807549245335L); 2958219263312191191L; 3069497704473277141L; 885919558081284366L; (-353919125003956057L); 4337243929683858115L; 5152897204343404489L; 2820384354626331986L ]
+    [ (-7450291807549245335L); 2958219263312191191L; 3069497704473277141L;
+      885919558081284366L; (-353919125003956057L); 4337243929683858115L;
+      5152897204343404489L; 2820384354626331986L ]
     (Rng.create 42);
   let parent = Rng.create 7 in
   check "split (create 7)"
-    [ (-4873906296908388014L); (-1315055668846156530L); (-8333724299056181765L); (-8447417609225075232L); 3055149783187969764L; 4797013056859520325L; 7514238247719280357L; (-7412118897697356346L) ]
+    [ (-4873906296908388014L); (-1315055668846156530L);
+      (-8333724299056181765L); (-8447417609225075232L); 3055149783187969764L;
+      4797013056859520325L; 7514238247719280357L; (-7412118897697356346L) ]
     (Rng.split parent);
   Alcotest.(check (list int64)) "create 7 after split"
     [ 5573481420429128725L; (-1088427420777695408L) ]
     (List.init 2 (fun _ -> Rng.int64 parent));
   check "substream 3 5"
-    [ (-3346543296005785204L); (-9212663640750054680L); (-2117438395167011980L); 3708609415625654522L; (-680151413751466951L); 8598585424917193312L; (-1253389573732221753L); (-6724235456664222056L) ]
+    [ (-3346543296005785204L); (-9212663640750054680L);
+      (-2117438395167011980L); 3708609415625654522L; (-680151413751466951L);
+      8598585424917193312L; (-1253389573732221753L); (-6724235456664222056L) ]
     (Rng.substream 3 5);
   let r = Rng.create 9 in
   for _ = 1 to 3 do
@@ -253,7 +261,9 @@ let test_rng_golden () =
   done;
   let c = Rng.copy r in
   let expected_copy =
-    [ (-7911901224880060863L); (-6611298779027567543L); (-6354532496418769550L); 1855115956613024549L; 7065336345223341543L; 1655719242250435742L; 8197214437883545955L; 6126479431360377512L ]
+    [ (-7911901224880060863L); (-6611298779027567543L);
+      (-6354532496418769550L); 1855115956613024549L; 7065336345223341543L;
+      1655719242250435742L; 8197214437883545955L; 6126479431360377512L ]
   in
   check "copy mid-stream" expected_copy c;
   check "original after copy" expected_copy r;
@@ -262,7 +272,8 @@ let test_rng_golden () =
     [ 492; 673; 881; 251; 878; 897; 286; 323 ]
     (List.init 8 (fun _ -> Rng.int r 1000));
   Alcotest.(check (list (float 0.))) "float draws"
-    [ 0.7871443110451439; 2.20557485900089; 1.2876514869857791; 1.3340360200853185 ]
+    [ 0.7871443110451439; 2.20557485900089; 1.2876514869857791;
+      1.3340360200853185 ]
     (List.init 4 (fun _ -> Rng.float r 2.5))
 
 let suites =
