@@ -67,9 +67,8 @@ let create ?(seed = 0) ?(latency = Latency.wan_default)
   let sched = Scheduler.create () in
   let root = Rng.create seed in
   let n = Topology.n_processes topology in
-  (* n draws dropped, one per split the streams were once taken with:
-     they fix where the network and fault streams start, so every seed
-     replays the runs pinned for it. A split is exactly one draw. *)
+  (* n draws dropped: they fix where the network and fault streams
+     start, so every seed replays the runs pinned for it. *)
   for _ = 1 to n do
     ignore (Rng.int64 root)
   done;
