@@ -36,8 +36,8 @@ type row = {
   events : int;
   run_wall_s : float;
   fast_core_s : float;
-      (* integrity + validity + agreement + prefix + genuineness: the
-         single-pass suite, near-linear in deliveries + trace *)
+      (* integrity + validity + agreement + prefix + genuineness: linear
+         passes over the slot index and the trace *)
   fast_causal_s : float;
       (* vector-clock reachability rows + seen-bitset scan:
          O(trace * processes + casts^2) *)
@@ -79,7 +79,10 @@ let fast_causal (r : Harness.Run_result.t) =
 
 let naive_suite (r : Harness.Run_result.t) =
   r.Harness.Run_result.index_memo <- None;
-  Oracle.uniform_prefix_order r
+  Oracle.uniform_integrity r
+  @ Oracle.validity r
+  @ Oracle.uniform_agreement r
+  @ Oracle.uniform_prefix_order r
   @ Oracle.genuineness r
   @ Oracle.causal_delivery_order r
 
@@ -98,8 +101,18 @@ let bench_row ~seed ~repeats ~compare_naive t n =
   let fast_core_s, _ = time_suite ~repeats fast_core r in
   let fast_causal_s, causal_v = time_suite ~repeats fast_causal r in
   let fast_check_s = fast_core_s +. fast_causal_s in
+  (* Integrity, validity and agreement must match their oracles list for
+     list, order included; the other checks as sets of strings. *)
+  let exact =
+    [
+      (Harness.Checker.uniform_integrity, Oracle.uniform_integrity);
+      (Harness.Checker.validity, Oracle.validity);
+      (Harness.Checker.uniform_agreement, Oracle.uniform_agreement);
+    ]
+  in
   let fast_v =
-    Harness.Checker.uniform_prefix_order r
+    List.concat_map (fun (fast, _) -> fast r) exact
+    @ Harness.Checker.uniform_prefix_order r
     @ Harness.Checker.genuineness r
     @ causal_v
   in
@@ -108,7 +121,11 @@ let bench_row ~seed ~repeats ~compare_naive t n =
     else None
   in
   let differential_ok =
-    Option.map (fun (_, naive_v) -> sorted fast_v = sorted naive_v) naive
+    Option.map
+      (fun (_, naive_v) ->
+        sorted fast_v = sorted naive_v
+        && List.for_all (fun (fast, oracle) -> fast r = oracle r) exact)
+      naive
   in
   {
     protocol = t.name;

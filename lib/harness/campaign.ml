@@ -90,10 +90,7 @@ let faults_for s topo =
 (* Label-wise merge of assoc lists, result sorted by label so the merge is
    order-insensitive. Labels ending in "_max" are high-water marks and
    combine by max; everything else is a count and sums. *)
-let is_max_label label =
-  let suffix = "_max" in
-  let ls = String.length suffix and ll = String.length label in
-  ll >= ls && String.sub label (ll - ls) ls = suffix
+let is_max_label label = String.ends_with ~suffix:"_max" label
 
 let sum_retained lists =
   let tbl = Hashtbl.create 8 in

@@ -3,88 +3,104 @@ open Runtime
 
 type violation = string
 
-let cast_ids (r : Run_result.t) =
-  List.fold_left
-    (fun acc (c : Run_result.cast_event) ->
-      Msg_id.Set.add c.msg.Amcast.Msg.id acc)
-    Msg_id.Set.empty r.casts
-
+(* Integrity on the slot index. A delivery repeats when an earlier
+   delivery of the same slot came from the same pid: one walk of the
+   deliveries grouped by slot, marking each pid with the slot it was last
+   seen delivering, finds every repeat. The verdicts then come out of one
+   walk of the deliveries, most recent first, as the property's fold over
+   the delivery log would produce them. *)
 let uniform_integrity (r : Run_result.t) =
-  let casts = cast_ids r in
-  (* One id table per pid: no tuple key, no polymorphic hash. *)
-  let seen =
-    Array.init (Topology.n_processes r.topology) (fun _ -> Msg_id.Tbl.create 8)
-  in
-  List.fold_left
-    (fun acc (d : Run_result.delivery_event) ->
+  let idx = Run_result.index r in
+  let last = Array.make (Topology.n_processes r.topology) (-1) in
+  let repeats = ref [] in
+  for s = 0 to idx.n_slots - 1 do
+    for j = idx.slot_start.(s) to idx.slot_start.(s + 1) - 1 do
+      let k = idx.by_slot.(j) in
+      let p = idx.dels.(k).pid in
+      if last.(p) = s then repeats := k :: !repeats else last.(p) <- s
+    done
+  done;
+  let repeats = ref (List.sort Int.compare !repeats) in
+  let acc = ref [] in
+  Array.iteri
+    (fun k (d : Run_result.delivery_event) ->
       let id = d.msg.Amcast.Msg.id in
-      let acc =
-        if Msg_id.Tbl.mem seen.(d.pid) id then
-          Fmt.str "p%d delivered %a twice" d.pid Msg_id.pp id :: acc
-        else begin
-          Msg_id.Tbl.replace seen.(d.pid) id ();
-          acc
-        end
-      in
-      let acc =
-        if not (Msg_id.Set.mem id casts) then
+      (match !repeats with
+      | k' :: rest when k' = k ->
+        repeats := rest;
+        acc := Fmt.str "p%d delivered %a twice" d.pid Msg_id.pp id :: !acc
+      | _ -> ());
+      if idx.del_slot.(k) >= idx.n_cast then
+        acc :=
           Fmt.str "p%d delivered %a which was never cast" d.pid Msg_id.pp id
-          :: acc
-        else acc
-      in
+          :: !acc;
       if not (Amcast.Msg.addressed_to_pid r.topology d.msg d.pid) then
-        Fmt.str "p%d delivered %a but is not an addressee" d.pid Msg_id.pp id
-        :: acc
-      else acc)
-    [] r.deliveries
+        acc :=
+          Fmt.str "p%d delivered %a but is not an addressee" d.pid Msg_id.pp
+            id
+          :: !acc)
+    idx.dels;
+  !acc
 
 let validity (r : Run_result.t) =
   if not r.drained then []
-  else
-    List.fold_left
-      (fun acc (c : Run_result.cast_event) ->
-        let id = c.msg.Amcast.Msg.id in
-        if Run_result.correct r c.origin then
-          if Run_result.delivered_everywhere_needed r id then acc
-          else
+  else begin
+    let idx = Run_result.index r in
+    let mark = Array.make (Topology.n_processes r.topology) (-1) in
+    let acc = ref [] in
+    List.iteri
+      (fun i (c : Run_result.cast_event) ->
+        if
+          idx.correct_arr.(c.origin)
+          && not
+               (Run_result.delivered_everywhere_slot r ~mark
+                  idx.cast_slot.(i))
+        then
+          acc :=
             Fmt.str
               "validity: %a cast by correct p%d not delivered by every \
                correct addressee"
-              Msg_id.pp id c.origin
-            :: acc
-        else acc)
-      [] r.casts
+              Msg_id.pp c.msg.Amcast.Msg.id c.origin
+            :: !acc)
+      r.casts;
+    !acc
+  end
 
+(* Every slot with a delivery is checked once; the verdicts list the
+   failing ids in descending id order. *)
 let uniform_agreement (r : Run_result.t) =
   if not r.drained then []
-  else
-    let delivered_somewhere =
-      List.fold_left
-        (fun acc (d : Run_result.delivery_event) ->
-          Msg_id.Set.add d.msg.Amcast.Msg.id acc)
-        Msg_id.Set.empty r.deliveries
-    in
-    Msg_id.Set.fold
-      (fun id acc ->
-        if Run_result.delivered_everywhere_needed r id then acc
-        else
-          Fmt.str
+  else begin
+    let idx = Run_result.index r in
+    let mark = Array.make (Topology.n_processes r.topology) (-1) in
+    let failing = ref [] in
+    for s = 0 to idx.n_slots - 1 do
+      if
+        idx.slot_start.(s + 1) > idx.slot_start.(s)
+        && not (Run_result.delivered_everywhere_slot r ~mark s)
+      then failing := Run_result.slot_id idx s :: !failing
+    done;
+    List.sort (fun a b -> Msg_id.compare b a) !failing
+    |> List.map
+         (Fmt.str
             "uniform agreement: %a delivered somewhere but not by every \
              correct addressee"
-            Msg_id.pp id
-          :: acc)
-      delivered_somewhere []
+            Msg_id.pp)
+  end
 
 (* How one process's delivery sequence relates to an ordered message pair
    (m1, m2), from the first-delivery positions of the two ids. *)
 type pair_obs = Both_fwd | Both_rev | Only_fst | Only_snd | Neither
 
+(* Positions as ints, -1 for "not delivered". *)
+let pair_obs_at a b =
+  if a >= 0 then
+    if b >= 0 then if a < b then Both_fwd else Both_rev else Only_fst
+  else if b >= 0 then Only_snd
+  else Neither
+
 let pair_obs p1 p2 =
-  match (p1, p2) with
-  | Some a, Some b -> if (a : int) < b then Both_fwd else Both_rev
-  | Some _, None -> Only_fst
-  | None, Some _ -> Only_snd
-  | None, None -> Neither
+  pair_obs_at (Option.value ~default:(-1) p1) (Option.value ~default:(-1) p2)
 
 (* The conflicting-pair consistency test behind the relaxed partial-order
    checker, shared with the naive oracle the tests compare it against so
@@ -140,81 +156,105 @@ let conflict_pair_violation (m1 : Amcast.Msg.t) (m2 : Amcast.Msg.t) p op q oq =
   | Only_snd, Only_fst -> crossed p id2 q id1
   | _ -> None
 
-(* Distinct cast messages in cast order (ids are unique per cast in
-   practice; dedup defensively). *)
-let cast_msgs (r : Run_result.t) =
-  let seen = Msg_id.Tbl.create 32 in
-  List.filter_map
-    (fun (c : Run_result.cast_event) ->
-      let id = c.msg.Amcast.Msg.id in
-      if Msg_id.Tbl.mem seen id then None
-      else begin
-        Msg_id.Tbl.replace seen id ();
-        Some c.msg
-      end)
-    r.casts
-
 (* Trace readers refuse a run recorded without a trace: with no entries
    to read they would pass it vacuously. *)
 let require_trace what (r : Run_result.t) =
   if not (Trace.enabled r.trace) then
     invalid_arg (what ^ ": the run was recorded without a trace")
 
-(* Indexed prefix-order check, O(deliveries * dest-size) instead of
-   O(groups^2 * deliveries): one pass over the delivery sequences buckets
-   each delivery into the group pairs whose projection contains it. The
+(* Streaming prefix-order check, one walk of the deliveries. The
    property asks, for every pid pair (p, q), that the sequences projected
    on the messages addressed to both p's and q's group be prefix-related.
    A delivery of [m] at a process of group [g_p] appears in pid's
    (ga, gb) projection exactly when {ga, gb} = {g_p, gx} for some gx in
    dest(m) and g_p is itself in dest(m) (the projection keeps messages
    addressed to both groups, and pid is a member of one of them) — so
-   instead of scanning every pair, each delivery fans out to |dest(m)|
-   buckets and pairs never touched by any delivery are vacuously
-   prefix-ordered (every projection in them is empty). Within a bucket,
-   sort the per-pid projections by length and prefix-compare consecutive
-   pairs only: if every consecutive pair is prefix-related, every pair is
-   (length-sorted prefixes chain by transitivity), and a pid absent from
-   the bucket has an empty projection, a prefix of every other.
+   each delivery fans out to |dest(m)| group-pair buckets, and pairs never
+   touched by any delivery are vacuously prefix-ordered.
 
-   Only a bucket whose chain fails is compared pair by pair, so a clean
-   run pays nothing more. Each pid pair (p, q) is owned by exactly one
-   bucket, (g_p, g_q): a same-group bucket (ga, ga) tests all its pairs,
-   a cross bucket (ga, gb) only the pairs with one pid in each group. A
-   cross bucket can fail on a same-group pair alone; that pair is
-   reported by its own (ga, ga) bucket, which fails too (projection
-   preserves the prefix relation). Violations come out in descending
-   (p, q) order. *)
+   A bucket's projections are pairwise prefix-related iff each is a prefix
+   of the longest. Sequences only grow, so that holds at the end iff it
+   held after every delivery: each bucket keeps its longest projection so
+   far (as slots), each (pid, bucket) its length, and a delivery must
+   match the longest projection at that position or append to it. A
+   bucket that ever mismatches is marked failed and stops being tracked.
+
+   Only a failed bucket rebuilds its per-pid projections and compares
+   them pair by pair, so a clean run pays nothing more. Each pid pair
+   (p, q) is owned by exactly one bucket, (g_p, g_q): a same-group bucket
+   (ga, ga) tests all its pairs, a cross bucket (ga, gb) only the pairs
+   with one pid in each group. A cross bucket can fail on a same-group
+   pair alone; that pair is reported by its own (ga, ga) bucket, which
+   fails too (projection preserves the prefix relation). Violations come
+   out in descending (p, q) order.
+
+   State is dense: ng^2 buckets and n * ng positions (pid p's position
+   in bucket (g_p, gx) sits at p * ng + gx). *)
 let uniform_prefix_order (r : Run_result.t) =
   let idx = Run_result.index r in
-  let ng = Topology.n_groups r.topology in
-  (* (min gid * ng + max gid) -> pid -> that pid's projection, reversed *)
-  let pairs : (int, (int, Amcast.Msg.t list ref) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 64
+  let topo = r.topology in
+  let ng = Topology.n_groups topo in
+  let n = Topology.n_processes topo in
+  let key ga gb = if ga <= gb then (ga * ng) + gb else (gb * ng) + ga in
+  (* key -> the longest projection so far; [len] -1 marks a failed bucket *)
+  let longest = Array.make (ng * ng) [||] in
+  let len = Array.make (ng * ng) 0 in
+  let pos = Array.make (n * ng) 0 in
+  (* Slot [s], delivered by [pid] of group [gp], into the buckets
+     (gp, gx) for gx in [dest]. *)
+  let rec fan_out pid gp s = function
+    | [] -> ()
+    | gx :: dest ->
+      let b = key gp gx in
+      let l = len.(b) in
+      if l >= 0 then begin
+        let pi = (pid * ng) + gx in
+        let i = pos.(pi) in
+        pos.(pi) <- i + 1;
+        if i < l then begin
+          if longest.(b).(i) <> s then len.(b) <- -1
+        end
+        else begin
+          if l = Array.length longest.(b) then begin
+            let grown = Array.make (Int.max 8 (2 * l)) 0 in
+            Array.blit longest.(b) 0 grown 0 l;
+            longest.(b) <- grown
+          end;
+          longest.(b).(l) <- s;
+          len.(b) <- l + 1
+        end
+      end;
+      fan_out pid gp s dest
   in
-  Array.iteri
-    (fun pid seq ->
-      let gp = Topology.group_of r.topology pid in
-      Array.iter
-        (fun (m : Amcast.Msg.t) ->
-          if Amcast.Msg.addressed_to_group m gp then
-            List.iter
-              (fun gx ->
-                let key = (min gp gx * ng) + max gp gx in
-                let per_pid =
-                  match Hashtbl.find_opt pairs key with
-                  | Some h -> h
-                  | None ->
-                    let h = Hashtbl.create 8 in
-                    Hashtbl.replace pairs key h;
-                    h
-                in
-                match Hashtbl.find_opt per_pid pid with
-                | Some l -> l := m :: !l
-                | None -> Hashtbl.replace per_pid pid (ref [ m ]))
-              m.Amcast.Msg.dest)
-        seq)
-    idx.Run_result.seqs;
+  for k = 0 to Array.length idx.dels - 1 do
+    let d = idx.dels.(k) in
+    let gp = Topology.group_of topo d.pid in
+    if Amcast.Msg.addressed_to_group d.msg gp then
+      fan_out d.pid gp idx.del_slot.(k) d.msg.Amcast.Msg.dest
+  done;
+  (* A failed bucket's projections, rebuilt from the delivery sequences of
+     the pids of its groups: (pid, projection) for each pid whose
+     projection is non-empty. *)
+  let projections ga gb =
+    let b = key ga gb in
+    let members g = Array.to_list (Topology.members_array topo g) in
+    List.filter_map
+      (fun pid ->
+        let gp = Topology.group_of topo pid in
+        let proj =
+          Array.fold_right
+            (fun k acc ->
+              let m = idx.dels.(k).msg in
+              if Amcast.Msg.addressed_to_group m gp then
+                List.fold_right
+                  (fun gx acc -> if key gp gx = b then m :: acc else acc)
+                  m.Amcast.Msg.dest acc
+              else acc)
+            idx.seqs.(pid) []
+        in
+        match proj with [] -> None | _ -> Some (pid, Array.of_list proj))
+      (if ga = gb then members ga else members ga @ members gb)
+  in
   let is_prefix (a : Amcast.Msg.t array) (b : Amcast.Msg.t array) =
     (* caller guarantees |a| <= |b| *)
     let ok = ref true in
@@ -226,31 +266,19 @@ let uniform_prefix_order (r : Run_result.t) =
   let related a b =
     if Array.length a <= Array.length b then is_prefix a b else is_prefix b a
   in
-  let by_length (_, a) (_, b) = Int.compare (Array.length a) (Array.length b) in
-  let rec chain = function
-    | (_, a) :: ((_, b) :: _ as rest) -> is_prefix a b && chain rest
-    | [ _ ] | [] -> true
-  in
   let pp_seq = Fmt.(list ~sep:(any " ") Amcast.Msg.pp) in
   let violations = ref [] in
-  Hashtbl.iter
-    (fun key per_pid ->
-      let projs =
-        Hashtbl.fold
-          (fun pid l acc -> (pid, Array.of_list (List.rev !l)) :: acc)
-          per_pid []
-      in
-      if not (chain (List.sort by_length projs)) then begin
-        let same_group = key / ng = key mod ng in
+  for ga = 0 to ng - 1 do
+    for gb = ga to ng - 1 do
+      if len.(key ga gb) < 0 then begin
         let rec pid_pairs = function
           | [] -> ()
           | (p, sp) :: later ->
             List.iter
               (fun (q, sq) ->
                 if
-                  (same_group
-                  || Topology.group_of r.topology p
-                     <> Topology.group_of r.topology q)
+                  (ga = gb
+                  || Topology.group_of topo p <> Topology.group_of topo q)
                   && not (related sp sq)
                 then begin
                   let (p, sp), (q, sq) =
@@ -267,49 +295,63 @@ let uniform_prefix_order (r : Run_result.t) =
               later;
             pid_pairs later
         in
-        pid_pairs projs
-      end)
-    pairs;
+        pid_pairs (projections ga gb)
+      end
+    done
+  done;
   List.sort (fun (a, _) (b, _) -> compare b a) !violations |> List.map snd
 
-(* Indexed conflict-order check: first-delivery positions come from the
-   per-pid position tables (O(1) per lookup instead of a sequence scan),
-   and message pairs are enumerated per conflict class when the relation
-   is a partition — only same-class pairs can conflict, so the quadratic
-   enumeration shrinks to the class sizes; solo messages drop out
-   entirely. Bare Commute relations keep the pairwise enumeration. Either
-   way pairs are visited in cast order (each message against the
-   conflicting messages cast after it), which fixes the order of the
-   violation list. *)
+(* Indexed conflict-order check on cast slots: a pair's first-delivery
+   positions are marked in two pid-indexed scratch arrays from the two
+   slots' deliveries, and cleared the same way afterwards. Message pairs
+   are enumerated per conflict class when the relation is a partition —
+   only same-class pairs can conflict, so the quadratic enumeration
+   shrinks to the class sizes; solo messages drop out entirely. Bare
+   Commute relations keep the pairwise enumeration. Either way pairs are
+   visited in cast order (each message against the conflicting messages
+   cast after it), which fixes the order of the violation list. *)
 let conflict_order ~conflict (r : Run_result.t) =
   let idx = Run_result.index r in
-  let msgs = cast_msgs r in
-  let pids_memo = Msg_id.Tbl.create 32 in
-  let pids_of (m : Amcast.Msg.t) =
-    match Msg_id.Tbl.find_opt pids_memo m.id with
+  let n = Topology.n_processes r.topology in
+  let msg s = idx.cast_at.(s).msg in
+  let dest_pids = Array.make idx.n_cast None in
+  let pids_of s =
+    match dest_pids.(s) with
     | Some ps -> ps
     | None ->
-      let ps = Amcast.Msg.dest_pids r.topology m in
-      Msg_id.Tbl.replace pids_memo m.id ps;
+      let ps = Amcast.Msg.dest_pids r.topology (msg s) in
+      dest_pids.(s) <- Some ps;
       ps
   in
+  (* pid -> first position of the pair's first (second) message, or -1 *)
+  let pos1 = Array.make n (-1) and pos2 = Array.make n (-1) in
+  let mark pos s =
+    for j = idx.slot_start.(s) to idx.slot_start.(s + 1) - 1 do
+      let k = idx.by_slot.(j) in
+      let p = idx.dels.(k).pid in
+      if pos.(p) < 0 then pos.(p) <- idx.del_pos.(k)
+    done
+  in
+  let clear pos s =
+    for j = idx.slot_start.(s) to idx.slot_start.(s + 1) - 1 do
+      pos.(idx.dels.(idx.by_slot.(j)).pid) <- -1
+    done
+  in
   let violations = ref [] in
-  let check_pair (m1 : Amcast.Msg.t) (m2 : Amcast.Msg.t) =
-    let common =
-      List.filter
-        (fun p -> Amcast.Msg.addressed_to_pid r.topology m2 p)
-        (pids_of m1)
-    in
+  let check_pair s1 s2 =
+    let m1 = msg s1 and m2 = msg s2 in
+    mark pos1 s1;
+    mark pos2 s2;
     let obs =
-      List.map
+      List.filter_map
         (fun p ->
-          let pos = idx.Run_result.pos.(p) in
-          ( p,
-            pair_obs
-              (Msg_id.Tbl.find_opt pos m1.id)
-              (Msg_id.Tbl.find_opt pos m2.id) ))
-        common
+          if Amcast.Msg.addressed_to_pid r.topology m2 p then
+            Some (p, pair_obs_at pos1.(p) pos2.(p))
+          else None)
+        (pids_of s1)
     in
+    clear pos1 s1;
+    clear pos2 s2;
     let rec pid_pairs = function
       | [] -> ()
       | (p, op) :: later ->
@@ -325,41 +367,34 @@ let conflict_order ~conflict (r : Run_result.t) =
   in
   (match conflict with
   | Amcast.Conflict.Commute _ ->
-    let rec pairs = function
-      | [] -> ()
-      | m1 :: rest ->
-        List.iter
-          (fun m2 ->
-            if Amcast.Conflict.conflicts conflict m1 m2 then check_pair m1 m2)
-          rest;
-        pairs rest
-    in
-    pairs msgs
+    for s1 = 0 to idx.n_cast - 1 do
+      for s2 = s1 + 1 to idx.n_cast - 1 do
+        if Amcast.Conflict.conflicts conflict (msg s1) (msg s2) then
+          check_pair s1 s2
+      done
+    done
   | Amcast.Conflict.Total | Amcast.Conflict.Keyed _ ->
-    (* Walking the casts backwards, a class's list holds exactly the
+    (* Walking the slots backwards, a class's list holds exactly the
        members cast after the current message, in cast order. *)
-    let classes : (string, Amcast.Msg.t list ref) Hashtbl.t =
-      Hashtbl.create 16
-    in
-    List.fold_left
-      (fun acc m ->
-        match Amcast.Conflict.class_of conflict m with
-        | Some (Some c) ->
-          let later =
-            match Hashtbl.find_opt classes c with
-            | Some l -> l
-            | None ->
-              let l = ref [] in
-              Hashtbl.replace classes c l;
-              l
-          in
-          let acc = (m, !later) :: acc in
-          later := m :: !later;
-          acc
-        | Some None -> acc (* solo: conflicts with nothing *)
-        | None -> assert false)
-      [] (List.rev msgs)
-    |> List.iter (fun (m1, later) -> List.iter (check_pair m1) later));
+    let classes : (string, int list ref) Hashtbl.t = Hashtbl.create 16 in
+    let pairs = ref [] in
+    for s = idx.n_cast - 1 downto 0 do
+      match Amcast.Conflict.class_of conflict (msg s) with
+      | Some (Some c) ->
+        let later =
+          match Hashtbl.find_opt classes c with
+          | Some l -> l
+          | None ->
+            let l = ref [] in
+            Hashtbl.replace classes c l;
+            l
+        in
+        pairs := (s, !later) :: !pairs;
+        later := s :: !later
+      | Some None -> () (* solo: conflicts with nothing *)
+      | None -> assert false
+    done;
+    List.iter (fun (s1, later) -> List.iter (check_pair s1) later) !pairs);
   List.rev !violations
 
 (* Indexed genuineness: the allowed set as a per-pid bool array, so each
@@ -425,16 +460,23 @@ let causal_delivery_order (r : Run_result.t) =
   in
   let reach = Causal.cast_reachability causal ids in
   let idx = Run_result.index r in
+  (* slot -> reachability row, or -1 for an id with no traced cast *)
+  let row_of = Array.make idx.n_slots (-1) in
+  Array.iteri
+    (fun ia id ->
+      match Msg_id.Tbl.find_opt idx.slot_of_id id with
+      | Some s -> row_of.(s) <- ia
+      | None -> ())
+    reach.Causal.r_ids;
   let words = reach.Causal.r_words in
   let violations = ref [] in
   Array.iteri
     (fun p seq ->
       let seen = Array.make words 0 in
       Array.iter
-        (fun (m : Amcast.Msg.t) ->
-          match Hashtbl.find_opt reach.Causal.r_index m.Amcast.Msg.id with
-          | None -> ()
-          | Some ia ->
+        (fun k ->
+          let ia = row_of.(idx.del_slot.(k)) in
+          if ia >= 0 then
             if seen.(ia / 63) land (1 lsl (ia mod 63)) = 0 then begin
               let row = reach.Causal.r_succ.(ia) in
               for w = 0 to words - 1 do
@@ -443,7 +485,7 @@ let causal_delivery_order (r : Run_result.t) =
                   for b = 0 to 62 do
                     if inter land (1 lsl b) <> 0 then begin
                       let later = id_text reach.Causal.r_ids.((w * 63) + b)
-                      and earlier = id_text m.Amcast.Msg.id in
+                      and earlier = id_text reach.Causal.r_ids.(ia) in
                       violations :=
                         String.concat ""
                           [

@@ -21,22 +21,30 @@ type delivery_event = {
 
 type index = {
   correct_arr : bool array;  (** pid -> not crashed. *)
-  seqs : Amcast.Msg.t array array;
-      (** pid -> its delivery sequence, oldest first. *)
-  pos : int Runtime.Msg_id.Tbl.t array;
-      (** pid -> (id -> position of that process's first delivery of the
-          message). Keyed per-pid so the index is O(deliveries) in memory
-          rather than O(distinct ids * n_processes). *)
-  casts_by_id : cast_event Runtime.Msg_id.Tbl.t;
-      (** First cast event per id. *)
-  deliveries_by_id : delivery_event list Runtime.Msg_id.Tbl.t Lazy.t;
-      (** Every delivery event per id, in occurrence order. Built on first
-          use by {!deliveries_of}. *)
+  dels : delivery_event array;  (** The deliveries, in occurrence order. *)
+  del_slot : int array;  (** Delivery -> the slot of its message id. *)
+  del_pos : int array;
+      (** Delivery -> its position in its process's delivery sequence. *)
+  seqs : int array array;
+      (** pid -> its delivery sequence, oldest first, as indexes into
+          [dels]. *)
+  n_slots : int;  (** Distinct message ids, cast or delivered. *)
+  n_cast : int;
+      (** Slots [0 .. n_cast - 1] are the cast ids, in order of first
+          cast; the rest were delivered but never cast. *)
+  cast_at : cast_event array;  (** Cast slot -> its first cast event. *)
+  cast_slot : int array;  (** The i-th cast event -> its slot. *)
+  slot_of_id : int Runtime.Msg_id.Tbl.t;  (** Id -> slot. *)
+  slot_start : int array;
+  by_slot : int array;
+      (** The deliveries of slot [s], in occurrence order, are
+          [by_slot.(slot_start.(s))] to
+          [by_slot.(slot_start.(s + 1) - 1)]. *)
 }
-(** Per-run lookup structures built in one pass over the event lists.
-    Everything the checkers consult repeatedly — who crashed, who delivered
-    what and in which position — as O(1) arrays and hash tables instead of
-    list scans. *)
+(** Per-run lookup structures, built in a few linear passes over the
+    cast and delivery logs. Every distinct message id gets a dense int
+    slot, so the checkers run linear passes over int arrays; [slot_of_id]
+    is the only hash table. Memory is O(processes + casts + deliveries). *)
 
 type t = {
   topology : Net.Topology.t;
@@ -79,15 +87,23 @@ val index : t -> index
 (** The memoised per-run index: built on first use, shared by every
     subsequent accessor and checker on the same run. *)
 
+val slot_id : index -> int -> Runtime.Msg_id.t
+(** The message id of a slot. *)
+
+val delivered_everywhere_slot : t -> mark:int array -> int -> bool
+(** [delivered_everywhere_slot t ~mark s] is true when slot [s] was cast
+    and every correct addressee of its first cast delivered it. [mark] is
+    a pid-indexed scratch array, filled with [-1] when created, that
+    calls on the slots of one run may share. *)
+
 val correct : t -> Net.Topology.pid -> bool
 
 val sequence_of : t -> Net.Topology.pid -> Amcast.Msg.t list
 (** The delivery sequence of a process, oldest first. *)
 
-val cast_of : t -> Runtime.Msg_id.t -> cast_event option
 val deliveries_of : t -> Runtime.Msg_id.t -> delivery_event list
-(** Every delivery of the message, in occurrence order; O(1) after
-    indexing. *)
+(** Every delivery of the message, in occurrence order; one table probe
+    and a walk of its deliveries after indexing. *)
 
 val delivered_everywhere_needed : t -> Runtime.Msg_id.t -> bool
 (** True when every correct addressee delivered the message. *)

@@ -45,7 +45,8 @@ let zipf_index ~rng ~theta n =
     !idx
   end
 
-let pick_dest ~rng ~topology = function
+(* [scratch] holds [n_groups] cells and is reused across casts. *)
+let pick_dest ~rng ~topology ~scratch = function
   | To_all_groups -> Topology.all_groups topology
   | Fixed_groups [] ->
     invalid_arg "Workload: Fixed_groups requires a non-empty group list"
@@ -62,11 +63,19 @@ let pick_dest ~rng ~topology = function
       gs;
     gs
   | Random_groups k ->
-    let m = Topology.n_groups topology in
+    (* [Rng.sample_without_replacement] over [all_groups], draw for draw,
+       without building the list and its array copy on every cast. *)
+    let m = Array.length scratch in
     let k = max 1 (min k m) in
     let size = 1 + Rng.int rng k in
-    Rng.sample_without_replacement rng size (Topology.all_groups topology)
-    |> List.sort_uniq Int.compare
+    for g = 0 to m - 1 do
+      scratch.(g) <- g
+    done;
+    Rng.shuffle rng scratch;
+    let rec take i acc =
+      if i < 0 then acc else take (i - 1) (scratch.(i) :: acc)
+    in
+    take (min size m - 1) [] |> List.sort_uniq Int.compare
   | Zipfian_groups { kmax; theta } ->
     (* Placement skew: destination sets concentrate on low-ranked (hot)
        groups, like a workload with popular partitions. Distinct draws by
@@ -115,6 +124,7 @@ let generate ~rng ~topology ~n ~dest ~arrival ?(start = Sim_time.of_ms 1)
         ^ ";m" ^ Int.to_string i
       else "m" ^ Int.to_string i
   in
+  let scratch = Array.make (Topology.n_groups topology) 0 in
   let time = ref start in
   let burst_left = ref 0 in
   List.init n (fun i ->
@@ -142,7 +152,7 @@ let generate ~rng ~topology ~n ~dest ~arrival ?(start = Sim_time.of_ms 1)
       {
         at;
         origin = pick_origin ();
-        dest = pick_dest ~rng ~topology dest;
+        dest = pick_dest ~rng ~topology ~scratch dest;
         payload = payload_of i;
       })
 

@@ -22,6 +22,110 @@ let require_trace what (r : Run_result.t) =
   if not (Trace.enabled r.trace) then
     invalid_arg (what ^ ": the run was recorded without a trace")
 
+let cast_ids (r : Run_result.t) =
+  List.fold_left
+    (fun acc (c : Run_result.cast_event) ->
+      Msg_id.Set.add c.msg.Amcast.Msg.id acc)
+    Msg_id.Set.empty r.casts
+
+let uniform_integrity (r : Run_result.t) =
+  let casts = cast_ids r in
+  (* One id table per pid: no tuple key, no polymorphic hash. *)
+  let seen =
+    Array.init (Topology.n_processes r.topology) (fun _ -> Msg_id.Tbl.create 8)
+  in
+  List.fold_left
+    (fun acc (d : Run_result.delivery_event) ->
+      let id = d.msg.Amcast.Msg.id in
+      let acc =
+        if Msg_id.Tbl.mem seen.(d.pid) id then
+          Fmt.str "p%d delivered %a twice" d.pid Msg_id.pp id :: acc
+        else begin
+          Msg_id.Tbl.replace seen.(d.pid) id ();
+          acc
+        end
+      in
+      let acc =
+        if not (Msg_id.Set.mem id casts) then
+          Fmt.str "p%d delivered %a which was never cast" d.pid Msg_id.pp id
+          :: acc
+        else acc
+      in
+      if not (Amcast.Msg.addressed_to_pid r.topology d.msg d.pid) then
+        Fmt.str "p%d delivered %a but is not an addressee" d.pid Msg_id.pp id
+        :: acc
+      else acc)
+    [] r.deliveries
+
+(* Whether every correct addressee of [id]'s first cast delivered it, from
+   a first-cast table and one delivered-id table per pid, sharing nothing
+   with the run's slot index. *)
+let delivered_everywhere_needed (r : Run_result.t) =
+  let crashed = Array.make (Topology.n_processes r.topology) false in
+  List.iter
+    (fun p -> if p >= 0 && p < Array.length crashed then crashed.(p) <- true)
+    r.crashed;
+  let first_cast = Msg_id.Tbl.create 32 in
+  List.iter
+    (fun (c : Run_result.cast_event) ->
+      let id = c.msg.Amcast.Msg.id in
+      if not (Msg_id.Tbl.mem first_cast id) then
+        Msg_id.Tbl.replace first_cast id c)
+    r.casts;
+  let delivered =
+    Array.init (Topology.n_processes r.topology) (fun _ -> Msg_id.Tbl.create 8)
+  in
+  List.iter
+    (fun (d : Run_result.delivery_event) ->
+      Msg_id.Tbl.replace delivered.(d.pid) d.msg.Amcast.Msg.id ())
+    r.deliveries;
+  fun id ->
+    match Msg_id.Tbl.find_opt first_cast id with
+    | None -> false
+    | Some c ->
+      List.for_all
+        (fun p -> crashed.(p) || Msg_id.Tbl.mem delivered.(p) id)
+        (Amcast.Msg.dest_pids r.topology c.msg)
+
+let validity (r : Run_result.t) =
+  if not r.drained then []
+  else
+    let everywhere = delivered_everywhere_needed r in
+    List.fold_left
+      (fun acc (c : Run_result.cast_event) ->
+        let id = c.msg.Amcast.Msg.id in
+        if not (List.mem c.origin r.crashed) then
+          if everywhere id then acc
+          else
+            Fmt.str
+              "validity: %a cast by correct p%d not delivered by every \
+               correct addressee"
+              Msg_id.pp id c.origin
+            :: acc
+        else acc)
+      [] r.casts
+
+let uniform_agreement (r : Run_result.t) =
+  if not r.drained then []
+  else
+    let everywhere = delivered_everywhere_needed r in
+    let delivered_somewhere =
+      List.fold_left
+        (fun acc (d : Run_result.delivery_event) ->
+          Msg_id.Set.add d.msg.Amcast.Msg.id acc)
+        Msg_id.Set.empty r.deliveries
+    in
+    Msg_id.Set.fold
+      (fun id acc ->
+        if everywhere id then acc
+        else
+          Fmt.str
+            "uniform agreement: %a delivered somewhere but not by every \
+             correct addressee"
+            Msg_id.pp id
+          :: acc)
+      delivered_somewhere []
+
 (* Projected prefix order: for each pair (p, q), restrict both sequences
    to the messages addressed to both p's and q's group, and require one
    to be a prefix of the other. *)

@@ -184,6 +184,49 @@ let test_prefix_differential_synthetic () =
     ]
     fast
 
+let test_prefix_wrong_first () =
+  (* One group of three. p0 is the first to reach position 0 of the
+     group's bucket, with m1, the wrong message; p1 and p2 then both
+     deliver m0 first. Only the pairs with p0 are violations: p1 and p2
+     agree with each other although they contradict the bucket's first
+     entry. *)
+  let topo = Topology.symmetric ~groups:1 ~per_group:3 in
+  let m0 = Amcast.Msg.make ~id:(Msg_id.make ~origin:0 ~seq:0) ~dest:[ 0 ] "a" in
+  let m1 = Amcast.Msg.make ~id:(Msg_id.make ~origin:1 ~seq:0) ~dest:[ 0 ] "b" in
+  let mk_del pid msg at =
+    { Harness.Run_result.pid; msg; at = Sim_time.of_ms at; lc = 1 }
+  in
+  let r =
+    mk_run ~topo
+      ~casts:
+        [
+          { msg = m0; origin = 0; at = Sim_time.of_ms 1; lc = 0 };
+          { msg = m1; origin = 1; at = Sim_time.of_ms 1; lc = 0 };
+        ]
+      ~deliveries:
+        [
+          mk_del 0 m1 2;
+          mk_del 1 m0 3;
+          mk_del 2 m0 3;
+          mk_del 1 m1 4;
+          mk_del 2 m1 4;
+          mk_del 0 m0 5;
+        ]
+      ()
+  in
+  let fast = Harness.Checker.uniform_prefix_order r in
+  check_same_violations "prefix, wrong first" true fast
+    (Oracle.uniform_prefix_order r);
+  Alcotest.(check (list string))
+    "the pairs with p0, in descending order"
+    [
+      "prefix order violated between p0 [m1.0->[0] m0.0->[0]] and p2 \
+       [m0.0->[0] m1.0->[0]]";
+      "prefix order violated between p0 [m1.0->[0] m0.0->[0]] and p1 \
+       [m0.0->[0] m1.0->[0]]";
+    ]
+    fast
+
 let test_prefix_differential_clean () =
   (* Same shape, consistent order: both checkers must accept. *)
   let topo = Topology.symmetric ~groups:2 ~per_group:2 in
@@ -357,12 +400,12 @@ let naive_delivered_everywhere_needed (r : Harness.Run_result.t) id =
              r.deliveries)
       (Amcast.Msg.dest_pids r.topology c.msg)
 
-let differential_ok s r =
+let differential_ok ?(faults = "") s r =
   let check what r =
     let pids = Topology.all_pids r.Harness.Run_result.topology in
     let fail mismatch =
-      QCheck2.Test.fail_reportf "%s mismatch on the %s of %s" mismatch what
-        (pp_scenario s)
+      QCheck2.Test.fail_reportf "%s mismatch on the %s of %s%s" mismatch what
+        (pp_scenario s) faults
     in
     (* indexed accessors *)
     List.for_all
@@ -383,10 +426,28 @@ let differential_ok s r =
            = naive_delivered_everywhere_needed r id
            || fail "delivered_everywhere_needed")
          r.casts
-    (* fast checkers vs naive oracles *)
+    (* fast checkers vs naive oracles: integrity, validity and agreement
+       give the same list, order included *)
+    && (Harness.Checker.uniform_integrity r = Oracle.uniform_integrity r
+       || fail "integrity differential")
+    && (Harness.Checker.validity r = Oracle.validity r
+       || fail "validity differential")
+    && (Harness.Checker.uniform_agreement r = Oracle.uniform_agreement r
+       || fail "agreement differential")
     && (sorted_violations (Harness.Checker.uniform_prefix_order r)
         = sorted_violations (Oracle.uniform_prefix_order r)
        || fail "prefix differential")
+    (* conflict order with every pair conflicting, through the class path
+       (Total) and the pairwise path (a Commute relation) *)
+    && List.for_all
+         (fun conflict ->
+           Harness.Checker.conflict_order ~conflict r
+           = Oracle.conflict_order ~conflict r
+           || fail ("conflict differential, " ^ Amcast.Conflict.name conflict))
+         [
+           Amcast.Conflict.total;
+           Amcast.Conflict.commute ~name:"nothing commutes" (fun _ _ -> false);
+         ]
     && (Harness.Checker.genuineness r = Oracle.genuineness r
        || fail "genuineness differential")
     && (sorted_violations (Harness.Checker.causal_delivery_order r)
@@ -405,6 +466,100 @@ let prop_differential name s =
   let e = Util.entry name in
   let s = if e.crash_tolerant then s else { s with crashes = false } in
   differential_ok s (run_scenario e s)
+
+(* Faults injected into a finished run, each drawn from plain ints and
+   reduced modulo the run's sizes, so every draw applies to every run:
+   a repeated delivery, a delivery of an id nobody cast, a delivery at a
+   process outside the message's groups, a caster marked crashed, a lost
+   delivery (validity and agreement then fail) and an undrained run
+   (they are skipped). *)
+type fault =
+  | Duplicate of int * int (* delivery, later position *)
+  | Never_cast of int * int (* pid, position *)
+  | Non_addressee of int * int (* delivery, outsider *)
+  | Crashed_caster of int (* cast *)
+  | Drop of int (* delivery *)
+  | Undrained
+
+let pp_fault = function
+  | Duplicate (i, j) -> Fmt.str "Duplicate (%d, %d)" i j
+  | Never_cast (p, j) -> Fmt.str "Never_cast (%d, %d)" p j
+  | Non_addressee (i, p) -> Fmt.str "Non_addressee (%d, %d)" i p
+  | Crashed_caster c -> Fmt.str "Crashed_caster %d" c
+  | Drop i -> Fmt.str "Drop %d" i
+  | Undrained -> "Undrained"
+
+let fault_gen =
+  let open QCheck2.Gen in
+  let i = int_bound 10_000 in
+  oneof
+    [
+      map2 (fun a b -> Duplicate (a, b)) i i;
+      map2 (fun a b -> Never_cast (a, b)) i i;
+      map2 (fun a b -> Non_addressee (a, b)) i i;
+      map (fun c -> Crashed_caster c) i;
+      map (fun a -> Drop a) i;
+      pure Undrained;
+    ]
+
+let inject (r : Harness.Run_result.t) fault =
+  let topo = r.topology in
+  let dels = r.deliveries in
+  let nd = List.length dels in
+  let insert d at =
+    List.filteri (fun k _ -> k < at) dels
+    @ (d :: List.filteri (fun k _ -> k >= at) dels)
+  in
+  let remake ?(crashed = r.crashed) ?(drained = r.drained) deliveries =
+    Harness.Run_result.make ~topology:topo ~casts:r.casts ~deliveries ~crashed
+      ~trace:r.trace ~inter_group_msgs:r.inter_group_msgs
+      ~intra_group_msgs:r.intra_group_msgs ~end_time:r.end_time ~drained
+      ~events_executed:r.events_executed ()
+  in
+  match fault with
+  | Duplicate (i, j) when nd > 0 ->
+    let i = i mod nd in
+    remake (insert (List.nth dels i) (i + 1 + (j mod (nd - i))))
+  | Never_cast (p, j) ->
+    let pid = p mod Topology.n_processes topo in
+    let ghost =
+      Amcast.Msg.make
+        ~id:(Msg_id.make ~origin:pid ~seq:(1_000_000 + j))
+        ~dest:[ Topology.group_of topo pid ]
+        "ghost"
+    in
+    remake
+      (insert
+         { Harness.Run_result.pid; msg = ghost; at = r.end_time; lc = 0 }
+         (j mod (nd + 1)))
+  | Non_addressee (i, p) when nd > 0 -> (
+    let i = i mod nd in
+    let d = List.nth dels i in
+    match
+      List.filter
+        (fun q -> not (Amcast.Msg.addressed_to_pid topo d.msg q))
+        (Topology.all_pids topo)
+    with
+    | [] -> r
+    | outsiders ->
+      let q = List.nth outsiders (p mod List.length outsiders) in
+      remake (insert { d with pid = q } (i + 1)))
+  | Crashed_caster c when r.casts <> [] ->
+    let cast = List.nth r.casts (c mod List.length r.casts) in
+    remake ~crashed:(cast.origin :: r.crashed) dels
+  | Drop i when nd > 0 ->
+    let i = i mod nd in
+    remake (List.filteri (fun k _ -> k <> i) dels)
+  | Undrained -> remake ~drained:false dels
+  | Duplicate _ | Non_addressee _ | Crashed_caster _ | Drop _ -> r
+
+let prop_fault_differential name (s, faults) =
+  let e = Util.entry name in
+  let s = if e.crash_tolerant then s else { s with crashes = false } in
+  let r = List.fold_left inject (run_scenario e s) faults in
+  differential_ok
+    ~faults:(" with faults " ^ String.concat ", " (List.map pp_fault faults))
+    s r
 
 (* ----- Hand-built causal-order cases ----- *)
 
@@ -774,6 +929,8 @@ let suites =
           test_prefix_differential_synthetic;
         Alcotest.test_case "prefix differential (clean run)" `Quick
           test_prefix_differential_clean;
+        Alcotest.test_case "prefix: first to a position is the wrong one"
+          `Quick test_prefix_wrong_first;
         Alcotest.test_case "causal differential (violating run)" `Quick
           test_causal_differential_synthetic;
         Util.qcheck_case ~count:20 ~name:"a1: fast checkers = reference"
@@ -782,6 +939,14 @@ let suites =
           scenario_gen (prop_differential "a2");
         Util.qcheck_case ~count:15 ~name:"skeen: fast checkers = reference"
           scenario_gen (prop_differential "skeen");
+        Util.qcheck_case ~count:30
+          ~name:"a1: fast checkers = reference under injected faults"
+          QCheck2.Gen.(pair scenario_gen (list_size (int_range 1 4) fault_gen))
+          (prop_fault_differential "a1");
+        Util.qcheck_case ~count:20
+          ~name:"a2: fast checkers = reference under injected faults"
+          QCheck2.Gen.(pair scenario_gen (list_size (int_range 1 4) fault_gen))
+          (prop_fault_differential "a2");
         Alcotest.test_case "causal: chain through a non-casting relay" `Quick
           test_causal_relay_chain;
         Alcotest.test_case "causal: concurrent casts never flagged" `Quick

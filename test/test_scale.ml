@@ -208,24 +208,31 @@ let test_ring_livelock_regression () =
    slot with [Array.sub] measures 50.4, and a cancelled event that keeps
    its payload until it reaches the heap root measures ~78. *)
 
-let test_a1_allocation_budget () =
-  let module R = Harness.Runner.Make (Amcast.A1) in
-  let topo = Topology.symmetric ~groups:10 ~per_group:3 in
+module A1_runner = Harness.Runner.Make (Amcast.A1)
+
+(* A seeded A1 deployment under the throughput config, its casts
+   scheduled, ready to run. *)
+let a1_deployment ~groups ~per_group ~n =
+  let topo = Topology.symmetric ~groups ~per_group in
   let rng = Des.Rng.create 43 in
   let workload =
-    Harness.Workload.generate ~rng ~topology:topo ~n:2_000
+    Harness.Workload.generate ~rng ~topology:topo ~n
       ~dest:(Harness.Workload.Random_groups 3)
       ~arrival:(`Poisson (Des.Sim_time.of_ms 5))
       ()
   in
   let dep =
-    R.deploy ~seed:43 ~latency:Latency.wan_default ~record_trace:false
+    A1_runner.deploy ~seed:43 ~latency:Latency.wan_default ~record_trace:false
       ~config:Amcast.Protocol.Config.throughput topo
   in
-  ignore (R.schedule dep workload);
+  ignore (A1_runner.schedule dep workload);
+  dep
+
+let test_a1_allocation_budget () =
+  let dep = a1_deployment ~groups:10 ~per_group:3 ~n:2_000 in
   Gc.full_major ();
   let g0 = Gc.quick_stat () in
-  let r = R.run_deployment dep in
+  let r = A1_runner.run_deployment dep in
   let g1 = Gc.quick_stat () in
   Alcotest.(check bool) "drained" true r.Harness.Run_result.drained;
   let deliveries = List.length r.Harness.Run_result.deliveries in
@@ -244,6 +251,26 @@ let test_a1_allocation_budget () =
     Alcotest.failf
       "a1 steady state promotes %.1f words/delivery (budget 49)"
       promoted_per_delivery
+
+(* The safety checks run after every simulated run, so their allocation
+   is part of a run's cost. On the slot index they walk int arrays: this
+   20x5, 1000-cast run measures ~3.9 minor words per delivery for
+   [check_all] (index included), where per-pid position tables, per-pid
+   projection lists and a per-id table of delivery lists measured ~75.
+   The budget of 8 is ~2x. *)
+let test_checker_allocation_budget () =
+  let r =
+    A1_runner.run_deployment (a1_deployment ~groups:20 ~per_group:5 ~n:1_000)
+  in
+  let deliveries = List.length r.Harness.Run_result.deliveries in
+  Alcotest.(check bool) "delivered something" true (deliveries > 0);
+  let w0 = Gc.minor_words () in
+  let violations = Harness.Checker.check_all ~check_quiescence:true r in
+  let per_delivery = (Gc.minor_words () -. w0) /. float_of_int deliveries in
+  Util.check_no_violations "checker budget run" violations;
+  if per_delivery > 8.0 then
+    Alcotest.failf
+      "check_all allocates %.1f minor words/delivery (budget 8)" per_delivery
 
 let suites =
   [
@@ -268,5 +295,7 @@ let suites =
           test_ring_livelock_regression;
         Alcotest.test_case "a1: steady-state minor-words budget" `Slow
           test_a1_allocation_budget;
+        Alcotest.test_case "checkers: minor-words budget" `Slow
+          test_checker_allocation_budget;
       ] );
   ]
