@@ -3,12 +3,12 @@
    Two cell families:
 
    - Campaign cells: a fixed, seeded scenario matrix (the same scenario
-     list Harness.Campaign expands a seed to) through the sequential
-     driver and through the sharded driver at every domain count in a
+     list Harness.Campaign expands a seed to) through the campaign driver
+     on one domain (the "sequential" row) and at every domain count in a
      {1, 2, 4, ...} sweep up to the machine's recommended count (always
      at least {1, 2}, so the cross-domain identity assertion runs even
-     on a single-core host). Exits non-zero if any sharded summary
-     differs from the sequential one at any swept domain count.
+     on a single-core host). Exits non-zero if any swept summary differs
+     from the sequential one.
 
    - Scale cells (--scale full|smoke|off, default smoke): one large
      deployment — hundred-group topology, n=1000 processes at full
@@ -43,22 +43,15 @@ let measure ~driver ~domains ~runs ~seed =
   let summaries =
     List.map
       (fun (t : Amcast.Catalogue.entry) ->
-        let run =
-          match driver with
-          | `Sequential -> Harness.Campaign.run
-          | `Sharded -> Harness.Campaign.run_sharded ~domains
-        in
-        let summary =
-          run t.proto ~broadcast_only:t.broadcast_only
-            ~with_crashes:t.crash_tolerant ~expect_genuine:t.genuine ~seed
-            ~runs ()
-        in
-        (t.name, summary))
+        ( t.name,
+          Harness.Campaign.run_sharded t.proto ~broadcast_only:t.broadcast_only
+            ~with_crashes:t.crash_tolerant ~expect_genuine:t.genuine ~domains
+            ~seed ~runs () ))
       matrix
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   {
-    driver = (match driver with `Sequential -> "sequential" | `Sharded -> "sharded");
+    driver;
     domains;
     wall_s;
     scenarios_run = List.length matrix * runs;
@@ -243,13 +236,13 @@ let () =
     "campaign_bench: %d protocols x %d scenarios, seed %d, domains {%s}\n%!"
     (List.length matrix) runs seed
     (String.concat "," (List.map string_of_int sweep));
-  let seq = measure ~driver:`Sequential ~domains:1 ~runs ~seed in
+  let seq = measure ~driver:"sequential" ~domains:1 ~runs ~seed in
   Printf.printf "  sequential      : %7.3fs  %8d events\n%!" seq.wall_s
     seq.events;
   let sharded =
     List.map
       (fun d ->
-        let m = measure ~driver:`Sharded ~domains:d ~runs ~seed in
+        let m = measure ~driver:"sharded" ~domains:d ~runs ~seed in
         Printf.printf "  sharded (%2dd)   : %7.3fs  %8d events  %.2fx%s\n%!"
           d m.wall_s m.events
           (seq.wall_s /. m.wall_s)

@@ -232,7 +232,7 @@ let () =
     in
     (* The checks Trace_file.replay applies, so a saved counterexample
        replays to the same verdict. *)
-    let check = Mc.Trace_file.check entry config in
+    let check = Harness.Checker.owed entry config in
     let opts =
       {
         E.default_opts with

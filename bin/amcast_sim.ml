@@ -137,12 +137,7 @@ let run_cli (proto : Amcast.Catalogue.entry) groups per_group messages seed
     Fmt.pr "@.timeline:@.%a@."
       (Harness.Trace_render.pp ?max_rows:None ~topology:topo)
       r.trace;
-  let violations =
-    Harness.Checker.check_all ~expect_genuine:proto.genuine
-      ?conflict:
-        (match conflict with `Total -> None | `Key | `None -> Some conflict_rel)
-      ?overlay r
-  in
+  let violations = Harness.Checker.owed proto config r in
   if violations = [] then begin
     Fmt.pr "@.all correctness checks passed.@.";
     0

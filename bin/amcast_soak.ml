@@ -160,7 +160,7 @@ let () =
         else config
       in
       let summary =
-        Harness.Campaign.run_parallel e.proto ~config
+        Harness.Campaign.run_sharded e.proto ~config
           ?conflict:workload_conflict ?overlay_kind ~expect_genuine:e.genuine
           ~check_quiescence:true ~broadcast_only:e.broadcast_only
           ~with_crashes:e.crash_tolerant ~with_nemesis ~domains ~seed ~runs ()

@@ -94,7 +94,6 @@ type ('v, 'w) t = {
   fast : bool;
   on_decide : instance:int -> 'v -> unit;
   instances : 'v instance Window.t;
-  mutable highest_decided : int option;
   (* --- fast-lane state (unused in reference mode) --- *)
   mutable decided_upto : int;
       (* watermark: every instance <= this is locally decided or (per the
@@ -266,9 +265,6 @@ let decide ?(announce = true) t i inst v =
   if inst.decided = None then begin
     inst.decided <- Some v;
     cancel_timer t inst;
-    (match t.highest_decided with
-    | Some h when h >= i -> ()
-    | _ -> t.highest_decided <- Some i);
     if t.fast then advance_decided_upto t;
     if announce then
       (* Reference mode: one Decide broadcast per decider, then silence —
@@ -741,7 +737,6 @@ let create ~services ~wrap ~participants ~detector
       fast = fast_lanes;
       on_decide;
       instances = Window.create ();
-      highest_decided = None;
       decided_upto = 0;
       pruned_upto = 0;
       remote_floor = 0;
@@ -757,7 +752,6 @@ let create ~services ~wrap ~participants ~detector
   detector.subscribe (fun () -> on_suspicion_change t);
   t
 
-let highest_decided t = t.highest_decided
 let retained_instances t = Window.live t.instances
 let pruned_upto t = t.pruned_upto
 let decided_upto t = t.decided_upto

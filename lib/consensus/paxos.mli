@@ -109,9 +109,6 @@ val propose : ('v, 'w) t -> instance:int -> 'v -> unit
 val handle : ('v, 'w) t -> src:Net.Topology.pid -> 'v msg -> unit
 (** Feed an incoming consensus message. *)
 
-val highest_decided : ('v, 'w) t -> int option
-(** Largest instance number the local process has decided, if any. *)
-
 val note_consumed : ('v, 'w) t -> upto:int -> unit
 (** Fast-lane watermark hook for hosts whose instance numbering skips
     (A1's group clock can jump): declares that every instance [<= upto] is

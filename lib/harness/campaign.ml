@@ -46,12 +46,10 @@ let random_scenario rng ?(broadcast_only = false) ?(with_crashes = true)
   }
 
 (* Scenario [i] of campaign [seed] draws from its own RNG substream, a
-   pure function of [(seed, i)]: any driver — sequential, Pool.map over a
-   pre-built list, or a sharded worker that generates scenario [i] inside
-   whichever domain claims index [i] — expands the same campaign to the
-   same scenarios without coordinating over a shared walking rng. Each
-   run then re-seeds everything from its scenario, so outcomes are
-   independent of who generated the scenario where. *)
+   pure function of [(seed, i)]: whichever domain claims index [i]
+   expands it to the same scenario without coordinating over a shared
+   walking rng. Each run then re-seeds everything from its scenario, so
+   outcomes are independent of who generated the scenario where. *)
 let scenario_at ?broadcast_only ?with_crashes ?with_nemesis ~seed i =
   random_scenario
     (Rng.substream seed i)
@@ -104,8 +102,7 @@ let sum_retained lists =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let run_one (module P : Amcast.Protocol.S) ?config ?conflict ?overlay_kind
-    ?(expect_genuine = false) ?(check_causal = false)
-    ?(check_quiescence = false) s =
+    ?(expect_genuine = false) ?(check_quiescence = false) s =
   let module R = Runner.Make (P) in
   (* Overlay campaigns keep the scenario stream but may bump the group
      count to the geometry's minimum (a ring needs a cycle). *)
@@ -156,13 +153,12 @@ let run_one (module P : Amcast.Protocol.S) ?config ?conflict ?overlay_kind
            ~topology:topo ~with_crashes:s.with_crashes ?overlay ())
   in
   let faults = if s.nemesis then [] else faults_for s topo in
-  (* Only the genuineness and causal-order checks read the trace; every
-     other verdict and the outcome's counters come from the engine's cast
-     and delivery logs, which it keeps either way. *)
+  (* Only the genuineness check reads the trace; every other verdict and
+     the outcome's counters come from the engine's cast and delivery
+     logs, which it keeps either way. *)
   let genuine_checked = expect_genuine && not s.with_crashes in
   let dep =
-    R.deploy ~seed:s.seed ~latency ?config
-      ~record_trace:(genuine_checked || check_causal)
+    R.deploy ~seed:s.seed ~latency ?config ~record_trace:genuine_checked
       ~faults ?nemesis topo
   in
   ignore (R.schedule dep workload);
@@ -171,24 +167,17 @@ let run_one (module P : Amcast.Protocol.S) ?config ?conflict ?overlay_kind
     sum_retained
       (List.map (fun pid -> P.stats (R.node dep pid)) (Topology.all_pids topo))
   in
-  (* The ordering property follows the deployment's conflict relation (a
-     constructor match, not structural equality — the relation holds
-     closures): Total keeps the prefix check, anything else owes only the
-     relaxed conflict order. *)
-  let order_conflict =
-    match config with
-    | Some { Amcast.Protocol.Config.conflict = Amcast.Conflict.Total; _ }
-    | None ->
-      None
-    | Some { Amcast.Protocol.Config.conflict = c; _ } -> Some c
-  in
   {
     scenario = s;
     violations =
-      Checker.check_all ~expect_genuine:genuine_checked ~check_causal
-        ~check_quiescence
+      (* The ordering property follows the deployment's conflict relation:
+         Total keeps the prefix check, anything else owes only the relaxed
+         conflict order. *)
+      Checker.check_all ~expect_genuine:genuine_checked ~check_quiescence
         ?liveness_from:(Option.map Nemesis.liveness_from nemesis)
-        ?conflict:order_conflict ?overlay r;
+        ?conflict:
+          (Option.map (fun c -> c.Amcast.Protocol.Config.conflict) config)
+        ?overlay r;
     delivered = Metrics.delivered_count r;
     max_degree = Metrics.max_latency_degree r;
     drained = r.drained;
@@ -210,53 +199,16 @@ let summarize outcomes =
     retained_total = sum_retained (List.map (fun o -> o.retained) outcomes);
   }
 
-let run_scenarios proto ?config ?conflict ?overlay_kind ?expect_genuine
-    ?check_causal ?check_quiescence ss =
-  List.map
-    (run_one proto ?config ?conflict ?overlay_kind ?expect_genuine
-       ?check_causal ?check_quiescence)
-    ss
-
-(* Each scenario owns its seed, so runs are independent; the pool writes
-   outcome [i] at index [i], so the outcome list — and therefore the
-   summary — is bit-identical to the sequential driver's for any domain
-   count. *)
-let run_scenarios_parallel proto ?config ?conflict ?overlay_kind
-    ?expect_genuine ?check_causal ?check_quiescence ?domains ss =
-  Pool.map ?domains
-    (fun s ->
-      run_one proto ?config ?conflict ?overlay_kind ?expect_genuine
-        ?check_causal ?check_quiescence s)
-    (Array.of_list ss)
-  |> Array.to_list
-
-let run proto ?config ?conflict ?overlay_kind ?expect_genuine ?check_causal
-    ?check_quiescence ?broadcast_only ?with_crashes ?with_nemesis ~seed ~runs
-    () =
-  scenarios ?broadcast_only ?with_crashes ?with_nemesis ~seed ~runs ()
-  |> run_scenarios proto ?config ?conflict ?overlay_kind ?expect_genuine
-       ?check_causal ?check_quiescence
-  |> summarize
-
-let run_parallel proto ?config ?conflict ?overlay_kind ?expect_genuine
-    ?check_causal ?check_quiescence ?broadcast_only ?with_crashes
-    ?with_nemesis ?domains ~seed ~runs () =
-  scenarios ?broadcast_only ?with_crashes ?with_nemesis ~seed ~runs ()
-  |> run_scenarios_parallel proto ?config ?conflict ?overlay_kind
-       ?expect_genuine ?check_causal ?check_quiescence ?domains
-  |> summarize
-
-(* Fully sharded driver: nothing is materialised up front — the domain
-   that claims index [i] derives scenario [i] from its substream and runs
-   it, so the coordinating domain does O(1) work per run instead of
-   generating [runs] scenarios serially. Outcome [i] still lands at index
-   [i], so the summary is bit-identical to [run] at every domain count. *)
+(* Nothing is materialised up front: the domain that claims index [i]
+   derives scenario [i] from its substream and runs it, so the
+   coordinating domain does O(1) work per run. Outcome [i] lands at index
+   [i], so the summary is bit-identical at every domain count. *)
 let run_sharded proto ?config ?conflict ?overlay_kind ?expect_genuine
-    ?check_causal ?check_quiescence ?broadcast_only ?with_crashes
-    ?with_nemesis ?domains ~seed ~runs () =
+    ?check_quiescence ?broadcast_only ?with_crashes ?with_nemesis ?domains
+    ~seed ~runs () =
   Pool.tabulate ?domains runs (fun i ->
       run_one proto ?config ?conflict ?overlay_kind ?expect_genuine
-        ?check_causal ?check_quiescence
+        ?check_quiescence
         (scenario_at ?broadcast_only ?with_crashes ?with_nemesis ~seed i))
   |> Array.to_list |> summarize
 

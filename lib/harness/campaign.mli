@@ -6,9 +6,11 @@
     entry point: the test suite runs small campaigns, and
     [bin/amcast_soak] runs large ones from the command line.
 
-    Scenarios are independent (each owns its seed), so a campaign can be
-    fanned out across domains with {!run_parallel}; the aggregate summary
-    is bit-identical to the sequential {!run} for any domain count. *)
+    There is one driver, {!run_sharded}. Scenarios are independent (each
+    owns its seed), so it fans a campaign out across domains, and the
+    summary is bit-identical for any domain count; at [~domains:1] it
+    runs every scenario in order on the calling domain. A caller that
+    wants one outcome per scenario maps {!run_one} over {!scenarios}. *)
 
 type scenario = {
   seed : int;
@@ -86,9 +88,8 @@ val scenarios :
   runs:int ->
   unit ->
   scenario list
-(** The deterministic scenario list campaign [seed] expands to — the one
-    {!run}, {!run_parallel} and {!run_sharded} all execute:
-    [List.init runs (scenario_at ~seed)]. *)
+(** The deterministic scenario list campaign [seed] expands to — the
+    scenarios {!run_sharded} executes: [List.init runs (scenario_at ~seed)]. *)
 
 val run_one :
   (module Amcast.Protocol.S) ->
@@ -96,7 +97,6 @@ val run_one :
   ?conflict:Workload.conflict_spec ->
   ?overlay_kind:Net.Overlay.kind ->
   ?expect_genuine:bool ->
-  ?check_causal:bool ->
   ?check_quiescence:bool ->
   scenario ->
   outcome
@@ -118,75 +118,12 @@ val run_one :
     becomes overlay-aware. Omitted, everything is bit-identical to older
     campaigns.
 
-    The scenario records its run trace only when a check reads it: when
-    genuineness is checked ([expect_genuine] on a scenario without
-    crashes) or when [check_causal] is set. Every other verdict and the
-    outcome's [delivered], [max_degree] and [steps] come from the engine's
-    cast and delivery logs, which are kept either way, so they do not
-    depend on whether the trace was recorded. *)
-
-val run_scenarios :
-  (module Amcast.Protocol.S) ->
-  ?config:Amcast.Protocol.Config.t ->
-  ?conflict:Workload.conflict_spec ->
-  ?overlay_kind:Net.Overlay.kind ->
-  ?expect_genuine:bool ->
-  ?check_causal:bool ->
-  ?check_quiescence:bool ->
-  scenario list ->
-  outcome list
-(** Runs a fixed scenario list sequentially, outcomes in scenario order. *)
-
-val run_scenarios_parallel :
-  (module Amcast.Protocol.S) ->
-  ?config:Amcast.Protocol.Config.t ->
-  ?conflict:Workload.conflict_spec ->
-  ?overlay_kind:Net.Overlay.kind ->
-  ?expect_genuine:bool ->
-  ?check_causal:bool ->
-  ?check_quiescence:bool ->
-  ?domains:int ->
-  scenario list ->
-  outcome list
-(** Same outcomes as {!run_scenarios} (scenario order, identical values),
-    computed on [domains] domains via {!Pool.map}. *)
-
-val run :
-  (module Amcast.Protocol.S) ->
-  ?config:Amcast.Protocol.Config.t ->
-  ?conflict:Workload.conflict_spec ->
-  ?overlay_kind:Net.Overlay.kind ->
-  ?expect_genuine:bool ->
-  ?check_causal:bool ->
-  ?check_quiescence:bool ->
-  ?broadcast_only:bool ->
-  ?with_crashes:bool ->
-  ?with_nemesis:bool ->
-  seed:int ->
-  runs:int ->
-  unit ->
-  summary
-
-val run_parallel :
-  (module Amcast.Protocol.S) ->
-  ?config:Amcast.Protocol.Config.t ->
-  ?conflict:Workload.conflict_spec ->
-  ?overlay_kind:Net.Overlay.kind ->
-  ?expect_genuine:bool ->
-  ?check_causal:bool ->
-  ?check_quiescence:bool ->
-  ?broadcast_only:bool ->
-  ?with_crashes:bool ->
-  ?with_nemesis:bool ->
-  ?domains:int ->
-  seed:int ->
-  runs:int ->
-  unit ->
-  summary
-(** [run_parallel ~domains proto ... ~seed ~runs ()] fans the campaign's
-    scenarios out across [domains] domains (default
-    {!Pool.recommended_domains}) and produces a summary bit-identical to
-    [run proto ... ~seed ~runs ()]. *)
+    The scenario records its run trace only when genuineness, the one
+    check that reads it, is checked ([expect_genuine] on a scenario
+    without crashes). Every other verdict and the outcome's [delivered],
+    [max_degree] and [steps] come from the engine's cast and delivery
+    logs, which are kept either way, so they do not depend on whether the
+    trace was recorded. *)
 
 val run_sharded :
   (module Amcast.Protocol.S) ->
@@ -194,7 +131,6 @@ val run_sharded :
   ?conflict:Workload.conflict_spec ->
   ?overlay_kind:Net.Overlay.kind ->
   ?expect_genuine:bool ->
-  ?check_causal:bool ->
   ?check_quiescence:bool ->
   ?broadcast_only:bool ->
   ?with_crashes:bool ->
@@ -204,11 +140,14 @@ val run_sharded :
   runs:int ->
   unit ->
   summary
-(** Like {!run_parallel}, but nothing is materialised up front: the
-    domain that claims run [i] derives scenario [i] locally from its
+(** [run_sharded proto ... ~domains ~seed ~runs ()] runs campaign [seed]'s
+    [runs] scenarios through {!run_one} on [domains] domains (default
+    {!Pool.recommended_domains}; [~domains:1] is the sequential driver)
+    and aggregates them. Nothing is materialised up front: the domain
+    that claims run [i] derives scenario [i] locally from its
     {!Des.Rng.substream} ({!scenario_at}) and runs it, so the campaign
     scales to run counts where serially pre-generating the scenario list
-    would itself be a bottleneck. The summary is bit-identical to {!run}
-    and {!run_parallel} at every domain count. *)
+    would itself be a bottleneck. The summary is bit-identical at every
+    domain count. *)
 
 val pp_summary : Format.formatter -> summary -> unit

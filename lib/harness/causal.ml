@@ -189,18 +189,17 @@ let latency_degree t id =
 
 type reachability = {
   r_ids : Msg_id.t array;
-  r_index : (Msg_id.t, int) Hashtbl.t;
   r_words : int;
   r_succ : int array array;
 }
 
 let cast_reachability t ids =
-  let dedup = Hashtbl.create 16 in
+  let dedup = Msg_id.Tbl.create 16 in
   let nodes = ref [] in
   List.iter
     (fun id ->
-      if not (Hashtbl.mem dedup id) then begin
-        Hashtbl.replace dedup id ();
+      if not (Msg_id.Tbl.mem dedup id) then begin
+        Msg_id.Tbl.replace dedup id ();
         match Msg_id.Tbl.find_opt t.casts id with
         | Some node -> nodes := (id, node) :: !nodes
         | None -> ()
@@ -209,8 +208,6 @@ let cast_reachability t ids =
   let pairs = Array.of_list (List.rev !nodes) in
   let n = Array.length pairs in
   let r_ids = Array.map fst pairs in
-  let r_index = Hashtbl.create (max 16 n) in
-  Array.iteri (fun i id -> Hashtbl.replace r_index id i) r_ids;
   let len = Array.length t.entries in
   let np = t.n_procs in
   (* Clock copies live in flat arrays, [np] entries per slot: one slot per
@@ -260,7 +257,7 @@ let cast_reachability t ids =
         row.(b / 63) <- row.(b / 63) lor (1 lsl (b mod 63))
     done
   done;
-  { r_ids; r_index; r_words; r_succ }
+  { r_ids; r_words; r_succ }
 
 let causally_precedes t a b =
   match (Msg_id.Tbl.find_opt t.casts a, Msg_id.Tbl.find_opt t.casts b) with

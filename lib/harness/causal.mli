@@ -48,7 +48,6 @@ val causally_precedes :
 
 type reachability = {
   r_ids : Runtime.Msg_id.t array;  (** Cast ids, in index order. *)
-  r_index : (Runtime.Msg_id.t, int) Hashtbl.t;  (** Id -> index. *)
   r_words : int;  (** Words per row; 63 indices per word. *)
   r_succ : int array array;
       (** Row [a]: bit [b] set iff the A-XCast of [r_ids.(a)]

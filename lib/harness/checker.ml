@@ -508,10 +508,9 @@ let quiescence (r : Run_result.t) =
   if r.drained then []
   else [ "run did not drain: the deployment kept scheduling events" ]
 
-let check_all ?(expect_genuine = false) ?(check_causal = false)
-    ?(check_quiescence = false) ?(liveness_from = Des.Sim_time.zero) ?conflict
-    ?overlay r =
-  (* Safety (integrity, prefix order, genuineness, causal order) is owed at
+let check_all ?(expect_genuine = false) ?(check_quiescence = false)
+    ?(liveness_from = Des.Sim_time.zero) ?conflict ?overlay r =
+  (* Safety (integrity, prefix order, genuineness) is owed at
      every instant of every run, faults or not. Liveness (validity,
      agreement, quiescence) is only owed once the fault plan is over: a run
      cut short inside a partition window legitimately has undelivered
@@ -531,5 +530,8 @@ let check_all ?(expect_genuine = false) ?(check_causal = false)
   @ (if liveness_due then uniform_agreement r else [])
   @ order_violations
   @ (if expect_genuine then genuineness ?overlay r else [])
-  @ (if check_causal then causal_delivery_order r else [])
   @ if check_quiescence && liveness_due then quiescence r else []
+
+let owed (e : Amcast.Catalogue.entry) (config : Amcast.Protocol.Config.t) r =
+  check_all ~expect_genuine:e.genuine ~conflict:config.conflict
+    ?overlay:config.overlay r

@@ -116,7 +116,6 @@ val causal_delivery_order : Run_result.t -> violation list
 
 val check_all :
   ?expect_genuine:bool ->
-  ?check_causal:bool ->
   ?check_quiescence:bool ->
   ?liveness_from:Des.Sim_time.t ->
   ?conflict:Amcast.Conflict.t ->
@@ -124,13 +123,14 @@ val check_all :
   Run_result.t ->
   violation list
 (** Integrity + validity + agreement + prefix order, plus genuineness when
-    [expect_genuine], causal delivery order when [check_causal] and
-    quiescence when [check_quiescence] (all default false).
-    [expect_genuine] and [check_causal] read the trace and raise
+    [expect_genuine] and quiescence when [check_quiescence] (both default
+    false). [expect_genuine] reads the trace and raises
     [Invalid_argument] on a run recorded without one; the other checks
     read only the cast and delivery logs. [check_quiescence] only makes
     sense on runs executed without a horizon by a protocol that stops
-    scheduling when idle.
+    scheduling when idle. Causal delivery order is owed by no catalogue
+    entry, so it is not part of this set; call
+    {!causal_delivery_order} directly.
 
     [conflict] selects the ordering property: absent or
     {!Amcast.Conflict.Total}, the total-order prefix check (byte-identical
@@ -147,3 +147,15 @@ val check_all :
     i.e. its final heal). The safety checks are applied unconditionally:
     no fault schedule excuses an ordering, integrity or genuineness
     violation. *)
+
+val owed :
+  Amcast.Catalogue.entry ->
+  Amcast.Protocol.Config.t ->
+  Run_result.t ->
+  violation list
+(** [owed entry config r] is what a run of [entry] under [config] owes:
+    {!check_all} with genuineness iff the entry is [genuine] (overlay-aware
+    when [config] carries an overlay) and the ordering check that
+    [config]'s conflict relation selects — prefix order under
+    {!Amcast.Conflict.Total}, the relaxed {!conflict_order} otherwise.
+    Reads the trace when the entry is genuine. *)

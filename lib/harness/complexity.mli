@@ -41,9 +41,6 @@ val sequencer : n:int -> cost
 val a2 : n:int -> cost
 (** Algorithm A2 (warm): degree 1, O(n²). *)
 
-val detmerge_broadcast : n:int -> cost
-(** Aguilera & Strom [1]: degree 1, O(n). *)
-
 val multicast_ordering_holds : k:int -> d:int -> bool
 (** The headline ordering of Figure 1(a) for [k >= 2]:
     [1] < A1 = [5] < [4]-for-k>=2 and [10] slowest among genuine; and the

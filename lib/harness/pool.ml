@@ -6,11 +6,11 @@ let recommended_domains () = Domain.recommended_domain_count ()
    that an unlucky worker cannot end up holding a long tail. Results land
    at their input index, so the output order is the input order no matter
    how the chunks interleave — determinism costs nothing here. *)
-let generic ~who ?domains n f =
+let tabulate ?domains n f =
   let domains =
     match domains with
     | Some d ->
-      if d < 1 then invalid_arg (who ^ ": domains must be >= 1");
+      if d < 1 then invalid_arg "Pool.tabulate: domains must be >= 1";
       d
     | None -> recommended_domains ()
   in
@@ -50,9 +50,3 @@ let generic ~who ?domains n f =
           | None -> assert false (* every index was claimed exactly once *))
         results
   end
-
-let tabulate ?domains n f = generic ~who:"Pool.tabulate" ?domains n f
-
-let map ?domains f items =
-  generic ~who:"Pool.map" ?domains (Array.length items) (fun i ->
-      f items.(i))

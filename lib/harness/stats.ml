@@ -1,5 +1,3 @@
-let of_ints = List.map float_of_int
-
 let mean = function
   | [] -> None
   | xs ->

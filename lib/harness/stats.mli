@@ -17,5 +17,3 @@ val histogram : buckets:int -> float list -> (float * int) list
 (** [histogram ~buckets xs] is a list of (bucket lower bound, count) over
     the sample range; empty for an empty sample.
     @raise Invalid_argument if [buckets <= 0]. *)
-
-val of_ints : int list -> float list

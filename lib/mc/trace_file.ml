@@ -209,12 +209,6 @@ let config_of_name = function
       }
   | _ -> None
 
-let check (e : Amcast.Catalogue.entry) (config : Amcast.Protocol.Config.t) r =
-  Harness.Checker.check_all ~expect_genuine:e.genuine
-    ?conflict:
-      (match config.conflict with Amcast.Conflict.Total -> None | c -> Some c)
-    ?overlay:config.overlay r
-
 let replay ?max_steps t =
   match Amcast.Catalogue.find t.protocol with
   | None -> Error (Printf.sprintf "unknown protocol %S" t.protocol)
@@ -276,4 +270,4 @@ let replay ?max_steps t =
           ~topology workload
       in
       let r = E.replay ?max_steps setup t.choices in
-      Ok (r, check entry config r))
+      Ok (r, Harness.Checker.owed entry config r))

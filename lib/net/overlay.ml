@@ -4,6 +4,9 @@
 
 type edge_class = Metro | Continental | Intercontinental
 
+(* Jitter-free one-way delay of a link of this class. The
+   Intercontinental delay equals [Latency.wan_default]'s inter-group base,
+   so a clique overlay reproduces the classic WAN model. *)
 let class_delay_us = function
   | Metro -> 5_000
   | Continental -> 20_000

@@ -27,13 +27,6 @@ type edge_class =
   | Continental  (** same continent, 20 ms *)
   | Intercontinental  (** cross-continent, 50 ms *)
 
-val class_delay_us : edge_class -> int
-(** Jitter-free one-way delay modelled for a link of this class. The
-    Intercontinental delay equals {!Latency.wan_default}'s inter-group
-    base, so a clique overlay reproduces the classic WAN model. *)
-
-val class_name : edge_class -> string
-
 type kind = Clique | Hub | Ring | Tree | Custom
 
 val kind_name : kind -> string

@@ -387,8 +387,9 @@ let campaign_clean (e : Amcast.Catalogue.entry) =
       Harness.Campaign.scenarios ~broadcast_only:e.broadcast_only
         ~with_crashes:false ~seed:99 ~runs:6 ()
       |> List.map (fun s -> { s with Harness.Campaign.jitter = false })
-      |> Harness.Campaign.run_scenarios e.proto
-           ~config:Amcast.Protocol.Config.default ~expect_genuine:e.genuine
+      |> List.map
+           (Harness.Campaign.run_one e.proto
+              ~config:Amcast.Protocol.Config.default ~expect_genuine:e.genuine)
       |> List.iter (fun (o : Harness.Campaign.outcome) ->
              Alcotest.(check (list string)) "violations" [] o.violations;
              Alcotest.(check bool) "delivered" true (o.delivered > 0);

@@ -398,9 +398,9 @@ let test_trace_render () =
 
 let test_campaign_small () =
   let summary =
-    Harness.Campaign.run
+    Harness.Campaign.run_sharded
       (module Amcast.A1)
-      ~expect_genuine:true ~with_crashes:true ~seed:17 ~runs:6 ()
+      ~expect_genuine:true ~with_crashes:true ~domains:1 ~seed:17 ~runs:6 ()
   in
   Alcotest.(check int) "all clean" summary.runs summary.clean;
   Alcotest.(check bool) "delivered something" true

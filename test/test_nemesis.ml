@@ -216,9 +216,9 @@ let test_generate_follows_cut_edges () =
 let campaign_case (e : Amcast.Catalogue.entry) =
   Alcotest.test_case e.name `Quick (fun () ->
       let summary =
-        Harness.Campaign.run e.proto ~broadcast_only:e.broadcast_only
+        Harness.Campaign.run_sharded e.proto ~broadcast_only:e.broadcast_only
           ~with_crashes:e.crash_tolerant ~with_nemesis:true
-          ~check_quiescence:true ~seed:1234 ~runs:8 ()
+          ~check_quiescence:true ~domains:1 ~seed:1234 ~runs:8 ()
       in
       Alcotest.(check int)
         (Fmt.str "%s: all nemesis runs clean" e.name)
@@ -226,37 +226,28 @@ let campaign_case (e : Amcast.Catalogue.entry) =
       Alcotest.(check bool) "non-trivial" true (summary.delivered_total > 0))
 
 (* Campaigns over an overlay: the nemesis plans partition along the hub's
-   bridges, flexcast routes over it, and the parallel fan-out stays
-   bit-identical to the sequential run. No crash injection: flexcast is
-   Skeen-style, deliberately not fault-tolerant. *)
+   bridges, flexcast routes over it, and the fan-out over four domains
+   stays bit-identical to the one-domain run. No crash injection:
+   flexcast is Skeen-style, deliberately not fault-tolerant. *)
 let test_overlay_campaign_parallel_identical () =
-  let seq =
-    Harness.Campaign.run
+  let campaign domains =
+    Harness.Campaign.run_sharded
       (module Amcast.Flexcast)
       ~overlay_kind:Overlay.Hub ~with_crashes:false ~with_nemesis:true
-      ~check_quiescence:true ~seed:77 ~runs:8 ()
+      ~check_quiescence:true ~domains ~seed:77 ~runs:8 ()
   in
-  let par =
-    Harness.Campaign.run_parallel
-      (module Amcast.Flexcast)
-      ~overlay_kind:Overlay.Hub ~with_crashes:false ~with_nemesis:true
-      ~check_quiescence:true ~domains:4 ~seed:77 ~runs:8 ()
-  in
+  let seq = campaign 1 and par = campaign 4 in
   Alcotest.(check int) "all overlay nemesis runs clean" seq.runs seq.clean;
   Alcotest.(check bool) "non-trivial" true (seq.delivered_total > 0);
   Alcotest.(check bool) "overlay summaries bit-identical" true (par = seq)
 
 let test_campaign_parallel_identical () =
-  let seq =
-    Harness.Campaign.run
+  let campaign domains =
+    Harness.Campaign.run_sharded
       (module Amcast.A1)
-      ~with_nemesis:true ~seed:99 ~runs:10 ()
+      ~with_nemesis:true ~domains ~seed:99 ~runs:10 ()
   in
-  let par =
-    Harness.Campaign.run_parallel
-      (module Amcast.A1)
-      ~with_nemesis:true ~domains:4 ~seed:99 ~runs:10 ()
-  in
+  let seq = campaign 1 and par = campaign 4 in
   Alcotest.(check bool) "nemesis summaries bit-identical" true (par = seq);
   Alcotest.(check bool) "non-trivial campaign" true (seq.total_steps > 0)
 

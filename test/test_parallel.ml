@@ -1,5 +1,6 @@
-(* The parallel execution layer: Harness.Pool semantics and the
-   bit-identical-summary guarantee of Campaign.run_parallel. *)
+(* The parallel execution layer: Harness.Pool.tabulate semantics and the
+   bit-identical-summary guarantee of Campaign.run_sharded — one domain
+   against several. *)
 
 let heavy i =
   (* A little CPU per item so chunks genuinely interleave across domains. *)
@@ -10,79 +11,79 @@ let heavy i =
   (i, !acc)
 
 let test_pool_matches_sequential_map () =
-  let items = Array.init 37 (fun i -> i) in
-  let expected = Array.map heavy items in
+  let expected = Array.init 37 heavy in
   List.iter
     (fun domains ->
       Alcotest.(check (array (pair int int)))
         (Fmt.str "domains=%d" domains)
         expected
-        (Harness.Pool.map ~domains heavy items))
+        (Harness.Pool.tabulate ~domains 37 heavy))
     [ 1; 2; 4; 7 ]
 
 let test_pool_default_domains () =
-  let items = Array.init 5 (fun i -> i) in
   Alcotest.(check (array (pair int int)))
-    "default domain count" (Array.map heavy items)
-    (Harness.Pool.map heavy items)
+    "default domain count" (Array.init 5 heavy)
+    (Harness.Pool.tabulate 5 heavy)
 
 let test_pool_edge_sizes () =
   Alcotest.(check (array int)) "empty" [||]
-    (Harness.Pool.map ~domains:4 (fun x -> x) [||]);
+    (Harness.Pool.tabulate ~domains:4 0 Fun.id);
   Alcotest.(check (array int)) "more domains than items" [| 10; 20 |]
-    (Harness.Pool.map ~domains:16 (fun x -> x * 10) [| 1; 2 |])
+    (Harness.Pool.tabulate ~domains:16 2 (fun i -> (i + 1) * 10))
 
 let test_pool_invalid_domains () =
   Alcotest.check_raises "domains = 0 rejected"
-    (Invalid_argument "Pool.map: domains must be >= 1") (fun () ->
-      ignore (Harness.Pool.map ~domains:0 Fun.id [| 1 |]))
+    (Invalid_argument "Pool.tabulate: domains must be >= 1") (fun () ->
+      ignore (Harness.Pool.tabulate ~domains:0 1 Fun.id))
 
 let test_pool_propagates_exception () =
   Alcotest.check_raises "worker failure reaches the caller"
     (Failure "boom") (fun () ->
       ignore
-        (Harness.Pool.map ~domains:3
-           (fun i -> if i = 11 then failwith "boom" else i)
-           (Array.init 20 Fun.id)))
+        (Harness.Pool.tabulate ~domains:3 20 (fun i ->
+             if i = 11 then failwith "boom" else i)))
 
+(* The summary keeps outcomes in scenario order: a genuineness campaign of
+   the non-genuine via-broadcast flags some runs, and its failures must be
+   those scenarios, in the order [scenarios] lists them, at one domain and
+   at four. *)
 let test_parallel_outcomes_in_scenario_order () =
-  let ss =
-    Harness.Campaign.scenarios ~with_crashes:false ~seed:5 ~runs:8 ()
+  let seeds =
+    Harness.Campaign.scenarios ~with_crashes:false ~seed:3 ~runs:20 ()
+    |> List.map (fun (s : Harness.Campaign.scenario) -> s.seed)
   in
-  let outcomes =
-    Harness.Campaign.run_scenarios_parallel
-      (module Amcast.Skeen : Amcast.Protocol.S)
-      ~domains:4 ss
+  let failed domains =
+    (Harness.Campaign.run_sharded
+       (module Amcast.Via_broadcast : Amcast.Protocol.S)
+       ~expect_genuine:true ~with_crashes:false ~domains ~seed:3 ~runs:20 ())
+      .failures
+    |> List.map (fun (o : Harness.Campaign.outcome) -> o.scenario.seed)
   in
+  let seq = failed 1 in
+  Alcotest.(check bool) "some runs flagged" true (seq <> []);
   Alcotest.(check (list int))
-    "outcome i belongs to scenario i"
-    (List.map (fun (s : Harness.Campaign.scenario) -> s.seed) ss)
-    (List.map
-       (fun (o : Harness.Campaign.outcome) -> o.scenario.seed)
-       outcomes)
+    "failures in scenario order" (List.filter (fun s -> List.mem s seq) seeds)
+    seq;
+  Alcotest.(check (list int)) "same failures at 4 domains" seq (failed 4)
 
-(* The tentpole guarantee: for identical seeds, the parallel campaign's
-   summary — violations, delivered counts, per-scenario outcomes, event
-   counts — is structurally identical to the sequential one's, for any
-   domain count. *)
+(* The tentpole guarantee: for identical seeds, the campaign's summary —
+   violations, delivered counts, per-scenario outcomes, event counts — is
+   structurally identical on one domain and on several. *)
 let determinism name (e : Amcast.Catalogue.entry) =
   Alcotest.test_case name `Slow (fun () ->
       let broadcast_only = e.broadcast_only
       and with_crashes = e.crash_tolerant in
-      let seq =
-        Harness.Campaign.run e.proto ~broadcast_only ~with_crashes ~seed:42
-          ~runs:10 ()
+      let sharded domains =
+        Harness.Campaign.run_sharded e.proto ~broadcast_only ~with_crashes
+          ~domains ~seed:42 ~runs:10 ()
       in
+      let seq = sharded 1 in
       List.iter
         (fun domains ->
-          let par =
-            Harness.Campaign.run_parallel e.proto ~broadcast_only ~with_crashes
-              ~domains ~seed:42 ~runs:10 ()
-          in
           Alcotest.(check bool)
             (Fmt.str "summary identical at %d domains" domains)
-            true (par = seq))
-        [ 1; 4 ];
+            true (sharded domains = seq))
+        [ 2; 4 ];
       Alcotest.(check bool) "non-trivial campaign" true (seq.total_steps > 0))
 
 let suites =

@@ -125,17 +125,19 @@ let test_substream () =
       ignore (Des.Rng.substream 1 (-1)))
 
 (* ------------------------------------------------------------------ *)
-(* Sharded campaigns: the summary must be bit-identical to the
-   sequential driver at every domain count, including domain counts
-   that do not divide the run count. *)
+(* Sharded campaigns: the summary must carry, failure for failure, the
+   outcomes of running each scenario of [Campaign.scenarios] in order, at
+   every domain count, including domain counts that do not divide the run
+   count. *)
 
 let test_sharded_identity () =
   let seed = 11 and runs = 9 in
-  let seq =
-    Harness.Campaign.run
-      (module Amcast.A1)
-      ~expect_genuine:true ~seed ~runs ()
+  let outcomes =
+    List.map
+      (Harness.Campaign.run_one (module Amcast.A1) ~expect_genuine:true)
+      (Harness.Campaign.scenarios ~seed ~runs ())
   in
+  let sum f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
   List.iter
     (fun domains ->
       let sh =
@@ -145,7 +147,15 @@ let test_sharded_identity () =
       in
       Alcotest.(check bool)
         (Printf.sprintf "sharded(%d) = sequential" domains)
-        true (sh = seq))
+        true
+        (sh.runs = runs
+        && sh.failures
+           = List.filter
+               (fun (o : Harness.Campaign.outcome) -> o.violations <> [])
+               outcomes
+        && sh.delivered_total
+           = sum (fun (o : Harness.Campaign.outcome) -> o.delivered)
+        && sh.total_steps = sum (fun (o : Harness.Campaign.outcome) -> o.steps)))
     [ 1; 2; 3; 4 ]
 
 let test_sharded_scenarios_agree () =

@@ -5,10 +5,10 @@
 let campaign ?config ?conflict ?name (e : Amcast.Catalogue.entry) =
   Alcotest.test_case (Option.value name ~default:e.name) `Slow (fun () ->
       let summary =
-        Harness.Campaign.run e.proto ?config ?conflict
+        Harness.Campaign.run_sharded e.proto ?config ?conflict
           ~expect_genuine:e.genuine ~check_quiescence:true
           ~broadcast_only:e.broadcast_only ~with_crashes:e.crash_tolerant
-          ~seed:99 ~runs:12 ()
+          ~domains:1 ~seed:99 ~runs:12 ()
       in
       (match summary.failures with
       | [] -> ()
@@ -30,9 +30,11 @@ let ring_seed0_regression =
     `Slow (fun () ->
       let scenarios = Harness.Campaign.scenarios ~seed:0 ~runs:12 () in
       let outcomes =
-        Harness.Campaign.run_scenarios
-          (module Amcast.Ring : Amcast.Protocol.S)
-          ~expect_genuine:true ~check_quiescence:true scenarios
+        List.map
+          (Harness.Campaign.run_one
+             (module Amcast.Ring : Amcast.Protocol.S)
+             ~expect_genuine:true ~check_quiescence:true)
+          scenarios
       in
       List.iter
         (fun (o : Harness.Campaign.outcome) ->
@@ -45,10 +47,9 @@ let ring_seed0_regression =
                    (String.concat "; " v))
         outcomes)
 
-(* The trace-reading checks must still see a trace on the campaign path.
-   Via-broadcast is not genuine and A1 does not promise causal delivery
-   order, so a crash-free genuineness campaign and a causal-order campaign
-   each flag runs; a campaign that stopped recording would flag none. *)
+(* The trace-reading check must still see a trace on the campaign path.
+   Via-broadcast is not genuine, so a crash-free genuineness campaign
+   flags runs; a campaign that stopped recording would flag none. *)
 let trace_checks_fed =
   let flagged ~prefix (s : Harness.Campaign.summary) =
     List.filter
@@ -60,21 +61,14 @@ let trace_checks_fed =
   Alcotest.test_case "campaigns feed the trace-reading checks" `Slow
     (fun () ->
       let genuine =
-        Harness.Campaign.run
+        Harness.Campaign.run_sharded
           (module Amcast.Via_broadcast : Amcast.Protocol.S)
-          ~expect_genuine:true ~with_crashes:false ~seed:3 ~runs:20 ()
+          ~expect_genuine:true ~with_crashes:false ~domains:1 ~seed:3
+          ~runs:20 ()
       in
       Alcotest.(check int)
         "via-broadcast runs flagged by genuineness" 2
-        (flagged ~prefix:"genuineness:" genuine);
-      let causal =
-        Harness.Campaign.run
-          (module Amcast.A1 : Amcast.Protocol.S)
-          ~check_causal:true ~seed:3 ~runs:20 ()
-      in
-      Alcotest.(check int)
-        "a1 runs flagged by causal order" 2
-        (flagged ~prefix:"causal order:" causal))
+        (flagged ~prefix:"genuineness:" genuine))
 
 let generic_key_config =
   {
