@@ -10,4 +10,4 @@ let () =
    @ Test_soak.suites
    @ Test_mc.suites @ Test_throughput.suites @ Test_scale.suites
    @ Test_transport.suites @ Test_stamp_order.suites
-   @ Test_event_core.suites @ Test_a1_stages.suites)
+   @ Test_event_core.suites @ Test_a1_stages.suites @ Test_order_pins.suites)
