@@ -6,7 +6,7 @@
    that load actually queues at the NIC instead of vanishing into the
    pure-latency model. Each cell runs twice — unbatched
    (Protocol.Config.default) and batched (Protocol.Config.throughput:
-   cast batching + pipelined consensus + ack coalescing) — and reports
+   cast batching + pipelined consensus) — and reports
    delivered msgs/sec of sim time plus p50/p99 cast-to-delivery latency.
 
    Two properties are checked; any failure exits non-zero:
@@ -16,8 +16,8 @@
      window (the saturation win the lane exists for);
    - safety: on faulty runs (deterministic crash schedules and generated
      nemesis plans) the batched lane and the unbatched Config.default
-     must produce the same checker verdicts — batching, pipelining and
-     ack coalescing may change counts and timings, never correctness.
+     must produce the same checker verdicts — batching and pipelining
+     may change counts and timings, never correctness.
 
    Usage: throughput_bench [--seed S] [--out PATH] [--smoke]
    Defaults: seed 0, ./BENCH_throughput.json, full grid. *)
@@ -48,7 +48,6 @@ type cell = {
   batched_casts : int;
   casts_per_batch_max : int;
   pipeline_depth_max : int;
-  acks_coalesced : int;
   wall_s : float;
 }
 
@@ -112,7 +111,6 @@ let run_cell (type a) (module P : Amcast.Protocol.S with type t = a) ~mode
       batched_casts = stat "batched_casts";
       casts_per_batch_max = stat_max "casts_per_batch_max";
       pipeline_depth_max = stat_max "pipeline_depth_max";
-      acks_coalesced = stat "acks_coalesced";
       wall_s;
     }
   in
@@ -211,7 +209,6 @@ let json_of_cell c =
       ("batched_casts", Int c.batched_casts);
       ("casts_per_batch_max", Int c.casts_per_batch_max);
       ("pipeline_depth_max", Int c.pipeline_depth_max);
-      ("acks_coalesced", Int c.acks_coalesced);
       ("wall_s", float 6 c.wall_s);
     ]
 
@@ -313,7 +310,7 @@ let () =
      differential(s)\n%!"
     (List.length cells) saturation_ratio top_rate (List.length divergent);
   let open Harness.Bench_json in
-  write ~schema:"amcast-bench-throughput/v2" ~out:!out
+  write ~schema:"amcast-bench-throughput/v3" ~out:!out
     ~gates:
       [
         ("no_divergent_differentials", divergent = []);

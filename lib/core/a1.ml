@@ -66,15 +66,15 @@ let create ~services ~config ~deliver =
 let cast = A1_stages.cast
 
 let on_receive t ~src = function
-  | Rm m -> A1_stages.on_rm t ~src m
+  | Rm m -> Group_stack.on_rm (A1_stages.stack t) ~src m
   | Ts { msg; ts; from_group } -> A1_stages.proposal t ~from_group ~ts msg
   | Tsb { msgs; ts; from_group } ->
     (* A closure, not a partial application of the labelled [proposal]:
        that one costs about 150 more minor words per delivery on the
        100-group throughput workload. *)
     List.iter (fun m -> A1_stages.proposal t ~from_group ~ts m) msgs
-  | Cons m -> A1_stages.on_cons t ~src m
-  | Hb m -> A1_stages.on_hb t ~src m
+  | Cons m -> Group_stack.on_cons (A1_stages.stack t) ~src m
+  | Hb m -> Group_stack.on_hb (A1_stages.stack t) ~src m
 
 let pending_count = A1_stages.pending_count
 let clock = A1_stages.clock

@@ -49,17 +49,10 @@ type 'w t = {
   adelivered : unit Msg_id.Tbl.t;
   decisions : entry list Consensus.Window.t; (* decided, not yet processed *)
   prop_pool : int Slab.Row.pool; (* proposal rows, width = n_groups *)
-  mutable rm : (Msg.t list, 'w) Rmcast.Reliable_multicast.t option;
-  mutable cons : (entry list, 'w) Consensus.Paxos.t option;
-  mutable hb : 'w Fd.Heartbeat.t option;
-  mutable batcher : Batcher.t option;
+  stack : (entry list, 'w) Group_stack.t;
   mutable cons_executed : int;
   mutable depth_max : int; (* max in-flight instances (pipelining) *)
 }
-
-let rm t = Option.get t.rm
-let cons t = Option.get t.cons
-let batcher t = Option.get t.batcher
 
 (* The position of the first entry of [prop] whose id is not below
    [id]. *)
@@ -177,7 +170,7 @@ let try_propose t =
     match !snapshot with
     | [] -> continue := false
     | snapshot ->
-      Consensus.Paxos.propose (cons t) ~instance:t.prop_k snapshot;
+      Consensus.Paxos.propose t.stack.cons ~instance:t.prop_k snapshot;
       t.prop_k <- t.prop_k + 1;
       let depth = t.prop_k - t.k in
       if depth > t.depth_max then t.depth_max <- depth
@@ -273,7 +266,7 @@ let rec process_decisions t =
     (* The group clock can jump past unproposed instance numbers (every
        member follows the same K sequence, so the gaps are never filled);
        let the consensus GC watermark advance across them. *)
-    Consensus.Paxos.note_consumed (cons t) ~upto:(t.k - 1);
+    Consensus.Paxos.note_consumed t.stack.cons ~upto:(t.k - 1);
     (* Proposals buffered while we were deciding may complete stage s1. *)
     List.iter (check_s1 t) !moved_to_s1;
     adelivery_test t;
@@ -298,7 +291,7 @@ let note_batch t msgs =
   in
   if fresh then try_propose t
 
-let cast t (m : Msg.t) = Batcher.add (batcher t) m
+let cast t m = Group_stack.cast t.stack m
 
 (* [pending] and [adelivered] are disjoint, and a proposal almost always
    finds its message pending: probe that first, [adelivered] only on a
@@ -320,14 +313,6 @@ let proposal t ~from_group ~ts (msg : Msg.t) =
     check_s1 t p
   | None -> ()
 
-let on_rm t ~src m = Rmcast.Reliable_multicast.handle (rm t) ~src m
-let on_cons t ~src m = Consensus.Paxos.handle (cons t) ~src m
-
-let on_hb t ~src m =
-  match t.hb with
-  | Some hb -> Fd.Heartbeat.handle hb ~src m
-  | None -> ()
-
 (* The immutable parts of every instance's [prop_none]: it is never
    pending, so nothing reads or writes its row. *)
 let no_msg =
@@ -335,118 +320,69 @@ let no_msg =
 
 let no_proposals = Slab.Row.acquire (Slab.Row.pool ~width:1 ~default:0)
 
-let create ~services ~config ~deliver ~rm:wrap_rm ~cons:wrap_cons
-    ~hb:wrap_hb ?on_crash ~on_s0_decided () =
-  let my_group = Services.my_group services in
+(* A decide for an instance the group clock already jumped past is for an
+   abandoned instance — consumed by nobody. *)
+let on_decide t ~instance v =
+  if instance >= t.k then begin
+    Consensus.Window.set t.decisions instance v;
+    process_decisions t
+  end
+
+let create ~services ~config ~deliver ~rm ~cons ~hb ?on_crash ~on_s0_decided
+    () =
   let topology = services.Services.topology in
-  let t =
-    {
-      config;
-      deliver;
-      on_s0_decided;
-      my_group;
-      k = 1;
-      prop_k = 1;
-      pending = Msg_id.Tbl.create 64;
-      ord = Pending_index.create ();
-      prop = [||];
-      n_prop = 0;
-      prop_none =
-        {
-          msg = no_msg;
-          ts = 0;
-          stage = Stage.S3;
-          handle = -1;
-          inflight = max_int;
-          in_prop = false;
-          proposals = no_proposals;
-        };
-      adelivered = Msg_id.Tbl.create 64;
-      decisions = Consensus.Window.create ();
-      prop_pool = Slab.Row.pool ~width:(Topology.n_groups topology) ~default:0;
-      rm = None;
-      cons = None;
-      hb = None;
-      batcher = None;
-      cons_executed = 0;
-      depth_max = 0;
-    }
+  (* The stack's callbacks reach the kernel, and the kernel holds the
+     stack: [lazy] ties the knot. *)
+  let rec t =
+    lazy
+      {
+        config;
+        deliver;
+        on_s0_decided;
+        my_group = Services.my_group services;
+        k = 1;
+        prop_k = 1;
+        pending = Msg_id.Tbl.create 64;
+        ord = Pending_index.create ();
+        prop = [||];
+        n_prop = 0;
+        prop_none =
+          {
+            msg = no_msg;
+            ts = 0;
+            stage = Stage.S3;
+            handle = -1;
+            inflight = max_int;
+            in_prop = false;
+            proposals = no_proposals;
+          };
+        adelivered = Msg_id.Tbl.create 64;
+        decisions = Consensus.Window.create ();
+        prop_pool =
+          Slab.Row.pool ~width:(Topology.n_groups topology) ~default:0;
+        stack =
+          Group_stack.create ~services ~config ~rm ~cons ~hb ?on_crash
+            (* [key] is the batch's normalized destination-group list, so
+               the fan-out equals each message's own [Msg.dest_pids]. *)
+            ~flush_to:(Topology.pids_of_groups topology)
+            ~on_rdeliver:(fun msgs -> note_batch (Lazy.force t) msgs)
+            ~on_decide:(fun ~instance v -> on_decide (Lazy.force t) ~instance v)
+            ();
+        cons_executed = 0;
+        depth_max = 0;
+      }
   in
-  let detector =
-    match config.Protocol.Config.fd_mode with
-    | Protocol.Config.Oracle ->
-      Fd.Detector.oracle ~delay:config.Protocol.Config.oracle_delay services
-    | Protocol.Config.Heartbeat { period; timeout } ->
-      let h =
-        Fd.Heartbeat.create ~services ~wrap:wrap_hb
-          ~monitored:(Topology.members topology my_group)
-          ~period ~timeout ()
-      in
-      t.hb <- Some h;
-      Fd.Heartbeat.detector h
-  in
-  Option.iter
-    (services.Services.on_crash_detected
-       ~delay:config.Protocol.Config.oracle_delay)
-    on_crash;
-  t.rm <-
-    Some
-      (Rmcast.Reliable_multicast.create ~services ~wrap:wrap_rm
-         ~mode:config.Protocol.Config.rm_mode
-         ~oracle_delay:config.Protocol.Config.oracle_delay
-         ?coalesce:
-           (if Protocol.Config.batching config then
-              Some
-                ( config.Protocol.Config.batch_max,
-                  config.Protocol.Config.batch_delay )
-            else None)
-         ~on_deliver:(fun ~id:_ ~origin:_ ~dest:_ msgs -> note_batch t msgs)
-         ());
-  t.batcher <-
-    Some
-      (Batcher.create ~max:config.Protocol.Config.batch_max
-         ~delay:config.Protocol.Config.batch_delay
-         ~set_timer:services.Services.set_timer
-         ~cancel_timer:services.Services.cancel_timer
-         ~flush:(fun ~key msgs ->
-           (* One R-MCast carries the whole batch; its id is the first
-              message's (globally unique, and with a singleton batch this
-              is exactly the unbatched dissemination). [key] is the shared
-              normalized destination-group list, so the pid fan-out equals
-              each message's own [Msg.dest_pids]. *)
-           let first = List.hd msgs in
-           Rmcast.Reliable_multicast.rmcast (rm t) ~id:first.Msg.id
-             ~dest:(Topology.pids_of_groups topology key)
-             msgs));
-  t.cons <-
-    Some
-      (Consensus.Paxos.create ~services ~wrap:wrap_cons
-         ~participants:(Topology.members topology my_group)
-         ~detector
-         ~timeout:config.Protocol.Config.consensus_timeout
-         ~on_decide:(fun ~instance v ->
-           (* A decide for an instance the group clock already jumped past
-              is for an abandoned instance — consumed by nobody. *)
-           if instance >= t.k then begin
-             Consensus.Window.set t.decisions instance v;
-             process_decisions t
-           end)
-         ());
-  t
+  Lazy.force t
 
 let pending_count t = Msg_id.Tbl.length t.pending
 let clock t = t.k
 let consensus_instances_executed t = t.cons_executed
 
+let stack t = t.stack
+
 let stats t =
-  [
-    ("cons.instances", Consensus.Paxos.retained_instances (cons t));
-    ("rm.entries", Rmcast.Reliable_multicast.retained_entries (rm t));
-    ("rm.tombstones", Rmcast.Reliable_multicast.reclaimed_entries (rm t));
-    ("pending", Msg_id.Tbl.length t.pending);
-    ("batches_formed", Batcher.batches_formed (batcher t));
-    ("batched_casts", Batcher.casts_packed (batcher t));
-    ("casts_per_batch_max", Batcher.max_batch (batcher t));
-    ("pipeline_depth_max", t.depth_max);
-    ("acks_coalesced", Rmcast.Reliable_multicast.acks_coalesced (rm t));
-  ]
+  Group_stack.stats t.stack
+  @ [
+      ("pending", Msg_id.Tbl.length t.pending);
+      ("pipeline_depth_max", t.depth_max);
+    ]

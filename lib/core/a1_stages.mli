@@ -5,11 +5,11 @@
     process's group: the group clock [K], the pending table with its
     [(ts, id)]-ordered index and proposable (s0/s2) subset, pipelined
     proposing to the group's consensus, decision processing, the s1
-    completion rule and the s3 delivery test. It also wires the failure
-    detector, the reliable multicast, the batcher and Paxos. The protocols
-    keep what is their own: the wire, and the inter-group exchange of s1 —
-    who sends the group's timestamp proposal for an s0-decided message, to
-    whom, and in which envelope.
+    completion rule and the s3 delivery test. Its failure detector,
+    reliable multicast, batcher and Paxos come from {!Group_stack}. The
+    protocols keep what is their own: the wire, and the inter-group
+    exchange of s1 — who sends the group's timestamp proposal for an
+    s0-decided message, to whom, and in which envelope.
 
     Send order: nothing in the decision loop sends. The [on_s0_decided]
     hook runs once per decided instance that s0-decided a message, after
@@ -42,10 +42,9 @@ val create :
   on_s0_decided:(int -> Msg.t list -> unit) ->
   unit ->
   'w t
-(** [rm], [cons] and [hb] wrap the sub-protocols' messages into the
-    protocol's wire. [on_crash], when given, subscribes to the oracle's
-    crash notifications after the failure detector and before the reliable
-    multicast. [on_s0_decided k msgs] is called for every decided instance
+(** [rm], [cons], [hb] and [on_crash] go to {!Group_stack.create}: the
+    stack R-MCasts each batch to the pids of its destination groups.
+    [on_s0_decided k msgs] is called for every decided instance
     [k] that s0-decided (and moved to s1) a message, with those messages
     in decision order: their group timestamp is [k]. *)
 
@@ -57,14 +56,9 @@ val proposal :
     the message enters it at s0 and proposes, as an R-delivery would; the
     first proposal per group is recorded and s1 is checked. *)
 
-val on_rm :
-  'w t -> src:Net.Topology.pid -> Msg.t list Rmcast.Reliable_multicast.msg ->
-  unit
-
-val on_cons :
-  'w t -> src:Net.Topology.pid -> entry list Consensus.Paxos.msg -> unit
-
-val on_hb : 'w t -> src:Net.Topology.pid -> Fd.Heartbeat.msg -> unit
+val stack : 'w t -> (entry list, 'w) Group_stack.t
+(** The group's detector, reliable multicast, batcher and Paxos; the
+    protocol routes their wire messages here. *)
 
 val pending_count : 'w t -> int
 (** Messages not yet A-Delivered on this process. *)
@@ -76,6 +70,5 @@ val consensus_instances_executed : 'w t -> int
 (** Consensus instances this process has decided and processed. *)
 
 val stats : 'w t -> (string * int) list
-(** Retained consensus instances, reliable-multicast entries and
-    tombstones, pending messages, batcher and pipelining counters, and
-    coalesced acks. *)
+(** The stack's counters ({!Group_stack.stats}), pending messages and
+    the pipelining high-water mark. *)

@@ -55,17 +55,12 @@ type t = {
       (* highest instance each undelivered message was proposed to; the
          pipelining window skips messages with mark >= k (already riding
          an undecided instance). Unused (empty) when [pipeline = 1]. *)
-  mutable rm : (Msg.t list, wire) Rmcast.Reliable_multicast.t option;
-  mutable cons : (Msg.t list, wire) Consensus.Paxos.t option;
-  mutable hb : wire Fd.Heartbeat.t option;
-  mutable batcher : Batcher.t option;
+  stack : (Msg.t list, wire) Group_stack.t;
+      (* the group's detector, R-MCast, batcher and Paxos; the consensus
+         value is the group's bundle *)
   mutable rounds_executed : int;
   mutable depth_max : int; (* max in-flight instances (pipelining) *)
 }
-
-let rm t = Option.get t.rm
-let cons t = Option.get t.cons
-let batcher t = Option.get t.batcher
 
 let round_state t r =
   match Hashtbl.find_opt t.rounds r with
@@ -116,7 +111,7 @@ let pipeline_extend t =
         List.iter
           (fun (m : Msg.t) -> Msg_id.Tbl.replace t.inflight m.id t.prop_k)
           snapshot;
-        Consensus.Paxos.propose (cons t) ~instance:t.prop_k snapshot;
+        Consensus.Paxos.propose t.stack.cons ~instance:t.prop_k snapshot;
         t.prop_k <- t.prop_k + 1;
         let depth = t.prop_k - t.k in
         if depth > t.depth_max then t.depth_max <- depth
@@ -135,7 +130,7 @@ let propose_now t =
     List.iter
       (fun (m : Msg.t) -> Msg_id.Tbl.replace t.inflight m.id t.k)
       snapshot;
-  Consensus.Paxos.propose (cons t) ~instance:t.k snapshot;
+  Consensus.Paxos.propose t.stack.cons ~instance:t.k snapshot;
   t.prop_k <- t.k + 1;
   pipeline_extend t
 
@@ -249,7 +244,7 @@ let on_rdeliver t msgs =
   in
   if fresh then try_propose t
 
-let cast_payload_only t (m : Msg.t) = Batcher.add (batcher t) m
+let cast_payload_only t m = Group_stack.cast t.stack m
 
 let cast t (m : Msg.t) =
   if
@@ -263,7 +258,7 @@ let cast t (m : Msg.t) =
 
 let on_receive t ~src w =
   match w with
-  | Rm rmsg -> Rmcast.Reliable_multicast.handle (rm t) ~src rmsg
+  | Rm rmsg -> Group_stack.on_rm t.stack ~src rmsg
   | Bundle { round; msgs } ->
     (* Line 8-10: store the bundle and raise the barrier. *)
     let g = Topology.group_of t.services.Services.topology src in
@@ -274,11 +269,13 @@ let on_receive t ~src w =
     t.barrier <- max t.barrier round;
     try_propose t;
     maybe_finish_round t
-  | Cons cmsg -> Consensus.Paxos.handle (cons t) ~src cmsg
-  | Hb m -> (
-    match t.hb with
-    | Some hb -> Fd.Heartbeat.handle hb ~src m
-    | None -> ())
+  | Cons cmsg -> Group_stack.on_cons t.stack ~src cmsg
+  | Hb m -> Group_stack.on_hb t.stack ~src m
+
+let on_decide t ~instance v =
+  let s = round_state t instance in
+  if s.own = None then s.own <- Some v;
+  maybe_finish_round t
 
 let create ~services ~config ~deliver =
   let topology = services.Services.topology in
@@ -286,109 +283,57 @@ let create ~services ~config ~deliver =
   let other_groups =
     List.filter (fun g -> g <> my_group) (Topology.all_groups topology)
   in
-  let t =
-    {
-      services;
-      deliver;
-      round_grace = config.Protocol.Config.round_grace;
-      prediction = config.Protocol.Config.prediction;
-      empty_streak = 0;
-      grace_timer = None;
-      my_group;
-      other_groups;
-      n_other = List.length other_groups;
-      foreign_pool =
-        Slab.Row.pool ~width:(Topology.n_groups topology) ~default:[];
-      outside_pids = Topology.pids_of_groups topology other_groups;
-      k = 1;
-      prop_k = 1;
-      barrier = 0;
-      rdelivered = Msg_id.Tbl.create 64;
-      und = Pending_index.create ();
-      und_handles = Msg_id.Tbl.create 64;
-      adelivered = Msg_id.Tbl.create 64;
-      rounds = Hashtbl.create 16;
-      pipeline = max 1 config.Protocol.Config.pipeline;
-      inflight = Msg_id.Tbl.create 64;
-      rm = None;
-      cons = None;
-      hb = None;
-      batcher = None;
-      rounds_executed = 0;
-      depth_max = 0;
-    }
+  (* The stack's callbacks reach the protocol state, and the state holds
+     the stack: [lazy] ties the knot. *)
+  let rec t =
+    lazy
+      {
+        services;
+        deliver;
+        round_grace = config.Protocol.Config.round_grace;
+        prediction = config.Protocol.Config.prediction;
+        empty_streak = 0;
+        grace_timer = None;
+        my_group;
+        other_groups;
+        n_other = List.length other_groups;
+        foreign_pool =
+          Slab.Row.pool ~width:(Topology.n_groups topology) ~default:[];
+        outside_pids = Topology.pids_of_groups topology other_groups;
+        k = 1;
+        prop_k = 1;
+        barrier = 0;
+        rdelivered = Msg_id.Tbl.create 64;
+        und = Pending_index.create ();
+        und_handles = Msg_id.Tbl.create 64;
+        adelivered = Msg_id.Tbl.create 64;
+        rounds = Hashtbl.create 16;
+        pipeline = max 1 config.Protocol.Config.pipeline;
+        inflight = Msg_id.Tbl.create 64;
+        stack =
+          Group_stack.create ~services ~config
+            ~rm:(fun m -> Rm m)
+            ~cons:(fun m -> Cons m)
+            ~hb:(fun m -> Hb m)
+            (* Line 4-5: R-MCast to the caster's own group only. *)
+            ~flush_to:(fun _ -> Topology.members topology my_group)
+            ~on_rdeliver:(fun msgs -> on_rdeliver (Lazy.force t) msgs)
+            ~on_decide:(fun ~instance v -> on_decide (Lazy.force t) ~instance v)
+            ();
+        rounds_executed = 0;
+        depth_max = 0;
+      }
   in
-  let detector =
-    match config.Protocol.Config.fd_mode with
-    | Protocol.Config.Oracle ->
-      Fd.Detector.oracle ~delay:config.Protocol.Config.oracle_delay services
-    | Protocol.Config.Heartbeat { period; timeout } ->
-      let hb =
-        Fd.Heartbeat.create ~services
-          ~wrap:(fun m -> Hb m)
-          ~monitored:(Topology.members topology my_group)
-          ~period ~timeout ()
-      in
-      t.hb <- Some hb;
-      Fd.Heartbeat.detector hb
-  in
-  t.rm <-
-    Some
-      (Rmcast.Reliable_multicast.create ~services
-         ~wrap:(fun m -> Rm m)
-         ~mode:config.Protocol.Config.rm_mode
-         ~oracle_delay:config.Protocol.Config.oracle_delay
-         ?coalesce:
-           (if Protocol.Config.batching config then
-              Some
-                ( config.Protocol.Config.batch_max,
-                  config.Protocol.Config.batch_delay )
-            else None)
-         ~on_deliver:(fun ~id:_ ~origin:_ ~dest:_ msgs -> on_rdeliver t msgs)
-         ());
-  t.batcher <-
-    Some
-      (Batcher.create ~max:config.Protocol.Config.batch_max
-         ~delay:config.Protocol.Config.batch_delay
-         ~set_timer:services.Services.set_timer
-         ~cancel_timer:services.Services.cancel_timer
-         ~flush:(fun ~key:_ msgs ->
-           (* Line 4-5: R-MCast to the caster's own group only. One
-              R-MCast carries the whole batch; its id is the first
-              message's (globally unique), so a singleton batch is exactly
-              the unbatched dissemination. *)
-           let first = List.hd msgs in
-           Rmcast.Reliable_multicast.rmcast (rm t) ~id:first.Msg.id
-             ~dest:(Topology.members topology my_group)
-             msgs));
-  t.cons <-
-    Some
-      (Consensus.Paxos.create ~services
-         ~wrap:(fun m -> Cons m)
-         ~participants:(Topology.members topology my_group)
-         ~detector
-         ~timeout:config.Protocol.Config.consensus_timeout
-         ~on_decide:(fun ~instance v ->
-           let s = round_state t instance in
-           if s.own = None then s.own <- Some v;
-           maybe_finish_round t)
-         ());
-  t
+  Lazy.force t
 
 let round t = t.k
 let barrier t = t.barrier
 let rounds_executed t = t.rounds_executed
 
 let stats t =
-  [
-    ("cons.instances", Consensus.Paxos.retained_instances (cons t));
-    ("rm.entries", Rmcast.Reliable_multicast.retained_entries (rm t));
-    ("rm.tombstones", Rmcast.Reliable_multicast.reclaimed_entries (rm t));
-    ("pending", Pending_index.size t.und);
-    ("rounds", Hashtbl.length t.rounds);
-    ("batches_formed", Batcher.batches_formed (batcher t));
-    ("batched_casts", Batcher.casts_packed (batcher t));
-    ("casts_per_batch_max", Batcher.max_batch (batcher t));
-    ("pipeline_depth_max", t.depth_max);
-    ("acks_coalesced", Rmcast.Reliable_multicast.acks_coalesced (rm t));
-  ]
+  Group_stack.stats t.stack
+  @ [
+      ("pending", Pending_index.size t.und);
+      ("rounds", Hashtbl.length t.rounds);
+      ("pipeline_depth_max", t.depth_max);
+    ]

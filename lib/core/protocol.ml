@@ -26,8 +26,7 @@ module Config = struct
     batch_delay : Des.Sim_time.t;
         (* Flush timeout: a partially filled batch is flushed this long
            after its first cast (size-or-timeout policy). Irrelevant when
-           [batch_max = 1]. Also the ack-coalescing window of the uniform
-           R-MCast Copy lane. *)
+           [batch_max = 1]. *)
     pipeline : int;
         (* In-flight consensus instance window: up to this many ordering
            instances may be undecided at once (instance i+1 is proposed
@@ -66,10 +65,10 @@ module Config = struct
       overlay = None;
     }
 
-  (* The high-throughput lane: batch casts, keep several consensus
-     instances in flight, coalesce uniform-mode acks. Safety-equivalent to
-     [default] (asserted by the batching differentials); trades per-cast
-     latency slack for saturation throughput. *)
+  (* The high-throughput lane: batch casts and keep several consensus
+     instances in flight. Safety-equivalent to [default] (asserted by the
+     batching differentials); trades per-cast latency slack for saturation
+     throughput. *)
   let throughput =
     { default with batch_max = 8; batch_delay = Des.Sim_time.of_ms 2;
       pipeline = 4 }

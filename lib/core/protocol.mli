@@ -83,8 +83,7 @@ module Config : sig
     batch_delay : Des.Sim_time.t;
         (** Flush timeout of the size-or-timeout batching policy: a
             partially filled batch is flushed this long after its first
-            cast. Also the ack-coalescing window of the uniform R-MCast
-            Copy lane. Irrelevant when [batch_max = 1]. *)
+            cast. Irrelevant when [batch_max = 1]. *)
     pipeline : int;
         (** In-flight consensus instance window: up to this many ordering
             instances may be undecided at once (instance [i+1] is proposed

@@ -24,6 +24,9 @@ type pending = {
   mutable known_ts : int; (* best lower bound on the final timestamp *)
   mutable final : int option;
   mutable stamped : bool; (* my group already ran consensus on it *)
+  mutable handle : Pending_index.handle;
+      (* slot in [ord], keyed by the final timestamp once known, else by
+         [known_ts] *)
 }
 
 type t = {
@@ -37,6 +40,7 @@ type t = {
   queue : Msg_id.t list ref; (* ids waiting for my group's stamp *)
   decisions : (int, stamp) Hashtbl.t; (* decided stamps, by instance *)
   pending : pending Msg_id.Tbl.t;
+  ord : pending Pending_index.t; (* pending, by (final or known_ts, id) *)
   delivered : unit Msg_id.Tbl.t;
   mutable rm : (Msg.t, wire) Rmcast.Reliable_multicast.t option;
   mutable cons : (stamp, wire) Consensus.Paxos.t option;
@@ -56,40 +60,20 @@ let next_group t (m : Msg.t) =
   in
   find (chain m)
 
-let delivery_test t =
-  let rec loop () =
-    let best =
-      Msg_id.Tbl.fold
-        (fun _ p best ->
-          match p.final with
-          | None -> best
-          | Some f -> (
-            match best with
-            | Some (f', p') when Msg.compare_ts_id (f', p'.msg) (f, p.msg) < 0
-              ->
-              best
-            | _ -> Some (f, p)))
-        t.pending None
-    in
-    match best with
-    | None -> ()
-    | Some (f, p) ->
-      let blocked =
-        Msg_id.Tbl.fold
-          (fun _ q acc ->
-            acc
-            || q.final = None
-               && Msg.compare_ts_id (q.known_ts, q.msg) (f, p.msg) < 0)
-          t.pending false
-      in
-      if not blocked then begin
-        Msg_id.Tbl.remove t.pending p.msg.id;
-        Msg_id.Tbl.replace t.delivered p.msg.id ();
-        t.deliver p.msg;
-        loop ()
-      end
-  in
-  loop ()
+(* Deliver the message with the smallest final (ts, id) unless a message
+   whose timestamp is not final yet could still land below it: its
+   [known_ts] is a lower bound on its final stamp. [ord] keys each final
+   message by its final stamp and every other one by [known_ts], so a
+   final root is deliverable and a non-final root blocks everything. *)
+let rec delivery_test t =
+  match Pending_index.min_elt t.ord with
+  | Some (_, _, p) when p.final <> None ->
+    ignore (Pending_index.pop_min t.ord);
+    Msg_id.Tbl.remove t.pending p.msg.id;
+    Msg_id.Tbl.replace t.delivered p.msg.id ();
+    t.deliver p.msg;
+    delivery_test t
+  | Some _ | None -> ()
 
 (* Propose my queue head for the group's next stamping instance; the group
    handles one message at a time (waits for the Final acknowledgment). *)
@@ -124,10 +108,16 @@ let try_propose t =
 let get_pending t (m : Msg.t) ~known_ts =
   match Msg_id.Tbl.find_opt t.pending m.id with
   | Some p ->
-    p.known_ts <- max p.known_ts known_ts;
+    if known_ts > p.known_ts then begin
+      p.known_ts <- known_ts;
+      if p.final = None then
+        p.handle <-
+          Pending_index.reposition t.ord p.handle ~ts:known_ts ~id:m.id p
+    end;
     p
   | None ->
-    let p = { msg = m; known_ts; final = None; stamped = false } in
+    let p = { msg = m; known_ts; final = None; stamped = false; handle = -1 } in
+    p.handle <- Pending_index.add t.ord ~ts:known_ts ~id:m.id p;
     Msg_id.Tbl.replace t.pending m.id p;
     p
 
@@ -199,7 +189,8 @@ and on_final t (m : Msg.t) ~ts =
   | Some _ | None -> ());
   if not (Msg_id.Tbl.mem t.delivered m.id) then begin
     let p = get_pending t m ~known_ts:ts in
-    p.final <- Some ts
+    p.final <- Some ts;
+    p.handle <- Pending_index.reposition t.ord p.handle ~ts ~id:m.id p
   end;
   delivery_test t;
   process_decisions t
@@ -229,6 +220,7 @@ let create ~services ~config ~deliver =
       queue = ref [];
       decisions = Hashtbl.create 8;
       pending = Msg_id.Tbl.create 32;
+      ord = Pending_index.create ();
       delivered = Msg_id.Tbl.create 32;
       rm = None;
       cons = None;

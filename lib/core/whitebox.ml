@@ -108,11 +108,11 @@ let on_crash c q =
 let cast t = A1_stages.cast t.stages
 
 let on_receive t ~src = function
-  | Rm m -> A1_stages.on_rm t.stages ~src m
+  | Rm m -> Group_stack.on_rm (A1_stages.stack t.stages) ~src m
   | Stamp { msg; ts; from_group } ->
     A1_stages.proposal t.stages ~from_group ~ts msg
-  | Cons m -> A1_stages.on_cons t.stages ~src m
-  | Hb m -> A1_stages.on_hb t.stages ~src m
+  | Cons m -> Group_stack.on_cons (A1_stages.stack t.stages) ~src m
+  | Hb m -> Group_stack.on_hb (A1_stages.stack t.stages) ~src m
 
 let create ~services ~config ~deliver =
   let convoy =

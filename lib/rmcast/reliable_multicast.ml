@@ -15,26 +15,17 @@ type 'p msg =
   | Fetch of { id : Msg_id.t }
       (* Payload pull, for the rare race where a Copy beats every
          payload-bearing Data to a process. Answered point-to-point. *)
-  | Copies of { acks : (Msg_id.t * Topology.pid * Topology.pid list) list }
-      (* Throughput lane: several Copy acks with the same recipients merged
-         into one fan-out, so a batch of uniform casts costs O(1) ack
-         messages instead of one per cast. Each (id, origin, dest) triple
-         is processed exactly as a standalone Copy would be; delaying the
-         acks inside the coalescing window is indistinguishable from
-         network latency. *)
 
 let tag = function
   | Data _ -> "rm.data"
   | Copy _ -> "rm.copy"
   | Fetch _ -> "rm.fetch"
-  | Copies _ -> "rm.copies"
 
 let pp_msg ppf m =
   match m with
   | Data { id; _ } -> Fmt.pf ppf "rm.data(%a)" Msg_id.pp id
   | Copy { id; _ } -> Fmt.pf ppf "rm.copy(%a)" Msg_id.pp id
   | Fetch { id } -> Fmt.pf ppf "rm.fetch(%a)" Msg_id.pp id
-  | Copies { acks } -> Fmt.pf ppf "rm.copies(%d)" (List.length acks)
 
 type mode = Eager_nonuniform | Ack_uniform
 
@@ -58,15 +49,6 @@ type ('p, 'w) t = {
   mode : mode;
   known : 'p known Msg_id.Tbl.t;
   mutable reclaimed_count : int;
-  coalesce : (int * Des.Sim_time.t) option;
-      (* (max acks per Copies, flush timeout); None sends plain Copy —
-         byte-identical to the pre-coalescing protocol *)
-  mutable ack_buf :
-    (Topology.pid list * (Msg_id.t * Topology.pid * Topology.pid list) list ref)
-    list; (* buffered acks keyed by recipient set, insertion order *)
-  mutable ack_timer : int option;
-  mutable acks_merged : int; (* acks that travelled in a Copies message *)
-  mutable copies_sent : int; (* Copies fan-outs those acks collapsed into *)
   on_deliver :
     id:Msg_id.t ->
     origin:Topology.pid ->
@@ -103,56 +85,6 @@ let note_voucher t k q =
   | Ack_uniform -> if not (List.memq q k.copies) then k.copies <- q :: k.copies
   | Eager_nonuniform -> ()
 
-let flush_ack_bucket t pids acks =
-  t.acks_merged <- t.acks_merged + List.length acks;
-  t.copies_sent <- t.copies_sent + 1;
-  Services.send_multi t.services pids (t.wrap (Copies { acks }))
-
-let flush_acks t =
-  (match t.ack_timer with
-  | Some h ->
-    t.services.Services.cancel_timer h;
-    t.ack_timer <- None
-  | None -> ());
-  let buf = t.ack_buf in
-  t.ack_buf <- [];
-  List.iter (fun (pids, acks) -> flush_ack_bucket t pids (List.rev !acks)) buf
-
-(* Queue one Copy-equivalent ack for [pids]; flush the bucket when it
-   reaches the coalescing cap, or [delay] after its first ack. *)
-let same_pids = List.equal Int.equal
-
-let rec find_bucket pids = function
-  | [] -> None
-  | (p, b) :: rest -> if same_pids p pids then Some b else find_bucket pids rest
-
-let buffer_ack t ~max ~delay pids ack =
-  let bucket =
-    match find_bucket pids t.ack_buf with
-    | Some b -> b
-    | None ->
-      let b = ref [] in
-      t.ack_buf <- t.ack_buf @ [ (pids, b) ];
-      b
-  in
-  bucket := ack :: !bucket;
-  if List.length !bucket >= max then begin
-    t.ack_buf <- List.filter (fun (p, _) -> not (same_pids p pids)) t.ack_buf;
-    flush_ack_bucket t pids (List.rev !bucket);
-    if t.ack_buf = [] then
-      match t.ack_timer with
-      | Some h ->
-        t.services.Services.cancel_timer h;
-        t.ack_timer <- None
-      | None -> ()
-  end
-  else if t.ack_timer = None then
-    t.ack_timer <-
-      Some
-        (t.services.Services.set_timer ~after:delay (fun () ->
-             t.ack_timer <- None;
-             flush_acks t))
-
 let rec relay t id k =
   if (not k.relayed) && not k.reclaimed then
     match k.payload with
@@ -165,16 +97,11 @@ let rec relay t id k =
       note_voucher t k self;
       let others = List.filter (fun q -> q <> self) k.dest in
       (match t.mode with
-      | Ack_uniform -> (
-        (* The payload travelled once (origin fan-out or Fetch reply);
-           vouch with a payload-free Copy — buffered for merging when the
-           coalescing lane is on. *)
-        match t.coalesce with
-        | Some (max, delay) ->
-          buffer_ack t ~max ~delay others (id, k.origin, k.dest)
-        | None ->
-          Services.send_multi t.services others
-            (t.wrap (Copy { id; origin = k.origin; dest = k.dest })))
+      | Ack_uniform ->
+        (* The payload travelled once (origin fan-out or Fetch reply):
+           vouch with a payload-free Copy. *)
+        Services.send_multi t.services others
+          (t.wrap (Copy { id; origin = k.origin; dest = k.dest }))
       | Eager_nonuniform ->
         Services.send_multi t.services others
           (t.wrap (Data { id; origin = k.origin; dest = k.dest; payload })));
@@ -274,10 +201,6 @@ let handle t ~src:from m =
   | Data { id; origin; dest; payload } ->
     ignore (learn t ~id ~origin ~dest ~payload ~from)
   | Copy { id; origin; dest } -> note_copy t ~from ~id ~origin ~dest
-  | Copies { acks } ->
-    List.iter
-      (fun (id, origin, dest) -> note_copy t ~from ~id ~origin ~dest)
-      acks
   | Fetch { id } -> (
     match Msg_id.Tbl.find_opt t.known id with
     | Some ({ payload = Some p; _ } as k) when not k.reclaimed ->
@@ -293,12 +216,8 @@ let delivered t id =
 let retained_entries t = Msg_id.Tbl.length t.known - t.reclaimed_count
 let reclaimed_entries t = t.reclaimed_count
 
-(* Acks saved by coalescing: acks carried in Copies fan-outs, minus the
-   fan-outs they collapsed into. Zero when the lane is off. *)
-let acks_coalesced t = t.acks_merged - t.copies_sent
-
 let create ~services ~wrap ?(mode = Eager_nonuniform)
-    ?(oracle_delay = Des.Sim_time.of_ms 50) ?coalesce ~on_deliver () =
+    ?(oracle_delay = Des.Sim_time.of_ms 50) ~on_deliver () =
   let t =
     {
       services;
@@ -306,11 +225,6 @@ let create ~services ~wrap ?(mode = Eager_nonuniform)
       mode;
       known = Msg_id.Tbl.create 64;
       reclaimed_count = 0;
-      coalesce;
-      ack_buf = [];
-      ack_timer = None;
-      acks_merged = 0;
-      copies_sent = 0;
       on_deliver;
     }
   in

@@ -55,7 +55,6 @@ val create :
   wrap:('p msg -> 'w) ->
   ?mode:mode ->
   ?oracle_delay:Des.Sim_time.t ->
-  ?coalesce:int * Des.Sim_time.t ->
   on_deliver:
     (id:Runtime.Msg_id.t ->
     origin:Net.Topology.pid ->
@@ -66,13 +65,8 @@ val create :
   ('p, 'w) t
 (** [create ~services ~wrap ~on_deliver ()] is an endpoint. [mode] defaults
     to {!Eager_nonuniform}; [oracle_delay] (default 50ms) is the detection
-    delay of the crash-relay rule. [coalesce] (default off) is the throughput
-    lane's [(max, delay)] ack-coalescing policy: {!Ack_uniform} [Copy]
-    acks destined to the same recipient set are buffered and merged into
-    one [Copies] fan-out, flushed when [max] acks accumulate or [delay]
-    after the first. Delaying an ack is indistinguishable from network
-    latency, so uniform-delivery safety is unaffected. [on_deliver] fires
-    exactly once per R-Delivered message. *)
+    delay of the crash-relay rule. [on_deliver] fires exactly once per
+    R-Delivered message. *)
 
 val rmcast :
   ('p, 'w) t ->
@@ -93,7 +87,3 @@ val retained_entries : ('p, 'w) t -> int
 
 val reclaimed_entries : ('p, 'w) t -> int
 (** Entries reduced to at-most-once tombstones by the GC. *)
-
-val acks_coalesced : ('p, 'w) t -> int
-(** Ack messages saved by coalescing: acks carried inside merged [Copies]
-    fan-outs minus the fan-outs themselves. Zero when the lane is off. *)

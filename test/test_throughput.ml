@@ -2,10 +2,10 @@
    batched-vs-unbatched verdict differentials, lease-path pipelining
    regressions, and model-checked outcome-set equality.
 
-   The lane's contract: batching, pipelining and ack coalescing may change
-   message counts and timings, never verdicts — and with every knob at its
-   default (batch 1, pipeline 1) the runs are bit-identical to the
-   pre-lane protocol. *)
+   The lane's contract: batching and pipelining may change message counts
+   and timings, never verdicts — and with every knob at its default
+   (batch 1, pipeline 1) the runs are bit-identical to the pre-lane
+   protocol. *)
 
 open Util
 
@@ -264,63 +264,6 @@ let test_a2_pipelined () =
     ~depth_at:(fun n -> stat_depth (Amcast.A2.stats n))
     ()
 
-let delivery_pids (r : Harness.Run_result.t) =
-  List.map
-    (fun (d : Harness.Run_result.delivery_event) ->
-      (d.pid, d.msg.Amcast.Msg.id))
-    r.deliveries
-  |> List.sort compare
-
-(* Ack coalescing lives in the uniform R-MCast lane: Copy acks buffer and
-   merge under the same (batch_max, batch_delay) policy. Verdicts and the
-   delivery set must match the per-message-ack run; some acks must
-   actually have been saved. *)
-let test_ack_coalescing () =
-  let topo = Net.Topology.symmetric ~groups:2 ~per_group:3 in
-  let uniform config =
-    {
-      config with
-      Amcast.Protocol.Config.rm_mode = Rmcast.Reliable_multicast.Ack_uniform;
-    }
-  in
-  (* Six same-instant casts to the same destination set: their six R-MCast
-     fan-outs relay back-to-back at every process, so the Copy acks share a
-     bucket and merge into one Copies message inside the delay window. *)
-  let wl =
-    List.init 6 (fun origin ->
-        {
-          Harness.Workload.at = ms 10;
-          origin;
-          dest = [ 0; 1 ];
-          payload = Fmt.str "m%d" origin;
-        })
-  in
-  let run config =
-    let dep = RA1.deploy ~seed:3 ~latency:crisp_latency ~config topo in
-    ignore (RA1.schedule dep wl);
-    let r = RA1.run_deployment dep in
-    let saved =
-      List.fold_left
-        (fun acc pid ->
-          acc + List.assoc "acks_coalesced" (Amcast.A1.stats (RA1.node dep pid)))
-        0
-        (Net.Topology.all_pids topo)
-    in
-    (r, saved)
-  in
-  let rc, saved =
-    run (uniform Amcast.Protocol.Config.throughput)
-  in
-  let ru, saved_u = run (uniform Amcast.Protocol.Config.default) in
-  check_no_violations "coalesced acks stay uniform"
-    (Harness.Checker.check_all ~check_quiescence:true rc);
-  Alcotest.(check int) "all delivered" (Harness.Metrics.delivered_count ru)
-    (Harness.Metrics.delivered_count rc);
-  Alcotest.(check bool) "same deliverers" true
-    (delivery_pids rc = delivery_pids ru);
-  Alcotest.(check int) "per-message acks save nothing" 0 saved_u;
-  Alcotest.(check bool) "coalescing saved ack messages" true (saved > 0)
-
 (* ---------- lease-path pipelining regressions ---------- *)
 
 (* Hazards fixed in the consensus lease path for the pipelining window:
@@ -525,8 +468,6 @@ let suites =
           `Quick test_deploy_size_flush;
         Alcotest.test_case "deployment: crash mid-batch stays clean" `Quick
           test_deploy_crash_mid_batch;
-        Alcotest.test_case "uniform rmcast: ack coalescing saves messages"
-          `Quick test_ack_coalescing;
       ] );
     ( "throughput-pipeline",
       [
