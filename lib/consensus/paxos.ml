@@ -61,7 +61,6 @@ type ballot_votes = { ballot : int; seen : Bytes.t; mutable count : int }
 
 type 'v instance = {
   mutable proposal : 'v option; (* local input or adopted suggestion *)
-  mutable suggested : bool; (* we already forwarded our input *)
   mutable promised : int; (* acceptor: highest ballot promised *)
   mutable accepted : (int * 'v) option; (* acceptor: last accepted *)
   mutable decided : 'v option;
@@ -145,7 +144,6 @@ let instance_of t i found =
     let inst =
       {
         proposal = None;
-        suggested = false;
         promised = -1;
         accepted = None;
         decided = None;
@@ -341,37 +339,36 @@ let try_push t i inst =
     | Some v -> start_accept_phase t i inst ~value:v
     | None -> ()
 
+(* The smallest ballot above [floor] owned by the local process (ballot
+   [b] belongs to rank [b mod n]). *)
+let own_ballot_above t floor =
+  let rec find k =
+    let candidate = (k * n t) + t.self_rank in
+    if candidate > floor then candidate else find (k + 1)
+  in
+  find 0
+
 (* Take over coordination with a fresh ballot owned by the local process. *)
 let start_new_ballot t i inst =
-  if inst.decided = None then begin
-    let r = t.self_rank in
-    if r >= 0 then begin
-      let floor = Int.max inst.promised inst.leading in
-      let floor =
-        if t.fast then
-          Int.max floor (Int.max t.promise_floor t.max_ballot_seen)
-        else floor
-      in
-      let b =
-        (* smallest ballot > floor with b mod n = r *)
-        let rec find k =
-          let candidate = (k * n t) + r in
-          if candidate > floor then candidate else find (k + 1)
-        in
-        find 0
-      in
-      inst.leading <- b;
-      inst.phase1_done <- false;
-      inst.pushed <- false;
-      clear_promises inst;
-      if b = 0 then begin
-        (* Ballot 0 fast path: no smaller ballot exists, so phase 1 is
-           vacuous; push straight away if we have an input. *)
-        inst.phase1_done <- true;
-        try_push t i inst
-      end
-      else send_participants t (Prepare { instance = i; ballot = b })
+  if inst.decided = None && t.self_rank >= 0 then begin
+    let floor = Int.max inst.promised inst.leading in
+    let floor =
+      if t.fast then
+        Int.max floor (Int.max t.promise_floor t.max_ballot_seen)
+      else floor
+    in
+    let b = own_ballot_above t floor in
+    inst.leading <- b;
+    inst.phase1_done <- false;
+    inst.pushed <- false;
+    clear_promises inst;
+    if b = 0 then begin
+      (* Ballot 0 fast path: no smaller ballot exists, so phase 1 is
+         vacuous; push straight away if we have an input. *)
+      inst.phase1_done <- true;
+      try_push t i inst
     end
+    else send_participants t (Prepare { instance = i; ballot = b })
   end
 
 let suggest_to_leader t i inst =
@@ -389,7 +386,6 @@ let suggest_to_leader t i inst =
     in
     match v with
     | Some v ->
-      inst.suggested <- true;
       t.services.send ~dst:l (t.wrap (Suggest { instance = i; value = v }))
     | None -> ())
   | _ -> ()
@@ -447,13 +443,8 @@ let ensure_lease t =
      if t.lease_pending >= 0 || t.self_rank < 0 || not (is_leader t) then
        false
      else begin
-       let floor = Int.max t.max_ballot_seen t.promise_floor in
        let b =
-         let rec find k =
-           let candidate = (k * n t) + t.self_rank in
-           if candidate > floor then candidate else find (k + 1)
-         in
-         find 0
+         own_ballot_above t (Int.max t.max_ballot_seen t.promise_floor)
        in
        if b = 0 then begin
          (* Vacuous lease: no smaller ballot can exist anywhere, so the
