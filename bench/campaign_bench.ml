@@ -4,11 +4,10 @@
 
    - Campaign cells: a fixed, seeded scenario matrix (the same scenario
      list Harness.Campaign expands a seed to) through the campaign driver
-     on one domain (the "sequential" row) and at every domain count in a
-     {1, 2, 4, ...} sweep up to the machine's recommended count (always
-     at least {1, 2}, so the cross-domain identity assertion runs even
-     on a single-core host). Exits non-zero if any swept summary differs
-     from the sequential one.
+     at every domain count in a {1, 2, 4, ...} sweep up to the machine's
+     recommended count (always at least {1, 2}, so the cross-domain
+     identity assertion runs even on a single-core host). Exits non-zero
+     if any swept summary differs from the 1-domain one.
 
    - Scale cells (--scale full|smoke|off, default smoke): one large
      deployment — hundred-group topology, n=1000 processes at full
@@ -30,7 +29,6 @@ let matrix =
     Amcast.Catalogue.all
 
 type measurement = {
-  driver : string;
   domains : int;
   wall_s : float;
   scenarios_run : int;
@@ -38,7 +36,7 @@ type measurement = {
   summaries : (string * Harness.Campaign.summary) list;
 }
 
-let measure ~driver ~domains ~runs ~seed =
+let measure ~domains ~runs ~seed =
   let t0 = Unix.gettimeofday () in
   let summaries =
     List.map
@@ -51,7 +49,6 @@ let measure ~driver ~domains ~runs ~seed =
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   {
-    driver;
     domains;
     wall_s;
     scenarios_run = List.length matrix * runs;
@@ -64,11 +61,9 @@ let measure ~driver ~domains ~runs ~seed =
 
 (* {1, 2, 4, ...} up to the recommended domain count, but never less than
    {1, 2}: the whole point of the sweep is to check sharded summaries
-   against sequential ones with real domain interleaving, and a
+   against the 1-domain ones with real domain interleaving, and a
    single-core host would otherwise silently degrade the sweep to the
-   sequential case (which is exactly the bug this replaces — the old
-   bench ran "parallel" at whatever the generating host recommended,
-   i.e. 1). *)
+   1-domain case. *)
 let sweep_domains () =
   let hi = max 2 (Harness.Pool.recommended_domains ()) in
   let rec go d acc = if d >= hi then List.rev (hi :: acc) else go (2 * d) (d :: acc) in
@@ -78,14 +73,13 @@ let json_of_measurement ~baseline_wall m =
   let open Harness.Bench_json in
   Obj
     [
-      ("driver", String m.driver);
       ("domains", Int m.domains);
       ("wall_s", float 6 m.wall_s);
       ("scenarios", Int m.scenarios_run);
       ("events", Int m.events);
       ("scenarios_per_s", float 2 (float_of_int m.scenarios_run /. m.wall_s));
       ("events_per_s", float 0 (float_of_int m.events /. m.wall_s));
-      ("speedup_vs_sequential", float 3 (baseline_wall /. m.wall_s));
+      ("speedup_vs_1_domain", float 3 (baseline_wall /. m.wall_s));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -236,27 +230,22 @@ let () =
     "campaign_bench: %d protocols x %d scenarios, seed %d, domains {%s}\n%!"
     (List.length matrix) runs seed
     (String.concat "," (List.map string_of_int sweep));
-  let seq = measure ~driver:"sequential" ~domains:1 ~runs ~seed in
-  Printf.printf "  sequential      : %7.3fs  %8d events\n%!" seq.wall_s
-    seq.events;
-  let sharded =
-    List.map
-      (fun d ->
-        let m = measure ~driver:"sharded" ~domains:d ~runs ~seed in
-        Printf.printf "  sharded (%2dd)   : %7.3fs  %8d events  %.2fx%s\n%!"
-          d m.wall_s m.events
-          (seq.wall_s /. m.wall_s)
-          (if m.summaries = seq.summaries then "" else "  <-- DIVERGES");
-        m)
-      sweep
-  in
-  let identical =
-    List.for_all (fun m -> m.summaries = seq.summaries) sharded
-  in
+  (* [sweep] starts at 1 domain: that row is the baseline for every row's
+     summaries and speedup. *)
+  let rows = List.map (fun d -> measure ~domains:d ~runs ~seed) sweep in
+  let base = List.hd rows in
+  List.iter
+    (fun m ->
+      Printf.printf "  sharded (%2dd)   : %7.3fs  %8d events  %.2fx%s\n%!"
+        m.domains m.wall_s m.events
+        (base.wall_s /. m.wall_s)
+        (if m.summaries = base.summaries then "" else "  <-- DIVERGES"))
+    rows;
+  let identical = List.for_all (fun m -> m.summaries = base.summaries) rows in
   let violations =
     List.fold_left
       (fun acc (_, s) -> acc + s.Harness.Campaign.total_violations)
-      0 seq.summaries
+      0 base.summaries
   in
   let scale_cells =
     match !scale with
@@ -282,7 +271,7 @@ let () =
       scale_cells
   in
   let open Harness.Bench_json in
-  write ~schema:"amcast-bench-campaign/v2" ~out:!out
+  write ~schema:"amcast-bench-campaign/v3" ~out:!out
     ~gates:
       ([ ("summaries_identical", identical); ("no_violations", violations = 0) ]
       @ List.concat_map scale_gates scale_results)
@@ -304,9 +293,7 @@ let () =
           ] );
       ( "results",
         List
-          (List.map
-             (json_of_measurement ~baseline_wall:seq.wall_s)
-             (seq :: sharded)) );
+          (List.map (json_of_measurement ~baseline_wall:base.wall_s) rows) );
       ("scale", List (List.map json_of_scale scale_results));
       ("summaries_identical", Bool identical);
       ("total_violations", Int violations);

@@ -120,9 +120,9 @@ let run_with (type a) (module P : Amcast.Protocol.S with type t = a) name =
     Fmt.pr "VIOLATIONS: %a@." Fmt.(list string) v;
     exit 1);
   Fmt.pr "  inter-site messages: %d (local: %d)@."
-    (Harness.Metrics.inter_group_messages result)
-    (Harness.Metrics.intra_group_messages result);
-  Harness.Metrics.inter_group_messages result
+    result.Harness.Run_result.inter_group_msgs
+    result.intra_group_msgs;
+  result.inter_group_msgs
 
 let () =
   Fmt.pr

@@ -62,8 +62,8 @@ let () =
 
   Fmt.pr "@.== messages on the expensive inter-site links ==@.";
   Fmt.pr "  %d inter-site, %d local@."
-    (Harness.Metrics.inter_group_messages result)
-    (Harness.Metrics.intra_group_messages result);
+    result.Harness.Run_result.inter_group_msgs
+    result.intra_group_msgs;
 
   Fmt.pr "@.== correctness (checked from the trace, not self-reported) ==@.";
   match Harness.Checker.check_all ~expect_genuine:true result with

@@ -10,8 +10,13 @@
     full ordered snapshot is O(n log n) {e in the live count}, not in the
     all-time message count.
 
+    Users: A1's stage kernel, the Skeen stamp kernel, detmerge and ring
+    deliver from its root; A2 keeps its undelivered backlog in it,
+    ordered by id.
+
     Key updates (A1's stage transitions move a message's timestamp, Skeen
-    finalisation replaces the own-stamp key by the final one) reuse the
+    finalisation replaces the own-stamp key by the final one, ring raises
+    a message's lower bound and then sets its final stamp) reuse the
     {!Des.Event_queue} cancellation trick: a flag byte per issued handle
     marks an entry dead in O(1), dead entries are skipped lazily at the
     top of the heap, and the heap is compacted whenever dead entries

@@ -76,9 +76,6 @@ let mean_delivery_latency_ms r =
 let delivery_latency_percentile_ms r p =
   Stats.percentile p (delivery_latencies_ms r)
 
-let inter_group_messages (r : Run_result.t) = r.inter_group_msgs
-let intra_group_messages (r : Run_result.t) = r.intra_group_msgs
-
 let messages_by_tag (r : Run_result.t) =
   let tbl = Hashtbl.create 16 in
   List.iter

@@ -32,9 +32,6 @@ val delivery_latency_percentile_ms : Run_result.t -> float -> float option
 (** {!Stats.percentile} of {!delivery_latencies_ms} — e.g. p50/p99
     saturation-curve points. *)
 
-val inter_group_messages : Run_result.t -> int
-val intra_group_messages : Run_result.t -> int
-
 val messages_by_tag : Run_result.t -> (string * int) list
 (** Inter-group send counts per wire-message kind, sorted by tag. *)
 
