@@ -76,7 +76,5 @@ let on_receive t ~src = function
   | Cons m -> Group_stack.on_cons (A1_stages.stack t) ~src m
   | Hb m -> Group_stack.on_hb (A1_stages.stack t) ~src m
 
-let pending_count = A1_stages.pending_count
-let clock = A1_stages.clock
 let consensus_instances_executed = A1_stages.consensus_instances_executed
 let stats = A1_stages.stats

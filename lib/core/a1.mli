@@ -34,11 +34,7 @@ module Stage = A1_stages.Stage
 
 include Protocol.S
 
-val pending_count : t -> int
-(** Number of messages not yet A-Delivered on this process (debug/metrics). *)
 
-val clock : t -> int
-(** Current value of the group clock copy [K] (debug/metrics). *)
 
 val consensus_instances_executed : t -> int
 (** How many consensus instances this process has decided; the ablation

@@ -188,5 +188,4 @@ let create ~services ~config ~deliver =
     relayed = 0;
   }
 
-let pending_count t = Stamp_order.pending_count t.order
 let stats t = if t.relayed = 0 then [] else [ ("relayed_hops", t.relayed) ]

@@ -32,4 +32,3 @@
 
 include Protocol.S
 
-val pending_count : t -> int

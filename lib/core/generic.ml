@@ -149,7 +149,5 @@ let create ~services ~config ~deliver =
     ordered = 0;
   }
 
-let pending_count t = Stamp_order.pending_count t.order
-
 let stats t =
   [ ("generic.bypassed", t.bypassed); ("generic.ordered", t.ordered) ]

@@ -36,4 +36,3 @@
 
 include Protocol.S
 
-val pending_count : t -> int

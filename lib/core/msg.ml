@@ -9,9 +9,6 @@ let make ~id ~dest payload =
   if dest = [] then invalid_arg "Msg.make: empty destination set";
   { id; dest; payload }
 
-let broadcast ~id ~topology payload =
-  make ~id ~dest:(Net.Topology.all_groups topology) payload
-
 let dest_pids topology t = Net.Topology.pids_of_groups topology t.dest
 let is_single_group t = match t.dest with [ _ ] -> true | _ -> false
 let addressed_to_group t g = List.mem g t.dest

@@ -15,9 +15,6 @@ val make :
 (** Normalises [dest] (sort, dedupe). @raise Invalid_argument on empty
     destination set. *)
 
-val broadcast :
-  id:Runtime.Msg_id.t -> topology:Net.Topology.t -> string -> t
-(** A message addressed to every group. *)
 
 val dest_pids : Net.Topology.t -> t -> Net.Topology.pid list
 (** All processes addressed by the message, i.e. the members of its

@@ -122,8 +122,6 @@ let create ~services ~config ~deliver =
     order = Hashtbl.create 32;
   }
 
-let optimistic_deliveries t = List.rev t.opt_log
-
 (* Pairwise inversions between the optimistic and the final local orders:
    the mistake count [12] tries to minimise via the compensation window. *)
 let optimistic_mistakes t =

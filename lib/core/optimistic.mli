@@ -18,8 +18,6 @@
 
 include Protocol.S
 
-val optimistic_deliveries : t -> Runtime.Msg_id.t list
-(** Local optimistic delivery order, oldest first. *)
 
 val optimistic_mistakes : t -> int
 (** How many messages this process optimistically delivered in a position

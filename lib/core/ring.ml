@@ -261,8 +261,6 @@ let create ~services ~config ~deliver =
          ());
   t
 
-let pending_count t = Msg_id.Tbl.length t.pending
-
 let stats t =
   [
     ("cons.instances", Consensus.Paxos.retained_instances (cons t));

@@ -21,4 +21,3 @@
 
 include Protocol.S
 
-val pending_count : t -> int

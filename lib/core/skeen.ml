@@ -57,6 +57,4 @@ let create ~services ~config:_ ~deliver =
     ord = Pending_index.create ();
   }
 
-let pending_count t = Stamp_order.pending_count t.order
-
 let stats _ = []

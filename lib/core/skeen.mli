@@ -25,4 +25,3 @@
 
 include Protocol.S
 
-val pending_count : t -> int

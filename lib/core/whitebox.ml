@@ -141,9 +141,6 @@ let create ~services ~config ~deliver =
   in
   { stages; convoy }
 
-let pending_count t = A1_stages.pending_count t.stages
-let clock t = A1_stages.clock t.stages
-
 let stats t =
   A1_stages.stats t.stages
   @ [

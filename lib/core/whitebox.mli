@@ -34,5 +34,3 @@
 
 include Protocol.S
 
-val pending_count : t -> int
-val clock : t -> int

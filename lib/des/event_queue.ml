@@ -242,8 +242,6 @@ let pop q =
 
 let peek_time q = if ready q then Some (top_time q) else None
 let size q = q.live
-let is_empty q = q.live = 0
-
 (* Controlled-scheduling support (the model checker's view). These walk the
    heap columns, so they are O(len) / O(len log len) — irrelevant next to
    the cost of exploring an interleaving. *)

@@ -78,7 +78,6 @@ val peek_time : 'a t -> Sim_time.t option
 val size : 'a t -> int
 (** Number of live (non-cancelled) entries. *)
 
-val is_empty : 'a t -> bool
 
 (** {2 Controlled extraction} *)
 

@@ -32,11 +32,7 @@ val detmerge_multicast : k:int -> d:int -> cost
 
 (** Figure 1(b): broadcast algorithms. *)
 
-val optimistic : n:int -> cost
-(** Sousa et al. [12]: degree 2, O(n). *)
 
-val sequencer : n:int -> cost
-(** Vicente & Rodrigues [13]: degree 2, O(n²). *)
 
 val a2 : n:int -> cost
 (** Algorithm A2 (warm): degree 1, O(n²). *)

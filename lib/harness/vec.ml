@@ -5,8 +5,6 @@ type 'a t = {
 
 let create () = { data = [||]; len = 0 }
 
-let length t = t.len
-
 let push t x =
   let cap = Array.length t.data in
   if t.len = cap then begin
@@ -18,13 +16,4 @@ let push t x =
   t.data.(t.len) <- x;
   t.len <- t.len + 1
 
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Vec.get";
-  t.data.(i)
-
 let to_list t = List.init t.len (fun i -> t.data.(i))
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done

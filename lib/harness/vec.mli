@@ -8,13 +8,9 @@
 type 'a t
 
 val create : unit -> 'a t
-val length : 'a t -> int
 val push : 'a t -> 'a -> unit
 
-val get : 'a t -> int -> 'a
-(** @raise Invalid_argument when out of bounds. *)
 
 val to_list : 'a t -> 'a list
 (** Elements in push order. *)
 
-val iter : ('a -> unit) -> 'a t -> unit

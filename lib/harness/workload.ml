@@ -155,14 +155,3 @@ let generate ~rng ~topology ~n ~dest ~arrival ?(start = Sim_time.of_ms 1)
         dest = pick_dest ~rng ~topology ~scratch dest;
         payload = payload_of i;
       })
-
-let span t =
-  List.fold_left (fun acc c -> Sim_time.max acc c.at) Sim_time.zero t
-
-let pp ppf t =
-  let pp_cast ppf c =
-    Fmt.pf ppf "%a p%d->[%a] %S" Sim_time.pp c.at c.origin
-      Fmt.(list ~sep:(any ",") int)
-      c.dest c.payload
-  in
-  Fmt.(list ~sep:(any "@\n") pp_cast) ppf t

@@ -87,8 +87,4 @@ val generate :
     mix described at {!conflict_spec}; omitted = the plain ["m<i>"]
     payloads (no rng draws, bit-identical to older workloads). *)
 
-val span : t -> Des.Sim_time.t
-(** Instant of the last cast ({!Des.Sim_time.zero} for the empty
-    workload). *)
 
-val pp : Format.formatter -> t -> unit

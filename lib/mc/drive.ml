@@ -82,7 +82,6 @@ let step_idx t i =
     (i, c)
 
 let step t i = snd (step_idx t i)
-let steps t = t.steps
 let finished t = Scheduler.pending t.sched = 0
 
 let run ?(max_steps = 200_000) t cs =

@@ -64,10 +64,7 @@ val step : t -> int -> choice
     on a clamped index the {e clamped} choice is executed.
     @raise Invalid_argument if the deployment is quiescent. *)
 
-val steps : t -> int
-(** Choices executed so far. *)
 
-val finished : t -> bool
 
 val run : ?max_steps:int -> t -> int list -> int list
 (** [run t cs] executes the choices [cs] (clamped as in {!step}), then

@@ -31,11 +31,6 @@
     bit-identically through {!Make.replay} ({!Harness.Runner} underneath),
     and can be {!Make.minimize}d to their non-default core. *)
 
-val crisp_latency : Net.Latency.t
-(** {!Harness.Figure1.crisp}, zero-jitter WAN latencies (1ms intra-group,
-    50ms inter-group): with no jitter the latency model draws nothing from
-    the RNG, so commuted schedules keep identical arrival times — the
-    default model-checking latency. *)
 
 val digest : Harness.Run_result.t -> int
 (** Order-sensitive hash of a run's observable outcome: per-process

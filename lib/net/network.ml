@@ -421,7 +421,6 @@ let set_tx_cost t c =
     invalid_arg "Network.set_tx_cost: cost must be >= 0";
   t.tx_cost <- c
 
-let tx_cost t = t.tx_cost
 let on_send t tap = t.taps <- t.taps @ [ tap ]
 let sent_total t = t.sent_total
 let sent_inter_group t = t.sent_inter
@@ -437,5 +436,3 @@ let in_flight t =
       | Multi m -> n := !n + (m.len - m.pos))
     t.slots;
   !n
-
-let topology t = t.topology

@@ -108,8 +108,6 @@ val set_tx_cost : 'w t -> Des.Sim_time.t -> unit
     for byte (no extra state is read or written).
     @raise Invalid_argument if the cost is negative. *)
 
-val tx_cost : 'w t -> Des.Sim_time.t
-(** The current egress serialization cost. *)
 
 val on_send :
   'w t ->
@@ -126,4 +124,3 @@ val sent_inter_group : 'w t -> int
 val sent_intra_group : 'w t -> int
 val in_flight : 'w t -> int
 
-val topology : 'w t -> Topology.t

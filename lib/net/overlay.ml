@@ -12,11 +12,6 @@ let class_delay_us = function
   | Continental -> 20_000
   | Intercontinental -> 50_000
 
-let class_name = function
-  | Metro -> "metro"
-  | Continental -> "continental"
-  | Intercontinental -> "intercontinental"
-
 type kind = Clique | Hub | Ring | Tree | Custom
 
 let kind_name = function
@@ -280,10 +275,3 @@ let check_topology t topo =
       (Printf.sprintf
          "Net.Overlay: overlay covers %d groups but the topology has %d"
          t.groups m)
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>overlay %s over %d groups@," (kind_name t.kind) t.groups;
-  List.iter
-    (fun (a, b, c) -> Fmt.pf ppf "  %d -- %d (%s)@," a b (class_name c))
-    t.edges;
-  Fmt.pf ppf "@]"

@@ -136,4 +136,3 @@ val check_topology : t -> Topology.t -> unit
 (** @raise Invalid_argument when the overlay's group count differs from
     the topology's — the validation every deploy-time consumer calls. *)
 
-val pp : Format.formatter -> t -> unit

@@ -68,9 +68,3 @@ let pids_of_groups t gs =
 
 let others_in_group t p =
   List.filter (fun q -> q <> p) (members t (group_of t p))
-
-let pp ppf t =
-  Fmt.pf ppf "@[<h>{%a}@]"
-    Fmt.(list ~sep:(any "; ") (fun ppf g ->
-      Fmt.pf ppf "g%d=%a" g (list ~sep:(any ",") int) (members t g)))
-    (all_groups t)

@@ -21,12 +21,6 @@ let tag = function
   | Copy _ -> "rm.copy"
   | Fetch _ -> "rm.fetch"
 
-let pp_msg ppf m =
-  match m with
-  | Data { id; _ } -> Fmt.pf ppf "rm.data(%a)" Msg_id.pp id
-  | Copy { id; _ } -> Fmt.pf ppf "rm.copy(%a)" Msg_id.pp id
-  | Fetch { id } -> Fmt.pf ppf "rm.fetch(%a)" Msg_id.pp id
-
 type mode = Eager_nonuniform | Ack_uniform
 
 type 'p known = {
@@ -207,11 +201,6 @@ let handle t ~src:from m =
       t.services.send ~dst:from
         (t.wrap (Data { id; origin = k.origin; dest = k.dest; payload = p }))
     | _ -> ())
-
-let delivered t id =
-  match Msg_id.Tbl.find_opt t.known id with
-  | Some k -> k.delivered
-  | None -> false
 
 let retained_entries t = Msg_id.Tbl.length t.known - t.reclaimed_count
 let reclaimed_entries t = t.reclaimed_count

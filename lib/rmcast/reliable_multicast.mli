@@ -44,7 +44,6 @@
 type 'p msg
 
 val tag : 'p msg -> string
-val pp_msg : Format.formatter -> 'p msg -> unit
 
 type mode = Eager_nonuniform | Ack_uniform
 
@@ -80,7 +79,6 @@ val rmcast :
 val handle : ('p, 'w) t -> src:Net.Topology.pid -> 'p msg -> unit
 (** Feed an incoming reliable-multicast wire message. *)
 
-val delivered : ('p, 'w) t -> Runtime.Msg_id.t -> bool
 
 val retained_entries : ('p, 'w) t -> int
 (** Entries still holding bulk state (payload/copy set) or awaiting it. *)

@@ -13,7 +13,6 @@ val compare : t -> t -> int
 (** Lexicographic order on (origin, seq). *)
 
 val equal : t -> t -> bool
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -81,7 +81,6 @@ type 'w t = {
   alive_view : bool array;
   mutable crash_subs :
     (Des.Sim_time.t * (Topology.pid -> unit)) list;
-  mutable fd_subs : (float -> unit) list;
   mutable sent_intra : int;
   mutable sent_inter : int;
   mutable events : int;
@@ -201,7 +200,6 @@ let create ?inject ?(seed = 0) ?epoch ~codec ~topology ~self ~addrs () =
     thread = None;
     alive_view = Array.make (Topology.n_processes topology) true;
     crash_subs = [];
-    fd_subs = [];
     sent_intra = 0;
     sent_inter = 0;
     events = 0;
@@ -356,7 +354,8 @@ let services t : 'w Runtime.Services.t =
                 (set_timer t ~after:delay (fun ()
                      -> if t.running then callback q)))
           t.alive_view);
-    on_fd_perturb = (fun f -> t.fd_subs <- f :: t.fd_subs);
+    (* Nothing perturbs the detectors of a real-socket cluster. *)
+    on_fd_perturb = (fun _ -> ());
   }
 
 (* Oracle crash notification, driven by whoever injected the crash (the
@@ -375,10 +374,6 @@ let announce_crash t dead =
       end)
 
 let announce_recovery t pid = post t (fun () -> t.alive_view.(pid) <- true)
-
-let perturb_fd t scale =
-  if scale <= 0. then invalid_arg "Tcp.perturb_fd: scale must be > 0";
-  post t (fun () -> List.iter (fun f -> f scale) t.fd_subs)
 
 (* ---------- frame dispatch ---------- *)
 
@@ -525,7 +520,6 @@ let stop t =
     t.thread <- None
 
 let running t = t.running && not t.stopped
-let self t = t.self
 let sent_intra t = t.sent_intra
 let sent_inter t = t.sent_inter
 let events_processed t = t.events

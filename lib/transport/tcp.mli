@@ -96,11 +96,7 @@ val announce_crash : 'w t -> Net.Topology.pid -> unit
 val announce_recovery : 'w t -> Net.Topology.pid -> unit
 (** Marks a restarted pid alive again in this node's view. *)
 
-val perturb_fd : 'w t -> float -> unit
-(** Applies a failure-detector timeout scale to this node's subscribers
-    (the {!Runtime.Engine.perturb_fd} analogue). *)
 
-val self : 'w t -> Net.Topology.pid
 
 val lc : 'w t -> Lclock.t
 

@@ -82,5 +82,3 @@ let recover path =
   close t0;
   Sys.rename tmp path;
   (records, { path; chan = Some (append_channel path) })
-
-let path t = t.path

@@ -28,4 +28,3 @@ val recover : string -> string list * t
     for appending — the restart path. Returns the durable records, oldest
     first, and the reopened log. *)
 
-val path : t -> string
