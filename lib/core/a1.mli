@@ -34,8 +34,6 @@ module Stage = A1_stages.Stage
 
 include Protocol.S
 
-
-
 val consensus_instances_executed : t -> int
 (** How many consensus instances this process has decided; the ablation
     benchmark compares this with and without stage skipping. *)

@@ -374,8 +374,6 @@ let create ~services ~config ~deliver ~rm ~cons ~hb ?on_crash ~on_s0_decided
   in
   Lazy.force t
 
-let pending_count t = Msg_id.Tbl.length t.pending
-let clock t = t.k
 let consensus_instances_executed t = t.cons_executed
 
 let stack t = t.stack

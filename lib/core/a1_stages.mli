@@ -60,12 +60,6 @@ val stack : 'w t -> (entry list, 'w) Group_stack.t
 (** The group's detector, reliable multicast, batcher and Paxos; the
     protocol routes their wire messages here. *)
 
-val pending_count : 'w t -> int
-(** Messages not yet A-Delivered on this process. *)
-
-val clock : 'w t -> int
-(** The group clock copy [K]. *)
-
 val consensus_instances_executed : 'w t -> int
 (** Consensus instances this process has decided and processed. *)
 

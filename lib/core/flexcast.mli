@@ -31,4 +31,3 @@
     groups. *)
 
 include Protocol.S
-

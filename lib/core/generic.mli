@@ -35,4 +35,3 @@
     both members of. Failure-free model, like {!Skeen}. *)
 
 include Protocol.S
-

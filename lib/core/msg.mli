@@ -15,7 +15,6 @@ val make :
 (** Normalises [dest] (sort, dedupe). @raise Invalid_argument on empty
     destination set. *)
 
-
 val dest_pids : Net.Topology.t -> t -> Net.Topology.pid list
 (** All processes addressed by the message, i.e. the members of its
     destination groups. *)

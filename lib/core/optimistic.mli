@@ -18,7 +18,6 @@
 
 include Protocol.S
 
-
 val optimistic_mistakes : t -> int
 (** How many messages this process optimistically delivered in a position
     that disagrees with the final order — the quantity [12] minimises. *)

@@ -20,4 +20,3 @@
     A1's O(k²d²). The tradeoff benchmark quantifies exactly this. *)
 
 include Protocol.S
-

@@ -20,5 +20,3 @@
     exercised in failure-free runs only. *)
 
 include Protocol.S
-
-val pending_count : t -> int

@@ -24,4 +24,3 @@
     the lower-bound experiments. *)
 
 include Protocol.S
-

@@ -33,4 +33,3 @@
     differential scenario grid (asserted by the property suite). *)
 
 include Protocol.S
-

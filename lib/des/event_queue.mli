@@ -78,7 +78,6 @@ val peek_time : 'a t -> Sim_time.t option
 val size : 'a t -> int
 (** Number of live (non-cancelled) entries. *)
 
-
 (** {2 Controlled extraction} *)
 
 val live : 'a t -> (int * Sim_time.t * int) list

@@ -32,8 +32,6 @@ val detmerge_multicast : k:int -> d:int -> cost
 
 (** Figure 1(b): broadcast algorithms. *)
 
-
-
 val a2 : n:int -> cost
 (** Algorithm A2 (warm): degree 1, O(n²). *)
 

@@ -10,7 +10,5 @@ type 'a t
 val create : unit -> 'a t
 val push : 'a t -> 'a -> unit
 
-
 val to_list : 'a t -> 'a list
 (** Elements in push order. *)
-

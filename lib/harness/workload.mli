@@ -86,5 +86,3 @@ val generate :
     omitted = uniform. [conflict] turns payloads into the keyed/commuting
     mix described at {!conflict_spec}; omitted = the plain ["m<i>"]
     payloads (no rng draws, bit-identical to older workloads). *)
-
-

@@ -64,8 +64,6 @@ val step : t -> int -> choice
     on a clamped index the {e clamped} choice is executed.
     @raise Invalid_argument if the deployment is quiescent. *)
 
-
-
 val run : ?max_steps:int -> t -> int list -> int list
 (** [run t cs] executes the choices [cs] (clamped as in {!step}), then
     pads with choice 0 until the deployment drains; returns the full

@@ -31,7 +31,6 @@
     bit-identically through {!Make.replay} ({!Harness.Runner} underneath),
     and can be {!Make.minimize}d to their non-default core. *)
 
-
 val digest : Harness.Run_result.t -> int
 (** Order-sensitive hash of a run's observable outcome: per-process
     delivery sequences (by message id) plus the crash set. Two terminal

@@ -108,7 +108,6 @@ val set_tx_cost : 'w t -> Des.Sim_time.t -> unit
     for byte (no extra state is read or written).
     @raise Invalid_argument if the cost is negative. *)
 
-
 val on_send :
   'w t ->
   (src:Topology.pid -> dst:Topology.pid -> 'w -> unit) ->
@@ -123,4 +122,3 @@ val sent_total : 'w t -> int
 val sent_inter_group : 'w t -> int
 val sent_intra_group : 'w t -> int
 val in_flight : 'w t -> int
-

@@ -135,4 +135,3 @@ val to_latency : ?jitter:Des.Sim_time.t -> ?intra:Des.Sim_time.t -> t -> Latency
 val check_topology : t -> Topology.t -> unit
 (** @raise Invalid_argument when the overlay's group count differs from
     the topology's — the validation every deploy-time consumer calls. *)
-

@@ -55,4 +55,3 @@ val pids_of_groups : t -> gid list -> pid list
 
 val others_in_group : t -> pid -> pid list
 (** Members of [group_of p] except [p] itself. *)
-

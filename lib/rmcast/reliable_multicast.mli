@@ -79,7 +79,6 @@ val rmcast :
 val handle : ('p, 'w) t -> src:Net.Topology.pid -> 'p msg -> unit
 (** Feed an incoming reliable-multicast wire message. *)
 
-
 val retained_entries : ('p, 'w) t -> int
 (** Entries still holding bulk state (payload/copy set) or awaiting it. *)
 

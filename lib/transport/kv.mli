@@ -19,7 +19,6 @@ val group_of_key : groups:int -> string -> Net.Topology.gid
 val encode : cmd -> string
 (** Wire/WAL codec. Keys must be NUL-free (see {!parse}). *)
 
-
 val spec : groups:int -> (state, cmd) Rsm.spec
 
 val conflict : groups:int -> Amcast.Conflict.t

@@ -96,8 +96,6 @@ val announce_crash : 'w t -> Net.Topology.pid -> unit
 val announce_recovery : 'w t -> Net.Topology.pid -> unit
 (** Marks a restarted pid alive again in this node's view. *)
 
-
-
 val lc : 'w t -> Lclock.t
 
 val bump_lc : 'w t -> (Lclock.t -> Lclock.t) -> unit

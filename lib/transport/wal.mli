@@ -27,4 +27,3 @@ val recover : string -> string list * t
 (** Replay, atomically rewrite the file without any torn tail, and reopen
     for appending — the restart path. Returns the durable records, oldest
     first, and the reopened log. *)
-
