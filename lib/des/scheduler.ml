@@ -63,9 +63,7 @@ let at_arg t tag time f arg =
   Event_queue.add_tagged t.queue ~time ~tag ~arg f
 
 let at_tagged t tag time f = at_arg t tag time f 0
-let at t time f = at_tagged t Tag.generic time f
 let after_tagged t tag d f = at_tagged t tag (Sim_time.add t.clock d) f
-let after t d f = at t (Sim_time.add t.clock d) f
 let arg t = t.arg
 
 let cancel t h = Event_queue.cancel t.queue h

@@ -62,20 +62,16 @@ val create : unit -> t
 val now : t -> Sim_time.t
 (** Current virtual time. *)
 
-val at : t -> Sim_time.t -> (unit -> unit) -> handle
-(** [at t time f] schedules [f] to run at absolute [time]. Scheduling in the
-    past is clamped to the current instant (the action still runs strictly
-    after the currently-executing one). *)
-
-val after : t -> Sim_time.t -> (unit -> unit) -> handle
-(** [after t d f] schedules [f] to run [d] after the current instant. *)
-
 val at_tagged : t -> Tag.t -> Sim_time.t -> (unit -> unit) -> handle
-(** [at] with commutativity metadata. [at t] = [at_tagged t Tag.generic].
-    Plain positional arguments (no optional label) keep the per-event hot
-    path free of option allocations. *)
+(** [at_tagged t tag time f] schedules [f], tagged [tag], to run at
+    absolute [time]. Scheduling in the past is clamped to the current
+    instant (the action still runs strictly after the currently-executing
+    one). Plain positional arguments (no optional label) keep the
+    per-event hot path free of option allocations. *)
 
 val after_tagged : t -> Tag.t -> Sim_time.t -> (unit -> unit) -> handle
+(** [after_tagged t tag d f] schedules [f] to run [d] after the current
+    instant. *)
 
 val at_arg : t -> Tag.t -> Sim_time.t -> (unit -> unit) -> int -> handle
 (** [at_arg t tag time f arg] is [at_tagged t tag time f] carrying the

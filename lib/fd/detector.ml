@@ -22,6 +22,3 @@ let oracle ~delay (services : _ Runtime.Services.t) =
     suspects = (fun q -> List.memq q !suspected);
     subscribe = (fun f -> listeners := !listeners @ [ f ]);
   }
-
-let never_suspects =
-  { suspects = (fun _ -> false); subscribe = (fun _ -> ()) }

@@ -30,6 +30,3 @@ val oracle : delay:Des.Sim_time.t -> 'w Runtime.Services.t -> t
     are no false suspicions. Sends no messages (cf. the oracle-based
     consensus/reliable-broadcast algorithms the paper cites for its cost
     accounting). *)
-
-val never_suspects : t
-(** The trivial detector for failure-free runs. *)

@@ -32,8 +32,14 @@ type summary = {
   retained_total : (string * int) list;
 }
 
-let random_scenario rng ?(broadcast_only = false) ?(with_crashes = true)
-    ?(with_nemesis = false) () =
+(* Scenario [i] of campaign [seed] draws from its own RNG substream, a
+   pure function of [(seed, i)]: whichever domain claims index [i]
+   expands it to the same scenario without coordinating over a shared
+   walking rng. Each run then re-seeds everything from its scenario, so
+   outcomes are independent of who generated the scenario where. *)
+let scenario_at ?(broadcast_only = false) ?(with_crashes = true)
+    ?(with_nemesis = false) ~seed i =
+  let rng = Rng.substream seed i in
   {
     seed = Rng.int rng 1_000_000_000;
     groups = 2 + Rng.int rng 3;
@@ -44,16 +50,6 @@ let random_scenario rng ?(broadcast_only = false) ?(with_crashes = true)
     jitter = Rng.bool rng;
     nemesis = with_nemesis;
   }
-
-(* Scenario [i] of campaign [seed] draws from its own RNG substream, a
-   pure function of [(seed, i)]: whichever domain claims index [i]
-   expands it to the same scenario without coordinating over a shared
-   walking rng. Each run then re-seeds everything from its scenario, so
-   outcomes are independent of who generated the scenario where. *)
-let scenario_at ?broadcast_only ?with_crashes ?with_nemesis ~seed i =
-  random_scenario
-    (Rng.substream seed i)
-    ?broadcast_only ?with_crashes ?with_nemesis ()
 
 let scenarios ?broadcast_only ?with_crashes ?with_nemesis ~seed ~runs () =
   List.init runs

@@ -60,14 +60,6 @@ type summary = {
           plus the throughput-lane batching/pipelining counters. *)
 }
 
-val random_scenario :
-  Des.Rng.t ->
-  ?broadcast_only:bool ->
-  ?with_crashes:bool ->
-  ?with_nemesis:bool ->
-  unit ->
-  scenario
-
 val scenario_at :
   ?broadcast_only:bool ->
   ?with_crashes:bool ->

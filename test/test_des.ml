@@ -158,12 +158,16 @@ let test_queue_heavy_cancellation () =
   Alcotest.(check int) "still empty" 0 (Event_queue.size q);
   Alcotest.(check bool) "pop on empty" true (Event_queue.pop q = None)
 
+(* Untagged scheduling, as infrastructure hooks do. *)
+let at s time f = Scheduler.at_tagged s Scheduler.Tag.generic time f
+let after s d f = Scheduler.after_tagged s Scheduler.Tag.generic d f
+
 let test_scheduler_executed_counter () =
   let s = Scheduler.create () in
   for i = 1 to 5 do
-    ignore (Scheduler.at s (Sim_time.of_ms i) (fun () -> ()))
+    ignore (at s (Sim_time.of_ms i) (fun () -> ()))
   done;
-  let h = Scheduler.at s (Sim_time.of_ms 6) (fun () -> ()) in
+  let h = at s (Sim_time.of_ms 6) (fun () -> ()) in
   Scheduler.cancel s h;
   Scheduler.run s;
   Alcotest.(check int) "cancelled actions are not counted" 5
@@ -172,12 +176,12 @@ let test_scheduler_executed_counter () =
 let test_scheduler_runs_in_order () =
   let s = Scheduler.create () in
   let log = ref [] in
-  ignore (Scheduler.at s (Sim_time.of_ms 2) (fun () -> log := 2 :: !log));
-  ignore (Scheduler.at s (Sim_time.of_ms 1) (fun () -> log := 1 :: !log));
+  ignore (at s (Sim_time.of_ms 2) (fun () -> log := 2 :: !log));
+  ignore (at s (Sim_time.of_ms 1) (fun () -> log := 1 :: !log));
   ignore
-    (Scheduler.at s (Sim_time.of_ms 1) (fun () ->
+    (at s (Sim_time.of_ms 1) (fun () ->
          (* actions can schedule more actions *)
-         ignore (Scheduler.after s (Sim_time.of_ms 5) (fun () -> log := 6 :: !log))));
+         ignore (after s (Sim_time.of_ms 5) (fun () -> log := 6 :: !log))));
   Scheduler.run s;
   Alcotest.(check (list int)) "order" [ 1; 2; 6 ] (List.rev !log);
   Alcotest.(check int) "clock at last event" 6_000
@@ -186,8 +190,8 @@ let test_scheduler_runs_in_order () =
 let test_scheduler_until () =
   let s = Scheduler.create () in
   let log = ref [] in
-  ignore (Scheduler.at s (Sim_time.of_ms 1) (fun () -> log := 1 :: !log));
-  ignore (Scheduler.at s (Sim_time.of_ms 10) (fun () -> log := 10 :: !log));
+  ignore (at s (Sim_time.of_ms 1) (fun () -> log := 1 :: !log));
+  ignore (at s (Sim_time.of_ms 10) (fun () -> log := 10 :: !log));
   Scheduler.run ~until:(Sim_time.of_ms 5) s;
   Alcotest.(check (list int)) "only events before horizon" [ 1 ] (List.rev !log);
   Alcotest.(check int) "pending remains" 1 (Scheduler.pending s);
@@ -197,14 +201,14 @@ let test_scheduler_until () =
 let test_scheduler_cancel () =
   let s = Scheduler.create () in
   let fired = ref false in
-  let h = Scheduler.at s (Sim_time.of_ms 1) (fun () -> fired := true) in
+  let h = at s (Sim_time.of_ms 1) (fun () -> fired := true) in
   Scheduler.cancel s h;
   Scheduler.run s;
   Alcotest.(check bool) "cancelled action does not fire" false !fired
 
 let test_scheduler_max_steps () =
   let s = Scheduler.create () in
-  let rec loop () = ignore (Scheduler.after s (Sim_time.of_ms 1) loop) in
+  let rec loop () = ignore (after s (Sim_time.of_ms 1) loop) in
   loop ();
   Alcotest.check_raises "runaway loop detected"
     (Failure "Scheduler.run: max_steps exhausted (runaway event loop?)")
@@ -214,8 +218,8 @@ let test_scheduler_past_clamped () =
   let s = Scheduler.create () in
   let log = ref [] in
   ignore
-    (Scheduler.at s (Sim_time.of_ms 5) (fun () ->
-         ignore (Scheduler.at s (Sim_time.of_ms 1) (fun () -> log := `Late :: !log))));
+    (at s (Sim_time.of_ms 5) (fun () ->
+         ignore (at s (Sim_time.of_ms 1) (fun () -> log := `Late :: !log))));
   Scheduler.run s;
   Alcotest.(check int) "past-scheduled action still runs" 1 (List.length !log);
   Alcotest.(check int) "clock does not go backwards" 5_000

@@ -40,12 +40,6 @@ let test_oracle_leader () =
   Alcotest.(check (option int)) "all suspected" None
     (Fd.Detector.leader d [ 0 ])
 
-let test_never_suspects () =
-  let d = Fd.Detector.never_suspects in
-  Alcotest.(check bool) "no suspicion" false (d.Fd.Detector.suspects 42);
-  Alcotest.(check (option int)) "leader is first" (Some 7)
-    (Fd.Detector.leader d [ 7; 8 ])
-
 (* Heartbeat detector: two processes, one crashes, the survivor suspects it
    after the timeout; no false suspicion while both are alive. *)
 let test_heartbeat_detects_crash () =
@@ -182,7 +176,6 @@ let suites =
       [
         Alcotest.test_case "oracle detects crash" `Quick test_oracle_detects;
         Alcotest.test_case "oracle leader rotation" `Quick test_oracle_leader;
-        Alcotest.test_case "never_suspects" `Quick test_never_suspects;
         Alcotest.test_case "heartbeat detects crash" `Quick
           test_heartbeat_detects_crash;
         Alcotest.test_case "heartbeat back-off capped" `Quick

@@ -23,7 +23,7 @@ let test_network_partition_buffers () =
     (List.length !received);
   Alcotest.(check int) "message parked, not dropped" 1 (Network.in_flight net);
   ignore
-    (Scheduler.at sched (Sim_time.of_ms 600) (fun () ->
+    (Scheduler.at_tagged sched Scheduler.Tag.generic (Sim_time.of_ms 600) (fun () ->
          Network.heal net ~src_group:0 ~dst_group:1));
   Scheduler.run sched;
   (match !received with
@@ -49,7 +49,7 @@ let test_network_partition_groups_and_heal_all () =
   Scheduler.run ~until:(Sim_time.of_ms 400) sched;
   Alcotest.(check int) "only the unpartitioned message" 1 !received;
   ignore
-    (Scheduler.at sched (Sim_time.of_ms 500) (fun () -> Network.heal_all net));
+    (Scheduler.at_tagged sched Scheduler.Tag.generic (Sim_time.of_ms 500) (fun () -> Network.heal_all net));
   Scheduler.run sched;
   Alcotest.(check int) "all delivered after heal" 3 !received
 

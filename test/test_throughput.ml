@@ -334,9 +334,7 @@ let test_pipelined_double_decide_ordering () =
    verdicts. *)
 let prop_verdict_differential proto (seed, with_nemesis) =
   let scenario =
-    Harness.Campaign.random_scenario
-      (Des.Rng.create seed)
-      ~with_crashes:true ~with_nemesis ()
+    Harness.Campaign.scenario_at ~seed ~with_crashes:true ~with_nemesis 0
   in
   let verdicts config =
     (Harness.Campaign.run_one proto ~config scenario).Harness.Campaign
@@ -357,9 +355,7 @@ let prop_verdict_differential proto (seed, with_nemesis) =
    exactly what the unbatched default does, with identical verdicts. *)
 let prop_knob_grid (seed, batch_max, delay_ms, pipeline) =
   let scenario =
-    Harness.Campaign.random_scenario
-      (Des.Rng.create seed)
-      ~with_crashes:false ()
+    Harness.Campaign.scenario_at ~seed ~with_crashes:false 0
   in
   let outcome config = Harness.Campaign.run_one (module Amcast.A1 : Amcast.Protocol.S) ~config scenario in
   let b =
@@ -493,9 +489,8 @@ let suites =
           differential_gen
           (fun (seed, n) ->
             let scenario =
-              Harness.Campaign.random_scenario
-                (Des.Rng.create seed)
-                ~broadcast_only:true ~with_crashes:true ~with_nemesis:n ()
+              Harness.Campaign.scenario_at ~seed ~broadcast_only:true
+                ~with_crashes:true ~with_nemesis:n 0
             in
             let verdicts config =
               (Harness.Campaign.run_one
