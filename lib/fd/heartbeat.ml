@@ -2,8 +2,6 @@ open Des
 
 type msg = Ping of { seq : int }
 
-let pp_msg ppf (Ping { seq }) = Fmt.pf ppf "ping(%d)" seq
-
 type peer = {
   mutable deadline_timer : int option;
   mutable timeout : Sim_time.t;

@@ -16,8 +16,6 @@
 
 type msg = Ping of { seq : int }
 
-val pp_msg : Format.formatter -> msg -> unit
-
 type 'w t
 
 val create :

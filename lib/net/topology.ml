@@ -65,6 +65,3 @@ let pids_of_groups t gs =
       !acc
   in
   build gs
-
-let others_in_group t p =
-  List.filter (fun q -> q <> p) (members t (group_of t p))

@@ -52,6 +52,3 @@ val same_group : t -> pid -> pid -> bool
 val pids_of_groups : t -> gid list -> pid list
 (** Union of the given groups' members, in increasing pid order. Duplicated
     group ids are ignored. *)
-
-val others_in_group : t -> pid -> pid list
-(** Members of [group_of p] except [p] itself. *)

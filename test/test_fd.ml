@@ -46,7 +46,7 @@ let test_heartbeat_detects_crash () =
   let topo = Topology.symmetric ~groups:1 ~per_group:2 in
   let engine =
     Engine.create ~latency:Util.crisp_latency
-      ~tag:Fd.Heartbeat.(fun m -> Fmt.str "%a" pp_msg m)
+      ~tag:(fun (Fd.Heartbeat.Ping _) -> "fd.ping")
       topo
   in
   let detectors = Hashtbl.create 2 in
@@ -83,7 +83,7 @@ let heartbeat_pair ?max_timeout ~period ~timeout () =
   let topo = Topology.symmetric ~groups:1 ~per_group:2 in
   let engine =
     Engine.create ~latency:Util.crisp_latency
-      ~tag:Fd.Heartbeat.(fun m -> Fmt.str "%a" pp_msg m)
+      ~tag:(fun (Fd.Heartbeat.Ping _) -> "fd.ping")
       topo
   in
   let detectors = Hashtbl.create 2 in

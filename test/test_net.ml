@@ -12,9 +12,7 @@ let test_topology_basics () =
   Alcotest.(check bool) "same group" true (Topology.same_group t 2 4);
   Alcotest.(check bool) "different group" false (Topology.same_group t 1 2);
   Alcotest.(check (list int)) "pids_of_groups dedup" [ 0; 1; 5 ]
-    (Topology.pids_of_groups t [ 2; 0; 0 ]);
-  Alcotest.(check (list int)) "others_in_group" [ 2; 4 ]
-    (Topology.others_in_group t 3)
+    (Topology.pids_of_groups t [ 2; 0; 0 ])
 
 let test_topology_invalid () =
   Alcotest.check_raises "empty group"
