@@ -6,14 +6,11 @@
     Used by [amcast_sim --print-timeline] and handy in the toplevel while
     debugging protocols. *)
 
-val timeline :
-  ?max_rows:int -> topology:Net.Topology.t -> Runtime.Trace.t -> string
-(** [timeline ~topology trace] is a textual table; [max_rows] (default
-    200) truncates long traces with an ellipsis row. *)
-
 val pp :
   ?max_rows:int ->
   topology:Net.Topology.t ->
   Format.formatter ->
   Runtime.Trace.t ->
   unit
+(** [pp ~topology ppf trace] prints a textual table; [max_rows] (default
+    200) truncates long traces with an ellipsis row. *)

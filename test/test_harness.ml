@@ -372,13 +372,17 @@ let test_trace_render () =
       (Harness.Workload.single ~at:(Sim_time.of_ms 1) ~origin:0
          ~dest:[ 0; 1 ] ())
   in
-  let s = Harness.Trace_render.timeline ~topology:topo r.trace in
+  let s =
+    Fmt.str "%a"
+      (Harness.Trace_render.pp ?max_rows:None ~topology:topo)
+      r.trace
+  in
   Alcotest.(check bool) "mentions the cast" true
     (Util.contains s "CAST m0.0");
   Alcotest.(check bool) "mentions a delivery" true
     (Util.contains s "DLVR m0.0");
   let truncated =
-    Harness.Trace_render.timeline ~max_rows:2 ~topology:topo r.trace
+    Fmt.str "%a" (Harness.Trace_render.pp ~max_rows:2 ~topology:topo) r.trace
   in
   Alcotest.(check bool) "truncation marker" true
     (Util.contains truncated "truncated")
