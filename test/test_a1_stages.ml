@@ -12,9 +12,6 @@
 open Des
 open Net
 
-let pid_digests = Test_stamp_order.pid_digests
-let sends_by_tag = Test_stamp_order.sends_by_tag
-
 let stream topo =
   Harness.Workload.generate ~rng:(Rng.create 23) ~topology:topo ~n:40
     ~dest:(Harness.Workload.Random_groups (Topology.n_groups topo))
@@ -170,14 +167,7 @@ let golden : (string * (int list * (string * int) list)) list =
 let test_golden () =
   List.iter
     (fun (name, r) ->
-      Util.check_no_violations (name ^ " clean") (Harness.Checker.check_all r);
-      let digests = pid_digests r and sends = sends_by_tag r in
-      match List.assoc_opt name golden with
-      | None -> Alcotest.failf "%s: no golden entry" name
-      | Some (d, s) ->
-        Alcotest.(check (list int)) (name ^ " per-pid digests") d digests;
-        Alcotest.(check (list (pair string int)))
-          (name ^ " sends per tag") s sends)
+      Test_stamp_order.check_golden golden name (Harness.Checker.check_all r) r)
     (golden_runs ())
 
 (* The crash row above is only a resend pin if the leader change really

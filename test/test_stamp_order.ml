@@ -39,6 +39,17 @@ let sends_by_tag (r : Harness.Run_result.t) =
   Hashtbl.fold (fun tag n acc -> (tag, n) :: acc) tbl []
   |> List.sort compare
 
+(* A golden row: the run is clean and its per-pid digests and per-tag
+   sends equal the literals recorded under [name]. *)
+let check_golden golden name violations r =
+  Util.check_no_violations (name ^ " clean") violations;
+  match List.assoc_opt name golden with
+  | None -> Alcotest.failf "%s: no golden entry" name
+  | Some (d, s) ->
+    Alcotest.(check (list int)) (name ^ " per-pid digests") d (pid_digests r);
+    Alcotest.(check (list (pair string int)))
+      (name ^ " sends per tag") s (sends_by_tag r)
+
 let stream ?conflict topo =
   Harness.Workload.generate ~rng:(Rng.create 23) ~topology:topo ~n:40
     ~dest:(Harness.Workload.Random_groups (Topology.n_groups topo))
@@ -163,15 +174,7 @@ let golden : (string * (int list * (string * int) list)) list =
 let test_golden () =
   List.iter
     (fun (name, conflict, r) ->
-      Util.check_no_violations (name ^ " clean")
-        (Harness.Checker.check_all ~conflict r);
-      let digests = pid_digests r and sends = sends_by_tag r in
-      match List.assoc_opt name golden with
-      | None -> Alcotest.failf "%s: no golden entry" name
-      | Some (d, s) ->
-        Alcotest.(check (list int)) (name ^ " per-pid digests") d digests;
-        Alcotest.(check (list (pair string int)))
-          (name ^ " sends per tag") s sends)
+      check_golden golden name (Harness.Checker.check_all ~conflict r) r)
     (golden_runs ())
 
 (* ----- the kernel, driven directly ----- *)
