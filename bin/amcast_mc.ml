@@ -230,9 +230,9 @@ let () =
       E.make_setup ~seed:!seed ~latency ~config ~faults
         ~spurious_timers:!spurious ~reorder_bound:!reorder ~topology workload
     in
-    (* The checks Trace_file.replay applies, so a saved counterexample
-       replays to the same verdict. *)
-    let check = Harness.Checker.owed entry config in
+    (* The explorer checks what the entry owes under [config], as
+       Trace_file.replay does, so a saved counterexample replays to the
+       same verdict. *)
     let opts =
       {
         E.default_opts with
@@ -240,7 +240,6 @@ let () =
         fingerprints = !fingerprints;
         max_interleavings = !max_interleavings;
         max_total_steps = !max_total_steps;
-        check;
       }
     in
     Fmt.pr "exploring %s sizes=%s casts=%d (por=%b fingerprints=%b)@."
@@ -265,7 +264,7 @@ let () =
       exit 0
     | Some v ->
       let choices, messages =
-        if !minimize then E.minimize ~check setup v.E.choices
+        if !minimize then E.minimize setup v.E.choices
         else (v.E.choices, v.E.messages)
       in
       Fmt.pr "VIOLATION after %d interleavings; %sschedule (%d choices):@."

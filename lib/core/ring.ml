@@ -24,6 +24,7 @@ type pending = {
   mutable known_ts : int; (* best lower bound on the final timestamp *)
   mutable final : int option;
   mutable stamped : bool; (* my group already ran consensus on it *)
+  mutable queued : bool; (* in [queue] *)
   mutable handle : Pending_index.handle;
       (* slot in [ord], keyed by the final timestamp once known, else by
          [known_ts] *)
@@ -37,7 +38,7 @@ type t = {
   mutable instance : int; (* group-local: next consensus instance *)
   mutable prop_instance : int;
   mutable outstanding : Msg_id.t option; (* stamped, awaiting Final *)
-  queue : Msg_id.t list ref; (* ids waiting for my group's stamp *)
+  queue : pending Queue.t; (* waiting for my group's stamp, FIFO *)
   decisions : (int, stamp) Hashtbl.t; (* decided stamps, by instance *)
   pending : pending Msg_id.Tbl.t;
   ord : pending Pending_index.t; (* pending, by (final or known_ts, id) *)
@@ -75,30 +76,29 @@ let rec delivery_test t =
     delivery_test t
   | Some _ | None -> ()
 
-(* Propose my queue head for the group's next stamping instance; the group
-   handles one message at a time (waits for the Final acknowledgment). *)
+(* [final <> None] means every group of the chain — ours included, via an
+   instance decided at another member — has stamped the message: its
+   timestamp is fixed and it needs nothing more from this group. Proposing
+   it would re-propose it forever when a Final overtakes our own Decide
+   while delivery is blocked behind a slower message (a livelock: each
+   re-proposal burns a full consensus instance without ever stamping the
+   blocker). A delivered message is final too. *)
+let proposable p = (not p.stamped) && p.final = None
+
+(* Propose my first proposable queue entry for the group's next stamping
+   instance; the group handles one message at a time (waits for the Final
+   acknowledgment). Stamped and final never revert, so entries that are
+   no longer proposable are dropped when they reach the head. *)
 let try_propose t =
   if t.outstanding = None && t.prop_instance <= t.instance then begin
-    let queue =
-      List.filter
-        (fun id ->
-          match Msg_id.Tbl.find_opt t.pending id with
-          (* [final <> None] means every group of the chain — ours included,
-             via an instance decided at another member — has stamped the
-             message: its timestamp is fixed and it needs nothing more from
-             this group. Keeping it here would re-propose it forever when a
-             Final overtakes our own Decide while delivery is blocked
-             behind a slower message (a livelock: each re-proposal burns a
-             full consensus instance without ever stamping the blocker). *)
-          | Some p -> (not p.stamped) && p.final = None
-          | None -> false)
-        !(t.queue)
-    in
-    t.queue := queue;
-    match queue with
-    | [] -> ()
-    | id :: _ ->
-      let p = Msg_id.Tbl.find t.pending id in
+    while
+      (not (Queue.is_empty t.queue)) && not (proposable (Queue.peek t.queue))
+    do
+      (Queue.pop t.queue).queued <- false
+    done;
+    match Queue.peek_opt t.queue with
+    | None -> ()
+    | Some p ->
       let ts = max t.clock p.known_ts + 1 in
       Consensus.Paxos.propose (cons t) ~instance:t.instance
         { msg = p.msg; ts };
@@ -116,7 +116,10 @@ let get_pending t (m : Msg.t) ~known_ts =
     end;
     p
   | None ->
-    let p = { msg = m; known_ts; final = None; stamped = false; handle = -1 } in
+    let p =
+      { msg = m; known_ts; final = None; stamped = false; queued = false;
+        handle = -1 }
+    in
     p.handle <- Pending_index.add t.ord ~ts:known_ts ~id:m.id p;
     Msg_id.Tbl.replace t.pending m.id p;
     p
@@ -126,8 +129,9 @@ let get_pending t (m : Msg.t) ~known_ts =
 let enqueue t (m : Msg.t) ~known_ts =
   if not (Msg_id.Tbl.mem t.delivered m.id) then begin
     let p = get_pending t m ~known_ts in
-    if (not p.stamped) && not (List.mem m.id !(t.queue)) then begin
-      t.queue := !(t.queue) @ [ m.id ];
+    if (not p.stamped) && not p.queued then begin
+      p.queued <- true;
+      Queue.push p t.queue;
       try_propose t
     end
   end
@@ -217,7 +221,7 @@ let create ~services ~config ~deliver =
       instance = 1;
       prop_instance = 1;
       outstanding = None;
-      queue = ref [];
+      queue = Queue.create ();
       decisions = Hashtbl.create 8;
       pending = Msg_id.Tbl.create 32;
       ord = Pending_index.create ();

@@ -338,32 +338,55 @@ let conflict_order ~conflict (r : Run_result.t) =
     done
   in
   let violations = ref [] in
+  (* Whether two sorted destination lists share a group. *)
+  let rec meet a b =
+    match (a, b) with
+    | x :: a', y :: b' -> x = y || if x < y then meet a' b else meet a b'
+    | [], _ | _, [] -> false
+  in
+  let addressed m p = Amcast.Msg.addressed_to_pid r.topology m p in
+  let obs_of p = pair_obs_at pos1.(p) pos2.(p) in
+  (* Equal observations never violate, so a pair that every common
+     addressee observed alike needs no pid-pair walk. *)
+  let rec all_obs m2 o = function
+    | [] -> true
+    | p :: rest -> ((not (addressed m2 p)) || obs_of p = o) && all_obs m2 o rest
+  in
+  let rec uniform m2 = function
+    | [] -> true
+    | p :: rest ->
+      if addressed m2 p then all_obs m2 (obs_of p) rest else uniform m2 rest
+  in
+  let rec pid_pairs m1 m2 = function
+    | [] -> ()
+    | (p, op) :: later ->
+      List.iter
+        (fun (q, oq) ->
+          match conflict_pair_violation m1 m2 p op q oq with
+          | Some v -> violations := v :: !violations
+          | None -> ())
+        later;
+      pid_pairs m1 m2 later
+  in
+  (* A pair with no common addressee is skipped before its deliveries
+     are marked. *)
   let check_pair s1 s2 =
     let m1 = msg s1 and m2 = msg s2 in
-    mark pos1 s1;
-    mark pos2 s2;
-    let obs =
-      List.filter_map
-        (fun p ->
-          if Amcast.Msg.addressed_to_pid r.topology m2 p then
-            Some (p, pair_obs_at pos1.(p) pos2.(p))
-          else None)
-        (pids_of s1)
-    in
-    clear pos1 s1;
-    clear pos2 s2;
-    let rec pid_pairs = function
-      | [] -> ()
-      | (p, op) :: later ->
-        List.iter
-          (fun (q, oq) ->
-            match conflict_pair_violation m1 m2 p op q oq with
-            | Some v -> violations := v :: !violations
-            | None -> ())
-          later;
-        pid_pairs later
-    in
-    pid_pairs obs
+    if meet m1.dest m2.dest then begin
+      mark pos1 s1;
+      mark pos2 s2;
+      let pids = pids_of s1 in
+      let obs =
+        if uniform m2 pids then []
+        else
+          List.filter_map
+            (fun p -> if addressed m2 p then Some (p, obs_of p) else None)
+            pids
+      in
+      clear pos1 s1;
+      clear pos2 s2;
+      pid_pairs m1 m2 obs
+    end
   in
   (match conflict with
   | Amcast.Conflict.Commute _ ->

@@ -87,9 +87,16 @@ module Make (P : Amcast.Protocol.S) = struct
     max_interleavings : int;
     max_path_steps : int;
     max_total_steps : int;
-    check : Harness.Run_result.t -> string list;
+    check : (Harness.Run_result.t -> string list) option;
     stop_on_violation : bool;
   }
+
+  (* What a run of [P] owes under the setup's config; a protocol outside
+     the catalogue (a test mutant) owes [check_all]'s defaults. *)
+  let owed s =
+    match Amcast.Catalogue.find P.name with
+    | Some e -> Harness.Checker.owed e s.config
+    | None -> fun r -> Harness.Checker.check_all r
 
   let default_opts =
     {
@@ -98,7 +105,7 @@ module Make (P : Amcast.Protocol.S) = struct
       max_interleavings = 200_000;
       max_path_steps = 10_000;
       max_total_steps = 50_000_000;
-      check = (fun r -> Harness.Checker.check_all r);
+      check = None;
       stop_on_violation = true;
     }
 
@@ -123,6 +130,7 @@ module Make (P : Amcast.Protocol.S) = struct
   type ctx = {
     o : opts;
     s : setup;
+    check : Harness.Run_result.t -> string list;
     on_terminal : (int list -> Harness.Run_result.t -> unit) option;
     seen : (int, unit) Hashtbl.t;
     outcomes : (int, unit) Hashtbl.t;
@@ -172,7 +180,7 @@ module Make (P : Amcast.Protocol.S) = struct
       (match ctx.on_terminal with
       | Some f -> f (List.rev prefix_rev) r
       | None -> ());
-      let msgs = ctx.o.check r in
+      let msgs = ctx.check r in
       if msgs <> [] then begin
         if ctx.violation = None then
           ctx.violation <-
@@ -238,6 +246,7 @@ module Make (P : Amcast.Protocol.S) = struct
       {
         o = opts;
         s;
+        check = Option.value opts.check ~default:(owed s);
         on_terminal;
         seen = Hashtbl.create 4096;
         outcomes = Hashtbl.create 256;
@@ -281,11 +290,7 @@ module Make (P : Amcast.Protocol.S) = struct
     }
 
   let minimize ?check ?max_steps s choices =
-    let check =
-      match check with
-      | Some f -> f
-      | None -> fun r -> Harness.Checker.check_all r
-    in
+    let check = Option.value check ~default:(owed s) in
     let expand cs =
       let d, drv = fresh s in
       let executed = Drive.run ?max_steps drv cs in

@@ -75,15 +75,18 @@ module Make (P : Amcast.Protocol.S) : sig
     max_interleavings : int;
     max_path_steps : int;  (** Depth bound per schedule. *)
     max_total_steps : int;  (** Global executed-event budget. *)
-    check : Harness.Run_result.t -> string list;
-        (** Terminal-state oracle; non-empty = violation. *)
+    check : (Harness.Run_result.t -> string list) option;
+        (** Terminal-state oracle; non-empty = violation. [None]: what the
+            protocol owes under the setup's config,
+            {!Harness.Checker.owed} of its {!Amcast.Catalogue} entry
+            ({!Harness.Checker.check_all}'s defaults for a protocol outside
+            the catalogue). *)
     stop_on_violation : bool;
   }
 
   val default_opts : opts
   (** POR on, fingerprints off, 200k interleavings, 10k steps per path,
-      50M total steps, {!Harness.Checker.check_all} with its defaults,
-      stop on first violation. *)
+      50M total steps, the owed checks, stop on first violation. *)
 
   type violation = {
     choices : int list;  (** Schedule reaching the violating terminal. *)
@@ -126,7 +129,7 @@ module Make (P : Amcast.Protocol.S) : sig
     int list * string list
   (** [minimize setup choices] greedily shrinks a violating schedule:
       left to right, each non-default choice is set back to 0 if the
-      violation (per [check], default {!Harness.Checker.check_all})
+      violation (per [check], default the owed checks as in {!opts})
       survives; trailing defaults are then dropped. Returns the shrunk
       schedule and its checker verdict. If [choices] does not violate
       [check] in the first place, returns it unshrunk with []. *)

@@ -3,10 +3,16 @@
    Golden pin: A1 under [Config.throughput] on 10 groups x 5 processes,
    500 casts and one crash that loses its in-flight sends, reduced to the
    event count, a per-pid delivery digest and the network's counters. The
-   literals were captured from the boxed-record event heap that preceded
-   the flat one; any change to the (time, insertion) pop order, to the
-   rng draw order or to the fan-out arrival order moves at least one of
-   them. *)
+   literals were captured from a boxed-record binary heap and have held
+   through the flat heap and the calendar queue that replaced it; any
+   change to the (time, insertion) pop order, to the rng draw order or to
+   the fan-out arrival order moves at least one of them.
+
+   The queue itself is checked against [Naive_event_queue], a sorted
+   list: once on short runs at small times, comparing the enabled set
+   after every operation, and once on long runs whose times spread from
+   one bucket to far beyond any window, which cross slab resizes and
+   geometry retunes. *)
 
 open Des
 open Net
@@ -157,8 +163,9 @@ type op =
   | Peek
   | Burst of int * int
       (* [Burst (n, t)]: add [n] entries at times from [t], then cancel
-         two in three of them — past 64 dead entries outnumbering the live
-         ones, which is what triggers a compaction *)
+         two in three of them *)
+  | After of int (* add at the last pop's time plus this, floored at 0 *)
+  | Same of int * int (* [Same (n, d)]: [n] adds at one time, as [After d] *)
 
 (* Handle kinds a [Cancel]/[Take] selector can name: one still pending,
    one popped or taken, one already cancelled, one never issued. *)
@@ -178,8 +185,9 @@ let pick (m : int N.t) ~gone ~cancelled k =
    only increase. [real] maps a twin handle to the queue's: issued ones
    through the table, a never-issued one to a value above every handle
    the queue has returned, a negative one to itself. *)
-let model_agrees ops =
+let model_agrees ?(every_step = true) ops =
   let q = Q.create ~dummy:(-1) and m = N.create () in
+  let last_pop = ref 0 in
   let gone = ref [] and cancelled = ref [] in
   let issued = Hashtbl.create 64 and last = ref (-1) in
   let real h =
@@ -205,7 +213,7 @@ let model_agrees ops =
     cancel_both h
   in
   (* Payloads are the twin's handles. A handle must exceed every earlier
-     one: insertion order is the tie-break the heap and [live] rely on. *)
+     one: insertion order is the tie-break the queue and [live] rely on. *)
   let issue got h =
     let increasing = got > !last in
     Hashtbl.replace issued h got;
@@ -221,6 +229,10 @@ let model_agrees ops =
     let h = m.next in
     let got = Q.add q ~time:(time t) h in
     issue got (N.add m ~time:t h)
+  in
+  let after d =
+    if d = max_int then Sim_time.to_us Sim_time.infinity
+    else Int.max 0 (!last_pop + d)
   in
   List.for_all
     (fun op ->
@@ -246,7 +258,11 @@ let model_agrees ops =
             Option.map (fun (t, p) -> (Sim_time.to_us t, p)) (Q.pop q)
           in
           let want = N.pop m in
-          Option.iter (fun (_, h) -> gone := h :: !gone) want;
+          Option.iter
+            (fun (t, h) ->
+              last_pop := t;
+              gone := h :: !gone)
+            want;
           got = want
         | Peek ->
           Option.map Sim_time.to_us (Q.peek_time q) = N.peek_time m
@@ -262,9 +278,14 @@ let model_agrees ops =
             end
           done;
           added
+        | After d -> add (after d)
+        | Same (n, d) ->
+          let t = after d in
+          List.for_all (fun _ -> add t) (List.init n Fun.id)
       in
-      step_ok && Q.size q = N.size m && live_q () = live_m ())
+      step_ok && Q.size q = N.size m && ((not every_step) || live_q () = live_m ()))
     ops
+  && live_q () = live_m ()
 
 let op_gen =
   QCheck2.Gen.(
@@ -290,6 +311,8 @@ let show_op = function
   | Pop -> "Pop"
   | Peek -> "Peek"
   | Burst (n, t) -> Printf.sprintf "Burst (%d, %d)" n t
+  | After d -> Printf.sprintf "After %d" d
+  | Same (n, d) -> Printf.sprintf "Same (%d, %d)" n d
 
 let prop_event_queue_model =
   QCheck_alcotest.to_alcotest
@@ -297,6 +320,43 @@ let prop_event_queue_model =
        ~print:QCheck2.Print.(list show_op)
        QCheck2.Gen.(list_size (int_range 1 120) op_gen)
        model_agrees)
+
+(* Times relative to the last pop, spread so that the queue's geometry
+   is exercised: gaps within one bucket and across many, inserts below
+   the last pop (some by more than any window, which sends the cursor
+   back a lap), entries far beyond any window (up to 2^40 us, and
+   [Sim_time.infinity]), and bursts at one instant. Runs are long enough
+   to cross several slab resizes and several retunes. *)
+let wide_op_gen =
+  QCheck2.Gen.(
+    let delta =
+      frequency
+        [
+          (4, int_bound 64);
+          (3, int_bound 5_000);
+          (2, map (fun k -> -k) (int_bound 3_000));
+          (1, map (fun k -> -(1 lsl k)) (int_range 10 30));
+          (2, map (fun k -> 1 lsl k) (int_range 16 40));
+          (1, pure max_int);
+        ]
+    in
+    frequency
+      [
+        (6, map (fun d -> After d) delta);
+        (1, map2 (fun n d -> Same (n, d)) (int_range 2 40) delta);
+        (5, pure Pop);
+        (2, map (fun k -> Cancel k) (int_bound 400));
+        (1, map (fun k -> Take k) (int_bound 400));
+        (1, pure Peek);
+      ])
+
+let prop_event_queue_wide =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:60
+       ~name:"event queue = naive list, wide times and long runs"
+       ~print:QCheck2.Print.(list show_op)
+       QCheck2.Gen.(list_size (int_range 50 700) wide_op_gen)
+       (model_agrees ~every_step:false))
 
 (* A handle names its slot; once the slot is reused by a later entry, the
    old handle is stale and cancelling it must leave the new entry live. *)
@@ -313,8 +373,7 @@ let test_stale_handle () =
   Alcotest.(check (option string)) "pop new" (Some "new")
     (Option.map snd (Q.pop q))
 
-(* [cancel] drops the payload at once, although the dead entry stays in
-   the heap until it reaches the root. *)
+(* [cancel] unlinks the entry and drops its payload at once. *)
 let test_cancel_frees_payload () =
   let q = Q.create ~dummy:(ref 0) in
   let keep = Q.add q ~time:(Sim_time.of_us 1) (ref 1) in
@@ -345,5 +404,6 @@ let suites =
           test_stale_handle;
         Alcotest.test_case "event queue: cancel frees the payload" `Quick
           test_cancel_frees_payload;
+        prop_event_queue_wide;
       ] );
   ]
