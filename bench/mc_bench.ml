@@ -19,61 +19,41 @@ let min_reduction = 5.0
 
 type config = {
   name : string;
-  protocol : string;
-  sizes : int list;
-  casts : (int * int * int list * string) list;  (* at_us, origin, gids, payload *)
-  reorder : int;  (* delay bound; max_int = unlimited *)
+  cell : Mc.Trace_file.t;
   compare_naive : bool;
 }
 
 let global_cast at origin payload = (at, origin, [ 0; 1 ], payload)
 
+let row ?(reorder_bound = max_int) ~compare_naive name protocol sizes casts =
+  {
+    name;
+    cell =
+      Mc.Trace_file.make ~reorder_bound ~casts ~protocol ~sizes ();
+    compare_naive;
+  }
+
 let matrix =
   [
     (* Small enough for the unreduced enumeration: the POR differential. *)
-    {
-      name = "a1_1x1_c1";
-      protocol = "a1";
-      sizes = [ 1; 1 ];
-      casts = [ global_cast 1_000 0 "m0" ];
-      reorder = max_int;
-      compare_naive = true;
-    };
+    row "a1_1x1_c1" "a1" [ 1; 1 ]
+      [ global_cast 1_000 0 "m0" ]
+      ~compare_naive:true;
     (* The acceptance configuration: 2 groups x 2 processes, 2 global
        casts, exhaustive under delay bound 2 — the headline reduction. *)
-    {
-      name = "a1_2x2_c2_d2";
-      protocol = "a1";
-      sizes = [ 2; 2 ];
-      casts = [ global_cast 1_000 0 "m0"; global_cast 2_000 0 "m1" ];
-      reorder = 2;
-      compare_naive = true;
-    };
+    row "a1_2x2_c2_d2" "a1" [ 2; 2 ]
+      [ global_cast 1_000 0 "m0"; global_cast 2_000 0 "m1" ]
+      ~reorder_bound:2 ~compare_naive:true;
     (* Breadth rows, POR only. *)
-    {
-      name = "a2_2x2_c2_d2";
-      protocol = "a2";
-      sizes = [ 2; 2 ];
-      casts = [ global_cast 1_000 0 "m0"; global_cast 2_000 0 "m1" ];
-      reorder = 2;
-      compare_naive = false;
-    };
-    {
-      name = "fritzke_1x1_c1";
-      protocol = "fritzke";
-      sizes = [ 1; 1 ];
-      casts = [ global_cast 1_000 0 "m0" ];
-      reorder = max_int;
-      compare_naive = false;
-    };
-    {
-      name = "optimistic_1x2_c2";
-      protocol = "optimistic";
-      sizes = [ 1; 2 ];
-      casts = [ global_cast 1_000 0 "m0"; global_cast 2_000 1 "m1" ];
-      reorder = max_int;
-      compare_naive = false;
-    };
+    row "a2_2x2_c2_d2" "a2" [ 2; 2 ]
+      [ global_cast 1_000 0 "m0"; global_cast 2_000 0 "m1" ]
+      ~reorder_bound:2 ~compare_naive:false;
+    row "fritzke_1x1_c1" "fritzke" [ 1; 1 ]
+      [ global_cast 1_000 0 "m0" ]
+      ~compare_naive:false;
+    row "optimistic_1x2_c2" "optimistic" [ 1; 2 ]
+      [ global_cast 1_000 0 "m0"; global_cast 2_000 1 "m1" ]
+      ~compare_naive:false;
   ]
 
 type side = {
@@ -89,31 +69,20 @@ type side = {
 }
 
 let run_side c ~por =
-  let (module P : Amcast.Protocol.S) =
-    (Option.get (Amcast.Catalogue.find c.protocol)).proto
-  in
-  let module E = Mc.Explorer.Make (P) in
-  let topology = Net.Topology.make ~sizes:c.sizes in
-  let workload =
-    List.map
-      (fun (at, origin, dest, payload) ->
-        { Harness.Workload.at = Des.Sim_time.of_us at; origin; dest; payload })
-      c.casts
-  in
-  let s = E.make_setup ~reorder_bound:c.reorder ~topology workload in
-  let opts = { E.default_opts with E.por } in
+  let cell = Result.get_ok (Mc.Trace_file.cell c.cell) in
   let t0 = Unix.gettimeofday () in
-  let o = E.explore ~opts s in
+  let o = cell.explore { Mc.Explorer.default_opts with por } in
   let wall_s = Unix.gettimeofday () -. t0 in
+  let s = o.stats in
   {
-    interleavings = o.E.stats.E.interleavings;
-    events = o.E.stats.E.events;
-    replays = o.E.stats.E.replays;
-    sleep_prunes = o.E.stats.E.sleep_prunes;
-    peak_depth = o.E.stats.E.peak_depth;
-    exhaustive = o.E.stats.E.exhaustive;
-    violated = o.E.violation <> None;
-    outcomes = o.E.outcome_digests;
+    interleavings = s.interleavings;
+    events = s.events;
+    replays = s.replays;
+    sleep_prunes = s.sleep_prunes;
+    peak_depth = s.peak_depth;
+    exhaustive = s.exhaustive;
+    violated = o.violation <> None;
+    outcomes = o.outcome_digests;
     wall_s;
   }
 
@@ -148,14 +117,15 @@ let json_of_side s =
 
 let json_of_row r =
   let open Harness.Bench_json in
-  let c = r.config in
+  let c = r.config.cell in
   Obj
     [
-      ("name", String c.name);
+      ("name", String r.config.name);
       ("protocol", String c.protocol);
       ("sizes", ints c.sizes);
       ("casts", Int (List.length c.casts));
-      ("reorder_bound", if c.reorder = max_int then Null else Int c.reorder);
+      ( "reorder_bound",
+        if c.reorder_bound = max_int then Null else Int c.reorder_bound );
       ("por", json_of_side r.por);
       ("naive", opt json_of_side r.naive);
       ("reduction_factor", opt (float 2) (reduction r));

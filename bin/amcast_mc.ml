@@ -30,7 +30,6 @@
      --reorder N            delay bound: non-default choices per path
                             (default unlimited)
      --no-por               disable sleep-set partial-order reduction
-     --fingerprints         enable state-fingerprint pruning
      --max-interleavings N  terminal-state budget (default 200000)
      --max-total-steps N    executed-event budget (default 50000000)
      --no-minimize          report the raw (unminimized) counterexample
@@ -76,7 +75,6 @@ let () =
   let spurious = ref 0 in
   let reorder = ref max_int in
   let por = ref true in
-  let fingerprints = ref false in
   let max_interleavings = ref 200_000 in
   let max_total_steps = ref 50_000_000 in
   let minimize = ref true in
@@ -121,7 +119,6 @@ let () =
       ("--spurious", int_flag "--spurious" spurious, "N spurious-timer budget per path (default 0)");
       ("--reorder", int_flag "--reorder" reorder, "N delay bound (default unlimited)");
       ("--no-por", Arg.Clear por, " disable sleep-set partial-order reduction");
-      ("--fingerprints", Arg.Set fingerprints, " enable state-fingerprint pruning");
       ( "--max-interleavings",
         int_flag "--max-interleavings" max_interleavings,
         "N terminal-state budget (default 200000)" );
@@ -155,120 +152,58 @@ let () =
           exit 1
         end))
   | None -> (
-    let entry =
-      match Amcast.Catalogue.find !protocol with
-      | Some e -> e
-      | None ->
-        die "unknown protocol %S (one of: %s)" !protocol
-          (String.concat ", "
-             (List.map
-                (fun (e : Amcast.Catalogue.entry) -> e.name)
-                Amcast.Catalogue.all))
-    in
-    let config =
-      match Mc.Trace_file.config_of_name !config_name with
-      | Some c -> c
-      | None -> die "unknown config preset %S" !config_name
-    in
-    let topology = Net.Topology.make ~sizes:!sizes in
-    let dest_gids =
-      match !dest with
-      | Some gids -> gids
-      | None -> Net.Topology.all_groups topology
-    in
     if !origins = [] then die "--origins must not be empty";
-    let cast_tuples =
-      List.init !casts_n (fun k ->
-          ( (k + 1) * 1_000,
-            List.nth !origins (k mod List.length !origins),
-            dest_gids,
-            "m" ^ string_of_int k ))
+    let dest_gids =
+      Option.value !dest ~default:(List.init (List.length !sizes) Fun.id)
     in
     let tf =
       Mc.Trace_file.make ~seed:!seed ~intra_us:!intra_us ~inter_us:!inter_us
         ~config:!config_name ~spurious_timers:!spurious
-        ~reorder_bound:!reorder ~casts:cast_tuples
+        ~reorder_bound:!reorder
+        ~casts:
+          (List.init !casts_n (fun k ->
+               ( (k + 1) * 1_000,
+                 List.nth !origins (k mod List.length !origins),
+                 dest_gids,
+                 "m" ^ string_of_int k )))
         ~faults:(List.rev !crashes) ?mutation:!mutation ~protocol:!protocol
         ~sizes:!sizes ()
     in
-    let (module Base : Amcast.Protocol.S) = entry.proto in
-    let (module P : Amcast.Protocol.S) =
-      match !mutation with
-      | None -> (module Base : Amcast.Protocol.S)
-      | Some spec ->
-        let module Sp = struct
-          let spec = spec
-        end in
-        let module M = Mc.Mutant.Make (Base) (Sp) in
-        (module M : Amcast.Protocol.S)
+    let cell =
+      match Mc.Trace_file.cell tf with Ok c -> c | Error e -> die "%s" e
     in
-    let module E = Mc.Explorer.Make (P) in
-    let latency =
-      Net.Latency.uniform
-        ~intra:(Des.Sim_time.of_us !intra_us)
-        ~inter:(Des.Sim_time.of_us !inter_us)
-        ()
-    in
-    let workload =
-      List.map
-        (fun (at, origin, dest, payload) ->
-          {
-            Harness.Workload.at = Des.Sim_time.of_us at;
-            origin;
-            dest;
-            payload;
-          })
-        cast_tuples
-    in
-    let faults =
-      List.map
-        (fun (at, pid) ->
-          Harness.Runner.crash ~at:(Des.Sim_time.of_us at) pid)
-        (List.rev !crashes)
-    in
-    let setup =
-      E.make_setup ~seed:!seed ~latency ~config ~faults
-        ~spurious_timers:!spurious ~reorder_bound:!reorder ~topology workload
-    in
-    (* The explorer checks what the entry owes under [config], as
-       Trace_file.replay does, so a saved counterexample replays to the
-       same verdict. *)
-    let opts =
-      {
-        E.default_opts with
-        por = !por;
-        fingerprints = !fingerprints;
-        max_interleavings = !max_interleavings;
-        max_total_steps = !max_total_steps;
-      }
-    in
-    Fmt.pr "exploring %s sizes=%s casts=%d (por=%b fingerprints=%b)@."
-      P.name
+    Fmt.pr "exploring %s sizes=%s casts=%d (por=%b)@." cell.name
       (String.concat "," (List.map string_of_int !sizes))
-      !casts_n !por !fingerprints;
+      !casts_n !por;
     let t0 = Unix.gettimeofday () in
-    let o = E.explore ~opts setup in
+    let o =
+      cell.explore
+        {
+          Mc.Explorer.default_opts with
+          por = !por;
+          max_interleavings = !max_interleavings;
+          max_total_steps = !max_total_steps;
+        }
+    in
     let dt = Unix.gettimeofday () -. t0 in
-    let s = o.E.stats in
+    let s = o.stats in
     Fmt.pr
       "interleavings=%d events=%d replays=%d peak_depth=%d sleep_prunes=%d \
-       fp_prunes=%d outcomes=%d exhaustive=%b (%.2fs, %.0f events/s)@."
-      s.E.interleavings s.E.events s.E.replays s.E.peak_depth
-      s.E.sleep_prunes s.E.fingerprint_prunes
-      (List.length o.E.outcome_digests)
-      s.E.exhaustive dt
-      (float_of_int s.E.events /. Float.max dt 1e-9);
-    match o.E.violation with
+       outcomes=%d exhaustive=%b (%.2fs, %.0f events/s)@."
+      s.interleavings s.events s.replays s.peak_depth s.sleep_prunes
+      (List.length o.outcome_digests)
+      s.exhaustive dt
+      (float_of_int s.events /. Float.max dt 1e-9);
+    match o.violation with
     | None ->
       Fmt.pr "no violations.@.";
       exit 0
     | Some v ->
       let choices, messages =
-        if !minimize then E.minimize setup v.E.choices
-        else (v.E.choices, v.E.messages)
+        if !minimize then cell.minimize v.choices else (v.choices, v.messages)
       in
       Fmt.pr "VIOLATION after %d interleavings; %sschedule (%d choices):@."
-        s.E.interleavings
+        s.interleavings
         (if !minimize then "minimized " else "")
         (List.length choices);
       Fmt.pr "  choices %s@."
@@ -277,7 +212,7 @@ let () =
       (match !trace_out with
       | Some file ->
         Mc.Trace_file.save file
-          { tf with Mc.Trace_file.choices; note = "found by amcast_mc explore" };
+          { tf with choices; note = "found by amcast_mc explore" };
         Fmt.pr "trace written to %s@." file
       | None -> ());
       exit 1)

@@ -2,8 +2,6 @@ open Des
 open Net
 open Runtime
 
-let crisp_latency = Harness.Figure1.crisp
-
 let mix h v = ((h * 0x100000001b3) + v + 1) land max_int
 
 let digest (r : Harness.Run_result.t) =
@@ -34,6 +32,42 @@ let commutes (a : Drive.choice) (b : Drive.choice) =
   local a.Drive.tag && local b.Drive.tag
   && Scheduler.Tag.actor a.Drive.tag <> Scheduler.Tag.actor b.Drive.tag
 
+type opts = {
+  por : bool;
+  max_interleavings : int;
+  max_path_steps : int;
+  max_total_steps : int;
+  check : (Harness.Run_result.t -> string list) option;
+  stop_on_violation : bool;
+}
+
+let default_opts =
+  {
+    por = true;
+    max_interleavings = 200_000;
+    max_path_steps = 10_000;
+    max_total_steps = 50_000_000;
+    check = None;
+    stop_on_violation = true;
+  }
+
+type violation = { choices : int list; messages : string list }
+
+type stats = {
+  interleavings : int;
+  events : int;
+  replays : int;
+  peak_depth : int;
+  sleep_prunes : int;
+  exhaustive : bool;
+}
+
+type outcome = {
+  stats : stats;
+  outcome_digests : int list;
+  violation : violation option;
+}
+
 module Make (P : Amcast.Protocol.S) = struct
   module R = Harness.Runner.Make (P)
 
@@ -48,7 +82,7 @@ module Make (P : Amcast.Protocol.S) = struct
     reorder_bound : int;
   }
 
-  let make_setup ?(seed = 0) ?(latency = crisp_latency)
+  let make_setup ?(seed = 0) ?(latency = Harness.Figure1.crisp)
       ?(config = Amcast.Protocol.Config.default) ?(faults = [])
       ?(spurious_timers = 0) ?(reorder_bound = max_int) ~topology workload =
     {
@@ -81,16 +115,6 @@ module Make (P : Amcast.Protocol.S) = struct
     ignore (Drive.run ?max_steps drv choices);
     R.run_deployment d
 
-  type opts = {
-    por : bool;
-    fingerprints : bool;
-    max_interleavings : int;
-    max_path_steps : int;
-    max_total_steps : int;
-    check : (Harness.Run_result.t -> string list) option;
-    stop_on_violation : bool;
-  }
-
   (* What a run of [P] owes under the setup's config; a protocol outside
      the catalogue (a test mutant) owes [check_all]'s defaults. *)
   let owed s =
@@ -98,63 +122,30 @@ module Make (P : Amcast.Protocol.S) = struct
     | Some e -> Harness.Checker.owed e s.config
     | None -> fun r -> Harness.Checker.check_all r
 
-  let default_opts =
-    {
-      por = true;
-      fingerprints = false;
-      max_interleavings = 200_000;
-      max_path_steps = 10_000;
-      max_total_steps = 50_000_000;
-      check = None;
-      stop_on_violation = true;
-    }
-
-  type violation = { choices : int list; messages : string list }
-
-  type stats = {
-    interleavings : int;
-    events : int;
-    replays : int;
-    peak_depth : int;
-    sleep_prunes : int;
-    fingerprint_prunes : int;
-    exhaustive : bool;
-  }
-
-  type outcome = {
-    stats : stats;
-    outcome_digests : int list;
-    violation : violation option;
-  }
-
   type ctx = {
     o : opts;
     s : setup;
     check : Harness.Run_result.t -> string list;
     on_terminal : (int list -> Harness.Run_result.t -> unit) option;
-    seen : (int, unit) Hashtbl.t;
     outcomes : (int, unit) Hashtbl.t;
     mutable interleavings : int;
     mutable events : int;
     mutable replays : int;
     mutable peak_depth : int;
     mutable sleep_prunes : int;
-    mutable fingerprint_prunes : int;
     mutable truncated : bool;
     mutable violation : violation option;
   }
 
   exception Stop
 
-  let exec ctx drv fp trace i =
+  let exec ctx drv i =
     if ctx.events >= ctx.o.max_total_steps then begin
       ctx.truncated <- true;
       raise Stop
     end;
-    let c = Drive.step drv i in
-    ctx.events <- ctx.events + 1;
-    Fingerprint.note_step fp ~tag:c.Drive.tag ~trace;
-    c
+    ignore (Drive.step drv i);
+    ctx.events <- ctx.events + 1
 
   (* Backtracking is replay-based: the DES has no state snapshots, so each
      non-first sibling re-deploys and fast-forwards through the prefix.
@@ -163,14 +154,10 @@ module Make (P : Amcast.Protocol.S) = struct
   let spawn ctx forward_prefix =
     ctx.replays <- ctx.replays + 1;
     let d, drv = fresh ctx.s in
-    let fp =
-      Fingerprint.create ~n_processes:(Topology.n_processes ctx.s.topology)
-    in
-    let trace = Engine.trace (R.engine d) in
-    List.iter (fun i -> ignore (exec ctx drv fp trace i)) forward_prefix;
-    (d, drv, fp)
+    List.iter (exec ctx drv) forward_prefix;
+    (d, drv)
 
-  let rec dfs ctx d drv fp depth prefix_rev sleep =
+  let rec dfs ctx d drv depth prefix_rev sleep =
     if depth > ctx.peak_depth then ctx.peak_depth <- depth;
     let cs = Drive.choices drv in
     if cs = [] then begin
@@ -194,51 +181,35 @@ module Make (P : Amcast.Protocol.S) = struct
     end
     else if depth >= ctx.o.max_path_steps then ctx.truncated <- true
     else
-      let proceed =
-        (not ctx.o.fingerprints)
-        ||
-        let st = Fingerprint.state fp in
-        if Hashtbl.mem ctx.seen st then begin
-          ctx.fingerprint_prunes <- ctx.fingerprint_prunes + 1;
-          false
-        end
-        else begin
-          Hashtbl.add ctx.seen st ();
-          true
-        end
+      let slept c =
+        List.exists (fun sc -> sc.Drive.handle = c.Drive.handle) sleep
       in
-      if proceed then begin
-        let slept c =
-          List.exists (fun sc -> sc.Drive.handle = c.Drive.handle) sleep
-        in
-        let avail =
-          List.mapi (fun idx c -> (idx, c)) cs
-          |> List.filter (fun (_, c) -> not (slept c))
-        in
-        if avail = [] then ctx.sleep_prunes <- ctx.sleep_prunes + 1
-        else begin
-          let explored = ref [] in
-          let first = ref true in
-          List.iter
-            (fun (idx, c) ->
-              let d', drv', fp' =
-                if !first then begin
-                  first := false;
-                  (d, drv, fp)
-                end
-                else spawn ctx (List.rev prefix_rev)
-              in
-              let trace' = Engine.trace (R.engine d') in
-              ignore (exec ctx drv' fp' trace' idx);
-              let sleep' =
-                if ctx.o.por then
-                  List.filter (fun sc -> commutes c sc) (sleep @ !explored)
-                else []
-              in
-              dfs ctx d' drv' fp' (depth + 1) (idx :: prefix_rev) sleep';
-              explored := c :: !explored)
-            avail
-        end
+      let avail =
+        List.mapi (fun idx c -> (idx, c)) cs
+        |> List.filter (fun (_, c) -> not (slept c))
+      in
+      if avail = [] then ctx.sleep_prunes <- ctx.sleep_prunes + 1
+      else begin
+        let explored = ref [] in
+        let first = ref true in
+        List.iter
+          (fun (idx, c) ->
+            let d', drv' =
+              if !first then begin
+                first := false;
+                (d, drv)
+              end
+              else spawn ctx (List.rev prefix_rev)
+            in
+            exec ctx drv' idx;
+            let sleep' =
+              if ctx.o.por then
+                List.filter (fun sc -> commutes c sc) (sleep @ !explored)
+              else []
+            in
+            dfs ctx d' drv' (depth + 1) (idx :: prefix_rev) sleep';
+            explored := c :: !explored)
+          avail
       end
 
   let explore ?(opts = default_opts) ?on_terminal s =
@@ -248,14 +219,12 @@ module Make (P : Amcast.Protocol.S) = struct
         s;
         check = Option.value opts.check ~default:(owed s);
         on_terminal;
-        seen = Hashtbl.create 4096;
         outcomes = Hashtbl.create 256;
         interleavings = 0;
         events = 0;
         replays = 0;
         peak_depth = 0;
         sleep_prunes = 0;
-        fingerprint_prunes = 0;
         truncated = false;
         violation = None;
       }
@@ -263,10 +232,7 @@ module Make (P : Amcast.Protocol.S) = struct
     (try
        ctx.replays <- 1;
        let d, drv = fresh s in
-       let fp =
-         Fingerprint.create ~n_processes:(Topology.n_processes s.topology)
-       in
-       dfs ctx d drv fp 0 [] []
+       dfs ctx d drv 0 [] []
      with Stop -> ());
     let exhaustive =
       (not ctx.truncated)
@@ -280,7 +246,6 @@ module Make (P : Amcast.Protocol.S) = struct
           replays = ctx.replays;
           peak_depth = ctx.peak_depth;
           sleep_prunes = ctx.sleep_prunes;
-          fingerprint_prunes = ctx.fingerprint_prunes;
           exhaustive;
         };
       outcome_digests =

@@ -209,65 +209,79 @@ let config_of_name = function
       }
   | _ -> None
 
+type cell = {
+  name : string;
+  explore : Explorer.opts -> Explorer.outcome;
+  minimize : int list -> int list * string list;
+  replay : ?max_steps:int -> int list -> Harness.Run_result.t * string list;
+}
+
+let cell t =
+  match (Amcast.Catalogue.find t.protocol, config_of_name t.config) with
+  | None, _ ->
+    Error
+      (Printf.sprintf "unknown protocol %S (one of: %s)" t.protocol
+         (String.concat ", "
+            (List.map (fun (e : Amcast.Catalogue.entry) -> e.name)
+               Amcast.Catalogue.all)))
+  | _, None -> Error (Printf.sprintf "unknown config preset %S" t.config)
+  | Some entry, Some config ->
+    let (module Base : Amcast.Protocol.S) = entry.proto in
+    let (module P : Amcast.Protocol.S) =
+      match t.mutation with
+      | None -> (module Base)
+      | Some spec ->
+        (module Mutant.Make
+                  (Base)
+                  (struct
+                    let spec = spec
+                  end))
+    in
+    let module E = Explorer.Make (P) in
+    (* An overlay line replaces the uniform latency pair with the
+       geometry's routed-path delays and hands the overlay to the
+       protocol config (FlexCast routes along it); without one the
+       classic clique replay is byte-identical to older traces. *)
+    let intra = Sim_time.of_us t.intra_us in
+    let latency, config =
+      match t.overlay with
+      | None ->
+        ( Net.Latency.uniform ~intra ~inter:(Sim_time.of_us t.inter_us) (),
+          config )
+      | Some k ->
+        let ov = Net.Overlay.of_kind k ~groups:(List.length t.sizes) in
+        ( Net.Overlay.to_latency ~intra ov,
+          { config with Amcast.Protocol.Config.overlay = Some ov } )
+    in
+    let setup =
+      {
+        E.topology = Net.Topology.make ~sizes:t.sizes;
+        workload =
+          List.map
+            (fun (at, origin, dest, payload) ->
+              { Harness.Workload.at = Sim_time.of_us at; origin; dest; payload })
+            t.casts;
+        seed = t.seed;
+        latency;
+        config;
+        faults =
+          List.map
+            (fun (at, pid) -> Harness.Runner.crash ~at:(Sim_time.of_us at) pid)
+            t.faults;
+        spurious_timers = t.spurious_timers;
+        reorder_bound = t.reorder_bound;
+      }
+    in
+    Ok
+      {
+        name = P.name;
+        explore = (fun opts -> E.explore ~opts setup);
+        minimize = E.minimize setup;
+        replay =
+          (fun ?max_steps choices ->
+            let r = E.replay ?max_steps setup choices in
+            (r, Harness.Checker.owed entry config r));
+      }
+
 let replay ?max_steps t =
-  match Amcast.Catalogue.find t.protocol with
-  | None -> Error (Printf.sprintf "unknown protocol %S" t.protocol)
-  | Some entry -> (
-    match config_of_name t.config with
-    | None -> Error (Printf.sprintf "unknown config preset %S" t.config)
-    | Some config ->
-      let (module Base : Amcast.Protocol.S) = entry.proto in
-      let (module P : Amcast.Protocol.S) =
-        match t.mutation with
-        | None -> (module Base : Amcast.Protocol.S)
-        | Some spec ->
-          let module Sp = struct
-            let spec = spec
-          end in
-          let module M = Mutant.Make (Base) (Sp) in
-          (module M : Amcast.Protocol.S)
-      in
-      let module E = Explorer.Make (P) in
-      let topology = Net.Topology.make ~sizes:t.sizes in
-      (* An overlay line replaces the uniform latency pair with the
-         geometry's routed-path delays and hands the overlay to the
-         protocol config (FlexCast routes along it); without one the
-         classic clique replay is byte-identical to older traces. *)
-      let overlay =
-        Option.map
-          (fun k -> Net.Overlay.of_kind k ~groups:(List.length t.sizes))
-          t.overlay
-      in
-      let latency =
-        match overlay with
-        | Some ov ->
-          Net.Overlay.to_latency ~intra:(Sim_time.of_us t.intra_us) ov
-        | None ->
-          Net.Latency.uniform
-            ~intra:(Sim_time.of_us t.intra_us)
-            ~inter:(Sim_time.of_us t.inter_us)
-            ()
-      in
-      let config =
-        match overlay with
-        | None -> config
-        | Some ov -> { config with Amcast.Protocol.Config.overlay = Some ov }
-      in
-      let workload =
-        List.map
-          (fun (at, origin, dest, payload) ->
-            { Harness.Workload.at = Sim_time.of_us at; origin; dest; payload })
-          t.casts
-      in
-      let faults =
-        List.map
-          (fun (at, pid) -> Harness.Runner.crash ~at:(Sim_time.of_us at) pid)
-          t.faults
-      in
-      let setup =
-        E.make_setup ~seed:t.seed ~latency ~config ~faults
-          ~spurious_timers:t.spurious_timers ~reorder_bound:t.reorder_bound
-          ~topology workload
-      in
-      let r = E.replay ?max_steps setup t.choices in
-      Ok (r, Harness.Checker.owed entry config r))
+  Result.map (fun c -> c.replay ?max_steps t.choices) (cell t)

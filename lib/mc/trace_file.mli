@@ -81,9 +81,26 @@ val config_of_name : string -> Amcast.Protocol.Config.t option
     ["generic-key"] ({!Amcast.Protocol.Config.default}
     with the {!Amcast.Conflict.payload_key} conflict relation). *)
 
+type cell = {
+  name : string;  (** The protocol's name, mutation suffix included. *)
+  explore : Explorer.opts -> Explorer.outcome;
+  minimize : int list -> int list * string list;
+      (** {!Explorer.Make.minimize} with the explorer's default check. *)
+  replay : ?max_steps:int -> int list -> Harness.Run_result.t * string list;
+      (** {!Explorer.Make.replay}, then {!Harness.Checker.owed} of the
+          catalogue entry under the config on the result. *)
+}
+(** One model-checker cell: the explorer closed over the setup a trace
+    describes. *)
+
+val cell : t -> (cell, string) result
+(** The one path from a trace to an exploration: resolves the protocol in
+    {!Amcast.Catalogue} (wrapped in the mutation, if any), the config
+    preset, the overlay or uniform latency, the workload and the faults
+    into an explorer setup. The trace's [choices] are not used. [Error]
+    names an unknown protocol or config preset. *)
+
 val replay : ?max_steps:int -> t -> (Harness.Run_result.t * string list, string) result
-(** Resolves the protocol in {!Amcast.Catalogue} (applying the mutation,
-    if any), replays the schedule through {!Explorer.Make.replay} and
-    runs {!Harness.Checker.owed} on the result. [Ok (run, violations)] —
-    an empty violation list means the replayed schedule satisfies the
+(** [cell]'s [replay] of the trace's own choices. [Ok (run, violations)]
+    — an empty violation list means the replayed schedule satisfies the
     checked properties. *)

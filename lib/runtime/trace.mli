@@ -57,8 +57,8 @@ val entries : t -> entry list
 
 val entries_rev : t -> entry list
 (** All recorded entries, newest first, without copying — with {!length}
-    this lets incremental consumers (the model checker's fingerprint
-    shadow) read just the entries appended since their last look. *)
+    this lets incremental consumers read just the entries appended since
+    their last look. *)
 
 val length : t -> int
 val pp : Format.formatter -> t -> unit

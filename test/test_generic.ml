@@ -358,7 +358,7 @@ let explore_generic ~config ?check casts =
       ~topology:(Topology.make ~sizes:[ 2; 2 ])
       casts
   in
-  EG.explore ~opts:{ EG.default_opts with EG.check } s
+  EG.explore ~opts:{ Mc.Explorer.default_opts with Mc.Explorer.check } s
 
 let test_mc_generic_2x2 () =
   (* Two conflicting casts on the acceptance config: exhaustive, clean
@@ -372,10 +372,10 @@ let test_mc_generic_2x2 () =
   in
   let check = Harness.Checker.check_all ~conflict:Amcast.Conflict.payload_key in
   let o = explore_generic ~config:generic_key_config ~check conflicting in
-  Alcotest.(check bool) "exhaustive" true o.EG.stats.EG.exhaustive;
-  Alcotest.(check bool) "clean" true (o.EG.violation = None);
+  Alcotest.(check bool) "exhaustive" true o.Mc.Explorer.stats.Mc.Explorer.exhaustive;
+  Alcotest.(check bool) "clean" true (o.Mc.Explorer.violation = None);
   Alcotest.(check bool) "at most the two total orders" true
-    (List.length o.EG.outcome_digests <= 2);
+    (List.length o.Mc.Explorer.outcome_digests <= 2);
   let a1 =
     let s =
       EA1.make_setup ~reorder_bound:1
@@ -384,11 +384,11 @@ let test_mc_generic_2x2 () =
     in
     EA1.explore s
   in
-  Alcotest.(check bool) "a1 exhaustive" true a1.EA1.stats.EA1.exhaustive;
+  Alcotest.(check bool) "a1 exhaustive" true a1.Mc.Explorer.stats.Mc.Explorer.exhaustive;
   Alcotest.(check bool) "covers a1's outcome set" true
     (List.for_all
-       (fun d -> List.mem d o.EG.outcome_digests)
-       a1.EA1.outcome_digests)
+       (fun d -> List.mem d o.Mc.Explorer.outcome_digests)
+       a1.Mc.Explorer.outcome_digests)
 
 let test_mc_generic_2x2_commuting () =
   (* The same scenario with commuting payloads: the two origins each
@@ -402,16 +402,16 @@ let test_mc_generic_2x2_commuting () =
     [ mc_cast 1_000 0 [ 0; 1 ] "m0"; mc_cast 2_000 2 [ 0; 1 ] "m1" ]
   in
   let oc = explore_generic ~config:generic_key_config commuting in
-  Alcotest.(check bool) "exhaustive" true oc.EG.stats.EG.exhaustive;
+  Alcotest.(check bool) "exhaustive" true oc.Mc.Explorer.stats.Mc.Explorer.exhaustive;
   Alcotest.(check bool) "clean under the relaxed checker" true
-    (oc.EG.violation = None);
+    (oc.Mc.Explorer.violation = None);
   let strict =
     explore_generic ~config:generic_key_config
       ~check:(fun r -> Harness.Checker.check_all r)
       commuting
   in
   Alcotest.(check bool) "rejected by the total-order oracle" true
-    (strict.EG.violation <> None)
+    (strict.Mc.Explorer.violation <> None)
 
 (* ----- replication with per-key conflicts ----- *)
 

@@ -26,17 +26,17 @@ let a1_1x1 () = EA1.make_setup ~topology:(topo [ 1; 1 ]) [ cast 1_000 0 [ 0; 1 ]
 let test_a1_por_vs_naive () =
   let s = a1_1x1 () in
   let p = EA1.explore s in
-  let n = EA1.explore ~opts:{ EA1.default_opts with EA1.por = false } s in
-  Alcotest.(check bool) "por exhaustive" true p.EA1.stats.EA1.exhaustive;
-  Alcotest.(check bool) "naive exhaustive" true n.EA1.stats.EA1.exhaustive;
-  Alcotest.(check int) "por interleavings" 20 p.EA1.stats.EA1.interleavings;
-  Alcotest.(check int) "naive interleavings" 560 n.EA1.stats.EA1.interleavings;
+  let n = EA1.explore ~opts:{ Explorer.default_opts with Explorer.por = false } s in
+  Alcotest.(check bool) "por exhaustive" true p.Explorer.stats.Explorer.exhaustive;
+  Alcotest.(check bool) "naive exhaustive" true n.Explorer.stats.Explorer.exhaustive;
+  Alcotest.(check int) "por interleavings" 20 p.Explorer.stats.Explorer.interleavings;
+  Alcotest.(check int) "naive interleavings" 560 n.Explorer.stats.Explorer.interleavings;
   Alcotest.(check bool) "por reduction at least 5x" true
-    (n.EA1.stats.EA1.interleavings >= 5 * p.EA1.stats.EA1.interleavings);
+    (n.Explorer.stats.Explorer.interleavings >= 5 * p.Explorer.stats.Explorer.interleavings);
   (* Sleep sets only skip schedules equivalent to an explored one: the
      reduced search must still see every distinct terminal outcome. *)
-  Alcotest.(check (list int)) "same outcomes" n.EA1.outcome_digests p.EA1.outcome_digests;
-  Alcotest.(check bool) "clean" true (p.EA1.violation = None)
+  Alcotest.(check (list int)) "same outcomes" n.Explorer.outcome_digests p.Explorer.outcome_digests;
+  Alcotest.(check bool) "clean" true (p.Explorer.violation = None)
 
 (* The acceptance configuration: 2 groups x 2 processes, 2 global casts,
    exhaustively enumerated under a delay bound of 1. *)
@@ -46,30 +46,30 @@ let test_a1_2x2_exhaustive () =
       [ cast 1_000 0 [ 0; 1 ] "m0"; cast 2_000 2 [ 0; 1 ] "m1" ]
   in
   let o = EA1.explore s in
-  Alcotest.(check bool) "exhaustive" true o.EA1.stats.EA1.exhaustive;
-  Alcotest.(check int) "interleavings" 12 o.EA1.stats.EA1.interleavings;
-  Alcotest.(check bool) "clean" true (o.EA1.violation = None)
+  Alcotest.(check bool) "exhaustive" true o.Explorer.stats.Explorer.exhaustive;
+  Alcotest.(check int) "interleavings" 12 o.Explorer.stats.Explorer.interleavings;
+  Alcotest.(check bool) "clean" true (o.Explorer.violation = None)
 
 let test_a2_1x1 () =
   let s = EA2.make_setup ~topology:(topo [ 1; 1 ]) [ cast 1_000 0 [ 0; 1 ] "m0" ] in
   let o = EA2.explore s in
-  Alcotest.(check bool) "exhaustive" true o.EA2.stats.EA2.exhaustive;
-  Alcotest.(check bool) "clean" true (o.EA2.violation = None);
-  Alcotest.(check int) "uniform outcome" 1 (List.length o.EA2.outcome_digests)
+  Alcotest.(check bool) "exhaustive" true o.Explorer.stats.Explorer.exhaustive;
+  Alcotest.(check bool) "clean" true (o.Explorer.violation = None);
+  Alcotest.(check int) "uniform outcome" 1 (List.length o.Explorer.outcome_digests)
 
 let test_fritzke_1x1 () =
   let s = EFz.make_setup ~topology:(topo [ 1; 1 ]) [ cast 1_000 0 [ 0; 1 ] "m0" ] in
   let o = EFz.explore s in
-  Alcotest.(check bool) "exhaustive" true o.EFz.stats.EFz.exhaustive;
-  Alcotest.(check bool) "clean" true (o.EFz.violation = None);
-  Alcotest.(check int) "uniform outcome" 1 (List.length o.EFz.outcome_digests)
+  Alcotest.(check bool) "exhaustive" true o.Explorer.stats.Explorer.exhaustive;
+  Alcotest.(check bool) "clean" true (o.Explorer.violation = None);
+  Alcotest.(check int) "uniform outcome" 1 (List.length o.Explorer.outcome_digests)
 
 let test_via_broadcast_1x1 () =
   let s = EVb.make_setup ~topology:(topo [ 1; 1 ]) [ cast 1_000 0 [ 0; 1 ] "m0" ] in
   let o = EVb.explore s in
-  Alcotest.(check bool) "exhaustive" true o.EVb.stats.EVb.exhaustive;
-  Alcotest.(check bool) "clean" true (o.EVb.violation = None);
-  Alcotest.(check int) "uniform outcome" 1 (List.length o.EVb.outcome_digests)
+  Alcotest.(check bool) "exhaustive" true o.Explorer.stats.Explorer.exhaustive;
+  Alcotest.(check bool) "clean" true (o.Explorer.violation = None);
+  Alcotest.(check int) "uniform outcome" 1 (List.length o.Explorer.outcome_digests)
 
 let test_optimistic_1x2 () =
   let s =
@@ -77,9 +77,9 @@ let test_optimistic_1x2 () =
       [ cast 1_000 0 [ 0; 1 ] "m0"; cast 2_000 1 [ 0; 1 ] "m1" ]
   in
   let o = EOpt.explore s in
-  Alcotest.(check bool) "exhaustive" true o.EOpt.stats.EOpt.exhaustive;
-  Alcotest.(check bool) "clean" true (o.EOpt.violation = None);
-  Alcotest.(check int) "uniform outcome" 1 (List.length o.EOpt.outcome_digests)
+  Alcotest.(check bool) "exhaustive" true o.Explorer.stats.Explorer.exhaustive;
+  Alcotest.(check bool) "clean" true (o.Explorer.violation = None);
+  Alcotest.(check int) "uniform outcome" 1 (List.length o.Explorer.outcome_digests)
 
 (* ---------- the modern baselines: whitebox and flexcast ---------- *)
 
@@ -92,16 +92,16 @@ let test_whitebox_por_vs_naive () =
       [ cast 1_000 0 [ 0; 1 ] "m0" ]
   in
   let p = EWb.explore s in
-  let n = EWb.explore ~opts:{ EWb.default_opts with EWb.por = false } s in
-  Alcotest.(check bool) "por exhaustive" true p.EWb.stats.EWb.exhaustive;
-  Alcotest.(check bool) "naive exhaustive" true n.EWb.stats.EWb.exhaustive;
-  Alcotest.(check int) "por interleavings" 11 p.EWb.stats.EWb.interleavings;
-  Alcotest.(check int) "naive interleavings" 99 n.EWb.stats.EWb.interleavings;
+  let n = EWb.explore ~opts:{ Explorer.default_opts with Explorer.por = false } s in
+  Alcotest.(check bool) "por exhaustive" true p.Explorer.stats.Explorer.exhaustive;
+  Alcotest.(check bool) "naive exhaustive" true n.Explorer.stats.Explorer.exhaustive;
+  Alcotest.(check int) "por interleavings" 11 p.Explorer.stats.Explorer.interleavings;
+  Alcotest.(check int) "naive interleavings" 99 n.Explorer.stats.Explorer.interleavings;
   Alcotest.(check bool) "por reduction at least 5x" true
-    (n.EWb.stats.EWb.interleavings >= 5 * p.EWb.stats.EWb.interleavings);
-  Alcotest.(check (list int)) "same outcomes" n.EWb.outcome_digests p.EWb.outcome_digests;
-  Alcotest.(check int) "uniform outcome" 1 (List.length p.EWb.outcome_digests);
-  Alcotest.(check bool) "clean" true (p.EWb.violation = None)
+    (n.Explorer.stats.Explorer.interleavings >= 5 * p.Explorer.stats.Explorer.interleavings);
+  Alcotest.(check (list int)) "same outcomes" n.Explorer.outcome_digests p.Explorer.outcome_digests;
+  Alcotest.(check int) "uniform outcome" 1 (List.length p.Explorer.outcome_digests);
+  Alcotest.(check bool) "clean" true (p.Explorer.violation = None)
 
 (* The acceptance configuration: 2 groups x 2 processes, 2 global casts,
    exhaustively enumerated under a delay bound of 1. Every schedule ends
@@ -113,20 +113,20 @@ let test_whitebox_2x2_exhaustive () =
       [ cast 1_000 0 [ 0; 1 ] "m0"; cast 2_000 2 [ 0; 1 ] "m1" ]
   in
   let o = EWb.explore s in
-  Alcotest.(check bool) "exhaustive" true o.EWb.stats.EWb.exhaustive;
-  Alcotest.(check int) "interleavings" 16 o.EWb.stats.EWb.interleavings;
-  Alcotest.(check int) "uniform outcome" 1 (List.length o.EWb.outcome_digests);
-  Alcotest.(check bool) "clean" true (o.EWb.violation = None)
+  Alcotest.(check bool) "exhaustive" true o.Explorer.stats.Explorer.exhaustive;
+  Alcotest.(check int) "interleavings" 16 o.Explorer.stats.Explorer.interleavings;
+  Alcotest.(check int) "uniform outcome" 1 (List.length o.Explorer.outcome_digests);
+  Alcotest.(check bool) "clean" true (o.Explorer.violation = None)
 
 let test_flexcast_por_vs_naive () =
   let s = EFx.make_setup ~topology:(topo [ 1; 1 ]) [ cast 1_000 0 [ 0; 1 ] "m0" ] in
   let p = EFx.explore s in
-  let n = EFx.explore ~opts:{ EFx.default_opts with EFx.por = false } s in
-  Alcotest.(check bool) "por exhaustive" true p.EFx.stats.EFx.exhaustive;
-  Alcotest.(check bool) "naive exhaustive" true n.EFx.stats.EFx.exhaustive;
-  Alcotest.(check (list int)) "same outcomes" n.EFx.outcome_digests p.EFx.outcome_digests;
-  Alcotest.(check int) "uniform outcome" 1 (List.length p.EFx.outcome_digests);
-  Alcotest.(check bool) "clean" true (p.EFx.violation = None)
+  let n = EFx.explore ~opts:{ Explorer.default_opts with Explorer.por = false } s in
+  Alcotest.(check bool) "por exhaustive" true p.Explorer.stats.Explorer.exhaustive;
+  Alcotest.(check bool) "naive exhaustive" true n.Explorer.stats.Explorer.exhaustive;
+  Alcotest.(check (list int)) "same outcomes" n.Explorer.outcome_digests p.Explorer.outcome_digests;
+  Alcotest.(check int) "uniform outcome" 1 (List.length p.Explorer.outcome_digests);
+  Alcotest.(check bool) "clean" true (p.Explorer.violation = None)
 
 (* On a clique with concurrent casts the Skeen-style timestamps are
    arrival-order dependent, so different schedules legitimately settle on
@@ -138,10 +138,10 @@ let test_flexcast_2x2_exhaustive () =
       [ cast 1_000 0 [ 0; 1 ] "m0"; cast 2_000 2 [ 0; 1 ] "m1" ]
   in
   let o = EFx.explore s in
-  Alcotest.(check bool) "exhaustive" true o.EFx.stats.EFx.exhaustive;
-  Alcotest.(check int) "interleavings" 7 o.EFx.stats.EFx.interleavings;
-  Alcotest.(check int) "two consistent orders" 2 (List.length o.EFx.outcome_digests);
-  Alcotest.(check bool) "clean" true (o.EFx.violation = None)
+  Alcotest.(check bool) "exhaustive" true o.Explorer.stats.Explorer.exhaustive;
+  Alcotest.(check int) "interleavings" 7 o.Explorer.stats.Explorer.interleavings;
+  Alcotest.(check int) "two consistent orders" 2 (List.length o.Explorer.outcome_digests);
+  Alcotest.(check bool) "clean" true (o.Explorer.violation = None)
 
 (* Flexcast over a hub overlay, model-checked with the overlay-aware
    genuineness oracle at every terminal state: a spoke-to-spoke cast may
@@ -160,9 +160,9 @@ let test_flexcast_hub_exhaustive () =
       [ cast 1_000 2 [ 1; 2 ] "m0" ]
   in
   let o = EFx.explore s in
-  Alcotest.(check bool) "exhaustive" true o.EFx.stats.EFx.exhaustive;
-  Alcotest.(check int) "uniform outcome" 1 (List.length o.EFx.outcome_digests);
-  Alcotest.(check bool) "genuine on every schedule" true (o.EFx.violation = None)
+  Alcotest.(check bool) "exhaustive" true o.Explorer.stats.Explorer.exhaustive;
+  Alcotest.(check int) "uniform outcome" 1 (List.length o.Explorer.outcome_digests);
+  Alcotest.(check bool) "genuine on every schedule" true (o.Explorer.violation = None)
 
 (* ---------- replay determinism ---------- *)
 
@@ -216,11 +216,11 @@ let test_mutation_a2_drop_deliver () =
   in
   let o = E.explore s in
   let v =
-    match o.E.violation with
+    match o.Explorer.violation with
     | Some v -> v
     | None -> Alcotest.fail "mutation not caught"
   in
-  let choices, msgs = E.minimize s v.E.choices in
+  let choices, msgs = E.minimize s v.Explorer.choices in
   Alcotest.(check bool) "still violating" true (msgs <> []);
   Alcotest.(check bool) "names m0.1" true
     (List.exists (fun m -> Util.contains m "m0.1") msgs);
@@ -246,11 +246,11 @@ let test_mutation_skeen_trace_roundtrip () =
   let s = E.make_setup ~reorder_bound:1 ~topology:(topo [ 2; 2 ]) workload in
   let o = E.explore s in
   let v =
-    match o.E.violation with
+    match o.Explorer.violation with
     | Some v -> v
     | None -> Alcotest.fail "mutation not caught"
   in
-  let choices, msgs = E.minimize s v.E.choices in
+  let choices, msgs = E.minimize s v.Explorer.choices in
   Alcotest.(check bool) "still violating" true (msgs <> []);
   let tf =
     Trace_file.make ~protocol:"skeen" ~sizes:[ 2; 2 ] ~casts ~mutation:spec

@@ -409,11 +409,11 @@ let test_mc_outcomes_distinct_origins () =
   in
   let b = explore Amcast.Protocol.Config.throughput in
   let u = explore Amcast.Protocol.Config.default in
-  Alcotest.(check bool) "batched exhaustive" true b.EA1.stats.EA1.exhaustive;
-  Alcotest.(check bool) "unbatched exhaustive" true u.EA1.stats.EA1.exhaustive;
-  Alcotest.(check bool) "batched clean" true (b.EA1.violation = None);
+  Alcotest.(check bool) "batched exhaustive" true b.Mc.Explorer.stats.Mc.Explorer.exhaustive;
+  Alcotest.(check bool) "unbatched exhaustive" true u.Mc.Explorer.stats.Mc.Explorer.exhaustive;
+  Alcotest.(check bool) "batched clean" true (b.Mc.Explorer.violation = None);
   Alcotest.(check (list int))
-    "same outcome set" u.EA1.outcome_digests b.EA1.outcome_digests
+    "same outcome set" u.Mc.Explorer.outcome_digests b.Mc.Explorer.outcome_digests
 
 (* Same origin, same instant: the two casts pack into one batch, which
    removes interleavings but must not invent outcomes — the batched
@@ -436,13 +436,13 @@ let test_mc_outcomes_packed_batch () =
       }
   in
   let u = explore Amcast.Protocol.Config.default in
-  Alcotest.(check bool) "batched exhaustive" true b.EA1.stats.EA1.exhaustive;
-  Alcotest.(check bool) "unbatched exhaustive" true u.EA1.stats.EA1.exhaustive;
-  Alcotest.(check bool) "batched clean" true (b.EA1.violation = None);
+  Alcotest.(check bool) "batched exhaustive" true b.Mc.Explorer.stats.Mc.Explorer.exhaustive;
+  Alcotest.(check bool) "unbatched exhaustive" true u.Mc.Explorer.stats.Mc.Explorer.exhaustive;
+  Alcotest.(check bool) "batched clean" true (b.Mc.Explorer.violation = None);
   Alcotest.(check bool) "some outcome reached" true
-    (b.EA1.outcome_digests <> []);
+    (b.Mc.Explorer.outcome_digests <> []);
   Alcotest.(check bool) "no invented outcomes" true
-    (subset b.EA1.outcome_digests u.EA1.outcome_digests)
+    (subset b.Mc.Explorer.outcome_digests u.Mc.Explorer.outcome_digests)
 
 (* ---------- suites ---------- *)
 
