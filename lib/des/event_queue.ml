@@ -363,7 +363,9 @@ let cancel q handle =
 (* The earliest near entry, or the far root if that is earlier. With no
    near entry the cursor jumps to the far root's bucket. A lap of empty
    buckets means every near entry lies in a later lap (the cursor moved
-   back): the cursor then jumps to the earliest bucket head. *)
+   back): the cursor then jumps to the earliest bucket head, which the
+   next step finds. A second lap in one call is a cursor bug, and fails
+   rather than circling forever. *)
 let find_top q =
   if q.near = 0 then begin
     let f = q.far.%(0) in
@@ -371,7 +373,7 @@ let find_top q =
     f
   end
   else begin
-    let found = ref (-1) and steps = ref 0 in
+    let found = ref (-1) and steps = ref 0 and lapped = ref false in
     while !found < 0 do
       let h = q.heads.%(q.cur land q.mask) in
       if h >= 0 && bucket_of q h = q.cur then
@@ -380,6 +382,8 @@ let find_top q =
       else if q.far_len > 0 && bucket_of q q.far.%(0) <= q.cur then
         found := q.far.%(0)
       else if !steps > q.mask then begin
+        if !lapped then failwith "Event_queue: cursor lapped twice";
+        lapped := true;
         let m = ref max_int in
         Array.iter
           (fun h -> if h >= 0 && time_of q h < !m then m := time_of q h)

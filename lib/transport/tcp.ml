@@ -266,11 +266,10 @@ let drop_outgoing t dst =
     c.open_ <- false;
     t.outgoing.(dst) <- None
 
-(* Write a framed body to [dst], dialing (or redialing once, to pick up a
+(* Write a frame to [dst], dialing (or redialing once, to pick up a
    restarted peer) as needed. A destination that cannot be reached is a
    crashed process: the frame is dropped. *)
-let transmit t ~dst body =
-  let s = frame body in
+let transmit t ~dst s =
   let conn_to dst =
     match t.outgoing.(dst) with Some c -> Some c | None -> dial t dst
   in
@@ -311,30 +310,35 @@ let fire_due_timers t =
 
 (* ---------- the protocol-facing send path ---------- *)
 
-let send_wire t ~dst w =
-  if t.running then begin
-    let src_group = Topology.group_of t.topology t.self in
-    let dst_group = Topology.group_of t.topology dst in
-    if src_group = dst_group then t.sent_intra <- t.sent_intra + 1
-    else t.sent_inter <- t.sent_inter + 1;
+(* One data frame to each of [dsts]: the payload is encoded and framed
+   once per fan-out; the intra/inter counters and the injected delays are
+   per destination, in list order. *)
+let send_wire t dsts w =
+  if t.running && dsts <> [] then begin
     (* Like the DES envelope: carry the sender's RAW clock; the receiver
        applies the inter-group +1 rule from its own view of the groups. *)
-    let body = data_body ~lc:t.lc (t.codec.encode w) in
-    match t.inject with
-    | None -> transmit t ~dst body
-    | Some lat ->
-      let delay = Latency.sample lat t.rng ~src_group ~dst_group in
-      if Des.Sim_time.equal delay Des.Sim_time.zero then
-        transmit t ~dst body
-      else ignore (set_timer t ~after:delay (fun () -> transmit t ~dst body))
+    let s = frame (data_body ~lc:t.lc (t.codec.encode w)) in
+    let src_group = Topology.group_of t.topology t.self in
+    List.iter
+      (fun dst ->
+        let dst_group = Topology.group_of t.topology dst in
+        if src_group = dst_group then t.sent_intra <- t.sent_intra + 1
+        else t.sent_inter <- t.sent_inter + 1;
+        match t.inject with
+        | None -> transmit t ~dst s
+        | Some lat ->
+          let delay = Latency.sample lat t.rng ~src_group ~dst_group in
+          if Des.Sim_time.equal delay Des.Sim_time.zero then transmit t ~dst s
+          else ignore (set_timer t ~after:delay (fun () -> transmit t ~dst s)))
+      dsts
   end
 
 let services t : 'w Runtime.Services.t =
   {
     Runtime.Services.self = t.self;
     topology = t.topology;
-    send = (fun ~dst w -> send_wire t ~dst w);
-    send_multi = (fun dsts w -> List.iter (fun dst -> send_wire t ~dst w) dsts);
+    send = (fun ~dst w -> send_wire t [ dst ] w);
+    send_multi = send_wire t;
     now = (fun () -> now_time t);
     set_timer =
       (fun ~after f ->
@@ -417,25 +421,33 @@ let handle_body t (c : conn) body =
 let reply client ~req ~ok payload =
   client.c_node_write client.c_conn (frame (reply_body ~req ~ok payload))
 
+(* Appends one read to [c.buf] and dispatches every complete frame in it,
+   walking by offset; the unparsed tail moves to the front once per read. *)
 let feed t c bytes len =
   Buffer.add_subbytes c.buf bytes 0 len;
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    let have = Buffer.length c.buf in
-    if have >= 4 then begin
-      let contents = Buffer.contents c.buf in
-      let n = Int32.to_int (String.get_int32_be contents 0) in
-      if n >= 0 && have >= 4 + n then begin
-        let body = String.sub contents 4 n in
-        Buffer.clear c.buf;
-        Buffer.add_substring c.buf contents (4 + n) (have - 4 - n);
+  let have = Buffer.length c.buf in
+  let byte i = Char.code (Buffer.nth c.buf i) in
+  let rec go off =
+    if have - off < 4 then off
+    else
+      let n =
+        (byte off lsl 24) lor (byte (off + 1) lsl 16)
+        lor (byte (off + 2) lsl 8)
+        lor byte (off + 3)
+      in
+      if have - off - 4 < n then off
+      else begin
         t.events <- t.events + 1;
-        handle_body t c body;
-        progress := true
+        handle_body t c (Buffer.sub c.buf (off + 4) n);
+        go (off + 4 + n)
       end
-    end
-  done
+  in
+  let off = go 0 in
+  if off > 0 then begin
+    let rest = Buffer.sub c.buf off (have - off) in
+    Buffer.clear c.buf;
+    Buffer.add_string c.buf rest
+  end
 
 (* ---------- the event loop ---------- *)
 

@@ -227,6 +227,75 @@ let test_tcp_timers () =
     (List.rev !fired);
   Transport.Tcp.stop n0
 
+(* Framing over a raw socket: the node must split one write carrying
+   many frames (and a body larger than one 64 KiB read) into the same
+   frames, and reassemble one frame written in two pieces. *)
+let test_tcp_raw_framing () =
+  let topo = Topology.symmetric ~groups:1 ~per_group:2 in
+  let addrs = Transport.Tcp.localhost_addrs ~base_port:7550 topo in
+  let n1 =
+    Transport.Tcp.create ~codec:string_codec ~topology:topo ~self:1 ~addrs ()
+  in
+  let got = ref [] in
+  let mu = Mutex.create () in
+  Transport.Tcp.set_receiver n1 (fun ~src w ->
+      Mutex.lock mu;
+      got := (src, w) :: !got;
+      Mutex.unlock mu);
+  Transport.Tcp.start n1;
+  let frame kind fields payload =
+    let body = Bytes.make (1 + fields + String.length payload) '\000' in
+    Bytes.set body 0 kind;
+    Bytes.blit_string payload 0 body (1 + fields) (String.length payload);
+    let b = Bytes.create 4 in
+    Bytes.set_int32_be b 0 (Int32.of_int (Bytes.length body));
+    Bytes.to_string b ^ Bytes.to_string body
+  in
+  let hello =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_be b 0 0l;
+    frame 'H' 0 (Bytes.to_string b)
+  in
+  let small = List.init 300 (fun i -> "m" ^ string_of_int i) in
+  let big = String.init 100_000 (fun i -> Char.chr (97 + (i mod 26))) in
+  let split = "split across two writes" in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Transport.Tcp.stop n1)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 7551));
+      Unix.setsockopt fd Unix.TCP_NODELAY true;
+      let write s =
+        let b = Bytes.of_string s in
+        let off = ref 0 in
+        while !off < Bytes.length b do
+          off := !off + Unix.write fd b !off (Bytes.length b - !off)
+        done
+      in
+      write
+        (String.concat ""
+           (hello :: List.map (frame 'D' 8) (small @ [ big ])));
+      let last = frame 'D' 8 split in
+      write (String.sub last 0 7);
+      Thread.delay 0.05;
+      write (String.sub last 7 (String.length last - 7));
+      let expected = List.map (fun w -> (0, w)) (small @ [ big; split ]) in
+      let count () =
+        Mutex.lock mu;
+        let n = List.length !got in
+        Mutex.unlock mu;
+        n
+      in
+      Alcotest.(check bool)
+        "every frame arrives" true
+        (await (fun () -> count () = List.length expected));
+      Mutex.lock mu;
+      let msgs = List.rev !got in
+      Mutex.unlock mu;
+      Alcotest.(check bool) "same frames, in order" true (msgs = expected))
+
 (* ------------------------------------------------------------------ *)
 (* The replicated KV service, end to end over real sockets             *)
 (* ------------------------------------------------------------------ *)
@@ -472,6 +541,7 @@ let suites =
         Alcotest.test_case "tcp send + lamport clock" `Quick
           test_tcp_send_and_clock;
         Alcotest.test_case "tcp timers" `Quick test_tcp_timers;
+        Alcotest.test_case "tcp raw framing" `Quick test_tcp_raw_framing;
         Alcotest.test_case "kv service end to end" `Quick
           test_kv_service_end_to_end;
         Alcotest.test_case "DES vs real differential" `Quick
