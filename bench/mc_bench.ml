@@ -28,8 +28,7 @@ let global_cast at origin payload = (at, origin, [ 0; 1 ], payload)
 let row ?(reorder_bound = max_int) ~compare_naive name protocol sizes casts =
   {
     name;
-    cell =
-      Mc.Trace_file.make ~reorder_bound ~casts ~protocol ~sizes ();
+    cell = Mc.Trace_file.make ~reorder_bound ~casts ~protocol ~sizes ();
     compare_naive;
   }
 
@@ -57,12 +56,7 @@ let matrix =
   ]
 
 type side = {
-  interleavings : int;
-  events : int;
-  replays : int;
-  sleep_prunes : int;
-  peak_depth : int;
-  exhaustive : bool;
+  stats : Mc.Explorer.stats;
   violated : bool;
   outcomes : int list;  (* sorted distinct terminal-outcome digests *)
   wall_s : float;
@@ -72,18 +66,11 @@ let run_side c ~por =
   let cell = Result.get_ok (Mc.Trace_file.cell c.cell) in
   let t0 = Unix.gettimeofday () in
   let o = cell.explore { Mc.Explorer.default_opts with por } in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let s = o.stats in
   {
-    interleavings = s.interleavings;
-    events = s.events;
-    replays = s.replays;
-    sleep_prunes = s.sleep_prunes;
-    peak_depth = s.peak_depth;
-    exhaustive = s.exhaustive;
+    stats = o.stats;
     violated = o.violation <> None;
     outcomes = o.outcome_digests;
-    wall_s;
+    wall_s = Unix.gettimeofday () -. t0;
   }
 
 type row = {
@@ -97,22 +84,23 @@ let rate n wall = float_of_int n /. Float.max wall 1e-9
 let reduction r =
   Option.map
     (fun n ->
-      float_of_int n.interleavings /. float_of_int (max 1 r.por.interleavings))
+      float_of_int n.stats.interleavings
+      /. float_of_int (max 1 r.por.stats.interleavings))
     r.naive
 
 let json_of_side s =
   let open Harness.Bench_json in
   Obj
     [
-      ("interleavings", Int s.interleavings);
-      ("events", Int s.events);
-      ("replays", Int s.replays);
-      ("sleep_prunes", Int s.sleep_prunes);
-      ("peak_depth", Int s.peak_depth);
-      ("exhaustive", Bool s.exhaustive);
+      ("interleavings", Int s.stats.interleavings);
+      ("events", Int s.stats.events);
+      ("replays", Int s.stats.replays);
+      ("sleep_prunes", Int s.stats.sleep_prunes);
+      ("peak_depth", Int s.stats.peak_depth);
+      ("exhaustive", Bool s.stats.exhaustive);
       ("wall_s", float 6 s.wall_s);
-      ("states_per_s", float 0 (rate s.interleavings s.wall_s));
-      ("events_per_s", float 0 (rate s.events s.wall_s));
+      ("states_per_s", float 0 (rate s.stats.interleavings s.wall_s));
+      ("events_per_s", float 0 (rate s.stats.events s.wall_s));
     ]
 
 let json_of_row r =
@@ -138,13 +126,13 @@ let json_of_row r =
 (* The soundness differential, one named assertion per condition. *)
 let gates r =
   let name = r.config.name in
-  [ (name ^ "_por_exhaustive", r.por.exhaustive);
+  [ (name ^ "_por_exhaustive", r.por.stats.exhaustive);
     (name ^ "_clean", not r.por.violated) ]
   @
   match (r.naive, reduction r) with
   | Some n, Some red ->
     [
-      (name ^ "_naive_exhaustive", n.exhaustive);
+      (name ^ "_naive_exhaustive", n.stats.exhaustive);
       (name ^ "_outcomes_equal", n.outcomes = r.por.outcomes);
       (name ^ "_reduction_floor", not (red < min_reduction));
     ]
@@ -165,12 +153,12 @@ let () =
         let r = { config = c; por; naive } in
         Printf.printf
           "  %-18s por %6d states %8.3fs (%7.0f states/s, %7.0f events/s)%s\n%!"
-          c.name por.interleavings por.wall_s
-          (rate por.interleavings por.wall_s)
-          (rate por.events por.wall_s)
+          c.name por.stats.interleavings por.wall_s
+          (rate por.stats.interleavings por.wall_s)
+          (rate por.stats.events por.wall_s)
           (match (naive, reduction r) with
           | Some n, Some red ->
-            Printf.sprintf "  naive %6d states %8.3fs  %.0fx" n.interleavings
+            Printf.sprintf "  naive %6d states %8.3fs  %.0fx" n.stats.interleavings
               n.wall_s red
           | _ -> "");
         r)

@@ -18,8 +18,8 @@
      --casts N              number of casts, 1ms apart (default 2)
      --dest CSV             destination gids (default: all groups)
      --origins CSV          cast origins, used round-robin (default 0)
-     --config NAME          a Trace_file.config_of_name preset
-                            (default "default")
+     --config NAME          config preset: default, fritzke or
+                            generic-key (default "default")
      --seed N               deployment seed (default 0)
      --intra-us N           intra-group latency, us (default 1000)
      --inter-us N           inter-group latency, us (default 50000)

@@ -16,19 +16,17 @@
 
     Key updates (A1's stage transitions move a message's timestamp, Skeen
     finalisation replaces the own-stamp key by the final one, ring raises
-    a message's lower bound and then sets its final stamp) reuse the
-    {!Des.Event_queue} cancellation trick: a flag byte per issued handle
-    marks an entry dead in O(1), dead entries are skipped lazily at the
-    top of the heap, and the heap is compacted whenever dead entries
-    outnumber live ones, so no operation ever degrades past the live
-    size. *)
+    a message's lower bound and then sets its final stamp) cancel
+    lazily: a flag byte per issued handle marks an entry dead in O(1),
+    dead entries are skipped at the top of the heap, and the heap is
+    compacted whenever dead entries outnumber live ones, so no operation
+    ever degrades past the live size. *)
 
 type 'a t
 
 type handle = int
-(** Dense (0, 1, 2, ...) per-index entry handles, like
-    {!Des.Event_queue} event handles. A handle is live from {!add} until
-    it is {!remove}d, {!reposition}ed away or popped. *)
+(** Dense (0, 1, 2, ...) per-index entry handles. A handle is live from
+    {!add} until it is {!remove}d, {!reposition}ed away or popped. *)
 
 val create : unit -> 'a t
 

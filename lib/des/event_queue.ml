@@ -373,7 +373,7 @@ let find_top q =
     f
   end
   else begin
-    let found = ref (-1) and steps = ref 0 and lapped = ref false in
+    let found = ref (-1) and steps = ref 0 in
     while !found < 0 do
       let h = q.heads.%(q.cur land q.mask) in
       if h >= 0 && bucket_of q h = q.cur then
@@ -382,8 +382,9 @@ let find_top q =
       else if q.far_len > 0 && bucket_of q q.far.%(0) <= q.cur then
         found := q.far.%(0)
       else if !steps > q.mask then begin
-        if !lapped then failwith "Event_queue: cursor lapped twice";
-        lapped := true;
+        (* [found] = -2: this call has already lapped once. *)
+        if !found = -2 then failwith "Event_queue: cursor lapped twice";
+        found := -2;
         let m = ref max_int in
         Array.iter
           (fun h -> if h >= 0 && time_of q h < !m then m := time_of q h)

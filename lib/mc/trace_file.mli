@@ -29,7 +29,10 @@ type t = {
   seed : int;
   intra_us : int;  (** Intra-group latency, microseconds, no jitter. *)
   inter_us : int;  (** Inter-group latency, microseconds, no jitter. *)
-  config : string;  (** Config preset, see {!config_of_name}. *)
+  config : string;
+      (** Config preset: ["default"], ["fritzke"] or ["generic-key"]
+          ({!Amcast.Protocol.Config.default} with the
+          {!Amcast.Conflict.payload_key} conflict relation). *)
   overlay : Net.Overlay.kind option;
       (** Overlay geometry ([overlay hub] line; absent = clique model,
           byte-identical to older traces). On replay the latency matrix
@@ -75,11 +78,6 @@ val of_string : string -> (t, string) result
 
 val save : string -> t -> unit
 val load : string -> (t, string) result
-
-val config_of_name : string -> Amcast.Protocol.Config.t option
-(** The config presets a trace may name: ["default"], ["fritzke"] and
-    ["generic-key"] ({!Amcast.Protocol.Config.default}
-    with the {!Amcast.Conflict.payload_key} conflict relation). *)
 
 type cell = {
   name : string;  (** The protocol's name, mutation suffix included. *)
