@@ -73,10 +73,7 @@ module Config = struct
     { default with batch_max = 8; batch_delay = Des.Sim_time.of_ms 2;
       pipeline = 4 }
 
-  (* The batching/pipelining lane is on iff any knob departs from its
-     neutral value. *)
   let batching t = t.batch_max > 1
-  let pipelined t = t.pipeline > 1
 
   let fritzke =
     {

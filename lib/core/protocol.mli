@@ -117,9 +117,6 @@ module Config : sig
   val batching : t -> bool
   (** [batch_max > 1]. *)
 
-  val pipelined : t -> bool
-  (** [pipeline > 1]. *)
-
   val fritzke : t
   (** The Fritzke et al. [5] baseline: no stage skipping. The initial
       dissemination keeps the eager (oracle-relayed) reliable multicast:

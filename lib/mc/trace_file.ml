@@ -272,15 +272,21 @@ let cell t =
         reorder_bound = t.reorder_bound;
       }
     in
+    (* What the base entry owes: a mutant's name is not in the catalogue,
+       so explore, minimize and replay must all be told. *)
+    let owed = Harness.Checker.owed entry config in
     Ok
       {
         name = P.name;
-        explore = (fun opts -> E.explore ~opts setup);
-        minimize = E.minimize setup;
+        explore =
+          (fun opts ->
+            let check = Some (Option.value opts.check ~default:owed) in
+            E.explore ~opts:{ opts with check } setup);
+        minimize = E.minimize ~check:owed setup;
         replay =
           (fun ?max_steps choices ->
             let r = E.replay ?max_steps setup choices in
-            (r, Harness.Checker.owed entry config r));
+            (r, owed r));
       }
 
 let replay ?max_steps t =

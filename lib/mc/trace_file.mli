@@ -82,14 +82,16 @@ val load : string -> (t, string) result
 type cell = {
   name : string;  (** The protocol's name, mutation suffix included. *)
   explore : Explorer.opts -> Explorer.outcome;
+      (** {!Explorer.Make.explore}; an unset [check] is the owed one. *)
   minimize : int list -> int list * string list;
-      (** {!Explorer.Make.minimize} with the explorer's default check. *)
+      (** {!Explorer.Make.minimize} with the owed check. *)
   replay : ?max_steps:int -> int list -> Harness.Run_result.t * string list;
-      (** {!Explorer.Make.replay}, then {!Harness.Checker.owed} of the
-          catalogue entry under the config on the result. *)
+      (** {!Explorer.Make.replay}, then the owed check on the result. *)
 }
 (** One model-checker cell: the explorer closed over the setup a trace
-    describes. *)
+    describes. All three check what the catalogue entry owes under the
+    config ({!Harness.Checker.owed}), even when a mutation renames the
+    protocol out of the catalogue, so a saved counterexample replays. *)
 
 val cell : t -> (cell, string) result
 (** The one path from a trace to an exploration: resolves the protocol in

@@ -1,6 +1,7 @@
 open Des
 
-(* One in-flight slot. A [Multi] keeps a whole fan-out: per-destination
+(* One in-flight slot. A [Single] holds one message to one destination. A
+   [Multi] keeps a fan-out of two or more destinations: per-destination
    arrivals are pre-sampled at send time and walked by a single scheduler
    event that re-arms itself for the next destination at pop time. This
    is the [send_multi] fast lane — a broadcast costs one event in the
@@ -52,9 +53,7 @@ type 'w t = {
   mutable row_dst : Topology.pid array array;
       (* slot -> [send_multi]'s arrival and destination rows, kept sorted
          by arrival while a fan-out is admitted; a row grows to the
-         largest fan-out its slot has carried and is never copied. The
-         send filter and taps run mid-admission, so they must not send on
-         the same network. *)
+         largest fan-out its slot has carried and is never copied. *)
   n_groups : int;
   holds : Sim_time.t array;
       (* dense (src_group, dst_group) -> release floor, [Sim_time.zero] =
@@ -63,8 +62,6 @@ type 'w t = {
          g*g entries is small (10k words at 100 groups) next to the
          per-process state. *)
   scales : float array; (* dense link latency scales, 1.0 = base model *)
-  mutable send_filter : (src:Topology.pid -> dst:Topology.pid -> bool) option;
-  mutable taps : (src:Topology.pid -> dst:Topology.pid -> 'w -> unit) list;
   mutable explode_fanout : bool;
       (* controlled-scheduling mode: give every fan-out destination its own
          scheduler event so a model checker can reorder them individually *)
@@ -125,8 +122,6 @@ let create ~sched ~topology ~latency ~rng ~deliver =
       n_groups = g;
       holds;
       scales;
-      send_filter = None;
-      taps = [];
       explode_fanout = false;
       tx_cost = Sim_time.zero;
       next_free;
@@ -163,14 +158,12 @@ let acquire_slot t =
   t.free_top <- t.free_top - 1;
   t.free.(t.free_top)
 
-let schedule_in t i ~src ~dst ~arrival payload =
+let schedule_delivery t ~src ~dst ~arrival payload =
+  let i = acquire_slot t in
   let handle =
     Scheduler.at_arg t.sched (Scheduler.Tag.deliver dst) arrival t.on_fire i
   in
   t.slots.(i) <- Single { src; dst; payload; handle }
-
-let schedule_delivery t ~src ~dst ~arrival payload =
-  schedule_in t (acquire_slot t) ~src ~dst ~arrival payload
 
 (* One latency draw on a link, with any active spike scale applied — shared
    by admission and by [heal]'s re-scheduling so a spiked link stays spiked
@@ -183,27 +176,14 @@ let sample_delay t ~src_group ~dst_group =
     Sim_time.of_us
       (Int.max 0 (int_of_float (s *. float_of_int (Sim_time.to_us delay))))
 
-(* Per-destination admission, split in two so that neither half allocates:
-   [admitted] applies the send filter, [arrival] does the bookkeeping and
-   the latency draw. [send] and [send_multi] both call them once per
-   destination, in destination order, so the two paths are observably
-   equivalent (filter, counters, taps and rng draws happen in the same
-   order). *)
-let admitted t ~src ~dst =
-  match t.send_filter with
-  | None -> true
-  | Some f -> f ~src ~dst
-
-let arrival t ~src ~src_group ~dst payload =
+(* Per-destination admission: the counters and the latency draw, without
+   allocating. Both fan-out shapes call it once per destination, in
+   destination order, so they draw the same rng stream. *)
+let arrival t ~src ~src_group ~dst =
   let dst_group = Topology.group_of t.topology dst in
   t.sent_total <- t.sent_total + 1;
   if src_group = dst_group then t.sent_intra <- t.sent_intra + 1
   else t.sent_inter <- t.sent_inter + 1;
-  (* Matched first: the iteration closure would allocate even when no tap
-     is registered, which is the common case. *)
-  (match t.taps with
-  | [] -> ()
-  | taps -> List.iter (fun tap -> tap ~src ~dst payload) taps);
   let delay = sample_delay t ~src_group ~dst_group in
   let departure =
     if Sim_time.compare t.tx_cost Sim_time.zero > 0 then begin
@@ -217,14 +197,6 @@ let arrival t ~src ~src_group ~dst payload =
   in
   let arrival = Sim_time.add departure delay in
   Sim_time.max arrival (hold_floor t ~src_group ~dst_group)
-
-let send t ~src ~dst payload =
-  if admitted t ~src ~dst then begin
-    let src_group = Topology.group_of t.topology src in
-    schedule_delivery t ~src ~dst
-      ~arrival:(arrival t ~src ~src_group ~dst payload)
-      payload
-  end
 
 (* Inserts the [n+1]-th admitted destination into slot [i]'s rows, after
    every arrival not later than its own: a stable insertion sort. *)
@@ -247,49 +219,42 @@ let fan_insert t i n (at : Sim_time.t) dst =
   row_at.(!k) <- at;
   row_dst.(!k) <- dst
 
-(* Admits [dsts] in order into slot [i]'s rows; returns how many were
-   admitted. *)
-let rec fan_admit t i ~src ~src_group payload n = function
+(* Admits [dsts] in order into slot [i]'s rows; returns their count. *)
+let rec fan_admit t i ~src ~src_group n = function
   | [] -> n
   | dst :: rest ->
-    if admitted t ~src ~dst then begin
-      fan_insert t i n (arrival t ~src ~src_group ~dst payload) dst;
-      fan_admit t i ~src ~src_group payload (n + 1) rest
-    end
-    else fan_admit t i ~src ~src_group payload n rest
+    fan_insert t i n (arrival t ~src ~src_group ~dst) dst;
+    fan_admit t i ~src ~src_group (n + 1) rest
+
+(* One [Single] slot and event per destination, admitted in order. *)
+let rec schedule_each t ~src ~src_group payload = function
+  | [] -> ()
+  | dst :: rest ->
+    schedule_delivery t ~src ~dst ~arrival:(arrival t ~src ~src_group ~dst)
+      payload;
+    schedule_each t ~src ~src_group payload rest
 
 let send_multi t ~src ~dsts payload =
   let src_group = Topology.group_of t.topology src in
-  if t.explode_fanout then
-    (* Controlled mode: every destination gets its own event so the
-       explorer can reorder the fan-out's deliveries independently. The
-       admissions and latency draws happen in the same order as on the
-       slab path, so the two modes stay observably equivalent. *)
-    List.iter
-      (fun dst ->
-        if admitted t ~src ~dst then
-          schedule_delivery t ~src ~dst
-            ~arrival:(arrival t ~src ~src_group ~dst payload)
-            payload)
-      dsts
-  else begin
-    (* Admission acquires no slot and sends nothing, so taking the slot
-       first hands out the same index a later [acquire_slot] would. *)
+  match dsts with
+  | _ :: _ :: _ when not t.explode_fanout ->
+    (* Admission acquires no slot, so taking the slot first hands out the
+       same index a later [acquire_slot] would. *)
     let i = acquire_slot t in
-    match fan_admit t i ~src ~src_group payload 0 dsts with
-    | 0 -> release_slot t i
-    | 1 ->
-      schedule_in t i ~src ~dst:t.row_dst.(i).(0) ~arrival:t.row_at.(i).(0)
-        payload
-    | len ->
-      let arrivals = t.row_at.(i) and dsts = t.row_dst.(i) in
-      let handle =
-        Scheduler.at_arg t.sched (Scheduler.Tag.deliver dsts.(0))
-          arrivals.(0) t.on_fire i
-      in
-      t.slots.(i) <-
-        Multi { src; payload; arrivals; dsts; len; pos = 0; handle }
-  end
+    let len = fan_admit t i ~src ~src_group 0 dsts in
+    let arrivals = t.row_at.(i) and dsts = t.row_dst.(i) in
+    let handle =
+      Scheduler.at_arg t.sched (Scheduler.Tag.deliver dsts.(0)) arrivals.(0)
+        t.on_fire i
+    in
+    t.slots.(i) <- Multi { src; payload; arrivals; dsts; len; pos = 0; handle }
+  | _ ->
+    (* One destination needs no rows. In controlled mode every destination
+       gets its own event, so the explorer can reorder a fan-out's
+       deliveries independently. Admissions and latency draws happen in
+       the same order as on the slab path, so the two shapes stay
+       observably equivalent. *)
+    schedule_each t ~src ~src_group payload dsts
 
 (* The adversarial controls below reason about one (src, dst, arrival)
    triple per slot; dissolve multi slots into singles first. They only run
@@ -413,7 +378,6 @@ let latency_scale t ~src_group ~dst_group scale =
   if scale <= 0. then invalid_arg "Network.latency_scale: scale must be > 0";
   t.scales.(link t ~src_group ~dst_group) <- scale
 
-let set_send_filter t f = t.send_filter <- f
 let set_explode_fanout t b = t.explode_fanout <- b
 
 let set_tx_cost t c =
@@ -421,7 +385,6 @@ let set_tx_cost t c =
     invalid_arg "Network.set_tx_cost: cost must be >= 0";
   t.tx_cost <- c
 
-let on_send t tap = t.taps <- t.taps @ [ tap ]
 let sent_total t = t.sent_total
 let sent_inter_group t = t.sent_inter
 let sent_intra_group t = t.sent_intra

@@ -29,21 +29,17 @@ val create :
 (** [create ~sched ~topology ~latency ~rng ~deliver] is a network that calls
     [deliver] once per message at its (virtual) arrival time. *)
 
-val send : 'w t -> src:Topology.pid -> dst:Topology.pid -> 'w -> unit
-(** Queues one message. Self-sends are allowed and take the intra-group
-    delay. Delivery order between two processes is not FIFO (jitter may
-    reorder), matching the asynchronous model. *)
-
 val send_multi :
   'w t -> src:Topology.pid -> dsts:Topology.pid list -> 'w -> unit
 (** [send_multi t ~src ~dsts w] queues one copy of [w] for every destination
-    in [dsts], observably like [List.iter (fun dst -> send t ~src ~dst w)]
-    (send filter, counters, taps and per-destination latency samples are all
-    applied in list order), but the whole fan-out occupies a single
-    scheduler event that walks the pre-sampled arrival times in order,
-    re-arming itself at pop time. Broadcast-heavy protocols use this to keep
-    the event queue at one entry per fan-out instead of one per
-    destination. *)
+    in [dsts]; a point-to-point send is [~dsts:[ dst ]]. Counters and
+    per-destination latency samples are applied in list order. Self-sends
+    are allowed and take the intra-group delay. Delivery order between two
+    processes is not FIFO (jitter may reorder), matching the asynchronous
+    model. A fan-out of several destinations occupies a single scheduler
+    event that walks the pre-sampled arrival times in order, re-arming
+    itself at pop time, so the event queue holds one entry per fan-out
+    instead of one per destination. *)
 
 val hold :
   'w t -> src_group:Topology.gid -> dst_group:Topology.gid ->
@@ -86,18 +82,12 @@ val drop_inflight :
 (** Cancels in-flight messages matching the predicate; returns how many were
     dropped. *)
 
-val set_send_filter :
-  'w t -> (src:Topology.pid -> dst:Topology.pid -> bool) option -> unit
-(** When set, messages for which the filter returns [false] are silently
-    discarded at send time. Used by the runtime to mute crashed processes.
-    The filter must not send on the same network. *)
-
 val set_explode_fanout : 'w t -> bool -> unit
 (** Controlled-scheduling mode (default off): when on, {!send_multi}
     schedules one event per destination instead of one self-re-arming slab
     event for the whole fan-out, so each delivery is an independently
-    reorderable choice for the model checker. Latency draws, counters and
-    taps are unchanged — only the event-queue shape differs. *)
+    reorderable choice for the model checker. Latency draws and counters
+    are unchanged — only the event-queue shape differs. *)
 
 val set_tx_cost : 'w t -> Des.Sim_time.t -> unit
 (** Per-message egress serialization cost at the sender (default zero).
@@ -107,14 +97,6 @@ val set_tx_cost : 'w t -> Des.Sim_time.t -> unit
     throughput benchmarks need. Zero keeps the pure-latency model byte
     for byte (no extra state is read or written).
     @raise Invalid_argument if the cost is negative. *)
-
-val on_send :
-  'w t ->
-  (src:Topology.pid -> dst:Topology.pid -> 'w -> unit) ->
-  unit
-(** Registers a tap invoked for every message actually admitted to the
-    network (after the send filter). Used for tracing and counting; a tap
-    must not send on the same network. *)
 
 (** Message counters, cumulative since creation. *)
 

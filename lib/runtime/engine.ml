@@ -17,9 +17,8 @@ type crash_subscription = {
 
 (* [lc] is the sender's RAW clock at send time; the carried value (raw, or
    raw+1 across groups) is computed per destination at delivery. This lets
-   one envelope serve a whole [send_multi] fan-out even when it mixes intra-
-   and inter-group destinations, and is equivalent for single sends since
-   the sender's own clock never advances on a send. *)
+   one envelope serve a whole fan-out even when it mixes intra- and
+   inter-group destinations. *)
 type 'w envelope = { data : 'w; lc : Lclock.t; env : int }
 
 type 'w t = {
@@ -98,67 +97,51 @@ let create ?(seed = 0) ?(latency = Latency.wan_default)
   t.network <- Some network;
   t
 
+(* Records one Send entry per destination of a fan-out, all sharing its
+   envelope. A top-level function, so recording allocates no closure. *)
+let rec record_sends t ~pid ~time ~tag ~raw ~env = function
+  | [] -> ()
+  | dst :: rest ->
+    let same_group = Topology.same_group t.topology pid dst in
+    (* The carried value is LC+1 across groups (rule 2), but the sender's
+       own clock does not advance: only receives move a clock forward.
+       This makes a fan-out to d remote processes one causal hop, not d —
+       the reading under which the paper's R-MCast has latency degree 1
+       and Theorem 5.1's concurrent bundle exchange costs a single
+       inter-group delay. *)
+    Trace.record t.trace
+      (Send
+         {
+           time;
+           src = pid;
+           dst;
+           inter_group = not same_group;
+           lc = Lclock.on_send ~same_group raw;
+           tag;
+           env;
+         });
+    record_sends t ~pid ~time ~tag ~raw ~env rest
+
 (* The DES implementation of the capability record: the closures below are
    the whole protocol-visible behaviour of the simulator. *)
 let services t pid =
-  let send ~dst payload =
-    if not t.crashed.(pid) then begin
-      let env = t.next_env in
-      t.next_env <- env + 1;
-      if Trace.enabled t.trace then begin
-        let same_group = Topology.same_group t.topology pid dst in
-        (* The carried value is LC+1 across groups (rule 2), but the
-           sender's own clock does not advance: only receives move a clock
-           forward. This makes a fan-out to d remote processes one causal
-           hop, not d — the reading under which the paper's R-MCast has
-           latency degree 1 and Theorem 5.1's concurrent bundle exchange
-           costs a single inter-group delay. *)
-        Trace.record t.trace
-          (Send
-             {
-               time = Scheduler.now t.sched;
-               src = pid;
-               dst;
-               inter_group = not same_group;
-               lc = Lclock.on_send ~same_group t.lcs.(pid);
-               tag = t.tag payload;
-               env;
-             })
-      end;
-      Network.send (net t) ~src:pid ~dst
-        { data = payload; lc = t.lcs.(pid); env }
-    end
-  in
+  (* The one send path: a point-to-point send is a one-destination
+     fan-out. *)
   let send_multi dsts payload =
     if (not t.crashed.(pid)) && not (List.is_empty dsts) then begin
       let raw = t.lcs.(pid) in
       (* One envelope (and one trace [env]) for the whole fan-out: the
-         Send entries below share it, which is faithful — the fan-out is
-         one causal event at the sender. *)
+         Send entries share it, which is faithful — the fan-out is one
+         causal event at the sender. *)
       let env = t.next_env in
       t.next_env <- env + 1;
-      if Trace.enabled t.trace then begin
-        let time = Scheduler.now t.sched in
-        let tag = t.tag payload in
-        List.iter
-          (fun dst ->
-            let same_group = Topology.same_group t.topology pid dst in
-            Trace.record t.trace
-              (Send
-                 {
-                   time;
-                   src = pid;
-                   dst;
-                   inter_group = not same_group;
-                   lc = Lclock.on_send ~same_group raw;
-                   tag;
-                   env;
-                 }))
-          dsts
-      end;
+      if Trace.enabled t.trace then
+        record_sends t ~pid ~time:(Scheduler.now t.sched) ~tag:(t.tag payload)
+          ~raw ~env dsts;
       Network.send_multi (net t) ~src:pid ~dsts { data = payload; lc = raw; env }
     end
   in
+  let send ~dst payload = send_multi [ dst ] payload in
   let set_timer ~after f =
     Scheduler.after_tagged t.sched (Scheduler.Tag.timer pid) after (fun () ->
         if not t.crashed.(pid) then f ())

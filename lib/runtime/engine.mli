@@ -98,9 +98,10 @@ val lc : 'w t -> Net.Topology.pid -> Lclock.t
 val trace : 'w t -> Trace.t
 val topology : 'w t -> Net.Topology.t
 type 'w envelope = { data : 'w; lc : Lclock.t; env : int }
-(** What actually travels on the network: the wire payload, the modified
-    Lamport value it carries, and a unique envelope id (used by the causal
-    trace analysis to match sends to receives). *)
+(** What actually travels on the network: the wire payload, the sender's
+    modified Lamport clock at send time (the carried value, LC+1 across
+    groups, is derived per destination at delivery), and a unique envelope
+    id (used by the causal trace analysis to match sends to receives). *)
 
 val network : 'w t -> 'w envelope Net.Network.t
 (** The underlying network; exposed for counters and adversarial controls

@@ -26,7 +26,7 @@
       on a send);
     - links are {e not} FIFO: two sends on one (src, dst) link may arrive
       in either order (the DES reorders under latency jitter, as the
-      asynchronous model allows, cf. {!Net.Network.send}), so protocols
+      asynchronous model allows, cf. {!Net.Network.send_multi}), so protocols
       must not rely on per-link order;
     - receive handlers and timer callbacks of one process never run
       concurrently with each other (single-threaded process model);

@@ -23,10 +23,12 @@ open Net
 module Make (P : Amcast.Protocol.S) = struct
   type wire =
     | Proto of P.wire
-    | Sync_req of { learner : Topology.pid }
-        (* learner -> peer: send me your committed log *)
-    | Sync_resp of { log : string list }
-        (* peer -> learner: full encoded log, oldest first *)
+    | Sync_req of { learner : Topology.pid; from : int }
+        (* learner -> peer: send me your committed log from index [from]
+           (the learner's applied count) on *)
+    | Sync_resp of { from : int; suffix : string list }
+        (* peer -> learner: the encoded entries from index [from] on,
+           oldest first *)
 
   type replica = {
     pid : Topology.pid;
@@ -148,26 +150,30 @@ module Make (P : Amcast.Protocol.S) = struct
 
   let encoded_log r = List.rev_map Kv.encode r.log
 
-  let absorb_sync t r peer_log =
-    let mine = encoded_log r in
-    let rec split l p =
-      (* drop [l] (the learner's prefix) off [p]; None on divergence *)
-      match (l, p) with
-      | [], rest -> Some rest
-      | x :: l', y :: p' when String.equal x y -> split l' p'
-      | _ -> None
-    in
-    match split mine peer_log with
-    | None -> () (* not a prefix: leave it to check_consistency to flag *)
-    | Some tail ->
+  (* The newest [k] entries of a newest-first [log], encoded, oldest
+     first. *)
+  let rec newest k log acc =
+    match log with
+    | cmd :: log when k > 0 -> newest (k - 1) log (Kv.encode cmd :: acc)
+    | _ -> acc
+
+  let apply_encoded t r enc =
+    let cmd = t.spec.Rsm.decode enc in
+    r.state <- t.spec.Rsm.apply r.state cmd;
+    r.log <- cmd :: r.log
+
+  (* Appends a peer's suffix only where it starts: a stale or early
+     response is dropped, and the next request asks again. The learner
+     does not compare prefixes; [check_consistency] flags divergence. *)
+  let absorb_sync t r ~from suffix =
+    if from = List.length r.log then begin
       List.iter
         (fun enc ->
           Wal.append r.wal enc;
-          let cmd = t.spec.Rsm.decode enc in
-          r.state <- t.spec.Rsm.apply r.state cmd;
-          r.log <- cmd :: r.log)
-        tail;
+          apply_encoded t r enc)
+        suffix;
       r.synced <- true
+    end
 
   (* ---------- wiring one node ---------- *)
 
@@ -178,10 +184,14 @@ module Make (P : Amcast.Protocol.S) = struct
           match r.proto with
           | Some p when not r.learner -> P.on_receive p ~src pw
           | _ -> () (* learner: protocol frames die here *))
-        | Sync_req { learner } ->
-          r.raw.Runtime.Services.send ~dst:learner
-            (Sync_resp { log = encoded_log r })
-        | Sync_resp { log } -> if r.learner then absorb_sync t r log)
+        | Sync_req { learner; from } ->
+          (* A peer behind the learner has nothing to send it. *)
+          let n = List.length r.log in
+          if from <= n then
+            r.raw.Runtime.Services.send ~dst:learner
+              (Sync_resp { from; suffix = newest (n - from) r.log [] })
+        | Sync_resp { from; suffix } ->
+          if r.learner then absorb_sync t r ~from suffix)
 
   let group_of_key t k = Kv.group_of_key ~groups:(Topology.n_groups t.topology) k
 
@@ -342,12 +352,7 @@ module Make (P : Amcast.Protocol.S) = struct
     r.wal <- wal;
     r.state <- t.spec.Rsm.initial ();
     r.log <- [];
-    List.iter
-      (fun enc ->
-        let cmd = t.spec.Rsm.decode enc in
-        r.state <- t.spec.Rsm.apply r.state cmd;
-        r.log <- cmd :: r.log)
-      records;
+    List.iter (apply_encoded t r) records;
     Runtime.Msg_id.Tbl.reset r.pending;
     r.proto <- None;
     r.learner <- true;
@@ -384,7 +389,8 @@ module Make (P : Amcast.Protocol.S) = struct
       if Tcp.running r.tcp then begin
         (match peer () with
         | Some q ->
-          r.raw.Runtime.Services.send ~dst:q (Sync_req { learner = pid })
+          r.raw.Runtime.Services.send ~dst:q
+            (Sync_req { learner = pid; from = List.length r.log })
         | None -> ());
         ignore
           (r.raw.Runtime.Services.set_timer ~after:(Des.Sim_time.of_ms 50)

@@ -13,10 +13,10 @@
     are lost, peers get an oracle notification). {!restart} brings it back
     as a {e learner}: it replays its WAL, drops protocol frames — a
     consensus participant that lost its promises must not rejoin — and
-    catches up through service-level anti-entropy: every 50 ms it asks a
-    live group peer for its committed log and absorbs the missing suffix,
-    first to {!synced} and from then on to follow what the group keeps
-    committing without it. The prefix-aware {!Rsm.check_logs} is the
+    catches up through service-level anti-entropy: every 50 ms it sends a
+    live group peer its applied count and absorbs the peer's entries from
+    that index on, first to {!synced} and from then on to follow what the
+    group keeps committing without it. The prefix-aware {!Rsm.check_logs} is the
     consistency oracle throughout. *)
 
 module Make (P : Amcast.Protocol.S) : sig

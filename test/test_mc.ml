@@ -264,6 +264,32 @@ let test_mutation_skeen_trace_roundtrip () =
     Alcotest.(check (list string)) "trace replays to same verdict" msgs violations
   | Error e -> Alcotest.failf "replay: %s" e
 
+(* A mutant renames its protocol out of the catalogue, yet explore must
+   check what the base entry owes under the config, as replay does.
+   Generic under per-key conflicts owes no prefix order between the two
+   commuting casts, and p0 never reaches a tenth delivery, so the mutant
+   cell is clean. *)
+let test_mutation_generic_key_owed () =
+  let tf =
+    Trace_file.make ~config:"generic-key" ~reorder_bound:1
+      ~casts:[ (1_000, 0, [ 0; 1 ], "m0"); (2_000, 2, [ 0; 1 ], "m1") ]
+      ~mutation:(Mutant.Drop_deliver { pid = 0; nth = 9 })
+      ~protocol:"generic" ~sizes:[ 2; 2 ] ()
+  in
+  let cell =
+    match Trace_file.cell tf with Ok c -> c | Error e -> Alcotest.fail e
+  in
+  let o = cell.explore Explorer.default_opts in
+  (match o.Explorer.violation with
+  | None -> ()
+  | Some v ->
+    Alcotest.failf "explore reports: %s" (String.concat "; " v.Explorer.messages));
+  Alcotest.(check bool) "exhaustive" true o.Explorer.stats.Explorer.exhaustive;
+  match Trace_file.replay tf with
+  | Ok (_, violations) ->
+    Alcotest.(check (list string)) "replay agrees" [] violations
+  | Error e -> Alcotest.failf "replay: %s" e
+
 (* ---------- counterexample corpus ---------- *)
 
 let load_corpus name =
@@ -423,6 +449,8 @@ let suites =
           test_mutation_a2_drop_deliver;
         Alcotest.test_case "skeen stamp drop caught, trace round-trips" `Quick
           test_mutation_skeen_trace_roundtrip;
+        Alcotest.test_case "generic-key mutant checks what generic owes"
+          `Quick test_mutation_generic_key_owed;
       ] );
     ( "mc.corpus",
       [

@@ -71,8 +71,8 @@ let make_net ?(latency = Util.crisp_latency) topology =
 let test_network_delivers () =
   let topo = Topology.symmetric ~groups:2 ~per_group:2 in
   let sched, net, received = make_net topo in
-  Network.send net ~src:0 ~dst:1 "local";
-  Network.send net ~src:0 ~dst:2 "remote";
+  Network.send_multi net ~src:0 ~dsts:[ 1 ] "local";
+  Network.send_multi net ~src:0 ~dsts:[ 2 ] "remote";
   Scheduler.run sched;
   let r = List.rev !received in
   (match r with
@@ -87,9 +87,9 @@ let test_network_delivers () =
 let test_network_hold () =
   let topo = Topology.symmetric ~groups:2 ~per_group:1 in
   let sched, net, received = make_net topo in
-  Network.send net ~src:0 ~dst:1 "early";
+  Network.send_multi net ~src:0 ~dsts:[ 1 ] "early";
   Network.hold net ~src_group:0 ~dst_group:1 ~until:(Sim_time.of_ms 500);
-  Network.send net ~src:0 ~dst:1 "late";
+  Network.send_multi net ~src:0 ~dsts:[ 1 ] "late";
   Scheduler.run sched;
   List.iter
     (fun (_, _, _, t) ->
@@ -101,9 +101,9 @@ let test_network_hold () =
 let test_network_drop_inflight () =
   let topo = Topology.symmetric ~groups:2 ~per_group:2 in
   let sched, net, received = make_net topo in
-  Network.send net ~src:0 ~dst:2 "a";
-  Network.send net ~src:0 ~dst:3 "b";
-  Network.send net ~src:1 ~dst:2 "c";
+  Network.send_multi net ~src:0 ~dsts:[ 2 ] "a";
+  Network.send_multi net ~src:0 ~dsts:[ 3 ] "b";
+  Network.send_multi net ~src:1 ~dsts:[ 2 ] "c";
   let dropped = Network.drop_inflight net (fun ~src ~dst:_ -> src = 0) in
   Alcotest.(check int) "dropped count" 2 dropped;
   Scheduler.run sched;
@@ -111,26 +111,6 @@ let test_network_drop_inflight () =
   | [ (1, 2, "c", _) ] -> ()
   | _ -> Alcotest.fail "only p1's message should survive");
   Alcotest.(check int) "in flight drained" 0 (Network.in_flight net)
-
-let test_network_send_filter () =
-  let topo = Topology.symmetric ~groups:1 ~per_group:3 in
-  let sched, net, received = make_net topo in
-  Network.set_send_filter net (Some (fun ~src ~dst:_ -> src <> 1));
-  Network.send net ~src:0 ~dst:2 "keep";
-  Network.send net ~src:1 ~dst:2 "muted";
-  Scheduler.run sched;
-  Alcotest.(check int) "only unfiltered arrives" 1 (List.length !received);
-  Alcotest.(check int) "filtered not counted" 1 (Network.sent_total net)
-
-let test_network_on_send_tap () =
-  let topo = Topology.symmetric ~groups:2 ~per_group:1 in
-  let sched, net, _ = make_net topo in
-  let tapped = ref 0 in
-  Network.on_send net (fun ~src:_ ~dst:_ _ -> incr tapped);
-  Network.send net ~src:0 ~dst:1 "x";
-  Network.send net ~src:1 ~dst:0 "y";
-  Scheduler.run sched;
-  Alcotest.(check int) "tap sees every send" 2 !tapped
 
 let suites =
   [
@@ -146,8 +126,5 @@ let suites =
         Alcotest.test_case "network hold" `Quick test_network_hold;
         Alcotest.test_case "network drop inflight" `Quick
           test_network_drop_inflight;
-        Alcotest.test_case "network send filter" `Quick
-          test_network_send_filter;
-        Alcotest.test_case "network send tap" `Quick test_network_on_send_tap;
       ] );
   ]

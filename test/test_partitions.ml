@@ -17,7 +17,7 @@ let test_network_partition_buffers () =
         received := (payload, Scheduler.now sched) :: !received)
   in
   Network.partition net ~src_group:0 ~dst_group:1;
-  Network.send net ~src:0 ~dst:1 "parked";
+  Network.send_multi net ~src:0 ~dsts:[ 1 ] "parked";
   Scheduler.run ~until:(Sim_time.of_ms 500) sched;
   Alcotest.(check int) "nothing through the partition" 0
     (List.length !received);
@@ -43,9 +43,9 @@ let test_network_partition_groups_and_heal_all () =
       ~deliver:(fun ~src:_ ~dst:_ _ -> incr received)
   in
   Network.partition_groups net [ 0 ] [ 1; 2 ];
-  Network.send net ~src:0 ~dst:1 ();
-  Network.send net ~src:1 ~dst:0 ();
-  Network.send net ~src:1 ~dst:2 (); (* inside the majority side: flows *)
+  Network.send_multi net ~src:0 ~dsts:[ 1 ] ();
+  Network.send_multi net ~src:1 ~dsts:[ 0 ] ();
+  Network.send_multi net ~src:1 ~dsts:[ 2 ] (); (* inside the majority side: flows *)
   Scheduler.run ~until:(Sim_time.of_ms 400) sched;
   Alcotest.(check int) "only the unpartitioned message" 1 !received;
   ignore
