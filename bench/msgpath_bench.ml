@@ -35,7 +35,6 @@ let bytes_of_tag tag =
   let body =
     match tag with
     | "rm.data" -> 256 (* carries the application payload *)
-    | "rm.copy" | "rm.fetch" -> 8
     | "cons.suggest" | "cons.accept" | "cons.decide" | "cons.promise"
     | "cons.lease_promise" ->
       256 (* carry (or may carry) a proposal value *)

@@ -29,8 +29,7 @@ let create ~services ~config ~rm:wrap_rm ~cons:wrap_cons ~hb:wrap_hb
     (services.Services.on_crash_detected ~delay:oracle_delay)
     on_crash;
   let rm =
-    Rmcast.Reliable_multicast.create ~services ~wrap:wrap_rm
-      ~mode:config.Protocol.Config.rm_mode ~oracle_delay
+    Rmcast.Reliable_multicast.create ~services ~wrap:wrap_rm ~oracle_delay
       ~on_deliver:(fun ~id:_ ~origin:_ ~dest:_ msgs -> on_rdeliver msgs)
       ()
   in

@@ -8,8 +8,8 @@
 
     - the detector is the oracle or a heartbeat ◇P over the group's
       members, by [fd_mode];
-    - the reliable multicast runs in [rm_mode], with [oracle_delay] as
-      its crash-relay delay, and carries batches of casts;
+    - the reliable multicast runs with [oracle_delay] as its crash-relay
+      delay, and carries batches of casts;
     - the {!Batcher} flushes each batch as one R-MCast;
     - Paxos runs over the group's members with [consensus_timeout],
       driven by the detector.

@@ -12,7 +12,6 @@ module Config = struct
     oracle_delay : Des.Sim_time.t;
     skip_single_group : bool;
     skip_max_group : bool;
-    rm_mode : Rmcast.Reliable_multicast.mode;
     fd_mode : fd_mode;
     prediction : prediction;
     round_grace : Des.Sim_time.t;
@@ -52,7 +51,6 @@ module Config = struct
       oracle_delay = Des.Sim_time.of_ms 50;
       skip_single_group = true;
       skip_max_group = true;
-      rm_mode = Rmcast.Reliable_multicast.Eager_nonuniform;
       fd_mode = Oracle;
       prediction = Stop_when_idle;
       round_grace = Des.Sim_time.of_ms 10;

@@ -54,8 +54,6 @@ module Config : sig
     skip_max_group : bool;
         (** A1: the group whose proposal equals the final timestamp skips
             stage s2 (paper's second optimisation). *)
-    rm_mode : Rmcast.Reliable_multicast.mode;
-        (** Reliable-multicast flavour for the initial dissemination. *)
     fd_mode : fd_mode;
         (** Failure detector driving A1's and A2's group consensus. *)
     prediction : prediction;
@@ -119,12 +117,10 @@ module Config : sig
 
   val fritzke : t
   (** The Fritzke et al. [5] baseline: no stage skipping. The initial
-      dissemination keeps the eager (oracle-relayed) reliable multicast:
+      dissemination is the eager (oracle-relayed) reliable multicast:
       Figure 1 analyses [5] with the oracle-based uniform primitive of
       Frolund & Pedone [6], whose latency degree is 1 and whose
-      failure-free message pattern is exactly the eager one. (The
-      {!Rmcast.Reliable_multicast.Ack_uniform} mode remains available as a
-      no-oracle uniform multicast, at one extra message delay.) *)
+      failure-free message pattern is exactly the eager one. *)
 end
 
 module type S = sig

@@ -237,7 +237,6 @@ let create ~services ~config ~deliver =
     Some
       (Rmcast.Reliable_multicast.create ~services
          ~wrap:(fun m -> Rm m)
-         ~mode:Rmcast.Reliable_multicast.Eager_nonuniform
          ~oracle_delay:config.Protocol.Config.oracle_delay
          ~on_deliver:(fun ~id:_ ~origin:_ ~dest:_ m ->
            enqueue t m ~known_ts:0)

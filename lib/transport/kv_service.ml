@@ -37,6 +37,7 @@ module Make (P : Amcast.Protocol.S) = struct
     mutable proto : P.t option; (* None while a learner *)
     mutable state : Kv.state;
     mutable log : Kv.cmd list; (* newest first *)
+    mutable applied : int; (* [List.length log] *)
     mutable wal : Wal.t;
     pending : (Tcp.client * int) Runtime.Msg_id.Tbl.t;
         (* commands this replica submitted for a connected client, keyed
@@ -68,7 +69,7 @@ module Make (P : Amcast.Protocol.S) = struct
     mutable base_events : int;
   }
 
-  let wal_path t pid = Filename.concat t.dir (Printf.sprintf "kv-p%d.wal" pid)
+  let wal_path dir pid = Filename.concat dir (Printf.sprintf "kv-p%d.wal" pid)
 
   let ensure_dir dir =
     if not (Sys.file_exists dir) then
@@ -104,6 +105,7 @@ module Make (P : Amcast.Protocol.S) = struct
     let ok, value = Kv.reply_of r.state cmd in
     r.state <- t.spec.Rsm.apply r.state cmd;
     r.log <- cmd :: r.log;
+    r.applied <- r.applied + 1;
     match Runtime.Msg_id.Tbl.find_opt r.pending msg.Amcast.Msg.id with
     | None -> ()
     | Some (client, req) ->
@@ -160,13 +162,14 @@ module Make (P : Amcast.Protocol.S) = struct
   let apply_encoded t r enc =
     let cmd = t.spec.Rsm.decode enc in
     r.state <- t.spec.Rsm.apply r.state cmd;
-    r.log <- cmd :: r.log
+    r.log <- cmd :: r.log;
+    r.applied <- r.applied + 1
 
   (* Appends a peer's suffix only where it starts: a stale or early
      response is dropped, and the next request asks again. The learner
      does not compare prefixes; [check_consistency] flags divergence. *)
   let absorb_sync t r ~from suffix =
-    if from = List.length r.log then begin
+    if from = r.applied then begin
       List.iter
         (fun enc ->
           Wal.append r.wal enc;
@@ -186,7 +189,7 @@ module Make (P : Amcast.Protocol.S) = struct
           | _ -> () (* learner: protocol frames die here *))
         | Sync_req { learner; from } ->
           (* A peer behind the learner has nothing to send it. *)
-          let n = List.length r.log in
+          let n = r.applied in
           if from <= n then
             r.raw.Runtime.Services.send ~dst:learner
               (Sync_resp { from; suffix = newest (n - from) r.log [] })
@@ -254,7 +257,7 @@ module Make (P : Amcast.Protocol.S) = struct
     let codec = Tcp.marshal_codec () in
     let epoch = Unix.gettimeofday () in
     let dummy_replica tcp raw pid =
-      let wal_file = Filename.concat dir (Printf.sprintf "kv-p%d.wal" pid) in
+      let wal_file = wal_path dir pid in
       (* a fresh cluster starts from an empty store *)
       (try Sys.remove wal_file with Sys_error _ -> ());
       {
@@ -264,6 +267,7 @@ module Make (P : Amcast.Protocol.S) = struct
         proto = None;
         state = Kv.SMap.empty;
         log = [];
+        applied = 0;
         wal = Wal.create wal_file;
         pending = Runtime.Msg_id.Tbl.create 64;
         learner = true;
@@ -348,10 +352,11 @@ module Make (P : Amcast.Protocol.S) = struct
     t.base_events <- t.base_events + Tcp.events_processed r.tcp;
     Mutex.unlock t.mu;
     (* durable state back from the WAL (torn tail dropped) *)
-    let records, wal = Wal.recover (wal_path t pid) in
+    let records, wal = Wal.recover (wal_path t.dir pid) in
     r.wal <- wal;
     r.state <- t.spec.Rsm.initial ();
     r.log <- [];
+    r.applied <- 0;
     List.iter (apply_encoded t r) records;
     Runtime.Msg_id.Tbl.reset r.pending;
     r.proto <- None;
@@ -390,7 +395,7 @@ module Make (P : Amcast.Protocol.S) = struct
         (match peer () with
         | Some q ->
           r.raw.Runtime.Services.send ~dst:q
-            (Sync_req { learner = pid; from = List.length r.log })
+            (Sync_req { learner = pid; from = r.applied })
         | None -> ());
         ignore
           (r.raw.Runtime.Services.set_timer ~after:(Des.Sim_time.of_ms 50)
@@ -404,7 +409,7 @@ module Make (P : Amcast.Protocol.S) = struct
   let synced t pid = t.replicas.(pid).synced
   let state_of t pid = t.replicas.(pid).state
   let log_of t pid = List.rev t.replicas.(pid).log
-  let applied t pid = List.length t.replicas.(pid).log
+  let applied t pid = t.replicas.(pid).applied
 
   let await ?(timeout = 10.0) cond =
     let deadline = Unix.gettimeofday () +. timeout in

@@ -301,27 +301,6 @@ let test_detmerge_watermark_advances () =
     (Fmt.str "watermark advanced (%d -> %d)" early late)
     true (late > early)
 
-let test_a1_with_ack_uniform_rm () =
-  (* A1 over the no-oracle uniform reliable multicast: one extra message
-     delay in dissemination (degree 3 overall) but every property holds —
-     quantifying what the paper's switch to non-uniform rmcast buys. *)
-  let topo = Topology.symmetric ~groups:2 ~per_group:3 in
-  let config =
-    {
-      Amcast.Protocol.Config.default with
-      rm_mode = Rmcast.Reliable_multicast.Ack_uniform;
-    }
-  in
-  let module RA1 = Harness.Runner.Make (Amcast.A1) in
-  let r =
-    RA1.run ~latency:Util.crisp_latency ~config topo
-      (single ~origin:0 ~dest:[ 0; 1 ])
-  in
-  Util.check_no_violations "safety"
-    (Harness.Checker.check_all ~expect_genuine:true r);
-  Alcotest.(check (option int)) "one extra hop" (Some 3)
-    (Harness.Metrics.max_latency_degree r)
-
 let test_ring_single_group () =
   let topo = Topology.symmetric ~groups:3 ~per_group:2 in
   let r =
@@ -432,8 +411,6 @@ let suites =
           test_optimistic_mistakes_with_short_window;
         Alcotest.test_case "detmerge: watermark advances" `Quick
           test_detmerge_watermark_advances;
-        Alcotest.test_case "a1 over ack-uniform rmcast: degree 3" `Quick
-          test_a1_with_ack_uniform_rm;
         Alcotest.test_case "ring: single group" `Quick test_ring_single_group;
         Alcotest.test_case "skeen: interleaved batches" `Quick
           test_skeen_interleaved_batches;

@@ -9,7 +9,7 @@ type deployment = {
   delivered : (Topology.pid * Msg_id.t * string) list ref;
 }
 
-let deploy ?(seed = 0) ?(mode = Reliable_multicast.Eager_nonuniform) topology =
+let deploy ?(seed = 0) topology =
   let engine =
     Engine.create ~seed ~latency:Util.crisp_latency
       ~tag:Reliable_multicast.tag topology
@@ -22,7 +22,7 @@ let deploy ?(seed = 0) ?(mode = Reliable_multicast.Eager_nonuniform) topology =
       let ep =
         Engine.spawn engine pid (fun services ->
             let ep =
-              Reliable_multicast.create ~services ~wrap:Fun.id ~mode
+              Reliable_multicast.create ~services ~wrap:Fun.id
                 ~oracle_delay:(Sim_time.of_ms 10)
                 ~on_deliver:(fun ~id ~origin:_ ~dest:_ payload ->
                   delivered := (pid, id, payload) :: !delivered)
@@ -96,29 +96,6 @@ let test_agreement_origin_crashes_eager () =
   Alcotest.(check (list int)) "addressees deliver (origin delivered before crashing)"
     [ 0; 1; 2; 3 ] ds
 
-let test_agreement_origin_crashes_uniform () =
-  let topo = Topology.make ~sizes:[ 2; 2 ] in
-  let d = deploy ~mode:Reliable_multicast.Ack_uniform topo in
-  let id = cast_at d ~at:(Sim_time.of_ms 1) ~origin:0 ~dest:[ 0; 1; 2; 3 ] "x" in
-  Engine.schedule_crash ~drop:(Engine.Lose_to [ 3 ]) d.engine
-    ~at:(Sim_time.of_us 1_100) 0;
-  Engine.run d.engine;
-  let ds = deliverers d id in
-  Alcotest.(check (list int)) "correct addressees all deliver" [ 1; 2; 3 ] ds
-
-let test_uniform_needs_majority () =
-  (* In Ack_uniform mode a lone receiver cannot deliver before echoes. *)
-  let topo = Topology.symmetric ~groups:1 ~per_group:3 in
-  let d = deploy ~mode:Reliable_multicast.Ack_uniform topo in
-  ignore (cast_at d ~at:Sim_time.zero ~origin:0 ~dest:[ 0; 1; 2 ] "x");
-  (* After one intra hop (1ms) receivers have one copy (origin's) — with
-     majority=2 nobody except... the origin already counts its own copy
-     plus network self-send echoes. Check nobody delivered before 1ms. *)
-  Engine.run ~until:(Sim_time.of_us 900) d.engine;
-  Alcotest.(check int) "no early delivery" 0 (List.length !(d.delivered));
-  Engine.run d.engine;
-  Alcotest.(check int) "all deliver eventually" 3 (List.length !(d.delivered))
-
 let test_quiescent_failure_free () =
   let topo = Topology.symmetric ~groups:2 ~per_group:2 in
   let d = deploy topo in
@@ -140,10 +117,6 @@ let suites =
           test_latency_degree_one;
         Alcotest.test_case "agreement under crash (eager)" `Quick
           test_agreement_origin_crashes_eager;
-        Alcotest.test_case "agreement under crash (uniform)" `Quick
-          test_agreement_origin_crashes_uniform;
-        Alcotest.test_case "uniform waits for echoes" `Quick
-          test_uniform_needs_majority;
         Alcotest.test_case "minimal traffic when failure-free" `Quick
           test_quiescent_failure_free;
       ] );
