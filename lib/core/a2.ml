@@ -49,7 +49,7 @@ type t = {
          every message the run has ever R-Delivered *)
   und_handles : Pending_index.handle Msg_id.Tbl.t;
   adelivered : unit Msg_id.Tbl.t;
-  rounds : (int, round_state) Hashtbl.t;
+  rounds : round_state Consensus.Window.t; (* open rounds, by number *)
   pipeline : int;
   inflight : int Msg_id.Tbl.t;
       (* highest instance each undelivered message was proposed to; the
@@ -63,7 +63,7 @@ type t = {
 }
 
 let round_state t r =
-  match Hashtbl.find_opt t.rounds r with
+  match Consensus.Window.find t.rounds r with
   | Some s -> s
   | None ->
     let s =
@@ -73,7 +73,7 @@ let round_state t r =
         foreign = Slab.Row.acquire t.foreign_pool;
       }
     in
-    Hashtbl.replace t.rounds r s;
+    Consensus.Window.set t.rounds r s;
     s
 
 let undelivered t =
@@ -198,7 +198,7 @@ let rec maybe_finish_round t =
           t.deliver m)
         to_deliver;
       Slab.Row.release t.foreign_pool s.foreign;
-      Hashtbl.remove t.rounds t.k;
+      Consensus.Window.drop t.rounds t.k;
       t.k <- t.k + 1;
       t.rounds_executed <- t.rounds_executed + 1;
       (* Line 22-23: a useful round schedules one more (proactive) round;
@@ -307,7 +307,7 @@ let create ~services ~config ~deliver =
         und = Pending_index.create ();
         und_handles = Msg_id.Tbl.create 64;
         adelivered = Msg_id.Tbl.create 64;
-        rounds = Hashtbl.create 16;
+        rounds = Consensus.Window.create ();
         pipeline = max 1 config.Protocol.Config.pipeline;
         inflight = Msg_id.Tbl.create 64;
         stack =
@@ -334,6 +334,6 @@ let stats t =
   Group_stack.stats t.stack
   @ [
       ("pending", Pending_index.size t.und);
-      ("rounds", Hashtbl.length t.rounds);
+      ("rounds", Consensus.Window.live t.rounds);
       ("pipeline_depth_max", t.depth_max);
     ]

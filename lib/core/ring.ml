@@ -39,7 +39,7 @@ type t = {
   mutable prop_instance : int;
   mutable outstanding : Msg_id.t option; (* stamped, awaiting Final *)
   queue : pending Queue.t; (* waiting for my group's stamp, FIFO *)
-  decisions : (int, stamp) Hashtbl.t; (* decided stamps, by instance *)
+  decisions : stamp Consensus.Window.t; (* decided stamps, by instance *)
   pending : pending Msg_id.Tbl.t;
   ord : pending Pending_index.t; (* pending, by (final or known_ts, id) *)
   delivered : unit Msg_id.Tbl.t;
@@ -140,12 +140,9 @@ let enqueue t (m : Msg.t) ~known_ts =
    order: a lagging member may receive Decide messages out of order. *)
 let rec process_decisions t =
   if t.outstanding = None then begin
-    match Hashtbl.find_opt t.decisions t.instance with
+    match Consensus.Window.take t.decisions t.instance with
     | None -> try_propose t
-    | Some stamp -> begin
-      Hashtbl.remove t.decisions t.instance;
-      apply_stamp t stamp
-    end
+    | Some stamp -> apply_stamp t stamp
   end
 
 and apply_stamp t (stamp : stamp) =
@@ -222,7 +219,7 @@ let create ~services ~config ~deliver =
       prop_instance = 1;
       outstanding = None;
       queue = Queue.create ();
-      decisions = Hashtbl.create 8;
+      decisions = Consensus.Window.create ();
       pending = Msg_id.Tbl.create 32;
       ord = Pending_index.create ();
       delivered = Msg_id.Tbl.create 32;
@@ -259,7 +256,7 @@ let create ~services ~config ~deliver =
               otherwise). *)
          ~fast_lanes:false
          ~on_decide:(fun ~instance v ->
-           Hashtbl.replace t.decisions instance v;
+           Consensus.Window.set t.decisions instance v;
            process_decisions t)
          ());
   t

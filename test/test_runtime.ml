@@ -268,6 +268,93 @@ let test_msg_id_order () =
   Alcotest.(check bool) "origin dominates" true (Msg_id.compare b c < 0);
   Alcotest.(check bool) "equal" true (Msg_id.equal a (Msg_id.make ~origin:1 ~seq:5))
 
+(* Msg_id.Tbl vs Stdlib's Hashtbl.Make over the same hash, under random
+   add/replace/remove/probe schedules long enough to double the buckets
+   several times (a resize happens past twice the bucket count), with an
+   occasional reset. Probes, lengths and the iter and fold orders must
+   agree after every step: protocols that walk a table re-send in that
+   order, so the walk order is part of the contract. *)
+module Ref_tbl = Hashtbl.Make (struct
+  type t = Msg_id.t
+
+  let equal = Msg_id.equal
+  let hash (id : Msg_id.t) = (id.origin * 1_000_003) + id.seq
+end)
+
+type tbl_op =
+  | Add of Msg_id.t * int
+  | Replace of Msg_id.t * int
+  | Remove of Msg_id.t
+  | Probe of Msg_id.t
+  | Reset
+
+let tbl_ops_gen =
+  QCheck2.Gen.(
+    let id =
+      map2
+        (fun origin seq -> Msg_id.make ~origin ~seq)
+        (int_bound 15) (int_bound 120)
+    in
+    list_size (int_range 0 700)
+      (frequency
+         [
+           (6, map2 (fun k v -> Add (k, v)) id (int_bound 1000));
+           (6, map2 (fun k v -> Replace (k, v)) id (int_bound 1000));
+           (3, map (fun k -> Remove k) id);
+           (3, map (fun k -> Probe k) id);
+           (1, return Reset);
+         ]))
+
+let prop_tbl_matches_hashtbl ops =
+  let t = Msg_id.Tbl.create 0 and model = Ref_tbl.create 0 in
+  let walk iter tbl =
+    let acc = ref [] in
+    iter (fun k v -> acc := (k, v) :: !acc) tbl;
+    !acc
+  in
+  List.iter
+    (fun op ->
+      let key =
+        match op with
+        | Add (k, v) ->
+          Msg_id.Tbl.add t k v;
+          Ref_tbl.add model k v;
+          Some k
+        | Replace (k, v) ->
+          Msg_id.Tbl.replace t k v;
+          Ref_tbl.replace model k v;
+          Some k
+        | Remove k ->
+          Msg_id.Tbl.remove t k;
+          Ref_tbl.remove model k;
+          Some k
+        | Probe k -> Some k
+        | Reset ->
+          Msg_id.Tbl.reset t;
+          Ref_tbl.reset model;
+          None
+      in
+      Option.iter
+        (fun k ->
+          if Msg_id.Tbl.find_opt t k <> Ref_tbl.find_opt model k then
+            QCheck2.Test.fail_reportf "find_opt %s disagrees"
+              (Msg_id.to_string k);
+          if Msg_id.Tbl.mem t k <> Ref_tbl.mem model k then
+            QCheck2.Test.fail_reportf "mem %s disagrees" (Msg_id.to_string k))
+        key;
+      if Msg_id.Tbl.length t <> Ref_tbl.length model then
+        QCheck2.Test.fail_reportf "length %d <> model %d" (Msg_id.Tbl.length t)
+          (Ref_tbl.length model);
+      let walked = walk Msg_id.Tbl.iter t in
+      if walked <> walk Ref_tbl.iter model then
+        QCheck2.Test.fail_reportf "iter order disagrees";
+      let folded tbl_fold tbl = tbl_fold (fun k v acc -> (k, v) :: acc) tbl [] in
+      if folded Msg_id.Tbl.fold t <> walked
+         || folded Ref_tbl.fold model <> walked
+      then QCheck2.Test.fail_reportf "fold order disagrees")
+    ops;
+  true
+
 let suites =
   [
     ( "runtime",
@@ -295,5 +382,8 @@ let suites =
           test_trace_records_events;
         Alcotest.test_case "determinism" `Quick test_engine_determinism;
         Alcotest.test_case "msg id order" `Quick test_msg_id_order;
+        Util.qcheck_case ~count:100
+          ~name:"Msg_id.Tbl matches Hashtbl.Make, walk order included"
+          tbl_ops_gen prop_tbl_matches_hashtbl;
       ] );
   ]
