@@ -80,6 +80,9 @@ type 'v instance = {
          never overwritten *)
   mutable timer : int option;
   mutable engaged : bool;
+  mutable reprepares : int;
+      (* reference mode: [Prepare] re-sends for ballot [leading] (see
+         [retry]) *)
 }
 
 type ('v, 'w) t = {
@@ -157,6 +160,7 @@ let instance_of t i found =
         ballot_values = [];
         timer = None;
         engaged = false;
+        reprepares = 0;
       }
     in
     Window.set t.instances i inst;
@@ -359,6 +363,7 @@ let start_new_ballot t i inst =
     in
     let b = own_ballot_above t floor in
     inst.leading <- b;
+    inst.reprepares <- 0;
     inst.phase1_done <- false;
     inst.pushed <- false;
     clear_promises inst;
@@ -390,6 +395,33 @@ let suggest_to_leader t i inst =
     | None -> ())
   | _ -> ()
 
+(* A reference-mode coordinator's answer to a decision timeout. While its
+   ballot is still in phase 1 and no higher ballot is known, it re-sends
+   the ballot's [Prepare] and keeps the promises it has, at up to [2^r]
+   timeouts in a row for a ballot of round [r] (ballot / n, capped),
+   before it opens a higher ballot. Opening one at every timeout livelocks
+   once a round trip reaches the timeout: the timer pops just before the
+   promises of the ballot it was armed for, and each new ballot discards
+   them. Keeping the ballot lets them land. Each ballot a coordinator
+   opens has a higher round than its last, so the patience grows and
+   outwaits any finite round trip, and the eventual new ballot gets past
+   a higher ballot this coordinator never heard of (its [Prepare] lost
+   with a crashed coordinator), for which the acceptors holding it
+   ignore ours. *)
+let max_patience = 6
+
+let retry t i inst =
+  if
+    inst.leading >= 0
+    && (not inst.phase1_done)
+    && inst.leading >= Int.max inst.promised t.max_ballot_seen
+    && inst.reprepares < 1 lsl Int.min (inst.leading / n t) max_patience
+  then begin
+    inst.reprepares <- inst.reprepares + 1;
+    send_participants t (Prepare { instance = i; ballot = inst.leading })
+  end
+  else start_new_ballot t i inst
+
 let rec arm_timer t i inst =
   if inst.timer = None && inst.decided = None then
     inst.timer <-
@@ -401,8 +433,11 @@ let rec arm_timer t i inst =
                  (* A stalled lease acquisition must not block recovery:
                     abandon it and fall back to a classic per-instance
                     ballot (a later drive re-acquires the lease). *)
-                 if t.fast && t.lease_pending >= 0 then t.lease_pending <- -1;
-                 start_new_ballot t i inst
+                 if t.fast then begin
+                   if t.lease_pending >= 0 then t.lease_pending <- -1;
+                   start_new_ballot t i inst
+                 end
+                 else retry t i inst
                end
                else suggest_to_leader t i inst;
                arm_timer t i inst
@@ -595,7 +630,13 @@ let handle t ~src m =
     let found = Window.find t.instances instance in
     if not (fast_handled t ~src instance found) then begin
       let inst = instance_of t instance found in
-      if ballot > eff_promised t inst then begin
+      (* Reference mode also answers a re-sent [Prepare] (see [retry]) for
+         the ballot it promised last: promising a ballot again is
+         idempotent. *)
+      if
+        ballot > eff_promised t inst
+        || ((not t.fast) && ballot = inst.promised)
+      then begin
         inst.promised <- ballot;
         inst.engaged <- true;
         arm_timer t instance inst;

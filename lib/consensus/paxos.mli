@@ -13,6 +13,10 @@
     - a participant that proposed (or adopted acceptor state) arms a
       decision timeout; on expiry — or on a suspicion change — the smallest
       non-suspected participant takes over with a higher ballot of its own.
+      In reference mode a coordinator whose ballot is still in phase 1
+      and not preempted re-sends its [Prepare] instead, at up to [2^r]
+      timeouts in a row for a ballot of round [r = ballot / n] (capped at
+      64), so a round trip as long as the timeout cannot livelock it.
 
     The module runs in one of two modes, selected by [?fast_lanes]:
 

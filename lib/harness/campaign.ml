@@ -97,6 +97,13 @@ let sum_retained lists =
   Hashtbl.fold (fun label n acc -> (label, n) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+(* The step budget of one scenario run. Scenarios are small (at most four
+   groups of three, twelve casts) and drain in a few thousand events, so a
+   run still going at this budget is a runaway event loop; it is reported
+   as the scenario's violation within seconds, instead of the whole
+   campaign aborting after the runner's default 50M steps. *)
+let max_steps = 1_000_000
+
 let run_one (module P : Amcast.Protocol.S) ?config ?conflict ?overlay_kind
     ?(expect_genuine = false) ?(check_quiescence = false) s =
   let module R = Runner.Make (P) in
@@ -158,28 +165,41 @@ let run_one (module P : Amcast.Protocol.S) ?config ?conflict ?overlay_kind
       ~faults ?nemesis topo
   in
   ignore (R.schedule dep workload);
-  let r = R.run_deployment dep in
-  let retained =
+  let retained () =
     sum_retained
       (List.map (fun pid -> P.stats (R.node dep pid)) (Topology.all_pids topo))
   in
-  {
-    scenario = s;
-    violations =
-      (* The ordering property follows the deployment's conflict relation:
-         Total keeps the prefix check, anything else owes only the relaxed
-         conflict order. *)
-      Checker.check_all ~expect_genuine:genuine_checked ~check_quiescence
-        ?liveness_from:(Option.map Nemesis.liveness_from nemesis)
-        ?conflict:
-          (Option.map (fun c -> c.Amcast.Protocol.Config.conflict) config)
-        ?overlay r;
-    delivered = Metrics.delivered_count r;
-    max_degree = Metrics.max_latency_degree r;
-    drained = r.drained;
-    steps = r.events_executed;
-    retained;
-  }
+  match R.run_deployment ~max_steps dep with
+  | exception Failure msg ->
+    (* The scheduler's step budget is what a simulated run raises [Failure]
+       for (the event queue's overflow guard is the other runaway). *)
+    {
+      scenario = s;
+      violations = [ Fmt.str "not drained in %d events: %s" max_steps msg ];
+      delivered = 0;
+      max_degree = None;
+      drained = false;
+      steps = max_steps;
+      retained = retained ();
+    }
+  | r ->
+    {
+      scenario = s;
+      violations =
+        (* The ordering property follows the deployment's conflict
+           relation: Total keeps the prefix check, anything else owes only
+           the relaxed conflict order. *)
+        Checker.check_all ~expect_genuine:genuine_checked ~check_quiescence
+          ?liveness_from:(Option.map Nemesis.liveness_from nemesis)
+          ?conflict:
+            (Option.map (fun c -> c.Amcast.Protocol.Config.conflict) config)
+          ?overlay r;
+      delivered = Metrics.delivered_count r;
+      max_degree = Metrics.max_latency_degree r;
+      drained = r.drained;
+      steps = r.events_executed;
+      retained = retained ();
+    }
 
 let summarize outcomes =
   let failures = List.filter (fun o -> o.violations <> []) outcomes in

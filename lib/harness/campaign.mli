@@ -83,6 +83,11 @@ val scenarios :
 (** The deterministic scenario list campaign [seed] expands to — the
     scenarios {!run_sharded} executes: [List.init runs (scenario_at ~seed)]. *)
 
+val max_steps : int
+(** The step budget of one scenario run (1M events). Campaign scenarios
+    drain in a few thousand; a run that reaches the budget is a runaway,
+    and {!run_one} reports it as the scenario's violation. *)
+
 val run_one :
   (module Amcast.Protocol.S) ->
   ?config:Amcast.Protocol.Config.t ->
@@ -109,6 +114,11 @@ val run_one :
     partitions follow the overlay's cut edges, and the genuineness check
     becomes overlay-aware. Omitted, everything is bit-identical to older
     campaigns.
+
+    A run still going after {!max_steps} events is not checked: its
+    outcome carries one ["not drained in …"] violation (and
+    [drained = false]), so {!pp_summary} names its scenario like any
+    other failure instead of the campaign aborting.
 
     The scenario records its run trace only when genuineness, the one
     check that reads it, is checked ([expect_genuine] on a scenario

@@ -22,31 +22,30 @@ type dest_kind =
   | Fixed_groups of Topology.gid list
   | Zipfian_groups of { kmax : int; theta : float }
 
-(* Zipf-weighted index in [0, n): rank r has weight 1/(r+1)^theta, so low
-   ranks are hot and theta tunes the skew (0 = uniform). Linear scan —
-   topology-scale n only. *)
-let zipf_index ~rng ~theta n =
+(* Zipf weights over ranks [0, n): rank r has weight 1/(r+1)^theta, so
+   low ranks are hot and theta tunes the skew (0 = uniform). A table holds
+   the running sums, built once per workload; a draw scans it linearly
+   (topology-scale n only). *)
+let zipf_table ~theta n =
+  let acc = ref 0.0 in
+  Array.init n (fun i ->
+      acc := !acc +. (1.0 /. (float_of_int (i + 1) ** theta));
+      !acc)
+
+(* A Zipf-distributed rank; tables of one rank draw nothing. *)
+let zipf_draw ~rng cum =
+  let n = Array.length cum in
   if n <= 1 then 0
   else begin
-    let w = Array.init n (fun i -> 1.0 /. (float_of_int (i + 1) ** theta)) in
-    let total = Array.fold_left ( +. ) 0.0 w in
-    let x = Rng.float rng total in
-    let acc = ref 0.0 in
-    let idx = ref (n - 1) in
-    (try
-       for i = 0 to n - 1 do
-         acc := !acc +. w.(i);
-         if x < !acc then begin
-           idx := i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !idx
+    let x = Rng.float rng cum.(n - 1) in
+    let rec find i = if i = n - 1 || x < cum.(i) then i else find (i + 1) in
+    find 0
   end
 
-(* [scratch] holds [n_groups] cells and is reused across casts. *)
-let pick_dest ~rng ~topology ~scratch = function
+(* [scratch] holds [n_groups] cells and is reused across casts;
+   [zipf_groups] is the Zipf table over the groups under
+   [Zipfian_groups]. *)
+let pick_dest ~rng ~topology ~scratch ~zipf_groups = function
   | To_all_groups -> Topology.all_groups topology
   | Fixed_groups [] ->
     invalid_arg "Workload: Fixed_groups requires a non-empty group list"
@@ -76,17 +75,16 @@ let pick_dest ~rng ~topology ~scratch = function
       if i < 0 then acc else take (i - 1) (scratch.(i) :: acc)
     in
     take (min size m - 1) [] |> List.sort_uniq Int.compare
-  | Zipfian_groups { kmax; theta } ->
+  | Zipfian_groups { kmax; _ } ->
     (* Placement skew: destination sets concentrate on low-ranked (hot)
        groups, like a workload with popular partitions. Distinct draws by
        rejection — deterministic under the seeded rng. *)
-    let all = Array.of_list (Topology.all_groups topology) in
-    let m = Array.length all in
+    let m = Array.length zipf_groups in
     let kmax = max 1 (min kmax m) in
     let size = 1 + Rng.int rng kmax in
     let chosen = Hashtbl.create 4 in
     while Hashtbl.length chosen < size do
-      let g = all.(zipf_index ~rng ~theta m) in
+      let g = zipf_draw ~rng zipf_groups in
       if not (Hashtbl.mem chosen g) then Hashtbl.replace chosen g ()
     done;
     Hashtbl.fold (fun g () acc -> g :: acc) chosen []
@@ -109,22 +107,34 @@ let generate ~rng ~topology ~n ~dest ~arrival ?(start = Sim_time.of_ms 1)
     | None -> fun () -> Rng.pick rng origins
     | Some theta ->
       (* Hot-origin skew: a few processes produce most of the load. *)
-      fun () -> origins.(zipf_index ~rng ~theta (Array.length origins))
+      let table = zipf_table ~theta (Array.length origins) in
+      fun () -> origins.(zipf_draw ~rng table)
+  in
+  let key_table =
+    match conflict with
+    | Some { keys; theta; _ } -> zipf_table ~theta keys
+    | None -> [||]
   in
   let payload_of i =
     match conflict with
     | None -> "m" ^ Int.to_string i
-    | Some { rate; keys; theta } ->
+    | Some { rate; _ } ->
       (* The Conflict.payload_key convention: "k=<key>;<rest>" payloads
          conflict per key, anything else commutes with everything. Keys
          are Zipf-ranked so skew concentrates conflicts on hot keys. *)
       if Rng.float rng 1.0 < rate then
         "k=key"
-        ^ Int.to_string (zipf_index ~rng ~theta keys)
+        ^ Int.to_string (zipf_draw ~rng key_table)
         ^ ";m" ^ Int.to_string i
       else "m" ^ Int.to_string i
   in
   let scratch = Array.make (Topology.n_groups topology) 0 in
+  let zipf_groups =
+    match dest with
+    | Zipfian_groups { theta; _ } ->
+      zipf_table ~theta (Topology.n_groups topology)
+    | To_all_groups | Random_groups _ | Fixed_groups _ -> [||]
+  in
   let time = ref start in
   let burst_left = ref 0 in
   List.init n (fun i ->
@@ -152,6 +162,6 @@ let generate ~rng ~topology ~n ~dest ~arrival ?(start = Sim_time.of_ms 1)
       {
         at;
         origin = pick_origin ();
-        dest = pick_dest ~rng ~topology ~scratch dest;
+        dest = pick_dest ~rng ~topology ~scratch ~zipf_groups dest;
         payload = payload_of i;
       })

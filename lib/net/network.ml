@@ -31,11 +31,17 @@ type 'w slot =
 
 (* In-flight messages live in a free-list slab instead of a Hashtbl: [send]
    is the hottest call in the simulator and the slab turns its bookkeeping
-   into two array writes (acquire a slot index, store the record). The
-   adversarial controls ([hold]/[heal]/[drop_inflight]) scan the slab — they
-   are rare, and they sort by scheduler handle anyway for determinism, so
-   losing the hash table costs them nothing. Invariant: [slots.(i) = Free]
-   iff [i] is on the free stack ([free.(0 .. free_top-1)]).
+   into a few array writes (acquire a slot index, store the record, link
+   it). Invariant: [slots.(i) = Free] iff [i] is on the free stack
+   ([free.(0 .. free_top-1)]).
+
+   Every [Single] slot is also on its link's intrusive list, appended when
+   it is scheduled. Each schedule takes a fresh scheduler handle larger
+   than every earlier one, so a link's list is in handle order, and the
+   link controls ([hold]/[heal]/[partition]) walk their own link's
+   messages in scheduling order without a slab scan or a sort. [Multi]
+   slots span several links and stay off the lists; [live_multi] counts
+   them so [explode] is free when none is in flight.
 
    Every delivery event carries the same [on_fire] closure and its slot
    index as the scheduler argument, so scheduling one allocates nothing. *)
@@ -49,6 +55,16 @@ type 'w t = {
   mutable slots : 'w slot array;
   mutable free : int array;
   mutable free_top : int;
+  mutable tails : int array;
+      (* link [l] -> the last slot on its list, or [-1-l] when it is
+         empty; allocated with the slab, so a network that never sends
+         holds none *)
+  mutable chain : int array;
+      (* slot [i]'s successor [chain.(2i)] and predecessor [chain.(2i+1)]
+         on its link's list. A negative entry is an end of the list: [-1-l]
+         for link [l], so unlinking a slot needs no link computation. A
+         list is walked from its tail, so no link keeps a head. *)
+  mutable live_multi : int;
   mutable row_at : Sim_time.t array array;
   mutable row_dst : Topology.pid array array;
       (* slot -> [send_multi]'s arrival and destination rows, kept sorted
@@ -82,11 +98,39 @@ let release_slot t i =
   t.free.(t.free_top) <- i;
   t.free_top <- t.free_top + 1
 
+let link t ~src_group ~dst_group = (src_group * t.n_groups) + dst_group
+
+let link_of t ~src ~dst =
+  link t
+    ~src_group:(Topology.group_of t.topology src)
+    ~dst_group:(Topology.group_of t.topology dst)
+
+(* Appends single slot [i] to link [l]'s list. *)
+let link_append t l i =
+  let c = t.chain and last = t.tails.(l) in
+  c.(2 * i) <- -1 - l;
+  c.((2 * i) + 1) <- last;
+  if last >= 0 then c.(2 * last) <- i;
+  t.tails.(l) <- i
+
+(* Frees single slot [i], taking it off its link's list. *)
+let release_single t i =
+  let c = t.chain in
+  let next = c.(2 * i) and prev = c.((2 * i) + 1) in
+  if prev >= 0 then c.(2 * prev) <- next;
+  if next < 0 then t.tails.(-1 - next) <- prev
+  else c.((2 * next) + 1) <- prev;
+  release_slot t i
+
+let release_multi t i =
+  t.live_multi <- t.live_multi - 1;
+  release_slot t i
+
 let fire t i =
   match t.slots.(i) with
   | Free -> ()
   | Single s ->
-    release_slot t i;
+    release_single t i;
     t.deliver ~src:s.src ~dst:s.dst s.payload
   | Multi m ->
     let dst = m.dsts.(m.pos) in
@@ -98,7 +142,7 @@ let fire t i =
         Scheduler.at_arg t.sched
           (Scheduler.Tag.deliver m.dsts.(m.pos))
           m.arrivals.(m.pos) t.on_fire i
-    else release_slot t i;
+    else release_multi t i;
     t.deliver ~src:m.src ~dst m.payload
 
 let create ~sched ~topology ~latency ~rng ~deliver =
@@ -117,6 +161,9 @@ let create ~sched ~topology ~latency ~rng ~deliver =
       slots = [||];
       free = [||];
       free_top = 0;
+      tails = [||];
+      chain = [||];
+      live_multi = 0;
       row_at = [||];
       row_dst = [||];
       n_groups = g;
@@ -132,7 +179,6 @@ let create ~sched ~topology ~latency ~rng ~deliver =
   in
   t
 
-let link t ~src_group ~dst_group = (src_group * t.n_groups) + dst_group
 let hold_floor t ~src_group ~dst_group = t.holds.(link t ~src_group ~dst_group)
 
 let acquire_slot t =
@@ -145,6 +191,11 @@ let acquire_slot t =
       b
     in
     t.slots <- extend t.slots Free;
+    if cap = 0 then
+      t.tails <- Array.init (t.n_groups * t.n_groups) (fun l -> -1 - l);
+    let chain = Array.make (2 * ncap) 0 in
+    Array.blit t.chain 0 chain 0 (2 * cap);
+    t.chain <- chain;
     t.row_at <- extend t.row_at [||];
     t.row_dst <- extend t.row_dst [||];
     let nf = Array.make ncap 0 in
@@ -158,12 +209,14 @@ let acquire_slot t =
   t.free_top <- t.free_top - 1;
   t.free.(t.free_top)
 
-let schedule_delivery t ~src ~dst ~arrival payload =
+(* Schedules one message on link [l] (its [src]'s group to its [dst]'s). *)
+let schedule_delivery t ~src ~dst ~l ~arrival payload =
   let i = acquire_slot t in
   let handle =
     Scheduler.at_arg t.sched (Scheduler.Tag.deliver dst) arrival t.on_fire i
   in
-  t.slots.(i) <- Single { src; dst; payload; handle }
+  t.slots.(i) <- Single { src; dst; payload; handle };
+  link_append t l i
 
 (* One latency draw on a link, with any active spike scale applied — shared
    by admission and by [heal]'s re-scheduling so a spiked link stays spiked
@@ -179,8 +232,7 @@ let sample_delay t ~src_group ~dst_group =
 (* Per-destination admission: the counters and the latency draw, without
    allocating. Both fan-out shapes call it once per destination, in
    destination order, so they draw the same rng stream. *)
-let arrival t ~src ~src_group ~dst =
-  let dst_group = Topology.group_of t.topology dst in
+let arrival t ~src ~src_group ~dst_group =
   t.sent_total <- t.sent_total + 1;
   if src_group = dst_group then t.sent_intra <- t.sent_intra + 1
   else t.sent_inter <- t.sent_inter + 1;
@@ -223,14 +275,18 @@ let fan_insert t i n (at : Sim_time.t) dst =
 let rec fan_admit t i ~src ~src_group n = function
   | [] -> n
   | dst :: rest ->
-    fan_insert t i n (arrival t ~src ~src_group ~dst) dst;
+    let dst_group = Topology.group_of t.topology dst in
+    fan_insert t i n (arrival t ~src ~src_group ~dst_group) dst;
     fan_admit t i ~src ~src_group (n + 1) rest
 
 (* One [Single] slot and event per destination, admitted in order. *)
 let rec schedule_each t ~src ~src_group payload = function
   | [] -> ()
   | dst :: rest ->
-    schedule_delivery t ~src ~dst ~arrival:(arrival t ~src ~src_group ~dst)
+    let dst_group = Topology.group_of t.topology dst in
+    schedule_delivery t ~src ~dst
+      ~l:(link t ~src_group ~dst_group)
+      ~arrival:(arrival t ~src ~src_group ~dst_group)
       payload;
     schedule_each t ~src ~src_group payload rest
 
@@ -247,6 +303,7 @@ let send_multi t ~src ~dsts payload =
       Scheduler.at_arg t.sched (Scheduler.Tag.deliver dsts.(0)) arrivals.(0)
         t.on_fire i
     in
+    t.live_multi <- t.live_multi + 1;
     t.slots.(i) <- Multi { src; payload; arrivals; dsts; len; pos = 0; handle }
   | _ ->
     (* One destination needs no rows. In controlled mode every destination
@@ -257,33 +314,40 @@ let send_multi t ~src ~dsts payload =
     schedule_each t ~src ~src_group payload dsts
 
 (* The adversarial controls below reason about one (src, dst, arrival)
-   triple per slot; dissolve multi slots into singles first. They only run
-   on rare control events, so the cost is irrelevant. Indices are collected
-   before any slot is touched: releasing/acquiring mid-iteration can swap
-   the slab array out from under [Array.iteri]. *)
+   triple per slot, so they dissolve every live fan-out into singles
+   first, in slot order: the singles' fresh handles break ties between
+   equal arrival times, so which fan-outs dissolve, and in which order, is
+   observable. With no fan-out in flight this returns at once; otherwise it
+   scans the slab. Indices are collected before any slot is touched:
+   releasing/acquiring mid-iteration can swap the slab array out from
+   under the scan. *)
 let explode t =
-  let multis = ref [] in
-  Array.iteri
-    (fun i s -> match s with Multi _ -> multis := i :: !multis | _ -> ())
-    t.slots;
-  List.iter
-    (fun i ->
-      match t.slots.(i) with
-      | Multi m ->
-        (* Read the rows first: once released, the slot and its rows can
-           be handed out again. *)
-        let rest =
-          List.init (m.len - m.pos) (fun j ->
-              (m.dsts.(m.pos + j), m.arrivals.(m.pos + j)))
-        in
-        Scheduler.cancel t.sched m.handle;
-        release_slot t i;
-        List.iter
-          (fun (dst, arrival) ->
-            schedule_delivery t ~src:m.src ~dst ~arrival m.payload)
-          rest
-      | Free | Single _ -> assert false)
-    (List.sort Int.compare !multis)
+  if t.live_multi > 0 then begin
+    let multis = ref [] in
+    for i = Array.length t.slots - 1 downto 0 do
+      match t.slots.(i) with Multi _ -> multis := i :: !multis | _ -> ()
+    done;
+    List.iter
+      (fun i ->
+        match t.slots.(i) with
+        | Multi m ->
+          (* Read the rows first: once released, the slot and its rows can
+             be handed out again. *)
+          let rest =
+            List.init (m.len - m.pos) (fun j ->
+                (m.dsts.(m.pos + j), m.arrivals.(m.pos + j)))
+          in
+          Scheduler.cancel t.sched m.handle;
+          release_multi t i;
+          List.iter
+            (fun (dst, arrival) ->
+              schedule_delivery t ~src:m.src ~dst
+                ~l:(link_of t ~src:m.src ~dst)
+                ~arrival m.payload)
+            rest
+        | Free | Single _ -> assert false)
+      !multis
+  end
 
 (* Cancels the event of single slot [i] and frees the slot; returns the
    message it held. *)
@@ -291,25 +355,18 @@ let unschedule t i =
   match t.slots.(i) with
   | Single s ->
     Scheduler.cancel t.sched s.handle;
-    release_slot t i;
+    release_single t i;
     (s.src, s.dst, s.payload)
   | Free | Multi _ -> assert false
 
-(* Slots of the in-flight messages on the [src_group]→[dst_group] link,
-   sorted by scheduler handle (i.e. scheduling order) for determinism. *)
-let inflight_on_link t ~src_group ~dst_group =
+(* Slots of the in-flight messages on link [l], in scheduling order. The
+   list is a snapshot: the caller re-schedules them onto the same link. *)
+let inflight_on_link t l =
   explode t;
-  let acc = ref [] in
-  Array.iteri
-    (fun i s ->
-      match s with
-      | Single m
-        when Topology.group_of t.topology m.src = src_group
-             && Topology.group_of t.topology m.dst = dst_group ->
-        acc := (m.handle, i) :: !acc
-      | _ -> ())
-    t.slots;
-  List.map snd (List.sort compare !acc)
+  let rec walk i acc =
+    if i < 0 then acc else walk t.chain.((2 * i) + 1) (i :: acc)
+  in
+  if Array.length t.tails = 0 then [] else walk t.tails.(l) []
 
 let hold t ~src_group ~dst_group ~until =
   let l = link t ~src_group ~dst_group in
@@ -318,8 +375,8 @@ let hold t ~src_group ~dst_group ~until =
   List.iter
     (fun i ->
       let src, dst, payload = unschedule t i in
-      schedule_delivery t ~src ~dst ~arrival:until payload)
-    (inflight_on_link t ~src_group ~dst_group)
+      schedule_delivery t ~src ~dst ~l ~arrival:until payload)
+    (inflight_on_link t l)
 
 let partition t ~src_group ~dst_group =
   hold t ~src_group ~dst_group ~until:Sim_time.infinity
@@ -335,8 +392,8 @@ let heal t ~src_group ~dst_group =
         let src, dst, payload = unschedule t i in
         let delay = sample_delay t ~src_group ~dst_group in
         let arrival = Sim_time.add (Scheduler.now t.sched) delay in
-        schedule_delivery t ~src ~dst ~arrival payload)
-      (inflight_on_link t ~src_group ~dst_group)
+        schedule_delivery t ~src ~dst ~l ~arrival payload)
+      (inflight_on_link t l)
   end
 
 let partition_groups t side_a side_b =
@@ -350,7 +407,7 @@ let partition_groups t side_a side_b =
     side_a
 
 let heal_all t =
-  (* Rare control event: a g*g scan beats maintaining a held-link set. *)
+  (* A g*g scan of the hold floors; only held links cost more. *)
   for src_group = 0 to t.n_groups - 1 do
     for dst_group = 0 to t.n_groups - 1 do
       if
@@ -362,6 +419,10 @@ let heal_all t =
     done
   done
 
+(* The predicate runs on every in-flight message in slot order, not link
+   by link: a caller's predicate may draw randomness per match (the
+   engine's [Lose_each_with_probability] does), so the visiting order is
+   part of the fault stream. *)
 let drop_inflight t pred =
   explode t;
   let victims = ref [] in

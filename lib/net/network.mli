@@ -15,7 +15,18 @@
       schedules used in the indistinguishability arguments.
 
     The payload type is a type parameter: each protocol instantiates the
-    network with its own wire type, so no runtime tagging is needed. *)
+    network with its own wire type, so no runtime tagging is needed.
+
+    {b Cost of the controls.} The network indexes its in-flight
+    point-to-point messages per directed group link, in scheduling order.
+    The link controls ({!hold}, {!partition}, {!heal}, {!partition_groups}
+    and {!heal_all}) therefore touch only the messages on the links they
+    change. All of them, and {!drop_inflight}, first dissolve every
+    fan-out still in flight into one message per remaining destination
+    (a slab scan, paid once: with no fan-out in flight it costs nothing).
+    The dissolved copies keep their arrival times but take fresh
+    scheduler handles, so the fan-outs are dissolved in slot order: that
+    order breaks ties between equal arrival times. *)
 
 type 'w t
 
@@ -46,26 +57,30 @@ val hold :
   until:Des.Sim_time.t -> unit
 (** [hold t ~src_group ~dst_group ~until] delays every message (current and
     future) from [src_group] to [dst_group] so that it arrives no earlier
-    than [until]. Messages already in flight are pushed back. *)
+    than [until]. Messages already in flight are pushed back, re-scheduled
+    in their scheduling order. O(messages on the link). *)
 
 val partition :
   'w t -> src_group:Topology.gid -> dst_group:Topology.gid -> unit
 (** One-directional partition: messages from [src_group] to [dst_group]
     are held indefinitely (buffered, not dropped — the links stay
     quasi-reliable, a partition is just an arbitrarily long delay in the
-    asynchronous model). Use {!heal} to release the buffered traffic. *)
+    asynchronous model). Use {!heal} to release the buffered traffic.
+    O(messages on the link). *)
 
 val heal :
   'w t -> src_group:Topology.gid -> dst_group:Topology.gid -> unit
 (** Removes a partition/hold between two groups; buffered messages are
-    re-scheduled with a fresh link-latency sample from now. *)
+    re-scheduled, in their scheduling order, with a fresh link-latency
+    sample from now. O(messages on the link); nothing on an unheld link. *)
 
 val partition_groups : 'w t -> Topology.gid list -> Topology.gid list -> unit
 (** Bidirectional partition between two sets of groups ([partition] in both
-    directions for every pair). *)
+    directions for every pair). O(messages on the cut links). *)
 
 val heal_all : 'w t -> unit
-(** Removes every partition and hold. *)
+(** Removes every partition and hold: a scan of the g² hold floors, plus
+    {!heal}'s cost on every held link. *)
 
 val latency_scale :
   'w t -> src_group:Topology.gid -> dst_group:Topology.gid -> float -> unit
@@ -80,7 +95,11 @@ val latency_scale :
 val drop_inflight :
   'w t -> (src:Topology.pid -> dst:Topology.pid -> bool) -> int
 (** Cancels in-flight messages matching the predicate; returns how many were
-    dropped. *)
+    dropped. A scan of every in-flight message, not link by link: the
+    predicate runs once per message in slot order, because a caller's
+    predicate may draw randomness per match (the engine's
+    [Lose_each_with_probability] crash drops do), which makes that order
+    part of the fault stream. *)
 
 val set_explode_fanout : 'w t -> bool -> unit
 (** Controlled-scheduling mode (default off): when on, {!send_multi}

@@ -352,6 +352,55 @@ let test_a2_misprediction_restart () =
   Alcotest.(check int) "misprediction costs exactly one extra hop: degree 2"
     2 (Util.degree_of r2 id2)
 
+(* Scalable livelock regression: amcast_soak --nemesis on --conflict key
+   --topology hub, seed 7, scenario 1 (three groups of three, ten keyed
+   casts, no jitter). The cross-group reference-pattern Paxos of one
+   message had its remote promises arrive exactly one hub round trip
+   (200 ms) after each Prepare, which is the decision timeout; the retry
+   timer, armed first, popped first and opened a higher ballot, so the
+   promises for the current one were always discarded. It ran without end
+   (a million events in under three seconds of wall time, still growing);
+   it now decides, and the run drains well inside the cap. The scenario is
+   deployed by hand, as [Campaign.run_one] would, so that the step cap is
+   this test's own. *)
+let test_scalable_hub_livelock_regression () =
+  let module R = Harness.Runner.Make (Amcast.Scalable) in
+  let s =
+    Harness.Campaign.scenario_at ~with_crashes:false ~with_nemesis:true
+      ~seed:7 1
+  in
+  let groups = s.groups in
+  let topo = Topology.symmetric ~groups ~per_group:s.per_group in
+  let ov = Overlay.of_kind Overlay.Hub ~groups in
+  let workload =
+    Harness.Workload.generate
+      ~rng:(Des.Rng.create (s.seed + 1))
+      ~topology:topo ~n:s.n_msgs
+      ~dest:(Harness.Workload.Random_groups groups)
+      ~arrival:(`Poisson (Des.Sim_time.of_ms 25))
+      ~conflict:(Harness.Workload.conflict_spec 0.5)
+      ()
+  in
+  let plan =
+    N.generate
+      ~rng:(Des.Rng.create (s.seed + 7919))
+      ~topology:topo ~with_crashes:false ~overlay:ov ()
+  in
+  let d =
+    R.deploy ~seed:s.seed
+      ~latency:(Overlay.to_latency ~jitter:Des.Sim_time.zero ov)
+      ~config:{ Amcast.Protocol.Config.default with overlay = Some ov }
+      ~record_trace:true ~nemesis:plan topo
+  in
+  ignore (R.schedule d workload);
+  match R.run_deployment ~max_steps:200_000 d with
+  | exception Failure _ -> Alcotest.fail "scalable livelocked on the hub"
+  | r ->
+    Alcotest.(check bool) "drained" true r.Harness.Run_result.drained;
+    Util.check_no_violations "scalable hub regression scenario"
+      (Harness.Checker.check_all ~expect_genuine:true ~check_quiescence:true
+         ~liveness_from:(N.liveness_from plan) ~overlay:ov r)
+
 let suites =
   [
     ( "nemesis",
@@ -375,6 +424,8 @@ let suites =
         storm_case (Util.entry "a2");
         Alcotest.test_case "a2 misprediction restart (Thm 5.2)" `Quick
           test_a2_misprediction_restart;
+        Alcotest.test_case "scalable drains on the hub (livelock regression)"
+          `Quick test_scalable_hub_livelock_regression;
       ] );
     ("nemesis-campaign", List.map campaign_case Amcast.Catalogue.soak_targets);
   ]

@@ -112,6 +112,163 @@ let test_network_drop_inflight () =
   | _ -> Alcotest.fail "only p1's message should survive");
   Alcotest.(check int) "in flight drained" 0 (Network.in_flight net)
 
+(* ------------------------------------------------------------------ *)
+(* Network controls vs the scan-based twin ([Naive_network]). Random
+   interleavings of fan-outs, holds, partitions, heals, latency scales and
+   the three crash-drop predicates (every message of a sender, the
+   messages to chosen victims, each message with probability 1/2, drawn
+   per match in slot order) run on both networks, with fan-outs both
+   shaped as one self-re-arming event and exploded into one event per
+   destination. Deliveries answer some messages with fan-outs of their
+   own, so slots are released and reused from inside deliveries. The
+   delivery sequences (time, src, dst, payload), the drop counts and the
+   send counters must agree. Crisp latencies make equal arrival times
+   common, so the order messages are re-scheduled in is visible. *)
+
+module type NET = sig
+  type 'w t
+
+  val create :
+    sched:Scheduler.t ->
+    topology:Topology.t ->
+    latency:Latency.t ->
+    rng:Rng.t ->
+    deliver:(src:Topology.pid -> dst:Topology.pid -> 'w -> unit) ->
+    'w t
+
+  val send_multi :
+    'w t -> src:Topology.pid -> dsts:Topology.pid list -> 'w -> unit
+  val hold : 'w t -> src_group:int -> dst_group:int -> until:Sim_time.t -> unit
+  val heal : 'w t -> src_group:int -> dst_group:int -> unit
+  val partition_groups : 'w t -> int list -> int list -> unit
+  val heal_all : 'w t -> unit
+  val latency_scale : 'w t -> src_group:int -> dst_group:int -> float -> unit
+  val drop_inflight :
+    'w t -> (src:Topology.pid -> dst:Topology.pid -> bool) -> int
+  val set_explode_fanout : 'w t -> bool -> unit
+  val sent_total : 'w t -> int
+  val sent_inter_group : 'w t -> int
+  val in_flight : 'w t -> int
+end
+
+type net_op =
+  | Send of int * int list
+  | Hold of int * int * int
+  | Partition of int list * int list
+  | Heal of int * int
+  | Heal_all
+  | Scale of int * int * float
+  | Drop_all of int
+  | Drop_to of int * int list
+  | Drop_each of int
+  | Advance of int
+
+let show_net_op =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  function
+  | Send (s, d) -> Printf.sprintf "Send (%d, [%s])" s (ints d)
+  | Hold (a, b, ms) -> Printf.sprintf "Hold (%d, %d, %d)" a b ms
+  | Partition (a, b) ->
+    Printf.sprintf "Partition ([%s], [%s])" (ints a) (ints b)
+  | Heal (a, b) -> Printf.sprintf "Heal (%d, %d)" a b
+  | Heal_all -> "Heal_all"
+  | Scale (a, b, f) -> Printf.sprintf "Scale (%d, %d, %g)" a b f
+  | Drop_all p -> Printf.sprintf "Drop_all %d" p
+  | Drop_to (p, v) -> Printf.sprintf "Drop_to (%d, [%s])" p (ints v)
+  | Drop_each p -> Printf.sprintf "Drop_each %d" p
+  | Advance ms -> Printf.sprintf "Advance %d" ms
+
+let net_groups = 3
+let net_pids = 6
+
+let net_op_gen =
+  QCheck2.Gen.(
+    let pid = int_bound (net_pids - 1) and g = int_bound (net_groups - 1) in
+    frequency
+      [
+        (8, map2 (fun s d -> Send (s, d)) pid (list_size (int_range 1 6) pid));
+        (2, map3 (fun a b ms -> Hold (a, b, ms)) g g (int_bound 300));
+        ( 1,
+          map (fun a -> Partition ([ a ], List.filter (( <> ) a) [ 0; 1; 2 ])) g
+        );
+        (2, map2 (fun a b -> Heal (a, b)) g g);
+        (1, pure Heal_all);
+        (1, map3 (fun a b f -> Scale (a, b, f)) g g (oneofl [ 0.5; 1.0; 3.0 ]));
+        (1, map (fun p -> Drop_all p) pid);
+        ( 1,
+          map2 (fun p v -> Drop_to (p, v)) pid (list_size (int_range 1 3) pid)
+        );
+        (1, map (fun p -> Drop_each p) pid);
+        (4, map (fun ms -> Advance ms) (int_bound 120));
+      ])
+
+(* Runs [ops] on network implementation [N]; returns the deliveries in
+   order, the drop counts and the final counters. *)
+let run_net (module N : NET) ~crisp ~explode ops =
+  let topology = Topology.symmetric ~groups:net_groups ~per_group:2 in
+  let latency =
+    if crisp then Util.crisp_latency
+    else
+      Latency.uniform ~intra_jitter:(Sim_time.of_ms 2)
+        ~inter_jitter:(Sim_time.of_ms 30) ~intra:(Sim_time.of_ms 1)
+        ~inter:(Sim_time.of_ms 50) ()
+  in
+  let sched = Scheduler.create () in
+  let log = ref [] in
+  let net = ref None in
+  let deliver ~src ~dst payload =
+    log := (Sim_time.to_us (Scheduler.now sched), src, dst, payload) :: !log;
+    if payload < 1000 && payload mod 4 = 0 then
+      N.send_multi (Option.get !net) ~src:dst
+        ~dsts:[ src; (dst + 1) mod net_pids ]
+        (payload + 1000)
+  in
+  let n = N.create ~sched ~topology ~latency ~rng:(Rng.create 11) ~deliver in
+  net := Some n;
+  N.set_explode_fanout n explode;
+  let fault_rng = Rng.create 5 in
+  let drops = ref [] in
+  let drop pred = drops := N.drop_inflight n pred :: !drops in
+  List.iteri
+    (fun k op ->
+      match op with
+      | Send (src, dsts) -> N.send_multi n ~src ~dsts k
+      | Hold (a, b, ms) ->
+        N.hold n ~src_group:a ~dst_group:b
+          ~until:(Sim_time.add (Scheduler.now sched) (Sim_time.of_ms ms))
+      | Partition (a, b) -> N.partition_groups n a b
+      | Heal (a, b) -> N.heal n ~src_group:a ~dst_group:b
+      | Heal_all -> N.heal_all n
+      | Scale (a, b, f) -> N.latency_scale n ~src_group:a ~dst_group:b f
+      | Drop_all p -> drop (fun ~src ~dst:_ -> src = p)
+      | Drop_to (p, v) -> drop (fun ~src ~dst -> src = p && List.mem dst v)
+      | Drop_each p ->
+        drop (fun ~src ~dst:_ -> src = p && Rng.float fault_rng 1.0 < 0.5)
+      | Advance ms ->
+        Scheduler.run
+          ~until:(Sim_time.add (Scheduler.now sched) (Sim_time.of_ms ms))
+          sched)
+    ops;
+  N.heal_all n;
+  Scheduler.run sched;
+  (List.rev !log, List.rev !drops, N.sent_total n, N.sent_inter_group n,
+   N.in_flight n)
+
+let prop_network_controls_match_scan =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"network controls = scan-based twin"
+       ~print:QCheck2.Print.(triple bool bool (list show_net_op))
+       QCheck2.Gen.(triple bool bool (list_size (int_range 1 80) net_op_gen))
+       (fun (crisp, explode, ops) ->
+         let real = run_net (module Network) ~crisp ~explode ops
+         and naive = run_net (module Naive_network) ~crisp ~explode ops in
+         let log, _, _, _, left = real in
+         if real <> naive then
+           QCheck2.Test.fail_reportf "diverged (%d deliveries)"
+             (List.length log)
+         else left = 0))
+
 let suites =
   [
     ( "net",
@@ -126,5 +283,6 @@ let suites =
         Alcotest.test_case "network hold" `Quick test_network_hold;
         Alcotest.test_case "network drop inflight" `Quick
           test_network_drop_inflight;
+        prop_network_controls_match_scan;
       ] );
   ]

@@ -70,6 +70,44 @@ let trace_checks_fed =
         "via-broadcast runs flagged by genuineness" 2
         (flagged ~prefix:"genuineness:" genuine))
 
+(* A run that never drains is a reported violation of its scenario, not
+   an exception that aborts the campaign: a protocol whose every process
+   re-arms a timer forever runs into the campaign's step budget. *)
+module Spinner : Amcast.Protocol.S = struct
+  type t = unit
+  type wire = unit
+
+  let name = "spinner"
+  let tag () = "spin"
+
+  let create ~services ~config:_ ~deliver:_ =
+    let rec spin () =
+      ignore
+        (services.Runtime.Services.set_timer ~after:(Des.Sim_time.of_ms 1)
+           spin)
+    in
+    spin ()
+
+  let cast () _ = ()
+  let on_receive () ~src:_ () = ()
+  let stats () = []
+end
+
+let runaway_reported =
+  Alcotest.test_case "a run that never drains is a reported violation"
+    `Slow (fun () ->
+      let summary =
+        Harness.Campaign.run_sharded
+          (module Spinner : Amcast.Protocol.S)
+          ~with_crashes:false ~domains:1 ~seed:5 ~runs:1 ()
+      in
+      let report = Fmt.str "%a" Harness.Campaign.pp_summary summary in
+      let has = Util.contains report in
+      Alcotest.(check int) "one failed run" 1 (List.length summary.failures);
+      Alcotest.(check bool) "names the scenario" true (has "[seed=");
+      Alcotest.(check bool) "says it did not drain" true
+        (has (Fmt.str "not drained in %d events" Harness.Campaign.max_steps)))
+
 let generic_key_config =
   {
     Amcast.Protocol.Config.default with
@@ -91,5 +129,6 @@ let suites =
             ~name:"generic (keyed conflicts)" generic;
           ring_seed0_regression;
           trace_checks_fed;
+          runaway_reported;
         ] );
   ]
