@@ -201,9 +201,9 @@ let note_ballot_value inst ballot v =
     inst.ballot_values <- (ballot, v) :: inst.ballot_values
 
 (* Acceptor's effective promise: the per-instance one, raised to the lease
-   floor in fast mode (a lease promise covers every instance). *)
-let eff_promised t inst =
-  if t.fast then Int.max inst.promised t.promise_floor else inst.promised
+   floor (a lease promise covers every instance; the floor stays -1 in
+   reference mode, which sends no [Lease_prepare]). *)
+let eff_promised t inst = Int.max inst.promised t.promise_floor
 
 let send_participants t m =
   let w = t.wrap m in
@@ -247,9 +247,10 @@ let gc_floor t =
   Int.min t.decided_upto (Int.max !m t.remote_floor)
 
 (* [gc_floor] never exceeds [decided_upto], so nothing is prunable until
-   the watermark passes [pruned_upto]. *)
+   the watermark passes [pruned_upto] (never in reference mode, whose
+   watermark stays 0). *)
 let maybe_gc t =
-  if t.fast && t.decided_upto > t.pruned_upto then begin
+  if t.decided_upto > t.pruned_upto then begin
     let f = gc_floor t in
     while t.pruned_upto < f do
       let i = t.pruned_upto + 1 in
@@ -275,8 +276,7 @@ let decide ?(announce = true) t i inst v =
          vote counter) announces; stragglers recover through their timers
          and point-to-point Decide replies. *)
       send_participants t
-        (Decide
-           { instance = i; value = v; floor = (if t.fast then gc_floor t else 0) });
+        (Decide { instance = i; value = v; floor = gc_floor t });
     t.on_decide ~instance:i v;
     maybe_gc t
   end
@@ -525,15 +525,12 @@ let drivable t =
     t.instances []
   |> List.rev
 
-(* Leader-side drive of one instance, used by propose/Suggest paths. *)
+(* Leader-side drive of one instance, used by propose/Suggest paths. In
+   reference mode no lease is held or pending. *)
 let drive_as_leader t i inst =
-  if t.fast then begin
-    if ensure_lease t then lease_push t i inst
-    else if t.lease_pending >= 0 then ()
-      (* grant in flight: the instance is driven when it lands *)
-    else if inst.leading < 0 then start_new_ballot t i inst
-    else try_push t i inst
-  end
+  if ensure_lease t then lease_push t i inst
+  else if t.lease_pending >= 0 then ()
+    (* grant in flight: the instance is driven when it lands *)
   else if inst.leading < 0 then start_new_ballot t i inst
   else try_push t i inst
 
@@ -673,7 +670,7 @@ let handle t ~src m =
   | Accepted { instance; ballot; wm } ->
     note_ballot t ballot;
     let r = rank t src in
-    if t.fast && r >= 0 && wm > t.peer_wm.(r) then t.peer_wm.(r) <- wm;
+    if r >= 0 && wm > t.peer_wm.(r) then t.peer_wm.(r) <- wm;
     let found = Window.find t.instances instance in
     if not (retired t instance found) then begin
       let inst = instance_of t instance found in
@@ -682,7 +679,7 @@ let handle t ~src m =
     end;
     maybe_gc t
   | Decide { instance; value; floor } ->
-    if t.fast && floor > t.remote_floor then t.remote_floor <- floor;
+    if floor > t.remote_floor then t.remote_floor <- floor;
     let found = Window.find t.instances instance in
     if not (retired t instance found) then begin
       let inst = instance_of t instance found in
@@ -693,7 +690,7 @@ let handle t ~src m =
     else maybe_gc t
   | Lease_prepare { ballot } ->
     note_ballot t ballot;
-    if t.fast && ballot > t.promise_floor then begin
+    if ballot > t.promise_floor then begin
       t.promise_floor <- ballot;
       let accepted =
         Window.fold
@@ -707,7 +704,7 @@ let handle t ~src m =
       t.services.send ~dst:src (t.wrap (Lease_promise { ballot; accepted }))
     end
   | Lease_promise { ballot; accepted } ->
-    if t.fast && t.lease_pending = ballot then begin
+    if t.lease_pending = ballot then begin
       let r = rank t src in
       List.iter
         (fun (i, b, v) ->
@@ -730,7 +727,7 @@ let handle t ~src m =
     end
 
 let note_consumed t ~upto =
-  if t.fast && upto > t.decided_upto then begin
+  if upto > t.decided_upto then begin
     (* Abandon in-flight instances the host skipped past (pipelining: a
        clock jump can overtake proposed-but-undecided instances). Their
        timers would otherwise re-arm forever — the instance can never

@@ -117,7 +117,8 @@ val note_consumed : ('v, 'w) t -> upto:int -> unit
 (** Fast-lane watermark hook for hosts whose instance numbering skips
     (A1's group clock can jump): declares that every instance [<= upto] is
     either locally decided or will never be proposed by anyone, letting the
-    GC watermark advance across the gaps. No-op in reference mode. *)
+    GC watermark advance across the gaps. Reference-mode hosts (ring,
+    scalable) never call it: their watermark stays 0. *)
 
 val retained_instances : ('v, 'w) t -> int
 (** Number of instance records currently held (decided-but-unpruned plus

@@ -1,12 +1,10 @@
 type t =
   | Total
   | Keyed of { name : string; key : Msg.t -> string option }
-  | Commute of { name : string; commutes : Msg.t -> Msg.t -> bool }
 
 let total = Total
 let never = Keyed { name = "never"; key = (fun _ -> None) }
 let keyed ?(name = "keyed") key = Keyed { name; key }
-let commute ?(name = "commute") commutes = Commute { name; commutes }
 
 (* "k=<key>;<rest>" -> Some "<key>"; anything else is a commuting
    command. The key may not contain ';'. *)
@@ -24,30 +22,13 @@ let payload_key =
       key = (fun (m : Msg.t) -> payload_class m.payload);
     }
 
-let name = function
-  | Total -> "total"
-  | Keyed { name; _ } -> name
-  | Commute { name; _ } -> name
+let name = function Total -> "total" | Keyed { name; _ } -> name
+
+let class_of t m = match t with Total -> Some "" | Keyed { key; _ } -> key m
 
 let conflicts t m1 m2 =
   (not (Msg.equal_id m1 m2))
   &&
-  match t with
-  | Total -> true
-  | Keyed { key; _ } -> (
-    match (key m1, key m2) with
-    | Some k1, Some k2 -> String.equal k1 k2
-    | None, _ | _, None -> false)
-  | Commute { commutes; _ } -> not (commutes m1 m2)
-
-let solo t m =
-  match t with
-  | Total -> false
-  | Keyed { key; _ } -> key m = None
-  | Commute _ -> false
-
-let class_of t m =
-  match t with
-  | Total -> Some (Some "")
-  | Keyed { key; _ } -> Some (key m)
-  | Commute _ -> None
+  match (class_of t m1, class_of t m2) with
+  | Some k1, Some k2 -> String.equal k1 k2
+  | None, _ | _, None -> false

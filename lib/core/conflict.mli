@@ -14,31 +14,24 @@
     itself): all processes must answer the same for any message pair,
     which the payload-derived constructors guarantee by construction.
 
-    Three shapes, by how much structure the delivery path can exploit:
+    Two shapes, both partitions of the messages into conflict classes
+    (two messages conflict iff they fall in the same class):
 
-    - {!Total} — every pair conflicts. Recovers classic total order; the
-      conflict-aware protocol then behaves exactly like its total-order
-      twin.
+    - {!Total} — every pair conflicts (one class). Recovers classic total
+      order; the conflict-aware protocol then behaves exactly like its
+      total-order twin.
     - {!Keyed} — each message maps to an optional conflict class; two
       messages conflict iff they map to the same class, and a message
       mapping to [None] conflicts with {e nothing} (it commutes with
       every other command and may bypass ordering altogether). Covers
-      per-key conflicts of a KV store. {!Never} is the degenerate
-      all-[None] case.
-    - {!Commute} — an arbitrary symmetric commutativity predicate, for
-      state machines whose conflicts are not an equivalence relation
-      (e.g. read/write: reads commute with reads but not with writes).
-      The delivery path falls back to pairwise tests against the pending
-      set. *)
+      per-key conflicts of a KV store. {!never} is the degenerate
+      all-[None] case. *)
 
 type t =
   | Total  (** Every pair of messages conflicts: total order. *)
   | Keyed of { name : string; key : Msg.t -> string option }
       (** Conflict classes: [key m1 = key m2 = Some k] conflicts;
           [key m = None] means [m] conflicts with nothing at all. *)
-  | Commute of { name : string; commutes : Msg.t -> Msg.t -> bool }
-      (** General relation: [m1] and [m2] conflict iff
-          [not (commutes m1 m2)]. Must be symmetric. *)
 
 val total : t
 val never : t
@@ -46,7 +39,6 @@ val never : t
     multicast ordering-wise. *)
 
 val keyed : ?name:string -> (Msg.t -> string option) -> t
-val commute : ?name:string -> (Msg.t -> Msg.t -> bool) -> t
 
 val payload_key : t
 (** The workload convention: payloads of the form ["k=<key>;<rest>"]
@@ -64,14 +56,8 @@ val conflicts : t -> Msg.t -> Msg.t -> bool
 (** Whether the pair must be ordered. Irreflexive by convention: a
     message never conflicts with itself (dedup is integrity's job). *)
 
-val solo : t -> Msg.t -> bool
-(** [solo t m] = [m] conflicts with {e no} message under [t]: delivery
-    may bypass ordering entirely. Conservative [false] for {!Commute}
-    (the predicate cannot be quantified over all messages). *)
-
-val class_of : t -> Msg.t -> string option option
-(** The independence-class view, when the relation is a partition:
-    [Some cls] for {!Total} (one global class) and {!Keyed};
-    [None] for {!Commute} (no class structure — callers must fall back
-    to pairwise {!conflicts}). The inner option is the class itself
-    ([None] = solo). *)
+val class_of : t -> Msg.t -> string option
+(** The message's conflict class: [Some ""] for every message under
+    {!Total}, [key m] under {!Keyed}. [None] = solo: the message
+    conflicts with no message, and delivery may bypass ordering
+    entirely. *)

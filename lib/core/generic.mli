@@ -11,21 +11,16 @@
     independent conflict classes drain concurrently instead of queueing
     behind one global [(ts, id)] frontier.
 
-    Three tiers, by how much the relation reveals:
+    Two tiers, by the message's conflict class ({!Conflict.class_of}):
 
-    - {e solo} messages ({!Conflict.solo}: they conflict with nothing)
-      skip ordering entirely — delivered at Data arrival, no stamps, no
-      clock traffic. Reliable-multicast cost, latency degree 1.
-    - messages with a conflict {e class} ({!Conflict.class_of}) wait only
-      for their own class: the pending set is partitioned into per-class
-      {!Stamp_order} indices and each class is an independent Skeen
-      instance sharing the process clock. [Conflict.total] collapses to a
-      single class — the delivery order (and every checker verdict) is
-      then exactly Skeen's.
-    - under a bare {!Conflict.Commute} predicate there is no class
-      structure; the delivery test falls back to a pairwise conflict scan
-      of the pending set (correct for any symmetric relation, quadratic
-      in the in-flight count).
+    - {e solo} messages (class [None]: they conflict with nothing) skip
+      ordering entirely — delivered at Data arrival, no stamps, no clock
+      traffic. Reliable-multicast cost, latency degree 1.
+    - messages with a conflict class wait only for their own class: the
+      pending set is partitioned into per-class {!Stamp_order} indices and
+      each class is an independent Skeen instance sharing the process
+      clock. [Conflict.total] collapses to a single class — the delivery
+      order (and every checker verdict) is then exactly Skeen's.
 
     Soundness of the relaxed test: if addressee [q] delivers [m2] before
     first seeing a conflicting [m1], then [q]'s clock is at least

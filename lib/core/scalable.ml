@@ -20,10 +20,17 @@ type agreement = {
       (* per-message consensus across all destination processes *)
 }
 
+module Int_map = Map.Make (Int)
+
 type t = {
   services : wire Services.t;
   config : Protocol.Config.t;
   detector : Fd.Detector.t;
+  mutable undecided : (unit -> unit) Int_map.t;
+      (* the suspicion listeners of the consensus objects that have not
+         decided, by creation number: the process subscribes once to
+         [detector] and forwards to these in creation order *)
+  mutable created : int; (* consensus objects created so far *)
   order : agreement Stamp_order.t;
   ord : agreement Stamp_order.entry Pending_index.t;
   mutable rm : (Msg.t, wire) Rmcast.Reliable_multicast.t option;
@@ -37,11 +44,22 @@ let consensus_for t e =
   | Some c -> c
   | None ->
     let m = Stamp_order.msg e in
+    let n = t.created in
+    t.created <- n + 1;
+    (* A decided consensus does nothing on a suspicion change, so its
+       listener is dropped at the decision and the object is not kept. *)
+    let detector =
+      {
+        t.detector with
+        Fd.Detector.subscribe =
+          (fun f -> t.undecided <- Int_map.add n f t.undecided);
+      }
+    in
     let c =
       Consensus.Paxos.create ~services:t.services
         ~wrap:(fun inner -> Cons { id = m.id; inner })
         ~participants:(Msg.dest_pids t.services.Services.topology m)
-        ~detector:t.detector
+        ~detector
         ~timeout:t.config.Protocol.Config.consensus_timeout
           (* The participants here span groups: the fast lanes are an
              intra-group economy and would alter the protocol's inter-group
@@ -49,6 +67,7 @@ let consensus_for t e =
              reference pattern (the Figure 1 pins fail otherwise). *)
         ~fast_lanes:false
         ~on_decide:(fun ~instance:_ ts ->
+          t.undecided <- Int_map.remove n t.undecided;
           if not (Stamp_order.is_final e) then
             Stamp_order.finalize t.order e ts)
         ()
@@ -109,6 +128,8 @@ let create ~services ~config ~deliver =
       services;
       config;
       detector;
+      undecided = Int_map.empty;
+      created = 0;
       order =
         Stamp_order.create ~topology:services.Services.topology
           ~self:services.Services.self ~deliver;
@@ -116,6 +137,8 @@ let create ~services ~config ~deliver =
       rm = None;
     }
   in
+  detector.Fd.Detector.subscribe (fun () ->
+      Int_map.iter (fun _ f -> f ()) t.undecided);
   t.rm <-
     Some
       (Rmcast.Reliable_multicast.create ~services

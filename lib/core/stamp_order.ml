@@ -131,10 +131,6 @@ let finalize t e f =
   merge t f;
   drain t e.ord
 
-let deliver t e =
-  Pending_index.remove e.ord e.handle;
-  deliver_pending t e
-
 let bypass t (m : Msg.t) =
   Msg_id.Tbl.replace t.delivered m.id ();
   t.deliver m

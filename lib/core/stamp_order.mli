@@ -56,10 +56,6 @@ val finalize : 'a t -> 'a entry -> int -> unit
     then deliver every finalised root of the entry's index in
     [(final, id)] order. *)
 
-val deliver : 'a t -> 'a entry -> unit
-(** Deliver a pending entry now, for a caller with its own delivery
-    test. *)
-
 val bypass : 'a t -> Msg.t -> unit
 (** Deliver a fresh message without ordering it. *)
 

@@ -304,12 +304,11 @@ let uniform_prefix_order (r : Run_result.t) =
 (* Indexed conflict-order check on cast slots: a pair's first-delivery
    positions are marked in two pid-indexed scratch arrays from the two
    slots' deliveries, and cleared the same way afterwards. Message pairs
-   are enumerated per conflict class when the relation is a partition —
-   only same-class pairs can conflict, so the quadratic enumeration
-   shrinks to the class sizes; solo messages drop out entirely. Bare
-   Commute relations keep the pairwise enumeration. Either way pairs are
-   visited in cast order (each message against the conflicting messages
-   cast after it), which fixes the order of the violation list. *)
+   are enumerated per conflict class — only same-class pairs conflict, so
+   the quadratic enumeration shrinks to the class sizes; solo messages
+   drop out entirely. Pairs are visited in cast order (each message
+   against the conflicting messages cast after it), which fixes the order
+   of the violation list. *)
 let conflict_order ~conflict (r : Run_result.t) =
   let idx = Run_result.index r in
   let n = Topology.n_processes r.topology in
@@ -388,36 +387,26 @@ let conflict_order ~conflict (r : Run_result.t) =
       pid_pairs m1 m2 obs
     end
   in
-  (match conflict with
-  | Amcast.Conflict.Commute _ ->
-    for s1 = 0 to idx.n_cast - 1 do
-      for s2 = s1 + 1 to idx.n_cast - 1 do
-        if Amcast.Conflict.conflicts conflict (msg s1) (msg s2) then
-          check_pair s1 s2
-      done
-    done
-  | Amcast.Conflict.Total | Amcast.Conflict.Keyed _ ->
-    (* Walking the slots backwards, a class's list holds exactly the
-       members cast after the current message, in cast order. *)
-    let classes : (string, int list ref) Hashtbl.t = Hashtbl.create 16 in
-    let pairs = ref [] in
-    for s = idx.n_cast - 1 downto 0 do
-      match Amcast.Conflict.class_of conflict (msg s) with
-      | Some (Some c) ->
-        let later =
-          match Hashtbl.find_opt classes c with
-          | Some l -> l
-          | None ->
-            let l = ref [] in
-            Hashtbl.replace classes c l;
-            l
-        in
-        pairs := (s, !later) :: !pairs;
-        later := s :: !later
-      | Some None -> () (* solo: conflicts with nothing *)
-      | None -> assert false
-    done;
-    List.iter (fun (s1, later) -> List.iter (check_pair s1) later) !pairs);
+  (* Walking the slots backwards, a class's list holds exactly the
+     members cast after the current message, in cast order. *)
+  let classes : (string, int list ref) Hashtbl.t = Hashtbl.create 16 in
+  let pairs = ref [] in
+  for s = idx.n_cast - 1 downto 0 do
+    match Amcast.Conflict.class_of conflict (msg s) with
+    | Some c ->
+      let later =
+        match Hashtbl.find_opt classes c with
+        | Some l -> l
+        | None ->
+          let l = ref [] in
+          Hashtbl.replace classes c l;
+          l
+      in
+      pairs := (s, !later) :: !pairs;
+      later := s :: !later
+    | None -> () (* solo: conflicts with nothing *)
+  done;
+  List.iter (fun (s1, later) -> List.iter (check_pair s1) later) !pairs;
   List.rev !violations
 
 (* Indexed genuineness: the allowed set as a per-pid bool array, so each

@@ -437,8 +437,9 @@ let differential_ok ?(faults = "") s r =
     && (sorted_violations (Harness.Checker.uniform_prefix_order r)
         = sorted_violations (Oracle.uniform_prefix_order r)
        || fail "prefix differential")
-    (* conflict order with every pair conflicting, through the class path
-       (Total) and the pairwise path (a Commute relation) *)
+    (* conflict order through the class path: every pair conflicting
+       (Total), every message solo (payload_key on these plain payloads),
+       and classes mixed with solo messages (keyed on the id) *)
     && List.for_all
          (fun conflict ->
            Harness.Checker.conflict_order ~conflict r
@@ -446,7 +447,11 @@ let differential_ok ?(faults = "") s r =
            || fail ("conflict differential, " ^ Amcast.Conflict.name conflict))
          [
            Amcast.Conflict.total;
-           Amcast.Conflict.commute ~name:"nothing commutes" (fun _ _ -> false);
+           Amcast.Conflict.payload_key;
+           Amcast.Conflict.keyed ~name:"id mod 3" (fun m ->
+               match (m.Amcast.Msg.id.origin + m.Amcast.Msg.id.seq) mod 3 with
+               | 0 -> None
+               | k -> Some (string_of_int k));
          ]
     && (Harness.Checker.genuineness r = Oracle.genuineness r
        || fail "genuineness differential")

@@ -1,7 +1,7 @@
 (* The Skeen stamp kernel and the protocols built on it.
 
    Golden pin: fixed-seed jittered streams of ~40 casts through skeen,
-   generic (three conflict relations), flexcast (three overlays) and
+   generic (two conflict relations), flexcast (three overlays) and
    scalable, each reduced to a per-pid delivery digest and per-tag send
    counts. The literals were captured from the per-protocol
    implementations that preceded the shared kernel; the differentials
@@ -61,14 +61,6 @@ module RG = Harness.Runner.Make (Amcast.Generic)
 module RFx = Harness.Runner.Make (Amcast.Flexcast)
 module RSc = Harness.Runner.Make (Amcast.Scalable)
 
-(* Commute iff the payload classes differ: same-key and plain-plain pairs
-   conflict, keyed-vs-plain and different-key pairs commute. No class
-   partition, so generic runs its scan test. *)
-let same_class =
-  Amcast.Conflict.commute ~name:"same-class" (fun a b ->
-      Amcast.Conflict.payload_class a.Amcast.Msg.payload
-      <> Amcast.Conflict.payload_class b.Amcast.Msg.payload)
-
 let keyed_stream topo =
   stream ~conflict:(Harness.Workload.conflict_spec ~keys:3 0.6) topo
 
@@ -98,7 +90,6 @@ let golden_runs () =
     generic "generic total" Amcast.Conflict.total (stream topo);
     generic "generic payload_key" Amcast.Conflict.payload_key
       (keyed_stream topo);
-    generic "generic commute" same_class (keyed_stream topo);
     flex "flexcast clique" Overlay.Clique;
     flex "flexcast hub" Overlay.Hub;
     flex "flexcast ring" Overlay.Ring;
@@ -127,12 +118,6 @@ let golden : (string * (int list * (string * int) list)) list =
           1363419290385792332; 184948037540007902; 4543740128308553462
         ],
         [ ("generic.data", 136); ("generic.stamp", 414) ] ) );
-    ( "generic commute",
-      ( [
-          2876642992127954917; 1299961301298895925; 346654331508811740;
-          4526252667052121164; 3654872138676290734; 3654872138676290734
-        ],
-        [ ("generic.data", 136); ("generic.stamp", 578) ] ) );
     ( "flexcast clique",
       ( [
           2089080943381054756; 2089080943381054756; 1030694252278449541;
@@ -250,6 +235,46 @@ let test_unfinalised_blocks_and_ties_by_id () =
   K.finalize k ea 3;
   Alcotest.check ids "equal finals deliver by id" [ a.id; b.id ] (delivered ())
 
+(* Scalable's final stamp comes from a consensus, so it can exceed every
+   stamp the process has merged; finalising must raise the clock to it. *)
+let test_finalize_raises_clock () =
+  let k, ord, delivered = kernel 2 in
+  let m = msg ~origin:0 ~dest:[ 0; 1 ] in
+  let e = K.admit k ~ord m () in
+  K.finalize k e 7;
+  Alcotest.check ids "delivered" [ m.id ] (delivered ());
+  let e' = K.admit k ~ord (msg ~origin:1 ~dest:[ 0; 1 ]) () in
+  Alcotest.(check int) "next own stamp above the final" 8 (K.own_ts e')
+
+(* The same rule end to end. Four one-process groups; the links from p3
+   and from p1 to p2 take 2 s, every other link 10 ms. p3 casts m1, m2
+   and m3 to {p1, p2}; p0 then casts m to {p0, p1, p2}. p1 stamps them 1,
+   2, 3 and m 4, so m's consensus decides 4, and p2 decides it at clock 2,
+   before any stamp from p1 reaches it. Had p2's clock stayed there, m1
+   would reach p2 stamped 3 and finalise at 3 < 4: p1 would deliver m1
+   before m, p2 after. *)
+let test_scalable_decided_final_raises_clock () =
+  let ms = Sim_time.of_ms in
+  let inter =
+    Array.init 4 (fun src ->
+        Array.init 4 (fun dst ->
+            ms (if dst = 2 && (src = 3 || src = 1) then 2000 else 10)))
+  in
+  let latency = Latency.matrix ~intra:(ms 1) ~inter () in
+  let cast at origin dest =
+    { Harness.Workload.at = ms at; origin; dest; payload = "x" }
+  in
+  let r =
+    RSc.run ~seed:1 ~latency
+      (Topology.symmetric ~groups:4 ~per_group:1)
+      [
+        cast 0 3 [ 1; 2 ]; cast 0 3 [ 1; 2 ]; cast 0 3 [ 1; 2 ];
+        cast 20 0 [ 0; 1; 2 ];
+      ]
+  in
+  Alcotest.(check (list string)) "clean" [] (Harness.Checker.check_all r);
+  Alcotest.(check int) "all delivered" 9 (List.length r.deliveries)
+
 let suites =
   [
     ( "stamp-order",
@@ -263,5 +288,9 @@ let suites =
           test_stamp_after_delivery_dropped;
         Alcotest.test_case "kernel: unfinalised root blocks, ties by id"
           `Quick test_unfinalised_blocks_and_ties_by_id;
+        Alcotest.test_case "kernel: finalising raises the clock" `Quick
+          test_finalize_raises_clock;
+        Alcotest.test_case "scalable: a decided final raises the clock" `Quick
+          test_scalable_decided_final_raises_clock;
       ] );
   ]
