@@ -18,13 +18,13 @@ type 'v msg =
          coordinator can compute a safe garbage-collection floor. *)
   | Decide of { instance : int; value : 'v; floor : int }
       (* [floor]: every participant may prune decided instances up to
-         [min floor own_watermark] (fast lanes only; 0 in reference mode). *)
+         [min floor own_watermark]. *)
   | Lease_prepare of { ballot : int }
       (* Multi-Paxos coordinator lease: one prepare covering ALL instances.
          A majority of promises lets the leader skip phase 1 per instance. *)
   | Lease_promise of { ballot : int; accepted : (int * int * 'v) list }
       (* Per-instance accepted state ((instance, ballot, value)) of the
-         promising acceptor, for every undecided instance it knows. *)
+         promising acceptor, for every instance it still holds. *)
 
 let tag = function
   | Suggest _ -> "cons.suggest"
@@ -79,10 +79,7 @@ type 'v instance = {
       (* value per ballot; a ballot carries a single value, so an entry is
          never overwritten *)
   mutable timer : int option;
-  mutable engaged : bool;
-  mutable reprepares : int;
-      (* reference mode: [Prepare] re-sends for ballot [leading] (see
-         [retry]) *)
+  mutable reprepares : int; (* [Prepare] re-sends for ballot [leading] *)
 }
 
 type ('v, 'w) t = {
@@ -93,10 +90,9 @@ type ('v, 'w) t = {
   self_rank : int; (* cached rank of the local process; -1 if not one *)
   detector : Fd.Detector.t;
   timeout : Sim_time.t;
-  fast : bool;
+  all_to_all : bool;
   on_decide : instance:int -> 'v -> unit;
   instances : 'v instance Window.t;
-  (* --- fast-lane state (unused in reference mode) --- *)
   mutable decided_upto : int;
       (* watermark: every instance <= this is locally decided or (per the
          host's [note_consumed] contract) will never be proposed *)
@@ -159,7 +155,6 @@ let instance_of t i found =
         votes = [];
         ballot_values = [];
         timer = None;
-        engaged = false;
         reprepares = 0;
       }
     in
@@ -201,14 +196,14 @@ let note_ballot_value inst ballot v =
     inst.ballot_values <- (ballot, v) :: inst.ballot_values
 
 (* Acceptor's effective promise: the per-instance one, raised to the lease
-   floor (a lease promise covers every instance; the floor stays -1 in
-   reference mode, which sends no [Lease_prepare]). *)
+   floor (a lease promise covers every instance). *)
 let eff_promised t inst = Int.max inst.promised t.promise_floor
 
 let send_participants t m =
   let w = t.wrap m in
-  if t.fast then Runtime.Services.send_multi t.services t.participants_list w
-  else Runtime.Services.send_all t.services t.participants_list w
+  if t.all_to_all then
+    Runtime.Services.send_all t.services t.participants_list w
+  else Runtime.Services.send_multi t.services t.participants_list w
 
 let cancel_timer t inst =
   match inst.timer with
@@ -217,9 +212,8 @@ let cancel_timer t inst =
     inst.timer <- None
   | None -> ()
 
-(* Contiguous decided prefix (instances are numbered from 1 by the hosts
-   that enable fast lanes; gaps stall the watermark until the host calls
-   [note_consumed]). *)
+(* Contiguous decided prefix (hosts number instances from 1; gaps stall
+   the watermark until the host calls [note_consumed]). *)
 let advance_decided_upto t =
   let continue = ref true in
   while !continue do
@@ -247,8 +241,7 @@ let gc_floor t =
   Int.min t.decided_upto (Int.max !m t.remote_floor)
 
 (* [gc_floor] never exceeds [decided_upto], so nothing is prunable until
-   the watermark passes [pruned_upto] (never in reference mode, whose
-   watermark stays 0). *)
+   the watermark passes [pruned_upto]. *)
 let maybe_gc t =
   if t.decided_upto > t.pruned_upto then begin
     let f = gc_floor t in
@@ -268,13 +261,13 @@ let decide ?(announce = true) t i inst v =
   if inst.decided = None then begin
     inst.decided <- Some v;
     cancel_timer t inst;
-    if t.fast then advance_decided_upto t;
+    advance_decided_upto t;
     if announce then
-      (* Reference mode: one Decide broadcast per decider, then silence —
+      (* All-to-all: one Decide broadcast per decider, then silence —
          keeps the protocol halting while guaranteeing uniform agreement
-         under lossy crashes. Fast mode: only the coordinator (the unique
-         vote counter) announces; stragglers recover through their timers
-         and point-to-point Decide replies. *)
+         under lossy crashes. Coordinator-only: only the coordinator (the
+         unique vote counter) announces; stragglers recover through their
+         timers and point-to-point Decide replies. *)
       send_participants t
         (Decide { instance = i; value = v; floor = gc_floor t });
     t.on_decide ~instance:i v;
@@ -323,13 +316,12 @@ let accept_locally t i inst ~ballot ~value =
   inst.promised <- Int.max inst.promised ballot;
   inst.accepted <- Some (ballot, value);
   note_ballot_value inst ballot value;
-  inst.engaged <- true;
   let m = Accepted { instance = i; ballot; wm = t.decided_upto } in
-  if t.fast then
+  if t.all_to_all then send_participants t m
+  else
     (* Single-shot vote: only the ballot's coordinator counts votes and
        announces, so an instance costs n Accepted messages, not n². *)
     t.services.Runtime.Services.send ~dst:(coordinator_of t ballot) (t.wrap m)
-  else send_participants t m
 
 let start_accept_phase t i inst ~value =
   inst.pushed <- true;
@@ -355,13 +347,12 @@ let own_ballot_above t floor =
 (* Take over coordination with a fresh ballot owned by the local process. *)
 let start_new_ballot t i inst =
   if inst.decided = None && t.self_rank >= 0 then begin
-    let floor = Int.max inst.promised inst.leading in
-    let floor =
-      if t.fast then
-        Int.max floor (Int.max t.promise_floor t.max_ballot_seen)
-      else floor
+    let b =
+      own_ballot_above t
+        (Int.max
+           (Int.max inst.promised inst.leading)
+           (Int.max t.promise_floor t.max_ballot_seen))
     in
-    let b = own_ballot_above t floor in
     inst.leading <- b;
     inst.reprepares <- 0;
     inst.phase1_done <- false;
@@ -383,11 +374,10 @@ let suggest_to_leader t i inst =
       match inst.proposal with
       | Some _ as v -> v
       | None ->
-        (* Fast mode: an acceptor stuck with accepted-but-undecided state
-           (e.g. the coordinator's Decide was lost) re-offers that value so
-           the leader can finish the instance — in reference mode the
-           all-to-all Accepted/Decide pattern covers this case. *)
-        if t.fast then Option.map snd inst.accepted else None
+        (* An acceptor stuck with accepted-but-undecided state (e.g. the
+           coordinator's Decide was lost) re-offers that value so the
+           leader can finish the instance. *)
+        Option.map snd inst.accepted
     in
     match v with
     | Some v ->
@@ -395,11 +385,11 @@ let suggest_to_leader t i inst =
     | None -> ())
   | _ -> ()
 
-(* A reference-mode coordinator's answer to a decision timeout. While its
-   ballot is still in phase 1 and no higher ballot is known, it re-sends
-   the ballot's [Prepare] and keeps the promises it has, at up to [2^r]
-   timeouts in a row for a ballot of round [r] (ballot / n, capped),
-   before it opens a higher ballot. Opening one at every timeout livelocks
+(* A leader's answer to a decision timeout. While its ballot is still in
+   phase 1 and no higher ballot is known, it re-sends the ballot's
+   [Prepare] and keeps the promises it has, at up to [2^r] timeouts in a
+   row for a ballot of round [r] (ballot / n, capped), before it opens a
+   higher ballot. Opening one at every timeout livelocks
    once a round trip reaches the timeout: the timer pops just before the
    promises of the ballot it was armed for, and each new ballot discards
    them. Keeping the ballot lets them land. Each ballot a coordinator
@@ -431,19 +421,16 @@ let rec arm_timer t i inst =
              if inst.decided = None then begin
                if is_leader t then begin
                  (* A stalled lease acquisition must not block recovery:
-                    abandon it and fall back to a classic per-instance
-                    ballot (a later drive re-acquires the lease). *)
-                 if t.fast then begin
-                   if t.lease_pending >= 0 then t.lease_pending <- -1;
-                   start_new_ballot t i inst
-                 end
-                 else retry t i inst
+                    abandon it and fall back to a per-instance ballot (a
+                    later drive re-acquires the lease). *)
+                 t.lease_pending <- -1;
+                 retry t i inst
                end
                else suggest_to_leader t i inst;
                arm_timer t i inst
              end))
 
-(* --- Multi-Paxos coordinator lease (fast mode only) ------------------- *)
+(* --- Multi-Paxos coordinator lease ------------------------------------ *)
 
 (* Drive an instance under the held lease: phase 1 is already covered by
    the lease's majority promise, so push the accept phase directly. Falls
@@ -472,44 +459,38 @@ let lease_push t i inst =
    is currently held; false while an acquisition is in flight (instances
    are driven when the grant arrives, and per-instance timers cover loss). *)
 let ensure_lease t =
-  t.fast
-  && (t.lease_ballot >= 0
-     ||
-     if t.lease_pending >= 0 || t.self_rank < 0 || not (is_leader t) then
-       false
-     else begin
-       let b =
-         own_ballot_above t (Int.max t.max_ballot_seen t.promise_floor)
-       in
-       if b = 0 then begin
-         (* Vacuous lease: no smaller ballot can exist anywhere, so the
-            phase-1 guarantee holds without any messages — this generalizes
-            the per-instance ballot-0 fast path. *)
-         t.lease_ballot <- 0;
-         t.promise_floor <- Int.max t.promise_floor 0;
-         true
-       end
-       else begin
-         t.lease_pending <- b;
-         Bytes.fill t.lease_promised_by 0 (n t) '\000';
-         (* Self-grant locally; own accepted state joins per-instance
-            promises at push time. *)
-         t.promise_floor <- Int.max t.promise_floor b;
-         Bytes.set t.lease_promised_by t.self_rank '\001';
-         t.n_lease_promises <- 1;
-         let others =
-           List.filter (fun p -> p <> self t) t.participants_list
-         in
-         Runtime.Services.send_multi t.services others
-           (t.wrap (Lease_prepare { ballot = b }));
-         if t.n_lease_promises >= majority t then begin
-           t.lease_pending <- -1;
-           t.lease_ballot <- b;
-           true
-         end
-         else false
-       end
-     end)
+  t.lease_ballot >= 0
+  ||
+  if t.lease_pending >= 0 || t.self_rank < 0 || not (is_leader t) then false
+  else begin
+    let b = own_ballot_above t (Int.max t.max_ballot_seen t.promise_floor) in
+    if b = 0 then begin
+      (* Vacuous lease: no smaller ballot can exist anywhere, so the
+         phase-1 guarantee holds without any messages — this generalizes
+         the per-instance ballot-0 fast path. *)
+      t.lease_ballot <- 0;
+      t.promise_floor <- Int.max t.promise_floor 0;
+      true
+    end
+    else begin
+      t.lease_pending <- b;
+      Bytes.fill t.lease_promised_by 0 (n t) '\000';
+      (* Self-grant locally; own accepted state joins per-instance
+         promises at push time. *)
+      t.promise_floor <- Int.max t.promise_floor b;
+      Bytes.set t.lease_promised_by t.self_rank '\001';
+      t.n_lease_promises <- 1;
+      let others = List.filter (fun p -> p <> self t) t.participants_list in
+      Runtime.Services.send_multi t.services others
+        (t.wrap (Lease_prepare { ballot = b }));
+      if t.n_lease_promises >= majority t then begin
+        t.lease_pending <- -1;
+        t.lease_ballot <- b;
+        true
+      end
+      else false
+    end
+  end
 
 (* Engaged undecided instances with a pushable value source, in instance
    order; collected before iterating because pushes can decide and prune. *)
@@ -525,8 +506,7 @@ let drivable t =
     t.instances []
   |> List.rev
 
-(* Leader-side drive of one instance, used by propose/Suggest paths. In
-   reference mode no lease is held or pending. *)
+(* Leader-side drive of one instance, used by propose/Suggest paths. *)
 let drive_as_leader t i inst =
   if ensure_lease t then lease_push t i inst
   else if t.lease_pending >= 0 then ()
@@ -535,11 +515,10 @@ let drive_as_leader t i inst =
   else try_push t i inst
 
 let propose t ~instance v =
-  if not (t.fast && instance <= t.pruned_upto) then begin
+  if instance > t.pruned_upto then begin
     let inst = get_instance t instance in
     if inst.decided = None && inst.proposal = None then begin
       inst.proposal <- Some v;
-      inst.engaged <- true;
       arm_timer t instance inst;
       if is_leader t then drive_as_leader t instance inst
       else suggest_to_leader t instance inst
@@ -547,23 +526,15 @@ let propose t ~instance v =
   end
 
 let on_suspicion_change t =
-  if is_leader t then
-    if t.fast then begin
-      match drivable t with
-      | [] -> ()
-      | targets ->
-        if ensure_lease t then
-          List.iter (fun (i, inst) -> lease_push t i inst) targets
-        (* else: acquisition in flight (instances driven at grant) or we
-           cannot lead; per-instance timers cover both. *)
-    end
-    else
-      Window.iter
-        (fun i inst ->
-          if inst.engaged && inst.decided = None then
-            if inst.proposal <> None || inst.accepted <> None then
-              start_new_ballot t i inst)
-        t.instances
+  if is_leader t then begin
+    match drivable t with
+    | [] -> ()
+    | targets ->
+      if ensure_lease t then
+        List.iter (fun (i, inst) -> lease_push t i inst) targets
+      (* else: acquisition in flight (instances driven at grant) or we
+         cannot lead; per-instance timers cover both. *)
+  end
   else
     (* Re-route pending inputs to the new coordinator, in instance
        order. *)
@@ -573,7 +544,7 @@ let on_suspicion_change t =
           suggest_to_leader t i inst)
       t.instances
 
-(* Fast mode: an instance the lane has moved past — pruned, or at/below
+(* An instance the watermark has moved past — pruned, or at/below
    the consumed watermark without a recorded decision. The latter covers
    instances the host abandoned mid-flight (a pipelining window skipped
    past by a clock jump) and never-proposed gaps: per the [note_consumed]
@@ -582,42 +553,39 @@ let on_suspicion_change t =
    and timers for an instance nobody will ever finish. [found] is the
    caller's lookup of [instance]. *)
 let retired t instance found =
-  t.fast
-  && (instance <= t.pruned_upto
-     || (instance <= t.decided_upto
-        &&
-        match found with
-        | Some { decided = Some _; _ } -> false
-        | Some _ | None -> true))
-
-(* Fast mode: drive traffic for an already-decided instance is answered
-   with a point-to-point Decide (the reference mode's all-to-all Decide
-   makes this unnecessary there). Returns true when the message is fully
-   handled. Messages for retired instances are dropped: pruning only
-   happens once every non-suspected participant's watermark passed the
-   instance, so under an accurate detector no live peer still needs it,
-   and abandoned instances will never be consumed by anyone. *)
-let fast_handled t ~src instance found =
-  t.fast
-  && (retired t instance found
-     ||
+  instance <= t.pruned_upto
+  || instance <= t.decided_upto
+     &&
      match found with
-     | Some { decided = Some v; _ } ->
-       if src <> self t then
-         t.services.send ~dst:src
-           (t.wrap (Decide { instance; value = v; floor = gc_floor t }));
-       true
-     | _ -> false)
+     | Some { decided = Some _; _ } -> false
+     | Some _ | None -> true
+
+(* Drive traffic for an already-decided instance is answered with a
+   point-to-point Decide, except under all-to-all routing, where every
+   decider has already broadcast one. Returns true when the message is
+   fully handled. Messages for retired instances are dropped: pruning
+   only happens once every non-suspected participant's watermark passed
+   the instance, so under an accurate detector no live peer still needs
+   it, and abandoned instances will never be consumed by anyone. *)
+let already_handled t ~src instance found =
+  retired t instance found
+  ||
+  match found with
+  | Some { decided = Some v; _ } ->
+    if src <> self t && not t.all_to_all then
+      t.services.send ~dst:src
+        (t.wrap (Decide { instance; value = v; floor = gc_floor t }));
+    true
+  | _ -> false
 
 let handle t ~src m =
   match m with
   | Suggest { instance; value } ->
     let found = Window.find t.instances instance in
-    if not (fast_handled t ~src instance found) then begin
+    if not (already_handled t ~src instance found) then begin
       let inst = instance_of t instance found in
       if inst.decided = None then begin
         if inst.proposal = None then inst.proposal <- Some value;
-        inst.engaged <- true;
         arm_timer t instance inst;
         if is_leader t then drive_as_leader t instance inst
       end
@@ -625,17 +593,13 @@ let handle t ~src m =
   | Prepare { instance; ballot } ->
     note_ballot t ballot;
     let found = Window.find t.instances instance in
-    if not (fast_handled t ~src instance found) then begin
+    if not (already_handled t ~src instance found) then begin
       let inst = instance_of t instance found in
-      (* Reference mode also answers a re-sent [Prepare] (see [retry]) for
-         the ballot it promised last: promising a ballot again is
-         idempotent. *)
-      if
-        ballot > eff_promised t inst
-        || ((not t.fast) && ballot = inst.promised)
-      then begin
+      (* A re-sent [Prepare] (see [retry]) for the ballot promised last is
+         answered again: it reports the current accepted state and adds
+         no new commitment (DESIGN.md §4 argues why that is safe). *)
+      if ballot > eff_promised t inst || ballot = inst.promised then begin
         inst.promised <- ballot;
-        inst.engaged <- true;
         arm_timer t instance inst;
         t.services.send ~dst:src
           (t.wrap (Promise { instance; ballot; accepted = inst.accepted }))
@@ -643,7 +607,7 @@ let handle t ~src m =
     end
   | Promise { instance; ballot; accepted } ->
     let found = Window.find t.instances instance in
-    if not (fast_handled t ~src instance found) then begin
+    if not (already_handled t ~src instance found) then begin
       let inst = instance_of t instance found in
       if inst.leading = ballot && not inst.phase1_done then begin
         add_promise t inst (rank t src) accepted;
@@ -656,7 +620,7 @@ let handle t ~src m =
   | Accept { instance; ballot; value } ->
     note_ballot t ballot;
     let found = Window.find t.instances instance in
-    if not (fast_handled t ~src instance found) then begin
+    if not (already_handled t ~src instance found) then begin
       let inst = instance_of t instance found in
       if ballot >= eff_promised t inst then begin
         accept_locally t instance inst ~ballot ~value;
@@ -683,21 +647,24 @@ let handle t ~src m =
     let found = Window.find t.instances instance in
     if not (retired t instance found) then begin
       let inst = instance_of t instance found in
-      (* Fast mode: the announcing coordinator already reached everyone;
-         re-broadcasting would reinstate the O(n²) decide storm. *)
-      decide ~announce:(not t.fast) t instance inst value
+      (* Coordinator-only: the announcing coordinator already reached
+         everyone; re-broadcasting would reinstate the O(n²) decide storm. *)
+      decide ~announce:t.all_to_all t instance inst value
     end
     else maybe_gc t
   | Lease_prepare { ballot } ->
     note_ballot t ballot;
     if ballot > t.promise_floor then begin
       t.promise_floor <- ballot;
+      (* Decided instances too: the promise may be the only one of the
+         leader's majority from an acceptor that took part in choosing a
+         value the leader has not learned yet (DESIGN.md §4). *)
       let accepted =
         Window.fold
           (fun i inst acc ->
             match inst.accepted with
-            | Some (b, v) when inst.decided = None -> (i, b, v) :: acc
-            | _ -> acc)
+            | Some (b, v) -> (i, b, v) :: acc
+            | None -> acc)
           t.instances []
         |> List.rev
       in
@@ -713,7 +680,6 @@ let handle t ~src m =
              would resurrect them). *)
           if i > t.decided_upto && i > t.pruned_upto then begin
             let inst = get_instance t i in
-            inst.engaged <- true;
             add_promise t inst r (Some (b, v))
           end)
         accepted;
@@ -745,7 +711,7 @@ let note_consumed t ~upto =
   end
 
 let create ~services ~wrap ~participants ~detector
-    ?(timeout = Sim_time.of_ms 200) ?(fast_lanes = true) ~on_decide () =
+    ?(timeout = Sim_time.of_ms 200) ?(all_to_all = false) ~on_decide () =
   let participants =
     Array.of_list (List.sort_uniq Int.compare participants)
   in
@@ -763,7 +729,7 @@ let create ~services ~wrap ~participants ~detector
       self_rank = !self_rank;
       detector;
       timeout;
-      fast = fast_lanes;
+      all_to_all;
       on_decide;
       instances = Window.create ();
       decided_upto = 0;

@@ -13,63 +13,63 @@
     - a participant that proposed (or adopted acceptor state) arms a
       decision timeout; on expiry — or on a suspicion change — the smallest
       non-suspected participant takes over with a higher ballot of its own.
-      In reference mode a coordinator whose ballot is still in phase 1
-      and not preempted re-sends its [Prepare] instead, at up to [2^r]
-      timeouts in a row for a ballot of round [r = ballot / n] (capped at
-      64), so a round trip as long as the timeout cannot livelock it.
+      A leader whose ballot is still in phase 1 and not preempted re-sends
+      its [Prepare] instead, at up to [2^r] timeouts in a row for a ballot
+      of round [r = ballot / n] (capped at 64), so a round trip as long as
+      the timeout cannot livelock it.
 
-    The module runs in one of two modes, selected by [?fast_lanes]:
-
-    {b Reference mode} ([fast_lanes = false]) is the all-to-all message
-    pattern: every acceptor broadcasts [Accepted] to all participants and
-    every decider broadcasts [Decide] once, so a failure-free instance
-    costs an [Accept] fan-out plus an all-to-all [Accepted] and an
-    all-to-all [Decide] (2n² + 2n − 1 messages). Two baselines need it at
-    run time: the ring baseline, whose inter-group fan-outs are gated on
-    each member's own [Decide], and the scalable baseline, whose
-    participants span groups. Under a coordinator-only [Decide] their
-    inter-group message counts would change.
-
-    {b Fast mode} ([fast_lanes = true], the default) is the Multi-Paxos
-    steady state:
+    It is one protocol, the Multi-Paxos steady state:
 
     - {e coordinator lease}: a stable leader pre-promises a ballot once for
       {e all} instances ([Lease_prepare]/[Lease_promise], generalizing the
       ballot-0 fast path to any leader) and skips phase 1 per instance;
-    - {e single-shot vote and decide}: acceptors send [Accepted] only to
-      the ballot's coordinator, which alone counts votes and broadcasts
+    - {e single-shot vote}: an acceptor votes once per ballot with one
+      [Accepted];
+    - {e decided-instance GC}: watermarks piggybacked on [Accepted] give
+      every vote counter a floor below which every non-suspected
+      participant has decided; the floor rides on [Decide] and each
+      process prunes its instance table up to [min floor own_watermark].
+      With an accurate detector (the oracle) pruning is always safe; under
+      a wrongly-suspecting ◇P a falsely suspected process may have to wait
+      for its next instances instead of back-filling a pruned one.
+
+    {b Routing} ([?all_to_all]) is the one choice a host makes, and it
+    only decides where votes and decisions go:
+
+    - coordinator-only (the default): acceptors send [Accepted] to the
+      ballot's coordinator, which alone counts votes and broadcasts
       [Decide] — 4n − 1 messages per steady-state instance; stragglers
       recover via their decision timers, answered by point-to-point
       [Decide] replies from any decided participant;
-    - {e decided-instance GC}: watermarks piggybacked on [Accepted] let the
-      coordinator compute a floor below which every non-suspected
-      participant has decided; the floor rides on [Decide] and each process
-      prunes its instance table up to [min floor own_watermark]. With an
-      accurate detector (the oracle) pruning is always safe; under a
-      wrongly-suspecting ◇P a falsely suspected process may have to wait
-      for its next instances instead of back-filling a pruned one.
+    - all-to-all: every acceptor broadcasts [Accepted] to all participants
+      and every decider broadcasts [Decide] once (2n² + 2n − 1 messages),
+      so every participant learns the decision from its own vote count or
+      a [Decide] without waiting for the coordinator. The ring baseline
+      needs it, because its inter-group fan-outs are gated on each
+      member's own [Decide], and so does the scalable baseline, whose
+      participants span groups: under a coordinator-only [Decide] their
+      inter-group message counts would change.
 
-    Both modes decide the same values (Paxos safety is mode-independent —
-    the lease majority intersects every chosen quorum); only the
-    {e intra-group} message complexity differs, so the paper's inter-group
-    metrics are unaffected.
+    Both routings decide the same values (Paxos safety does not depend on
+    who counts votes); only the {e intra-group} message complexity
+    differs, so the paper's inter-group metrics are unaffected.
 
     Instances are independent; decisions may be reported out of order and
     callers sequence them as they see fit (both A1 and A2 consume decisions
-    strictly in their own instance order).
+    strictly in their own instance order). Hosts number instances from 1:
+    instance 0 is at or below the initial GC floor and counts as retired.
 
     {b State layout.} Instance records live in a {!Window}, a ring indexed
-    by instance number whose capacity follows the live instance span (in
-    fast mode the GC floor bounds it; the reference mode never prunes).
-    Suspicion changes and lease grants walk it in ascending instance
-    order. Everything inside an instance is indexed by participant rank
-    (the position in the sorted participant array). Phase-1 promises are
-    a presence byte string plus an array of accepted states, allocated at
-    the first promise. Votes are a short list with one entry per ballot,
-    each a presence byte string and a count. Ballot values are an
-    association list. Both modes use this layout. A message costs one
-    ring probe, shared by the retirement check, the decided-instance reply
-    and instance creation, plus a few array writes.
+    by instance number whose capacity follows the live instance span (the
+    GC floor bounds it). Suspicion changes and lease grants walk it in
+    ascending instance order. Everything inside an instance is indexed by
+    participant rank (the position in the sorted participant array).
+    Phase-1 promises are a presence byte string plus an array of accepted
+    states, allocated at the first promise. Votes are a short list with
+    one entry per ballot, each a presence byte string and a count. Ballot
+    values are an association list. A message costs one ring probe,
+    shared by the retirement check, the decided-instance reply and
+    instance creation, plus a few array writes.
 
     The implementation halts: once an instance decides, every timer for it
     is cancelled and each process sends at most one more [Decide], so runs
@@ -93,7 +93,7 @@ val create :
   participants:Net.Topology.pid list ->
   detector:Fd.Detector.t ->
   ?timeout:Des.Sim_time.t ->
-  ?fast_lanes:bool ->
+  ?all_to_all:bool ->
   on_decide:(instance:int -> 'v -> unit) ->
   unit ->
   ('v, 'w) t
@@ -101,9 +101,9 @@ val create :
     include the local process and be identical everywhere) fixes the quorum
     system: a majority of participants. [on_decide] fires exactly once per
     instance, with the decided value. [timeout] (default 200ms) is the
-    decision timeout that triggers coordinator rotation. [fast_lanes]
-    (default true) selects the Multi-Paxos steady-state message pattern
-    (see the module docs); pass [false] for the reference pattern. *)
+    decision timeout that triggers coordinator rotation. [all_to_all]
+    (default false) routes votes and decisions to every participant
+    instead of through the coordinator (see the module docs). *)
 
 val propose : ('v, 'w) t -> instance:int -> 'v -> unit
 (** Submit the local proposal for an instance. At most one proposal per
@@ -114,11 +114,12 @@ val handle : ('v, 'w) t -> src:Net.Topology.pid -> 'v msg -> unit
 (** Feed an incoming consensus message. *)
 
 val note_consumed : ('v, 'w) t -> upto:int -> unit
-(** Fast-lane watermark hook for hosts whose instance numbering skips
-    (A1's group clock can jump): declares that every instance [<= upto] is
-    either locally decided or will never be proposed by anyone, letting the
-    GC watermark advance across the gaps. Reference-mode hosts (ring,
-    scalable) never call it: their watermark stays 0. *)
+(** Watermark hook for hosts whose instance numbering skips (A1's group
+    clock can jump): declares that every instance [<= upto] is either
+    locally decided or will never be proposed by anyone, letting the GC
+    watermark advance across the gaps. Hosts that decide every instance
+    in turn (ring, scalable) never call it: their decisions advance the
+    watermark. *)
 
 val retained_instances : ('v, 'w) t -> int
 (** Number of instance records currently held (decided-but-unpruned plus
@@ -128,7 +129,7 @@ val pruned_upto : ('v, 'w) t -> int
 (** Instances [1..pruned_upto] have been decided and reclaimed. *)
 
 val decided_upto : ('v, 'w) t -> int
-(** The local contiguous-decided watermark (fast mode; 0 in reference). *)
+(** The local contiguous-decided watermark. *)
 
 val holds_lease : ('v, 'w) t -> bool
 (** Whether the local process currently holds a coordinator lease. *)

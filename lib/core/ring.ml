@@ -247,14 +247,13 @@ let create ~services ~config ~deliver =
          ~detector
          ~timeout:config.Protocol.Config.consensus_timeout
            (* Decide timing gates the inter-group Handoff/Final fan-outs
-              here: with the coordinator-only Decide of the fast lane, the
-              first member's Final overtakes the others' Decide and
-              suppresses their (redundant) fan-outs, changing the
-              inter-group message pattern. The fast lanes must stay an
-              intra-group economy, so this consensus always runs the
-              all-to-all reference pattern (the Figure 1 pins fail
+              here: with a coordinator-only Decide, the first member's
+              Final overtakes the others' Decide and suppresses their
+              (redundant) fan-outs, changing the inter-group message
+              pattern. Every member must learn the decision itself, so
+              votes and decisions go all-to-all (the Figure 1 pins fail
               otherwise). *)
-         ~fast_lanes:false
+         ~all_to_all:true
          ~on_decide:(fun ~instance v ->
            Consensus.Window.set t.decisions instance v;
            process_decisions t)

@@ -61,11 +61,11 @@ let consensus_for t e =
         ~participants:(Msg.dest_pids t.services.Services.topology m)
         ~detector
         ~timeout:t.config.Protocol.Config.consensus_timeout
-          (* The participants here span groups: the fast lanes are an
-             intra-group economy and would alter the protocol's inter-group
-             message counts, so this consensus always runs the all-to-all
-             reference pattern (the Figure 1 pins fail otherwise). *)
-        ~fast_lanes:false
+          (* The participants here span groups: a coordinator-only vote
+             and Decide would alter the protocol's inter-group message
+             counts, so votes and decisions go all-to-all (the Figure 1
+             pins fail otherwise). *)
+        ~all_to_all:true
         ~on_decide:(fun ~instance:_ ts ->
           t.undecided <- Int_map.remove n t.undecided;
           if not (Stamp_order.is_final e) then
@@ -82,7 +82,7 @@ let maybe_propose t e =
   match Stamp_order.complete e with
   | Some max_ts when not a.proposed ->
     a.proposed <- true;
-    Consensus.Paxos.propose (consensus_for t e) ~instance:0 max_ts
+    Consensus.Paxos.propose (consensus_for t e) ~instance:1 max_ts
   | Some _ | None -> ()
 
 let on_data t (m : Msg.t) =

@@ -19,6 +19,18 @@ let stream topo seed n kmax =
     ~arrival:(`Every (Sim_time.of_ms 15))
     ()
 
+(* Each stream test runs under an event budget of five times its clean
+   run's count, so a runaway (a protocol that re-proposes or re-delivers
+   forever) fails as an assertion instead of growing until memory runs
+   out. *)
+let within_budget ~clean run =
+  let max_steps = 5 * clean in
+  match run ~max_steps with
+  | r -> r
+  | exception Failure msg ->
+    Alcotest.failf "%s: budget %d events, a clean run takes %d" msg max_steps
+      clean
+
 (* ---------- Skeen ---------- *)
 
 let test_skeen_degree_two () =
@@ -31,7 +43,10 @@ let test_skeen_degree_two () =
 
 let test_skeen_stream () =
   let topo = Topology.symmetric ~groups:3 ~per_group:2 in
-  let r = RSkeen.run topo (stream topo 41 25 3) in
+  let r =
+    within_budget ~clean:518 (fun ~max_steps ->
+        RSkeen.run ~max_steps topo (stream topo 41 25 3))
+  in
   Util.check_no_violations "safety"
     (Harness.Checker.check_all ~expect_genuine:true r);
   Alcotest.(check int) "all delivered" 25 (Harness.Metrics.delivered_count r)
@@ -53,7 +68,10 @@ let test_ring_degree_k_plus_one () =
 
 let test_ring_stream () =
   let topo = Topology.symmetric ~groups:3 ~per_group:2 in
-  let r = RRing.run topo (stream topo 42 20 3) in
+  let r =
+    within_budget ~clean:668 (fun ~max_steps ->
+        RRing.run ~max_steps topo (stream topo 42 20 3))
+  in
   Util.check_no_violations "safety"
     (Harness.Checker.check_all ~expect_genuine:true r);
   Alcotest.(check int) "all delivered" 20 (Harness.Metrics.delivered_count r)
@@ -66,6 +84,29 @@ let test_ring_crash_member () =
       (single ~origin:0 ~dest:[ 0; 1 ])
   in
   Util.check_no_violations "safety" (Harness.Checker.check_all r)
+
+(* Ring's consensus prunes decided instances. Every message a process
+   delivers was stamped by its group in an instance of its own, so the
+   delivered count bounds the decided instances from below; after a
+   crash-free stream each process keeps at most two records, whatever
+   the stream's length. *)
+let prop_ring_bounded_consensus (seed, n) =
+  let topo = Topology.symmetric ~groups:3 ~per_group:3 in
+  let d = RRing.deploy ~seed topo in
+  ignore (RRing.schedule d (stream topo seed n 3));
+  let r = RRing.run_deployment d in
+  List.for_all
+    (fun pid ->
+      let delivered = List.length (Harness.Run_result.sequence_of r pid) in
+      let retained =
+        List.assoc "cons.instances" (Amcast.Ring.stats (RRing.node d pid))
+      in
+      (retained <= 2 && 4 * retained <= delivered)
+      || QCheck2.Test.fail_reportf
+           "seed=%d n=%d: p%d retains %d instance records after %d \
+            deliveries"
+           seed n pid retained delivered)
+    (Topology.all_pids topo)
 
 (* ---------- Scalable [10] ---------- *)
 
@@ -81,7 +122,10 @@ let test_scalable_degree_four () =
 
 let test_scalable_stream () =
   let topo = Topology.symmetric ~groups:3 ~per_group:2 in
-  let r = RScal.run topo (stream topo 43 20 3) in
+  let r =
+    within_budget ~clean:1123 (fun ~max_steps ->
+        RScal.run ~max_steps topo (stream topo 43 20 3))
+  in
   Util.check_no_violations "safety"
     (Harness.Checker.check_all ~expect_genuine:true r);
   Alcotest.(check int) "all delivered" 20 (Harness.Metrics.delivered_count r)
@@ -108,7 +152,9 @@ let test_sequencer_stream_total_order () =
       ~arrival:(`Every (Sim_time.of_ms 12))
       ()
   in
-  let r = RSeq.run topo w in
+  let r =
+    within_budget ~clean:705 (fun ~max_steps -> RSeq.run ~max_steps topo w)
+  in
   Util.check_no_violations "safety" (Harness.Checker.check_all r);
   Alcotest.(check int) "all delivered" 15 (Harness.Metrics.delivered_count r)
 
@@ -184,7 +230,10 @@ let test_via_broadcast_filters () =
 
 let test_via_broadcast_order_with_streams () =
   let topo = Topology.symmetric ~groups:3 ~per_group:2 in
-  let r = RVia.run topo (stream topo 45 20 2) in
+  let r =
+    within_budget ~clean:372 (fun ~max_steps ->
+        RVia.run ~max_steps topo (stream topo 45 20 2))
+  in
   Util.check_no_violations "safety" (Harness.Checker.check_all r);
   Alcotest.(check int) "all delivered" 20 (Harness.Metrics.delivered_count r)
 
@@ -255,7 +304,10 @@ let test_fritzke_more_consensus_than_a1 () =
 
 let test_fritzke_stream () =
   let topo = Topology.symmetric ~groups:3 ~per_group:2 in
-  let r = RFrz.run topo (stream topo 47 15 3) in
+  let r =
+    within_budget ~clean:672 (fun ~max_steps ->
+        RFrz.run ~max_steps topo (stream topo 47 15 3))
+  in
   Util.check_no_violations "safety"
     (Harness.Checker.check_all ~expect_genuine:true r);
   Alcotest.(check int) "all delivered" 15 (Harness.Metrics.delivered_count r)
@@ -363,6 +415,9 @@ let suites =
         Alcotest.test_case "degree k+1" `Quick test_ring_degree_k_plus_one;
         Alcotest.test_case "random stream" `Quick test_ring_stream;
         Alcotest.test_case "crash of a member" `Quick test_ring_crash_member;
+        Util.qcheck_case ~count:20 ~name:"bounded consensus state"
+          QCheck2.Gen.(pair (int_bound 10_000) (int_range 20 40))
+          prop_ring_bounded_consensus;
       ] );
     ( "scalable",
       [

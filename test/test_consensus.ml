@@ -10,11 +10,11 @@ type deployment = {
   decisions : (Topology.pid * int * string) list ref; (* pid, instance, v *)
 }
 
-let deploy ?(seed = 0) ?(oracle_delay = Sim_time.of_ms 10)
-    ?(timeout = Sim_time.of_ms 200) ?(on_wrap = fun _ _ -> ()) topology =
+let deploy ?(seed = 0) ?(latency = Util.crisp_latency)
+    ?(oracle_delay = Sim_time.of_ms 10) ?(timeout = Sim_time.of_ms 200)
+    ?(on_wrap = fun _ _ -> ()) ?participants topology =
   let engine =
-    Engine.create ~seed ~latency:Util.crisp_latency ~tag:Consensus.Paxos.tag
-      topology
+    Engine.create ~seed ~latency ~tag:Consensus.Paxos.tag topology
   in
   let decisions = ref [] in
   let n = Topology.n_processes topology in
@@ -30,7 +30,10 @@ let deploy ?(seed = 0) ?(oracle_delay = Sim_time.of_ms 10)
                   on_wrap pid m;
                   m)
                 ~participants:
-                  (Topology.members topology (Topology.group_of topology pid))
+                  (match participants with
+                  | Some ps -> ps
+                  | None ->
+                    Topology.members topology (Topology.group_of topology pid))
                 ~detector ~timeout
                 ~on_decide:(fun ~instance v ->
                   decisions := (pid, instance, v) :: !decisions)
@@ -219,6 +222,44 @@ let test_reroute_in_instance_order () =
         (List.length (decisions_of d ~instance:i)))
     instances
 
+(* A lease promise must report what the promiser accepted even for an
+   instance it has decided. Five one-process groups, so that links can be
+   held group by group, every link 1 ms, one Paxos over all five. p0
+   leads ballot 0 and gets "v" accepted by p0, p2 and p3 (chosen) while
+   its Accept to p1 and p4 is held; it decides and crashes with its
+   Decide reaching only p2. p1 takes over with a lease: the promises of
+   p2 (decided) and p4 grant it, and p3's, which carries v, is held past
+   the grant. A promise that skips decided instances lets p1 push its
+   own "w", which p1, p3 and p4 accept while p2's Decide reply is held:
+   p1, p3 and p4 decide w, p0 and p2 v. *)
+let test_lease_promise_reports_decided () =
+  let topo = Topology.make ~sizes:[ 1; 1; 1; 1; 1 ] in
+  let ms1 = Sim_time.of_ms 1 in
+  let d =
+    deploy
+      ~latency:(Latency.uniform ~intra:ms1 ~inter:ms1 ())
+      ~timeout:(Sim_time.of_ms 60) ~participants:(Topology.all_pids topo)
+      topo
+  in
+  let hold ~src ~dst until =
+    Network.hold (Engine.network d.engine) ~src_group:src ~dst_group:dst
+      ~until
+  in
+  hold ~src:0 ~dst:1 (Sim_time.of_ms 1_000);
+  hold ~src:0 ~dst:4 (Sim_time.of_ms 1_000);
+  hold ~src:3 ~dst:1 (Sim_time.of_us 15_500);
+  propose_at d ~at:ms1 ~pid:0 ~instance:1 "v";
+  propose_at d ~at:ms1 ~pid:1 ~instance:1 "w";
+  Engine.schedule_crash ~drop:(Engine.Lose_to [ 1; 3; 4 ]) d.engine
+    ~at:(Sim_time.of_us 3_100) 0;
+  Engine.at d.engine (Sim_time.of_us 15_200) (fun () ->
+      hold ~src:2 ~dst:1 (Sim_time.of_ms 40));
+  Engine.run d.engine;
+  Alcotest.(check (list (pair int string)))
+    "every process decides v"
+    (List.map (fun p -> (p, "v")) (Topology.all_pids topo))
+    (decisions_of d ~instance:1)
+
 let suites =
   [
     ( "consensus",
@@ -238,6 +279,8 @@ let suites =
           test_no_proposal_no_traffic;
         Alcotest.test_case "re-routed Suggests in instance order" `Quick
           test_reroute_in_instance_order;
+        Alcotest.test_case "lease promise reports decided instances" `Quick
+          test_lease_promise_reports_decided;
       ] );
   ]
 
@@ -326,10 +369,10 @@ let suites =
     ]
 
 (* Golden pin for the recovery paths: coordinator crashes mid-instance,
-   an FD storm that forces false suspicions (and, in fast mode, lease
-   re-acquisition), and promises that must carry values accepted under an
-   earlier ballot. Each cell runs one 5-process group in fast or
-   reference mode, on the oracle or the heartbeat detector, and is
+   an FD storm that forces false suspicions and lease re-acquisition, and
+   promises that must carry values accepted under an earlier ballot. Each
+   cell runs one 5-process group under coordinator-only or all-to-all
+   routing, on the oracle or the heartbeat detector, and is
    reduced to per-tag consensus send counts, the number of received
    [Promise]/[Lease_promise] messages that carried accepted state, every
    decided (pid, instance, value) and the executed event count. The
@@ -340,7 +383,7 @@ type golden_wire = GHb of Fd.Heartbeat.msg | GPx of string Consensus.Paxos.msg
 type detector_kind = Oracle | Heartbeats
 
 type golden_cell = {
-  g_fast : bool;
+  g_all_to_all : bool;
   g_detector : detector_kind;
   g_setup :
     golden_wire Engine.t ->
@@ -388,7 +431,7 @@ let golden_run cell =
                Consensus.Paxos.create ~services
                  ~wrap:(fun m -> GPx m)
                  ~participants:parts ~detector ~timeout:(Sim_time.of_ms 60)
-                 ~fast_lanes:cell.g_fast
+                 ~all_to_all:cell.g_all_to_all
                  ~on_decide:(fun ~instance v ->
                    decisions := (pid, instance, v) :: !decisions)
                  ()
@@ -490,10 +533,11 @@ let storm engine endpoints =
    Accept is in flight under each detector's detection delay. *)
 let golden_cells =
   List.concat_map
-    (fun (fast, mode) ->
+    (fun (all_to_all, routing) ->
       let cell name detector setup =
-        ( Fmt.str name mode,
-          { g_fast = fast; g_detector = detector; g_setup = setup } )
+        ( Fmt.str name routing,
+          { g_all_to_all = all_to_all; g_detector = detector; g_setup = setup }
+        )
       in
       [
         cell "crash-mid %s oracle" Oracle crash_mid;
@@ -502,11 +546,11 @@ let golden_cells =
         cell "carry %s heartbeat" Heartbeats (carry ~p1_crash_us:29_000);
         cell "storm %s heartbeat" Heartbeats storm;
       ])
-    [ (true, "fast"); (false, "reference") ]
+    [ (false, "coordinator-only"); (true, "all-to-all") ]
 
 let golden_expected =
   [
-    ( "crash-mid fast oracle",
+    ( "crash-mid coordinator-only oracle",
       [
         "events=130 carried=3";
         "cons.accept=30 cons.accepted=21 cons.decide=20 "
@@ -517,7 +561,7 @@ let golden_expected =
         "p3 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
         "p4 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
       ] );
-    ( "crash-mid fast heartbeat",
+    ( "crash-mid coordinator-only heartbeat",
       [
         "events=2538 carried=3";
         "cons.accept=30 cons.accepted=21 cons.decide=20 "
@@ -528,7 +572,7 @@ let golden_expected =
         "p3 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
         "p4 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
       ] );
-    ( "carry fast oracle",
+    ( "carry coordinator-only oracle",
       [
         "events=57 carried=3";
         "cons.accept=15 cons.accepted=5 cons.decide=5 "
@@ -539,7 +583,7 @@ let golden_expected =
         "p3 1=b1";
         "p4 1=b1";
       ] );
-    ( "carry fast heartbeat",
+    ( "carry coordinator-only heartbeat",
       [
         "events=1896 carried=3";
         "cons.accept=15 cons.accepted=5 cons.decide=5 "
@@ -550,9 +594,9 @@ let golden_expected =
         "p3 1=b1";
         "p4 1=b1";
       ] );
-    ( "storm fast heartbeat",
+    ( "storm coordinator-only heartbeat",
       [
-        "events=3654 carried=12";
+        "events=3654 carried=29";
         "cons.accept=100 cons.accepted=61 cons.decide=90 "
         ^ "cons.lease_prepare=76 cons.lease_promise=52 cons.suggest=154";
         "p0 1=i1-p0 2=i2-p0 3=i3-p0 4=i4-p0 5=i5-p0 6=i6-p0 7=i7-p0 "
@@ -566,55 +610,55 @@ let golden_expected =
         "p4 1=i1-p0 2=i2-p0 3=i3-p0 4=i4-p0 5=i5-p0 6=i6-p0 7=i7-p0 "
         ^ "8=i8-p0 9=i9-p0 10=i10-p0 11=i11-p0 12=i12-p0";
       ] );
-    ( "crash-mid reference oracle",
+    ( "crash-mid all-to-all oracle",
       [
-        "events=262 carried=0";
+        "events=242 carried=3";
         "cons.accept=25 cons.accepted=85 cons.decide=80 "
-        ^ "cons.prepare=15 cons.promise=12 cons.suggest=25";
+        ^ "cons.lease_prepare=4 cons.lease_promise=3 cons.suggest=25";
         "p0";
         "p1 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
         "p2 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
         "p3 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
         "p4 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
       ] );
-    ( "crash-mid reference heartbeat",
+    ( "crash-mid all-to-all heartbeat",
       [
-        "events=2670 carried=0";
+        "events=2650 carried=3";
         "cons.accept=25 cons.accepted=85 cons.decide=80 "
-        ^ "cons.prepare=15 cons.promise=12 cons.suggest=25";
+        ^ "cons.lease_prepare=4 cons.lease_promise=3 cons.suggest=25";
         "p0";
         "p1 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
         "p2 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
         "p3 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
         "p4 1=i1-p0 2=i2-p1 3=i3-p1 4=i4-p1";
       ] );
-    ( "carry reference oracle",
+    ( "carry all-to-all oracle",
       [
-        "events=91 carried=3";
+        "events=87 carried=3";
         "cons.accept=15 cons.accepted=25 cons.decide=15 "
-        ^ "cons.prepare=10 cons.promise=7 cons.suggest=6";
+        ^ "cons.lease_prepare=8 cons.lease_promise=5 cons.suggest=6";
         "p0";
         "p1";
         "p2 1=b1";
         "p3 1=b1";
         "p4 1=b1";
       ] );
-    ( "carry reference heartbeat",
+    ( "carry all-to-all heartbeat",
       [
-        "events=1930 carried=3";
+        "events=1926 carried=3";
         "cons.accept=15 cons.accepted=25 cons.decide=15 "
-        ^ "cons.prepare=10 cons.promise=7 cons.suggest=6";
+        ^ "cons.lease_prepare=8 cons.lease_promise=5 cons.suggest=6";
         "p0";
         "p1";
         "p2 1=b1";
         "p3 1=b1";
         "p4 1=b1";
       ] );
-    ( "storm reference heartbeat",
+    ( "storm all-to-all heartbeat",
       [
-        "events=4189 carried=120";
-        "cons.accept=60 cons.accepted=300 cons.decide=300 "
-        ^ "cons.prepare=200 cons.promise=120 cons.suggest=88";
+        "events=4007 carried=39";
+        "cons.accept=80 cons.accepted=300 cons.decide=300 "
+        ^ "cons.lease_prepare=60 cons.lease_promise=42 cons.suggest=104";
         "p0 1=i1-p0 2=i2-p0 3=i3-p0 4=i4-p0 5=i5-p0 6=i6-p0 7=i7-p0 "
         ^ "8=i8-p0 9=i9-p0 10=i10-p0 11=i11-p0 12=i12-p0";
         "p1 1=i1-p0 2=i2-p0 3=i3-p0 4=i4-p0 5=i5-p0 6=i6-p0 7=i7-p0 "

@@ -1,19 +1,19 @@
-(* Tests for the steady-state message path (the fast lanes). Paxos keeps
-   two patterns, because the ring and scalable baselines run the
-   all-to-all one: both must decide the same values, and the Multi-Paxos
-   pattern must hold a lease and prune decided instances. The uniform
-   reliable multicast must meet its spec under a crashing caster and
-   reclaim its entries; the fritzke baseline must run the caller's
-   config; and small crash-free campaigns of every protocol must come
-   out clean. Complements bench/msgpath_bench.exe, which measures the
-   Figure 1 workloads cell by cell. *)
+(* Tests for the steady-state message path (the fast lanes). Paxos is one
+   protocol with two routings of its votes and decisions, because the
+   ring and scalable baselines run the all-to-all one: both must decide
+   the same values, hold a coordinator lease and prune decided
+   instances. The uniform reliable multicast must meet its spec under a
+   crashing caster and reclaim its entries; the fritzke baseline must
+   run the caller's config; and small crash-free campaigns of every
+   protocol must come out clean. Complements bench/msgpath_bench.exe,
+   which measures the Figure 1 workloads cell by cell. *)
 
 open Des
 open Net
 open Runtime
 
 (* ------------------------------------------------------------------ *)
-(* Consensus: a one-group Paxos deployment, parameterised by mode. *)
+(* Consensus: a one-group Paxos deployment, parameterised by routing. *)
 
 type cdep = {
   engine : string Consensus.Paxos.msg Engine.t;
@@ -21,7 +21,7 @@ type cdep = {
   decisions : (Topology.pid * int * string) list ref;
 }
 
-let consensus_deploy ~fast_lanes ~seed ~per_group =
+let consensus_deploy ~all_to_all ~seed ~per_group =
   let topo = Topology.symmetric ~groups:1 ~per_group in
   let engine =
     Engine.create ~seed ~latency:Util.crisp_latency ~tag:Consensus.Paxos.tag
@@ -39,7 +39,7 @@ let consensus_deploy ~fast_lanes ~seed ~per_group =
             let ep =
               Consensus.Paxos.create ~services ~wrap:Fun.id
                 ~participants:(Topology.members topo 0)
-                ~detector ~timeout:(Sim_time.of_ms 60) ~fast_lanes
+                ~detector ~timeout:(Sim_time.of_ms 60) ~all_to_all
                 ~on_decide:(fun ~instance v ->
                   decisions := (pid, instance, v) :: !decisions)
                 ()
@@ -83,8 +83,8 @@ let cons_scenario_gen =
 
 (* One run: every process proposes in every instance; decisions grouped by
    instance. *)
-let cons_run ~fast_lanes (s : cons_scenario) =
-  let d = consensus_deploy ~fast_lanes ~seed:s.c_seed ~per_group:s.c_d in
+let cons_run ~all_to_all (s : cons_scenario) =
+  let d = consensus_deploy ~all_to_all ~seed:s.c_seed ~per_group:s.c_d in
   (match s.c_crash with
   | Some (victim, at) ->
     Engine.schedule_crash ~drop:Engine.Lose_all_inflight d.engine
@@ -105,32 +105,33 @@ let cons_run ~fast_lanes (s : cons_scenario) =
         !(d.decisions)
       |> List.sort_uniq compare)
 
-(* Both modes decide, agree within the run, and decide the same value per
-   instance. *)
+(* Both routings decide, agree within the run, and decide the same value
+   per instance. *)
 let prop_paxos_differential s =
-  let fast = cons_run ~fast_lanes:true s in
-  let reference = cons_run ~fast_lanes:false s in
+  let coordinator = cons_run ~all_to_all:false s in
+  let all_to_all = cons_run ~all_to_all:true s in
   List.for_all2
-    (fun f r ->
-      match (f, r) with
-      | [ vf ], [ vr ] ->
-        vf = vr
-        || QCheck2.Test.fail_reportf "%s: fast decided %s, reference %s"
-             (pp_cons_scenario s) vf vr
+    (fun c a ->
+      match (c, a) with
+      | [ vc ], [ va ] ->
+        vc = va
+        || QCheck2.Test.fail_reportf
+             "%s: coordinator-only decided %s, all-to-all %s"
+             (pp_cons_scenario s) vc va
       | [], _ | _, [] ->
         QCheck2.Test.fail_reportf "%s: an instance went undecided"
           (pp_cons_scenario s)
       | _ ->
         QCheck2.Test.fail_reportf "%s: disagreement within a run"
           (pp_cons_scenario s))
-    fast reference
+    coordinator all_to_all
 
 let test_lease_acquired () =
-  (* After a decided instance the fast-mode ballot-0 coordinator holds the
-     lease (phase 1 skipped from then on); the reference mode has no lease
-     machinery. *)
-  let run ~fast_lanes =
-    let d = consensus_deploy ~fast_lanes ~seed:0 ~per_group:3 in
+  (* After a decided instance the ballot-0 coordinator holds the lease
+     (phase 1 skipped from then on) under either routing; the
+     coordinator-only one sends fewer messages. *)
+  let run ~all_to_all =
+    let d = consensus_deploy ~all_to_all ~seed:0 ~per_group:3 in
     for i = 1 to 3 do
       Engine.at d.engine (Sim_time.of_ms i) (fun () ->
           Consensus.Paxos.propose d.endpoints.(0) ~instance:i
@@ -140,19 +141,21 @@ let test_lease_acquired () =
     ( Consensus.Paxos.holds_lease d.endpoints.(0),
       Network.sent_total (Engine.network d.engine) )
   in
-  let fast_lease, fast_msgs = run ~fast_lanes:true in
-  let ref_lease, ref_msgs = run ~fast_lanes:false in
-  Alcotest.(check bool) "fast coordinator holds lease" true fast_lease;
-  Alcotest.(check bool) "reference has no lease" false ref_lease;
+  let coord_lease, coord_msgs = run ~all_to_all:false in
+  let a2a_lease, a2a_msgs = run ~all_to_all:true in
+  Alcotest.(check bool) "coordinator-only: leader holds lease" true
+    coord_lease;
+  Alcotest.(check bool) "all-to-all: leader holds lease" true a2a_lease;
   Alcotest.(check bool)
-    (Fmt.str "fast sends fewer messages (%d < %d)" fast_msgs ref_msgs)
-    true (fast_msgs < ref_msgs)
+    (Fmt.str "coordinator-only sends fewer messages (%d < %d)" coord_msgs
+       a2a_msgs)
+    true
+    (coord_msgs < a2a_msgs)
 
 let test_instance_gc () =
-  (* Fast mode prunes decided instances below the watermark; the reference
-     mode retains every decided instance. *)
-  let run ~fast_lanes =
-    let d = consensus_deploy ~fast_lanes ~seed:0 ~per_group:3 in
+  (* Both routings prune decided instances below the watermark. *)
+  let run ~all_to_all =
+    let d = consensus_deploy ~all_to_all ~seed:0 ~per_group:3 in
     for i = 1 to 10 do
       Array.iteri
         (fun pid ep ->
@@ -165,23 +168,22 @@ let test_instance_gc () =
     ( Consensus.Paxos.retained_instances d.endpoints.(0),
       Consensus.Paxos.pruned_upto d.endpoints.(0) )
   in
-  let fast_retained, fast_pruned = run ~fast_lanes:true in
-  let ref_retained, ref_pruned = run ~fast_lanes:false in
-  Alcotest.(check int) "reference retains all 10" 10 ref_retained;
-  Alcotest.(check int) "reference prunes nothing" 0 ref_pruned;
-  Alcotest.(check bool)
-    (Fmt.str "fast retains fewer (%d < 10)" fast_retained)
-    true
-    (fast_retained < 10);
-  Alcotest.(check bool)
-    (Fmt.str "fast pruned a prefix (%d > 0)" fast_pruned)
-    true (fast_pruned > 0);
+  List.iter
+    (fun (name, all_to_all) ->
+      let retained, pruned = run ~all_to_all in
+      Alcotest.(check bool)
+        (Fmt.str "%s retains fewer (%d < 10)" name retained)
+        true (retained < 10);
+      Alcotest.(check bool)
+        (Fmt.str "%s pruned a prefix (%d > 0)" name pruned)
+        true (pruned > 0))
+    [ ("coordinator-only", false); ("all-to-all", true) ];
   (* An A1-style clock: [note_consumed] jumps the watermark over instance
      numbers nobody proposes, and one jump overtakes an instance still in
      flight. Pins (pruned_upto, decided_upto, retained_instances) at every
      process after each step; the followers prune one Decide behind the
      coordinator, which alone sees every peer's watermark. *)
-  let d = consensus_deploy ~fast_lanes:true ~seed:0 ~per_group:3 in
+  let d = consensus_deploy ~all_to_all:false ~seed:0 ~per_group:3 in
   let at_us us f = Engine.at d.engine (Sim_time.of_us us) f in
   let propose_all ~at instance =
     Array.iteri
@@ -367,7 +369,7 @@ let suites =
     ( "fast-lanes",
       [
         Util.qcheck_case ~count:40
-          ~name:"paxos: fast and reference decide the same values"
+          ~name:"paxos: both routings decide the same values"
           cons_scenario_gen prop_paxos_differential;
         Alcotest.test_case "paxos: coordinator lease" `Quick
           test_lease_acquired;

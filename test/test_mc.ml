@@ -164,6 +164,34 @@ let test_flexcast_hub_exhaustive () =
   Alcotest.(check int) "uniform outcome" 1 (List.length o.Explorer.outcome_digests);
   Alcotest.(check bool) "genuine on every schedule" true (o.Explorer.violation = None)
 
+(* ---------- the all-to-all consensus hosts: ring and scalable ---------- *)
+
+(* The cells [amcast_mc --protocol P --sizes S --casts 2 --reorder R]
+   explores: two casts from p0 to every group, 1 ms apart, built through
+   the same [Trace_file.cell] path. Ring and scalable are the two hosts
+   that route Paxos votes and decisions all-to-all; the counts pin the
+   explored state space. Scalable's two outcomes are two consistent
+   orders: its stamps depend on arrival order. *)
+let all_to_all_cell ~protocol ~sizes ~reorder_bound ~interleavings ~events
+    ~outcomes () =
+  let groups = List.init (List.length sizes) Fun.id in
+  let tf =
+    Trace_file.make ~reorder_bound
+      ~casts:[ (1_000, 0, groups, "m0"); (2_000, 0, groups, "m1") ]
+      ~protocol ~sizes ()
+  in
+  let cell =
+    match Trace_file.cell tf with Ok c -> c | Error e -> Alcotest.fail e
+  in
+  let o = cell.explore Explorer.default_opts in
+  let s = o.Explorer.stats in
+  Alcotest.(check bool) "exhaustive" true s.Explorer.exhaustive;
+  Alcotest.(check int) "interleavings" interleavings s.Explorer.interleavings;
+  Alcotest.(check int) "events" events s.Explorer.events;
+  Alcotest.(check int) "outcomes" outcomes
+    (List.length o.Explorer.outcome_digests);
+  Alcotest.(check bool) "clean" true (o.Explorer.violation = None)
+
 (* ---------- replay determinism ---------- *)
 
 let a1_2x2 () =
@@ -436,6 +464,16 @@ let suites =
           test_flexcast_2x2_exhaustive;
         Alcotest.test_case "flexcast on a hub: genuine on every schedule"
           `Quick test_flexcast_hub_exhaustive;
+        Alcotest.test_case "ring 2x2, 2 casts: exhaustive, uniform" `Quick
+          (all_to_all_cell ~protocol:"ring" ~sizes:[ 2; 2 ] ~reorder_bound:1
+             ~interleavings:8 ~events:9_545 ~outcomes:1);
+        Alcotest.test_case "scalable 2x2, 2 casts: exhaustive" `Quick
+          (all_to_all_cell ~protocol:"scalable" ~sizes:[ 2; 2 ]
+             ~reorder_bound:1 ~interleavings:21 ~events:96_595 ~outcomes:2);
+        Alcotest.test_case "scalable 1x2, 2 casts, delay bound 2" `Slow
+          (all_to_all_cell ~protocol:"scalable" ~sizes:[ 1; 2 ]
+             ~reorder_bound:2 ~interleavings:3_512 ~events:1_127_657
+             ~outcomes:1);
       ] );
     ( "mc.replay",
       [

@@ -120,8 +120,9 @@ let golden : (string * (int list * (string * int) list)) list =
         ],
         [
           ("cons.accept", 216); ("cons.accepted", 585); ("cons.decide", 585);
-          ("cons.prepare", 63); ("cons.promise", 42); ("cons.suggest", 119);
-          ("ring.final", 509); ("ring.handoff", 276); ("rm.data", 126)
+          ("cons.lease_prepare", 2); ("cons.lease_promise", 1);
+          ("cons.suggest", 122); ("ring.final", 509); ("ring.handoff", 276);
+          ("rm.data", 126)
         ] ) );
   ]
 

@@ -151,7 +151,7 @@ let golden : (string * (int list * (string * int) list)) list =
           625555723106652080; 488111150257532740; 488111150257532740
         ],
         [
-          ("cons.accept", 158); ("cons.accepted", 716); ("cons.decide", 716);
+          ("cons.accept", 158); ("cons.accepted", 712); ("cons.decide", 716);
           ("cons.suggest", 118); ("rm.data", 135); ("scalable.stamp", 558)
         ] ) );
   ]
