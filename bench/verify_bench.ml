@@ -39,8 +39,8 @@ type row = {
       (* integrity + validity + agreement + prefix + genuineness: linear
          passes over the slot index and the trace *)
   fast_causal_s : float;
-      (* vector-clock reachability rows + seen-bitset scan:
-         O(trace * processes + casts^2) *)
+      (* one cast-clock pass over the trace + one delivery scan:
+         O((trace + deliveries) * processes) *)
   fast_check_s : float;  (* core + causal *)
   naive_check_s : float option;  (* None beyond the comparison matrix *)
   violations_fast : int;

@@ -7,128 +7,131 @@ type t = {
   entries : Trace.entry array;
   (* program-order predecessor of each node (same process), -1 if first *)
   prev_on_pid : int array;
-  (* dense process index of each node, in order of first appearance *)
-  proc : int array;
-  n_procs : int;
   (* for a Receive node, the index of its matching Send, -1 if none *)
   msg_src : int array;
   casts : int Msg_id.Tbl.t;
 }
 
-let pid_of_entry = function
-  | Trace.Send { src; _ } -> src
-  | Trace.Receive { dst; _ } -> dst
-  | Trace.Cast { pid; _ }
-  | Trace.Deliver { pid; _ }
-  | Trace.Crash { pid; _ } ->
-    pid
+let kind_send = 0
+let kind_receive = 1
+let kind_cast = 2
+let kind_other = 3
+let actor node = (node lsr 2) land 0x3FFF_FFFF
+let peer node = node lsr 32
 
-let dst_of_entry = function
-  | Trace.Send { dst; _ } | Trace.Receive { dst; _ } -> dst
-  | Trace.Cast _ | Trace.Deliver _ | Trace.Crash _ ->
-    invalid_arg "Causal.dst_of_entry"
-
-let of_trace trace =
-  (* The trace keeps its entries newest first: fill the array from the
+(* The trace as flat int arrays, oldest first, so the passes below read
+   sequential ints instead of one boxed entry per event: [node.(i)] holds
+   the kind in bits 0-1, the acting pid (sender, receiver, caster) in
+   bits 2-31 and, for a Send or Receive, its destination above; [link.(i)]
+   is a Receive's matching Send (-1 elsewhere or if none). Also returns
+   the id of each Cast entry, oldest first, and the number of pids. *)
+let flatten trace =
+  (* The trace keeps its entries newest first: fill the arrays from the
      back instead of reversing the list. On the way, find the largest pid
      and the envelope-id range, which size the per-pid and per-envelope
      arrays below; engine envelope ids come from a counter, so that range
-     is dense. *)
+     is dense. [link] holds each message's envelope id until the chains
+     below replace it. *)
   let n = Trace.length trace in
-  let entries =
-    match Trace.entries_rev trace with
-    | [] -> [||]
-    | newest :: _ -> Array.make n newest
-  in
+  let node = Array.make n 0 and link = Array.make n (-1) in
+  let cast_ids = ref [] in
   let max_pid = ref (-1) and env_lo = ref max_int and env_hi = ref min_int in
+  let message i kind pid env dst =
+    node.(i) <- (dst lsl 32) lor (pid lsl 2) lor kind;
+    link.(i) <- env;
+    max_pid := Int.max !max_pid (Int.max pid dst);
+    env_lo := Int.min !env_lo env;
+    env_hi := Int.max !env_hi env
+  in
+  let local i kind pid =
+    node.(i) <- (pid lsl 2) lor kind;
+    max_pid := Int.max !max_pid pid
+  in
   List.iteri
     (fun k entry ->
-      entries.(n - 1 - k) <- entry;
-      max_pid := Int.max !max_pid (pid_of_entry entry);
+      let i = n - 1 - k in
       match entry with
-      | Trace.Send { env; dst; _ } | Trace.Receive { env; dst; _ } ->
-        max_pid := Int.max !max_pid dst;
-        env_lo := Int.min !env_lo env;
-        env_hi := Int.max !env_hi env
-      | Trace.Cast _ | Trace.Deliver _ | Trace.Crash _ -> ())
+      | Trace.Send { src; dst; env; _ } -> message i kind_send src env dst
+      | Trace.Receive { dst; env; _ } -> message i kind_receive dst env dst
+      | Trace.Cast { pid; id; _ } ->
+        local i kind_cast pid;
+        cast_ids := id :: !cast_ids
+      | Trace.Deliver { pid; _ } | Trace.Crash { pid; _ } ->
+        local i kind_other pid)
     (Trace.entries_rev trace);
+  if !max_pid >= 1 lsl 30 then invalid_arg "Causal: a pid is 2^30 or more";
   let n_pids = !max_pid + 1 in
   let n_envs = if !env_hi < !env_lo then 0 else !env_hi - !env_lo + 1 in
-  let prev_on_pid = Array.make n (-1) in
-  let proc = Array.make n 0 in
-  let msg_src = Array.make n (-1) in
-  let casts = Msg_id.Tbl.create 64 in
-  (* pid -> dense index (-1 before its first event) and its last node *)
-  let dense = Array.make n_pids (-1) in
-  let last = Array.make n_pids (-1) in
-  let n_procs = ref 0 in
-  (* Per envelope, the newest send and the newest receive; [older] chains
-     each node to the next older node of the same envelope and kind. *)
+  (* Per envelope, the newest send and the newest receive; [link] chains
+     each message to the next older one of the same envelope and kind,
+     and is overwritten with the match as the chains are consumed. *)
   let sends = Array.make n_envs (-1) in
   let recvs = Array.make n_envs (-1) in
-  let older = Array.make n (-1) in
-  Array.iteri
-    (fun i entry ->
-      (let pid = pid_of_entry entry in
-       let k = dense.(pid) in
-       if k < 0 then begin
-         dense.(pid) <- !n_procs;
-         proc.(i) <- !n_procs;
-         incr n_procs
-       end
-       else begin
-         proc.(i) <- k;
-         prev_on_pid.(i) <- last.(pid)
-       end;
-       last.(pid) <- i);
-      match entry with
-      | Trace.Send { env; _ } ->
-        let e = env - !env_lo in
-        older.(i) <- sends.(e);
-        sends.(e) <- i
-      | Trace.Receive { env; _ } ->
-        let e = env - !env_lo in
-        older.(i) <- recvs.(e);
-        recvs.(e) <- i
-      | Trace.Cast { id; _ } ->
-        if not (Msg_id.Tbl.mem casts id) then Msg_id.Tbl.replace casts id i
-      | Trace.Deliver _ | Trace.Crash _ -> ())
-    entries;
+  for i = 0 to n - 1 do
+    let kind = node.(i) land 3 in
+    if kind = kind_send || kind = kind_receive then begin
+      let heads = if kind = kind_send then sends else recvs in
+      let e = link.(i) - !env_lo in
+      link.(i) <- heads.(e);
+      heads.(e) <- i
+    end
+  done;
   (* A receive matches the last send logged under its (env, dst), and only
      when that send precedes it: a send logged later cannot be its cause.
      Per envelope, mark the newest send to each destination, resolve the
-     envelope's receives against the marks, then clear them. Each chain is
-     walked a bounded number of times, so matching is O(sends + receives)
-     however wide a broadcast fan-out is. *)
+     envelope's receives against the marks, then clear the marks and the
+     sends' links. Each chain is walked a bounded number of times, so
+     matching is O(sends + receives) however wide a broadcast fan-out is. *)
   let newest = Array.make n_pids (-1) in
   let rec mark s =
     if s >= 0 then begin
-      let d = dst_of_entry entries.(s) in
+      let d = peer node.(s) in
       if newest.(d) < 0 then newest.(d) <- s;
-      mark older.(s)
+      mark link.(s)
     end
   in
   let rec resolve r =
     if r >= 0 then begin
-      let s = newest.(dst_of_entry entries.(r)) in
-      if s >= 0 && s < r then msg_src.(r) <- s;
-      resolve older.(r)
+      let older = link.(r) in
+      let s = newest.(peer node.(r)) in
+      link.(r) <- (if s >= 0 && s < r then s else -1);
+      resolve older
     end
   in
   let rec unmark s =
     if s >= 0 then begin
-      newest.(dst_of_entry entries.(s)) <- -1;
-      unmark older.(s)
+      let older = link.(s) in
+      newest.(peer node.(s)) <- -1;
+      link.(s) <- -1;
+      unmark older
     end
   in
   for e = 0 to n_envs - 1 do
     if recvs.(e) >= 0 then begin
       mark sends.(e);
-      resolve recvs.(e);
-      unmark sends.(e)
-    end
+      resolve recvs.(e)
+    end;
+    unmark sends.(e)
   done;
-  { entries; prev_on_pid; proc; n_procs = !n_procs; msg_src; casts }
+  (node, link, !cast_ids, n_pids)
+
+let of_trace trace =
+  let node, msg_src, _, n_pids = flatten trace in
+  let entries = Array.of_list (Trace.entries trace) in
+  let prev_on_pid = Array.make (Array.length entries) (-1) in
+  let last = Array.make n_pids (-1) in
+  let casts = Msg_id.Tbl.create 64 in
+  Array.iteri
+    (fun i entry ->
+      let pid = actor node.(i) in
+      prev_on_pid.(i) <- last.(pid);
+      last.(pid) <- i;
+      match entry with
+      | Trace.Cast { id; _ } ->
+        if not (Msg_id.Tbl.mem casts id) then Msg_id.Tbl.replace casts id i
+      | Trace.Send _ | Trace.Receive _ | Trace.Deliver _ | Trace.Crash _ -> ())
+    entries;
+  { entries; prev_on_pid; msg_src; casts }
 
 (* Longest inter-group-hop distance from [root] to every node; [None] for
    causally unreachable nodes. *)
@@ -175,89 +178,67 @@ let latency_degree t id =
       t.entries;
     !best
 
-(* All-pairs cast reachability as bitset rows, from one forward pass that
-   keeps a vector clock per process: every event ticks its own process's
-   entry, a Send keeps a copy of the sender's clock, and a Receive first
-   merges the copy kept by its matching send. Cast [a] at process [pa]
-   with own counter [cnt_a] happened-before event [e] iff
-   [vc_e.(pa) >= cnt_a], since entry [pa] only grows along program order
-   and message edges. The pass costs O(trace * processes) time and memory
-   and the row fill O(casts^2), against O(casts * trace) for one
-   [distances] traversal per cast. Rows pack 63 cast indices per word,
-   which lets the causal checker intersect "everything this cast
-   precedes" with "everything delivered so far" a word at a time. *)
+(* Cast clocks from one forward pass that counts Cast entries only. Each
+   process holds a clock: per pid, how many of that pid's Cast entries
+   lie in its causal past. A clock array is never mutated once a process
+   holds it; a cast, or a receive that brings news, installs an updated
+   copy, and a receive whose sender's clock covers the receiver's adopts
+   that array. Installed clocks are numbered, and a send records the
+   number of its sender's clock in its spent [link] slot, so a send costs
+   one int write, not a copy. A receive of a clock its process has
+   already absorbed (a small per-process cache of numbers) is skipped
+   without comparing. Cast [a], the [c]-th Cast entry at [q],
+   happened-before the root of [b] iff [clock_b.(q) >= c]: entry [q] only
+   grows along program order and message edges. *)
 
-type reachability = {
-  r_ids : Msg_id.t array;
-  r_words : int;
-  r_succ : int array array;
-}
+type cast_clock = { id : Msg_id.t; caster : int; clock : int array }
 
-let cast_reachability t ids =
-  let dedup = Msg_id.Tbl.create 16 in
-  let nodes = ref [] in
-  List.iter
-    (fun id ->
-      if not (Msg_id.Tbl.mem dedup id) then begin
-        Msg_id.Tbl.replace dedup id ();
-        match Msg_id.Tbl.find_opt t.casts id with
-        | Some node -> nodes := (id, node) :: !nodes
-        | None -> ()
-      end)
-    ids;
-  let pairs = Array.of_list (List.rev !nodes) in
-  let n = Array.length pairs in
-  let r_ids = Array.map fst pairs in
-  let len = Array.length t.entries in
-  let np = t.n_procs in
-  (* Clock copies live in flat arrays, [np] entries per slot: one slot per
-     send that some receive matches, one per cast root. *)
-  let root_of = Array.make len (-1) in
-  Array.iteri (fun c (_, node) -> root_of.(node) <- c) pairs;
-  let sent_slot = Array.make len (-1) in
-  let n_sent = ref 0 in
-  Array.iter
-    (fun s ->
-      if s >= 0 && sent_slot.(s) < 0 then begin
-        sent_slot.(s) <- !n_sent;
-        incr n_sent
-      end)
-    t.msg_src;
-  let sent = Array.make (!n_sent * np) 0 in
-  let roots = Array.make (n * np) 0 in
-  let root_proc = Array.make n 0 in
-  let clock = Array.init np (fun _ -> Array.make np 0) in
-  for i = 0 to len - 1 do
-    let p = t.proc.(i) in
-    let vc = clock.(p) in
-    let s = t.msg_src.(i) in
-    if s >= 0 then begin
-      let base = sent_slot.(s) * np in
-      for k = 0 to np - 1 do
-        let v = sent.(base + k) in
-        if v > vc.(k) then vc.(k) <- v
-      done
-    end;
-    vc.(p) <- vc.(p) + 1;
-    let slot = sent_slot.(i) in
-    if slot >= 0 then Array.blit vc 0 sent (slot * np) np;
-    let c = root_of.(i) in
-    if c >= 0 then begin
-      root_proc.(c) <- p;
-      Array.blit vc 0 roots (c * np) np
+let cast_clocks trace =
+  let node, link, cast_ids, n_pids = flatten trace in
+  let zero = Array.make n_pids 0 in
+  let table = ref (Array.make 64 zero) and n_clocks = ref 1 in
+  let number clock =
+    if !n_clocks = Array.length !table then
+      table := Array.append !table (Array.make !n_clocks zero);
+    !table.(!n_clocks) <- clock;
+    incr n_clocks;
+    !n_clocks - 1
+  in
+  (* pid -> the number of its clock; all start at [zero], number 0 *)
+  let cur = Array.make n_pids 0 and absorbed = Array.make (8 * n_pids) (-1) in
+  let first = Msg_id.Tbl.create 64 and roots = ref [] and ids = ref cast_ids in
+  for i = 0 to Array.length node - 1 do
+    let p = actor node.(i) and kind = node.(i) land 3 in
+    if kind = kind_send then link.(i) <- cur.(p)
+    else if kind = kind_receive && link.(i) >= 0 then begin
+      let no = link.(link.(i)) in
+      let cached = (p lsl 3) lor (no land 7) in
+      if no <> cur.(p) && absorbed.(cached) <> no then begin
+        absorbed.(cached) <- no;
+        let sent = !table.(no) and mine = !table.(cur.(p)) in
+        let news = ref false and ahead = ref false in
+        for k = 0 to n_pids - 1 do
+          if sent.(k) > mine.(k) then news := true
+          else if sent.(k) < mine.(k) then ahead := true
+        done;
+        if !news then
+          cur.(p) <-
+            (if !ahead then number (Array.map2 Int.max sent mine) else no)
+      end
+    end
+    else if kind = kind_cast then begin
+      let clock = Array.copy !table.(cur.(p)) in
+      clock.(p) <- clock.(p) + 1;
+      cur.(p) <- number clock;
+      let id = List.hd !ids in
+      ids := List.tl !ids;
+      if not (Msg_id.Tbl.mem first id) then begin
+        Msg_id.Tbl.replace first id ();
+        roots := { id; caster = p; clock } :: !roots
+      end
     end
   done;
-  let r_words = (n + 62) / 63 in
-  let r_succ = Array.init n (fun _ -> Array.make r_words 0) in
-  for a = 0 to n - 1 do
-    let pa = root_proc.(a) and row = r_succ.(a) in
-    let cnt = roots.((a * np) + pa) in
-    for b = 0 to n - 1 do
-      if b <> a && roots.((b * np) + pa) >= cnt then
-        row.(b / 63) <- row.(b / 63) lor (1 lsl (b mod 63))
-    done
-  done;
-  { r_ids; r_words; r_succ }
+  Array.of_list (List.rev !roots)
 
 let causally_precedes t a b =
   match (Msg_id.Tbl.find_opt t.casts a, Msg_id.Tbl.find_opt t.casts b) with

@@ -25,12 +25,12 @@ type t
 val of_trace : Runtime.Trace.t -> t
 (** Builds the happened-before DAG of a recorded run in time and memory
     O(trace + largest pid + envelope-id range), with no hashing except
-    one table of cast ids. Pids must be non-negative. Engine envelope ids
-    come from a counter, so their range is at most the number of sends.
+    one table of cast ids. Pids must lie in \[0, 2{^30}). Engine envelope
+    ids come from a counter, so their range is at most the number of
+    sends.
     Matching walks each envelope's sends and receives a bounded number of
     times, however wide its fan-out. {!latency_degree} and
-    {!causally_precedes} then run one DAG traversal per query;
-    {!cast_reachability} runs one vector-clock pass for all casts. *)
+    {!causally_precedes} then run one DAG traversal per query. *)
 
 val latency_degree : t -> Runtime.Msg_id.t -> int option
 (** [latency_degree t id] is the causal-path latency degree of message
@@ -44,21 +44,21 @@ val causally_precedes :
   t -> Runtime.Msg_id.t -> Runtime.Msg_id.t -> bool
 (** [causally_precedes t a b] is whether the A-XCast of [a] happened-before
     the A-XCast of [b]. Each query runs a full DAG traversal; for all-pairs
-    questions build a {!reachability} instead. *)
+    questions use {!cast_clocks}. *)
 
-type reachability = {
-  r_ids : Runtime.Msg_id.t array;  (** Cast ids, in index order. *)
-  r_words : int;  (** Words per row; 63 indices per word. *)
-  r_succ : int array array;
-      (** Row [a]: bit [b] set iff the A-XCast of [r_ids.(a)]
-          happened-before the A-XCast of [r_ids.(b)]. *)
+type cast_clock = {
+  id : Runtime.Msg_id.t;
+  caster : int;  (** The pid of the id's first [Cast] entry, its A-XCast. *)
+  clock : int array;
+      (** Per pid, how many of that pid's [Cast] entries happened-before
+          or are this A-XCast. Never mutated. *)
 }
-(** The happened-before relation restricted to A-XCast events, as one
-    bitset row per cast. *)
 
-val cast_reachability : t -> Runtime.Msg_id.t list -> reachability
-(** [cast_reachability t ids] builds the relation over the (deduplicated)
-    ids that were actually cast, from one forward pass over the trace
-    that keeps a vector clock per process, then one comparison per cast
-    pair: O(trace * processes + casts^2), versus O(casts^2 * trace) for
-    pairwise {!causally_precedes} queries. *)
+val cast_clocks : Runtime.Trace.t -> cast_clock array
+(** The A-XCast of every id with a [Cast] entry, in trace order. The cast
+    [a] happened-before the cast [b <> a] iff
+    [b.clock.(a.caster) >= a.clock.(a.caster)]. One forward pass over the
+    trace, with the receive matching of {!of_trace}, in time
+    O(trace + processes * (casts + receives)). A send keeps no copy; a
+    clock is allocated only at a cast and at a receive that brings a cast
+    the receiver had not seen. *)

@@ -458,60 +458,68 @@ let genuineness ?overlay (r : Run_result.t) =
 let id_text (id : Msg_id.t) =
   "m" ^ Int.to_string id.origin ^ "." ^ Int.to_string id.seq
 
-(* Indexed causal order: build the all-pairs cast reachability bitsets
-   once (one vector-clock pass over the trace), then scan each delivery
-   sequence left to right keeping a "seen" bitset — a delivery of [m]
-   whose successor row intersects [seen] is a violation (some causally
-   later message was delivered first). Total cost O(trace * processes +
-   casts^2 + deliveries * casts/63) instead of O(casts^2 * trace). *)
+(* Indexed causal order from the cast clocks ({!Causal.cast_clocks}):
+   scan each delivery sequence left to right, keeping [seen], the
+   pointwise max of the clocks of the casts delivered so far. Delivering
+   [m], the [c]-th cast at [q], is a violation iff [seen.(q) >= c]: some
+   delivered message was cast causally after [m]. Only then are the pairs
+   named, from the delivered casts between [m] and the latest one in
+   trace order, reported in cast order. Total cost O(trace * processes +
+   deliveries * processes), plus that walk for each flagged delivery. *)
 let causal_delivery_order (r : Run_result.t) =
   require_trace "Checker.causal_delivery_order" r;
-  let causal = Causal.of_trace r.trace in
-  let ids =
-    List.map (fun (c : Run_result.cast_event) -> c.msg.Amcast.Msg.id) r.casts
-  in
-  let reach = Causal.cast_reachability causal ids in
+  let casts = Causal.cast_clocks r.trace in
   let idx = Run_result.index r in
-  (* slot -> reachability row, or -1 for an id with no traced cast *)
-  let row_of = Array.make idx.n_slots (-1) in
-  Array.iteri
-    (fun ia id ->
-      match Msg_id.Tbl.find_opt idx.slot_of_id id with
-      | Some s -> row_of.(s) <- ia
-      | None -> ())
-    reach.Causal.r_ids;
-  let words = reach.Causal.r_words in
+  (* cast index <-> slot, -1 for a traced cast missing from the cast log
+     and for a cast slot with no traced cast *)
+  let slot_of =
+    Array.map
+      (fun (c : Causal.cast_clock) ->
+        match Msg_id.Tbl.find_opt idx.slot_of_id c.id with
+        | Some s when s < idx.n_cast -> s
+        | Some _ | None -> -1)
+      casts
+  in
+  let cast_of = Array.make idx.n_cast (-1) in
+  Array.iteri (fun x s -> if s >= 0 then cast_of.(s) <- x) slot_of;
+  let width =
+    if Array.length casts = 0 then 0 else Array.length casts.(0).clock
+  in
+  (* cast index -> the last pid that delivered it *)
+  let delivered_by = Array.make (Array.length casts) (-1) in
   let violations = ref [] in
   Array.iteri
     (fun p seq ->
-      let seen = Array.make words 0 in
+      let seen = Array.make width 0 and latest = ref (-1) in
       Array.iter
         (fun k ->
-          let ia = row_of.(idx.del_slot.(k)) in
-          if ia >= 0 then
-            if seen.(ia / 63) land (1 lsl (ia mod 63)) = 0 then begin
-              let row = reach.Causal.r_succ.(ia) in
-              for w = 0 to words - 1 do
-                let inter = row.(w) land seen.(w) in
-                if inter <> 0 then
-                  for b = 0 to 62 do
-                    if inter land (1 lsl b) <> 0 then begin
-                      let later = id_text reach.Causal.r_ids.((w * 63) + b)
-                      and earlier = id_text reach.Causal.r_ids.(ia) in
-                      violations :=
-                        String.concat ""
-                          [
-                            "causal order: p"; Int.to_string p;
-                            " delivered "; later; " before "; earlier;
-                            " although cast("; earlier;
-                            ") happened-before cast("; later; ")";
-                          ]
-                        :: !violations
-                    end
-                  done
+          let s = idx.del_slot.(k) in
+          let m = if s < idx.n_cast then cast_of.(s) else -1 in
+          if m >= 0 && delivered_by.(m) <> p then begin
+            let { Causal.id; caster = q; clock } = casts.(m) in
+            let c = clock.(q) and later = ref [] in
+            if seen.(q) >= c then
+              for x = m + 1 to !latest do
+                if delivered_by.(x) = p && casts.(x).clock.(q) >= c then
+                  later := slot_of.(x) :: !later
               done;
-              seen.(ia / 63) <- seen.(ia / 63) lor (1 lsl (ia mod 63))
-            end)
+            List.iter
+              (fun s ->
+                let later = id_text (Run_result.slot_id idx s)
+                and earlier = id_text id in
+                violations :=
+                  String.concat ""
+                    [
+                      "causal order: p"; Int.to_string p; " delivered "; later;
+                      " before "; earlier; " although cast("; earlier;
+                      ") happened-before cast("; later; ")";
+                    ]
+                  :: !violations)
+              (List.sort Int.compare !later);
+            delivered_by.(m) <- p;
+            latest := Int.max !latest m;
+            Array.iteri (fun j v -> if v > seen.(j) then seen.(j) <- v) clock
+          end)
         seq)
     idx.Run_result.seqs;
   !violations

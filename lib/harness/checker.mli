@@ -111,8 +111,10 @@ val causal_delivery_order : Run_result.t -> violation list
     later caster had not delivered the earlier message), and the A2 suite
     checks that every flag is such a pair.
 
-    Reads the trace. Raises [Invalid_argument] if the run was recorded
-    without one, like {!genuineness}. *)
+    Runs in O((trace + deliveries) * processes), plus, per flagged
+    delivery, a walk over the casts up to its process's latest delivered
+    one. Reads the trace. Raises [Invalid_argument] if the run was
+    recorded without one, like {!genuineness}. *)
 
 val check_all :
   ?expect_genuine:bool ->

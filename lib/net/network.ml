@@ -309,8 +309,9 @@ let send_multi t ~src ~dsts payload =
     (* One destination needs no rows. In controlled mode every destination
        gets its own event, so the explorer can reorder a fan-out's
        deliveries independently. Admissions and latency draws happen in
-       the same order as on the slab path, so the two shapes stay
-       observably equivalent. *)
+       the same order as on the slab path, so both shapes give the same
+       receives at the same times; only ties with events scheduled in
+       between can break differently (see [Services.send_multi]). *)
     schedule_each t ~src ~src_group payload dsts
 
 (* The adversarial controls below reason about one (src, dst, arrival)

@@ -50,7 +50,9 @@ val send_multi :
     model. A fan-out of several destinations occupies a single scheduler
     event that walks the pre-sampled arrival times in order, re-arming
     itself at pop time, so the event queue holds one entry per fan-out
-    instead of one per destination. *)
+    instead of one per destination. The re-armed event takes a fresh
+    handle, so an event scheduled after this call that ties with a later
+    destination's arrival runs before it. *)
 
 val hold :
   'w t -> src_group:Topology.gid -> dst_group:Topology.gid ->

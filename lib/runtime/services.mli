@@ -49,11 +49,13 @@ type 'w t = {
           the trace and hands the message to the network. Silently drops
           if the sending process has crashed. *)
   send_multi : Net.Topology.pid list -> 'w -> unit;
-      (** Fan-out send, observably equivalent to iterating {!field-send}
-          over the list. The DES carries the whole fan-out in one scheduler
-          event and one envelope (the Send trace entries share an [env]
-          id); the steady-state fast lanes use this on broadcast-shaped
-          hot paths. *)
+      (** Fan-out send: the same receives, arrival times and latency
+          draws as iterating {!field-send} over the list. The DES carries
+          the whole fan-out in one scheduler event and one envelope (the
+          Send trace entries share an [env] id), which re-arms for its next
+          destination when it pops. So at a tie, an event scheduled after
+          this call but before a later destination's turn goes first,
+          where after iterated sends it would go second. *)
   now : unit -> Des.Sim_time.t;
       (** Virtual time on the DES; microseconds of monotonic clock since
           the deployment epoch on a real backend. *)

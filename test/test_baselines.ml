@@ -19,18 +19,6 @@ let stream topo seed n kmax =
     ~arrival:(`Every (Sim_time.of_ms 15))
     ()
 
-(* Each stream test runs under an event budget of five times its clean
-   run's count, so a runaway (a protocol that re-proposes or re-delivers
-   forever) fails as an assertion instead of growing until memory runs
-   out. *)
-let within_budget ~clean run =
-  let max_steps = 5 * clean in
-  match run ~max_steps with
-  | r -> r
-  | exception Failure msg ->
-    Alcotest.failf "%s: budget %d events, a clean run takes %d" msg max_steps
-      clean
-
 (* ---------- Skeen ---------- *)
 
 let test_skeen_degree_two () =
@@ -44,7 +32,7 @@ let test_skeen_degree_two () =
 let test_skeen_stream () =
   let topo = Topology.symmetric ~groups:3 ~per_group:2 in
   let r =
-    within_budget ~clean:518 (fun ~max_steps ->
+    Util.within_budget ~clean:518 (fun ~max_steps ->
         RSkeen.run ~max_steps topo (stream topo 41 25 3))
   in
   Util.check_no_violations "safety"
@@ -69,7 +57,7 @@ let test_ring_degree_k_plus_one () =
 let test_ring_stream () =
   let topo = Topology.symmetric ~groups:3 ~per_group:2 in
   let r =
-    within_budget ~clean:668 (fun ~max_steps ->
+    Util.within_budget ~clean:668 (fun ~max_steps ->
         RRing.run ~max_steps topo (stream topo 42 20 3))
   in
   Util.check_no_violations "safety"
@@ -123,7 +111,7 @@ let test_scalable_degree_four () =
 let test_scalable_stream () =
   let topo = Topology.symmetric ~groups:3 ~per_group:2 in
   let r =
-    within_budget ~clean:1123 (fun ~max_steps ->
+    Util.within_budget ~clean:1123 (fun ~max_steps ->
         RScal.run ~max_steps topo (stream topo 43 20 3))
   in
   Util.check_no_violations "safety"
@@ -153,7 +141,8 @@ let test_sequencer_stream_total_order () =
       ()
   in
   let r =
-    within_budget ~clean:705 (fun ~max_steps -> RSeq.run ~max_steps topo w)
+    Util.within_budget ~clean:705 (fun ~max_steps ->
+        RSeq.run ~max_steps topo w)
   in
   Util.check_no_violations "safety" (Harness.Checker.check_all r);
   Alcotest.(check int) "all delivered" 15 (Harness.Metrics.delivered_count r)
@@ -231,7 +220,7 @@ let test_via_broadcast_filters () =
 let test_via_broadcast_order_with_streams () =
   let topo = Topology.symmetric ~groups:3 ~per_group:2 in
   let r =
-    within_budget ~clean:372 (fun ~max_steps ->
+    Util.within_budget ~clean:372 (fun ~max_steps ->
         RVia.run ~max_steps topo (stream topo 45 20 2))
   in
   Util.check_no_violations "safety" (Harness.Checker.check_all r);
@@ -305,7 +294,7 @@ let test_fritzke_more_consensus_than_a1 () =
 let test_fritzke_stream () =
   let topo = Topology.symmetric ~groups:3 ~per_group:2 in
   let r =
-    within_budget ~clean:672 (fun ~max_steps ->
+    Util.within_budget ~clean:672 (fun ~max_steps ->
         RFrz.run ~max_steps topo (stream topo 47 15 3))
   in
   Util.check_no_violations "safety"

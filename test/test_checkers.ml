@@ -693,44 +693,74 @@ let test_causal_program_order () =
   Alcotest.(check int) "one violation" 1
     (List.length (Harness.Checker.causal_delivery_order r))
 
+let test_causal_repeated_delivery () =
+  (* p0 casts m1 then m2. p0 delivers m1, m2 and m1 again: the repeat is
+     skipped, not read as m2 delivered before m1. p1 delivers m2, m1 and
+     m1 again: flagged once, for the first m1. *)
+  let topo = Topology.symmetric ~groups:2 ~per_group:1 in
+  let id1 = Msg_id.make ~origin:0 ~seq:0 in
+  let id2 = Msg_id.make ~origin:0 ~seq:1 in
+  let m1 = Amcast.Msg.make ~id:id1 ~dest:[ 0; 1 ] "a" in
+  let m2 = Amcast.Msg.make ~id:id2 ~dest:[ 0; 1 ] "b" in
+  let r =
+    causal_run ~topo ~msgs:[ m1; m2 ]
+      ~entries:[ cast 0 id1; cast 0 id2 ]
+      ~orders:[ (0, [ m1; m2; m1 ]); (1, [ m2; m1; m1 ]) ]
+  in
+  check_same_violations "repeated delivery" true
+    (Harness.Checker.causal_delivery_order r)
+    (Oracle.causal_delivery_order r);
+  Alcotest.(check (list string))
+    "only p1's first m1 flagged"
+    [
+      "causal order: p1 delivered m0.1 before m0.0 although cast(m0.0) \
+       happened-before cast(m0.1)";
+    ]
+    (Harness.Checker.causal_delivery_order r)
+
 (* ----- Cast reachability vs pairwise traversal ----- *)
 
-(* [Causal.cast_reachability] over [queries] must hold exactly the casts
-   named there (first occurrence order, never-cast ids dropped), and row a
-   must have bit b iff a <> b and [Causal.causally_precedes] a b. *)
+(* [Causal.cast_clocks] must list every id with a [Cast] entry once, in
+   the order of its first one, and its clock test must agree with
+   [Causal.causally_precedes] on every pair of distinct ids among those and
+   [queries], which may name ids that were never cast. *)
 let reachability_agrees trace queries =
   let causal = Harness.Causal.of_trace trace in
-  let reach = Harness.Causal.cast_reachability causal queries in
-  let was_cast id =
-    List.exists
-      (function Trace.Cast { id = c; _ } -> Msg_id.equal c id | _ -> false)
-      (Trace.entries trace)
+  let casts = Harness.Causal.cast_clocks trace in
+  let cast_ids =
+    Array.to_list (Array.map (fun c -> c.Harness.Causal.id) casts)
   in
   let expected_ids =
     List.fold_left
-      (fun acc id ->
-        if was_cast id && not (List.exists (Msg_id.equal id) acc) then
+      (fun acc -> function
+        | Trace.Cast { id; _ } when not (List.exists (Msg_id.equal id) acc) ->
           id :: acc
-        else acc)
-      [] queries
+        | _ -> acc)
+      [] (Trace.entries trace)
     |> List.rev
   in
-  let open Harness.Causal in
-  let n = Array.length reach.r_ids in
-  let bit a b = reach.r_succ.(a).(b / 63) land (1 lsl (b mod 63)) <> 0 in
-  let ok =
-    ref (List.equal Msg_id.equal (Array.to_list reach.r_ids) expected_ids)
+  let find id =
+    Array.find_opt
+      (fun (c : Harness.Causal.cast_clock) -> Msg_id.equal c.id id)
+      casts
   in
-  ok := !ok && reach.r_words = (n + 62) / 63;
-  for a = 0 to n - 1 do
-    for b = 0 to n - 1 do
-      let expected =
-        a <> b && causally_precedes causal reach.r_ids.(a) reach.r_ids.(b)
-      in
-      if bit a b <> expected then ok := false
-    done
-  done;
-  !ok
+  let clocks_precede a b =
+    match (find a, find b) with
+    | Some a, Some b ->
+      a != b && b.clock.(a.caster) >= a.clock.(a.caster)
+    | _ -> false
+  in
+  let ids = cast_ids @ queries in
+  List.equal Msg_id.equal cast_ids expected_ids
+  && List.for_all
+       (fun a ->
+         List.for_all
+           (fun b ->
+             clocks_precede a b
+             = ((not (Msg_id.equal a b))
+               && Harness.Causal.causally_precedes causal a b))
+           ids)
+       ids
 
 let synthetic_gen =
   (* Small pid and envelope ranges, so traces mix shared broadcast
@@ -779,7 +809,7 @@ let prop_reachability_synthetic (entries, queries) =
   let trace = Trace.create () in
   List.iter (Trace.record trace) entries;
   reachability_agrees trace queries
-  || QCheck2.Test.fail_reportf "rows differ on trace@\n%a@\nqueries %a"
+  || QCheck2.Test.fail_reportf "clocks differ on trace@\n%a@\nqueries %a"
        Trace.pp trace
        Fmt.(list ~sep:sp Msg_id.pp)
        queries
@@ -899,7 +929,7 @@ let test_reachability_edge_cases () =
   Alcotest.(check bool) "missing send is no cause" false (precedes 0 2);
   Alcotest.(check bool) "broadcast edge, crash and note" true (precedes 0 3);
   Alcotest.(check bool) "first cast of a repeated id" false (precedes 3 0);
-  Alcotest.(check bool) "rows = pairwise" true
+  Alcotest.(check bool) "clocks = pairwise" true
     (reachability_agrees trace
        [ id 3; id 0; id 7; id 1; id 0; id 2; id 6; id 3 ])
 
@@ -912,7 +942,7 @@ let prop_reachability_run name s =
   in
   reachability_agrees r.trace
     (List.rev ids @ [ Msg_id.make ~origin:0 ~seq:1_000_000 ] @ ids)
-  || QCheck2.Test.fail_reportf "rows differ from pairwise in %s"
+  || QCheck2.Test.fail_reportf "clocks differ from pairwise in %s"
        (pp_scenario s)
 
 let suites =
@@ -949,6 +979,8 @@ let suites =
           test_causal_concurrent;
         Alcotest.test_case "causal: program order across two casts" `Quick
           test_causal_program_order;
+        Alcotest.test_case "causal: a repeated delivery is skipped" `Quick
+          test_causal_repeated_delivery;
         Alcotest.test_case "reachability: matching edge cases" `Quick
           test_reachability_edge_cases;
         Util.qcheck_case ~count:300 ~name:"reachability = pairwise (synthetic)"

@@ -281,41 +281,66 @@ let prop_rmcast_crash_spec (seed, d, lossy) =
 (* Engine: the broadcast lane delivers the same receives at the same
    times as per-destination sends. *)
 
+(* Runs [act svcs] at 1 ms on a fresh engine and returns every receive
+   as (pid, src, message, arrival in us), in delivery order. *)
+let receives ~groups ~per_group ~latency act =
+  let topo = Topology.symmetric ~groups ~per_group in
+  let engine = Engine.create ~seed:0 ~latency ~tag:(fun _ -> "m") topo in
+  let received = ref [] in
+  let svcs = Array.make (Topology.n_processes topo) None in
+  List.iter
+    (fun pid ->
+      ignore
+        (Engine.spawn engine pid (fun services ->
+             svcs.(pid) <- Some services;
+             ( (),
+               {
+                 Engine.on_receive =
+                   (fun ~src m ->
+                     received :=
+                       (pid, src, m, Sim_time.to_us (Engine.now engine))
+                       :: !received);
+               } ))))
+    (Topology.all_pids topo);
+  Engine.at engine (Sim_time.of_ms 1) (fun () ->
+      act (Array.map Option.get svcs));
+  Engine.run engine;
+  List.rev !received
+
 let test_send_multi_equivalence () =
   let run use_multi =
-    let topo = Topology.symmetric ~groups:2 ~per_group:2 in
-    let engine =
-      Engine.create ~seed:0 ~latency:Util.crisp_latency
-        ~tag:(fun _ -> "m")
-        topo
-    in
-    let received = ref [] in
-    let svcs = Array.make 4 None in
-    List.iter
-      (fun pid ->
-        ignore
-          (Engine.spawn engine pid (fun services ->
-               svcs.(pid) <- Some services;
-               ( (),
-                 {
-                   Engine.on_receive =
-                     (fun ~src m ->
-                       received :=
-                         (pid, src, m, Sim_time.to_us (Engine.now engine))
-                         :: !received);
-                 } ))))
-      (Topology.all_pids topo);
-    Engine.at engine (Sim_time.of_ms 1) (fun () ->
-        let s = Option.get svcs.(0) in
-        if use_multi then Services.send_multi s [ 1; 2; 3 ] "x"
-        else Services.send_all s [ 1; 2; 3 ] "x");
-    Engine.run engine;
-    List.sort compare !received
+    receives ~groups:2 ~per_group:2 ~latency:Util.crisp_latency (fun svcs ->
+        if use_multi then Services.send_multi svcs.(0) [ 1; 2; 3 ] "x"
+        else Services.send_all svcs.(0) [ 1; 2; 3 ] "x")
+    |> List.sort compare
   in
   let multi = run true in
   let alls = run false in
   Alcotest.(check int) "three receives" 3 (List.length multi);
   Alcotest.(check bool) "identical receives and times" true (multi = alls)
+
+(* Where the two shapes differ: at a tie. A [Multi] slot re-arms its next
+   destination with a fresh handle when it pops, so an event scheduled
+   after the fan-out but before that pop goes first. p0 sends x to p1
+   and p2, then p3 sends y to p2, all arriving at one instant: p2 takes x
+   first after [send_all] and y first after [send_multi], with the same
+   receives at the same times. *)
+let test_send_multi_tie_order () =
+  let run use_multi =
+    receives ~groups:1 ~per_group:4 ~latency:Latency.lan_only (fun svcs ->
+        if use_multi then Services.send_multi svcs.(0) [ 1; 2 ] "x"
+        else Services.send_all svcs.(0) [ 1; 2 ] "x";
+        svcs.(3).send ~dst:2 "y")
+  in
+  let at_p2 =
+    List.filter_map (fun (p, _, m, _) -> if p = 2 then Some m else None)
+  in
+  let multi = run true and alls = run false in
+  Alcotest.(check (list string)) "send_all: x first" [ "x"; "y" ] (at_p2 alls);
+  Alcotest.(check (list string)) "send_multi: y first" [ "y"; "x" ]
+    (at_p2 multi);
+  Alcotest.(check bool) "same receives at the same times" true
+    (List.sort compare multi = List.sort compare alls)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: small crisp, crash-free campaigns of every protocol must
@@ -381,6 +406,8 @@ let suites =
           prop_rmcast_crash_spec;
         Alcotest.test_case "engine: send_multi = send_all" `Quick
           test_send_multi_equivalence;
+        Alcotest.test_case "engine: send_multi tie order" `Quick
+          test_send_multi_tie_order;
         Alcotest.test_case "fritzke: caller config reaches the protocol"
           `Quick test_fritzke_caller_config;
       ] );

@@ -67,35 +67,41 @@ let keyed_stream topo =
 let golden_runs () =
   let topo = Topology.symmetric ~groups:3 ~per_group:2 in
   let topo4 = Topology.symmetric ~groups:4 ~per_group:2 in
-  let flex name kind =
+  let flex name kind ~clean =
     let ov = Overlay.of_kind kind ~groups:4 in
     ( name,
       Amcast.Conflict.total,
-      RFx.run ~seed:7
-        ~latency:(Overlay.to_latency ~jitter:(Sim_time.of_ms 4) ov)
-        ~config:{ Amcast.Protocol.Config.default with overlay = Some ov }
-        topo4 (stream topo4) )
+      Util.within_budget ~clean (fun ~max_steps ->
+          RFx.run ~seed:7
+            ~latency:(Overlay.to_latency ~jitter:(Sim_time.of_ms 4) ov)
+            ~config:{ Amcast.Protocol.Config.default with overlay = Some ov }
+            ~max_steps topo4 (stream topo4)) )
   in
-  let generic name conflict w =
+  let generic name conflict w ~clean =
     ( name,
       conflict,
-      RG.run ~seed:7 ~latency:Latency.wan_default
-        ~config:{ Amcast.Protocol.Config.default with conflict }
-        topo w )
+      Util.within_budget ~clean (fun ~max_steps ->
+          RG.run ~seed:7 ~latency:Latency.wan_default
+            ~config:{ Amcast.Protocol.Config.default with conflict }
+            ~max_steps topo w) )
   in
   [
     ( "skeen",
       Amcast.Conflict.total,
-      RSk.run ~seed:7 ~latency:Latency.wan_default topo (stream topo) );
-    generic "generic total" Amcast.Conflict.total (stream topo);
+      Util.within_budget ~clean:733 (fun ~max_steps ->
+          RSk.run ~seed:7 ~latency:Latency.wan_default ~max_steps topo
+            (stream topo)) );
+    generic "generic total" Amcast.Conflict.total (stream topo) ~clean:733;
     generic "generic payload_key" Amcast.Conflict.payload_key
-      (keyed_stream topo);
-    flex "flexcast clique" Overlay.Clique;
-    flex "flexcast hub" Overlay.Hub;
-    flex "flexcast ring" Overlay.Ring;
+      (keyed_stream topo) ~clean:590;
+    flex "flexcast clique" Overlay.Clique ~clean:945;
+    flex "flexcast hub" Overlay.Hub ~clean:1071;
+    flex "flexcast ring" Overlay.Ring ~clean:1064;
     ( "scalable",
       Amcast.Conflict.total,
-      RSc.run ~seed:7 ~latency:Latency.wan_default topo (stream topo) );
+      Util.within_budget ~clean:2437 (fun ~max_steps ->
+          RSc.run ~seed:7 ~latency:Latency.wan_default ~max_steps topo
+            (stream topo)) );
   ]
 
 let golden : (string * (int list * (string * int) list)) list =
@@ -265,12 +271,13 @@ let test_scalable_decided_final_raises_clock () =
     { Harness.Workload.at = ms at; origin; dest; payload = "x" }
   in
   let r =
-    RSc.run ~seed:1 ~latency
-      (Topology.symmetric ~groups:4 ~per_group:1)
-      [
-        cast 0 3 [ 1; 2 ]; cast 0 3 [ 1; 2 ]; cast 0 3 [ 1; 2 ];
-        cast 20 0 [ 0; 1; 2 ];
-      ]
+    Util.within_budget ~clean:286 (fun ~max_steps ->
+        RSc.run ~seed:1 ~latency ~max_steps
+          (Topology.symmetric ~groups:4 ~per_group:1)
+          [
+            cast 0 3 [ 1; 2 ]; cast 0 3 [ 1; 2 ]; cast 0 3 [ 1; 2 ];
+            cast 20 0 [ 0; 1; 2 ];
+          ])
   in
   Alcotest.(check (list string)) "clean" [] (Harness.Checker.check_all r);
   Alcotest.(check int) "all delivered" 9 (List.length r.deliveries)

@@ -38,6 +38,18 @@ let qcheck_case ?(count = 100) ~name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count gen prop)
 
+(* [run ~max_steps] under an event budget of five times [clean], the
+   event count of its clean run, so a runaway (a protocol that
+   re-proposes or re-delivers forever) fails as an assertion instead of
+   growing until memory runs out. *)
+let within_budget ~clean run =
+  let max_steps = 5 * clean in
+  match run ~max_steps with
+  | r -> r
+  | exception Failure msg ->
+    Alcotest.failf "%s: budget %d events, a clean run takes %d" msg max_steps
+      clean
+
 (* A copy of [r] with one process's delivery sequence shuffled in place,
    from [seed]: the other slots of the global interleaving keep their
    owners and every slot keeps its instant, so only that process's
