@@ -35,7 +35,7 @@ type 'w t = {
   fault_rng : Rng.t;
   mutable crash_subs : crash_subscription list;
   mutable fd_subs : (Topology.pid * (float -> unit)) list;
-      (* registration order; failure detectors subscribe to timed timeout
+      (* newest first; failure detectors subscribe to timed timeout
          perturbation (the nemesis Fd_storm hook) *)
 }
 
@@ -148,20 +148,21 @@ let services t pid =
   in
   let on_crash_detected ~delay callback =
     t.crash_subs <- { subscriber = pid; delay; callback } :: t.crash_subs;
-    (* Already-crashed processes are reported too: find them via the flag
-       array (their crash entries are in the trace, but scanning flags is
-       enough since detection delay counts from now in that case). The
-       subscriber guard is checked at fire time, like [set_timer]'s: a
-       detector on a process that has itself died must stay silent. *)
-    Array.iteri
-      (fun q dead ->
-        if dead then
-          ignore
-            (Scheduler.after_tagged t.sched (Scheduler.Tag.timer pid) delay
-               (fun () -> if not t.crashed.(pid) then callback q)))
-      t.crashed
+    (* Already-crashed processes are reported too, [delay] from now, in
+       ascending pid order. Sorting [crash_order] costs O(k log k) in the
+       k crashed processes rather than O(n), so deploying n subscribers
+       stays linear. The subscriber guard is checked at fire time, like
+       [set_timer]'s: a detector on a process that has itself died must
+       stay silent. *)
+    List.iter
+      (fun q ->
+        ignore
+          (Scheduler.after_tagged t.sched (Scheduler.Tag.timer pid) delay
+             (fun () -> if not t.crashed.(pid) then callback q)))
+      (List.sort Int.compare t.crash_order)
   in
-  let on_fd_perturb f = t.fd_subs <- t.fd_subs @ [ (pid, f) ] in
+  (* Prepending keeps deploy linear; [perturb_fd] reverses the list. *)
+  let on_fd_perturb f = t.fd_subs <- (pid, f) :: t.fd_subs in
   {
     Services.self = pid;
     topology = t.topology;
@@ -233,7 +234,7 @@ let perturb_fd t scale =
   if scale <= 0. then invalid_arg "Engine.perturb_fd: scale must be > 0";
   List.iter
     (fun (pid, f) -> if not t.crashed.(pid) then f scale)
-    t.fd_subs
+    (List.rev t.fd_subs)
 
 let at ?(tag = Scheduler.Tag.generic) t time f =
   ignore (Scheduler.at_tagged t.sched tag time f)

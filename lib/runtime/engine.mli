@@ -49,7 +49,12 @@ val spawn : 'w t -> Net.Topology.pid -> ('w Services.t -> 'a * 'w node) -> 'a
 val services : 'w t -> Net.Topology.pid -> 'w Services.t
 (** The DES capability record of one process: virtual-time [now]/timers,
     trace-recording sends through the simulated network, the oracle
-    crash-notification stream. {!spawn} hands this record to [make]. *)
+    crash-notification stream. {!spawn} hands this record to [make].
+    A crash subscription reports the processes already crashed in
+    ascending pid order, [delay] after it is made, and costs
+    O(k log k) for k crashed processes (it sorts the crash list rather
+    than scanning all n pids), so deploying n subscribers is linear
+    while nothing has crashed. *)
 
 val record_cast : 'w t -> Net.Topology.pid -> Msg_id.t -> unit
 (** [record_cast t pid id] marks the A-XCast of [id] at [pid]: a local
@@ -76,11 +81,11 @@ val at :
 
 val perturb_fd : 'w t -> float -> unit
 (** [perturb_fd t s] multiplies the adaptive timeouts of every failure
-    detector registered through {!Services.t}[.on_fd_perturb] by [s],
-    skipping detectors whose host process has crashed. [s < 1] is an
-    FD storm: shrunk timeouts force false suspicions, which the ◇P
-    back-off rule then recovers from. Immediate; schedule via {!at} for a
-    timed perturbation.
+    detector registered through {!Services.t}[.on_fd_perturb] by [s], in
+    registration order, skipping detectors whose host process has
+    crashed. [s < 1] is an FD storm: shrunk timeouts force false
+    suspicions, which the ◇P back-off rule then recovers from.
+    Immediate; schedule via {!at} for a timed perturbation.
     @raise Invalid_argument if [s <= 0]. *)
 
 val run : ?until:Des.Sim_time.t -> ?max_steps:int -> 'w t -> unit

@@ -33,7 +33,9 @@
     - [set_timer] is one-shot and the callback is skipped if the process
       has crashed by the time it fires;
     - [on_crash_detected] notifications fire [delay] after the crash
-      instant and never on the crashed process itself.
+      instant and never on the crashed process itself; processes already
+      crashed at subscription are reported once each, [delay] after the
+      subscription, in ascending pid order.
 
     The harness's own measurement — the clock ticks at A-XCast and
     A-Deliver and the cast/delivery log — is not part of this record: the
@@ -73,15 +75,21 @@ type 'w t = {
   on_crash_detected : delay:Des.Sim_time.t -> (Net.Topology.pid -> unit) -> unit;
       (** Subscribe to crash notifications delivered [delay] after the
           crash instant — the idealised eventually-perfect failure
-          detector. The callback is skipped if the subscribing process has
-          itself crashed by the time the notification fires (a dead
-          detector reports nothing). *)
+          detector. Processes that crashed before the subscription are
+          reported too, once each, [delay] after the subscription, in
+          ascending pid order; subscribing costs time in the number of
+          those processes, not in the number of all processes, so every
+          process of a deployment may subscribe at spawn. The callback is
+          skipped if the subscribing process has itself crashed by the
+          time the notification fires (a dead detector reports
+          nothing). *)
   on_fd_perturb : (float -> unit) -> unit;
       (** Subscribe to failure-detector timeout perturbations
           ({!Runtime.Engine.perturb_fd}, driven by the harness's [Fd_storm]
           nemesis action): the callback receives a scale factor to apply to
-          the detector's adaptive timeouts. Skipped for crashed processes;
-          detectors without adaptive timeouts simply don't subscribe. *)
+          the detector's adaptive timeouts. Subscribers are called in
+          registration order. Skipped for crashed processes; detectors
+          without adaptive timeouts simply don't subscribe. *)
 }
 
 val send_all : 'w t -> Net.Topology.pid list -> 'w -> unit

@@ -153,6 +153,51 @@ let test_crash_notification_skips_dead_subscriber () =
   Alcotest.(check (list int)) "no notification to the dead subscriber" []
     !detected
 
+(* A late subscriber hears every process already dead, once each, in
+   ascending pid order, [delay] after it subscribed; a live process is
+   never reported, and a subscriber that dies before its notifications
+   fire hears nothing. *)
+let test_late_subscription_reports_dead_ascending () =
+  let topo = Topology.symmetric ~groups:1 ~per_group:5 in
+  let engine, _ = make_echo_engine topo in
+  let heard = Array.make 5 [] in
+  let subscribe pid =
+    (Engine.services engine pid).Services.on_crash_detected
+      ~delay:(Sim_time.of_ms 7) (fun q ->
+        heard.(pid) <- (q, Sim_time.to_us (Engine.now engine)) :: heard.(pid))
+  in
+  Engine.schedule_crash engine ~at:(Sim_time.of_ms 1) 2;
+  Engine.schedule_crash engine ~at:(Sim_time.of_ms 2) 0;
+  Engine.at engine (Sim_time.of_ms 5) (fun () ->
+      subscribe 3;
+      subscribe 4);
+  (* p4 dies before its reports of p0 and p2 fire at 12ms. *)
+  Engine.schedule_crash engine ~at:(Sim_time.of_ms 8) 4;
+  Engine.run engine;
+  Alcotest.(check (list (pair int int)))
+    "p3 hears p0 then p2 at subscribe + delay, then p4 at crash + delay"
+    [ (0, 12_000); (2, 12_000); (4, 15_000) ]
+    (List.rev heard.(3));
+  Alcotest.(check (list (pair int int))) "dead subscriber hears nothing" []
+    heard.(4)
+
+let test_perturb_fd_registration_order () =
+  let topo = Topology.symmetric ~groups:1 ~per_group:3 in
+  let engine, _ = make_echo_engine topo in
+  let calls = ref [] in
+  List.iter
+    (fun (pid, k) ->
+      (Engine.services engine pid).Services.on_fd_perturb (fun s ->
+          calls := (k, s) :: !calls))
+    [ (2, "p2"); (0, "p0"); (1, "p1"); (2, "p2'") ];
+  Engine.schedule_crash engine ~at:(Sim_time.of_ms 1) 0;
+  Engine.at engine (Sim_time.of_ms 2) (fun () -> Engine.perturb_fd engine 0.5);
+  Engine.run engine;
+  Alcotest.(check (list (pair string (float 0.))))
+    "live subscribers, registration order"
+    [ ("p2", 0.5); ("p1", 0.5); ("p2'", 0.5) ]
+    (List.rev !calls)
+
 (* Regression: a message arriving at a pid that never spawned a node must
    be a no-op — no Lamport advance, no Receive trace entry. *)
 let test_delivery_to_nodeless_pid () =
@@ -375,6 +420,10 @@ let suites =
           test_crash_detection_subscription;
         Alcotest.test_case "crash notification skips dead subscriber" `Quick
           test_crash_notification_skips_dead_subscriber;
+        Alcotest.test_case "late subscriber hears the dead in pid order"
+          `Quick test_late_subscription_reports_dead_ascending;
+        Alcotest.test_case "perturb_fd walks registration order" `Quick
+          test_perturb_fd_registration_order;
         Alcotest.test_case "delivery to node-less pid is a no-op" `Quick
           test_delivery_to_nodeless_pid;
         Alcotest.test_case "links are not FIFO" `Quick test_link_not_fifo;

@@ -227,6 +227,34 @@ let test_tcp_timers () =
     (List.rev !fired);
   Transport.Tcp.stop n0
 
+(* The engine's crash-subscription contract on sockets: a late
+   subscriber hears the pids known dead, in ascending pid order, and not
+   one announced recovered; a later crash reaches it too. *)
+let test_tcp_late_crash_subscription () =
+  let topo = Topology.symmetric ~groups:1 ~per_group:4 in
+  let addrs = Transport.Tcp.localhost_addrs ~base_port:7560 topo in
+  let n3 =
+    Transport.Tcp.create ~codec:string_codec ~topology:topo ~self:3 ~addrs ()
+  in
+  Transport.Tcp.start n3;
+  let tr = Transport.Tcp.services n3 in
+  let heard = ref [] in
+  List.iter (Transport.Tcp.announce_crash n3) [ 0; 2; 1 ];
+  Transport.Tcp.announce_recovery n3 1;
+  Transport.Tcp.post n3 (fun () ->
+      tr.Runtime.Services.on_crash_detected ~delay:(Des.Sim_time.of_ms 5)
+        (fun q -> heard := q :: !heard));
+  Alcotest.(check bool)
+    "the known dead are heard" true
+    (await (fun () -> List.length !heard >= 2));
+  Transport.Tcp.announce_crash n3 1;
+  Alcotest.(check bool)
+    "a later crash is heard" true
+    (await (fun () -> List.length !heard >= 3));
+  Alcotest.(check (list int)) "ascending, then the later crash" [ 0; 2; 1 ]
+    (List.rev !heard);
+  Transport.Tcp.stop n3
+
 (* Framing over a raw socket: the node must split one write carrying
    many frames (and a body larger than one 64 KiB read) into the same
    frames, and reassemble one frame written in two pieces. *)
@@ -541,6 +569,8 @@ let suites =
         Alcotest.test_case "tcp send + lamport clock" `Quick
           test_tcp_send_and_clock;
         Alcotest.test_case "tcp timers" `Quick test_tcp_timers;
+        Alcotest.test_case "tcp late crash subscription" `Quick
+          test_tcp_late_crash_subscription;
         Alcotest.test_case "tcp raw framing" `Quick test_tcp_raw_framing;
         Alcotest.test_case "kv service end to end" `Quick
           test_kv_service_end_to_end;
