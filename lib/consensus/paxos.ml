@@ -59,6 +59,9 @@ let pp_msg ppf m =
    state has exactly one. *)
 type ballot_votes = { ballot : int; seen : Bytes.t; mutable count : int }
 
+(* An instance's [proposal], [votes] and [ballot_values] serve only its
+   undecided life: [decide] drops them. [accepted] stays, because a lease
+   promise reports decided instances too. *)
 type 'v instance = {
   mutable proposal : 'v option; (* local input or adopted suggestion *)
   mutable promised : int; (* acceptor: highest ballot promised *)
@@ -78,7 +81,7 @@ type 'v instance = {
   mutable ballot_values : (int * 'v) list;
       (* value per ballot; a ballot carries a single value, so an entry is
          never overwritten *)
-  mutable timer : int option;
+  mutable timer : int; (* the armed timer's handle, -1 when none *)
   mutable reprepares : int; (* [Prepare] re-sends for ballot [leading] *)
 }
 
@@ -86,7 +89,7 @@ type ('v, 'w) t = {
   services : 'w Runtime.Services.t;
   wrap : 'v msg -> 'w;
   participants : Topology.pid array; (* sorted *)
-  participants_list : Topology.pid list; (* cached Array.to_list *)
+  participants_list : Topology.pid list; (* [participants] as a list *)
   self_rank : int; (* cached rank of the local process; -1 if not one *)
   detector : Fd.Detector.t;
   timeout : Sim_time.t;
@@ -111,19 +114,29 @@ type ('v, 'w) t = {
 let n t = Array.length t.participants
 let majority t = (n t / 2) + 1
 
+(* [participants] is sorted, so a rank is a binary search; a group's
+   members are consecutive pids, so the first probe, at [pid] minus the
+   lowest participant, almost always hits. *)
 let rank t pid =
-  let rec find i =
-    if i = Array.length t.participants then -1
-    else if t.participants.(i) = pid then i
-    else find (i + 1)
-  in
-  find 0
+  let ps = t.participants in
+  let r = pid - ps.(0) in
+  if r >= 0 && r < Array.length ps && ps.(r) = pid then r
+  else
+    let rec search lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) lsr 1 in
+        let q = ps.(mid) in
+        if q = pid then mid
+        else if q < pid then search (mid + 1) hi
+        else search lo mid
+    in
+    search 0 (Array.length ps)
 
+(* The current leader, -1 when every participant is suspected. *)
 let leader t = Fd.Detector.leader t.detector t.participants_list
 let self t = t.services.Runtime.Services.self
-
-let is_leader t =
-  match leader t with Some l -> l = self t | None -> false
+let is_leader t = leader t = self t
 let coordinator_of t ballot = t.participants.(ballot mod n t)
 
 (* Witness a ballot owned by someone else's message: a strictly higher
@@ -154,7 +167,7 @@ let instance_of t i found =
         n_promises = 0;
         votes = [];
         ballot_values = [];
-        timer = None;
+        timer = -1;
         reprepares = 0;
       }
     in
@@ -206,11 +219,10 @@ let send_participants t m =
   else Runtime.Services.send_multi t.services t.participants_list w
 
 let cancel_timer t inst =
-  match inst.timer with
-  | Some h ->
-    t.services.cancel_timer h;
-    inst.timer <- None
-  | None -> ()
+  if inst.timer >= 0 then begin
+    t.services.cancel_timer inst.timer;
+    inst.timer <- -1
+  end
 
 (* Contiguous decided prefix (hosts number instances from 1; gaps stall
    the watermark until the host calls [note_consumed]). *)
@@ -260,6 +272,9 @@ let maybe_gc t =
 let decide ?(announce = true) t i inst v =
   if inst.decided = None then begin
     inst.decided <- Some v;
+    inst.proposal <- None;
+    inst.votes <- [];
+    inst.ballot_values <- [];
     cancel_timer t inst;
     advance_decided_upto t;
     if announce then
@@ -286,36 +301,48 @@ let choose_value inst =
   done;
   match !best with Some (_, v) -> Some v | None -> inst.proposal
 
-let rec votes_of ballot = function
-  | [] -> None
-  | v :: rest -> if v.ballot = ballot then Some v else votes_of ballot rest
+(* What [votes_of] returns for a ballot nobody voted for. *)
+let no_votes = { ballot = -1; seen = Bytes.empty; count = 0 }
 
+let rec votes_of ballot = function
+  | [] -> no_votes
+  | v :: rest -> if v.ballot = ballot then v else votes_of ballot rest
+
+(* Votes only count toward a decision, so a decided instance takes none. *)
 let add_vote t inst ballot r =
-  if r >= 0 then begin
+  if r >= 0 && inst.decided = None then begin
     let v =
-      match votes_of ballot inst.votes with
-      | Some v -> v
-      | None ->
+      let v = votes_of ballot inst.votes in
+      if v != no_votes then v
+      else begin
         let v = { ballot; seen = Bytes.make (n t) '\000'; count = 0 } in
         inst.votes <- v :: inst.votes;
         v
+      end
     in
     if mark v.seen r then v.count <- v.count + 1
   end
 
+(* Decides with [ballot]'s value, if [values] holds it; if not, the
+   value is not learned yet and the Accept will arrive. *)
+let rec decide_ballot t i inst ballot = function
+  | [] -> ()
+  | (b, value) :: rest ->
+    if b = ballot then decide t i inst value
+    else decide_ballot t i inst ballot rest
+
 let maybe_decide_from_votes t i inst ballot =
-  if inst.decided = None then
-    match votes_of ballot inst.votes with
-    | Some v when v.count >= majority t -> (
-      match List.assq_opt ballot inst.ballot_values with
-      | Some value -> decide t i inst value
-      | None -> () (* value not learned yet; the Accept will arrive *))
-    | Some _ | None -> ()
+  if inst.decided = None && (votes_of ballot inst.votes).count >= majority t
+  then decide_ballot t i inst ballot inst.ballot_values
 
 let accept_locally t i inst ~ballot ~value =
   inst.promised <- Int.max inst.promised ballot;
-  inst.accepted <- Some (ballot, value);
-  note_ballot_value inst ballot value;
+  let bv = (ballot, value) in
+  inst.accepted <- Some bv;
+  (* The pair is shared with [ballot_values]: [note_ballot_value]'s
+     entry for a new ballot. *)
+  if not (List.mem_assq ballot inst.ballot_values) then
+    inst.ballot_values <- bv :: inst.ballot_values;
   let m = Accepted { instance = i; ballot; wm = t.decided_upto } in
   if t.all_to_all then send_participants t m
   else
@@ -368,22 +395,15 @@ let start_new_ballot t i inst =
   end
 
 let suggest_to_leader t i inst =
-  match leader t with
-  | Some l when l <> self t -> (
-    let v =
-      match inst.proposal with
-      | Some _ as v -> v
-      | None ->
-        (* An acceptor stuck with accepted-but-undecided state (e.g. the
-           coordinator's Decide was lost) re-offers that value so the
-           leader can finish the instance. *)
-        Option.map snd inst.accepted
-    in
-    match v with
-    | Some v ->
+  let l = leader t in
+  if l >= 0 && l <> self t then
+    match (inst.proposal, inst.accepted) with
+    (* An acceptor stuck with accepted-but-undecided state (e.g. the
+       coordinator's Decide was lost) re-offers that value so the leader
+       can finish the instance. *)
+    | Some v, _ | None, Some (_, v) ->
       t.services.send ~dst:l (t.wrap (Suggest { instance = i; value = v }))
-    | None -> ())
-  | _ -> ()
+    | None, None -> ()
 
 (* A leader's answer to a decision timeout. While its ballot is still in
    phase 1 and no higher ballot is known, it re-sends the ballot's
@@ -413,22 +433,21 @@ let retry t i inst =
   else start_new_ballot t i inst
 
 let rec arm_timer t i inst =
-  if inst.timer = None && inst.decided = None then
+  if inst.timer < 0 && inst.decided = None then
     inst.timer <-
-      Some
-        (t.services.set_timer ~after:t.timeout (fun () ->
-             inst.timer <- None;
-             if inst.decided = None then begin
-               if is_leader t then begin
-                 (* A stalled lease acquisition must not block recovery:
-                    abandon it and fall back to a per-instance ballot (a
-                    later drive re-acquires the lease). *)
-                 t.lease_pending <- -1;
-                 retry t i inst
-               end
-               else suggest_to_leader t i inst;
-               arm_timer t i inst
-             end))
+      t.services.set_timer ~after:t.timeout (fun () ->
+          inst.timer <- -1;
+          if inst.decided = None then begin
+            if is_leader t then begin
+              (* A stalled lease acquisition must not block recovery:
+                 abandon it and fall back to a per-instance ballot (a
+                 later drive re-acquires the lease). *)
+              t.lease_pending <- -1;
+              retry t i inst
+            end
+            else suggest_to_leader t i inst;
+            arm_timer t i inst
+          end)
 
 (* --- Multi-Paxos coordinator lease ------------------------------------ *)
 
@@ -712,9 +731,8 @@ let note_consumed t ~upto =
 
 let create ~services ~wrap ~participants ~detector
     ?(timeout = Sim_time.of_ms 200) ?(all_to_all = false) ~on_decide () =
-  let participants =
-    Array.of_list (List.sort_uniq Int.compare participants)
-  in
+  let participants_list = List.sort_uniq Int.compare participants in
+  let participants = Array.of_list participants_list in
   if Array.length participants = 0 then
     invalid_arg "Paxos.create: no participants";
   let self = services.Runtime.Services.self in
@@ -725,7 +743,7 @@ let create ~services ~wrap ~participants ~detector
       services;
       wrap;
       participants;
-      participants_list = Array.to_list participants;
+      participants_list;
       self_rank = !self_rank;
       detector;
       timeout;

@@ -35,7 +35,7 @@ type pending = {
 type 'w t = {
   config : Protocol.Config.t;
   deliver : Msg.t -> unit;
-  on_s0_decided : int -> Msg.t list -> unit;
+  on_s0_decided : int -> Msg.t array -> int -> unit;
   my_group : Topology.gid;
   mutable k : int; (* K: group-clock copy = next consensus instance *)
   mutable prop_k : int; (* no two proposals for the same instance *)
@@ -45,7 +45,14 @@ type 'w t = {
       (* the s0/s2 subset of [pending] in [prop.(0 .. n_prop-1)], sorted
          by id; every cell past [n_prop] holds [prop_none] *)
   mutable n_prop : int;
-  prop_none : pending; (* this instance's filler for [prop]'s free cells *)
+  prop_none : pending;
+      (* this instance's filler for [prop]'s free cells, and the sentinel
+         the pending-table and index lookups return for "absent" *)
+  mutable moved : pending array;
+      (* scratch of [process_decisions]: the messages the instance being
+         applied moved to s1, in [moved.(0 .. n_moved-1)] *)
+  mutable n_moved : int;
+  mutable moved_msgs : Msg.t array; (* their messages, for the hook *)
   adelivered : unit Msg_id.Tbl.t;
   decisions : entry list Consensus.Window.t; (* decided, not yet processed *)
   prop_pool : int Slab.Row.pool; (* proposal rows, width = n_groups *)
@@ -53,6 +60,13 @@ type 'w t = {
   mutable cons_executed : int;
   mutable depth_max : int; (* max in-flight instances (pipelining) *)
 }
+
+(* The immutable parts of every instance's [prop_none]: it is never
+   pending, so nothing reads or writes its row. *)
+let no_msg =
+  { Msg.id = Msg_id.make ~origin:(-1) ~seq:(-1); dest = []; payload = "" }
+
+let no_proposals = Slab.Row.acquire (Slab.Row.pool ~width:1 ~default:0)
 
 (* The position of the first entry of [prop] whose id is not below
    [id]. *)
@@ -122,24 +136,26 @@ let create_pending t (m : Msg.t) =
   prop_add t p;
   p
 
+(* The pending entry of [id], or [t.prop_none]. *)
+let find_pending t id = Msg_id.Tbl.find_or t.pending id ~default:t.prop_none
+
 let get_or_create_pending t (m : Msg.t) =
-  match Msg_id.Tbl.find_opt t.pending m.id with
-  | Some p -> p
-  | None -> create_pending t m
+  let p = find_pending t m.id in
+  if p != t.prop_none then p else create_pending t m
 
 (* Line 4-7: deliver every s3 message whose (ts, id) is minimal among all
    pending messages (any stage). The index keeps that minimum at its root,
    so each attempt is O(log pending) instead of a full fold. *)
 let rec adelivery_test t =
-  match Pending_index.min_elt t.ord with
-  | Some (_, _, p) when p.stage = Stage.S3 ->
-    ignore (Pending_index.pop_min t.ord);
+  let p = Pending_index.top t.ord ~none:t.prop_none in
+  if p != t.prop_none && p.stage = Stage.S3 then begin
+    Pending_index.drop_top t.ord;
     Slab.Row.release t.prop_pool p.proposals;
     Msg_id.Tbl.remove t.pending p.msg.id;
     Msg_id.Tbl.replace t.adelivered p.msg.id ();
     t.deliver p.msg;
     adelivery_test t
-  | Some _ | None -> ()
+  end
 
 (* Line 14-17: propose all pending s0/s2 messages to instance K. [prop]
    holds exactly that subset in id order, so one backward scan builds the
@@ -176,85 +192,108 @@ let try_propose t =
       if depth > t.depth_max then t.depth_max <- depth
   done
 
-(* The largest proposal from the other destination groups, or [None]
-   while one of them is still missing. *)
-let max_other_proposal t (p : pending) =
-  let rec go acc = function
-    | [] -> Some acc
-    | g :: rest when g = t.my_group -> go acc rest
-    | g :: rest ->
-      if Slab.Row.mem p.proposals g then
-        go (Int.max acc (Slab.Row.get p.proposals ~default:min_int g)) rest
-      else None
-  in
-  go min_int p.msg.dest
+(* Whether every other destination group's proposal is in. *)
+let rec others_in my_group proposals = function
+  | [] -> true
+  | g :: rest ->
+    (g = my_group || Slab.Row.mem proposals g)
+    && others_in my_group proposals rest
+
+(* The largest proposal from the other destination groups, once
+   [others_in] holds. *)
+let rec max_other my_group proposals acc = function
+  | [] -> acc
+  | g :: rest ->
+    let acc =
+      if g = my_group then acc
+      else Int.max acc (Slab.Row.get proposals ~default:min_int g)
+    in
+    max_other my_group proposals acc rest
 
 (* Line 33-40: once proposals from every other destination group are in,
    either skip to s3 (our proposal is the maximum) or adopt the maximum
-   and run a second consensus (stage s2). *)
+   and run a second consensus (stage s2). The outcome depends only on the
+   stage and the proposal row, so a receipt that changes neither (a
+   duplicate proposal) has nothing to check. *)
 let check_s1 t (p : pending) =
-  if p.stage = Stage.S1 then
-    match max_other_proposal t p with
-    | Some max_other ->
-      if t.config.skip_max_group && p.ts >= max_other then begin
-        move t p ~ts:p.ts ~stage:Stage.S3; (* second consensus not needed *)
-        adelivery_test t
-      end
-      else begin
-        move t p ~ts:(Int.max p.ts max_other) ~stage:Stage.S2;
-        try_propose t
-      end
-    | None -> ()
+  if p.stage = Stage.S1 && others_in t.my_group p.proposals p.msg.dest then begin
+    let max_other = max_other t.my_group p.proposals min_int p.msg.dest in
+    if t.config.skip_max_group && p.ts >= max_other then begin
+      move t p ~ts:p.ts ~stage:Stage.S3; (* second consensus not needed *)
+      adelivery_test t
+    end
+    else begin
+      move t p ~ts:(Int.max p.ts max_other) ~stage:Stage.S2;
+      try_propose t
+    end
+  end
+
+(* Appends [p] to the [moved] scratch, which grows by 16 cells at a
+   time and never shrinks. *)
+let note_moved t p =
+  let n = t.n_moved in
+  if n = Array.length t.moved then begin
+    t.moved <- Array.append t.moved (Array.make 16 t.prop_none);
+    t.moved_msgs <- Array.append t.moved_msgs (Array.make 16 no_msg)
+  end;
+  t.moved.(n) <- p;
+  t.moved_msgs.(n) <- p.msg;
+  t.n_moved <- n + 1
+
+(* Line 18-30 for one decided entry of instance [k]: moves its message and
+   returns its contribution to the clock jump. *)
+let apply_entry t k (e : entry) =
+  if Msg_id.Tbl.mem t.adelivered e.msg.id then e.ts
+  else
+    let p = get_or_create_pending t e.msg in
+    if e.stage = Stage.S0 && p.stage <> Stage.S0 then
+      (* Pipelined duplicate: two in-flight instances can both carry
+         m at stage s0 (proposed by members with different R-delivery
+         timing). Only the first decide assigns the group timestamp;
+         reprocessing would advance it after the proposal exchange
+         already left and desynchronise the final timestamps across
+         groups. Every member skips identically: stage >= s1 holds iff
+         an earlier instance s0-decided m, and decisions apply in the
+         same order everywhere. [e.ts] is part of the decided value,
+         so the clock-jump contribution is deterministic too. *)
+      e.ts
+    else if Msg.is_single_group e.msg && t.config.skip_single_group then begin
+      (* Single-group message: its group is the only proposer, the
+         instance number is final — straight to s3 (line 28-29). *)
+      move t p ~ts:k ~stage:Stage.S3;
+      k
+    end
+    else
+      match e.stage with
+      | Stage.S0 ->
+        (* Group proposal for m's timestamp is the instance number. *)
+        move t p ~ts:k ~stage:Stage.S1;
+        note_moved t p;
+        k
+      | Stage.S2 ->
+        (* Clock pushed past the final timestamp: m is ready. *)
+        move t p ~ts:e.ts ~stage:Stage.S3;
+        e.ts
+      | Stage.S1 | Stage.S3 -> assert false
+
+let rec apply_entries t k max_ts = function
+  | [] -> max_ts
+  | e :: rest -> apply_entries t k (Int.max max_ts (apply_entry t k e)) rest
 
 (* Line 18-32: interpret the decision of instance K. Each entry moves its
-   message and returns its contribution to the clock jump. *)
+   message and returns its contribution to the clock jump. Nothing here
+   reaches back into the kernel before the [moved] scratch is consumed:
+   sends leave through the network, and a delivery cannot decide. *)
 let rec process_decisions t =
   match Consensus.Window.take t.decisions t.k with
   | None -> ()
   | Some entries ->
     let k = t.k in
     t.cons_executed <- t.cons_executed + 1;
-    let moved_to_s1 = ref [] in
-    let apply (e : entry) =
-      if Msg_id.Tbl.mem t.adelivered e.msg.id then e.ts
-      else
-        let p = get_or_create_pending t e.msg in
-        if e.stage = Stage.S0 && p.stage <> Stage.S0 then
-          (* Pipelined duplicate: two in-flight instances can both carry
-             m at stage s0 (proposed by members with different R-delivery
-             timing). Only the first decide assigns the group timestamp;
-             reprocessing would advance it after the proposal exchange
-             already left and desynchronise the final timestamps across
-             groups. Every member skips identically: stage >= s1 holds iff
-             an earlier instance s0-decided m, and decisions apply in the
-             same order everywhere. [e.ts] is part of the decided value,
-             so the clock-jump contribution is deterministic too. *)
-          e.ts
-        else if Msg.is_single_group e.msg && t.config.skip_single_group
-        then begin
-          (* Single-group message: its group is the only proposer, the
-             instance number is final — straight to s3 (line 28-29). *)
-          move t p ~ts:k ~stage:Stage.S3;
-          k
-        end
-        else
-          match e.stage with
-          | Stage.S0 ->
-            (* Group proposal for m's timestamp is the instance number. *)
-            move t p ~ts:k ~stage:Stage.S1;
-            moved_to_s1 := p :: !moved_to_s1;
-            k
-          | Stage.S2 ->
-            (* Clock pushed past the final timestamp: m is ready. *)
-            move t p ~ts:e.ts ~stage:Stage.S3;
-            e.ts
-          | Stage.S1 | Stage.S3 -> assert false
-    in
-    let max_ts =
-      List.fold_left (fun acc e -> Int.max acc (apply e)) 0 entries
-    in
-    if !moved_to_s1 <> [] then
-      t.on_s0_decided k (List.rev_map (fun p -> p.msg) !moved_to_s1);
+    t.n_moved <- 0;
+    let max_ts = apply_entries t k 0 entries in
+    let n_moved = t.n_moved in
+    if n_moved > 0 then t.on_s0_decided k t.moved_msgs n_moved;
     (* Line 31: K <- max(max ts decided, K) + 1. *)
     t.k <- Int.max max_ts t.k + 1;
     (* A clock jump abandons any decided-but-unprocessed instances it
@@ -267,8 +306,14 @@ let rec process_decisions t =
        member follows the same K sequence, so the gaps are never filled);
        let the consensus GC watermark advance across them. *)
     Consensus.Paxos.note_consumed t.stack.cons ~upto:(t.k - 1);
-    (* Proposals buffered while we were deciding may complete stage s1. *)
-    List.iter (check_s1 t) !moved_to_s1;
+    (* Proposals buffered while we were deciding may complete stage s1;
+       the newest move is checked first. *)
+    for i = n_moved - 1 downto 0 do
+      let p = t.moved.(i) in
+      t.moved.(i) <- t.prop_none;
+      t.moved_msgs.(i) <- no_msg;
+      check_s1 t p
+    done;
     adelivery_test t;
     try_propose t;
     process_decisions t
@@ -293,32 +338,32 @@ let note_batch t msgs =
 
 let cast t m = Group_stack.cast t.stack m
 
+(* Records group [from_group]'s proposal for [p]. Only a new one can
+   complete s1: a duplicate leaves the row and the stage as they were at
+   the last [check_s1]. *)
+let note_proposal t p ~from_group ~ts =
+  if not (Slab.Row.mem p.proposals from_group) then begin
+    Slab.Row.set p.proposals from_group ts;
+    check_s1 t p
+  end
+
 (* [pending] and [adelivered] are disjoint, and a proposal almost always
    finds its message pending: probe that first, [adelivered] only on a
    miss. *)
 let proposal t ~from_group ~ts (msg : Msg.t) =
-  let p =
-    match Msg_id.Tbl.find_opt t.pending msg.id with
-    | Some _ as found -> found
-    | None when Msg_id.Tbl.mem t.adelivered msg.id -> None
-    | None ->
-      let p = create_pending t msg in
-      try_propose t;
-      Some p
-  in
-  match p with
-  | Some p ->
-    if not (Slab.Row.mem p.proposals from_group) then
-      Slab.Row.set p.proposals from_group ts;
-    check_s1 t p
-  | None -> ()
+  let p = find_pending t msg.id in
+  if p != t.prop_none then note_proposal t p ~from_group ~ts
+  else if not (Msg_id.Tbl.mem t.adelivered msg.id) then begin
+    let p = create_pending t msg in
+    try_propose t;
+    note_proposal t p ~from_group ~ts
+  end
 
-(* The immutable parts of every instance's [prop_none]: it is never
-   pending, so nothing reads or writes its row. *)
-let no_msg =
-  { Msg.id = Msg_id.make ~origin:(-1) ~seq:(-1); dest = []; payload = "" }
-
-let no_proposals = Slab.Row.acquire (Slab.Row.pool ~width:1 ~default:0)
+let rec proposals t ~from_group ~ts = function
+  | [] -> ()
+  | m :: rest ->
+    proposal t ~from_group ~ts m;
+    proposals t ~from_group ~ts rest
 
 (* A decide for an instance the group clock already jumped past is for an
    abandoned instance — consumed by nobody. *)
@@ -346,6 +391,9 @@ let create ~services ~config ~deliver ~rm ~cons ~hb ?on_crash ~on_s0_decided
         ord = Pending_index.create ();
         prop = [||];
         n_prop = 0;
+        moved = [||];
+        n_moved = 0;
+        moved_msgs = [||];
         prop_none =
           {
             msg = no_msg;

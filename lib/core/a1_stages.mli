@@ -39,16 +39,21 @@ val create :
   cons:(entry list Consensus.Paxos.msg -> 'w) ->
   hb:(Fd.Heartbeat.msg -> 'w) ->
   ?on_crash:(Net.Topology.pid -> unit) ->
-  on_s0_decided:(int -> Msg.t list -> unit) ->
+  on_s0_decided:(int -> Msg.t array -> int -> unit) ->
   unit ->
   'w t
 (** [rm], [cons], [hb] and [on_crash] go to {!Group_stack.create}: the
     stack R-MCasts each batch to the pids of its destination groups.
-    [on_s0_decided k msgs] is called for every decided instance
+    [on_s0_decided k msgs n] is called for every decided instance
     [k] that s0-decided (and moved to s1) a message, with those messages
-    in decision order: their group timestamp is [k]. *)
+    in decision order in [msgs.(0 .. n-1)]: their group timestamp is [k].
+    [msgs] is the kernel's scratch, valid only during the call. *)
 
 val cast : 'w t -> Msg.t -> unit
+
+val proposals :
+  'w t -> from_group:Net.Topology.gid -> ts:int -> Msg.t list -> unit
+(** {!proposal} for each message of a list, in order. *)
 
 val proposal :
   'w t -> from_group:Net.Topology.gid -> ts:int -> Msg.t -> unit

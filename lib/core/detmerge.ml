@@ -32,7 +32,7 @@ let merge_flush t =
   let rec loop () =
     match Pending_index.min_elt t.ord with
     | Some (ts, _, m) when ts <= wm ->
-      ignore (Pending_index.pop_min t.ord);
+      Pending_index.drop_top t.ord;
       Msg_id.Tbl.remove t.buffered m.id;
       if not (Msg_id.Tbl.mem t.delivered m.id) then begin
         Msg_id.Tbl.replace t.delivered m.id ();

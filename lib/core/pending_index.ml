@@ -126,27 +126,29 @@ let pop_entry q =
   if q.len > 0 then sift_down_from q 0 q.heap.(q.len);
   e
 
-let rec min_elt q =
-  if q.len = 0 then None
-  else begin
-    let e = q.heap.(0) in
-    if is_live q e then Some (e.ts, e.id, e.payload)
-    else begin
-      ignore (pop_entry q);
-      min_elt q
-    end
-  end
+(* Discards dead entries from the root; true iff a live one is left
+   there. *)
+let rec settle q =
+  q.len > 0
+  && (is_live q q.heap.(0)
+     || begin
+       ignore (pop_entry q);
+       settle q
+     end)
 
-let rec pop_min q =
-  if q.len = 0 then None
-  else begin
+let min_elt q =
+  if settle q then
+    let e = q.heap.(0) in
+    Some (e.ts, e.id, e.payload)
+  else None
+
+let top q ~none = if settle q then q.heap.(0).payload else none
+
+let drop_top q =
+  if settle q then begin
     let e = pop_entry q in
-    if is_live q e then begin
-      Bytes.unsafe_set q.flags e.handle '\000';
-      q.live <- q.live - 1;
-      Some (e.ts, e.id, e.payload)
-    end
-    else pop_min q
+    Bytes.unsafe_set q.flags e.handle '\000';
+    q.live <- q.live - 1
   end
 
 let size q = q.live

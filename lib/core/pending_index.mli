@@ -44,8 +44,13 @@ val min_elt : 'a t -> (int * Runtime.Msg_id.t * 'a) option
 (** Smallest live [(ts, id)] key with its payload. Amortised O(log n):
     dead entries reaching the top are discarded on the way. *)
 
-val pop_min : 'a t -> (int * Runtime.Msg_id.t * 'a) option
-(** Remove and return what {!min_elt} returns. *)
+val top : 'a t -> none:'a -> 'a
+(** The payload {!min_elt} returns, or [none] when the index is empty,
+    without the option and the triple: a delivery test probes the root on
+    every event. [none] must be a value no entry carries. *)
+
+val drop_top : 'a t -> unit
+(** Removes the entry {!min_elt} returns; a no-op when empty. *)
 
 val size : 'a t -> int
 (** Live entries. O(1). *)

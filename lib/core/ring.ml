@@ -69,7 +69,7 @@ let next_group t (m : Msg.t) =
 let rec delivery_test t =
   match Pending_index.min_elt t.ord with
   | Some (_, _, p) when p.final <> None ->
-    ignore (Pending_index.pop_min t.ord);
+    Pending_index.drop_top t.ord;
     Msg_id.Tbl.remove t.pending p.msg.id;
     Msg_id.Tbl.replace t.delivered p.msg.id ();
     t.deliver p.msg;

@@ -120,7 +120,7 @@ let deliver_pending t e =
 let rec drain t ord =
   match Pending_index.min_elt ord with
   | Some (_, _, e) when e.final <> None ->
-    ignore (Pending_index.pop_min ord);
+    Pending_index.drop_top ord;
     deliver_pending t e;
     drain t ord
   | Some _ | None -> ()

@@ -68,13 +68,13 @@ let send_stamp_to_leaders c (m : Msg.t) ~ts ~others =
    the decided stamp (deterministic: decisions apply in the same order
    everywhere) so any member promoted to leader can re-send it; only the
    current leader sends now. *)
-let log_stamps c k msgs =
-  List.iter
-    (fun (m : Msg.t) ->
-      let others = List.filter (fun g -> g <> c.my_group) m.dest in
-      Msg_id.Tbl.replace c.stamp_log m.id (m, k, others);
-      if is_leader c then send_stamp_to_leaders c m ~ts:k ~others)
-    msgs
+let log_stamps c k msgs n =
+  for i = 0 to n - 1 do
+    let m : Msg.t = msgs.(i) in
+    let others = List.filter (fun g -> g <> c.my_group) m.dest in
+    Msg_id.Tbl.replace c.stamp_log m.id (m, k, others);
+    if is_leader c then send_stamp_to_leaders c m ~ts:k ~others
+  done
 
 (* A crash notification: update the leader view, then — if we are (now)
    our group's leader — re-send the logged stamps the crash could have

@@ -4,8 +4,8 @@ type t = {
 }
 
 let rec leader t = function
-  | [] -> None
-  | p :: rest -> if t.suspects p then leader t rest else Some p
+  | [] -> -1
+  | p :: rest -> if t.suspects p then leader t rest else p
 
 (* The suspected set is a pid list: it stays empty in a crash-free run, so
    the [suspects] test on every [leader] call is one emptiness check. Pids

@@ -19,10 +19,10 @@ type t = {
       (** [subscribe f] registers [f] to run after every suspicion change. *)
 }
 
-val leader : t -> Net.Topology.pid list -> Net.Topology.pid option
+val leader : t -> Net.Topology.pid list -> Net.Topology.pid
 (** [leader t candidates] is the smallest non-suspected candidate — the
     rotating-coordinator rule (an Omega election among [candidates]).
-    [None] if every candidate is suspected. *)
+    [-1] if every candidate is suspected. *)
 
 val oracle : delay:Des.Sim_time.t -> 'w Runtime.Services.t -> t
 (** An eventually-perfect detector implemented on the engine's ground

@@ -35,24 +35,37 @@ val create :
   topology:Topology.t ->
   latency:Latency.t ->
   rng:Des.Rng.t ->
-  deliver:(src:Topology.pid -> dst:Topology.pid -> 'w -> unit) ->
+  deliver:
+    (src:Topology.pid -> dst:Topology.pid -> lc:int -> env:int -> 'w -> unit) ->
   'w t
 (** [create ~sched ~topology ~latency ~rng ~deliver] is a network that calls
-    [deliver] once per message at its (virtual) arrival time. *)
+    [deliver] once per message at its (virtual) arrival time, with the
+    [lc] and [env] the message was sent with. *)
+
+val send :
+  'w t -> src:Topology.pid -> dst:Topology.pid -> lc:int -> env:int -> 'w ->
+  unit
+(** [send t ~src ~dst ~lc ~env w] is [send_multi t ~src ~dsts:[ dst ] ~lc
+    ~env w] without the list. *)
 
 val send_multi :
-  'w t -> src:Topology.pid -> dsts:Topology.pid list -> 'w -> unit
-(** [send_multi t ~src ~dsts w] queues one copy of [w] for every destination
-    in [dsts]; a point-to-point send is [~dsts:[ dst ]]. Counters and
-    per-destination latency samples are applied in list order. Self-sends
-    are allowed and take the intra-group delay. Delivery order between two
-    processes is not FIFO (jitter may reorder), matching the asynchronous
-    model. A fan-out of several destinations occupies a single scheduler
-    event that walks the pre-sampled arrival times in order, re-arming
-    itself at pop time, so the event queue holds one entry per fan-out
-    instead of one per destination. The re-armed event takes a fresh
-    handle, so an event scheduled after this call that ties with a later
-    destination's arrival runs before it. *)
+  'w t -> src:Topology.pid -> dsts:Topology.pid list -> lc:int -> env:int ->
+  'w -> unit
+(** [send_multi t ~src ~dsts ~lc ~env w] queues one copy of [w] for every
+    destination in [dsts]. [lc] and [env] are two ints carried with the
+    message and handed back at delivery untouched (the engine's Lamport
+    clock and trace envelope), so a sender needs no envelope record.
+    Counters and per-destination latency samples are applied in list
+    order. Self-sends are allowed and take the intra-group delay.
+    Delivery order between two processes is not FIFO (jitter may
+    reorder), matching the asynchronous model. A fan-out of several
+    destinations occupies a single scheduler event that walks the
+    pre-sampled arrival times in order, re-arming itself at pop time, so
+    the event queue holds one entry per fan-out instead of one per
+    destination. The re-armed event takes a fresh handle, so an event
+    scheduled after this call that ties with a later destination's
+    arrival runs before it. Sending allocates nothing once the in-flight
+    slab has grown to the peak in-flight count. *)
 
 val hold :
   'w t -> src_group:Topology.gid -> dst_group:Topology.gid ->

@@ -48,20 +48,20 @@ let same_group t p q = t.group_of.(p) = t.group_of.(q)
    sort is skipped when it would change nothing; pids are numbered group
    by group, so ascending groups give ascending pids. The list is built
    back to front, one cons cell per pid. *)
-let pids_of_groups t gs =
+let pids_of_groups_except t gs ~except =
   let rec increasing = function
     | a :: (b :: _ as rest) -> a < b && increasing rest
     | _ -> true
   in
   let gs = if increasing gs then gs else List.sort_uniq Int.compare gs in
+  let rec prepend m i acc = if i < 0 then acc else prepend m (i - 1) (m.(i) :: acc) in
   let rec build = function
     | [] -> []
     | g :: rest ->
-      let acc = ref (build rest) in
-      let m = t.members.(g) in
-      for i = Array.length m - 1 downto 0 do
-        acc := m.(i) :: !acc
-      done;
-      !acc
+      let acc = build rest in
+      if g = except then acc
+      else prepend t.members.(g) (Array.length t.members.(g) - 1) acc
   in
   build gs
+
+let pids_of_groups t gs = pids_of_groups_except t gs ~except:(-1)

@@ -52,3 +52,7 @@ val same_group : t -> pid -> pid -> bool
 val pids_of_groups : t -> gid list -> pid list
 (** Union of the given groups' members, in increasing pid order. Duplicated
     group ids are ignored. *)
+
+val pids_of_groups_except : t -> gid list -> except:gid -> pid list
+(** [pids_of_groups t gs ~except:g] is [pids_of_groups t] of [gs] without
+    [g], built without the filtered group list. *)

@@ -24,6 +24,7 @@ type ('p, 'w) t = {
   services : 'w Services.t;
   wrap : 'p msg -> 'w;
   known : 'p known Msg_id.Tbl.t;
+  none : 'p known; (* what a [known] lookup returns for "absent" *)
   mutable reclaimed_count : int;
   on_deliver :
     id:Msg_id.t ->
@@ -35,9 +36,9 @@ type ('p, 'w) t = {
 
 (* The entry for [id], created holding [payload] on first sight. *)
 let find_known t ~id ~origin ~dest payload =
-  match Msg_id.Tbl.find_opt t.known id with
-  | Some k -> k
-  | None ->
+  let k = Msg_id.Tbl.find_or t.known id ~default:t.none in
+  if k != t.none then k
+  else
     let k =
       {
         origin;
@@ -115,6 +116,15 @@ let create ~services ~wrap ?(oracle_delay = Des.Sim_time.of_ms 50)
       services;
       wrap;
       known = Msg_id.Tbl.create 64;
+      none =
+        {
+          origin = -1;
+          dest = [];
+          payload = None;
+          relayed = true;
+          delivered = true;
+          reclaimed = true;
+        };
       reclaimed_count = 0;
       on_deliver;
     }

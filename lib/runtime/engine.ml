@@ -15,18 +15,12 @@ type crash_subscription = {
   callback : Topology.pid -> unit;
 }
 
-(* [lc] is the sender's RAW clock at send time; the carried value (raw, or
-   raw+1 across groups) is computed per destination at delivery. This lets
-   one envelope serve a whole fan-out even when it mixes intra- and
-   inter-group destinations. *)
-type 'w envelope = { data : 'w; lc : Lclock.t; env : int }
-
 type 'w t = {
   sched : Scheduler.t;
   topology : Topology.t;
   trace : Trace.t;
   tag : 'w -> string;
-  mutable network : 'w envelope Network.t option; (* set in create *)
+  mutable network : 'w Network.t option; (* set in create *)
   mutable next_env : int;
   nodes : 'w node option array;
   lcs : Lclock.t array;
@@ -44,7 +38,12 @@ let net t =
   | Some n -> n
   | None -> assert false
 
-let handle_delivery t ~src ~dst { data; lc; env } =
+(* A message carries its sender's RAW clock at send time as [lc]; the
+   carried value (raw, or raw+1 across groups) is computed per destination
+   here. This lets one send serve a whole fan-out even when it mixes
+   intra- and inter-group destinations. [env] is the send's trace
+   envelope. *)
+let handle_delivery t ~src ~dst ~lc ~env data =
   (* A pid without a spawned node consumes nothing: advancing its Lamport
      clock or logging a Receive for it would fabricate causal events at a
      process that does not exist in the deployment. *)
@@ -92,56 +91,75 @@ let create ?(seed = 0) ?(latency = Latency.wan_default)
   in
   let network =
     Network.create ~sched ~topology ~latency ~rng:net_rng
-      ~deliver:(fun ~src ~dst payload -> handle_delivery t ~src ~dst payload)
+      ~deliver:(fun ~src ~dst ~lc ~env payload ->
+        handle_delivery t ~src ~dst ~lc ~env payload)
   in
   t.network <- Some network;
   t
+
+(* Records the Send entry of one destination. *)
+let record_send t ~pid ~time ~tag ~raw ~env dst =
+  let same_group = Topology.same_group t.topology pid dst in
+  (* The carried value is LC+1 across groups (rule 2), but the sender's
+     own clock does not advance: only receives move a clock forward.
+     This makes a fan-out to d remote processes one causal hop, not d —
+     the reading under which the paper's R-MCast has latency degree 1
+     and Theorem 5.1's concurrent bundle exchange costs a single
+     inter-group delay. *)
+  Trace.record t.trace
+    (Send
+       {
+         time;
+         src = pid;
+         dst;
+         inter_group = not same_group;
+         lc = Lclock.on_send ~same_group raw;
+         tag;
+         env;
+       })
 
 (* Records one Send entry per destination of a fan-out, all sharing its
    envelope. A top-level function, so recording allocates no closure. *)
 let rec record_sends t ~pid ~time ~tag ~raw ~env = function
   | [] -> ()
   | dst :: rest ->
-    let same_group = Topology.same_group t.topology pid dst in
-    (* The carried value is LC+1 across groups (rule 2), but the sender's
-       own clock does not advance: only receives move a clock forward.
-       This makes a fan-out to d remote processes one causal hop, not d —
-       the reading under which the paper's R-MCast has latency degree 1
-       and Theorem 5.1's concurrent bundle exchange costs a single
-       inter-group delay. *)
-    Trace.record t.trace
-      (Send
-         {
-           time;
-           src = pid;
-           dst;
-           inter_group = not same_group;
-           lc = Lclock.on_send ~same_group raw;
-           tag;
-           env;
-         });
+    record_send t ~pid ~time ~tag ~raw ~env dst;
     record_sends t ~pid ~time ~tag ~raw ~env rest
+
+(* The trace envelope of the next send. *)
+let next_env t =
+  let env = t.next_env in
+  t.next_env <- env + 1;
+  env
 
 (* The DES implementation of the capability record: the closures below are
    the whole protocol-visible behaviour of the simulator. *)
 let services t pid =
-  (* The one send path: a point-to-point send is a one-destination
-     fan-out. *)
+  (* A point-to-point send is a one-destination fan-out, without the
+     list. *)
   let send_multi dsts payload =
     if (not t.crashed.(pid)) && not (List.is_empty dsts) then begin
       let raw = t.lcs.(pid) in
-      (* One envelope (and one trace [env]) for the whole fan-out: the
-         Send entries share it, which is faithful — the fan-out is one
-         causal event at the sender. *)
-      let env = t.next_env in
-      t.next_env <- env + 1;
+      (* One trace [env] for the whole fan-out: the Send entries share
+         it, which is faithful — the fan-out is one causal event at the
+         sender. *)
+      let env = next_env t in
       if Trace.enabled t.trace then
         record_sends t ~pid ~time:(Scheduler.now t.sched) ~tag:(t.tag payload)
           ~raw ~env dsts;
-      Network.send_multi (net t) ~src:pid ~dsts { data = payload; lc = raw; env }
+      Network.send_multi (net t) ~src:pid ~dsts ~lc:raw ~env payload
     end
   in
-  let send ~dst payload = send_multi [ dst ] payload in
+  let send ~dst payload =
+    if not t.crashed.(pid) then begin
+      let raw = t.lcs.(pid) in
+      let env = next_env t in
+      if Trace.enabled t.trace then
+        record_send t ~pid ~time:(Scheduler.now t.sched) ~tag:(t.tag payload)
+          ~raw ~env dst;
+      Network.send (net t) ~src:pid ~dst ~lc:raw ~env payload
+    end
+  in
   let set_timer ~after f =
     Scheduler.after_tagged t.sched (Scheduler.Tag.timer pid) after (fun () ->
         if not t.crashed.(pid) then f ())
@@ -203,8 +221,9 @@ let schedule_crash ?(drop = Keep_inflight) t ~at pid =
          if not t.crashed.(pid) then begin
            t.crashed.(pid) <- true;
            t.crash_order <- pid :: t.crash_order;
-           Trace.record t.trace
-             (Crash { time = Scheduler.now t.sched; pid });
+           if Trace.enabled t.trace then
+             Trace.record t.trace
+               (Crash { time = Scheduler.now t.sched; pid });
            let dropped =
              match drop with
              | Keep_inflight -> 0

@@ -102,14 +102,12 @@ val crashed : 'w t -> Net.Topology.pid list
 val lc : 'w t -> Net.Topology.pid -> Lclock.t
 val trace : 'w t -> Trace.t
 val topology : 'w t -> Net.Topology.t
-type 'w envelope = { data : 'w; lc : Lclock.t; env : int }
-(** What actually travels on the network: the wire payload, the sender's
-    modified Lamport clock at send time (the carried value, LC+1 across
-    groups, is derived per destination at delivery), and a unique envelope
-    id (used by the causal trace analysis to match sends to receives). *)
-
-val network : 'w t -> 'w envelope Net.Network.t
+val network : 'w t -> 'w Net.Network.t
 (** The underlying network; exposed for counters and adversarial controls
-    ({!Net.Network.hold}, {!Net.Network.partition}). *)
+    ({!Net.Network.hold}, {!Net.Network.partition}). What travels on it is
+    the wire payload plus two ints: the sender's modified Lamport clock at
+    send time (the carried value, LC+1 across groups, is derived per
+    destination at delivery) and a unique envelope id (used by the causal
+    trace analysis to match sends to receives). *)
 
 val scheduler : 'w t -> Des.Scheduler.t

@@ -116,6 +116,12 @@ module Tbl = struct
 
   let find_opt h key = find_opt_in key h.data.(index h key)
 
+  let rec find_or_in key default = function
+    | Empty -> default
+    | Cons c -> if equal c.key key then c.data else find_or_in key default c.next
+
+  let find_or h key ~default = find_or_in key default h.data.(index h key)
+
   let rec find_in key = function
     | Empty -> raise Not_found
     | Cons c -> if equal c.key key then c.data else find_in key c.next

@@ -55,6 +55,12 @@ module Tbl : sig
   (** @raise Not_found when the key is unbound. *)
 
   val find_opt : 'a t -> key -> 'a option
+
+  val find_or : 'a t -> key -> default:'a -> 'a
+  (** [find_or h k ~default] is the data bound to [k], or [default] when
+      [k] is unbound: {!find_opt} without the [Some] box, for lookups on
+      a hot path that keep a sentinel value to compare against. *)
+
   val mem : 'a t -> key -> bool
   val iter : (key -> 'a -> unit) -> 'a t -> unit
   val fold : (key -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc

@@ -54,7 +54,9 @@ let prop_pending_index_model ops =
           (ts, id, h') :: List.filter (fun (_, _, h) -> h <> k) !model;
         true)
     | `Pop -> (
-      match (Pi.pop_min q, sorted ()) with
+      let top = Pi.min_elt q in
+      Pi.drop_top q;
+      match (top, sorted ()) with
       | None, [] -> true
       | Some (ts, id, ()), (ts', id', h') :: _ ->
         model := List.filter (fun (_, _, h) -> h <> h') !model;
@@ -88,6 +90,49 @@ let pending_index_ops_gen =
            (2, map2 (fun k t -> `Repos (k, t)) (int_range (-2) 200) (int_bound 500));
            (3, pure `Pop);
          ]))
+
+(* [top ~none] against [min_elt] under the same schedules: the sentinel
+   lookup must name the payload the option one returns, and [none]
+   exactly when that is [None]. Payloads are never [none]. [`Pop] drops
+   what [min_elt] names and must shrink a non-empty index by one. *)
+let prop_pending_index_top_is_min_elt ops =
+  let module Pi = Amcast.Pending_index in
+  let q = Pi.create () in
+  let live = ref [] in
+  let next_id = ref 0 in
+  let none = -1 in
+  let agrees () =
+    match Pi.min_elt q with
+    | None -> Pi.top q ~none = none
+    | Some (_, _, h) -> Pi.top q ~none = h && h <> none
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | `Add ts ->
+        let id = Msg_id.make ~origin:1 ~seq:!next_id in
+        incr next_id;
+        let h = Pi.add q ~ts ~id !next_id in
+        live := (h, id) :: !live
+      | `Remove k ->
+        Pi.remove q k;
+        live := List.filter (fun (h, _) -> h <> k) !live
+      | `Repos (k, ts) -> (
+        match List.assoc_opt k !live with
+        | None -> ()
+        | Some id ->
+          let h = Pi.reposition q k ~ts ~id 0 in
+          live := (h, id) :: List.filter (fun (h', _) -> h' <> k) !live)
+      | `Pop -> ());
+      agrees ()
+      &&
+      match op with
+      | `Pop ->
+        let before = Pi.size q in
+        Pi.drop_top q;
+        Pi.size q = Int.max 0 (before - 1) && agrees ()
+      | _ -> true)
+    ops
 
 (* ----- Hand-built runs with known violations ----- *)
 
@@ -951,6 +996,8 @@ let suites =
       [
         Util.qcheck_case ~count:150 ~name:"pending index matches model"
           pending_index_ops_gen prop_pending_index_model;
+        Util.qcheck_case ~count:150 ~name:"pending index: top = min_elt"
+          pending_index_ops_gen prop_pending_index_top_is_min_elt;
         Alcotest.test_case "prefix differential (violating run)" `Quick
           test_prefix_differential_synthetic;
         Alcotest.test_case "prefix differential (clean run)" `Quick

@@ -122,12 +122,13 @@ let test_fanout_equal_arrivals () =
     let net =
       Network.create ~sched ~topology:topo ~latency:Util.crisp_latency
         ~rng:(Rng.create 1)
-        ~deliver:(fun ~src:_ ~dst w ->
+        ~deliver:(fun ~src:_ ~dst ~lc:_ ~env:_ w ->
           got := (w, dst, Sim_time.to_us (Scheduler.now sched)) :: !got)
     in
     Network.set_explode_fanout net explode;
-    Network.send_multi net ~src:0 ~dsts:[ 6; 2; 4; 1; 7; 3; 5; 0 ] "a";
-    Network.send_multi net ~src:5 ~dsts:[ 3; 7; 0; 4 ] "b";
+    Network.send_multi net ~src:0 ~dsts:[ 6; 2; 4; 1; 7; 3; 5; 0 ] ~lc:0
+      ~env:0 "a";
+    Network.send_multi net ~src:5 ~dsts:[ 3; 7; 0; 4 ] ~lc:0 ~env:0 "b";
     Scheduler.run sched;
     List.rev !got
   in

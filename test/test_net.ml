@@ -63,7 +63,7 @@ let make_net ?(latency = Util.crisp_latency) topology =
   let received = ref [] in
   let net =
     Network.create ~sched ~topology ~latency ~rng
-      ~deliver:(fun ~src ~dst payload ->
+      ~deliver:(fun ~src ~dst ~lc:_ ~env:_ payload ->
         received := (src, dst, payload, Scheduler.now sched) :: !received)
   in
   (sched, net, received)
@@ -71,8 +71,8 @@ let make_net ?(latency = Util.crisp_latency) topology =
 let test_network_delivers () =
   let topo = Topology.symmetric ~groups:2 ~per_group:2 in
   let sched, net, received = make_net topo in
-  Network.send_multi net ~src:0 ~dsts:[ 1 ] "local";
-  Network.send_multi net ~src:0 ~dsts:[ 2 ] "remote";
+  Network.send net ~src:0 ~dst:1 ~lc:0 ~env:0 "local";
+  Network.send net ~src:0 ~dst:2 ~lc:0 ~env:0 "remote";
   Scheduler.run sched;
   let r = List.rev !received in
   (match r with
@@ -87,9 +87,9 @@ let test_network_delivers () =
 let test_network_hold () =
   let topo = Topology.symmetric ~groups:2 ~per_group:1 in
   let sched, net, received = make_net topo in
-  Network.send_multi net ~src:0 ~dsts:[ 1 ] "early";
+  Network.send net ~src:0 ~dst:1 ~lc:0 ~env:0 "early";
   Network.hold net ~src_group:0 ~dst_group:1 ~until:(Sim_time.of_ms 500);
-  Network.send_multi net ~src:0 ~dsts:[ 1 ] "late";
+  Network.send net ~src:0 ~dst:1 ~lc:0 ~env:0 "late";
   Scheduler.run sched;
   List.iter
     (fun (_, _, _, t) ->
@@ -101,9 +101,9 @@ let test_network_hold () =
 let test_network_drop_inflight () =
   let topo = Topology.symmetric ~groups:2 ~per_group:2 in
   let sched, net, received = make_net topo in
-  Network.send_multi net ~src:0 ~dsts:[ 2 ] "a";
-  Network.send_multi net ~src:0 ~dsts:[ 3 ] "b";
-  Network.send_multi net ~src:1 ~dsts:[ 2 ] "c";
+  Network.send net ~src:0 ~dst:2 ~lc:0 ~env:0 "a";
+  Network.send net ~src:0 ~dst:3 ~lc:0 ~env:0 "b";
+  Network.send net ~src:1 ~dst:2 ~lc:0 ~env:0 "c";
   let dropped = Network.drop_inflight net (fun ~src ~dst:_ -> src = 0) in
   Alcotest.(check int) "dropped count" 2 dropped;
   Scheduler.run sched;
@@ -120,10 +120,12 @@ let test_network_drop_inflight () =
    per match in slot order) run on both networks, with fan-outs both
    shaped as one self-re-arming event and exploded into one event per
    destination. Deliveries answer some messages with fan-outs of their
-   own, so slots are released and reused from inside deliveries. The
-   delivery sequences (time, src, dst, payload), the drop counts and the
-   send counters must agree. Crisp latencies make equal arrival times
-   common, so the order messages are re-scheduled in is visible. *)
+   own, so slots are released and reused from inside deliveries. A
+   one-destination send goes through [send], the twin's one-element
+   [send_multi]. The delivery sequences (time, src, dst, the carried
+   [lc] and [env], payload), the drop counts and the send counters must
+   agree. Crisp latencies make equal arrival times common, so the order
+   messages are re-scheduled in is visible. *)
 
 module type NET = sig
   type 'w t
@@ -133,11 +135,17 @@ module type NET = sig
     topology:Topology.t ->
     latency:Latency.t ->
     rng:Rng.t ->
-    deliver:(src:Topology.pid -> dst:Topology.pid -> 'w -> unit) ->
+    deliver:
+      (src:Topology.pid -> dst:Topology.pid -> lc:int -> env:int -> 'w -> unit) ->
     'w t
 
+  val send :
+    'w t -> src:Topology.pid -> dst:Topology.pid -> lc:int -> env:int -> 'w ->
+    unit
+
   val send_multi :
-    'w t -> src:Topology.pid -> dsts:Topology.pid list -> 'w -> unit
+    'w t -> src:Topology.pid -> dsts:Topology.pid list -> lc:int -> env:int ->
+    'w -> unit
   val hold : 'w t -> src_group:int -> dst_group:int -> until:Sim_time.t -> unit
   val heal : 'w t -> src_group:int -> dst_group:int -> unit
   val partition_groups : 'w t -> int list -> int list -> unit
@@ -149,6 +157,30 @@ module type NET = sig
   val sent_total : 'w t -> int
   val sent_inter_group : 'w t -> int
   val in_flight : 'w t -> int
+end
+
+(* The scan-based twin carries [lc] and [env] inside its payload. *)
+module Naive_stamped = struct
+  module N = Naive_network
+
+  type 'w t = (int * int * 'w) N.t
+
+  let create ~sched ~topology ~latency ~rng ~deliver =
+    N.create ~sched ~topology ~latency ~rng
+      ~deliver:(fun ~src ~dst (lc, env, w) -> deliver ~src ~dst ~lc ~env w)
+
+  let send_multi t ~src ~dsts ~lc ~env w = N.send_multi t ~src ~dsts (lc, env, w)
+  let send t ~src ~dst ~lc ~env w = send_multi t ~src ~dsts:[ dst ] ~lc ~env w
+  let hold = N.hold
+  let heal = N.heal
+  let partition_groups = N.partition_groups
+  let heal_all = N.heal_all
+  let latency_scale = N.latency_scale
+  let drop_inflight = N.drop_inflight
+  let set_explode_fanout = N.set_explode_fanout
+  let sent_total = N.sent_total
+  let sent_inter_group = N.sent_inter_group
+  let in_flight = N.in_flight
 end
 
 type net_op =
@@ -216,12 +248,14 @@ let run_net (module N : NET) ~crisp ~explode ops =
   let sched = Scheduler.create () in
   let log = ref [] in
   let net = ref None in
-  let deliver ~src ~dst payload =
-    log := (Sim_time.to_us (Scheduler.now sched), src, dst, payload) :: !log;
+  let deliver ~src ~dst ~lc ~env payload =
+    log :=
+      (Sim_time.to_us (Scheduler.now sched), src, dst, (lc, env, payload))
+      :: !log;
     if payload < 1000 && payload mod 4 = 0 then
       N.send_multi (Option.get !net) ~src:dst
         ~dsts:[ src; (dst + 1) mod net_pids ]
-        (payload + 1000)
+        ~lc:(payload + 1) ~env:(-payload) (payload + 1000)
   in
   let n = N.create ~sched ~topology ~latency ~rng:(Rng.create 11) ~deliver in
   net := Some n;
@@ -232,7 +266,8 @@ let run_net (module N : NET) ~crisp ~explode ops =
   List.iteri
     (fun k op ->
       match op with
-      | Send (src, dsts) -> N.send_multi n ~src ~dsts k
+      | Send (src, [ dst ]) -> N.send n ~src ~dst ~lc:(k * 3) ~env:(k + 7) k
+      | Send (src, dsts) -> N.send_multi n ~src ~dsts ~lc:(k * 3) ~env:(k + 7) k
       | Hold (a, b, ms) ->
         N.hold n ~src_group:a ~dst_group:b
           ~until:(Sim_time.add (Scheduler.now sched) (Sim_time.of_ms ms))
@@ -262,7 +297,7 @@ let prop_network_controls_match_scan =
        QCheck2.Gen.(triple bool bool (list_size (int_range 1 80) net_op_gen))
        (fun (crisp, explode, ops) ->
          let real = run_net (module Network) ~crisp ~explode ops
-         and naive = run_net (module Naive_network) ~crisp ~explode ops in
+         and naive = run_net (module Naive_stamped) ~crisp ~explode ops in
          let log, _, _, _, left = real in
          if real <> naive then
            QCheck2.Test.fail_reportf "diverged (%d deliveries)"

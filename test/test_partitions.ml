@@ -13,11 +13,11 @@ let test_network_partition_buffers () =
   let net =
     Network.create ~sched ~topology:topo ~latency:Util.crisp_latency
       ~rng:(Rng.create 0)
-      ~deliver:(fun ~src:_ ~dst:_ payload ->
+      ~deliver:(fun ~src:_ ~dst:_ ~lc:_ ~env:_ payload ->
         received := (payload, Scheduler.now sched) :: !received)
   in
   Network.partition net ~src_group:0 ~dst_group:1;
-  Network.send_multi net ~src:0 ~dsts:[ 1 ] "parked";
+  Network.send net ~src:0 ~dst:1 ~lc:0 ~env:0 "parked";
   Scheduler.run ~until:(Sim_time.of_ms 500) sched;
   Alcotest.(check int) "nothing through the partition" 0
     (List.length !received);
@@ -40,12 +40,12 @@ let test_network_partition_groups_and_heal_all () =
   let net =
     Network.create ~sched ~topology:topo ~latency:Util.crisp_latency
       ~rng:(Rng.create 0)
-      ~deliver:(fun ~src:_ ~dst:_ _ -> incr received)
+      ~deliver:(fun ~src:_ ~dst:_ ~lc:_ ~env:_ _ -> incr received)
   in
   Network.partition_groups net [ 0 ] [ 1; 2 ];
-  Network.send_multi net ~src:0 ~dsts:[ 1 ] ();
-  Network.send_multi net ~src:1 ~dsts:[ 0 ] ();
-  Network.send_multi net ~src:1 ~dsts:[ 2 ] (); (* inside the majority side: flows *)
+  Network.send net ~src:0 ~dst:1 ~lc:0 ~env:0 ();
+  Network.send net ~src:1 ~dst:0 ~lc:0 ~env:0 ();
+  Network.send net ~src:1 ~dst:2 ~lc:0 ~env:0 (); (* inside the majority side: flows *)
   Scheduler.run ~until:(Sim_time.of_ms 400) sched;
   Alcotest.(check int) "only the unpartitioned message" 1 !received;
   ignore

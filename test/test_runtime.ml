@@ -400,6 +400,37 @@ let prop_tbl_matches_hashtbl ops =
     ops;
   true
 
+(* [find_or] against [find_opt] on the same schedules: the sentinel
+   lookup returns the bound value, and [default] exactly when [find_opt]
+   says [None]. Bound values are never negative, so [-1] is a safe
+   default. *)
+let prop_find_or_is_find_opt ops =
+  let t = Msg_id.Tbl.create 0 in
+  List.for_all
+    (fun op ->
+      let key =
+        match op with
+        | Add (k, v) ->
+          Msg_id.Tbl.add t k v;
+          Some k
+        | Replace (k, v) ->
+          Msg_id.Tbl.replace t k v;
+          Some k
+        | Remove k ->
+          Msg_id.Tbl.remove t k;
+          Some k
+        | Probe k -> Some k
+        | Reset ->
+          Msg_id.Tbl.reset t;
+          None
+      in
+      match key with
+      | None -> true
+      | Some k ->
+        Msg_id.Tbl.find_or t k ~default:(-1)
+        = Option.value ~default:(-1) (Msg_id.Tbl.find_opt t k))
+    ops
+
 let suites =
   [
     ( "runtime",
@@ -434,5 +465,7 @@ let suites =
         Util.qcheck_case ~count:100
           ~name:"Msg_id.Tbl matches Hashtbl.Make, walk order included"
           tbl_ops_gen prop_tbl_matches_hashtbl;
+        Util.qcheck_case ~count:100 ~name:"Msg_id.Tbl.find_or = find_opt"
+          tbl_ops_gen prop_find_or_is_find_opt;
       ] );
   ]
